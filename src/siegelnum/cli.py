@@ -31,14 +31,14 @@ from .construction import ConstructionConfig, run_construction
 from .errors import NumericalError, PreconditionError
 from .families import family_catalog, get_family
 from .linearize import DEFAULT_BUDGET, siegel_series, yoccoz_w
-from .qanorm import qa_norm
+from .qanorm import circle_values, qa_norm
 from .radius import (
     parse_rotation,
     poisson_bound_check,
     rho_coefficient,
     rho_radial,
 )
-from .series import TruncatedSeries, derivative, evaluate
+from .series import TruncatedSeries, derivative
 
 __all__ = ["main", "build_parser"]
 
@@ -289,19 +289,20 @@ def _cmd_construct(args, cfg: RunConfig) -> int:
 
 
 def _cmd_boundary(args, cfg: RunConfig) -> int:
+    if args.samples < 1:
+        raise PreconditionError("samples must be >= 1")
     family = get_family(args.family)
     alpha = parse_rotation(args.alpha)
     g = siegel_series(
         family, alpha.value, n=args.degree or cfg.default_degree, dtype=cfg.dtype
     ).g
-    gp = derivative(g, 1)
     radius = math.exp(args.rho)
-    rows = []
-    for j in range(args.samples):
-        theta = j / args.samples
-        w = radius * complex(math.cos(2 * math.pi * theta), math.sin(2 * math.pi * theta))
-        gv = evaluate(g, w).value
-        rows.append([theta, float(gv.real), float(gv.imag), float(abs(evaluate(gp, w).value))])
+    gv = circle_values(g.coeffs, radius, args.samples)
+    gpv = np.abs(circle_values(derivative(g, 1).coeffs, radius, args.samples))
+    rows = [
+        [j / args.samples, float(gv[j].real), float(gv[j].imag), float(gpv[j])]
+        for j in range(args.samples)
+    ]
     _emit_csv(["theta", "re", "im", "abs_gprime"], rows, args.out)
     return 0
 

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .families import FamilySpec, get_family
 from .linearize import siegel_series
-from .qanorm import qa_distance, qa_norm
+from .qanorm import circle_values, qa_distance, qa_norm
 from .radius import (
     RadiusEstimate,
     RotationNumber,
@@ -55,7 +55,7 @@ from .radius import (
     rho_coefficient,
     rho_radial,
 )
-from .series import derivative, evaluate
+from .series import derivative
 
 __all__ = [
     "ConstructionConfig",
@@ -217,16 +217,17 @@ def find_alpha_with_rho(
     if not bracket_lo < bracket_hi:
         raise PreconditionError("bracket must satisfy lo < hi")
 
-    def eff(alpha: float) -> float:
+    def eff(alpha: float) -> tuple[float, RadiusEstimate | None]:
         try:
-            return _estimate(family, alpha, n, estimator).effective_rho
+            est = _estimate(family, alpha, n, estimator)
         except NumericalError:
             # breakdown, coefficient overflow, unusable sample run: all of
             # these happen exactly where the dip is effectively bottomless
-            return -math.inf
+            return -math.inf, None
+        return est.effective_rho, est
 
-    lo_val = eff(bracket_lo)
-    hi_val = eff(bracket_hi)
+    lo_val, _ = eff(bracket_lo)
+    hi_val, _ = eff(bracket_hi)
     if not lo_val < target_rho:
         raise BracketFailureError(
             f"lo bracket estimates {lo_val:.4f}, not below target {target_rho:.4f}"
@@ -240,9 +241,9 @@ def find_alpha_with_rho(
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             raise BracketFailureError("bracket exhausted float resolution")
-        val = eff(mid)
+        val, est = eff(mid)
         if abs(val - target_rho) <= tol_rho and math.isfinite(val):
-            return mid, _estimate(family, mid, n, estimator)
+            return mid, est
         if val < target_rho:
             lo = mid
         else:
@@ -451,20 +452,18 @@ def boundary_report(g, radius: float, circle_samples: int = 512) -> BoundaryRepo
     """Geometry of the disc image at |w| = radius: range of |g| and |g'|
     over the circle, plus the derivative norm there.  gprime_min > 0 is the
     working injectivity indicator (g is normalized, g'(0) = 1)."""
-    ws = radius * np.exp(2j * np.pi * np.arange(circle_samples) / circle_samples)
-    gp = derivative(g, 1)
-    gv = np.array([evaluate(g, w).value for w in ws])
-    gpv = np.array([evaluate(gp, w).value for w in ws])
+    gv = np.abs(circle_values(g.coeffs, radius, circle_samples))
+    gpv = np.abs(circle_values(derivative(g, 1).coeffs, radius, circle_samples))
     try:
         norm_val = qa_norm(g, radius, order_cap=1, circle_samples=circle_samples).value
     except UnreliableRadiusError:
         norm_val = math.nan
     return BoundaryReport(
         radius=radius,
-        g_min=float(np.min(np.abs(gv))),
-        g_max=float(np.max(np.abs(gv))),
-        gprime_min=float(np.min(np.abs(gpv))),
-        gprime_max=float(np.max(np.abs(gpv))),
+        g_min=float(np.min(gv)),
+        g_max=float(np.max(gv)),
+        gprime_min=float(np.min(gpv)),
+        gprime_max=float(np.max(gpv)),
         norm_value=norm_val,
         samples=circle_samples,
     )

@@ -90,12 +90,6 @@ class YoccozValue:
     iterations_used: int
     entry_radius: float
 
-    @property
-    def koebe_cap(self) -> float:
-        """The family-independent part is set by the caller; kept on the value
-        for report serialization."""
-        return 4.0
-
 
 def _solve_forward(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
     """Coefficients h_k of the normalized h with h(F(z)) = c_1(F) * h(z).
@@ -200,20 +194,24 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
     Degree k of the left side is F_1 g_k + [w^k] sum_{j>=2} F_j g^j; since
     g^j has valuation j, the j >= 2 part only involves g_1..g_{k-1}.  The
     right side is lambda^k g_k, so g_k (lambda^k - lambda) equals that sum.
-    The table pows[j] holds g^j filled through the current degree; column k
-    of every power depends only on columns < k of the lower power, so each
-    step appends one column in O(k^2) and the solve is O(n^3) overall.
+    The table pows[j] holds g^j filled through the current degree.  Column k
+    of g^j is sum_{i<k} g_i [w^{k-i}] g^{j-1}, which reads only columns < k,
+    so one mat-vec per degree appends column k of every power at once.
+    Powers above top = deg F never meet a nonzero F_j and are not kept, so
+    the solve costs O(top * n^2): O(n^2) for polynomial families, O(n^3)
+    (inside numpy) for entire ones.
     """
     n = F.size - 1
-    pows = np.zeros((n + 1, n + 1), dtype=F.dtype)
+    nonzero = np.flatnonzero(F)
+    top = max(2, int(nonzero[-1]) if nonzero.size else 0)
+    pows = np.zeros((top + 1, n + 1), dtype=F.dtype)
     g = pows[1]
     g[1] = 1
     with np.errstate(over="ignore", invalid="ignore"):  # _require_finite reports it
         for k in range(2, n + 1):
-            for j in range(2, k + 1):
-                pows[j, k] = np.dot(g[1:k], pows[j - 1, k - 1:0:-1])
-            rhs = np.dot(F[2 : k + 1], pows[2 : k + 1, k])
-            g[k] = rhs / divisors[k]
+            m = min(k, top)
+            pows[2 : m + 1, k] = pows[1:m, k - 1 : 0 : -1] @ g[1:k]
+            g[k] = (F[2 : m + 1] @ pows[2 : m + 1, k]) / divisors[k]
     return g.copy()
 
 

@@ -17,6 +17,12 @@ what padding produces).  When the projection says the circle lies at or
 beyond the disc of convergence, or leaves more than TAIL_TOL of possible
 tail, qa_norm refuses with UnreliableRadiusError rather than return a
 number that silently ignores the truncation.
+
+All values on a circle come from :func:`circle_values`, one inverse FFT
+per series at the S-th roots of unity.  It is the package's single circle
+evaluator: the norm takes the modulus of its output, and the boundary
+report of the construction and the ``siegelnum boundary`` curve use it for
+g and g'.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 from .errors import PreconditionError, UnreliableRadiusError
 from .series import TruncatedSeries
 
-__all__ = ["NormResult", "qa_norm", "qa_distance", "TAIL_TOL"]
+__all__ = ["NormResult", "circle_values", "qa_norm", "qa_distance", "TAIL_TOL"]
 
 TAIL_TOL = 1e-6
 
@@ -52,20 +58,18 @@ def _weights(order_cap: int) -> np.ndarray:
     return ((ks + 2.0) * np.log(ks + 2.0)) ** ks
 
 
-def _circle_values(scaled: np.ndarray, samples: int) -> np.ndarray:
-    """|p(r w_j)| at the ``samples`` roots of unity, given b_m = c_m r^m.
+def circle_values(coeffs: np.ndarray, r: float, samples: int) -> np.ndarray:
+    """Complex values sum_m c_m (r w_j)^m at w_j = e^{2 pi i j / S}, j < S,
+    with S = ``samples``.
 
-    Exact evaluation via the inverse FFT convention sum b_m e^{+2 pi i mj/S};
-    coefficients beyond the sample count fold onto m mod S, which is exact
-    at these nodes.
+    Exact evaluation via the inverse FFT convention sum b_m e^{+2 pi i mj/S}
+    with b_m = c_m r^m; coefficients beyond the sample count fold onto
+    m mod S, which is exact at these nodes.
     """
+    scaled = coeffs * r ** np.arange(coeffs.size, dtype=np.float64)
     if scaled.size > samples:
-        folded = np.zeros(samples, dtype=scaled.dtype)
-        for start in range(0, scaled.size, samples):
-            chunk = scaled[start : start + samples]
-            folded[: chunk.size] += chunk
-        scaled = folded
-    return np.abs(np.fft.ifft(scaled, n=samples) * samples)
+        scaled = np.pad(scaled, (0, -scaled.size % samples)).reshape(-1, samples).sum(axis=0)
+    return np.fft.ifft(scaled, n=samples) * samples
 
 
 def _tail_ratio(mags: np.ndarray, r: float) -> float | None:
@@ -158,7 +162,7 @@ def qa_norm(
                 - k * math.log(r) - math.log(weights[k])
             )
             tail_bound = max(tail_bound, math.exp(min(log_tail_k, 700.0)))
-        vals = _circle_values(work[k:], circle_samples) / weights[k]
+        vals = np.abs(circle_values(work[k:], 1.0, circle_samples)) / weights[k]
         j = int(np.argmax(vals))
         terms.append(float(vals[j]))
         if vals[j] > best:

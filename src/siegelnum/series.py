@@ -37,7 +37,6 @@ __all__ = [
     "EvalResult",
     "identity",
     "zero",
-    "arith",
     "compose",
     "revert",
     "evaluate",
@@ -157,17 +156,6 @@ def identity(degree: int, dtype=np.complex128) -> TruncatedSeries:
 
 def zero(degree: int, dtype=np.complex128) -> TruncatedSeries:
     return TruncatedSeries.from_coeffs(np.zeros(degree + 1, dtype=dtype), degree, dtype)
-
-
-def arith(a: TruncatedSeries, b: TruncatedSeries, op: str) -> TruncatedSeries:
-    """Dispatch add/sub/mul by name (CLI and config paths use this)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise PreconditionError(f"unknown arithmetic op {op!r}")
 
 
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:

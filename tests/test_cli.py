@@ -1,8 +1,14 @@
+import cmath
+import csv
+import io
 import json
+import math
 
 import pytest
 
+from siegelnum import get_family, golden_rotation, siegel_series
 from siegelnum.cli import main
+from siegelnum.series import derivative, evaluate
 
 
 def run(capsys, *argv):
@@ -157,6 +163,24 @@ def test_boundary_csv(tmp_path, capsys):
     assert lines[0] == "theta,re,im,abs_gprime"
     assert len(lines) == 9
     assert all(len(line.split(",")) == 4 for line in lines[1:])
+    # degree 64 over 8 samples exercises the folding of the circle evaluator
+    g = siegel_series(get_family("quadratic"), golden_rotation(), 64).g
+    gp = derivative(g, 1)
+    for row in csv.DictReader(io.StringIO(out_file.read_text())):
+        w = math.exp(-1.2) * cmath.exp(2j * math.pi * float(row["theta"]))
+        gv = evaluate(g, w).value
+        assert abs(float(row["re"]) - gv.real) <= 1e-12
+        assert abs(float(row["im"]) - gv.imag) <= 1e-12
+        assert abs(float(row["abs_gprime"]) - abs(evaluate(gp, w).value)) <= 1e-12
+
+
+def test_boundary_rejects_nonpositive_samples(capsys):
+    code, out, _ = run(
+        capsys, "boundary", "--family", "quadratic", "--alpha", "golden",
+        "--rho", "-1.2", "--samples", "0",
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "PreconditionError"
 
 
 def test_construct_validation_error(capsys):

@@ -11,6 +11,7 @@ from siegelnum import (
     run_construction,
     siegel_series,
 )
+from siegelnum import construction
 from siegelnum.construction import find_alpha_with_rho
 from siegelnum.errors import (
     BracketFailureError,
@@ -110,6 +111,39 @@ def test_impossible_norm_budget_stalls_with_partial_report():
     assert partial is not None
     assert partial.steps == ()
     assert "norm delta" in str(exc.value)
+
+
+def test_depth_five_construction_certifies():
+    rep = run_construction(ConstructionConfig(depth=5, delta=DELTA))
+    assert len(rep.steps) == 5
+    alpha_prev, eps_prev = rep.alpha0, 0.05
+    for n, step in enumerate(rep.steps, start=1):
+        assert abs(step.alpha - alpha_prev) + step.eps <= eps_prev + 1e-15
+        assert step.norm_delta <= DELTA * 2.0 ** (-(n - 1))
+        assert abs(step.achieved_rho - step.target_rho) <= 0.02
+        alpha_prev, eps_prev = step.alpha, step.eps
+    assert rep.total_distance <= 2 * DELTA
+    assert rep.boundary.gprime_min > 0
+
+
+def test_bisection_estimates_each_alpha_once(monkeypatch):
+    calls, results = [], []
+    estimate = construction._estimate
+
+    def counting(family, alpha, n, estimator):
+        calls.append(alpha)
+        results.append(estimate(family, alpha, n, estimator))
+        return results[-1]
+
+    monkeypatch.setattr(construction, "_estimate", counting)
+    lo, hi = 21 / 34, golden_rotation().value
+    alpha, est = find_alpha_with_rho(QUAD, -1.6, lo, hi, tol_rho=0.05, n=128)
+    # one call per bracket end (the rational lo end breaks down), then one
+    # per bisection probe; the accepted probe's estimate is returned as is
+    assert calls[:2] == [lo, hi]
+    assert len(set(calls)) == len(calls) > 2
+    assert calls[-1] == alpha
+    assert results[-1] is est
 
 
 def test_bracket_failure_when_target_unreachable():
