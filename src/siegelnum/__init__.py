@@ -42,6 +42,7 @@ from .linearize import (
     koenigs_eval,
     koenigs_series,
     siegel_series,
+    u_values,
     yoccoz_w,
 )
 from .qanorm import NormResult, qa_distance, qa_norm

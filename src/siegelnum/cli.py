@@ -30,7 +30,7 @@ from .config import RunConfig
 from .construction import ConstructionConfig, run_construction
 from .errors import NumericalError, PreconditionError
 from .families import family_catalog, get_family
-from .linearize import DEFAULT_BUDGET, siegel_series, yoccoz_w
+from .linearize import DEFAULT_BUDGET, YoccozValue, siegel_series, u_values, yoccoz_w
 from .qanorm import circle_values, qa_norm
 from .radius import (
     parse_rotation,
@@ -179,18 +179,23 @@ def _cmd_yoccoz(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _grid_point(task: tuple) -> dict:
-    """One lambda sample; never raises, so sweeps survive bad parameters."""
-    family_id, r, theta, n, budget = task
-    lam = r * complex(math.cos(2 * math.pi * theta), math.sin(2 * math.pi * theta))
-    row = {"r": r, "theta": theta, "u": math.nan, "iterations": 0, "status": "ok"}
-    try:
-        value = yoccoz_w(get_family(family_id), lam, n=n, budget=budget)
-        row["u"] = value.u
-        row["iterations"] = value.iterations_used
-    except (PreconditionError, NumericalError) as exc:
-        row["status"] = type(exc).__name__
-    return row
+def _grid_rows(task: tuple) -> list[dict]:
+    """CSV rows for a block of (r, theta) samples; never raises for a package
+    error, so sweeps survive bad parameters (the row carries its class).
+    Workers send back rows, not outcomes: a DivisorBreakdownError cannot be
+    rebuilt from its pickled args."""
+    family_id, points, n, budget = task
+    lams = [r * complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)) for r, t in points]
+    rows = []
+    for (r, theta), value in zip(points, u_values(get_family(family_id), lams, n=n, budget=budget)):
+        row = {"r": r, "theta": theta, "u": math.nan, "iterations": 0, "status": "ok"}
+        if isinstance(value, YoccozValue):
+            row["u"] = value.u
+            row["iterations"] = value.iterations_used
+        else:
+            row["status"] = type(value).__name__
+        rows.append(row)
+    return rows
 
 
 def _cmd_grid(args, cfg: RunConfig) -> int:
@@ -200,18 +205,17 @@ def _cmd_grid(args, cfg: RunConfig) -> int:
         raise PreconditionError("res must be >= 1")
     get_family(args.family)  # validate before spawning workers
     n = args.degree or cfg.default_degree
+    budget = args.budget or DEFAULT_BUDGET
     radii = np.linspace(args.rmin, args.rmax, args.res)
     thetas = np.arange(args.res) / args.res
-    tasks = [
-        (args.family, float(r), float(t), n, args.budget or DEFAULT_BUDGET)
-        for r in radii
-        for t in thetas
-    ]
+    points = [(float(r), float(t)) for r in radii for t in thetas]
     if cfg.worker_count > 1:
+        size = -(-len(points) // cfg.worker_count)
+        tasks = [(args.family, points[i : i + size], n, budget) for i in range(0, len(points), size)]
         with ProcessPoolExecutor(max_workers=cfg.worker_count) as pool:
-            rows = list(pool.map(_grid_point, tasks, chunksize=8))
+            rows = [row for block in pool.map(_grid_rows, tasks) for row in block]
     else:
-        rows = [_grid_point(t) for t in tasks]
+        rows = _grid_rows((args.family, points, n, budget))
     fmt = args.format or cfg.output_format
     if fmt == "json":
         _emit_json(rows, args.out)

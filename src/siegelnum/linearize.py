@@ -15,6 +15,10 @@ u = log|w/lambda| is harmonic in lambda and bounded by M = log 4 + log|v|
 via the Koebe quarter theorem; radial limits of u are the subject of the
 radius module.
 
+u_values is the one pipeline from multipliers to Yoccoz values (series,
+entry radius, orbit, log), batched over lambda; yoccoz_w, the CLI grid and
+the radius module's ray scans all go through it.
+
 Residual checks here are *relative*: coefficients of Koenigs series grow
 like dist(0, basin boundary)^{-k} and reach 1e120 at practical degrees, so
 an absolute coefficientwise tolerance is meaningless in binary64.  Each
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +42,9 @@ from .errors import (
     NoConvergenceError,
     NumericalError,
     PreconditionError,
+    SiegelnumError,
 )
-from .families import FamilySpec, family_eval, family_series
+from .families import FamilySpec, base_series, family_eval, family_series
 from .series import TruncatedSeries, compose, evaluate
 
 __all__ = [
@@ -51,6 +57,7 @@ __all__ = [
     "entry_radius",
     "koenigs_eval",
     "yoccoz_w",
+    "u_values",
     "KOENIGS_DIVISOR_FLOOR",
     "SIEGEL_DIVISOR_FLOOR",
     "ENTRY_RADIUS_GRID",
@@ -64,6 +71,9 @@ ENTRY_RADIUS_GRID = (0.2, 0.1, 0.05, 0.02, 0.01)
 ENTRY_TAIL_TOL = 1e-13
 ESCAPE_BOUND = 1e50
 DEFAULT_BUDGET = 10**6
+# multipliers per batched Koenigs solve in u_values: bounds its work arrays
+# to a few (U_BLOCK x (n + 1)) complex tables whatever the sweep size
+U_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -91,27 +101,6 @@ class YoccozValue:
     entry_radius: float
 
 
-def _solve_forward(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
-    """Coefficients h_k of the normalized h with h(F(z)) = c_1(F) * h(z).
-
-    Recurrence: h_k * (lambda^k - lambda) = -[z^k] sum_{j<k} h_j F^j,
-    with F^j accumulated one truncated convolution per degree.
-    ``divisors`` holds lambda^k - lambda at index k (entries below index 2
-    ignored).
-    """
-    n = F.size - 1
-    h = np.zeros(n + 1, dtype=F.dtype)
-    h[1] = 1
-    fpow = F.copy()  # F^1
-    acc = fpow.copy()  # sum_{j <= k-1} h_j F^j
-    with np.errstate(over="ignore", invalid="ignore"):  # _require_finite reports it
-        for k in range(2, n + 1):
-            fpow = np.convolve(fpow, F)[: n + 1]
-            h[k] = -acc[k] / divisors[k]
-            acc = acc + h[k] * fpow
-    return h
-
-
 def _require_finite(coeffs: np.ndarray, kind: str) -> None:
     """Conjugacy coefficients can outgrow binary64 when the radius is tiny
     (deep near-rational dips); that is a numerical failure of the run, not
@@ -125,14 +114,76 @@ def _require_finite(coeffs: np.ndarray, kind: str) -> None:
         )
 
 
-def _check_divisors(lam_powers: np.ndarray, lam: complex, floor: float) -> tuple[np.ndarray, float]:
-    divisors = lam_powers - lam
-    mags = np.abs(divisors[2:])
-    k_min = int(np.argmin(mags)) + 2
-    floor_seen = float(mags[k_min - 2])
-    if floor_seen < floor:
-        raise DivisorBreakdownError(k_min, floor_seen, floor)
-    return divisors, floor_seen
+def _divisor_floors(divisors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of lambda^k - lambda: the k >= 2 of smallest modulus and that modulus."""
+    mags = np.abs(divisors[..., 2:])
+    k_min = np.argmin(mags, axis=-1)
+    return k_min + 2, np.take_along_axis(mags, k_min[..., None], axis=-1)[..., 0]
+
+
+def _check_multiplier(lam: complex) -> None:
+    if lam == 0:
+        raise PreconditionError("lambda = 0 has no Koenigs linearization")
+    if abs(abs(lam) - 1.0) < 1e-15:
+        raise PreconditionError("|lambda| = 1 is the Siegel regime; use siegel_series")
+
+
+def _power_columns(f: np.ndarray) -> np.ndarray:
+    """C[k, j] = [z^k] f^j for j, k <= n, where n = deg of the truncation.
+
+    f_lambda = lambda f, so [z^k] f_lambda^j = lambda^j C[k, j] and one table
+    serves every lambda.  f has f_0 = 0, so f^j has valuation j and row j of
+    the power table is one convolution of row j - 1 with f_1..f_deg f.
+    Stored transposed: the Koenigs recurrence reads column k of the powers.
+    """
+    n = f.size - 1
+    tail = np.trim_zeros(f[1:], "b")
+    pows = np.zeros((n + 1, n + 1), dtype=f.dtype)
+    pows[0, 0] = 1
+    pows[1] = f
+    for j in range(2, n + 1):
+        pows[j, j:] = np.convolve(pows[j - 1, j - 1 : n], tail[: n + 1 - j])[: n + 1 - j]
+    return np.ascontiguousarray(pows.T)
+
+
+def _solve_koenigs(cols: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, list]:
+    """Rows h of the normalized Koenigs series of lambda f, one per lambda.
+
+    Degree k of h(f_lambda(z)) = lambda h(z) reads
+    h_k (lambda^k - lambda) = -sum_{j<k} h_j lambda^j [z^k] f^j, so with
+    G[:, j] = h_j lambda^j each degree is one stacked dot product over the
+    batch against column k of the power table.  Each row's dot is computed
+    on its own, so its coefficients do not depend on the rest of the batch
+    (a plain matrix-vector product can sum a row differently by batch size).
+    Returns the coefficient rows and, per row, None or the
+    DivisorBreakdownError / NumericalError that koenigs_series raises for it
+    (a failed row's coefficients are meaningless).
+    """
+    n = cols.shape[0] - 1
+    lam_pows = np.power(lams[:, None], np.arange(n + 1))
+    divisors = lam_pows - lams[:, None]
+    k_min, floor_seen = _divisor_floors(divisors)
+    errors = [
+        DivisorBreakdownError(int(k), float(m), KOENIGS_DIVISOR_FLOOR)
+        if m < KOENIGS_DIVISOR_FLOOR else None
+        for k, m in zip(k_min, floor_seen)
+    ]
+    h = np.zeros((lams.size, n + 1), dtype=lams.dtype)
+    h[:, 1] = 1
+    g = np.zeros_like(h)
+    g[:, 1] = lam_pows[:, 1]
+    # broken-down rows may divide by zero; overflow is reported below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(2, n + 1):
+            h[:, k] = -(g[:, None, :k] @ cols[k, :k, None])[:, 0, 0] / divisors[:, k]
+            g[:, k] = h[:, k] * lam_pows[:, k]
+    for b in np.flatnonzero(~np.isfinite(h).all(axis=1)):
+        if errors[b] is None:
+            try:
+                _require_finite(h[b], "Koenigs")
+            except NumericalError as exc:
+                errors[b] = exc
+    return h, errors
 
 
 def koenigs_series(family: FamilySpec, lam: complex, n: int = 128, dtype=np.complex128) -> KoenigsSeries:
@@ -141,19 +192,16 @@ def koenigs_series(family: FamilySpec, lam: complex, n: int = 128, dtype=np.comp
     Defined for 0 < |lambda| < 1; |lambda| > 1 is accepted too (the same
     recurrence linearizes a repelling point).  |lambda| = 1 and lambda = 0
     are rejected outright — those regimes belong to siegel_series and to
-    no linearizer at all, respectively.
+    no linearizer at all, respectively.  The solve is the batched one of
+    u_values, run on a batch of one.
     """
     lam = complex(lam)
-    if lam == 0:
-        raise PreconditionError("lambda = 0 has no Koenigs linearization")
-    if abs(abs(lam) - 1.0) < 1e-15:
-        raise PreconditionError("|lambda| = 1 is the Siegel regime; use siegel_series")
-    F = family_series(family, lam, n, dtype)
-    powers = np.power(dtype(lam), np.arange(n + 1))
-    divisors, _ = _check_divisors(powers, dtype(lam), KOENIGS_DIVISOR_FLOOR)
-    h = _solve_forward(F.coeffs, divisors)
-    _require_finite(h, "Koenigs")
-    return KoenigsSeries(lam=lam, h=TruncatedSeries.from_coeffs(h, n, dtype), family=family)
+    _check_multiplier(lam)
+    cols = _power_columns(base_series(family, n, dtype).coeffs)
+    h, errors = _solve_koenigs(cols, np.array([lam], dtype=dtype))
+    if errors[0] is not None:
+        raise errors[0]
+    return KoenigsSeries(lam=lam, h=TruncatedSeries.from_coeffs(h[0], n, dtype), family=family)
 
 
 def siegel_series(family: FamilySpec, alpha: float, n: int = 128, dtype=np.complex128) -> SiegelSeries:
@@ -175,7 +223,10 @@ def siegel_series(family: FamilySpec, alpha: float, n: int = 128, dtype=np.compl
         [cmath.exp(2j * math.pi * math.fmod(k * alpha, 1.0)) for k in range(n + 1)],
         dtype=dtype,
     )
-    divisors, floor_seen = _check_divisors(powers, powers[1], SIEGEL_DIVISOR_FLOOR)
+    divisors = powers - powers[1]
+    k_min, floor_seen = _divisor_floors(divisors)
+    if floor_seen < SIEGEL_DIVISOR_FLOOR:
+        raise DivisorBreakdownError(int(k_min), float(floor_seen), SIEGEL_DIVISOR_FLOOR)
     F = family_series(family, lam, n, dtype)
     g = _solve_siegel(F.coeffs, divisors)
     _require_finite(g, "Siegel")
@@ -184,7 +235,7 @@ def siegel_series(family: FamilySpec, alpha: float, n: int = 128, dtype=np.compl
         lam=lam,
         g=TruncatedSeries.from_coeffs(g, n, dtype),
         family=family,
-        divisor_floor=floor_seen,
+        divisor_floor=float(floor_seen),
     )
 
 
@@ -259,6 +310,34 @@ def _abs_compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     return out
 
 
+def _entry_radii(h: np.ndarray, samples: int = 8) -> np.ndarray:
+    """entry_radius for each row of coefficients h; NaN where no radius passes.
+
+    Full minus half-degree evaluation is the tail sum over N/2 < k <= N, so
+    at each grid radius the discrepancies of all rows still undecided are one
+    product with the Vandermonde matrix of the sample points and those powers.
+    """
+    n = h.shape[1] - 1
+    powers = np.arange(n // 2 + 1, n + 1)
+    turns = np.exp(2j * math.pi * np.arange(samples) / samples)
+    radii = np.full(h.shape[0], np.nan)
+    undecided = np.arange(h.shape[0])
+    for r in ENTRY_RADIUS_GRID:
+        tails = h[undecided[:, None], powers] @ np.power(r * turns[:, None], powers).T
+        passing = np.abs(tails).max(axis=1, initial=0.0) <= ENTRY_TAIL_TOL
+        radii[undecided[passing]] = r
+        undecided = undecided[~passing]
+        if not undecided.size:
+            break
+    return radii
+
+
+def _entry_radius_error() -> EntryRadiusError:
+    return EntryRadiusError(
+        f"no radius in {ENTRY_RADIUS_GRID} gives two-truncation agreement <= {ENTRY_TAIL_TOL:g}"
+    )
+
+
 def entry_radius(ser: TruncatedSeries, samples: int = 8) -> float:
     """Largest grid radius where the series evaluation is self-consistent.
 
@@ -268,17 +347,35 @@ def entry_radius(ser: TruncatedSeries, samples: int = 8) -> float:
     Nothing on the grid passing means the series is untrustworthy even at
     |z| = 0.01 and evaluation should not be attempted.
     """
-    half = ser.truncated(ser.degree // 2)
-    for r in ENTRY_RADIUS_GRID:
-        worst = 0.0
-        for j in range(samples):
-            z = r * cmath.exp(2j * math.pi * j / samples)
-            worst = max(worst, abs(complex(evaluate(ser, z).value) - complex(evaluate(half, z).value)))
-        if worst <= ENTRY_TAIL_TOL:
-            return r
-    raise EntryRadiusError(
-        f"no radius in {ENTRY_RADIUS_GRID} gives two-truncation agreement <= {ENTRY_TAIL_TOL:g}"
-    )
+    r = float(_entry_radii(ser.coeffs[None, :], samples)[0])
+    if math.isnan(r):
+        raise _entry_radius_error()
+    return r
+
+
+def _orbit(family: FamilySpec, lam: complex, z: complex, r_entry: float, budget: int) -> tuple[complex, int]:
+    """Iterate f_lambda from z until |z| <= r_entry; returns (z_m, m)."""
+    m = 0
+    while abs(z) > r_entry:
+        if m >= budget:
+            raise NoConvergenceError(budget)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)) or abs(z) > ESCAPE_BOUND:
+            raise NoConvergenceError(
+                budget, f"orbit escaped (|z| > {ESCAPE_BOUND:g}) after {m} iterations"
+            )
+        z = family_eval(family, lam, z)
+        m += 1
+    return z, m
+
+
+def _unwind(hz: complex, m: int, lam: complex) -> complex:
+    """lambda^{-m} h(z_m), in log form: m can reach 1e5 near the unit
+    circle, where lambda^{-m} overflows directly."""
+    if hz == 0:
+        return 0j
+    if m == 0:
+        return hz
+    return cmath.exp(cmath.log(hz) - m * cmath.log(lam))
 
 
 def koenigs_eval(
@@ -290,34 +387,102 @@ def koenigs_eval(
     """h(z) on the whole basin of 0, by iterating into the entry disc.
 
     Iterates z_{m+1} = f_lambda(z_m) until |z_m| <= r_entry, then returns
-    lambda^{-m} h(z_m).  The prefactor is applied in log form (m can reach
-    1e5 near the unit circle, where lambda^{-m} overflows directly).
-    Returns (value, iterations used).
+    lambda^{-m} h(z_m).  Returns (value, iterations used).
     """
     lam = ks.lam
     if abs(lam) >= 1.0:
         raise PreconditionError("basin extension requires |lambda| < 1")
     if r_entry is None:
         r_entry = entry_radius(ks.h)
-    z = complex(z)
-    m = 0
-    while abs(z) > r_entry:
-        if m >= budget:
-            raise NoConvergenceError(budget)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)) or abs(z) > ESCAPE_BOUND:
-            raise NoConvergenceError(
-                budget, f"orbit escaped (|z| > {ESCAPE_BOUND:g}) after {m} iterations"
-            )
-        z = family_eval(ks.family, lam, z)
-        m += 1
-    if z == 0:
-        return 0j, m
-    hz = complex(evaluate(ks.h, z).value)
-    if hz == 0:
-        return 0j, m
-    if m == 0:
-        return hz, 0
-    return cmath.exp(cmath.log(hz) - m * cmath.log(lam)), m
+    z, m = _orbit(ks.family, lam, complex(z), r_entry, budget)
+    return _unwind(complex(evaluate(ks.h, z).value), m, lam), m
+
+
+def _yoccoz_value(family: FamilySpec, lam: complex, hz: complex, m: int, r_entry: float) -> YoccozValue:
+    """w = lambda^{-m} h(z_m) with its Koebe and non-vanishing checks."""
+    w = _unwind(hz, m, lam)
+    cap = 4.0 * abs(family.v)
+    if not abs(w) < cap:
+        raise NumericalError(
+            f"Koebe bound violated: |w| = {abs(w):.6g} >= 4|v| = {cap:.6g} at lambda = {lam!r}"
+        )
+    if w == 0:
+        raise NumericalError(f"vanishing Yoccoz value at lambda = {lam!r}")
+    return YoccozValue(lam=lam, w=w, u=math.log(abs(w / lam)), iterations_used=m, entry_radius=r_entry)
+
+
+def _u_block(family: FamilySpec, cols: np.ndarray, lams: list[complex], budget: int) -> list:
+    """u_values for at most U_BLOCK multipliers that passed the precondition."""
+    h, outcomes = _solve_koenigs(cols, np.array(lams))
+    live = [b for b, out in enumerate(outcomes) if out is None]
+    radius = dict(zip(live, _entry_radii(h[live]).tolist()))
+    reached = []  # (row, z_m, m) of each orbit that entered its disc
+    for b in live:
+        try:
+            if math.isnan(radius[b]):
+                raise _entry_radius_error()
+            reached.append((b, *_orbit(family, lams[b], lams[b] * family.v, radius[b], budget)))
+        except SiegelnumError as exc:
+            outcomes[b] = exc
+    if not reached:
+        return outcomes
+    rows, ends, iters = zip(*reached)
+    coeffs = h[list(rows)]
+    z = np.array(ends)
+    hz = coeffs[:, -1]
+    for k in range(coeffs.shape[1] - 2, -1, -1):  # Horner, all rows at once
+        hz = hz * z + coeffs[:, k]
+    for b, value, m in zip(rows, hz.tolist(), iters):
+        try:
+            outcomes[b] = _yoccoz_value(family, lams[b], value, m, radius[b])
+        except NumericalError as exc:
+            outcomes[b] = exc
+    return outcomes
+
+
+def u_values(
+    family: FamilySpec,
+    lams: Iterable[complex],
+    n: int = 128,
+    budget: int = DEFAULT_BUDGET,
+) -> list[YoccozValue | SiegelnumError]:
+    """Yoccoz values at many multipliers: the one lambda pipeline.
+
+    Returns, in input order, one outcome per lambda: its YoccozValue, or
+    the SiegelnumError instance that yoccoz_w raises for it (not raised
+    here, so a sweep keeps going).  Any other exception, such as one from a
+    user family's point evaluator, propagates.
+
+    The Koenigs series of every lambda come from one power table of f
+    (f_lambda = lambda f) and one batched solve per block of U_BLOCK
+    multipliers; entry radii take one Vandermonde product per grid radius
+    and block.  The basin orbit runs per lambda with the closed-form map,
+    since orbit lengths differ widely; h(z_m) is then one Horner pass over
+    the block.
+    """
+    lams = [complex(lam) for lam in lams]
+    outcomes: list = [None] * len(lams)
+    todo = []
+    for i, lam in enumerate(lams):
+        try:
+            if not 0 < abs(lam) < 1:
+                raise PreconditionError("yoccoz_w needs 0 < |lambda| < 1")
+            _check_multiplier(lam)
+            todo.append(i)
+        except PreconditionError as exc:
+            outcomes[i] = exc
+    if not todo:
+        return outcomes
+    try:
+        f = base_series(family, n).coeffs
+    except PreconditionError as exc:  # degree below 2: yoccoz_w raises it for every lambda
+        return [exc if out is None else out for out in outcomes]
+    cols = _power_columns(f)
+    for start in range(0, len(todo), U_BLOCK):
+        block = todo[start : start + U_BLOCK]
+        for i, out in zip(block, _u_block(family, cols, [lams[i] for i in block], budget)):
+            outcomes[i] = out
+    return outcomes
 
 
 def yoccoz_w(
@@ -331,20 +496,9 @@ def yoccoz_w(
     The Koebe quarter theorem forces |w| < 4|v| (w lies in the Koenigs
     image of the basin, which omits the value of modulus 4|v|); a numerical
     violation therefore indicates a broken evaluation and raises rather
-    than returning a value.
+    than returning a value.  This is u_values on a single lambda.
     """
-    lam = complex(lam)
-    if not 0 < abs(lam) < 1:
-        raise PreconditionError("yoccoz_w needs 0 < |lambda| < 1")
-    ks = koenigs_series(family, lam, n)
-    r_e = entry_radius(ks.h)
-    w, m = koenigs_eval(ks, lam * family.v, budget=budget, r_entry=r_e)
-    cap = 4.0 * abs(family.v)
-    if not abs(w) < cap:
-        raise NumericalError(
-            f"Koebe bound violated: |w| = {abs(w):.6g} >= 4|v| = {cap:.6g} at lambda = {lam!r}"
-        )
-    if w == 0:
-        raise NumericalError(f"vanishing Yoccoz value at lambda = {lam!r}")
-    u = math.log(abs(w / lam))
-    return YoccozValue(lam=lam, w=w, u=u, iterations_used=m, entry_radius=r_e)
+    out = u_values(family, [lam], n, budget)[0]
+    if isinstance(out, SiegelnumError):
+        raise out
+    return out

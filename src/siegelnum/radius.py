@@ -43,9 +43,10 @@ from .errors import (
     NumericalError,
     PoleError,
     PreconditionError,
+    SiegelnumError,
 )
 from .families import FamilySpec
-from .linearize import entry_radius, koenigs_eval, koenigs_series, siegel_series
+from .linearize import siegel_series, u_values
 
 __all__ = [
     "RotationNumber",
@@ -259,8 +260,10 @@ def rho_radial(
     final three consecutive steps to each drop by at least DIVERGENCE_DROP
     (see the module docstring for the calibration); a diverging estimate
     carries rho_hat = None, never a sentinel float.  Individual depths may
-    fail (iteration budget, entry radius, orbit escape) and are recorded;
-    flags are read off the trailing run of consecutive successes.
+    fail (iteration budget, entry radius, orbit escape, divisor breakdown,
+    pole) and are recorded; flags are read off the trailing run of
+    consecutive successes.  Any other error yoccoz_w raises for a depth,
+    such as a Koebe-bound violation, is raised here too.
     """
     if depth < 4:
         raise PreconditionError("radial scan needs depth >= 4")
@@ -268,21 +271,19 @@ def rho_radial(
     samples: list[tuple[float, float]] = []
     failures: list[str] = []
     runs: list[list[float]] = [[]]  # u values split into consecutive-k runs
-    for k in range(2, depth + 1):
-        r = 1.0 - 2.0**-k
-        lam = r * cmath.exp(2j * math.pi * rot.value)
-        try:
-            ks = koenigs_series(family, lam, n)
-            r_e = entry_radius(ks.h)
-            w, _ = koenigs_eval(ks, lam * family.v, budget=budget, r_entry=r_e)
-            u = math.log(abs(w / lam))
-        except (NoConvergenceError, EntryRadiusError, DivisorBreakdownError, PoleError) as exc:
-            failures.append(f"depth {k}: {type(exc).__name__}: {exc}")
+    ladder = [1.0 - 2.0**-k for k in range(2, depth + 1)]
+    turn = cmath.exp(2j * math.pi * rot.value)
+    values = u_values(family, [r * turn for r in ladder], n, budget)
+    for k, r, value in zip(range(2, depth + 1), ladder, values):
+        if isinstance(value, (NoConvergenceError, EntryRadiusError, DivisorBreakdownError, PoleError)):
+            failures.append(f"depth {k}: {type(value).__name__}: {value}")
             if runs[-1]:
                 runs.append([])
             continue
-        samples.append((r, u))
-        runs[-1].append(u)
+        if isinstance(value, SiegelnumError):
+            raise value
+        samples.append((r, value.u))
+        runs[-1].append(value.u)
     if not samples:
         raise EstimateUnavailableError(
             f"no radial sample succeeded to depth {depth}: {failures}"
@@ -472,7 +473,8 @@ def poisson_bound_check(
     the cap elsewhere is M = log 4 + log|v|.  Radii approach the circle on
     the dyadic ladder (depth 2 up to max_depth, ray_samples values).  A
     violation means the supplied caps were not actually valid; violations
-    are counted and reported, never raised.
+    are counted and reported, never raised.  Ray samples where yoccoz_w
+    raises a package error are masked and counted; other errors propagate.
     """
     if delta <= 0:
         raise PreconditionError("delta must be positive")
@@ -482,17 +484,17 @@ def poisson_bound_check(
     masked = 0
     violations = 0
     min_margin = math.inf
-    for j in range(ray_samples):
-        k = 2.0 + (max_depth - 2.0) * j / max(1, ray_samples - 1)
-        r = 1.0 - 2.0**-k
-        lam = r * cmath.exp(2j * math.pi * rot.value)
-        try:
-            ks = koenigs_series(family, lam, n)
-            w, _ = koenigs_eval(ks, lam * family.v, budget=budget)
-            u = math.log(abs(w / lam))
-        except Exception:
+    radii = [
+        1.0 - 2.0 ** -(2.0 + (max_depth - 2.0) * j / max(1, ray_samples - 1))
+        for j in range(ray_samples)
+    ]
+    turn = cmath.exp(2j * math.pi * rot.value)
+    lams = [r * turn for r in radii]
+    for r, lam, value in zip(radii, lams, u_values(family, lams, n, budget)):
+        if isinstance(value, SiegelnumError):
             masked += 1
             continue
+        u = value.u
         u_eps = poisson_step_value(rot.value, delta, L, R, m_cap, lam)
         margin = u_eps - u
         min_margin = min(min_margin, margin)

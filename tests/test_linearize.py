@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import warnings
 
 import mpmath
@@ -9,23 +10,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siegelnum import (
+    YoccozValue,
     conjugacy_residual,
     entry_radius,
+    family_eval,
     family_series,
     get_family,
     golden_rotation,
+    koenigs_eval,
     koenigs_series,
+    rational_rotation,
+    rho_radial,
     siegel_series,
     silver_rotation,
+    u_values,
     yoccoz_w,
 )
+from siegelnum import linearize, radius
 from siegelnum.errors import (
     DivisorBreakdownError,
+    EntryRadiusError,
     NoConvergenceError,
     NumericalError,
     PreconditionError,
+    SiegelnumError,
 )
-from siegelnum.linearize import ENTRY_RADIUS_GRID, _abs_compose
+from siegelnum.linearize import (
+    DEFAULT_BUDGET,
+    ENTRY_RADIUS_GRID,
+    ENTRY_TAIL_TOL,
+    ESCAPE_BOUND,
+    KOENIGS_DIVISOR_FLOOR,
+    _abs_compose,
+    _require_finite,
+)
+from siegelnum.series import TruncatedSeries, evaluate
 
 EPS = np.finfo(np.float64).eps
 ALL_FAMILY_IDS = (
@@ -199,3 +218,225 @@ def test_siegel_overflow_is_typed_with_warnings_as_errors():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError):
             siegel_series(get_family("quadratic"), 0.5 + 1e-12, 128)
+
+
+# -- the scalar lambda pipeline that u_values replaced, kept as the oracle ----
+
+
+def _loop_solve_koenigs(F, divisors):
+    """Reference: h_k (lambda^k - lambda) = -[z^k] sum_{j<k} h_j F^j with F^j
+    accumulated one truncated convolution per degree."""
+    n = F.size - 1
+    h = np.zeros(n + 1, dtype=F.dtype)
+    h[1] = 1
+    fpow = F.copy()
+    acc = fpow.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(2, n + 1):
+            fpow = np.convolve(fpow, F)[: n + 1]
+            h[k] = -acc[k] / divisors[k]
+            acc = acc + h[k] * fpow
+    return h
+
+
+def _koenigs_inputs(fam, lam, n):
+    F = family_series(fam, lam, n).coeffs
+    return F, np.power(np.complex128(lam), np.arange(n + 1)) - lam
+
+
+def _scalar_koenigs(fam, lam, n):
+    if lam == 0:
+        raise PreconditionError("lambda = 0 has no Koenigs linearization")
+    if abs(abs(lam) - 1.0) < 1e-15:
+        raise PreconditionError("|lambda| = 1 is the Siegel regime; use siegel_series")
+    F, divisors = _koenigs_inputs(fam, lam, n)
+    mags = np.abs(divisors[2:])
+    k_min = int(np.argmin(mags)) + 2
+    if mags[k_min - 2] < KOENIGS_DIVISOR_FLOOR:
+        raise DivisorBreakdownError(k_min, float(mags[k_min - 2]), KOENIGS_DIVISOR_FLOOR)
+    h = _loop_solve_koenigs(F, divisors)
+    _require_finite(h, "Koenigs")
+    return h
+
+
+def _horner_tail(h, r, samples=8):
+    """Worst |full - half-degree| Horner evaluation over samples points on |z| = r."""
+    ser = TruncatedSeries.from_coeffs(h)
+    half = ser.truncated(ser.degree // 2)
+    worst = 0.0
+    for j in range(samples):
+        z = r * cmath.exp(2j * math.pi * j / samples)
+        worst = max(worst, abs(evaluate(ser, z).value - evaluate(half, z).value))
+    return worst
+
+
+def _horner_entry_radius(h):
+    for r in ENTRY_RADIUS_GRID:
+        if _horner_tail(h, r) <= ENTRY_TAIL_TOL:
+            return r
+    raise EntryRadiusError(
+        f"no radius in {ENTRY_RADIUS_GRID} gives two-truncation agreement <= {ENTRY_TAIL_TOL:g}"
+    )
+
+
+def _scalar_yoccoz(fam, lam, n=128, budget=DEFAULT_BUDGET):
+    """Reference: yoccoz_w one lambda at a time, series to orbit to log."""
+    lam = complex(lam)
+    if not 0 < abs(lam) < 1:
+        raise PreconditionError("yoccoz_w needs 0 < |lambda| < 1")
+    h = _scalar_koenigs(fam, lam, n)
+    r_e = _horner_entry_radius(h)
+    z = lam * fam.v
+    m = 0
+    while abs(z) > r_e:
+        if m >= budget:
+            raise NoConvergenceError(budget)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)) or abs(z) > ESCAPE_BOUND:
+            raise NoConvergenceError(
+                budget, f"orbit escaped (|z| > {ESCAPE_BOUND:g}) after {m} iterations"
+            )
+        z = family_eval(fam, lam, z)
+        m += 1
+    hz = 0j if z == 0 else complex(evaluate(TruncatedSeries.from_coeffs(h), z).value)
+    if hz == 0:
+        w = 0j
+    elif m == 0:
+        w = hz
+    else:
+        w = cmath.exp(cmath.log(hz) - m * cmath.log(lam))
+    cap = 4.0 * abs(fam.v)
+    if not abs(w) < cap:
+        raise NumericalError(
+            f"Koebe bound violated: |w| = {abs(w):.6g} >= 4|v| = {cap:.6g} at lambda = {lam!r}"
+        )
+    if w == 0:
+        raise NumericalError(f"vanishing Yoccoz value at lambda = {lam!r}")
+    return YoccozValue(lam=lam, w=w, u=math.log(abs(w / lam)), iterations_used=m, entry_radius=r_e)
+
+
+def _scalar_u_values(fam, lams, n=128, budget=DEFAULT_BUDGET):
+    out = []
+    for lam in lams:
+        try:
+            out.append(_scalar_yoccoz(fam, lam, n, budget))
+        except SiegelnumError as exc:
+            out.append(exc)
+    return out
+
+
+def _assert_same_outcome(fam, lam, n, new, ref):
+    assert type(new) is type(ref), (new, ref)
+    if isinstance(ref, SiegelnumError):
+        assert str(new) == str(ref)
+        return
+    assert abs(new.u - ref.u) <= 1e-12, (new.u, ref.u)
+    if new.entry_radius == ref.entry_radius:
+        assert new.iterations_used == ref.iterations_used
+        return
+    # Near the unit circle the recurrence amplifies rounding until the two
+    # solves' coefficients above degree N/2 differ by O(1) (zexp at
+    # 0.7646 - 0.5291i: 0.4 relative at degree 50-65), so a tail within a
+    # factor 2 of ENTRY_TAIL_TOL can pass on one and fail on the other.
+    tail = _horner_tail(_scalar_koenigs(fam, lam, n), max(new.entry_radius, ref.entry_radius))
+    assert ENTRY_TAIL_TOL / 2 < tail <= 2 * ENTRY_TAIL_TOL, (lam, tail)
+
+
+def _koenigs_error_majorant(ref, F, divisors):
+    """maj_k, the summed term sizes of h_k's recurrence (from _abs_compose),
+    carried forward through the same recurrence in absolute values: an error
+    in h_j reaches h_k through lambda^j [z^k] f^j / (lambda^k - lambda), and
+    at complex lambda that amplification is far above maj_k itself."""
+    n = F.size - 1
+    source = _abs_compose(ref, F) + abs(F[1]) * np.abs(ref)
+    abs_pows = np.zeros((n + 1, n + 1))
+    abs_pows[0, 0] = 1
+    for j in range(1, n + 1):
+        abs_pows[j] = np.convolve(abs_pows[j - 1], np.abs(F))[: n + 1]
+    maj = np.zeros(n + 1)
+    for k in range(2, n + 1):
+        maj[k] = (source[k] + maj[:k] @ abs_pows[:k, k]) / abs(divisors[k])
+    return maj
+
+
+@pytest.mark.parametrize("fam_id", ALL_FAMILY_IDS)
+def test_koenigs_solver_matches_loop_oracle(fam_id):
+    fam = get_family(fam_id)
+    for lam in (0.3, 0.5j, 0.7 * cmath.exp(2.1j), 0.95 * cmath.exp(-0.4j)):
+        F, divisors = _koenigs_inputs(fam, lam, 128)
+        ref = _loop_solve_koenigs(F, divisors)
+        new = koenigs_series(fam, lam, 128).h.coeffs
+        assert np.array_equal(new == 0, ref == 0), (fam_id, lam)
+        assert np.array_equal(new[:2], ref[:2])
+        maj = _koenigs_error_majorant(ref, F, divisors)[2:]
+        diff = np.abs(new - ref)[2:]
+        assert np.all(diff[maj == 0] == 0)
+        assert np.max(diff[maj > 0] / maj[maj > 0]) <= 1e3 * EPS, (fam_id, lam)
+
+
+@pytest.mark.parametrize("fam_id", ALL_FAMILY_IDS)
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(min_value=0.05, max_value=0.95), st.floats(min_value=0.0, max_value=1.0)),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_u_values_match_scalar_pipeline(fam_id, polar):
+    fam = get_family(fam_id)
+    lams = [r * cmath.exp(2j * math.pi * t) for r, t in polar]
+    for lam, new, ref in zip(lams, u_values(fam, lams), _scalar_u_values(fam, lams), strict=True):
+        _assert_same_outcome(fam, lam, 128, new, ref)
+
+
+def test_u_values_edge_cases_match_scalar_pipeline():
+    quad = get_family("quadratic")
+    cases = [
+        (quad, [0.0, 1.0, 1 - 5e-16, 0.5, 0.999], 64, DEFAULT_BUDGET),  # preconditions, entry radius
+        (quad, [0.9, 0.5, 0.9j], 64, 1),  # budget
+        (quad, [0.5], 1, DEFAULT_BUDGET),  # degree below 2
+        # tail 1.19e-13 on the batched coefficients, 0.99e-13 on the loop's
+        (get_family("zexp"), [0.7646197002379004 - 0.5291398744589179j], 128, DEFAULT_BUDGET),
+    ]
+    for fam, lams, n, budget in cases:
+        outcomes = zip(lams, u_values(fam, lams, n, budget), _scalar_u_values(fam, lams, n, budget), strict=True)
+        for lam, new, ref in outcomes:
+            _assert_same_outcome(fam, lam, n, new, ref)
+            if isinstance(ref, SiegelnumError):
+                with pytest.raises(type(ref), match=re.escape(str(ref))):
+                    yoccoz_w(fam, lam, n, budget)
+
+
+def test_u_values_rows_do_not_depend_on_the_block(monkeypatch):
+    # grid's output is byte-identical for any worker count only because a
+    # lambda's value is the same whatever block it is solved in
+    fam = get_family("exp")
+    lams = [r * cmath.exp(2j * math.pi * t) for r in (0.2, 0.6, 0.9) for t in (0.1, 0.45, 0.8)]
+    alone = [yoccoz_w(fam, lam, 64) for lam in lams]
+    monkeypatch.setattr(linearize, "U_BLOCK", 4)
+    assert u_values(fam, lams, 64) == alone
+
+
+def test_koenigs_eval_matches_yoccoz_w():
+    fam = get_family("quadratic")
+    lam = 0.95 * cmath.exp(2j)
+    value = yoccoz_w(fam, lam)
+    w, m = koenigs_eval(koenigs_series(fam, lam), lam * fam.v)
+    assert m == value.iterations_used > 0
+    assert abs(w - value.w) <= 1e-13 * abs(value.w)
+
+
+@pytest.mark.parametrize(
+    "fam_id, alpha",
+    [("quadratic", rational_rotation(1, 2)), ("quadratic", golden_rotation()), ("exp", golden_rotation())],
+)
+def test_rho_radial_matches_scalar_pipeline(fam_id, alpha, monkeypatch):
+    fam = get_family(fam_id)
+    new = rho_radial(fam, alpha, depth=14, n=128)
+    monkeypatch.setattr(radius, "u_values", _scalar_u_values)
+    ref = rho_radial(fam, alpha, depth=14, n=128)
+    assert new.failures == ref.failures
+    assert (new.converged, new.diverging_to_minus_infinity) == (ref.converged, ref.diverging_to_minus_infinity)
+    assert [r for r, _ in new.samples] == [r for r, _ in ref.samples]
+    assert max(abs(a - b) for (_, a), (_, b) in zip(new.samples, ref.samples)) <= 1e-12
+    assert (new.rho_hat is None) == (ref.rho_hat is None)

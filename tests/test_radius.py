@@ -14,6 +14,7 @@ from siegelnum import (
     harmonic_check,
     harmonic_measure,
     parse_rotation,
+    poisson_bound_check,
     poisson_step_value,
     rational_rotation,
     rho_coefficient,
@@ -23,6 +24,7 @@ from siegelnum import (
     silver_rotation,
 )
 from siegelnum.errors import DivisorBreakdownError, PreconditionError
+from siegelnum.families import custom_family
 
 QUAD = get_family("quadratic")
 
@@ -175,3 +177,18 @@ def test_poisson_step_approaches_mean_of_caps():
     assert poisson_step_value(alpha, delta, L, R, M, z) == pytest.approx(
         (L + R) / 2, abs=1e-3
     )
+
+
+def test_poisson_check_propagates_foreign_errors():
+    # only package errors mask a ray sample; a broken user map must surface
+    def point_eval(z):
+        raise RuntimeError("user map failed")
+
+    with pytest.warns(UserWarning):
+        fam = custom_family(
+            "broken", -1.0, 1,
+            lambda n, dtype: np.r_[0, 1, 0.25, np.zeros(n - 2)].astype(dtype),
+            point_eval,
+        )
+    with pytest.raises(RuntimeError, match="user map failed"):
+        poisson_bound_check(fam, golden_rotation(), 0.01, -1.0, -1.0, ray_samples=4, n=64)
