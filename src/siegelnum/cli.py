@@ -22,7 +22,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -179,15 +178,21 @@ def _cmd_yoccoz(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _grid_rows(task: tuple) -> list[dict]:
-    """CSV rows for a block of (r, theta) samples; never raises for a package
-    error, so sweeps survive bad parameters (the row carries its class).
-    Workers send back rows, not outcomes: a DivisorBreakdownError cannot be
-    rebuilt from its pickled args."""
-    family_id, points, n, budget = task
+def _cmd_grid(args, cfg: RunConfig) -> int:
+    """u over a polar grid; never aborts for a package error, so a sweep
+    survives bad parameters (the row carries the error class)."""
+    if not 0.0 < args.rmin <= args.rmax < 1.0:
+        raise PreconditionError("need 0 < rmin <= rmax < 1")
+    if args.res < 1:
+        raise PreconditionError("res must be >= 1")
+    family = get_family(args.family)
+    radii = np.linspace(args.rmin, args.rmax, args.res)
+    thetas = np.arange(args.res) / args.res
+    points = [(float(r), float(t)) for r in radii for t in thetas]
     lams = [r * complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)) for r, t in points]
+    values = u_values(family, lams, n=args.degree or cfg.default_degree, budget=args.budget or DEFAULT_BUDGET)
     rows = []
-    for (r, theta), value in zip(points, u_values(get_family(family_id), lams, n=n, budget=budget)):
+    for (r, theta), value in zip(points, values):
         row = {"r": r, "theta": theta, "u": math.nan, "iterations": 0, "status": "ok"}
         if isinstance(value, YoccozValue):
             row["u"] = value.u
@@ -195,27 +200,6 @@ def _grid_rows(task: tuple) -> list[dict]:
         else:
             row["status"] = type(value).__name__
         rows.append(row)
-    return rows
-
-
-def _cmd_grid(args, cfg: RunConfig) -> int:
-    if not 0.0 < args.rmin <= args.rmax < 1.0:
-        raise PreconditionError("need 0 < rmin <= rmax < 1")
-    if args.res < 1:
-        raise PreconditionError("res must be >= 1")
-    get_family(args.family)  # validate before spawning workers
-    n = args.degree or cfg.default_degree
-    budget = args.budget or DEFAULT_BUDGET
-    radii = np.linspace(args.rmin, args.rmax, args.res)
-    thetas = np.arange(args.res) / args.res
-    points = [(float(r), float(t)) for r in radii for t in thetas]
-    if cfg.worker_count > 1:
-        size = -(-len(points) // cfg.worker_count)
-        tasks = [(args.family, points[i : i + size], n, budget) for i in range(0, len(points), size)]
-        with ProcessPoolExecutor(max_workers=cfg.worker_count) as pool:
-            rows = [row for block in pool.map(_grid_rows, tasks) for row in block]
-    else:
-        rows = _grid_rows((args.family, points, n, budget))
     fmt = args.format or cfg.output_format
     if fmt == "json":
         _emit_json(rows, args.out)

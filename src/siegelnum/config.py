@@ -38,8 +38,9 @@ def dtype_for(precision_mode: str):
 class RunConfig:
     """Settings shared by CLI subcommands.
 
-    worker_count applies to grid/sweep subcommands only; results are
-    collected in input order so output is identical for any worker count.
+    worker_count is validated but drives nothing: grid runs its whole sweep
+    as one batched u_values call, which a process pool no longer beats.
+    The field stays because bench/run.py reads it.
     """
 
     precision_mode: str = "double"

@@ -316,6 +316,10 @@ def _entry_radii(h: np.ndarray, samples: int = 8) -> np.ndarray:
     Full minus half-degree evaluation is the tail sum over N/2 < k <= N, so
     at each grid radius the discrepancies of all rows still undecided are one
     product with the Vandermonde matrix of the sample points and those powers.
+    As in _solve_koenigs the product is stacked per row: a plain matrix
+    product over the undecided rows could sum a row differently depending on
+    which rows share it, and a last-bit change in a tail near ENTRY_TAIL_TOL
+    would move the entry radius.
     """
     n = h.shape[1] - 1
     powers = np.arange(n // 2 + 1, n + 1)
@@ -323,8 +327,8 @@ def _entry_radii(h: np.ndarray, samples: int = 8) -> np.ndarray:
     radii = np.full(h.shape[0], np.nan)
     undecided = np.arange(h.shape[0])
     for r in ENTRY_RADIUS_GRID:
-        tails = h[undecided[:, None], powers] @ np.power(r * turns[:, None], powers).T
-        passing = np.abs(tails).max(axis=1, initial=0.0) <= ENTRY_TAIL_TOL
+        tails = h[undecided[:, None, None], powers] @ np.power(r * turns[:, None], powers).T
+        passing = np.abs(tails[:, 0]).max(axis=1, initial=0.0) <= ENTRY_TAIL_TOL
         radii[undecided[passing]] = r
         undecided = undecided[~passing]
         if not undecided.size:

@@ -108,18 +108,6 @@ def test_grid_csv_shape_and_determinism(capsys):
     assert second == first
 
 
-def test_grid_csv_independent_of_worker_count(capsys, monkeypatch):
-    args = ("grid", "--family", "exp", "--rmin", "0.1", "--rmax", "0.9", "--res", "4")
-    outputs = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("SIEGELNUM_WORKERS", workers)
-        code, out, _ = run(capsys, *args)
-        assert code == 0
-        outputs.append(out)
-    assert len(outputs[0].splitlines()) == 17
-    assert outputs[1] == outputs[0]
-
-
 def test_grid_json_format(capsys):
     code, out, _ = run(
         capsys, "grid", "--family", "quadratic", "--rmin", "0.2", "--rmax", "0.2",

@@ -408,13 +408,31 @@ def test_u_values_edge_cases_match_scalar_pipeline():
 
 
 def test_u_values_rows_do_not_depend_on_the_block(monkeypatch):
-    # grid's output is byte-identical for any worker count only because a
-    # lambda's value is the same whatever block it is solved in
+    # a lambda's value is the same whether yoccoz_w, a grid or a ray scan
+    # asks for it, whatever block it is solved in
     fam = get_family("exp")
     lams = [r * cmath.exp(2j * math.pi * t) for r in (0.2, 0.6, 0.9) for t in (0.1, 0.45, 0.8)]
     alone = [yoccoz_w(fam, lam, 64) for lam in lams]
     monkeypatch.setattr(linearize, "U_BLOCK", 4)
     assert u_values(fam, lams, 64) == alone
+
+
+def test_entry_radii_do_not_depend_on_the_batch():
+    # rows scaled so that their tail at r = 0.2 sits within rounding of
+    # ENTRY_TAIL_TOL: the decision between 0.2 and 0.1 then turns on the
+    # last bits of the tail sum, which must not depend on the other rows
+    rng = np.random.default_rng(7)
+    n, ks = 128, np.arange(65, 129)
+    h = rng.standard_normal((400, n + 1)) + 1j * rng.standard_normal((400, n + 1))
+    h *= 0.2 ** -np.arange(n + 1) * 10.0 ** rng.uniform(-3, 3, (400, 1))
+    points = 0.2 * np.exp(2j * math.pi * np.arange(8) / 8)
+    tails = np.abs(np.power(points[:, None], ks) @ h[:, ks].T).max(axis=0)
+    h *= (ENTRY_TAIL_TOL / tails)[:, None]
+    batch = linearize._entry_radii(h)
+    assert set(batch.tolist()) == {0.1, 0.2}
+    alone = np.concatenate([linearize._entry_radii(h[b : b + 1]) for b in range(h.shape[0])])
+    assert np.array_equal(batch, alone)
+    assert np.array_equal(batch[::3], linearize._entry_radii(h[::3]))
 
 
 def test_koenigs_eval_matches_yoccoz_w():
