@@ -121,7 +121,7 @@ def _parse_complex_pair(text: str) -> complex:
     raise PreconditionError(f"expected RE,IM (or a bare real), got {text!r}")
 
 
-def _load_series(path: str, dtype=np.complex128) -> TruncatedSeries:
+def _load_series(path: str) -> TruncatedSeries:
     """Series file: {"coeffs": [c0, c1, ...]} or a bare list, each entry a
     number or an [re, im] pair."""
     with open(path) as fh:
@@ -140,7 +140,7 @@ def _load_series(path: str, dtype=np.complex128) -> TruncatedSeries:
             coeffs.append(complex(entry[0], entry[1]))
         else:
             raise PreconditionError(f"{path}: bad coefficient entry {entry!r}")
-    return TruncatedSeries.from_coeffs(coeffs, dtype=dtype)
+    return TruncatedSeries.from_coeffs(coeffs)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -242,7 +242,7 @@ def _cmd_poisson_check(args, cfg: RunConfig) -> int:
 
 
 def _cmd_norm(args, cfg: RunConfig) -> int:
-    series = _load_series(args.series, dtype=cfg.dtype)
+    series = _load_series(args.series)
     cap = args.K
     if cap is not None:
         if cap < 0:
@@ -281,9 +281,7 @@ def _cmd_boundary(args, cfg: RunConfig) -> int:
         raise PreconditionError("samples must be >= 1")
     family = get_family(args.family)
     alpha = parse_rotation(args.alpha)
-    g = siegel_series(
-        family, alpha.value, n=args.degree or cfg.default_degree, dtype=cfg.dtype
-    ).g
+    g = siegel_series(family, alpha.value, n=args.degree or cfg.default_degree).g
     radius = math.exp(args.rho)
     gv = circle_values(g.coeffs, radius, args.samples)
     gpv = np.abs(circle_values(derivative(g, 1).coeffs, radius, args.samples))

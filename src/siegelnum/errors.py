@@ -7,6 +7,8 @@ so the CLI can map them to different exit codes.
 
 from __future__ import annotations
 
+import copyreg
+
 __all__ = [
     "SiegelnumError",
     "PreconditionError",
@@ -24,6 +26,12 @@ __all__ = [
 
 class SiegelnumError(Exception):
     """Base class for all package-specific errors."""
+
+    def __reduce__(self):
+        # Exception's default rebuilds with cls(*args), but args holds only
+        # the message, not what a subclass's __init__ takes; rebuild without
+        # __init__ and restore the attributes instead
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class PreconditionError(SiegelnumError, ValueError):

@@ -75,8 +75,8 @@ class FamilySpec:
 # -- coefficient generators (c_0 .. c_N of the base map, c_1 = 1) ------------
 
 
-def _quadratic_coeffs(n, dtype):
-    c = np.zeros(n + 1, dtype=dtype)
+def _quadratic_coeffs(n):
+    c = np.zeros(n + 1, dtype=np.complex128)
     c[1] = 1
     if n >= 2:
         c[2] = -1
@@ -84,40 +84,40 @@ def _quadratic_coeffs(n, dtype):
 
 
 def _poly_coeffs(d):
-    def gen(n, dtype):
-        c = np.zeros(n + 1, dtype=dtype)
+    def gen(n):
+        c = np.zeros(n + 1, dtype=np.complex128)
         for k in range(1, min(n, d) + 1):
-            c[k] = dtype(math.comb(d, k)) / dtype(d) ** k
+            c[k] = np.complex128(math.comb(d, k)) / np.complex128(d) ** k
         return c
 
     return gen
 
 
-def _exp_coeffs(n, dtype):
+def _exp_coeffs(n):
     # 1/k! built by iterated division so large n underflows instead of
     # overflowing an intermediate factorial
-    c = np.zeros(n + 1, dtype=dtype)
-    inv = dtype(1)
+    c = np.zeros(n + 1, dtype=np.complex128)
+    inv = np.complex128(1)
     for k in range(1, n + 1):
         inv = inv / k
         c[k] = inv
     return c
 
 
-def _zexp_coeffs(n, dtype):
-    c = np.zeros(n + 1, dtype=dtype)
+def _zexp_coeffs(n):
+    c = np.zeros(n + 1, dtype=np.complex128)
     if n >= 1:
         c[1] = 1
-    inv = dtype(1)
+    inv = np.complex128(1)
     for k in range(2, n + 1):
         inv = inv / (k - 1)
         c[k] = inv
     return c
 
 
-def _sin_coeffs(n, dtype):
-    c = np.zeros(n + 1, dtype=dtype)
-    term = dtype(1)
+def _sin_coeffs(n):
+    c = np.zeros(n + 1, dtype=np.complex128)
+    term = np.complex128(1)
     k = 1
     sign = 1
     while k <= n:
@@ -130,9 +130,9 @@ def _sin_coeffs(n, dtype):
     return c
 
 
-def _cos_coeffs(n, dtype):
-    c = np.zeros(n + 1, dtype=dtype)
-    term = dtype(1)
+def _cos_coeffs(n):
+    c = np.zeros(n + 1, dtype=np.complex128)
+    term = np.complex128(1)
     k = 0
     sign = 1
     while k <= n:
@@ -145,9 +145,9 @@ def _cos_coeffs(n, dtype):
     return c
 
 
-def _tan_coeffs(n, dtype):
-    s = TruncatedSeries.from_coeffs(_sin_coeffs(n, dtype), n, dtype)
-    inv_cos = reciprocal(TruncatedSeries.from_coeffs(_cos_coeffs(n, dtype), n, dtype))
+def _tan_coeffs(n):
+    s = TruncatedSeries.from_coeffs(_sin_coeffs(n), n)
+    inv_cos = reciprocal(TruncatedSeries.from_coeffs(_cos_coeffs(n), n))
     return (s * inv_cos).coeffs
 
 
@@ -162,19 +162,19 @@ def _tan_eval(z):
 def _make_reduced(inner: "FamilySpec") -> "FamilySpec":
     n = inner.symmetry_order
 
-    def gen(m, dtype):
+    def gen(m):
         # f(z) = z * phi(z^n) with phi_j = c_{n j + 1}; then
         # F(w) = f(w^{1/n})^n = w * phi(w)^n, needing inner coefficients
         # through degree n*m.
-        c = inner._coeff_gen(n * m, dtype)
-        phi = np.zeros(m + 1, dtype=dtype)
+        c = inner._coeff_gen(n * m)
+        phi = np.zeros(m + 1, dtype=np.complex128)
         for j in range(m + 1):
             if n * j + 1 <= n * m:
                 phi[j] = c[n * j + 1]
         acc = phi.copy()
         for _ in range(n - 1):
             acc = np.convolve(acc, phi)[: m + 1]
-        out = np.zeros(m + 1, dtype=dtype)
+        out = np.zeros(m + 1, dtype=np.complex128)
         out[1:] = acc[:m]
         return out
 
@@ -248,16 +248,16 @@ def get_family(family_id: str) -> FamilySpec:
     )
 
 
-def base_series(spec: FamilySpec, n: int, dtype=np.complex128) -> TruncatedSeries:
+def base_series(spec: FamilySpec, n: int) -> TruncatedSeries:
     """Degree-n truncation of the base map f (parameter lambda = 1)."""
     if n < 2:
         raise PreconditionError("series degree must be >= 2")
-    return TruncatedSeries.from_coeffs(spec._coeff_gen(n, dtype), n, dtype)
+    return TruncatedSeries.from_coeffs(spec._coeff_gen(n), n)
 
 
-def family_series(spec: FamilySpec, lam: complex, n: int, dtype=np.complex128) -> TruncatedSeries:
+def family_series(spec: FamilySpec, lam: complex, n: int) -> TruncatedSeries:
     """Degree-n truncation of f_lambda = lambda * f, so c_1 = lambda."""
-    return base_series(spec, n, dtype) * dtype(lam)
+    return base_series(spec, n) * np.complex128(lam)
 
 
 def family_eval(spec: FamilySpec, lam: complex, z: complex) -> complex:
@@ -278,6 +278,10 @@ def symmetry_reduce(spec: FamilySpec) -> FamilySpec:
 
 def custom_family(family_id, v, symmetry_order, coeff_gen, point_eval) -> FamilySpec:
     """Register-free constructor for user-supplied maps.
+
+    ``coeff_gen(n)`` returns the coefficients c_0 .. c_n of f (c_0 = 0,
+    c_1 = 1) as a length n + 1 sequence, which is taken as complex128;
+    ``point_eval(z)`` returns f(z) for a Python complex z.
 
     The one-singular-value hypothesis is *not* checked for custom maps; the
     spec is flagged user_defined and a warning is emitted once at build time.

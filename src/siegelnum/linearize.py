@@ -138,7 +138,7 @@ def _power_columns(f: np.ndarray) -> np.ndarray:
     """
     n = f.size - 1
     tail = np.trim_zeros(f[1:], "b")
-    pows = np.zeros((n + 1, n + 1), dtype=f.dtype)
+    pows = np.zeros((n + 1, n + 1), dtype=np.complex128)
     pows[0, 0] = 1
     pows[1] = f
     for j in range(2, n + 1):
@@ -168,7 +168,7 @@ def _solve_koenigs(cols: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, list
         if m < KOENIGS_DIVISOR_FLOOR else None
         for k, m in zip(k_min, floor_seen)
     ]
-    h = np.zeros((lams.size, n + 1), dtype=lams.dtype)
+    h = np.zeros((lams.size, n + 1), dtype=np.complex128)
     h[:, 1] = 1
     g = np.zeros_like(h)
     g[:, 1] = lam_pows[:, 1]
@@ -186,7 +186,7 @@ def _solve_koenigs(cols: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, list
     return h, errors
 
 
-def koenigs_series(family: FamilySpec, lam: complex, n: int = 128, dtype=np.complex128) -> KoenigsSeries:
+def koenigs_series(family: FamilySpec, lam: complex, n: int = 128) -> KoenigsSeries:
     """Normalized linearizer h with h(f_lambda(z)) = lambda h(z), degree n.
 
     Defined for 0 < |lambda| < 1; |lambda| > 1 is accepted too (the same
@@ -197,14 +197,14 @@ def koenigs_series(family: FamilySpec, lam: complex, n: int = 128, dtype=np.comp
     """
     lam = complex(lam)
     _check_multiplier(lam)
-    cols = _power_columns(base_series(family, n, dtype).coeffs)
-    h, errors = _solve_koenigs(cols, np.array([lam], dtype=dtype))
+    cols = _power_columns(base_series(family, n).coeffs)
+    h, errors = _solve_koenigs(cols, np.array([lam]))
     if errors[0] is not None:
         raise errors[0]
-    return KoenigsSeries(lam=lam, h=TruncatedSeries.from_coeffs(h[0], n, dtype), family=family)
+    return KoenigsSeries(lam=lam, h=TruncatedSeries.from_coeffs(h[0], n), family=family)
 
 
-def siegel_series(family: FamilySpec, alpha: float, n: int = 128, dtype=np.complex128) -> SiegelSeries:
+def siegel_series(family: FamilySpec, alpha: float, n: int = 128) -> SiegelSeries:
     """Formal conjugacy g with f_lambda(g(w)) = g(lambda w), lambda = e^{2 pi i alpha}.
 
     The recurrence for g is the reversed composition order of the Koenigs
@@ -219,21 +219,18 @@ def siegel_series(family: FamilySpec, alpha: float, n: int = 128, dtype=np.compl
     # degree by degree gives g_k (lam^k - lam) = [w^k] sum_{j<k} (F_j) g^j ...
     # which is the same forward solve with the roles of the known/unknown
     # series exchanged; see _solve_siegel.
-    powers = np.array(
-        [cmath.exp(2j * math.pi * math.fmod(k * alpha, 1.0)) for k in range(n + 1)],
-        dtype=dtype,
-    )
+    powers = np.array([cmath.exp(2j * math.pi * math.fmod(k * alpha, 1.0)) for k in range(n + 1)])
     divisors = powers - powers[1]
     k_min, floor_seen = _divisor_floors(divisors)
     if floor_seen < SIEGEL_DIVISOR_FLOOR:
         raise DivisorBreakdownError(int(k_min), float(floor_seen), SIEGEL_DIVISOR_FLOOR)
-    F = family_series(family, lam, n, dtype)
+    F = family_series(family, lam, n)
     g = _solve_siegel(F.coeffs, divisors)
     _require_finite(g, "Siegel")
     return SiegelSeries(
         alpha=alpha,
         lam=lam,
-        g=TruncatedSeries.from_coeffs(g, n, dtype),
+        g=TruncatedSeries.from_coeffs(g, n),
         family=family,
         divisor_floor=float(floor_seen),
     )
@@ -255,7 +252,7 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
     n = F.size - 1
     nonzero = np.flatnonzero(F)
     top = max(2, int(nonzero[-1]) if nonzero.size else 0)
-    pows = np.zeros((top + 1, n + 1), dtype=F.dtype)
+    pows = np.zeros((top + 1, n + 1), dtype=np.complex128)
     g = pows[1]
     g[1] = 1
     with np.errstate(over="ignore", invalid="ignore"):  # _require_finite reports it
@@ -277,19 +274,18 @@ def conjugacy_residual(obj: KoenigsSeries | SiegelSeries) -> float:
     """
     if isinstance(obj, KoenigsSeries):
         ser, lam = obj.h, obj.lam
-        F = family_series(obj.family, lam, ser.degree, ser.dtype.type)
+        F = family_series(obj.family, lam, ser.degree)
         res = compose(ser, F) - lam * ser
         maj = _abs_compose(ser.coeffs, F.coeffs) + abs(lam) * np.abs(ser.coeffs)
     elif isinstance(obj, SiegelSeries):
         ser, lam = obj.g, obj.lam
-        F = family_series(obj.family, lam, ser.degree, ser.dtype.type)
+        F = family_series(obj.family, lam, ser.degree)
         rot = ser.coeffs * np.power(obj.lam, np.arange(ser.degree + 1))
-        res = compose(F, ser) - TruncatedSeries.from_coeffs(rot, ser.degree, ser.dtype)
+        res = compose(F, ser) - TruncatedSeries.from_coeffs(rot, ser.degree)
         maj = _abs_compose(F.coeffs, ser.coeffs) + np.abs(ser.coeffs)
     else:
         raise PreconditionError("expected a KoenigsSeries or SiegelSeries")
-    denom = np.maximum(1.0, maj.astype(np.float64))
-    return float(np.max(np.abs(res.coeffs.astype(np.complex128)) / denom))
+    return float(np.max(np.abs(res.coeffs) / np.maximum(1.0, maj)))
 
 
 def _abs_compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:

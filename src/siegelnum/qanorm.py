@@ -122,9 +122,8 @@ def qa_norm(
     if not 0 <= order_cap <= n:
         raise PreconditionError("derivative order cap must lie in [0, degree]")
 
-    coeffs = np.asarray(g.coeffs, dtype=np.complex128)
-    mags = np.abs(coeffs)
-    scaled = coeffs * r ** np.arange(n + 1, dtype=np.float64)
+    mags = np.abs(g.coeffs)
+    scaled = g.coeffs * r ** np.arange(n + 1, dtype=np.float64)
 
     q = _tail_ratio(mags, r)
     weights = _weights(order_cap)

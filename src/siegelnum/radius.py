@@ -363,37 +363,32 @@ def harmonic_check(
 ) -> HarmonicCheckReport:
     """Mean-value-property deviation of a scalar field over an annulus grid.
 
-    ``field`` is a callable lambda -> real, sampled on a ``nodes`` x
-    ``nodes`` polar grid over r_lo <= |lambda| <= r_hi.  At each interior
-    node the field's value is compared with its average over
-    ``circle_points`` equispaced points on the Euclidean circle of radius
-    one radial grid step; the circle average annihilates every harmonic
-    polynomial of degree < circle_points exactly, so a harmonic field
-    deviates by O(h^{circle_points}) and an affine field by rounding only.
-    Nodes where any evaluation fails are masked and counted.
+    ``field`` maps a 1-d complex array of lambda to a real array of the
+    same shape, and is called once with every point of a ``nodes`` x
+    ``nodes`` polar grid over r_lo <= |lambda| <= r_hi and of the rings
+    around it.  At each interior node the field's value is compared with
+    its average over ``circle_points`` equispaced points on the Euclidean
+    circle of radius one radial grid step; the circle average annihilates
+    every harmonic polynomial of degree < circle_points exactly, so a
+    harmonic field deviates by O(h^{circle_points}) and an affine field by
+    rounding only.  A non-finite value marks a failed evaluation: nodes
+    whose centre or ring holds one are masked and counted.
     """
     if nodes < 8:
         raise PreconditionError("grid needs at least 8 nodes per axis")
     rs = np.linspace(r_lo, r_hi, nodes)
     thetas = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
     h = float(rs[1] - rs[0])
-    worst = 0.0
-    checked = 0
-    masked = 0
-    offsets = [h * cmath.exp(2j * math.pi * j / circle_points) for j in range(circle_points)]
-    for r in rs[1:-1]:
-        for th in thetas:
-            center = r * cmath.exp(1j * th)
-            try:
-                ring = [field(center + off) for off in offsets]
-                val = field(center)
-            except Exception:
-                masked += 1
-                continue
-            worst = max(worst, abs(sum(ring) / circle_points - val))
-            checked += 1
+    centers = (rs[1:-1, None] * np.exp(1j * thetas)).reshape(-1, 1)
+    offsets = h * np.exp(2j * math.pi * np.arange(circle_points) / circle_points)
+    points = np.hstack([centers, centers + offsets])  # column 0 is the centre
+    values = np.asarray(field(points.ravel()), dtype=np.float64).reshape(points.shape)
+    ok = np.isfinite(values).all(axis=1)
+    checked = int(ok.sum())
+    masked = ok.size - checked
     if checked == 0:
         raise EstimateUnavailableError("every grid node masked; nothing to check")
+    worst = float(np.max(np.abs(values[ok, 1:].mean(axis=1) - values[ok, 0])))
     return HarmonicCheckReport(max_deviation=worst, nodes_checked=checked, masked=masked, grid_step=h)
 
 

@@ -45,18 +45,18 @@ __all__ = [
 ]
 
 
-def _as_array(coeffs, degree: int | None, dtype) -> np.ndarray:
+def _as_array(coeffs, degree: int | None) -> np.ndarray:
     arr = np.asarray(list(coeffs) if not isinstance(coeffs, np.ndarray) else coeffs)
     if arr.ndim != 1 or arr.size == 0:
         raise PreconditionError("coefficients must be a non-empty 1-d sequence")
-    arr = arr.astype(dtype)
+    arr = arr.astype(np.complex128)
     if degree is not None:
         if degree < 0:
             raise PreconditionError("degree must be >= 0")
         if arr.size > degree + 1:
             arr = arr[: degree + 1]
         elif arr.size < degree + 1:
-            arr = np.concatenate([arr, np.zeros(degree + 1 - arr.size, dtype=dtype)])
+            arr = np.concatenate([arr, np.zeros(degree + 1 - arr.size)])
     if not np.all(np.isfinite(arr)):
         raise PreconditionError("non-finite coefficient")
     arr.flags.writeable = False
@@ -70,16 +70,12 @@ class TruncatedSeries:
     coeffs: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_coeffs(cls, coeffs: Iterable, degree: int | None = None, dtype=np.complex128):
-        return cls(_as_array(coeffs, degree, dtype))
+    def from_coeffs(cls, coeffs: Iterable, degree: int | None = None):
+        return cls(_as_array(coeffs, degree))
 
     @property
     def degree(self) -> int:
         return self.coeffs.size - 1
-
-    @property
-    def dtype(self):
-        return self.coeffs.dtype
 
     @property
     def is_normalized(self) -> bool:
@@ -90,11 +86,11 @@ class TruncatedSeries:
         """Same series viewed at a (weakly) larger truncation degree."""
         if degree < self.degree:
             raise PreconditionError("padded() cannot lower the degree; slice instead")
-        return TruncatedSeries.from_coeffs(self.coeffs, degree, self.dtype)
+        return TruncatedSeries.from_coeffs(self.coeffs, degree)
 
     def truncated(self, degree: int) -> "TruncatedSeries":
         """Drop coefficients above ``degree``."""
-        return TruncatedSeries.from_coeffs(self.coeffs[: degree + 1], degree, self.dtype)
+        return TruncatedSeries.from_coeffs(self.coeffs[: degree + 1], degree)
 
     def __repr__(self):
         head = ", ".join(f"{c:.6g}" for c in self.coeffs[:4])
@@ -107,29 +103,26 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             raise PreconditionError("operands must both be TruncatedSeries")
         n = max(self.degree, other.degree)
-        dtype = np.result_type(self.dtype, other.dtype)
-        a = self.coeffs.astype(dtype) if self.degree == n else self.padded(n).coeffs.astype(dtype)
-        b = other.coeffs.astype(dtype) if other.degree == n else other.padded(n).coeffs.astype(dtype)
-        return a, b, n, dtype
+        return self.padded(n).coeffs, other.padded(n).coeffs, n
 
     def __add__(self, other):
-        a, b, n, dtype = self._paired(other)
-        return TruncatedSeries.from_coeffs(a + b, n, dtype)
+        a, b, n = self._paired(other)
+        return TruncatedSeries.from_coeffs(a + b, n)
 
     def __sub__(self, other):
-        a, b, n, dtype = self._paired(other)
-        return TruncatedSeries.from_coeffs(a - b, n, dtype)
+        a, b, n = self._paired(other)
+        return TruncatedSeries.from_coeffs(a - b, n)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex, np.number)):
-            return TruncatedSeries.from_coeffs(self.coeffs * other, self.degree, self.dtype)
-        a, b, n, dtype = self._paired(other)
-        return TruncatedSeries.from_coeffs(np.convolve(a, b)[: n + 1], n, dtype)
+            return TruncatedSeries.from_coeffs(self.coeffs * other, self.degree)
+        a, b, n = self._paired(other)
+        return TruncatedSeries.from_coeffs(np.convolve(a, b)[: n + 1], n)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return TruncatedSeries.from_coeffs(-self.coeffs, self.degree, self.dtype)
+        return TruncatedSeries.from_coeffs(-self.coeffs, self.degree)
 
     # -- serialization ------------------------------------------------------
 
@@ -138,24 +131,24 @@ class TruncatedSeries:
         return [[float(c.real), float(c.imag)] for c in self.coeffs]
 
     @classmethod
-    def from_pairs(cls, pairs, degree: int | None = None, dtype=np.complex128):
+    def from_pairs(cls, pairs, degree: int | None = None):
         try:
             vals = [complex(re, im) for re, im in pairs]
         except (TypeError, ValueError):
             raise PreconditionError("expected an array of [re, im] pairs") from None
-        return cls.from_coeffs(vals, degree, dtype)
+        return cls.from_coeffs(vals, degree)
 
 
-def identity(degree: int, dtype=np.complex128) -> TruncatedSeries:
+def identity(degree: int) -> TruncatedSeries:
     """The series of f(z) = z at the given truncation degree."""
-    c = np.zeros(degree + 1, dtype=dtype)
+    c = np.zeros(degree + 1)
     if degree >= 1:
         c[1] = 1
-    return TruncatedSeries.from_coeffs(c, degree, dtype)
+    return TruncatedSeries.from_coeffs(c, degree)
 
 
-def zero(degree: int, dtype=np.complex128) -> TruncatedSeries:
-    return TruncatedSeries.from_coeffs(np.zeros(degree + 1, dtype=dtype), degree, dtype)
+def zero(degree: int) -> TruncatedSeries:
+    return TruncatedSeries.from_coeffs(np.zeros(degree + 1), degree)
 
 
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -168,10 +161,10 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     """
     if inner.coeffs[0] != 0:
         raise PreconditionError("compose requires inner constant term 0")
-    a, b, n, dtype = outer._paired(inner)
-    out = np.zeros(n + 1, dtype=dtype)
+    a, b, n = outer._paired(inner)
+    out = np.zeros(n + 1, dtype=np.complex128)
     out[0] = a[0]
-    power = np.zeros(n + 1, dtype=dtype)
+    power = np.zeros(n + 1, dtype=np.complex128)
     power[0] = 1
     for k in range(1, n + 1):
         power = np.convolve(power, b)[: n + 1]
@@ -180,7 +173,7 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
         # inner^k has valuation >= k, so once k > n every term is truncated
         if not power.any():
             break
-    return TruncatedSeries.from_coeffs(out, n, dtype)
+    return TruncatedSeries.from_coeffs(out, n)
 
 
 def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
@@ -189,11 +182,11 @@ def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     if c[0] == 0:
         raise PreconditionError("reciprocal requires nonzero constant term")
     n = a.degree
-    r = np.zeros(n + 1, dtype=a.dtype)
+    r = np.zeros(n + 1, dtype=np.complex128)
     r[0] = 1 / c[0]
     for k in range(1, n + 1):
         r[k] = -np.dot(c[1 : k + 1], r[k - 1 :: -1][: k]) / c[0]
-    return TruncatedSeries.from_coeffs(r, n, a.dtype)
+    return TruncatedSeries.from_coeffs(r, n)
 
 
 def revert(a: TruncatedSeries) -> TruncatedSeries:
@@ -206,7 +199,7 @@ def revert(a: TruncatedSeries) -> TruncatedSeries:
     if not a.is_normalized:
         raise PreconditionError("revert requires a normalized series (c0=0, c1=1)")
     n = a.degree
-    ident = identity(n, a.dtype)
+    ident = identity(n)
     b = ident
     a_prime = derivative(a, 1).padded(n)
     steps = max(1, math.ceil(math.log2(max(n, 2))) + 1)
@@ -236,18 +229,18 @@ def evaluate(a: TruncatedSeries, z: complex) -> EvalResult:
     Ratios between consecutive zero coefficients carry no information and
     are skipped, so padded polynomials report a zero, reliable tail.
     """
-    c = a.coeffs
+    c = a.coeffs.tolist()
     n = a.degree
-    acc = complex(c[n]) if a.dtype == np.complex128 else c[n]
+    acc = c[n]
     zz = complex(z)
     for k in range(n - 1, -1, -1):
-        acc = acc * zz + (complex(c[k]) if a.dtype == np.complex128 else c[k])
+        acc = acc * zz + c[k]
 
     az = abs(zz)
     reliable = True
     max_ratio = 0.0
     for k in range(n // 2 + 1, n + 1):
-        prev, cur = abs(complex(c[k - 1])), abs(complex(c[k]))
+        prev, cur = abs(c[k - 1]), abs(c[k])
         if prev == 0.0:
             if cur != 0.0:
                 reliable = False
@@ -256,11 +249,11 @@ def evaluate(a: TruncatedSeries, z: complex) -> EvalResult:
         max_ratio = max(max_ratio, cur / prev)
     q = az * max_ratio
     if reliable and q < 1.0:
-        tail = abs(complex(c[n])) * az ** (n + 1) / (1.0 - q)
+        tail = abs(c[n]) * az ** (n + 1) / (1.0 - q)
     else:
         reliable = False
         tail = math.inf
-    return EvalResult(acc if a.dtype != np.complex128 else complex(acc), tail, reliable)
+    return EvalResult(acc, tail, reliable)
 
 
 def derivative(a: TruncatedSeries, order: int = 1) -> TruncatedSeries:
@@ -280,12 +273,16 @@ def derivative(a: TruncatedSeries, order: int = 1) -> TruncatedSeries:
             f"derivative order {order} exceeds truncation degree {n}; returning zero series",
             stacklevel=2,
         )
-        return zero(0, a.dtype)
-    c = a.coeffs[order:].copy()
-    # factor m! / (m - order)! for the coefficient that lands at index m - order
-    m = np.arange(order, n + 1)
-    factor = np.ones(m.size, dtype=np.longdouble)
-    for j in range(order):
-        factor *= (m - j).astype(np.longdouble)
-    c = c * factor.astype(c.dtype if c.dtype != np.complex128 else np.float64)
-    return TruncatedSeries.from_coeffs(c, n - order, a.dtype)
+        return zero(0)
+    # factor m! / (m - order)! for the coefficient that lands at index m - order,
+    # rounded once from the exact integer
+    factor = np.array([_int_to_float(math.perm(m, order)) for m in range(order, n + 1)])
+    return TruncatedSeries.from_coeffs(a.coeffs[order:] * factor, n - order)
+
+
+def _int_to_float(k: int) -> float:
+    """Nearest binary64 to a non-negative integer; inf beyond its range."""
+    try:
+        return float(k)
+    except OverflowError:
+        return math.inf

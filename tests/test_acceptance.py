@@ -31,6 +31,7 @@ from siegelnum import (
     run_construction,
     siegel_series,
     silver_rotation,
+    u_values,
     yoccoz_w,
 )
 from siegelnum.errors import NumericalError, SiegelnumError
@@ -49,21 +50,24 @@ def test_criterion_01_koebe_bound_on_polar_grid():
     violations = 0
     successes = 0
     unsuccessful = 0
+    lams = [
+        r * cmath.exp(2j * cmath.pi * j / 100)
+        for r in np.linspace(0.05, 0.95, 100)
+        for j in range(100)
+    ]
     for fam_id in ("quadratic", "exp"):
         fam = get_family(fam_id)
-        for r in np.linspace(0.05, 0.95, 100):
-            for j in range(100):
-                lam = r * cmath.exp(2j * cmath.pi * j / 100)
-                try:
-                    val = yoccoz_w(fam, lam, n=64)
-                except NumericalError as exc:
-                    if "Koebe bound violated" in str(exc):
-                        violations += 1
-                    else:
-                        unsuccessful += 1
-                    continue
-                successes += 1
-                assert abs(val.w) < 4 * abs(fam.v)
+        for val in u_values(fam, lams, n=64):
+            if isinstance(val, NumericalError):
+                if "Koebe bound violated" in str(val):
+                    violations += 1
+                else:
+                    unsuccessful += 1
+                continue
+            if isinstance(val, SiegelnumError):
+                raise val
+            successes += 1
+            assert abs(val.w) < 4 * abs(fam.v)
     wall = time.perf_counter() - t0
     ok = violations == 0 and wall < 120
     _report(
@@ -145,11 +149,13 @@ def test_criterion_05_rational_collapse():
 def test_criterion_06_harmonicity_of_u():
     t0 = time.perf_counter()
 
-    def u_field(lam):
-        return yoccoz_w(QUAD, lam, n=64).u
+    def u_field(lams):
+        return np.array(
+            [math.nan if isinstance(v, SiegelnumError) else v.u for v in u_values(QUAD, lams, n=64)]
+        )
 
     computed = harmonic_check(u_field, nodes=64)
-    oracle = harmonic_check(lambda z: math.log(abs(z)), nodes=64)
+    oracle = harmonic_check(lambda z: np.log(np.abs(z)), nodes=64)
     ratio = computed.max_deviation / oracle.max_deviation
     wall = time.perf_counter() - t0
     ok = ratio <= 10.0 and wall < 300

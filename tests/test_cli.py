@@ -190,9 +190,10 @@ def test_construct_validation_error(capsys):
     assert "decreasing" in json.loads(out)["error"]["message"]
 
 
-def test_config_file_unknown_key(tmp_path, capsys):
+@pytest.mark.parametrize("key", ["not_a_field", "precision_mode", "seed", "worker_count"])
+def test_config_file_unknown_key(tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"not_a_field": 1}))
+    cfg.write_text(json.dumps({key: 1}))
     code, out, _ = run(capsys, "families", "list", "--config", str(cfg))
     assert code == 2
 
@@ -205,12 +206,6 @@ def test_config_file_applies_degree(tmp_path, capsys):
         "--config", str(cfg),
     )
     assert code == 0
-
-
-def test_worker_env_must_be_integer(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SIEGELNUM_WORKERS", "many")
-    code, out, _ = run(capsys, "families", "list")
-    assert code == 2
 
 
 def test_out_flag_writes_json(tmp_path, capsys):

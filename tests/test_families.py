@@ -100,7 +100,7 @@ def test_unknown_family_rejected():
 def test_custom_family_flagged():
     fam = custom_family(
         "mine", 0.5, 1,
-        lambda n, dtype: np.r_[0, 1, 0.25, np.zeros(n - 2)].astype(dtype),
+        lambda n: np.r_[0, 1, 0.25, np.zeros(n - 2)],
         lambda z: z + 0.25 * z * z,
     )
     assert fam.user_defined
