@@ -122,25 +122,18 @@ def _parse_complex_pair(text: str) -> complex:
 
 
 def _load_series(path: str) -> TruncatedSeries:
-    """Series file: {"coeffs": [c0, c1, ...]} or a bare list, each entry a
-    number or an [re, im] pair."""
+    """Series file: {"coeffs": [...]} or a bare list, read by
+    TruncatedSeries.from_pairs (each entry a real or an [re, im] pair)."""
     with open(path) as fh:
         raw = json.load(fh)
     if isinstance(raw, dict):
         if "coeffs" not in raw:
             raise PreconditionError(f"{path}: series object needs a 'coeffs' key")
         raw = raw["coeffs"]
-    if not isinstance(raw, list) or not raw:
-        raise PreconditionError(f"{path}: expected a non-empty coefficient list")
-    coeffs = []
-    for entry in raw:
-        if isinstance(entry, (int, float)):
-            coeffs.append(complex(entry))
-        elif isinstance(entry, list) and len(entry) == 2:
-            coeffs.append(complex(entry[0], entry[1]))
-        else:
-            raise PreconditionError(f"{path}: bad coefficient entry {entry!r}")
-    return TruncatedSeries.from_coeffs(coeffs)
+    try:
+        return TruncatedSeries.from_pairs(raw)
+    except PreconditionError as exc:
+        raise PreconditionError(f"{path}: {exc}") from None
 
 
 # -- subcommand handlers -----------------------------------------------------

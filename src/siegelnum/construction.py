@@ -4,28 +4,32 @@ The driver walks a decreasing schedule of radius targets
 
     rho_n = rho_infinity + G * (D + 1 - n) / (D + 1),   n = 1 .. D,
 
-with rho_infinity = rho_hat(alpha_0) - G, and at each step replaces the
-rotation number by a nearby one whose estimated radius sits on the
-schedule, certifying three things per step: the new value's flanks stay
-strictly below the previous level (one-sided continuity has teeth only on
-an interval), consecutive Siegel series stay close in the derivative norm
-at the limiting radius (budget delta * 2^-n), and the intervals nest.
+with rho_infinity = rho_hat(alpha_0) - G (G = DEFAULT_DROP unless
+rho_infinity is given), and at each step replaces the rotation number by a
+nearby one whose coefficient estimate of the radius sits on the schedule,
+certifying three things per step: the new value's flanks (FLANK_SAMPLES
+per side) stay strictly below the previous level (one-sided continuity has
+teeth only on an interval), consecutive Siegel series stay close in the
+derivative norm (order NORM_ORDER, CIRCLE_SAMPLES points) at the limiting
+radius (budget delta * 2^-n), and the intervals nest.  The radial probe
+cannot resolve a dip; it serves only as a one-sided cross-check.
 
 Candidates live on a rational anchor's dip: for p/q close to alpha_n the
 estimated radius falls off linearly in log distance, with slope 1/q per
 log unit (measured 0.0694 per decade at q = 34, i.e. ln 10 / q).  The
-step candidate is found by bisecting between the anchor (whose estimate
-diverges — the small-divisor guard trips exactly there) and alpha_n.
-Anchor choice trades three pressures: the dip must stay resolvable in
-binary64 (q * total_dip <= ~30, or the offset from p/q underflows), the
-resonant spike index q+1 must sit low enough for the coefficient window
-to see it, and the flank bump at twice the offset (ln 2 / q) must stay
-inside the step gap.  A single anchor that is feasible for the *whole*
-schedule is preferred, because every alpha_n then keeps p/q among its
-convergents and the intervals nest around the common anchor for free.
-At the defaults (G = 0.75, q = 34 for the golden mean) the ladder is
-feasible to depth ~5; beyond that the final offsets sink under float
-resolution and the run stalls honestly.
+step candidate is found by bisecting (at most MAX_ITER halvings) between
+the anchor (whose estimate diverges — the small-divisor guard trips
+exactly there) and alpha_n.  Anchor choice trades three pressures: the dip
+must stay resolvable in binary64 (q * final_dip <= ~30, or the offset from
+p/q underflows), the resonant spike index q+1 must sit low enough for the
+coefficient window to see it, and the flank bump at twice the offset
+(ln 2 / q) must stay inside the step gap.  A single anchor that is
+feasible for the *whole* schedule is preferred, because every alpha_n then
+keeps p/q among its convergents and the intervals nest around the common
+anchor for free; a step tries at most RETRY_BUDGET anchors.  At the
+defaults (G = 0.75, q = 34 for the golden mean) the ladder is feasible to
+depth ~5; beyond that the final offsets sink under float resolution and
+the run stalls honestly.
 """
 
 from __future__ import annotations
@@ -70,39 +74,42 @@ __all__ = [
 MIN_ANCHOR_Q = 5
 MIN_OFFSET_EPS = 200.0  # offsets below this many float-gaps are unresolvable
 CROSSCHECK_SLACK = 0.1  # tolerance for the one-sided radial cross-check
+DEFAULT_DROP = 0.75  # rho0 - rho_infinity when rho_infinity is not given
+NORM_ORDER = 1  # derivative order cap of the step and total norm deltas
+CIRCLE_SAMPLES = 512  # circle points of every norm and of the boundary report
+FLANK_SAMPLES = 16  # flank probes per side of each candidate
+RETRY_BUDGET = 8  # anchors tried per step
+MAX_ITER = 80  # bisection steps per anchor
 
 
 @dataclass(frozen=True)
 class ConstructionConfig:
+    """The nine settings of a construction run.
+
+    Breaking change: the drop, the norm order, the circle and flank sample
+    counts and the retry budget are no longer fields but the module
+    constants DEFAULT_DROP, NORM_ORDER, CIRCLE_SAMPLES, FLANK_SAMPLES and
+    RETRY_BUDGET, and the estimator choice is gone: the radius is always
+    certified by the coefficient estimator.
+    """
+
     family: str = "quadratic"
     alpha0: RotationNumber = field(default_factory=golden_rotation)
     depth: int = 3
     delta: float = 0.1
     eps0: float = 0.05
-    total_drop: float = 0.75
-    rho_infinity: float | None = None  # overrides total_drop when set
+    rho_infinity: float | None = None  # rho0 - DEFAULT_DROP when None
     schedule: tuple | None = None  # explicit targets; overrides the linear ramp
     tol_rho: float = 0.02
     n_series: int = 256
-    norm_order: int = 1
-    circle_samples: int = 512
-    retry_budget: int = 8
-    flank_samples: int = 16
-    rho_estimator: str = "coefficient"
 
     def __post_init__(self):
         if self.depth < 1:
             raise PreconditionError("depth must be at least 1")
         if not (self.delta > 0 and self.eps0 > 0 and self.tol_rho > 0):
             raise PreconditionError("delta, eps0 and tol_rho must be positive")
-        if self.total_drop <= 0:
-            raise PreconditionError("total_drop must be positive")
         if self.n_series < 64:
             raise PreconditionError("construction needs series degree >= 64")
-        if self.rho_estimator not in ("coefficient", "radial"):
-            raise PreconditionError("rho_estimator must be 'coefficient' or 'radial'")
-        if not 0 <= self.norm_order <= self.n_series:
-            raise PreconditionError("norm_order out of range")
         if self.schedule is not None:
             vals = tuple(float(v) for v in self.schedule)
             if len(vals) != self.depth:
@@ -186,14 +193,6 @@ class ConstructionReport:
         }
 
 
-def _estimate(
-    family: FamilySpec, alpha: float, n: int, estimator: str
-) -> RadiusEstimate:
-    if estimator == "radial":
-        return rho_radial(family, alpha, depth=12, n=min(n, 128))
-    return rho_coefficient(family, alpha, n)
-
-
 def find_alpha_with_rho(
     family: FamilySpec,
     target_rho: float,
@@ -201,10 +200,9 @@ def find_alpha_with_rho(
     bracket_hi: float,
     tol_rho: float = 0.02,
     n: int = 256,
-    estimator: str = "coefficient",
-    max_iter: int = 80,
 ) -> tuple[float, RadiusEstimate]:
-    """Bisect [bracket_lo, bracket_hi] for alpha with rho_hat ~ target_rho.
+    """Bisect [bracket_lo, bracket_hi] for alpha with a coefficient estimate
+    rho_hat ~ target_rho, in at most MAX_ITER steps.
 
     The lo end must estimate below the target and the hi end above it; a
     rational lo whose estimate breaks down on a small divisor counts as
@@ -219,7 +217,7 @@ def find_alpha_with_rho(
 
     def eff(alpha: float) -> tuple[float, RadiusEstimate | None]:
         try:
-            est = _estimate(family, alpha, n, estimator)
+            est = rho_coefficient(family, alpha, n)
         except NumericalError:
             # breakdown, coefficient overflow, unusable sample run: all of
             # these happen exactly where the dip is effectively bottomless
@@ -237,7 +235,7 @@ def find_alpha_with_rho(
             f"hi bracket estimates {hi_val:.4f}, not above target {target_rho:.4f}"
         )
     lo, hi = bracket_lo, bracket_hi
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             raise BracketFailureError("bracket exhausted float resolution")
@@ -248,29 +246,41 @@ def find_alpha_with_rho(
             lo = mid
         else:
             hi = mid
-    raise BracketFailureError(f"no crossing within {max_iter} bisection steps")
+    raise BracketFailureError(f"no crossing within {MAX_ITER} bisection steps")
 
 
-def _schedule(rho0: float, cfg: ConstructionConfig) -> list[float]:
-    if cfg.schedule is not None:
-        return list(cfg.schedule)
+def _schedule(rho0: float, cfg: ConstructionConfig) -> tuple[float, list[float]]:
+    """rho_infinity and the step targets, each target checked to lie
+    strictly between rho_infinity and the base estimate rho0."""
+    drop = DEFAULT_DROP if cfg.rho_infinity is None else rho0 - cfg.rho_infinity
+    if drop <= 0:
+        raise PreconditionError(
+            f"rho_infinity {cfg.rho_infinity:.4f} is not below the base "
+            f"estimate {rho0:.4f}"
+        )
+    rho_inf = rho0 - drop
     d = cfg.depth
-    drop = cfg.total_drop
-    if cfg.rho_infinity is not None:
-        drop = rho0 - cfg.rho_infinity
-    return [rho0 - drop * n / (d + 1) for n in range(1, d + 1)]
+    targets = list(cfg.schedule) if cfg.schedule is not None else [
+        rho0 - drop * n / (d + 1) for n in range(1, d + 1)
+    ]
+    if any(not rho_inf < t < rho0 for t in targets):
+        raise PreconditionError(
+            "every schedule target must lie strictly between rho_infinity "
+            f"({rho_inf:.4f}) and the base estimate ({rho0:.4f})"
+        )
+    return rho_inf, targets
 
 
-def _anchor_ladder(alpha: float, cfg: ConstructionConfig) -> list[tuple[int, int]]:
+def _anchor_ladder(alpha: float, n_series: int, final_dip: float) -> list[tuple[int, int]]:
     """Rational anchors (p, q) for dip candidates near alpha, best first.
 
     Preference goes to the largest denominator whose dip stays float-
-    resolvable through the *final* schedule target; anchors feasible only
-    for earlier steps follow, as retries.  The spike index must also stay
-    visible to the coefficient window, and tiny denominators are dropped
-    because their flank bump ln2/q would swallow the schedule gap.
+    resolvable through the *final* schedule target, final_dip below the
+    base estimate; anchors feasible only for earlier steps follow, as
+    retries.  The spike index must also stay visible to the coefficient
+    window, and tiny denominators are dropped because their flank bump
+    ln2/q would swallow the schedule gap.
     """
-    final_dip = cfg.total_drop * cfg.depth / (cfg.depth + 1)
     eps_floor = MIN_OFFSET_EPS * math.ulp(alpha)
     whole, partial = [], []
     seen = set()
@@ -278,7 +288,7 @@ def _anchor_ladder(alpha: float, cfg: ConstructionConfig) -> list[tuple[int, int
         if q in seen:
             continue
         seen.add(q)
-        if not (MIN_ANCHOR_Q <= q <= cfg.n_series // 3 - 1):
+        if not (MIN_ANCHOR_Q <= q <= n_series // 3 - 1):
             continue
         if abs(alpha - p / q) <= eps_floor:
             continue  # alpha sits numerically on this rational already
@@ -294,28 +304,14 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
     report attached) if some step exhausts its retry budget."""
     t_start = time.time()
     family = get_family(cfg.family)
-    est0 = _estimate(family, cfg.alpha0.value, cfg.n_series, cfg.rho_estimator)
+    est0 = rho_coefficient(family, cfg.alpha0.value, cfg.n_series)
     if est0.diverging_to_minus_infinity or not est0.converged:
         raise PreconditionError(
             "base rotation number must have a converged, finite radius estimate"
         )
     rho0 = est0.rho_hat
-    drop = cfg.total_drop
-    if cfg.rho_infinity is not None:
-        drop = rho0 - cfg.rho_infinity
-        if drop <= 0:
-            raise PreconditionError(
-                f"rho_infinity {cfg.rho_infinity:.4f} is not below the base "
-                f"estimate {rho0:.4f}"
-            )
-    rho_inf = rho0 - drop
+    rho_inf, targets = _schedule(rho0, cfg)
     r_inf = math.exp(rho_inf)
-    targets = _schedule(rho0, cfg)
-    if any(not rho_inf < t < rho0 for t in targets):
-        raise PreconditionError(
-            "every schedule target must lie strictly between rho_infinity "
-            f"({rho_inf:.4f}) and the base estimate ({rho0:.4f})"
-        )
 
     alpha_n = cfg.alpha0.value
     eps_n = cfg.eps0
@@ -324,30 +320,17 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
     g_0 = g_n
     steps: list[StepReport] = []
 
-    def stall(reason: str):
-        partial = _final_report(
-            cfg, family, rho0, rho_inf, r_inf, targets, steps,
-            alpha_n, g_0, g_n, t_start,
-        )
-        raise ConstructionStallError(
-            f"step {len(steps) + 1}: {reason}", partial_report=partial
-        )
-
     for n, target in enumerate(targets, start=1):
         budget = cfg.delta * 2.0 ** (-(n - 1))
-        retries = 0
         accepted = None
         reasons = []
-        for p, q in _anchor_ladder(alpha_n, cfg):
-            if retries >= cfg.retry_budget:
-                break
-            retries += 1
+        ladder = _anchor_ladder(alpha_n, cfg.n_series, rho0 - targets[-1])
+        for retries, (p, q) in enumerate(ladder[:RETRY_BUDGET]):
             anchor = p / q
             lo, hi = sorted((anchor, alpha_n))
             try:
                 alpha_c, est_c = find_alpha_with_rho(
-                    family, target, lo, hi, tol_rho=cfg.tol_rho,
-                    n=cfg.n_series, estimator=cfg.rho_estimator,
+                    family, target, lo, hi, tol_rho=cfg.tol_rho, n=cfg.n_series
                 )
             except BracketFailureError as exc:
                 reasons.append(f"{p}/{q}: {exc}")
@@ -362,8 +345,7 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
             try:
                 g_c = siegel_series(family, alpha_c, cfg.n_series).g
                 delta_norm = qa_distance(
-                    g_n, g_c, r_inf,
-                    order_cap=cfg.norm_order, circle_samples=cfg.circle_samples,
+                    g_n, g_c, r_inf, order_cap=NORM_ORDER, circle_samples=CIRCLE_SAMPLES
                 ).value
             except NumericalError as exc:
                 reasons.append(f"{p}/{q}: {type(exc).__name__}: {exc}")
@@ -373,13 +355,13 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
                 continue
             # flank scan, breakdowns count as -infinity
             worst = -math.inf
-            for j in range(1, cfg.flank_samples + 1):
+            for j in range(1, FLANK_SAMPLES + 1):
                 for sgn in (1.0, -1.0):
-                    beta = alpha_c + sgn * j * eps_c / cfg.flank_samples
+                    beta = alpha_c + sgn * j * eps_c / FLANK_SAMPLES
                     if not 0.0 < beta < 1.0:
                         continue
                     try:
-                        est_b = _estimate(family, beta, cfg.n_series, cfg.rho_estimator)
+                        est_b = rho_coefficient(family, beta, cfg.n_series)
                         worst = max(worst, est_b.effective_rho)
                     except NumericalError:
                         continue  # effectively -infinity at this sample
@@ -411,28 +393,33 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
                 target_rho=target, achieved_rho=est_c.rho_hat, eps=eps_c,
                 norm_delta=delta_norm, norm_budget=budget,
                 flank_worst=worst, flank_level=levelrho_n,
-                radial_value=radial_value, retries=retries - 1,
+                radial_value=radial_value, retries=retries,
             )
             alpha_n, eps_n, levelrho_n, g_n = alpha_c, eps_c, target, g_c
             break
         if accepted is None:
-            stall("no anchor produced an acceptable candidate: " + "; ".join(reasons))
+            raise ConstructionStallError(
+                f"step {n}: no anchor produced an acceptable candidate: "
+                + "; ".join(reasons),
+                partial_report=_final_report(
+                    cfg, rho0, rho_inf, r_inf, targets, steps, alpha_n, g_0, g_n, t_start
+                ),
+            )
         steps.append(accepted)
 
     return _final_report(
-        cfg, family, rho0, rho_inf, r_inf, targets, steps,
-        alpha_n, g_0, g_n, t_start,
+        cfg, rho0, rho_inf, r_inf, targets, steps, alpha_n, g_0, g_n, t_start
     )
 
 
-def _final_report(cfg, family, rho0, rho_inf, r_inf, targets, steps,
+def _final_report(cfg, rho0, rho_inf, r_inf, targets, steps,
                   alpha_n, g_0, g_n, t_start) -> ConstructionReport:
     try:
-        total = qa_distance(g_0, g_n, r_inf, order_cap=cfg.norm_order,
-                            circle_samples=cfg.circle_samples).value
+        total = qa_distance(g_0, g_n, r_inf, order_cap=NORM_ORDER,
+                            circle_samples=CIRCLE_SAMPLES).value
     except UnreliableRadiusError:
         total = math.nan
-    boundary = boundary_report(g_n, r_inf, circle_samples=cfg.circle_samples)
+    boundary = boundary_report(g_n, r_inf)
     return ConstructionReport(
         family=cfg.family,
         alpha0=cfg.alpha0.value,
@@ -448,7 +435,7 @@ def _final_report(cfg, family, rho0, rho_inf, r_inf, targets, steps,
     )
 
 
-def boundary_report(g, radius: float, circle_samples: int = 512) -> BoundaryReport:
+def boundary_report(g, radius: float, circle_samples: int = CIRCLE_SAMPLES) -> BoundaryReport:
     """Geometry of the disc image at |w| = radius: range of |g| and |g'|
     over the circle, plus the derivative norm there.  gprime_min > 0 is the
     working injectivity indicator (g is normalized, g'(0) = 1)."""

@@ -72,17 +72,18 @@ def circle_values(coeffs: np.ndarray, r: float, samples: int) -> np.ndarray:
     return np.fft.ifft(scaled, n=samples) * samples
 
 
-def _tail_ratio(mags: np.ndarray, r: float) -> float | None:
+def _tail_ratio(mags: np.ndarray, r: float) -> tuple[float | None, np.ndarray]:
     """Median geometric decay factor (per index, at radius r) over the
-    outer coefficient window, or None when the window is all zero."""
+    outer coefficient window, or None when the window has fewer than two
+    nonzero coefficients; also the indices of those nonzero coefficients."""
     n = mags.size - 1
     lo = n // 2 + 1
     idx = np.flatnonzero(mags[lo:] > 0.0) + lo
     if idx.size < 2:
-        return None
+        return None, idx
     steps = np.diff(idx)
     factors = (mags[idx[1:]] / mags[idx[:-1]]) ** (1.0 / steps)
-    return float(np.median(factors)) * r
+    return float(np.median(factors)) * r, idx
 
 
 def _log_tail_sum(n: int, k: int, log_q: float, log_1mq: float) -> float:
@@ -125,7 +126,7 @@ def qa_norm(
     mags = np.abs(g.coeffs)
     scaled = g.coeffs * r ** np.arange(n + 1, dtype=np.float64)
 
-    q = _tail_ratio(mags, r)
+    q, idx = _tail_ratio(mags, r)
     weights = _weights(order_cap)
     if not np.all(np.isfinite(weights)):
         raise PreconditionError("derivative order cap too large for float weights")
@@ -138,10 +139,11 @@ def qa_norm(
                 f"(projected per-index factor {q:.4f})"
             )
         # anchor the geometric model |c_m| r^m ~ H q^{m-n} at every nonzero
-        # window coefficient and keep the most pessimistic head H
-        lo = n // 2 + 1
-        idx = np.flatnonzero(mags[lo:] > 0.0) + lo
-        log_head = float(np.max(np.log(np.abs(scaled[idx])) + (n - idx) * math.log(q)))
+        # window coefficient and keep the most pessimistic head H; taken in
+        # logs, since c_m r^m itself may underflow to 0
+        log_head = float(np.max(
+            np.log(mags[idx]) + idx * math.log(r) + (n - idx) * math.log(q)
+        ))
 
     best = -1.0
     best_k = 0

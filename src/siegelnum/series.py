@@ -18,7 +18,7 @@ Conventions used throughout the package:
   correct coefficients per step.
 
 The serialized form of a series is a JSON array of ``[re, im]`` pairs,
-index = power.
+index = power; a bare real entry ``x`` reads as ``[x, 0]``.
 """
 
 from __future__ import annotations
@@ -132,10 +132,14 @@ class TruncatedSeries:
 
     @classmethod
     def from_pairs(cls, pairs, degree: int | None = None):
+        """Inverse of :meth:`to_pairs`; a bare real entry x stands for [x, 0]."""
+        vals = []
         try:
-            vals = [complex(re, im) for re, im in pairs]
+            for entry in pairs:
+                re, im = (entry, 0.0) if isinstance(entry, (int, float)) else entry
+                vals.append(complex(re, im))
         except (TypeError, ValueError):
-            raise PreconditionError("expected an array of [re, im] pairs") from None
+            raise PreconditionError("expected an array of reals or [re, im] pairs") from None
         return cls.from_coeffs(vals, degree)
 
 

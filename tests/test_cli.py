@@ -142,6 +142,19 @@ def test_norm_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "coeffs", [[0, 1, ["a", 0.5]], [0, 1, [0.5, None]], [0, 1, "1"], [0, 1, [1]]]
+)
+def test_norm_malformed_series_file(tmp_path, capsys, coeffs):
+    f = tmp_path / "series.json"
+    f.write_text(json.dumps(coeffs))
+    code, out, _ = run(capsys, "norm", "--series", str(f), "--r", "0.5")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "PreconditionError"
+    assert str(f) in error["message"]
+
+
 def test_poisson_check_runs(capsys):
     code, out, _ = run(
         capsys, "poisson-check", "--family", "quadratic", "--alpha", "golden",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -104,7 +105,7 @@ def test_describe_is_json_shaped(report):
 
 
 def test_impossible_norm_budget_stalls_with_partial_report():
-    cfg = ConstructionConfig(delta=1e-9, retry_budget=2, depth=1)
+    cfg = ConstructionConfig(delta=1e-9, depth=1)
     with pytest.raises(ConstructionStallError) as exc:
         run_construction(cfg)
     partial = exc.value.partial_report
@@ -113,9 +114,9 @@ def test_impossible_norm_budget_stalls_with_partial_report():
     assert "norm delta" in str(exc.value)
 
 
-def test_depth_five_construction_certifies():
-    rep = run_construction(ConstructionConfig(depth=5, delta=DELTA))
-    assert len(rep.steps) == 5
+def _assert_certified(rep, depth):
+    """Criterion 9's checks, with budgets delta * 2^-(n-1) at every step."""
+    assert len(rep.steps) == depth
     alpha_prev, eps_prev = rep.alpha0, 0.05
     for n, step in enumerate(rep.steps, start=1):
         assert abs(step.alpha - alpha_prev) + step.eps <= eps_prev + 1e-15
@@ -126,16 +127,20 @@ def test_depth_five_construction_certifies():
     assert rep.boundary.gprime_min > 0
 
 
+def test_depth_five_construction_certifies():
+    _assert_certified(run_construction(ConstructionConfig(depth=5, delta=DELTA)), 5)
+
+
 def test_bisection_estimates_each_alpha_once(monkeypatch):
     calls, results = [], []
-    estimate = construction._estimate
+    estimate = construction.rho_coefficient
 
-    def counting(family, alpha, n, estimator):
+    def counting(family, alpha, n):
         calls.append(alpha)
-        results.append(estimate(family, alpha, n, estimator))
+        results.append(estimate(family, alpha, n))
         return results[-1]
 
-    monkeypatch.setattr(construction, "_estimate", counting)
+    monkeypatch.setattr(construction, "rho_coefficient", counting)
     lo, hi = 21 / 34, golden_rotation().value
     alpha, est = find_alpha_with_rho(QUAD, -1.6, lo, hi, tol_rho=0.05, n=128)
     # one call per bracket end (the rational lo end breaks down), then one
@@ -165,6 +170,21 @@ def test_rho_infinity_override():
     assert rep.schedule[0] == pytest.approx((rep.rho0 - 1.52) / 2)
 
 
+def test_deep_rho_infinity_certifies():
+    # the anchor ladder is sized by the real final dip rho0 - targets[-1],
+    # not by the default drop, so a deep rho_infinity finds a feasible anchor
+    rep = run_construction(ConstructionConfig(rho_infinity=-2.3))
+    assert rep.rho_infinity == pytest.approx(-2.3)
+    _assert_certified(rep, 3)
+
+
+def test_config_fields_are_the_nine_settings():
+    assert [f.name for f in dataclasses.fields(ConstructionConfig)] == [
+        "family", "alpha0", "depth", "delta", "eps0",
+        "rho_infinity", "schedule", "tol_rho", "n_series",
+    ]
+
+
 def test_config_validation():
     with pytest.raises(PreconditionError):
         ConstructionConfig(depth=0)
@@ -174,5 +194,3 @@ def test_config_validation():
         ConstructionConfig(depth=2, schedule=(-1.3,))
     with pytest.raises(PreconditionError):
         ConstructionConfig(depth=2, schedule=(-1.4, -1.3))
-    with pytest.raises(PreconditionError):
-        ConstructionConfig(rho_estimator="psychic")

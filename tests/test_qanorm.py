@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,20 @@ def test_polynomial_tail_is_exactly_zero():
     p = TruncatedSeries.from_coeffs([0, 1, 0.5], degree=64)
     res = qa_norm(p, 0.7)
     assert res.tail_bound == 0.0
+
+
+def test_underflowing_tail_head_raises_no_warning():
+    # c_m r^m underflows to 0 above m ~ 230 at r = 0.04; the tail head is
+    # taken as log|c_m| + m log r, so no log(0) is ever evaluated
+    g = TruncatedSeries.from_coeffs(np.r_[0, np.ones(256)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = qa_norm(g, 0.04, order_cap=1)
+    # k = 1 dominates: sup |g'| = 1/(1 - r)^2 at w = r, weighted by 3 ln 3
+    assert res.value == pytest.approx(1.0 / (0.96**2 * 3.0 * math.log(3.0)), rel=1e-12)
+    assert (res.k_at_max, res.sample_at_max) == (1, 0)
+    assert res.tail_ratio == pytest.approx(0.04, rel=1e-15)
+    assert res.tail_bound <= TAIL_TOL
 
 
 def test_norm_rejects_bad_arguments():

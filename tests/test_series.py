@@ -83,6 +83,9 @@ def test_padding_roundtrip_and_pairs():
     assert s.padded(6).truncated(2).coeffs == pytest.approx(s.coeffs)
     again = TruncatedSeries.from_pairs(s.to_pairs())
     assert np.array_equal(again.coeffs, s.coeffs)
+    # a bare real entry stands for [re, 0]
+    mixed = TruncatedSeries.from_pairs([0, 1, [2.0, 1.0]])
+    assert np.array_equal(mixed.coeffs, s.coeffs)
 
 
 small_coeff = st.complex_numbers(
