@@ -66,6 +66,6 @@ from .radius import (
     rotation_from_float,
     silver_rotation,
 )
-from .series import TruncatedSeries, compose, derivative, evaluate, revert
+from .series import TruncatedSeries, compose, derivative, evaluate
 
 __version__ = "0.1.0"

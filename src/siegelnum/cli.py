@@ -139,7 +139,7 @@ def _load_series(path: str) -> TruncatedSeries:
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_families(args, cfg: RunConfig) -> int:
+def _cmd_families(args) -> int:
     if args.action == "list":
         _emit_json([f.describe() for f in family_catalog()], args.out)
     else:  # show
@@ -149,13 +149,13 @@ def _cmd_families(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_yoccoz(args, cfg: RunConfig) -> int:
+def _cmd_yoccoz(args) -> int:
     family = get_family(args.family)
     lam = _parse_complex_pair(args.lam)
     value = yoccoz_w(
         family,
         lam,
-        n=args.degree or cfg.default_degree,
+        n=args.degree,
         budget=args.budget or DEFAULT_BUDGET,
     )
     _emit_json(
@@ -171,7 +171,7 @@ def _cmd_yoccoz(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_grid(args, cfg: RunConfig) -> int:
+def _cmd_grid(args) -> int:
     """u over a polar grid; never aborts for a package error, so a sweep
     survives bad parameters (the row carries the error class)."""
     if not 0.0 < args.rmin <= args.rmax < 1.0:
@@ -183,7 +183,7 @@ def _cmd_grid(args, cfg: RunConfig) -> int:
     thetas = np.arange(args.res) / args.res
     points = [(float(r), float(t)) for r in radii for t in thetas]
     lams = [r * complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)) for r, t in points]
-    values = u_values(family, lams, n=args.degree or cfg.default_degree, budget=args.budget or DEFAULT_BUDGET)
+    values = u_values(family, lams, n=args.degree, budget=args.budget or DEFAULT_BUDGET)
     rows = []
     for (r, theta), value in zip(points, values):
         row = {"r": r, "theta": theta, "u": math.nan, "iterations": 0, "status": "ok"}
@@ -193,8 +193,7 @@ def _cmd_grid(args, cfg: RunConfig) -> int:
         else:
             row["status"] = type(value).__name__
         rows.append(row)
-    fmt = args.format or cfg.output_format
-    if fmt == "json":
+    if args.format == "json":
         _emit_json(rows, args.out)
     else:
         header = ["r", "theta", "u", "iterations", "status"]
@@ -202,23 +201,18 @@ def _cmd_grid(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_radius(args, cfg: RunConfig) -> int:
+def _cmd_radius(args) -> int:
     family = get_family(args.family)
     alpha = parse_rotation(args.alpha)
     if args.method == "radial":
-        estimate = rho_radial(
-            family,
-            alpha,
-            depth=args.depth or cfg.default_depth,
-            n=args.degree or cfg.default_degree,
-        )
+        estimate = rho_radial(family, alpha, depth=args.depth, n=args.degree)
     else:
-        estimate = rho_coefficient(family, alpha, n=args.degree or cfg.default_degree)
+        estimate = rho_coefficient(family, alpha, n=args.degree)
     _emit_json(estimate.describe(), args.out)
     return 0
 
 
-def _cmd_poisson_check(args, cfg: RunConfig) -> int:
+def _cmd_poisson_check(args) -> int:
     family = get_family(args.family)
     alpha = parse_rotation(args.alpha)
     report = poisson_bound_check(
@@ -228,13 +222,13 @@ def _cmd_poisson_check(args, cfg: RunConfig) -> int:
         args.L,
         args.R,
         ray_samples=args.samples,
-        n=args.degree or cfg.default_degree,
+        n=args.degree,
     )
     _emit_json(report.describe(), args.out)
     return 0
 
 
-def _cmd_norm(args, cfg: RunConfig) -> int:
+def _cmd_norm(args) -> int:
     series = _load_series(args.series)
     cap = args.K
     if cap is not None:
@@ -247,34 +241,26 @@ def _cmd_norm(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_construct(args, cfg: RunConfig) -> int:
-    schedule = None
-    depth = args.depth
-    if args.schedule and args.schedule != "auto":
-        schedule = tuple(float(s) for s in args.schedule.split(","))
-        depth = len(schedule)
-    build = ConstructionConfig(
-        family=args.family,
-        alpha0=parse_rotation(args.alpha0),
-        depth=depth,
-        delta=args.delta,
-        eps0=args.eps0,
-        rho_infinity=args.rho_inf,
-        schedule=schedule,
-        tol_rho=args.tol_rho,
-        n_series=args.degree,
-    )
-    report = run_construction(build)
+def _cmd_construct(args) -> int:
+    fields = {f.name for f in dataclasses.fields(ConstructionConfig)}
+    settings = {k: v for k, v in vars(args).items() if k in fields}
+    if "alpha0" in settings:
+        settings["alpha0"] = parse_rotation(settings["alpha0"])
+    schedule = settings.pop("schedule", "auto")
+    if schedule and schedule != "auto":
+        settings["schedule"] = tuple(float(s) for s in schedule.split(","))
+        settings["depth"] = len(settings["schedule"])
+    report = run_construction(ConstructionConfig(**settings))
     _emit_json(report.describe(), args.out)
     return 0
 
 
-def _cmd_boundary(args, cfg: RunConfig) -> int:
+def _cmd_boundary(args) -> int:
     if args.samples < 1:
         raise PreconditionError("samples must be >= 1")
     family = get_family(args.family)
     alpha = parse_rotation(args.alpha)
-    g = siegel_series(family, alpha.value, n=args.degree or cfg.default_degree).g
+    g = siegel_series(family, alpha.value, n=args.degree).g
     radius = math.exp(args.rho)
     gv = circle_values(g.coeffs, radius, args.samples)
     gpv = np.abs(circle_values(derivative(g, 1).coeffs, radius, args.samples))
@@ -358,18 +344,22 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=512)
     p.set_defaults(handler=_cmd_norm)
 
+    # dests are ConstructionConfig field names; an absent flag leaves no
+    # attribute, so its defaults apply and RunConfig's never do (--degree
+    # is n_series, 256 by default)
     p = sub.add_parser(
-        "construct", parents=[common], help="rotation-number refinement run"
+        "construct", parents=[common], argument_default=argparse.SUPPRESS,
+        help="rotation-number refinement run",
     )
-    p.add_argument("--family", default="quadratic")
-    p.add_argument("--alpha0", default="golden")
-    p.add_argument("--eps0", type=float, default=0.05)
-    p.add_argument("--rho-inf", dest="rho_inf", type=float, default=None)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--schedule", default="auto", metavar="auto|R1,R2,...")
-    p.add_argument("--tol-rho", dest="tol_rho", type=float, default=0.02)
-    p.add_argument("--degree", type=int, default=256)
+    p.add_argument("--family")
+    p.add_argument("--alpha0")
+    p.add_argument("--eps0", type=float)
+    p.add_argument("--rho-inf", dest="rho_infinity", type=float)
+    p.add_argument("--depth", type=int)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--schedule", metavar="auto|R1,R2,...")
+    p.add_argument("--tol-rho", dest="tol_rho", type=float)
+    p.add_argument("--degree", dest="n_series", type=int)
     p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("boundary", parents=[common], help="disc-boundary curve CSV")
@@ -393,7 +383,12 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = RunConfig.load(args.config)
-        return args.handler(args, cfg)
+        # an unset --degree, --depth or --format takes the run config's value
+        for name, value in (("degree", cfg.default_degree), ("depth", cfg.default_depth),
+                            ("format", cfg.output_format)):
+            if getattr(args, name, value) is None:
+                setattr(args, name, value)
+        return args.handler(args)
     except PreconditionError as exc:
         _emit_json(_error_body(exc), None)
         return 2

@@ -19,17 +19,17 @@ estimated radius falls off linearly in log distance, with slope 1/q per
 log unit (measured 0.0694 per decade at q = 34, i.e. ln 10 / q).  The
 step candidate is found by bisecting (at most MAX_ITER halvings) between
 the anchor (whose estimate diverges — the small-divisor guard trips
-exactly there) and alpha_n.  Anchor choice trades three pressures: the dip
-must stay resolvable in binary64 (q * final_dip <= ~30, or the offset from
-p/q underflows), the resonant spike index q+1 must sit low enough for the
-coefficient window to see it, and the flank bump at twice the offset
-(ln 2 / q) must stay inside the step gap.  A single anchor that is
-feasible for the *whole* schedule is preferred, because every alpha_n then
-keeps p/q among its convergents and the intervals nest around the common
-anchor for free; a step tries at most RETRY_BUDGET anchors.  At the
-defaults (G = 0.75, q = 34 for the golden mean) the ladder is feasible to
-depth ~5; beyond that the final offsets sink under float resolution and
-the run stalls honestly.
+exactly there) and alpha_n, on whichever side of alpha_n the anchor lies.
+Anchor choice trades three pressures: the dip must stay resolvable in
+binary64 (q * final_dip <= ~30, or the offset from p/q underflows), the
+resonant spike index q+1 must sit low enough for the coefficient window to
+see it, and the flank bump at twice the offset (ln 2 / q) must stay inside
+the step gap.  A single anchor that is feasible for the *whole* schedule
+is preferred, because every alpha_n then keeps p/q among its convergents
+and the intervals nest around the common anchor for free; a step tries at
+most RETRY_BUDGET anchors.  At the defaults (G = 0.75, q = 34 for the
+golden mean) the ladder is feasible to depth ~5; beyond that the final
+offsets sink under float resolution and the run stalls honestly.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .errors import (
     UnreliableRadiusError,
 )
 from .families import FamilySpec, get_family
-from .linearize import siegel_series
 from .qanorm import circle_values, qa_distance, qa_norm
 from .radius import (
     RadiusEstimate,
@@ -193,53 +192,56 @@ class ConstructionReport:
         }
 
 
+def _effective_rho(family: FamilySpec, alpha: float, n: int) -> tuple[float, RadiusEstimate | None]:
+    """The coefficient estimate at alpha and its effective value.  Breakdown,
+    coefficient overflow, an unusable sample run: every NumericalError
+    happens exactly where the dip is effectively bottomless, so it reads as
+    -infinity with no estimate."""
+    try:
+        est = rho_coefficient(family, alpha, n)
+    except NumericalError:
+        return -math.inf, None
+    return est.effective_rho, est
+
+
 def find_alpha_with_rho(
     family: FamilySpec,
     target_rho: float,
-    bracket_lo: float,
-    bracket_hi: float,
+    below: float,
+    above: float,
     tol_rho: float = 0.02,
     n: int = 256,
 ) -> tuple[float, RadiusEstimate]:
-    """Bisect [bracket_lo, bracket_hi] for alpha with a coefficient estimate
-    rho_hat ~ target_rho, in at most MAX_ITER steps.
+    """Bisect between below and above, in either numeric order, for alpha
+    with a coefficient estimate rho_hat ~ target_rho, in at most MAX_ITER
+    steps.
 
-    The lo end must estimate below the target and the hi end above it; a
-    rational lo whose estimate breaks down on a small divisor counts as
-    -infinity, which is the standard way to seed the bracket.  Bisection
-    needs only the intermediate-value property, which the estimate has by
-    continuity away from breakdown points; the landscape is not monotone
-    (other rationals dent it), so the returned alpha is *a* crossing, not
-    the closest one to either end.
+    The below end must estimate below the target and the above end above
+    it; a rational anchor whose estimate breaks down counts as -infinity,
+    which is the standard way to seed the bracket.  Bisection needs only
+    the intermediate-value property, which the estimate has by continuity
+    away from breakdown points; the landscape is not monotone (other
+    rationals dent it), so the returned alpha is *a* crossing, not the
+    closest one to either end.
     """
-    if not bracket_lo < bracket_hi:
-        raise PreconditionError("bracket must satisfy lo < hi")
-
-    def eff(alpha: float) -> tuple[float, RadiusEstimate | None]:
-        try:
-            est = rho_coefficient(family, alpha, n)
-        except NumericalError:
-            # breakdown, coefficient overflow, unusable sample run: all of
-            # these happen exactly where the dip is effectively bottomless
-            return -math.inf, None
-        return est.effective_rho, est
-
-    lo_val, _ = eff(bracket_lo)
-    hi_val, _ = eff(bracket_hi)
-    if not lo_val < target_rho:
+    if below == above:
+        raise PreconditionError("bracket ends must differ")
+    below_val, _ = _effective_rho(family, below, n)
+    above_val, _ = _effective_rho(family, above, n)
+    if not below_val < target_rho:
         raise BracketFailureError(
-            f"lo bracket estimates {lo_val:.4f}, not below target {target_rho:.4f}"
+            f"below end estimates {below_val:.4f}, not below target {target_rho:.4f}"
         )
-    if not hi_val > target_rho:
+    if not above_val > target_rho:
         raise BracketFailureError(
-            f"hi bracket estimates {hi_val:.4f}, not above target {target_rho:.4f}"
+            f"above end estimates {above_val:.4f}, not above target {target_rho:.4f}"
         )
-    lo, hi = bracket_lo, bracket_hi
+    lo, hi = below, above
     for _ in range(MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        if mid in (lo, hi):
             raise BracketFailureError("bracket exhausted float resolution")
-        val, est = eff(mid)
+        val, est = _effective_rho(family, mid, n)
         if abs(val - target_rho) <= tol_rho and math.isfinite(val):
             return mid, est
         if val < target_rho:
@@ -279,24 +281,19 @@ def _anchor_ladder(alpha: float, n_series: int, final_dip: float) -> list[tuple[
     base estimate; anchors feasible only for earlier steps follow, as
     retries.  The spike index must also stay visible to the coefficient
     window, and tiny denominators are dropped because their flank bump
-    ln2/q would swallow the schedule gap.
+    ln2/q would swallow the schedule gap.  Convergent denominators strictly
+    increase, so the sort key has no ties.
     """
     eps_floor = MIN_OFFSET_EPS * math.ulp(alpha)
-    whole, partial = [], []
-    seen = set()
-    for p, q in cf_convergents(cf_expand(alpha, 24)):
-        if q in seen:
-            continue
-        seen.add(q)
-        if not (MIN_ANCHOR_Q <= q <= n_series // 3 - 1):
-            continue
-        if abs(alpha - p / q) <= eps_floor:
-            continue  # alpha sits numerically on this rational already
-        s_final = math.exp(-q * final_dip) / (math.sqrt(5.0) * q * q)
-        (whole if s_final >= eps_floor else partial).append((p, q))
-    whole.sort(key=lambda pq: -pq[1])
-    partial.sort(key=lambda pq: -pq[1])
-    return whole + partial
+
+    def rank(pq):  # (infeasible, -q): feasible anchors first, larger q first
+        q = pq[1]
+        return math.exp(-q * final_dip) / (math.sqrt(5.0) * q * q) < eps_floor, -q
+
+    # within eps_floor of p/q, alpha already sits on the rational numerically
+    anchors = [(p, q) for p, q in cf_convergents(cf_expand(alpha, 24))
+               if MIN_ANCHOR_Q <= q < n_series // 3 and abs(alpha - p / q) > eps_floor]
+    return sorted(anchors, key=rank)
 
 
 def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
@@ -316,8 +313,7 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
     alpha_n = cfg.alpha0.value
     eps_n = cfg.eps0
     levelrho_n = rho0
-    g_n = siegel_series(family, alpha_n, cfg.n_series).g
-    g_0 = g_n
+    g_0 = g_n = est0.series.g
     steps: list[StepReport] = []
 
     for n, target in enumerate(targets, start=1):
@@ -327,23 +323,21 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
         ladder = _anchor_ladder(alpha_n, cfg.n_series, rho0 - targets[-1])
         for retries, (p, q) in enumerate(ladder[:RETRY_BUDGET]):
             anchor = p / q
-            lo, hi = sorted((anchor, alpha_n))
             try:
                 alpha_c, est_c = find_alpha_with_rho(
-                    family, target, lo, hi, tol_rho=cfg.tol_rho, n=cfg.n_series
+                    family, target, anchor, alpha_n, cfg.tol_rho, cfg.n_series
                 )
             except BracketFailureError as exc:
                 reasons.append(f"{p}/{q}: {exc}")
                 continue
-            offset = abs(alpha_c - anchor)
-            eps_c = offset
+            eps_c = abs(alpha_c - anchor)
             # nesting
             if abs(alpha_c - alpha_n) + eps_c > eps_n:
                 reasons.append(f"{p}/{q}: interval does not nest")
                 continue
             # norm budget
+            g_c = est_c.series.g
             try:
-                g_c = siegel_series(family, alpha_c, cfg.n_series).g
                 delta_norm = qa_distance(
                     g_n, g_c, r_inf, order_cap=NORM_ORDER, circle_samples=CIRCLE_SAMPLES
                 ).value
@@ -353,22 +347,13 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
             if delta_norm > budget:
                 reasons.append(f"{p}/{q}: norm delta {delta_norm:.3e} > {budget:.3e}")
                 continue
-            # flank scan, breakdowns count as -infinity
-            worst = -math.inf
-            for j in range(1, FLANK_SAMPLES + 1):
-                for sgn in (1.0, -1.0):
-                    beta = alpha_c + sgn * j * eps_c / FLANK_SAMPLES
-                    if not 0.0 < beta < 1.0:
-                        continue
-                    try:
-                        est_b = rho_coefficient(family, beta, cfg.n_series)
-                        worst = max(worst, est_b.effective_rho)
-                    except NumericalError:
-                        continue  # effectively -infinity at this sample
+            # flank scan
+            flanks = (alpha_c + sgn * j * eps_c / FLANK_SAMPLES
+                      for j in range(1, FLANK_SAMPLES + 1) for sgn in (1.0, -1.0))
+            worst = max((_effective_rho(family, b, cfg.n_series)[0] for b in flanks if 0.0 < b < 1.0),
+                        default=-math.inf)
             if not worst < levelrho_n:
-                reasons.append(
-                    f"{p}/{q}: flank reaches {worst:.4f}, not below {levelrho_n:.4f}"
-                )
+                reasons.append(f"{p}/{q}: flank reaches {worst:.4f}, not below {levelrho_n:.4f}")
                 continue
             # one-sided radial cross-check: the radial probe cannot resolve a
             # dip this narrow, so it must read at or above the coefficient
@@ -376,10 +361,7 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
             # disagree about something the radial probe can actually see.
             radial_value = math.nan
             try:
-                est_r = rho_radial(
-                    family, alpha_c, depth=10, n=min(cfg.n_series, 128)
-                )
-                radial_value = est_r.effective_rho
+                radial_value = rho_radial(family, alpha_c, depth=10, n=min(cfg.n_series, 128)).effective_rho
             except NumericalError:
                 pass
             if radial_value < est_c.rho_hat - CROSSCHECK_SLACK:
@@ -389,7 +371,7 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
                 )
                 continue
             accepted = StepReport(
-                n=n, alpha=alpha_c, anchor_p=p, anchor_q=q, offset=offset,
+                n=n, alpha=alpha_c, anchor_p=p, anchor_q=q, offset=eps_c,
                 target_rho=target, achieved_rho=est_c.rho_hat, eps=eps_c,
                 norm_delta=delta_norm, norm_budget=budget,
                 flank_worst=worst, flank_level=levelrho_n,
@@ -401,19 +383,15 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
             raise ConstructionStallError(
                 f"step {n}: no anchor produced an acceptable candidate: "
                 + "; ".join(reasons),
-                partial_report=_final_report(
-                    cfg, rho0, rho_inf, r_inf, targets, steps, alpha_n, g_0, g_n, t_start
-                ),
+                partial_report=_final_report(cfg, rho0, rho_inf, targets, steps, alpha_n, g_0, g_n, t_start),
             )
         steps.append(accepted)
 
-    return _final_report(
-        cfg, rho0, rho_inf, r_inf, targets, steps, alpha_n, g_0, g_n, t_start
-    )
+    return _final_report(cfg, rho0, rho_inf, targets, steps, alpha_n, g_0, g_n, t_start)
 
 
-def _final_report(cfg, rho0, rho_inf, r_inf, targets, steps,
-                  alpha_n, g_0, g_n, t_start) -> ConstructionReport:
+def _final_report(cfg, rho0, rho_inf, targets, steps, alpha_n, g_0, g_n, t_start) -> ConstructionReport:
+    r_inf = math.exp(rho_inf)
     try:
         total = qa_distance(g_0, g_n, r_inf, order_cap=NORM_ORDER,
                             circle_samples=CIRCLE_SAMPLES).value
@@ -435,14 +413,15 @@ def _final_report(cfg, rho0, rho_inf, r_inf, targets, steps,
     )
 
 
-def boundary_report(g, radius: float, circle_samples: int = CIRCLE_SAMPLES) -> BoundaryReport:
+def boundary_report(g, radius: float) -> BoundaryReport:
     """Geometry of the disc image at |w| = radius: range of |g| and |g'|
-    over the circle, plus the derivative norm there.  gprime_min > 0 is the
-    working injectivity indicator (g is normalized, g'(0) = 1)."""
-    gv = np.abs(circle_values(g.coeffs, radius, circle_samples))
-    gpv = np.abs(circle_values(derivative(g, 1).coeffs, radius, circle_samples))
+    over CIRCLE_SAMPLES points of the circle, plus the derivative norm
+    there.  gprime_min > 0 is the working injectivity indicator (g is
+    normalized, g'(0) = 1)."""
+    gv = np.abs(circle_values(g.coeffs, radius, CIRCLE_SAMPLES))
+    gpv = np.abs(circle_values(derivative(g, 1).coeffs, radius, CIRCLE_SAMPLES))
     try:
-        norm_val = qa_norm(g, radius, order_cap=1, circle_samples=circle_samples).value
+        norm_val = qa_norm(g, radius, order_cap=1, circle_samples=CIRCLE_SAMPLES).value
     except UnreliableRadiusError:
         norm_val = math.nan
     return BoundaryReport(
@@ -452,5 +431,5 @@ def boundary_report(g, radius: float, circle_samples: int = CIRCLE_SAMPLES) -> B
         gprime_min=float(np.min(gpv)),
         gprime_max=float(np.max(gpv)),
         norm_value=norm_val,
-        samples=circle_samples,
+        samples=CIRCLE_SAMPLES,
     )

@@ -69,6 +69,7 @@ KOENIGS_DIVISOR_FLOOR = 1e-14
 SIEGEL_DIVISOR_FLOOR = 1e-13
 ENTRY_RADIUS_GRID = (0.2, 0.1, 0.05, 0.02, 0.01)
 ENTRY_TAIL_TOL = 1e-13
+ENTRY_SAMPLES = 8  # equispaced points per entry-radius circle
 ESCAPE_BOUND = 1e50
 DEFAULT_BUDGET = 10**6
 # multipliers per batched Koenigs solve in u_values: bounds its work arrays
@@ -274,39 +275,21 @@ def conjugacy_residual(obj: KoenigsSeries | SiegelSeries) -> float:
     """
     if isinstance(obj, KoenigsSeries):
         ser, lam = obj.h, obj.lam
-        F = family_series(obj.family, lam, ser.degree)
-        res = compose(ser, F) - lam * ser
-        maj = _abs_compose(ser.coeffs, F.coeffs) + abs(lam) * np.abs(ser.coeffs)
+        outer, inner = ser, family_series(obj.family, lam, ser.degree)
+        rot = lam * ser.coeffs
     elif isinstance(obj, SiegelSeries):
-        ser, lam = obj.g, obj.lam
-        F = family_series(obj.family, lam, ser.degree)
+        ser = obj.g
+        outer, inner = family_series(obj.family, obj.lam, ser.degree), ser
         rot = ser.coeffs * np.power(obj.lam, np.arange(ser.degree + 1))
-        res = compose(F, ser) - TruncatedSeries.from_coeffs(rot, ser.degree)
-        maj = _abs_compose(F.coeffs, ser.coeffs) + np.abs(ser.coeffs)
     else:
         raise PreconditionError("expected a KoenigsSeries or SiegelSeries")
-    return float(np.max(np.abs(res.coeffs) / np.maximum(1.0, maj)))
+    res = compose(outer, inner).coeffs - rot
+    moduli = (TruncatedSeries.from_coeffs(np.abs(s.coeffs)) for s in (outer, inner))
+    maj = compose(*moduli).coeffs.real + np.abs(rot)
+    return float(np.max(np.abs(res) / np.maximum(1.0, maj)))
 
 
-def _abs_compose(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """Coefficients of |outer| ∘ |inner|: a coefficientwise majorant of outer∘inner."""
-    a = np.abs(outer)
-    b = np.abs(inner)
-    n = a.size - 1
-    out = np.zeros(n + 1, dtype=np.float64)
-    out[0] = a[0]
-    power = np.zeros(n + 1, dtype=np.float64)
-    power[0] = 1.0
-    for k in range(1, n + 1):
-        power = np.convolve(power, b)[: n + 1]
-        if a[k] != 0:
-            out += float(a[k]) * power
-        if not power.any():
-            break
-    return out
-
-
-def _entry_radii(h: np.ndarray, samples: int = 8) -> np.ndarray:
+def _entry_radii(h: np.ndarray) -> np.ndarray:
     """entry_radius for each row of coefficients h; NaN where no radius passes.
 
     Full minus half-degree evaluation is the tail sum over N/2 < k <= N, so
@@ -319,7 +302,7 @@ def _entry_radii(h: np.ndarray, samples: int = 8) -> np.ndarray:
     """
     n = h.shape[1] - 1
     powers = np.arange(n // 2 + 1, n + 1)
-    turns = np.exp(2j * math.pi * np.arange(samples) / samples)
+    turns = np.exp(2j * math.pi * np.arange(ENTRY_SAMPLES) / ENTRY_SAMPLES)
     radii = np.full(h.shape[0], np.nan)
     undecided = np.arange(h.shape[0])
     for r in ENTRY_RADIUS_GRID:
@@ -338,16 +321,17 @@ def _entry_radius_error() -> EntryRadiusError:
     )
 
 
-def entry_radius(ser: TruncatedSeries, samples: int = 8) -> float:
+def entry_radius(ser: TruncatedSeries) -> float:
     """Largest grid radius where the series evaluation is self-consistent.
 
     Compares full-degree evaluation against the half-degree prefix at
-    equispaced points on |z| = r for r in ENTRY_RADIUS_GRID; accepts the
-    first (largest) r whose worst absolute discrepancy is <= ENTRY_TAIL_TOL.
+    ENTRY_SAMPLES equispaced points on |z| = r for r in ENTRY_RADIUS_GRID;
+    accepts the first (largest) r whose worst absolute discrepancy is
+    <= ENTRY_TAIL_TOL.
     Nothing on the grid passing means the series is untrustworthy even at
     |z| = 0.01 and evaluation should not be attempted.
     """
-    r = float(_entry_radii(ser.coeffs[None, :], samples)[0])
+    r = float(_entry_radii(ser.coeffs[None, :])[0])
     if math.isnan(r):
         raise _entry_radius_error()
     return r
@@ -378,23 +362,17 @@ def _unwind(hz: complex, m: int, lam: complex) -> complex:
     return cmath.exp(cmath.log(hz) - m * cmath.log(lam))
 
 
-def koenigs_eval(
-    ks: KoenigsSeries,
-    z: complex,
-    budget: int = DEFAULT_BUDGET,
-    r_entry: float | None = None,
-) -> tuple[complex, int]:
+def koenigs_eval(ks: KoenigsSeries, z: complex) -> tuple[complex, int]:
     """h(z) on the whole basin of 0, by iterating into the entry disc.
 
-    Iterates z_{m+1} = f_lambda(z_m) until |z_m| <= r_entry, then returns
-    lambda^{-m} h(z_m).  Returns (value, iterations used).
+    Iterates z_{m+1} = f_lambda(z_m) until |z_m| <= entry_radius(h), at
+    most DEFAULT_BUDGET times, then returns lambda^{-m} h(z_m).  Returns
+    (value, iterations used).
     """
     lam = ks.lam
     if abs(lam) >= 1.0:
         raise PreconditionError("basin extension requires |lambda| < 1")
-    if r_entry is None:
-        r_entry = entry_radius(ks.h)
-    z, m = _orbit(ks.family, lam, complex(z), r_entry, budget)
+    z, m = _orbit(ks.family, lam, complex(z), entry_radius(ks.h), DEFAULT_BUDGET)
     return _unwind(complex(evaluate(ks.h, z).value), m, lam), m
 
 

@@ -46,7 +46,7 @@ from .errors import (
     SiegelnumError,
 )
 from .families import FamilySpec
-from .linearize import siegel_series, u_values
+from .linearize import SiegelSeries, siegel_series, u_values
 
 __all__ = [
     "RotationNumber",
@@ -75,6 +75,10 @@ PLATEAU_TOL = 0.02
 DIVERGENCE_DROP = 0.1
 SLOPE_STABILITY_TOL = 0.1
 M_SLACK = 0.1
+RAY_BUDGET = 2 * 10**6  # orbit iterations per lambda of a ray scan
+RAY_MAX_DEPTH = 12.0  # dyadic depth of the outermost poisson_bound_check radius
+HARMONIC_R_LO, HARMONIC_R_HI = 0.1, 0.8  # annulus of the harmonic_check grid
+HARMONIC_CIRCLE_POINTS = 4  # ring points per harmonic_check node
 
 
 # -- rotation numbers ---------------------------------------------------------
@@ -215,6 +219,9 @@ class RadiusEstimate:
     converged: bool
     diverging_to_minus_infinity: bool
     failures: tuple = ()
+    # the fitted Siegel series (coefficient method only); kept out of the
+    # repr, of equality and of describe()
+    series: SiegelSeries | None = field(default=None, repr=False, compare=False)
 
     @property
     def effective_rho(self) -> float:
@@ -251,7 +258,6 @@ def rho_radial(
     alpha,
     depth: int = 12,
     n: int = 128,
-    budget: int = 2 * 10**6,
 ) -> RadiusEstimate:
     """Radial-limit estimate: u at r_k = 1 - 2^{-k}, k = 2..depth.
 
@@ -273,7 +279,7 @@ def rho_radial(
     runs: list[list[float]] = [[]]  # u values split into consecutive-k runs
     ladder = [1.0 - 2.0**-k for k in range(2, depth + 1)]
     turn = cmath.exp(2j * math.pi * rot.value)
-    values = u_values(family, [r * turn for r in ladder], n, budget)
+    values = u_values(family, [r * turn for r in ladder], n, RAY_BUDGET)
     for k, r, value in zip(range(2, depth + 1), ladder, values):
         if isinstance(value, (NoConvergenceError, EntryRadiusError, DivisorBreakdownError, PoleError)):
             failures.append(f"depth {k}: {type(value).__name__}: {value}")
@@ -315,6 +321,7 @@ def rho_coefficient(family: FamilySpec, alpha, n: int = 128) -> RadiusEstimate:
     index).  converged requires the slopes fitted on the two half-windows
     to agree within SLOPE_STABILITY_TOL.  A small-divisor breakdown
     propagates: that is the honest signal for effectively rational alpha.
+    The estimate keeps the fitted SiegelSeries as ``series``.
     """
     if n < 32:
         raise PreconditionError("coefficient estimate needs degree >= 32")
@@ -340,6 +347,7 @@ def rho_coefficient(family: FamilySpec, alpha, n: int = 128) -> RadiusEstimate:
         samples=tuple((float(k), float(y)) for k, y in zip(ks, ys)),
         converged=abs(s1 - s2) <= SLOPE_STABILITY_TOL,
         diverging_to_minus_infinity=False,
+        series=ss,
     )
 
 
@@ -354,33 +362,27 @@ class HarmonicCheckReport:
     grid_step: float
 
 
-def harmonic_check(
-    field,
-    r_lo: float = 0.1,
-    r_hi: float = 0.8,
-    nodes: int = 64,
-    circle_points: int = 4,
-) -> HarmonicCheckReport:
+def harmonic_check(field, nodes: int = 64) -> HarmonicCheckReport:
     """Mean-value-property deviation of a scalar field over an annulus grid.
 
     ``field`` maps a 1-d complex array of lambda to a real array of the
     same shape, and is called once with every point of a ``nodes`` x
-    ``nodes`` polar grid over r_lo <= |lambda| <= r_hi and of the rings
-    around it.  At each interior node the field's value is compared with
-    its average over ``circle_points`` equispaced points on the Euclidean
-    circle of radius one radial grid step; the circle average annihilates
-    every harmonic polynomial of degree < circle_points exactly, so a
-    harmonic field deviates by O(h^{circle_points}) and an affine field by
+    ``nodes`` polar grid over HARMONIC_R_LO <= |lambda| <= HARMONIC_R_HI
+    and of the rings around it.  At each interior node the field's value is
+    compared with its average over HARMONIC_CIRCLE_POINTS = P equispaced
+    points on the Euclidean circle of radius one radial grid step; the
+    circle average annihilates every harmonic polynomial of degree < P
+    exactly, so a harmonic field deviates by O(h^P) and an affine field by
     rounding only.  A non-finite value marks a failed evaluation: nodes
     whose centre or ring holds one are masked and counted.
     """
     if nodes < 8:
         raise PreconditionError("grid needs at least 8 nodes per axis")
-    rs = np.linspace(r_lo, r_hi, nodes)
+    rs = np.linspace(HARMONIC_R_LO, HARMONIC_R_HI, nodes)
     thetas = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
     h = float(rs[1] - rs[0])
     centers = (rs[1:-1, None] * np.exp(1j * thetas)).reshape(-1, 1)
-    offsets = h * np.exp(2j * math.pi * np.arange(circle_points) / circle_points)
+    offsets = h * np.exp(2j * math.pi * np.arange(HARMONIC_CIRCLE_POINTS) / HARMONIC_CIRCLE_POINTS)
     points = np.hstack([centers, centers + offsets])  # column 0 is the centre
     values = np.asarray(field(points.ravel()), dtype=np.float64).reshape(points.shape)
     ok = np.isfinite(values).all(axis=1)
@@ -459,14 +461,12 @@ def poisson_bound_check(
     R: float,
     ray_samples: int = 16,
     n: int = 128,
-    budget: int = 2 * 10**6,
-    max_depth: float = 12.0,
 ) -> PoissonBoundReport:
     """Verify u <= Poisson integral of the flank-capped step data on the ray.
 
     L and R cap rho on (alpha - delta, alpha) and (alpha, alpha + delta);
     the cap elsewhere is M = log 4 + log|v|.  Radii approach the circle on
-    the dyadic ladder (depth 2 up to max_depth, ray_samples values).  A
+    the dyadic ladder (depth 2 up to RAY_MAX_DEPTH, ray_samples values).  A
     violation means the supplied caps were not actually valid; violations
     are counted and reported, never raised.  Ray samples where yoccoz_w
     raises a package error are masked and counted; other errors propagate.
@@ -480,12 +480,12 @@ def poisson_bound_check(
     violations = 0
     min_margin = math.inf
     radii = [
-        1.0 - 2.0 ** -(2.0 + (max_depth - 2.0) * j / max(1, ray_samples - 1))
+        1.0 - 2.0 ** -(2.0 + (RAY_MAX_DEPTH - 2.0) * j / max(1, ray_samples - 1))
         for j in range(ray_samples)
     ]
     turn = cmath.exp(2j * math.pi * rot.value)
     lams = [r * turn for r in radii]
-    for r, lam, value in zip(radii, lams, u_values(family, lams, n, budget)):
+    for r, lam, value in zip(radii, lams, u_values(family, lams, n, RAY_BUDGET)):
         if isinstance(value, SiegelnumError):
             masked += 1
             continue

@@ -2,8 +2,8 @@
 
 A :class:`TruncatedSeries` holds the coefficients ``c_0 .. c_N`` of a formal
 power series truncated at a fixed degree ``N``.  All arithmetic is exact on
-the retained coefficients: adding, multiplying, composing, or reverting two
-degree-``N`` series yields the degree-``N`` truncation of the exact result.
+the retained coefficients: adding, multiplying or composing two degree-``N``
+series yields the degree-``N`` truncation of the exact result.
 Nothing here is an approximation scheme *except* :func:`evaluate`, which sums
 the retained terms by Horner's rule and reports an advisory geometric tail
 estimate for what the truncation cannot see.
@@ -11,11 +11,9 @@ estimate for what the truncation cannot see.
 Conventions used throughout the package:
 
 * "normalized" means ``c_0 = 0`` and ``c_1 = 1`` exactly (tangent to the
-  identity), the form linearizers and reverted series come in;
+  identity), the form linearizers come in;
 * composition requires the inner series to have zero constant term, so the
-  result is again a polynomial in the retained degrees;
-* reversion is Newton iteration on ``a(b(w)) = w``, doubling the number of
-  correct coefficients per step.
+  result is again a polynomial in the retained degrees.
 
 The serialized form of a series is a JSON array of ``[re, im]`` pairs,
 index = power; a bare real entry ``x`` reads as ``[x, 0]``.
@@ -38,7 +36,6 @@ __all__ = [
     "identity",
     "zero",
     "compose",
-    "revert",
     "evaluate",
     "derivative",
     "reciprocal",
@@ -76,11 +73,6 @@ class TruncatedSeries:
     @property
     def degree(self) -> int:
         return self.coeffs.size - 1
-
-    @property
-    def is_normalized(self) -> bool:
-        """True when c_0 == 0 and c_1 == 1 exactly."""
-        return self.degree >= 1 and self.coeffs[0] == 0 and self.coeffs[1] == 1
 
     def padded(self, degree: int) -> "TruncatedSeries":
         """Same series viewed at a (weakly) larger truncation degree."""
@@ -191,28 +183,6 @@ def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     for k in range(1, n + 1):
         r[k] = -np.dot(c[1 : k + 1], r[k - 1 :: -1][: k]) / c[0]
     return TruncatedSeries.from_coeffs(r, n)
-
-
-def revert(a: TruncatedSeries) -> TruncatedSeries:
-    """Compositional inverse b with a(b(w)) = w through the retained degree.
-
-    Requires a normalized (c_0 = 0, c_1 = 1).  Newton iteration
-    b <- b - (a(b) - id) / a'(b) doubles the count of correct coefficients
-    each step, so ceil(log2(N)) + 1 steps suffice at degree N.
-    """
-    if not a.is_normalized:
-        raise PreconditionError("revert requires a normalized series (c0=0, c1=1)")
-    n = a.degree
-    ident = identity(n)
-    b = ident
-    a_prime = derivative(a, 1).padded(n)
-    steps = max(1, math.ceil(math.log2(max(n, 2))) + 1)
-    for _ in range(steps):
-        residual = compose(a, b) - ident
-        if not residual.coeffs.any():
-            break
-        b = b - residual * reciprocal(compose(a_prime, b))
-    return b
 
 
 class EvalResult(NamedTuple):

@@ -12,13 +12,14 @@ from siegelnum import (
     run_construction,
     siegel_series,
 )
-from siegelnum import construction
+from siegelnum import construction, linearize
 from siegelnum.construction import find_alpha_with_rho
 from siegelnum.errors import (
     BracketFailureError,
     ConstructionStallError,
     PreconditionError,
 )
+from siegelnum.radius import rotation_from_cf
 
 QUAD = get_family("quadratic")
 DELTA = 0.1
@@ -131,6 +132,30 @@ def test_depth_five_construction_certifies():
     _assert_certified(run_construction(ConstructionConfig(depth=5, delta=DELTA)), 5)
 
 
+# alpha0 = [0; a1, a2, 1, 1, ...] whose ladder starts with an anchor above alpha0
+@pytest.mark.parametrize("a1, a2", [(1, 2), (1, 3), (2, 1), (3, 2), (3, 3)])
+def test_anchor_above_alpha0_certifies_without_retries(a1, a2):
+    rep = run_construction(ConstructionConfig(alpha0=rotation_from_cf([a1, a2] + [1] * 38)))
+    _assert_certified(rep, 3)
+    assert rep.steps[0].anchor_p / rep.steps[0].anchor_q > rep.alpha0
+    assert [step.retries for step in rep.steps] == [0, 0, 0]
+
+
+def test_default_run_reuses_each_fitted_series(monkeypatch):
+    solves = []
+    solve = linearize._solve_siegel
+
+    def counting(F, divisors):
+        solves.append(1)
+        return solve(F, divisors)
+
+    monkeypatch.setattr(linearize, "_solve_siegel", counting)
+    run_construction(ConstructionConfig())
+    # alpha_0 and each step's accepted alpha take their series from their
+    # estimates; re-solving them would make depth + 1 = 4 more (130)
+    assert len(solves) == 126
+
+
 def test_bisection_estimates_each_alpha_once(monkeypatch):
     calls, results = [], []
     estimate = construction.rho_coefficient
@@ -162,6 +187,18 @@ def test_bisection_lands_on_target():
     )
     assert 21 / 34 < alpha < golden_rotation().value
     assert abs(est.rho_hat - (-1.6)) <= 0.05
+
+
+def test_bisection_from_an_anchor_above_alpha():
+    golden = golden_rotation().value
+    alpha, est = find_alpha_with_rho(QUAD, -1.6, 34 / 55, golden, tol_rho=0.05, n=128)
+    assert golden < alpha < 34 / 55
+    assert abs(est.rho_hat - (-1.6)) <= 0.05
+
+
+def test_bracket_ends_must_differ():
+    with pytest.raises(PreconditionError):
+        find_alpha_with_rho(QUAD, -1.6, 21 / 34, 21 / 34, n=128)
 
 
 def test_rho_infinity_override():

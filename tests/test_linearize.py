@@ -41,10 +41,9 @@ from siegelnum.linearize import (
     ENTRY_TAIL_TOL,
     ESCAPE_BOUND,
     KOENIGS_DIVISOR_FLOOR,
-    _abs_compose,
     _require_finite,
 )
-from siegelnum.series import TruncatedSeries, evaluate
+from siegelnum.series import TruncatedSeries, compose, evaluate
 
 EPS = np.finfo(np.float64).eps
 ALL_FAMILY_IDS = (
@@ -151,6 +150,12 @@ def _siegel_inputs(fam, alpha, n):
         [cmath.exp(2j * math.pi * math.fmod(k * alpha, 1.0)) for k in range(n + 1)]
     )
     return family_series(fam, powers[1], n).coeffs, powers - powers[1]
+
+
+def _abs_compose(outer, inner):
+    """|outer| ∘ |inner| coefficientwise: a majorant of outer ∘ inner."""
+    moduli = (TruncatedSeries.from_coeffs(np.abs(c)) for c in (outer, inner))
+    return compose(*moduli).coeffs.real
 
 
 def _majorant_error(new, ref, F, divisors):

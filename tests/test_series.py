@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelnum import TruncatedSeries, compose, derivative, evaluate, revert
+from siegelnum import TruncatedSeries, compose, derivative, evaluate
 from siegelnum.errors import PreconditionError
 from siegelnum.series import identity, reciprocal, zero
 
@@ -33,14 +33,6 @@ def test_reciprocal_of_one_minus_z_is_geometric():
     one_minus = TruncatedSeries.from_coeffs([1, -1], degree=16)
     rec = reciprocal(one_minus)
     assert np.allclose(rec.coeffs, np.ones(17), atol=0)
-
-
-def test_revert_alternating_oracle():
-    # inverse of z/(1-z) is z/(1+z): coefficients 0, 1, -1, 1, -1, ...
-    a = TruncatedSeries.from_coeffs(np.r_[0, np.ones(12)])
-    b = revert(a)
-    expect = np.r_[0, [(-1.0) ** k for k in range(12)]]
-    assert np.allclose(b.coeffs, expect, atol=1e-12)
 
 
 def test_compose_power_oracle():
@@ -91,17 +83,6 @@ def test_padding_roundtrip_and_pairs():
 small_coeff = st.complex_numbers(
     max_magnitude=0.2, allow_nan=False, allow_infinity=False
 )
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(small_coeff, min_size=2, max_size=10))
-def test_revert_is_compositional_inverse(cs):
-    coeffs = np.r_[0.0, 1.0, np.asarray(cs, dtype=complex)]
-    a = TruncatedSeries.from_coeffs(coeffs)
-    b = revert(a)
-    n = a.degree
-    back = compose(a, b)
-    assert np.allclose(back.coeffs, identity(n).coeffs, atol=1e-9)
 
 
 @settings(max_examples=50, deadline=None)
