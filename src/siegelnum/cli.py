@@ -152,12 +152,7 @@ def _cmd_families(args) -> int:
 def _cmd_yoccoz(args) -> int:
     family = get_family(args.family)
     lam = _parse_complex_pair(args.lam)
-    value = yoccoz_w(
-        family,
-        lam,
-        n=args.degree,
-        budget=args.budget or DEFAULT_BUDGET,
-    )
+    value = yoccoz_w(family, lam, n=args.degree, budget=args.budget)
     _emit_json(
         {
             "lambda": [lam.real, lam.imag],
@@ -183,7 +178,7 @@ def _cmd_grid(args) -> int:
     thetas = np.arange(args.res) / args.res
     points = [(float(r), float(t)) for r in radii for t in thetas]
     lams = [r * complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)) for r, t in points]
-    values = u_values(family, lams, n=args.degree, budget=args.budget or DEFAULT_BUDGET)
+    values = u_values(family, lams, n=args.degree, budget=args.budget)
     rows = []
     for (r, theta), value in zip(points, values):
         row = {"r": r, "theta": theta, "u": math.nan, "iterations": 0, "status": "ok"}
@@ -304,7 +299,7 @@ def build_parser() -> _Parser:
     p.add_argument("--family", required=True)
     p.add_argument("--lambda", dest="lam", required=True, metavar="RE,IM")
     p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(handler=_cmd_yoccoz)
 
     p = sub.add_parser("grid", parents=[common], help="polar sweep of u(lambda)")
@@ -313,7 +308,7 @@ def build_parser() -> _Parser:
     p.add_argument("--rmax", type=float, required=True)
     p.add_argument("--res", type=int, required=True)
     p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=("csv", "json"), default=None)
     p.set_defaults(handler=_cmd_grid)
 

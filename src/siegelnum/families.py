@@ -178,13 +178,15 @@ def _make_reduced(inner: "FamilySpec") -> "FamilySpec":
         out[1:] = acc[:m]
         return out
 
+    inner_eval = inner._point_eval
+    root = 1.0 / n
+
     def pe(w):
         # branch-independent: f(omega z)^n = f(z)^n for the symmetry root omega
         w = complex(w)
         if w == 0:
             return 0j
-        z = w ** (1.0 / n)
-        return inner._point_eval(z) ** n
+        return inner_eval(w ** root) ** n
 
     return FamilySpec(
         family_id=f"reduced({inner.family_id})",

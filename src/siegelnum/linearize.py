@@ -44,7 +44,7 @@ from .errors import (
     PreconditionError,
     SiegelnumError,
 )
-from .families import FamilySpec, base_series, family_eval, family_series
+from .families import FamilySpec, base_series, family_series
 from .series import TruncatedSeries, compose, evaluate
 
 __all__ = [
@@ -338,18 +338,30 @@ def entry_radius(ser: TruncatedSeries) -> float:
 
 
 def _orbit(family: FamilySpec, lam: complex, z: complex, r_entry: float, budget: int) -> tuple[complex, int]:
-    """Iterate f_lambda from z until |z| <= r_entry; returns (z_m, m)."""
+    """Iterate f_lambda from z until |z| <= r_entry; returns (z_m, m).
+
+    One scalar loop with one chained test per iterate.  It stops on entry,
+    on |z| > ESCAPE_BOUND (abs is inf when a part is inf) and on a NaN
+    iterate, which is returned as it stands: NaN is not > r_entry.  The
+    iterate lam * step(z) is family_eval's expression, bit for bit.
+    """
+    step = family._point_eval
+    lam = complex(lam)
     m = 0
-    while abs(z) > r_entry:
-        if m >= budget:
-            raise NoConvergenceError(budget)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)) or abs(z) > ESCAPE_BOUND:
-            raise NoConvergenceError(
-                budget, f"orbit escaped (|z| > {ESCAPE_BOUND:g}) after {m} iterations"
-            )
-        z = family_eval(family, lam, z)
-        m += 1
-    return z, m
+    a = abs(z)
+    if r_entry < a <= ESCAPE_BOUND:
+        for m in range(1, budget + 1):
+            z = lam * step(z)
+            a = abs(z)
+            if not r_entry < a <= ESCAPE_BOUND:
+                break
+    if not a > r_entry:
+        return z, m
+    if m >= budget:
+        raise NoConvergenceError(budget)
+    raise NoConvergenceError(
+        budget, f"orbit escaped (|z| > {ESCAPE_BOUND:g}) after {m} iterations"
+    )
 
 
 def _unwind(hz: complex, m: int, lam: complex) -> complex:
@@ -429,15 +441,21 @@ def u_values(
     Returns, in input order, one outcome per lambda: its YoccozValue, or
     the SiegelnumError instance that yoccoz_w raises for it (not raised
     here, so a sweep keeps going).  Any other exception, such as one from a
-    user family's point evaluator, propagates.
+    user family's point evaluator, propagates.  A budget below 1 is a
+    PreconditionError, raised for the whole call.
 
     The Koenigs series of every lambda come from one power table of f
     (f_lambda = lambda f) and one batched solve per block of U_BLOCK
     multipliers; entry radii take one Vandermonde product per grid radius
     and block.  The basin orbit runs per lambda with the closed-form map,
-    since orbit lengths differ widely; h(z_m) is then one Horner pass over
-    the block.
+    since orbit lengths differ widely: one scalar loop with one chained
+    test per iterate (_orbit).  Near the unit circle orbits run to 10^5
+    iterates, so this loop is where deep ray scans (rho_radial, the
+    benchmark's radius_scan) spend their time.  h(z_m) is then one Horner
+    pass over the block.
     """
+    if budget < 1:
+        raise PreconditionError(f"iteration budget must be >= 1, got {budget}")
     lams = [complex(lam) for lam in lams]
     outcomes: list = [None] * len(lams)
     todo = []

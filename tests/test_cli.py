@@ -119,6 +119,19 @@ def test_grid_json_format(capsys):
     assert {"r", "theta", "u", "iterations", "status"} == set(rows[0])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("yoccoz", "--family", "quadratic", "--lambda", "0.9,0", "--budget", "0"),
+        ("grid", "--family", "quadratic", "--rmin", "0.1", "--rmax", "0.5", "--res", "2", "--budget", "-5"),
+    ],
+)
+def test_nonpositive_budget_is_a_precondition_error(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "PreconditionError"
+
+
 def test_grid_bad_range(capsys):
     code, _, _ = run(
         capsys, "grid", "--family", "quadratic", "--rmin", "0", "--rmax", "0.5",

@@ -73,6 +73,22 @@ def test_reduced_tan_value():
     assert red.v == pytest.approx(-1.0)  # i^2
 
 
+@pytest.mark.parametrize("inner_id", ["sin", "tan"])
+def test_reduced_point_eval_folds_the_inner_map(inner_id):
+    inner = get_family(inner_id)
+    red = get_family(f"reduced({inner_id})")
+    n = inner.symmetry_order
+    rng = np.random.default_rng(7)
+    # |w| <= 2 keeps w^{1/2} inside |z| < pi/2, clear of the tan poles
+    ws = 2 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+    for w in [*ws.tolist(), 0.3, 0]:
+        expected = inner._point_eval(complex(w) ** (1.0 / n)) ** n
+        assert repr(red._point_eval(w)) == repr(expected), w
+    if inner_id == "tan":
+        with pytest.raises(PoleError):
+            red._point_eval((math.pi / 2) ** 2)
+
+
 def test_symmetry_reduce_rejects_trivial_symmetry():
     with pytest.raises(PreconditionError):
         symmetry_reduce(get_family("quadratic"))

@@ -284,6 +284,21 @@ def _horner_entry_radius(h):
     )
 
 
+def _reference_orbit(family, lam, z, r_entry, budget):
+    """Reference basin orbit: a while loop that tests each exit on its own."""
+    m = 0
+    while abs(z) > r_entry:
+        if m >= budget:
+            raise NoConvergenceError(budget)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)) or abs(z) > ESCAPE_BOUND:
+            raise NoConvergenceError(
+                budget, f"orbit escaped (|z| > {ESCAPE_BOUND:g}) after {m} iterations"
+            )
+        z = family_eval(family, lam, z)
+        m += 1
+    return z, m
+
+
 def _scalar_yoccoz(fam, lam, n=128, budget=DEFAULT_BUDGET):
     """Reference: yoccoz_w one lambda at a time, series to orbit to log."""
     lam = complex(lam)
@@ -291,17 +306,7 @@ def _scalar_yoccoz(fam, lam, n=128, budget=DEFAULT_BUDGET):
         raise PreconditionError("yoccoz_w needs 0 < |lambda| < 1")
     h = _scalar_koenigs(fam, lam, n)
     r_e = _horner_entry_radius(h)
-    z = lam * fam.v
-    m = 0
-    while abs(z) > r_e:
-        if m >= budget:
-            raise NoConvergenceError(budget)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)) or abs(z) > ESCAPE_BOUND:
-            raise NoConvergenceError(
-                budget, f"orbit escaped (|z| > {ESCAPE_BOUND:g}) after {m} iterations"
-            )
-        z = family_eval(fam, lam, z)
-        m += 1
+    z, m = _reference_orbit(fam, lam, lam * fam.v, r_e, budget)
     hz = 0j if z == 0 else complex(evaluate(TruncatedSeries.from_coeffs(h), z).value)
     if hz == 0:
         w = 0j
@@ -463,3 +468,69 @@ def test_rho_radial_matches_scalar_pipeline(fam_id, alpha, monkeypatch):
     assert [r for r, _ in new.samples] == [r for r, _ in ref.samples]
     assert max(abs(a - b) for (_, a), (_, b) in zip(new.samples, ref.samples)) <= 1e-12
     assert (new.rho_hat is None) == (ref.rho_hat is None)
+
+
+def _orbit_outcome(orbit, *args):
+    try:
+        return orbit(*args)
+    except SiegelnumError as exc:  # PoleError from tan as well as the orbit's own errors
+        return type(exc), str(exc)
+
+
+def _assert_same_orbit(family, lam, z, r_entry, budget):
+    """_orbit against the reference: equal (z, m) by repr, so bit for bit
+    (signed zeros and NaN included), or the same error type and message."""
+    args = (family, complex(lam), complex(z), r_entry, budget)
+    new = _orbit_outcome(linearize._orbit, *args)
+    ref = _orbit_outcome(_reference_orbit, *args)
+    assert repr(new) == repr(ref), (family.family_id, lam, z, r_entry, budget)
+    return new
+
+
+@pytest.mark.parametrize("fam_id", ALL_FAMILY_IDS)
+def test_orbit_matches_reference_along_golden_ray(fam_id):
+    fam = get_family(fam_id)
+    lam_unit = cmath.exp(2j * math.pi * golden_rotation().value)
+    entered = 0
+    for k in range(2, 13):
+        lam = (1 - 2.0**-k) * lam_unit
+        for r_entry in (0.2, 0.01):
+            out = _assert_same_orbit(fam, lam, lam * fam.v, r_entry, DEFAULT_BUDGET)
+            entered += isinstance(out[1], int) and out[1] > 0
+    assert entered > 0
+
+
+def test_orbit_exits_match_reference():
+    quad = get_family("quadratic")
+    # escape from z = 3: the budget error when the budget runs out on the
+    # escaping iterate, the escape error one iterate later
+    z, m_esc = 3 + 0j, 0
+    while abs(z) <= ESCAPE_BOUND:
+        z = family_eval(quad, 0.5, z)
+        m_esc += 1
+    assert _assert_same_orbit(quad, 0.5, 3, 0.01, m_esc) == (
+        NoConvergenceError, f"iteration budget {m_esc} exhausted"
+    )
+    assert _assert_same_orbit(quad, 0.5, 3, 0.01, m_esc + 1) == (
+        NoConvergenceError, f"orbit escaped (|z| > {ESCAPE_BOUND:g}) after {m_esc} iterations"
+    )
+    assert _assert_same_orbit(quad, 0.5, 0.001, 0.01, 5) == (0.001 + 0j, 0)
+    nan_z, m = _assert_same_orbit(quad, 0.5, complex(math.nan, 0.0), 0.01, 5)
+    assert math.isnan(nan_z.real) and m == 0
+    assert _assert_same_orbit(quad, 0.5, complex(math.inf, 0.0), 0.01, 5)[0] is NoConvergenceError
+    # the budget exactly the entry step succeeds; one below it does not
+    _, m_in = _assert_same_orbit(quad, 0.5, 0.2, 0.01, DEFAULT_BUDGET)
+    assert m_in > 1
+    assert _assert_same_orbit(quad, 0.5, 0.2, 0.01, m_in)[1] == m_in
+    assert _assert_same_orbit(quad, 0.5, 0.2, 0.01, m_in - 1) == (
+        NoConvergenceError, f"iteration budget {m_in - 1} exhausted"
+    )
+
+
+def test_budget_below_one_is_a_precondition_error():
+    quad = get_family("quadratic")
+    for budget in (0, -5):
+        with pytest.raises(PreconditionError, match="budget"):
+            u_values(quad, [0.9], 64, budget)
+        with pytest.raises(PreconditionError, match="budget"):
+            yoccoz_w(quad, 0.9, 64, budget)
