@@ -256,7 +256,12 @@ def _cmd_boundary(args) -> int:
     family = get_family(args.family)
     alpha = parse_rotation(args.alpha)
     g = siegel_series(family, alpha.value, n=args.degree).g
-    radius = math.exp(args.rho)
+    try:
+        radius = math.exp(args.rho)
+    except OverflowError:
+        raise PreconditionError(f"rho = {args.rho} puts the circle beyond float range") from None
+    # the norm's tail gate refuses a circle the truncated series cannot see
+    qa_norm(g, radius, order_cap=1)
     gv = circle_values(g.coeffs, radius, args.samples)
     gpv = np.abs(circle_values(derivative(g, 1).coeffs, radius, args.samples))
     rows = [

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -124,7 +124,6 @@ class StepReport:
     alpha: float
     anchor_p: int
     anchor_q: int
-    offset: float
     target_rho: float
     achieved_rho: float
     eps: float
@@ -138,7 +137,7 @@ class StepReport:
     def describe(self) -> dict:
         return {
             "n": self.n, "alpha": self.alpha,
-            "anchor": f"{self.anchor_p}/{self.anchor_q}", "offset": self.offset,
+            "anchor": f"{self.anchor_p}/{self.anchor_q}",
             "target_rho": self.target_rho, "achieved_rho": self.achieved_rho,
             "eps": self.eps, "norm_delta": self.norm_delta,
             "norm_budget": self.norm_budget, "flank_worst": self.flank_worst,
@@ -158,11 +157,7 @@ class BoundaryReport:
     samples: int
 
     def describe(self) -> dict:
-        return {
-            "radius": self.radius, "g_min": self.g_min, "g_max": self.g_max,
-            "gprime_min": self.gprime_min, "gprime_max": self.gprime_max,
-            "norm_value": self.norm_value, "samples": self.samples,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -180,16 +175,7 @@ class ConstructionReport:
     wall_time: float
 
     def describe(self) -> dict:
-        return {
-            "family": self.family, "alpha0": self.alpha0, "rho0": self.rho0,
-            "rho_infinity": self.rho_infinity, "r_infinity": self.r_infinity,
-            "schedule": list(self.schedule),
-            "steps": [s.describe() for s in self.steps],
-            "final_alpha": self.final_alpha,
-            "total_distance": self.total_distance,
-            "boundary": self.boundary.describe(),
-            "wall_time": self.wall_time,
-        }
+        return {**asdict(self), "steps": [s.describe() for s in self.steps]}
 
 
 def _effective_rho(family: FamilySpec, alpha: float, n: int) -> tuple[float, RadiusEstimate | None]:
@@ -299,7 +285,7 @@ def _anchor_ladder(alpha: float, n_series: int, final_dip: float) -> list[tuple[
 def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
     """Run the full schedule; raise ConstructionStallError (with the partial
     report attached) if some step exhausts its retry budget."""
-    t_start = time.time()
+    t_start = time.perf_counter()
     family = get_family(cfg.family)
     est0 = rho_coefficient(family, cfg.alpha0.value, cfg.n_series)
     if est0.diverging_to_minus_infinity or not est0.converged:
@@ -371,7 +357,7 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
                 )
                 continue
             accepted = StepReport(
-                n=n, alpha=alpha_c, anchor_p=p, anchor_q=q, offset=eps_c,
+                n=n, alpha=alpha_c, anchor_p=p, anchor_q=q,
                 target_rho=target, achieved_rho=est_c.rho_hat, eps=eps_c,
                 norm_delta=delta_norm, norm_budget=budget,
                 flank_worst=worst, flank_level=levelrho_n,
@@ -409,7 +395,7 @@ def _final_report(cfg, rho0, rho_inf, targets, steps, alpha_n, g_0, g_n, t_start
         final_alpha=alpha_n,
         total_distance=total,
         boundary=boundary,
-        wall_time=time.time() - t_start,
+        wall_time=time.perf_counter() - t_start,
     )
 
 

@@ -83,14 +83,17 @@ def _quadratic_coeffs(n):
     return c
 
 
-def _poly_coeffs(d):
+def _poly_family(d: int) -> "FamilySpec":
+    """poly_d: f(z) = (1 + z/d)^d - 1, critical value -1."""
+
     def gen(n):
         c = np.zeros(n + 1, dtype=np.complex128)
         for k in range(1, min(n, d) + 1):
             c[k] = np.complex128(math.comb(d, k)) / np.complex128(d) ** k
         return c
 
-    return gen
+    return FamilySpec(f"poly_{d}", -1.0, 1, degree_param=d, _coeff_gen=gen,
+                      _point_eval=lambda z: (1 + z / d) ** d - 1)
 
 
 def _exp_coeffs(n):
@@ -105,44 +108,29 @@ def _exp_coeffs(n):
 
 
 def _zexp_coeffs(n):
-    c = np.zeros(n + 1, dtype=np.complex128)
-    if n >= 1:
-        c[1] = 1
-    inv = np.complex128(1)
-    for k in range(2, n + 1):
-        inv = inv / (k - 1)
-        c[k] = inv
-    return c
+    # z e^z = sum_k z^k / (k-1)!: the exp coefficients shifted up one degree
+    return np.array([0, 1, *_exp_coeffs(n - 1)[1:]], dtype=np.complex128)
 
 
-def _sin_coeffs(n):
-    c = np.zeros(n + 1, dtype=np.complex128)
-    term = np.complex128(1)
-    k = 1
-    sign = 1
-    while k <= n:
-        c[k] = sign * term
-        sign = -sign
-        if k + 2 > n:
-            break
-        term = term / ((k + 1) * (k + 2))
-        k += 2
-    return c
+def _alternating_coeffs(start):
+    """sin (start 1) or cos (start 0): c_k = (-1)^j / k! at k = start + 2j,
+    each term from the last by one division so that no factorial overflows."""
+
+    def gen(n):
+        c = np.zeros(n + 1, dtype=np.complex128)
+        term = np.complex128(1)
+        sign = 1
+        for k in range(start, n + 1, 2):
+            c[k] = sign * term
+            sign = -sign
+            term = term / ((k + 1) * (k + 2))
+        return c
+
+    return gen
 
 
-def _cos_coeffs(n):
-    c = np.zeros(n + 1, dtype=np.complex128)
-    term = np.complex128(1)
-    k = 0
-    sign = 1
-    while k <= n:
-        c[k] = sign * term
-        sign = -sign
-        if k + 2 > n:
-            break
-        term = term / ((k + 1) * (k + 2))
-        k += 2
-    return c
+_sin_coeffs = _alternating_coeffs(1)
+_cos_coeffs = _alternating_coeffs(0)
 
 
 def _tan_coeffs(n):
@@ -159,51 +147,11 @@ def _tan_eval(z):
     return cmath.sin(z) / c
 
 
-def _make_reduced(inner: "FamilySpec") -> "FamilySpec":
-    n = inner.symmetry_order
-
-    def gen(m):
-        # f(z) = z * phi(z^n) with phi_j = c_{n j + 1}; then
-        # F(w) = f(w^{1/n})^n = w * phi(w)^n, needing inner coefficients
-        # through degree n*m.
-        c = inner._coeff_gen(n * m)
-        phi = np.zeros(m + 1, dtype=np.complex128)
-        for j in range(m + 1):
-            if n * j + 1 <= n * m:
-                phi[j] = c[n * j + 1]
-        acc = phi.copy()
-        for _ in range(n - 1):
-            acc = np.convolve(acc, phi)[: m + 1]
-        out = np.zeros(m + 1, dtype=np.complex128)
-        out[1:] = acc[:m]
-        return out
-
-    inner_eval = inner._point_eval
-    root = 1.0 / n
-
-    def pe(w):
-        # branch-independent: f(omega z)^n = f(z)^n for the symmetry root omega
-        w = complex(w)
-        if w == 0:
-            return 0j
-        return inner_eval(w ** root) ** n
-
-    return FamilySpec(
-        family_id=f"reduced({inner.family_id})",
-        v=inner.v**n,
-        symmetry_order=1,
-        reduced_from=inner.family_id,
-        _coeff_gen=gen,
-        _point_eval=pe,
-    )
-
-
 def _build_catalog() -> dict[str, FamilySpec]:
     entries = [
         FamilySpec("quadratic", 0.25, 1, _coeff_gen=_quadratic_coeffs,
                    _point_eval=lambda z: z * (1 - z)),
-        FamilySpec("poly_3", -1.0, 1, degree_param=3, _coeff_gen=_poly_coeffs(3),
-                   _point_eval=lambda z: (1 + z / 3) ** 3 - 1),
+        _poly_family(3),
         FamilySpec("exp", -1.0, 1, _coeff_gen=_exp_coeffs,
                    _point_eval=lambda z: cmath.exp(z) - 1),
         FamilySpec("zexp", -math.exp(-1.0), 1, _coeff_gen=_zexp_coeffs,
@@ -241,10 +189,7 @@ def get_family(family_id: str) -> FamilySpec:
             raise PreconditionError(f"bad polynomial family id {family_id!r}") from None
         if d < 2:
             raise PreconditionError("polynomial family needs degree >= 2")
-        return FamilySpec(
-            f"poly_{d}", -1.0, 1, degree_param=d, _coeff_gen=_poly_coeffs(d),
-            _point_eval=lambda z, d=d: (1 + z / d) ** d - 1,
-        )
+        return _poly_family(d)
     raise PreconditionError(
         f"unknown family {family_id!r}; known: {', '.join(_CATALOG)}, poly_<d>, reduced(sin), reduced(tan)"
     )
@@ -273,9 +218,42 @@ def symmetry_reduce(spec: FamilySpec) -> FamilySpec:
     The parameter correspondence is lambda -> lambda^n: the reduced map under
     study is w -> lambda^n F(w) when the original is z -> lambda f(z).
     """
-    if spec.symmetry_order == 1:
+    n = spec.symmetry_order
+    if n == 1:
         raise PreconditionError(f"{spec.family_id} has no symmetry to reduce (n=1)")
-    return _make_reduced(spec)
+    inner_gen = spec._coeff_gen
+
+    def gen(m):
+        # f(z) = z * phi(z^n) with phi_j = c_{n j + 1}; then
+        # F(w) = f(w^{1/n})^n = w * phi(w)^n, needing inner coefficients
+        # through degree n*m.
+        phi = np.zeros(m + 1, dtype=np.complex128)
+        phi[:m] = inner_gen(n * m)[1 : n * m : n]
+        acc = phi.copy()
+        for _ in range(n - 1):
+            acc = np.convolve(acc, phi)[: m + 1]
+        out = np.zeros(m + 1, dtype=np.complex128)
+        out[1:] = acc[:m]
+        return out
+
+    inner_eval = spec._point_eval
+    root = 1.0 / n
+
+    def pe(w):
+        # branch-independent: f(omega z)^n = f(z)^n for the symmetry root omega
+        w = complex(w)
+        if w == 0:
+            return 0j
+        return inner_eval(w ** root) ** n
+
+    return FamilySpec(
+        family_id=f"reduced({spec.family_id})",
+        v=spec.v**n,
+        symmetry_order=1,
+        reduced_from=spec.family_id,
+        _coeff_gen=gen,
+        _point_eval=pe,
+    )
 
 
 def custom_family(family_id, v, symmetry_order, coeff_gen, point_eval) -> FamilySpec:

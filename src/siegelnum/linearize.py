@@ -343,18 +343,25 @@ def _orbit(family: FamilySpec, lam: complex, z: complex, r_entry: float, budget:
     One scalar loop with one chained test per iterate.  It stops on entry,
     on |z| > ESCAPE_BOUND (abs is inf when a part is inf) and on a NaN
     iterate, which is returned as it stands: NaN is not > r_entry.  The
-    iterate lam * step(z) is family_eval's expression, bit for bit.
+    iterate lam * step(z) is family_eval's expression, bit for bit.  A map
+    that overflows (cmath raises OverflowError, as exp does at z = 800)
+    counts as an escape.
     """
     step = family._point_eval
     lam = complex(lam)
     m = 0
     a = abs(z)
     if r_entry < a <= ESCAPE_BOUND:
-        for m in range(1, budget + 1):
-            z = lam * step(z)
-            a = abs(z)
-            if not r_entry < a <= ESCAPE_BOUND:
-                break
+        try:
+            for m in range(1, budget + 1):
+                z = lam * step(z)
+                a = abs(z)
+                if not r_entry < a <= ESCAPE_BOUND:
+                    break
+        except OverflowError:
+            raise NoConvergenceError(
+                budget, f"orbit escaped (map overflowed) after {m} iterations"
+            ) from None
     if not a > r_entry:
         return z, m
     if m >= budget:
@@ -385,7 +392,7 @@ def koenigs_eval(ks: KoenigsSeries, z: complex) -> tuple[complex, int]:
     if abs(lam) >= 1.0:
         raise PreconditionError("basin extension requires |lambda| < 1")
     z, m = _orbit(ks.family, lam, complex(z), entry_radius(ks.h), DEFAULT_BUDGET)
-    return _unwind(complex(evaluate(ks.h, z).value), m, lam), m
+    return _unwind(evaluate(ks.h, z), m, lam), m
 
 
 def _yoccoz_value(family: FamilySpec, lam: complex, hz: complex, m: int, r_entry: float) -> YoccozValue:

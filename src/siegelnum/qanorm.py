@@ -107,12 +107,12 @@ def qa_norm(
 ) -> NormResult:
     """Weighted derivative sup-norm of g on |w| = r (see module docstring).
 
-    order_cap defaults to min(degree, 40).  Ties in the maximum break
-    deterministically to the smallest derivative order, then the smallest
-    circle-sample index.
+    r must be positive and finite.  order_cap defaults to min(degree, 40).
+    Ties in the maximum break deterministically to the smallest derivative
+    order, then the smallest circle-sample index.
     """
-    if r <= 0.0:
-        raise PreconditionError("norm radius must be positive")
+    if not 0.0 < r < math.inf:
+        raise PreconditionError(f"norm radius must be positive and finite, got {r}")
     if circle_samples < 8:
         raise PreconditionError("need at least 8 circle samples")
     n = g.degree
@@ -124,8 +124,6 @@ def qa_norm(
         raise PreconditionError("derivative order cap must lie in [0, degree]")
 
     mags = np.abs(g.coeffs)
-    scaled = g.coeffs * r ** np.arange(n + 1, dtype=np.float64)
-
     q, idx = _tail_ratio(mags, r)
     weights = _weights(order_cap)
     if not np.all(np.isfinite(weights)):
@@ -151,7 +149,7 @@ def qa_norm(
     terms = []
     tail_bound = 0.0
     m_idx = np.arange(n + 1, dtype=np.float64)
-    work = scaled.copy()
+    work = g.coeffs * r**m_idx
     for k in range(order_cap + 1):
         if k > 0:
             # b_m <- b_m * (m - k + 1) / r turns order k-1 into order k
@@ -194,7 +192,5 @@ def qa_distance(
     order_cap: int | None = None,
     circle_samples: int = 512,
 ) -> NormResult:
-    """qa_norm of a - b, with the order cap defaulting from the larger degree."""
-    if order_cap is None:
-        order_cap = min(max(a.degree, b.degree), 40)
+    """qa_norm of a - b (whose degree is the larger of the two)."""
     return qa_norm(a - b, r, order_cap=order_cap, circle_samples=circle_samples)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -430,19 +430,13 @@ class PoissonBoundReport:
     R: float
     M: float
     limit_value: float
-    samples: tuple  # (r, u, u_eps, margin)
     violations: int
     min_margin: float
     masked: int
+    samples: tuple  # (r, u, u_eps, margin)
 
     def describe(self) -> dict:
-        return {
-            "alpha": self.alpha, "delta": self.delta, "L": self.L, "R": self.R,
-            "M": self.M, "limit_value": self.limit_value,
-            "violations": self.violations, "min_margin": self.min_margin,
-            "masked": self.masked,
-            "samples": [[float(a), float(b), float(c), float(d)] for a, b, c, d in self.samples],
-        }
+        return asdict(self)
 
 
 def poisson_step_value(alpha: float, delta: float, L: float, R: float, M: float, z: complex) -> float:
@@ -465,14 +459,18 @@ def poisson_bound_check(
     """Verify u <= Poisson integral of the flank-capped step data on the ray.
 
     L and R cap rho on (alpha - delta, alpha) and (alpha, alpha + delta);
-    the cap elsewhere is M = log 4 + log|v|.  Radii approach the circle on
-    the dyadic ladder (depth 2 up to RAY_MAX_DEPTH, ray_samples values).  A
-    violation means the supplied caps were not actually valid; violations
-    are counted and reported, never raised.  Ray samples where yoccoz_w
-    raises a package error are masked and counted; other errors propagate.
+    the cap elsewhere is M = log 4 + log|v|.  The two arcs must not
+    overlap, so 0 < delta <= 1/2 (beyond it the weight of M goes negative).
+    Radii approach the circle on the dyadic ladder (depth 2 up to
+    RAY_MAX_DEPTH, ray_samples >= 1 values).  A violation means the supplied
+    caps were not actually valid; violations are counted and reported,
+    never raised.  Ray samples where yoccoz_w raises a package error are
+    masked and counted; other errors propagate.
     """
-    if delta <= 0:
-        raise PreconditionError("delta must be positive")
+    if not 0 < delta <= 0.5:
+        raise PreconditionError(f"delta must lie in (0, 1/2], got {delta}")
+    if ray_samples < 1:
+        raise PreconditionError(f"need at least 1 ray sample, got {ray_samples}")
     rot = _as_rotation(alpha)
     m_cap = koebe_cap_log(family)
     rows = []

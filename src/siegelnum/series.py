@@ -4,9 +4,7 @@ A :class:`TruncatedSeries` holds the coefficients ``c_0 .. c_N`` of a formal
 power series truncated at a fixed degree ``N``.  All arithmetic is exact on
 the retained coefficients: adding, multiplying or composing two degree-``N``
 series yields the degree-``N`` truncation of the exact result.
-Nothing here is an approximation scheme *except* :func:`evaluate`, which sums
-the retained terms by Horner's rule and reports an advisory geometric tail
-estimate for what the truncation cannot see.
+:func:`evaluate` sums the retained terms by Horner's rule.
 
 Conventions used throughout the package:
 
@@ -24,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -32,7 +30,6 @@ from .errors import PreconditionError
 
 __all__ = [
     "TruncatedSeries",
-    "EvalResult",
     "identity",
     "zero",
     "compose",
@@ -185,49 +182,14 @@ def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries.from_coeffs(r, n)
 
 
-class EvalResult(NamedTuple):
-    value: complex
-    tail_bound: float
-    tail_reliable: bool
-
-
-def evaluate(a: TruncatedSeries, z: complex) -> EvalResult:
-    """Horner evaluation of the retained terms, with an advisory tail estimate.
-
-    The tail estimate extrapolates the trailing coefficient ratios
-    geometrically: with q = |z| * max |c_k / c_{k-1}| over the window
-    N/2 < k <= N, the first omitted terms are majorized by
-    |c_N| |z|^(N+1) / (1 - q) when q < 1.  The estimate is flagged
-    unreliable when q >= 1 or when a zero coefficient is followed by a
-    nonzero one inside the window (the ratio trend is then meaningless).
-    Ratios between consecutive zero coefficients carry no information and
-    are skipped, so padded polynomials report a zero, reliable tail.
-    """
+def evaluate(a: TruncatedSeries, z: complex) -> complex:
+    """Horner evaluation of the retained terms at z."""
     c = a.coeffs.tolist()
-    n = a.degree
-    acc = c[n]
+    acc = c[-1]
     zz = complex(z)
-    for k in range(n - 1, -1, -1):
+    for k in range(a.degree - 1, -1, -1):
         acc = acc * zz + c[k]
-
-    az = abs(zz)
-    reliable = True
-    max_ratio = 0.0
-    for k in range(n // 2 + 1, n + 1):
-        prev, cur = abs(c[k - 1]), abs(c[k])
-        if prev == 0.0:
-            if cur != 0.0:
-                reliable = False
-                break
-            continue  # zero run: no trend information
-        max_ratio = max(max_ratio, cur / prev)
-    q = az * max_ratio
-    if reliable and q < 1.0:
-        tail = abs(c[n]) * az ** (n + 1) / (1.0 - q)
-    else:
-        reliable = False
-        tail = math.inf
-    return EvalResult(acc, tail, reliable)
+    return acc
 
 
 def derivative(a: TruncatedSeries, order: int = 1) -> TruncatedSeries:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -168,6 +169,29 @@ def test_norm_malformed_series_file(tmp_path, capsys, coeffs):
     assert str(f) in error["message"]
 
 
+@pytest.mark.parametrize("r", ["nan", "inf", "0"])
+def test_norm_radius_must_be_positive_and_finite(tmp_path, capsys, r):
+    f = tmp_path / "series.json"
+    f.write_text(json.dumps([0, 1, 0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "norm", "--series", str(f), "--r", r)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "PreconditionError"
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--samples", "0"), ("--delta", "0.7")]
+)
+def test_poisson_check_input_range(capsys, flag, value):
+    argv = {"--family": "quadratic", "--alpha": "golden", "--delta": "0.01",
+            "--L": "-1.1", "--R": "-1.1", "--samples": "4", flag: value}
+    code, out, _ = run(capsys, "poisson-check", *(x for kv in argv.items() for x in kv))
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "PreconditionError"
+
+
 def test_poisson_check_runs(capsys):
     code, out, _ = run(
         capsys, "poisson-check", "--family", "quadratic", "--alpha", "golden",
@@ -182,22 +206,23 @@ def test_boundary_csv(tmp_path, capsys):
     out_file = tmp_path / "curve.csv"
     code, _, _ = run(
         capsys, "boundary", "--family", "quadratic", "--alpha", "golden",
-        "--rho", "-1.2", "--samples", "8", "--degree", "64", "--out", str(out_file),
+        "--rho", "-1.2", "--samples", "8", "--degree", "128", "--out", str(out_file),
     )
     assert code == 0
     lines = out_file.read_text().strip().splitlines()
     assert lines[0] == "theta,re,im,abs_gprime"
     assert len(lines) == 9
     assert all(len(line.split(",")) == 4 for line in lines[1:])
-    # degree 64 over 8 samples exercises the folding of the circle evaluator
-    g = siegel_series(get_family("quadratic"), golden_rotation(), 64).g
+    # degree 128 over 8 samples exercises the folding of the circle
+    # evaluator; at degree 64 the tail gate refuses rho = -1.2
+    g = siegel_series(get_family("quadratic"), golden_rotation(), 128).g
     gp = derivative(g, 1)
     for row in csv.DictReader(io.StringIO(out_file.read_text())):
         w = math.exp(-1.2) * cmath.exp(2j * math.pi * float(row["theta"]))
-        gv = evaluate(g, w).value
+        gv = evaluate(g, w)
         assert abs(float(row["re"]) - gv.real) <= 1e-12
         assert abs(float(row["im"]) - gv.imag) <= 1e-12
-        assert abs(float(row["abs_gprime"]) - abs(evaluate(gp, w).value)) <= 1e-12
+        assert abs(float(row["abs_gprime"]) - abs(evaluate(gp, w))) <= 1e-12
 
 
 def test_boundary_rejects_nonpositive_samples(capsys):
@@ -207,6 +232,27 @@ def test_boundary_rejects_nonpositive_samples(capsys):
     )
     assert code == 2
     assert json.loads(out)["error"]["type"] == "PreconditionError"
+
+
+@pytest.mark.parametrize(
+    "rho, code, error",
+    [
+        ("1000", 2, "PreconditionError"),  # e^rho overflows
+        ("nan", 2, "PreconditionError"),
+        ("0", 3, "UnreliableRadiusError"),  # outside the disc of convergence
+        ("5", 3, "UnreliableRadiusError"),
+        ("-1.15", 3, "UnreliableRadiusError"),  # tail above TAIL_TOL at degree 128
+    ],
+)
+def test_boundary_refuses_a_circle_the_series_cannot_see(capsys, rho, code, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, _ = run(
+            capsys, "boundary", "--family", "quadratic", "--alpha", "golden",
+            "--rho", rho, "--samples", "8", "--degree", "128",
+        )
+    assert got == code
+    assert json.loads(out)["error"]["type"] == error
 
 
 def test_construct_validation_error(capsys):

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import json
 import math
 
 import pytest
@@ -103,6 +105,51 @@ def test_describe_is_json_shaped(report):
     d = report.describe()
     assert len(d["steps"]) == 3
     assert set(d["steps"][0]) >= {"alpha", "anchor", "target_rho", "achieved_rho"}
+
+
+def test_describe_keeps_the_hand_written_dicts(report):
+    """describe() against the dicts it built field by field before it
+    became asdict; the step dict no longer carries "offset", which always
+    equalled "eps"."""
+    def step_dict(s):
+        return {
+            "n": s.n, "alpha": s.alpha,
+            "anchor": f"{s.anchor_p}/{s.anchor_q}",
+            "target_rho": s.target_rho, "achieved_rho": s.achieved_rho,
+            "eps": s.eps, "norm_delta": s.norm_delta,
+            "norm_budget": s.norm_budget, "flank_worst": s.flank_worst,
+            "flank_level": s.flank_level, "radial_value": s.radial_value,
+            "retries": s.retries,
+        }
+
+    b = report.boundary
+    boundary = {
+        "radius": b.radius, "g_min": b.g_min, "g_max": b.g_max,
+        "gprime_min": b.gprime_min, "gprime_max": b.gprime_max,
+        "norm_value": b.norm_value, "samples": b.samples,
+    }
+    expected = {
+        "family": report.family, "alpha0": report.alpha0, "rho0": report.rho0,
+        "rho_infinity": report.rho_infinity, "r_infinity": report.r_infinity,
+        "schedule": list(report.schedule),
+        "steps": [step_dict(s) for s in report.steps],
+        "final_alpha": report.final_alpha,
+        "total_distance": report.total_distance,
+        "boundary": boundary,
+        "wall_time": report.wall_time,
+    }
+    for step in report.steps:
+        assert step.describe() == step_dict(step)
+    assert b.describe() == boundary
+    assert json.dumps(report.describe()) == json.dumps(expected)
+
+
+def test_wall_time_ignores_wall_clock_jumps(monkeypatch):
+    # a wall clock stepped back by an hour mid-run must not show in a duration
+    jumps = itertools.count(0.0, -3600.0)
+    monkeypatch.setattr(construction.time, "time", lambda: next(jumps))
+    rep = run_construction(ConstructionConfig(depth=1))
+    assert 0 < rep.wall_time < 60
 
 
 def test_impossible_norm_budget_stalls_with_partial_report():

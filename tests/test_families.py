@@ -12,9 +12,10 @@ from siegelnum import (
     symmetry_reduce,
     yoccoz_w,
 )
+from siegelnum import families
 from siegelnum.errors import PoleError, PreconditionError
 from siegelnum.families import custom_family
-from siegelnum.series import evaluate
+from siegelnum.series import TruncatedSeries, evaluate, reciprocal
 
 CATALOG_IDS = ["quadratic", "poly_3", "exp", "zexp", "sin", "tan"]
 
@@ -37,7 +38,7 @@ def test_series_matches_closed_form_near_zero():
         for _ in range(20):
             z = 0.1 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
             direct = family_eval(fam, 1.0, complex(z))
-            viaser = evaluate(ser, complex(z)).value
+            viaser = evaluate(ser, complex(z))
             assert abs(direct - viaser) <= 1e-10, fam.family_id
 
 
@@ -121,3 +122,94 @@ def test_custom_family_flagged():
     )
     assert fam.user_defined
     assert fam.describe()["user_defined"] is True
+
+
+# -- parity with the generators the shared ones replaced ---------------------
+# The oracles are the earlier per-family generators, kept verbatim.
+
+PARITY_DEGREES = (2, 3, 7, 64, 128, 257)
+
+
+def _oracle_sin(n):
+    c = np.zeros(n + 1, dtype=np.complex128)
+    term = np.complex128(1)
+    k = 1
+    sign = 1
+    while k <= n:
+        c[k] = sign * term
+        sign = -sign
+        if k + 2 > n:
+            break
+        term = term / ((k + 1) * (k + 2))
+        k += 2
+    return c
+
+
+def _oracle_cos(n):
+    c = np.zeros(n + 1, dtype=np.complex128)
+    term = np.complex128(1)
+    k = 0
+    sign = 1
+    while k <= n:
+        c[k] = sign * term
+        sign = -sign
+        if k + 2 > n:
+            break
+        term = term / ((k + 1) * (k + 2))
+        k += 2
+    return c
+
+
+def _oracle_zexp(n):
+    c = np.zeros(n + 1, dtype=np.complex128)
+    if n >= 1:
+        c[1] = 1
+    inv = np.complex128(1)
+    for k in range(2, n + 1):
+        inv = inv / (k - 1)
+        c[k] = inv
+    return c
+
+
+def _oracle_tan(n):
+    s = TruncatedSeries.from_coeffs(_oracle_sin(n), n)
+    inv_cos = reciprocal(TruncatedSeries.from_coeffs(_oracle_cos(n), n))
+    return (s * inv_cos).coeffs
+
+
+def _oracle_reduced(inner_gen, n, m):
+    c = inner_gen(n * m)
+    phi = np.zeros(m + 1, dtype=np.complex128)
+    for j in range(m + 1):
+        if n * j + 1 <= n * m:
+            phi[j] = c[n * j + 1]
+    acc = phi.copy()
+    for _ in range(n - 1):
+        acc = np.convolve(acc, phi)[: m + 1]
+    out = np.zeros(m + 1, dtype=np.complex128)
+    out[1:] = acc[:m]
+    return out
+
+
+@pytest.mark.parametrize("n", PARITY_DEGREES)
+def test_generators_match_their_oracles_bytewise(n):
+    assert families._sin_coeffs(n).tobytes() == _oracle_sin(n).tobytes()
+    assert families._cos_coeffs(n).tobytes() == _oracle_cos(n).tobytes()
+    assert get_family("zexp")._coeff_gen(n).tobytes() == _oracle_zexp(n).tobytes()
+    assert get_family("tan")._coeff_gen(n).tobytes() == _oracle_tan(n).tobytes()
+    for inner_id, oracle in (("sin", _oracle_sin), ("tan", _oracle_tan)):
+        got = get_family(f"reduced({inner_id})")._coeff_gen(n)
+        assert got.tobytes() == _oracle_reduced(oracle, 2, n).tobytes(), inner_id
+
+
+def test_poly_family_is_one_constructor():
+    catalog = get_family("poly_3")
+    built = families._poly_family(3)
+    assert built.describe() == catalog.describe() == {
+        "id": "poly_3", "v": [-1.0, 0.0], "symmetry_order": 1, "d": 3,
+    }
+    for n in PARITY_DEGREES:
+        assert built._coeff_gen(n).tobytes() == catalog._coeff_gen(n).tobytes()
+    assert get_family("poly_7").describe()["d"] == 7
+    z = 0.3 - 0.2j
+    assert get_family("poly_7")._point_eval(z) == (1 + z / 7) ** 7 - 1

@@ -271,7 +271,7 @@ def _horner_tail(h, r, samples=8):
     worst = 0.0
     for j in range(samples):
         z = r * cmath.exp(2j * math.pi * j / samples)
-        worst = max(worst, abs(evaluate(ser, z).value - evaluate(half, z).value))
+        worst = max(worst, abs(evaluate(ser, z) - evaluate(half, z)))
     return worst
 
 
@@ -307,7 +307,7 @@ def _scalar_yoccoz(fam, lam, n=128, budget=DEFAULT_BUDGET):
     h = _scalar_koenigs(fam, lam, n)
     r_e = _horner_entry_radius(h)
     z, m = _reference_orbit(fam, lam, lam * fam.v, r_e, budget)
-    hz = 0j if z == 0 else complex(evaluate(TruncatedSeries.from_coeffs(h), z).value)
+    hz = 0j if z == 0 else complex(evaluate(TruncatedSeries.from_coeffs(h), z))
     if hz == 0:
         w = 0j
     elif m == 0:
@@ -534,3 +534,17 @@ def test_budget_below_one_is_a_precondition_error():
             u_values(quad, [0.9], 64, budget)
         with pytest.raises(PreconditionError, match="budget"):
             yoccoz_w(quad, 0.9, 64, budget)
+
+
+@pytest.mark.parametrize(
+    "fam_id, z, m",
+    [("exp", 50, 2), ("zexp", 800, 1), ("sin", 800j, 1), ("tan", 800j, 1)],
+)
+def test_overflowing_map_is_a_typed_escape(fam_id, z, m):
+    # cmath raises OverflowError inside the map; the orbit reports it as an
+    # escape at the iterate that overflowed, like |z| > ESCAPE_BOUND
+    ks = koenigs_series(get_family(fam_id), 0.5, 64)
+    with pytest.raises(NoConvergenceError) as exc:
+        koenigs_eval(ks, z)
+    assert str(exc.value) == f"orbit escaped (map overflowed) after {m} iterations"
+    assert exc.value.budget == DEFAULT_BUDGET

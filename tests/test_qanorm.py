@@ -68,6 +68,24 @@ def test_norm_rejects_bad_arguments():
         qa_norm(identity(8), 0.5, order_cap=99)
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
+def test_norm_radius_must_be_positive_and_finite(r):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="positive and finite"):
+            qa_norm(identity(8), r)
+
+
+def test_refused_radius_warns_nothing():
+    # r^m overflows binary64 from m = 2 at r = 1e300; the decay gate refuses
+    # the radius before any coefficient is scaled by it
+    g = TruncatedSeries.from_coeffs([2.0 ** (-k) for k in range(257)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnreliableRadiusError, match="do not decay"):
+            qa_norm(g, 1e300)
+
+
 def test_result_is_deterministic():
     g = TruncatedSeries.from_coeffs(np.exp(2j * np.arange(20)) / (1.0 + np.arange(20)))
     a = qa_norm(g, 0.4)

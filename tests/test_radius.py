@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -190,3 +191,34 @@ def test_poisson_check_propagates_foreign_errors():
         )
     with pytest.raises(RuntimeError, match="user map failed"):
         poisson_bound_check(fam, golden_rotation(), 0.01, -1.0, -1.0, ray_samples=4, n=64)
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.1, 0.5000001, 0.7])
+def test_poisson_check_needs_disjoint_arcs(delta):
+    # past delta = 1/2 the arcs overlap: at alpha = 0.3, delta = 0.7 and
+    # z = 0.9 the flank weights are 0.982 and 0.512, so M weighs -0.495
+    with pytest.raises(PreconditionError, match="delta"):
+        poisson_bound_check(QUAD, golden_rotation(), delta, -1.0, -1.0, ray_samples=2, n=64)
+
+
+def test_poisson_check_needs_a_ray_sample():
+    with pytest.raises(PreconditionError, match="ray sample"):
+        poisson_bound_check(QUAD, golden_rotation(), 0.01, -1.0, -1.0, ray_samples=0, n=64)
+
+
+def test_poisson_check_half_turn_arcs_partition_the_circle():
+    report = poisson_bound_check(QUAD, golden_rotation(), 0.5, -1.0, -1.0, ray_samples=2, n=64)
+    assert [row[2] for row in report.samples] == pytest.approx([-1.0, -1.0], abs=1e-12)
+
+
+def test_poisson_report_describe_keeps_its_json():
+    report = poisson_bound_check(QUAD, golden_rotation(), 0.01, -1.1, -1.1, ray_samples=4, n=64)
+    # the hand-written dict that describe() was before it became asdict
+    expected = {
+        "alpha": report.alpha, "delta": report.delta, "L": report.L, "R": report.R,
+        "M": report.M, "limit_value": report.limit_value,
+        "violations": report.violations, "min_margin": report.min_margin,
+        "masked": report.masked,
+        "samples": [[float(a), float(b), float(c), float(d)] for a, b, c, d in report.samples],
+    }
+    assert json.dumps(report.describe()) == json.dumps(expected)
