@@ -42,6 +42,7 @@ from .linearize import (
     koenigs_eval,
     koenigs_series,
     siegel_series,
+    siegel_series_many,
     u_values,
     yoccoz_w,
 )
@@ -61,6 +62,7 @@ from .radius import (
     poisson_step_value,
     rational_rotation,
     rho_coefficient,
+    rho_coefficients,
     rho_radial,
     rotation_from_cf,
     rotation_from_float,

@@ -8,8 +8,9 @@ with rho_infinity = rho_hat(alpha_0) - G (G = DEFAULT_DROP unless
 rho_infinity is given), and at each step replaces the rotation number by a
 nearby one whose coefficient estimate of the radius sits on the schedule,
 certifying three things per step: the new value's flanks (FLANK_SAMPLES
-per side) stay strictly below the previous level (one-sided continuity has
-teeth only on an interval), consecutive Siegel series stay close in the
+per side, estimated together by one rho_coefficients call, so one batched
+Siegel solve) stay strictly below the previous level (one-sided continuity
+has teeth only on an interval), consecutive Siegel series stay close in the
 derivative norm (order NORM_ORDER, CIRCLE_SAMPLES points) at the limiting
 radius (budget delta * 2^-n), and the intervals nest.  The radial probe
 cannot resolve a dip; it serves only as a one-sided cross-check.
@@ -45,6 +46,7 @@ from .errors import (
     ConstructionStallError,
     NumericalError,
     PreconditionError,
+    SiegelnumError,
     UnreliableRadiusError,
 )
 from .families import FamilySpec, get_family
@@ -56,6 +58,7 @@ from .radius import (
     cf_expand,
     golden_rotation,
     rho_coefficient,
+    rho_coefficients,
     rho_radial,
 )
 from .series import derivative
@@ -188,6 +191,17 @@ def _effective_rho(family: FamilySpec, alpha: float, n: int) -> tuple[float, Rad
     except NumericalError:
         return -math.inf, None
     return est.effective_rho, est
+
+
+def _effective_value(outcome: RadiusEstimate | SiegelnumError) -> float:
+    """The effective value of one rho_coefficients outcome, read as
+    _effective_rho reads it: a NumericalError is -infinity, any other
+    package error is raised."""
+    if isinstance(outcome, NumericalError):
+        return -math.inf
+    if isinstance(outcome, SiegelnumError):
+        raise outcome
+    return outcome.effective_rho
 
 
 def find_alpha_with_rho(
@@ -333,11 +347,11 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
             if delta_norm > budget:
                 reasons.append(f"{p}/{q}: norm delta {delta_norm:.3e} > {budget:.3e}")
                 continue
-            # flank scan
+            # flank scan: every probe in one batched estimate
             flanks = (alpha_c + sgn * j * eps_c / FLANK_SAMPLES
                       for j in range(1, FLANK_SAMPLES + 1) for sgn in (1.0, -1.0))
-            worst = max((_effective_rho(family, b, cfg.n_series)[0] for b in flanks if 0.0 < b < 1.0),
-                        default=-math.inf)
+            probes = rho_coefficients(family, [b for b in flanks if 0.0 < b < 1.0], cfg.n_series)
+            worst = max(map(_effective_value, probes), default=-math.inf)
             if not worst < levelrho_n:
                 reasons.append(f"{p}/{q}: flank reaches {worst:.4f}, not below {levelrho_n:.4f}")
                 continue

@@ -53,6 +53,7 @@ __all__ = [
     "YoccozValue",
     "koenigs_series",
     "siegel_series",
+    "siegel_series_many",
     "conjugacy_residual",
     "entry_radius",
     "koenigs_eval",
@@ -63,6 +64,7 @@ __all__ = [
     "ENTRY_RADIUS_GRID",
     "ENTRY_TAIL_TOL",
     "DEFAULT_BUDGET",
+    "SIEGEL_BLOCK_ENTRIES",
 ]
 
 KOENIGS_DIVISOR_FLOOR = 1e-14
@@ -75,6 +77,9 @@ DEFAULT_BUDGET = 10**6
 # multipliers per batched Koenigs solve in u_values: bounds its work arrays
 # to a few (U_BLOCK x (n + 1)) complex tables whatever the sweep size
 U_BLOCK = 256
+# power-table entries per block of the batched Siegel solve: about 1 MB of
+# complex128 whatever the batch size
+SIEGEL_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -205,63 +210,104 @@ def koenigs_series(family: FamilySpec, lam: complex, n: int = 128) -> KoenigsSer
     return KoenigsSeries(lam=lam, h=TruncatedSeries.from_coeffs(h[0], n), family=family)
 
 
-def siegel_series(family: FamilySpec, alpha: float, n: int = 128) -> SiegelSeries:
-    """Formal conjugacy g with f_lambda(g(w)) = g(lambda w), lambda = e^{2 pi i alpha}.
+def siegel_series_many(
+    family: FamilySpec, alphas: Iterable[float], n: int = 128
+) -> list[SiegelSeries | SiegelnumError]:
+    """Formal conjugacies g with f_lambda(g(w)) = g(lambda w), lambda = e^{2 pi i alpha},
+    at many rotation numbers.
+
+    Returns, in input order, one outcome per alpha: its SiegelSeries, or
+    the DivisorBreakdownError / NumericalError that siegel_series raises
+    for it (not raised here).  A degree below 2 is a PreconditionError,
+    raised for the whole call.
 
     The recurrence for g is the reversed composition order of the Koenigs
     one; both divide by lambda^k - lambda.  Powers of lambda are taken as
     e^{2 pi i frac(k alpha)} so the divisor of an (effectively) rational
     alpha vanishes exactly instead of drifting, and the guard at
-    SIEGEL_DIVISOR_FLOOR reports the offending k.
+    SIEGEL_DIVISOR_FLOOR reports the offending k.  Every alpha that passes
+    the guard goes into one batched _solve_siegel call.
     """
-    alpha = float(getattr(alpha, "value", alpha))  # RotationNumber or plain float
-    lam = cmath.exp(2j * math.pi * alpha)
-    # g(lam w) has coefficients g_k lam^k; solving f_lam(g(w)) - g(lam w) = 0
-    # degree by degree gives g_k (lam^k - lam) = [w^k] sum_{j<k} (F_j) g^j ...
-    # which is the same forward solve with the roles of the known/unknown
-    # series exchanged; see _solve_siegel.
-    powers = np.array([cmath.exp(2j * math.pi * math.fmod(k * alpha, 1.0)) for k in range(n + 1)])
-    divisors = powers - powers[1]
+    alphas = np.array([float(getattr(a, "value", a)) for a in alphas])  # RotationNumber or float
+    base = base_series(family, n).coeffs
+    powers = np.exp(2j * math.pi * np.fmod(alphas[:, None] * np.arange(n + 1), 1.0))
+    divisors = powers - powers[:, 1:2]
     k_min, floor_seen = _divisor_floors(divisors)
-    if floor_seen < SIEGEL_DIVISOR_FLOOR:
-        raise DivisorBreakdownError(int(k_min), float(floor_seen), SIEGEL_DIVISOR_FLOOR)
-    F = family_series(family, lam, n)
-    g = _solve_siegel(F.coeffs, divisors)
-    _require_finite(g, "Siegel")
-    return SiegelSeries(
-        alpha=alpha,
-        lam=lam,
-        g=TruncatedSeries.from_coeffs(g, n),
-        family=family,
-        divisor_floor=float(floor_seen),
-    )
+    outcomes: list = [
+        DivisorBreakdownError(int(k), float(m), SIEGEL_DIVISOR_FLOOR)
+        if m < SIEGEL_DIVISOR_FLOOR else None
+        for k, m in zip(k_min, floor_seen)
+    ]
+    live = [b for b, out in enumerate(outcomes) if out is None]
+    if not live:
+        return outcomes
+    lams = np.exp(2j * math.pi * alphas[live])
+    # f_lambda = lambda f, as family_series builds it
+    g = _solve_siegel(lams[:, None] * base, divisors[live])
+    for b, lam, row in zip(live, lams.tolist(), g):
+        try:
+            _require_finite(row, "Siegel")
+        except NumericalError as exc:
+            outcomes[b] = exc
+            continue
+        outcomes[b] = SiegelSeries(
+            alpha=float(alphas[b]),
+            lam=lam,
+            g=TruncatedSeries.from_coeffs(row, n),
+            family=family,
+            divisor_floor=float(floor_seen[b]),
+        )
+    return outcomes
+
+
+def siegel_series(family: FamilySpec, alpha: float, n: int = 128) -> SiegelSeries:
+    """Formal conjugacy g with f_lambda(g(w)) = g(lambda w), lambda = e^{2 pi i alpha}:
+    siegel_series_many on a single alpha, raising its error."""
+    out = siegel_series_many(family, [alpha], n)[0]
+    if isinstance(out, SiegelnumError):
+        raise out
+    return out
 
 
 def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
-    """g_k from f_lambda(g(w)) = g(lambda w).
+    """Rows g_k from f_lambda(g(w)) = g(lambda w), one per row of F and divisors.
 
     Degree k of the left side is F_1 g_k + [w^k] sum_{j>=2} F_j g^j; since
     g^j has valuation j, the j >= 2 part only involves g_1..g_{k-1}.  The
     right side is lambda^k g_k, so g_k (lambda^k - lambda) equals that sum.
-    The table pows[j] holds g^j filled through the current degree.  Column k
-    of g^j is sum_{i<k} g_i [w^{k-i}] g^{j-1}, which reads only columns < k,
-    so one mat-vec per degree appends column k of every power at once.
+    The table pows[:, j] holds g^j of every row, filled through the current
+    degree.  Column k of g^j is sum_{i<k} g_i [w^{k-i}] g^{j-1}, which reads
+    only columns < k, so one stacked mat-vec per degree appends column k of
+    every power of every row, and one stacked dot gives each row's g_k.
+    Each row's product is computed on its own, as in _solve_koenigs, so a
+    row's coefficients are those of a batch of one.
+
     Powers above top = deg F never meet a nonzero F_j and are not kept, so
-    the solve costs O(top * n^2): O(n^2) for polynomial families, O(n^3)
-    (inside numpy) for entire ones.
+    a row costs O(top * n^2): O(n^2) for polynomial families, O(n^3)
+    (inside numpy) for entire ones.  Rows are solved in blocks of at most
+    SIEGEL_BLOCK_ENTRIES power-table entries, (top + 1)(n + 1) per row, and
+    at least one row: a quadratic batch at n = 256 shares blocks of 85 rows,
+    while an entire family at n = 256 is solved a row at a time, where a
+    wider block would only add memory traffic.
     """
-    n = F.size - 1
-    nonzero = np.flatnonzero(F)
-    top = max(2, int(nonzero[-1]) if nonzero.size else 0)
-    pows = np.zeros((top + 1, n + 1), dtype=np.complex128)
-    g = pows[1]
-    g[1] = 1
-    with np.errstate(over="ignore", invalid="ignore"):  # _require_finite reports it
-        for k in range(2, n + 1):
-            m = min(k, top)
-            pows[2 : m + 1, k] = pows[1:m, k - 1 : 0 : -1] @ g[1:k]
-            g[k] = (F[2 : m + 1] @ pows[2 : m + 1, k]) / divisors[k]
-    return g.copy()
+    n = F.shape[1] - 1
+    nonzero = np.flatnonzero(F[:, 2:].any(axis=0))
+    top = 2 + int(nonzero[-1]) if nonzero.size else 2
+    per_block = max(1, SIEGEL_BLOCK_ENTRIES // ((top + 1) * (n + 1)))
+    out = np.zeros_like(F)
+    for start in range(0, F.shape[0], per_block):
+        rows = slice(start, start + per_block)
+        F_b, d_b = F[rows], divisors[rows]
+        pows = np.zeros((F_b.shape[0], top + 1, n + 1), dtype=np.complex128)
+        g = pows[:, 1]
+        g[:, 1] = 1
+        with np.errstate(over="ignore", invalid="ignore"):  # _require_finite reports it
+            for k in range(2, n + 1):
+                m = min(k, top)
+                pows[:, 2 : m + 1, k] = (pows[:, 1:m, k - 1 : 0 : -1] @ g[:, 1:k, None])[:, :, 0]
+                g[:, k] = (F_b[:, None, 2 : m + 1] @ pows[:, 2 : m + 1, k, None])[:, 0, 0] / d_b[:, k]
+        out[rows] = g
+    return out
 
 
 def conjugacy_residual(obj: KoenigsSeries | SiegelSeries) -> float:

@@ -109,7 +109,8 @@ def qa_norm(
 
     r must be positive and finite.  order_cap defaults to min(degree, 40).
     Ties in the maximum break deterministically to the smallest derivative
-    order, then the smallest circle-sample index.
+    order, then the smallest circle-sample index.  A weighted circle value
+    that overflows binary64 raises UnreliableRadiusError.
     """
     if not 0.0 < r < math.inf:
         raise PreconditionError(f"norm radius must be positive and finite, got {r}")
@@ -148,25 +149,33 @@ def qa_norm(
     best_j = 0
     terms = []
     tail_bound = 0.0
-    m_idx = np.arange(n + 1, dtype=np.float64)
-    work = g.coeffs * r**m_idx
-    for k in range(order_cap + 1):
-        if k > 0:
-            # b_m <- b_m * (m - k + 1) / r turns order k-1 into order k
-            work *= np.maximum(m_idx - k + 1, 0.0) / r
-        if q is not None:
-            log_tail_k = (
-                log_head - n * math.log(q)
-                + _log_tail_sum(n, k, math.log(q), math.log1p(-q))
-                - k * math.log(r) - math.log(weights[k])
-            )
-            tail_bound = max(tail_bound, math.exp(min(log_tail_k, 700.0)))
-        vals = np.abs(circle_values(work[k:], 1.0, circle_samples)) / weights[k]
-        j = int(np.argmax(vals))
-        terms.append(float(vals[j]))
-        if vals[j] > best:
-            best = float(vals[j])
-            best_k, best_j = k, j
+    # scale only through the last nonzero coefficient: above it r**m can
+    # overflow at a large radius, and 0 * inf would be NaN
+    nonzero = np.flatnonzero(g.coeffs)
+    m_idx = np.arange(nonzero[-1] + 1 if nonzero.size else 1, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
+        work = g.coeffs[: m_idx.size] * r**m_idx
+        for k in range(order_cap + 1):
+            if k > 0:
+                # b_m <- b_m * (m - k + 1) / r turns order k-1 into order k
+                work *= np.maximum(m_idx - k + 1, 0.0) / r
+            if q is not None:
+                log_tail_k = (
+                    log_head - n * math.log(q)
+                    + _log_tail_sum(n, k, math.log(q), math.log1p(-q))
+                    - k * math.log(r) - math.log(weights[k])
+                )
+                tail_bound = max(tail_bound, math.exp(min(log_tail_k, 700.0)))
+            vals = np.abs(circle_values(work[k:], 1.0, circle_samples)) / weights[k]
+            if not np.all(np.isfinite(vals)):
+                raise UnreliableRadiusError(
+                    f"derivative order {k} of the series overflows binary64 on |w| = {r}"
+                )
+            j = int(np.argmax(vals))
+            terms.append(float(vals[j]))
+            if vals[j] > best:
+                best = float(vals[j])
+                best_k, best_j = k, j
     if tail_bound > TAIL_TOL:
         raise UnreliableRadiusError(
             f"truncation tail at r = {r} may reach {tail_bound:.3e} "

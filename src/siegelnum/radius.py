@@ -46,7 +46,7 @@ from .errors import (
     SiegelnumError,
 )
 from .families import FamilySpec
-from .linearize import SiegelSeries, siegel_series, u_values
+from .linearize import SiegelSeries, siegel_series, siegel_series_many, u_values
 
 __all__ = [
     "RotationNumber",
@@ -63,6 +63,7 @@ __all__ = [
     "cf_convergents",
     "rho_radial",
     "rho_coefficient",
+    "rho_coefficients",
     "koebe_cap_log",
     "harmonic_check",
     "harmonic_measure",
@@ -323,10 +324,46 @@ def rho_coefficient(family: FamilySpec, alpha, n: int = 128) -> RadiusEstimate:
     propagates: that is the honest signal for effectively rational alpha.
     The estimate keeps the fitted SiegelSeries as ``series``.
     """
+    _check_fit_degree(n)
+    rot = _as_rotation(alpha)
+    # DivisorBreakdownError propagates
+    return _coefficient_estimate(family, rot, siegel_series(family, rot.value, n))
+
+
+def rho_coefficients(family: FamilySpec, alphas, n: int = 128) -> list[RadiusEstimate | SiegelnumError]:
+    """rho_coefficient at many rotation numbers, from one batched Siegel solve.
+
+    Returns, in input order, one outcome per alpha: its RadiusEstimate, or
+    the SiegelnumError that rho_coefficient raises for it (not raised
+    here).  A degree below 32 is a PreconditionError, raised for the whole
+    call.
+    """
+    _check_fit_degree(n)
+    outcomes: list = []
+    for alpha in alphas:
+        try:
+            outcomes.append(_as_rotation(alpha))
+        except PreconditionError as exc:
+            outcomes.append(exc)
+    todo = [i for i, rot in enumerate(outcomes) if isinstance(rot, RotationNumber)]
+    for i, out in zip(todo, siegel_series_many(family, [outcomes[i].value for i in todo], n)):
+        if isinstance(out, SiegelSeries):
+            try:
+                out = _coefficient_estimate(family, outcomes[i], out)
+            except SiegelnumError as exc:
+                out = exc
+        outcomes[i] = out
+    return outcomes
+
+
+def _check_fit_degree(n: int) -> None:
     if n < 32:
         raise PreconditionError("coefficient estimate needs degree >= 32")
-    rot = _as_rotation(alpha)
-    ss = siegel_series(family, rot.value, n)  # DivisorBreakdownError propagates
+
+
+def _coefficient_estimate(family: FamilySpec, rot: RotationNumber, ss: SiegelSeries) -> RadiusEstimate:
+    """The fit of rho_coefficient on the solved series ss of rot."""
+    n = ss.g.degree
     mags = np.abs(ss.g.coeffs)
     idx = np.arange(n // 2, n + 1)
     keep = mags[idx] > 0.0
@@ -344,7 +381,7 @@ def rho_coefficient(family: FamilySpec, alpha, n: int = 128) -> RadiusEstimate:
         alpha=rot,
         method="coefficient",
         rho_hat=rho_hat,
-        samples=tuple((float(k), float(y)) for k, y in zip(ks, ys)),
+        samples=tuple(zip(ks.tolist(), ys.tolist())),
         converged=abs(s1 - s2) <= SLOPE_STABILITY_TOL,
         diverging_to_minus_infinity=False,
         series=ss,

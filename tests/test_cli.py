@@ -182,6 +182,24 @@ def test_norm_radius_must_be_positive_and_finite(tmp_path, capsys, r):
 
 
 @pytest.mark.parametrize(
+    "last, code, key",
+    [(0, 0, "value"), (1, 3, "error")],  # padded w + w^2/2; then w^64 overflows there
+)
+def test_norm_at_a_large_radius(tmp_path, capsys, last, code, key):
+    f = tmp_path / "series.json"
+    f.write_text(json.dumps([0, 1, 0.5] + [0] * 61 + [last]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(capsys, "norm", "--series", str(f), "--r", "1e10", "--K", "1")
+    assert (got, err) == (code, "")
+    doc = json.loads(out)[key]
+    if code == 0:
+        assert doc == pytest.approx(1e10 + 5e19, rel=1e-12)
+    else:
+        assert doc["type"] == "UnreliableRadiusError"
+
+
+@pytest.mark.parametrize(
     "flag, value", [("--samples", "0"), ("--delta", "0.7")]
 )
 def test_poisson_check_input_range(capsys, flag, value):

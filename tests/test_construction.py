@@ -189,18 +189,22 @@ def test_anchor_above_alpha0_certifies_without_retries(a1, a2):
 
 
 def test_default_run_reuses_each_fitted_series(monkeypatch):
-    solves = []
+    rows = []  # rows per solver call
     solve = linearize._solve_siegel
 
     def counting(F, divisors):
-        solves.append(1)
+        rows.append(F.shape[0])
         return solve(F, divisors)
 
     monkeypatch.setattr(linearize, "_solve_siegel", counting)
     run_construction(ConstructionConfig())
     # alpha_0 and each step's accepted alpha take their series from their
-    # estimates; re-solving them would make depth + 1 = 4 more (130)
-    assert len(solves) == 126
+    # estimates; re-solving them would make depth + 1 = 4 more rows (130)
+    assert sum(rows) == 126
+    # each step's flank scan is one call: 2 * FLANK_SAMPLES probes, less
+    # the one that lands on the anchor and breaks down before the solve
+    assert rows.count(2 * construction.FLANK_SAMPLES - 1) == 3
+    assert all(r == 1 for r in rows if r != 2 * construction.FLANK_SAMPLES - 1)
 
 
 def test_bisection_estimates_each_alpha_once(monkeypatch):

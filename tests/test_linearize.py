@@ -22,6 +22,7 @@ from siegelnum import (
     rational_rotation,
     rho_radial,
     siegel_series,
+    siegel_series_many,
     silver_rotation,
     u_values,
     yoccoz_w,
@@ -41,6 +42,7 @@ from siegelnum.linearize import (
     ENTRY_TAIL_TOL,
     ESCAPE_BOUND,
     KOENIGS_DIVISOR_FLOOR,
+    SIEGEL_DIVISOR_FLOOR,
     _require_finite,
 )
 from siegelnum.series import TruncatedSeries, compose, evaluate
@@ -223,6 +225,150 @@ def test_siegel_overflow_is_typed_with_warnings_as_errors():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError):
             siegel_series(get_family("quadratic"), 0.5 + 1e-12, 128)
+
+
+# -- the per-row Siegel solve that the batched one replaced, kept as the oracle
+
+
+def _rowwise_solve_siegel(F, divisors):
+    """Reference: one row's mat-vec solve, as it stood before batching."""
+    n = F.size - 1
+    nonzero = np.flatnonzero(F)
+    top = max(2, int(nonzero[-1]) if nonzero.size else 0)
+    pows = np.zeros((top + 1, n + 1), dtype=np.complex128)
+    g = pows[1]
+    g[1] = 1
+    with np.errstate(over="ignore", invalid="ignore"):  # _require_finite reports it
+        for k in range(2, n + 1):
+            m = min(k, top)
+            pows[2 : m + 1, k] = pows[1:m, k - 1 : 0 : -1] @ g[1:k]
+            g[k] = (F[2 : m + 1] @ pows[2 : m + 1, k]) / divisors[k]
+    return g.copy()
+
+
+def _rowwise_siegel_outcome(fam, alpha, n):
+    """The coefficients the per-row siegel_series gave at alpha, or the
+    package error it raised."""
+    F, divisors = _siegel_inputs(fam, alpha, n)
+    mags = np.abs(divisors[2:])
+    k = int(np.argmin(mags))
+    if mags[k] < SIEGEL_DIVISOR_FLOOR:
+        return DivisorBreakdownError(k + 2, float(mags[k]), SIEGEL_DIVISOR_FLOOR)
+    g = _rowwise_solve_siegel(F, divisors)
+    try:
+        _require_finite(g, "Siegel")
+    except NumericalError as exc:
+        return exc
+    return g
+
+
+def _same_outcome(new, ref):
+    """Bitwise-equal coefficients (ref a SiegelSeries or its coefficient
+    array), or the same error class and message."""
+    if isinstance(ref, SiegelnumError):
+        return type(new) is type(ref) and str(new) == str(ref)
+    coeffs = ref.g.coeffs if isinstance(ref, linearize.SiegelSeries) else ref
+    return isinstance(new, linearize.SiegelSeries) and new.g.coeffs.tobytes() == coeffs.tobytes()
+
+
+RATIONAL_SLOT, DEEP_DIP_SLOT = 11, 21
+
+
+def _siegel_batch(size, seed=5):
+    """size rotation numbers; from 32 up, a rational and a deep-dip alpha
+    (0.5 + 1e-12: the quadratic series overflows binary64 there at n = 128)
+    sit in the middle of the batch."""
+    alphas = np.random.default_rng(seed).uniform(0.05, 0.95, size).tolist()
+    if size >= 32:
+        alphas[RATIONAL_SLOT], alphas[DEEP_DIP_SLOT] = 2 / 7, 0.5 + 1e-12
+    return alphas
+
+
+@pytest.mark.parametrize(
+    "fam_id, n",
+    [(fam_id, 128) for fam_id in ALL_FAMILY_IDS] + [("quadratic", 256), ("poly_3", 256)],
+)
+def test_batched_siegel_rows_match_rowwise_oracle(fam_id, n):
+    fam = get_family(fam_id)
+    alphas = _siegel_batch(32)
+    refs = [_rowwise_siegel_outcome(fam, a, n) for a in alphas]
+    batched = siegel_series_many(fam, alphas, n)
+    assert len(batched) == len(alphas)
+    for a, new, ref in zip(alphas, batched, refs):
+        assert _same_outcome(new, ref), (fam_id, a)
+        assert _same_outcome(siegel_series_many(fam, [a], n)[0], ref), (fam_id, a)
+    assert isinstance(batched[RATIONAL_SLOT], DivisorBreakdownError)
+
+
+def test_batched_siegel_failures_stay_in_their_slots():
+    fam = get_family("quadratic")
+    alphas = _siegel_batch(32)
+    with warnings.catch_warnings():  # the overflow stays inside the solver's errstate
+        warnings.simplefilter("error")
+        batched = siegel_series_many(fam, alphas, 128)
+    for slot, kind in ((RATIONAL_SLOT, DivisorBreakdownError), (DEEP_DIP_SLOT, NumericalError)):
+        with pytest.raises(kind) as exc:
+            siegel_series(fam, alphas[slot], 128)
+        assert type(exc.value) is kind and _same_outcome(batched[slot], exc.value)
+    assert sum(isinstance(out, SiegelnumError) for out in batched) == 2
+
+
+def test_batched_siegel_row_does_not_depend_on_its_batch():
+    fam = get_family("poly_3")
+    alphas = _siegel_batch(32)
+    others = _siegel_batch(9, seed=6)
+    first = siegel_series_many(fam, alphas, 128)
+    mixed = siegel_series_many(fam, others[:4] + alphas[::-1] + others[4:], 128)[4 : 4 + len(alphas)]
+    assert all(map(_same_outcome, mixed[::-1], first))
+
+
+@pytest.mark.parametrize("fam_id", ["quadratic", "exp"])
+def test_batched_siegel_rows_do_not_depend_on_the_block(fam_id, monkeypatch):
+    fam = get_family(fam_id)
+    alphas = _siegel_batch(32)
+    default = siegel_series_many(fam, alphas, 64)
+    # 3 rows of a quadratic table (3 x 65 entries) per block, so the last
+    # block is short; exp (65 x 65 entries) drops from 15 rows to 1
+    monkeypatch.setattr(linearize, "SIEGEL_BLOCK_ENTRIES", 3 * 3 * 65)
+    assert all(map(_same_outcome, siegel_series_many(fam, alphas, 64), default))
+
+
+def test_batched_siegel_rows_of_different_degree_are_solved_apart():
+    # a stack may mix degrees of F: a row of lower degree carries zeros up to
+    # the stack's top and still comes out as on its own
+    alphas = (golden_rotation().value, silver_rotation().value, 0.3, 0.7)
+    inputs = [_siegel_inputs(get_family(fam_id), a, 64)
+              for fam_id, a in zip(("quadratic", "poly_3", "quadratic", "poly_3"), alphas)]
+    F, divisors = (np.array(rows) for rows in zip(*inputs))
+    g = linearize._solve_siegel(F, divisors)
+    for row, (f, d) in zip(g, inputs):
+        assert row.tobytes() == _rowwise_solve_siegel(f, d).tobytes()
+
+
+def test_siegel_series_many_edges():
+    fam = get_family("quadratic")
+    assert siegel_series_many(fam, [], 64) == []
+    with pytest.raises(PreconditionError):
+        siegel_series_many(fam, [golden_rotation().value], 1)
+    ss = siegel_series_many(fam, [golden_rotation()], 64)[0]  # a RotationNumber is accepted
+    assert ss.alpha == golden_rotation().value
+    assert ss.lam == cmath.exp(2j * math.pi * ss.alpha)
+
+
+@pytest.mark.parametrize("fam_id", ["quadratic", "sin", "reduced(tan)"])
+def test_rho_coefficients_match_rho_coefficient(fam_id):
+    fam = get_family(fam_id)
+    alphas = _siegel_batch(32)[:24] + [golden_rotation(), rational_rotation(1, 3), 1.5]
+    expected = []
+    for alpha in alphas:
+        try:
+            expected.append(repr(radius.rho_coefficient(fam, alpha, 128)))
+        except SiegelnumError as exc:
+            expected.append(repr(exc))
+    assert [repr(out) for out in radius.rho_coefficients(fam, alphas, 128)] == expected
+    assert isinstance(radius.rho_coefficients(fam, [1.5], 128)[0], PreconditionError)
+    with pytest.raises(PreconditionError):
+        radius.rho_coefficients(fam, alphas, 16)
 
 
 # -- the scalar lambda pipeline that u_values replaced, kept as the oracle ----

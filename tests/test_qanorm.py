@@ -86,6 +86,27 @@ def test_refused_radius_warns_nothing():
             qa_norm(g, 1e300)
 
 
+def test_padded_polynomial_at_a_large_radius():
+    # r^m overflows from m = 31 at r = 1e10, but only c_0..c_2 are scaled:
+    # sup |w + w^2/2| = 1e10 + 5e19 at w = r, and |1 + w| / (3 ln 3) below it
+    p = TruncatedSeries.from_coeffs([0, 1, 0.5], degree=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = qa_norm(p, 1e10, order_cap=1)
+    assert res.value == pytest.approx(1e10 + 5e19, rel=1e-12)
+    assert res.term_values[1] == pytest.approx((1.0 + 1e10) / (3.0 * math.log(3.0)), rel=1e-12)
+    assert (res.k_at_max, res.sample_at_max, res.tail_bound) == (0, 0, 0.0)
+
+
+def test_overflowing_circle_value_is_typed():
+    # |w^64| = 1e640 on |w| = 1e10 is beyond binary64: refused, not a number
+    p = TruncatedSeries.from_coeffs([0, 1] + [0] * 62 + [1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnreliableRadiusError, match="overflows binary64"):
+            qa_norm(p, 1e10, order_cap=1)
+
+
 def test_result_is_deterministic():
     g = TruncatedSeries.from_coeffs(np.exp(2j * np.arange(20)) / (1.0 + np.arange(20)))
     a = qa_norm(g, 0.4)
