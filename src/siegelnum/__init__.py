@@ -68,6 +68,6 @@ from .radius import (
     rotation_from_float,
     silver_rotation,
 )
-from .series import TruncatedSeries, compose, derivative, evaluate
+from .series import TruncatedSeries, compose, evaluate
 
 __version__ = "0.1.0"

@@ -37,7 +37,7 @@ from .radius import (
     rho_coefficient,
     rho_radial,
 )
-from .series import TruncatedSeries, derivative
+from .series import TruncatedSeries
 
 __all__ = ["main", "build_parser"]
 
@@ -262,11 +262,10 @@ def _cmd_boundary(args) -> int:
         raise PreconditionError(f"rho = {args.rho} puts the circle beyond float range") from None
     # the norm's tail gate refuses a circle the truncated series cannot see
     qa_norm(g, radius, order_cap=1)
-    gv = circle_values(g.coeffs, radius, args.samples)
-    gpv = np.abs(circle_values(derivative(g, 1).coeffs, radius, args.samples))
+    gv, gp = circle_values(g.coeffs, radius, args.samples, order_cap=1)
     rows = [
-        [j / args.samples, float(gv[j].real), float(gv[j].imag), float(gpv[j])]
-        for j in range(args.samples)
+        [j / args.samples, float(v.real), float(v.imag), float(a)]
+        for j, (v, a) in enumerate(zip(gv, np.abs(gp)))
     ]
     _emit_csv(["theta", "re", "im", "abs_gprime"], rows, args.out)
     return 0

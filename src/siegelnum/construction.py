@@ -61,7 +61,6 @@ from .radius import (
     rho_coefficients,
     rho_radial,
 )
-from .series import derivative
 
 __all__ = [
     "ConstructionConfig",
@@ -86,14 +85,8 @@ MAX_ITER = 80  # bisection steps per anchor
 
 @dataclass(frozen=True)
 class ConstructionConfig:
-    """The nine settings of a construction run.
-
-    Breaking change: the drop, the norm order, the circle and flank sample
-    counts and the retry budget are no longer fields but the module
-    constants DEFAULT_DROP, NORM_ORDER, CIRCLE_SAMPLES, FLANK_SAMPLES and
-    RETRY_BUDGET, and the estimator choice is gone: the radius is always
-    certified by the coefficient estimator.
-    """
+    """The nine settings of a construction run; the radius is always
+    certified by the coefficient estimator."""
 
     family: str = "quadratic"
     alpha0: RotationNumber = field(default_factory=golden_rotation)
@@ -181,22 +174,19 @@ class ConstructionReport:
         return {**asdict(self), "steps": [s.describe() for s in self.steps]}
 
 
-def _effective_rho(family: FamilySpec, alpha: float, n: int) -> tuple[float, RadiusEstimate | None]:
-    """The coefficient estimate at alpha and its effective value.  Breakdown,
-    coefficient overflow, an unusable sample run: every NumericalError
-    happens exactly where the dip is effectively bottomless, so it reads as
-    -infinity with no estimate."""
+def _estimate(family: FamilySpec, alpha: float, n: int) -> RadiusEstimate | NumericalError:
+    """rho_coefficient at alpha, with a NumericalError returned, not raised."""
     try:
-        est = rho_coefficient(family, alpha, n)
-    except NumericalError:
-        return -math.inf, None
-    return est.effective_rho, est
+        return rho_coefficient(family, alpha, n)
+    except NumericalError as exc:
+        return exc
 
 
 def _effective_value(outcome: RadiusEstimate | SiegelnumError) -> float:
-    """The effective value of one rho_coefficients outcome, read as
-    _effective_rho reads it: a NumericalError is -infinity, any other
-    package error is raised."""
+    """The effective value of a coefficient estimate's outcome.  Breakdown,
+    coefficient overflow, an unusable sample run: every NumericalError
+    happens exactly where the dip is effectively bottomless, so it reads as
+    -infinity; any other package error is raised."""
     if isinstance(outcome, NumericalError):
         return -math.inf
     if isinstance(outcome, SiegelnumError):
@@ -226,8 +216,8 @@ def find_alpha_with_rho(
     """
     if below == above:
         raise PreconditionError("bracket ends must differ")
-    below_val, _ = _effective_rho(family, below, n)
-    above_val, _ = _effective_rho(family, above, n)
+    below_val = _effective_value(_estimate(family, below, n))
+    above_val = _effective_value(_estimate(family, above, n))
     if not below_val < target_rho:
         raise BracketFailureError(
             f"below end estimates {below_val:.4f}, not below target {target_rho:.4f}"
@@ -241,8 +231,9 @@ def find_alpha_with_rho(
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             raise BracketFailureError("bracket exhausted float resolution")
-        val, est = _effective_rho(family, mid, n)
-        if abs(val - target_rho) <= tol_rho and math.isfinite(val):
+        est = _estimate(family, mid, n)
+        val = _effective_value(est)
+        if abs(val - target_rho) <= tol_rho:  # false at -infinity
             return mid, est
         if val < target_rho:
             lo = mid
@@ -302,7 +293,7 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
     t_start = time.perf_counter()
     family = get_family(cfg.family)
     est0 = rho_coefficient(family, cfg.alpha0.value, cfg.n_series)
-    if est0.diverging_to_minus_infinity or not est0.converged:
+    if not est0.converged:
         raise PreconditionError(
             "base rotation number must have a converged, finite radius estimate"
         )
@@ -418,8 +409,7 @@ def boundary_report(g, radius: float) -> BoundaryReport:
     over CIRCLE_SAMPLES points of the circle, plus the derivative norm
     there.  gprime_min > 0 is the working injectivity indicator (g is
     normalized, g'(0) = 1)."""
-    gv = np.abs(circle_values(g.coeffs, radius, CIRCLE_SAMPLES))
-    gpv = np.abs(circle_values(derivative(g, 1).coeffs, radius, CIRCLE_SAMPLES))
+    gv, gpv = np.abs(circle_values(g.coeffs, radius, CIRCLE_SAMPLES, order_cap=1))
     try:
         norm_val = qa_norm(g, radius, order_cap=1, circle_samples=CIRCLE_SAMPLES).value
     except UnreliableRadiusError:

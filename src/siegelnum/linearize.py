@@ -107,24 +107,46 @@ class YoccozValue:
     entry_radius: float
 
 
-def _require_finite(coeffs: np.ndarray, kind: str) -> None:
+def _overflow_error(row: np.ndarray, kind: str) -> NumericalError:
     """Conjugacy coefficients can outgrow binary64 when the radius is tiny
     (deep near-rational dips); that is a numerical failure of the run, not
     a caller mistake, so it must not surface as a precondition error."""
-    bad = ~np.isfinite(coeffs)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise NumericalError(
-            f"{kind} coefficients overflowed binary64 at degree {k}; "
-            "the conformal radius here is too small for this truncation"
-        )
+    k = int(np.argmax(~np.isfinite(row)))
+    return NumericalError(
+        f"{kind} coefficients overflowed binary64 at degree {k}; "
+        "the conformal radius here is too small for this truncation"
+    )
 
 
-def _divisor_floors(divisors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of lambda^k - lambda: the k >= 2 of smallest modulus and that modulus."""
-    mags = np.abs(divisors[..., 2:])
-    k_min = np.argmin(mags, axis=-1)
-    return k_min + 2, np.take_along_axis(mags, k_min[..., None], axis=-1)[..., 0]
+def _guarded_solve(solve, divisors: np.ndarray, floor: float, kind: str) -> tuple[list, np.ndarray]:
+    """The divisor guard and overflow check of both coefficient solves.
+
+    A row of divisors lambda^k - lambda whose smallest modulus over k >= 2
+    is below floor gets that k's DivisorBreakdownError; solve(live) returns
+    the coefficient rows of the others, and an overflowed row gets its
+    NumericalError.  Returns each row's coefficients or error, and its
+    smallest divisor modulus.
+    """
+    mags = np.abs(divisors[:, 2:])
+    k_min = np.argmin(mags, axis=1)
+    floor_seen = mags[np.arange(mags.shape[0]), k_min]
+    outcomes: list = [
+        DivisorBreakdownError(int(k) + 2, float(m), floor) if m < floor else None
+        for k, m in zip(k_min, floor_seen)
+    ]
+    live = [b for b, out in enumerate(outcomes) if out is None]
+    if live:
+        rows = solve(live)
+        for b, row, finite in zip(live, rows, np.isfinite(rows).all(axis=1).tolist()):
+            outcomes[b] = row if finite else _overflow_error(row, kind)
+    return outcomes, floor_seen
+
+
+def _single(outcomes: list):
+    """The one outcome of a batch of one, raised if it is an error."""
+    if isinstance(outcomes[0], SiegelnumError):
+        raise outcomes[0]
+    return outcomes[0]
 
 
 def _check_multiplier(lam: complex) -> None:
@@ -152,7 +174,7 @@ def _power_columns(f: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(pows.T)
 
 
-def _solve_koenigs(cols: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, list]:
+def _solve_koenigs(cols: np.ndarray, lams: np.ndarray) -> list:
     """Rows h of the normalized Koenigs series of lambda f, one per lambda.
 
     Degree k of h(f_lambda(z)) = lambda h(z) reads
@@ -161,35 +183,27 @@ def _solve_koenigs(cols: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, list
     batch against column k of the power table.  Each row's dot is computed
     on its own, so its coefficients do not depend on the rest of the batch
     (a plain matrix-vector product can sum a row differently by batch size).
-    Returns the coefficient rows and, per row, None or the
-    DivisorBreakdownError / NumericalError that koenigs_series raises for it
-    (a failed row's coefficients are meaningless).
+    Returns, per lambda, its coefficient row or the DivisorBreakdownError /
+    NumericalError that koenigs_series raises for it; only rows that pass
+    the divisor guard are solved.
     """
     n = cols.shape[0] - 1
     lam_pows = np.power(lams[:, None], np.arange(n + 1))
     divisors = lam_pows - lams[:, None]
-    k_min, floor_seen = _divisor_floors(divisors)
-    errors = [
-        DivisorBreakdownError(int(k), float(m), KOENIGS_DIVISOR_FLOOR)
-        if m < KOENIGS_DIVISOR_FLOOR else None
-        for k, m in zip(k_min, floor_seen)
-    ]
-    h = np.zeros((lams.size, n + 1), dtype=np.complex128)
-    h[:, 1] = 1
-    g = np.zeros_like(h)
-    g[:, 1] = lam_pows[:, 1]
-    # broken-down rows may divide by zero; overflow is reported below
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k in range(2, n + 1):
-            h[:, k] = -(g[:, None, :k] @ cols[k, :k, None])[:, 0, 0] / divisors[:, k]
-            g[:, k] = h[:, k] * lam_pows[:, k]
-    for b in np.flatnonzero(~np.isfinite(h).all(axis=1)):
-        if errors[b] is None:
-            try:
-                _require_finite(h[b], "Koenigs")
-            except NumericalError as exc:
-                errors[b] = exc
-    return h, errors
+
+    def solve(live):
+        pows, divs = lam_pows[live], divisors[live]
+        h = np.zeros((len(live), n + 1), dtype=np.complex128)
+        h[:, 1] = 1
+        g = np.zeros_like(h)
+        g[:, 1] = pows[:, 1]
+        with np.errstate(over="ignore", invalid="ignore"):  # _guarded_solve reports it
+            for k in range(2, n + 1):
+                h[:, k] = -(g[:, None, :k] @ cols[k, :k, None])[:, 0, 0] / divs[:, k]
+                g[:, k] = h[:, k] * pows[:, k]
+        return h
+
+    return _guarded_solve(solve, divisors, KOENIGS_DIVISOR_FLOOR, "Koenigs")[0]
 
 
 def koenigs_series(family: FamilySpec, lam: complex, n: int = 128) -> KoenigsSeries:
@@ -204,10 +218,8 @@ def koenigs_series(family: FamilySpec, lam: complex, n: int = 128) -> KoenigsSer
     lam = complex(lam)
     _check_multiplier(lam)
     cols = _power_columns(base_series(family, n).coeffs)
-    h, errors = _solve_koenigs(cols, np.array([lam]))
-    if errors[0] is not None:
-        raise errors[0]
-    return KoenigsSeries(lam=lam, h=TruncatedSeries.from_coeffs(h[0], n), family=family)
+    h = _single(_solve_koenigs(cols, np.array([lam])))
+    return KoenigsSeries(lam=lam, h=TruncatedSeries.from_coeffs(h, n), family=family)
 
 
 def siegel_series_many(
@@ -232,41 +244,28 @@ def siegel_series_many(
     base = base_series(family, n).coeffs
     powers = np.exp(2j * math.pi * np.fmod(alphas[:, None] * np.arange(n + 1), 1.0))
     divisors = powers - powers[:, 1:2]
-    k_min, floor_seen = _divisor_floors(divisors)
-    outcomes: list = [
-        DivisorBreakdownError(int(k), float(m), SIEGEL_DIVISOR_FLOOR)
-        if m < SIEGEL_DIVISOR_FLOOR else None
-        for k, m in zip(k_min, floor_seen)
-    ]
-    live = [b for b, out in enumerate(outcomes) if out is None]
-    if not live:
-        return outcomes
-    lams = np.exp(2j * math.pi * alphas[live])
-    # f_lambda = lambda f, as family_series builds it
-    g = _solve_siegel(lams[:, None] * base, divisors[live])
-    for b, lam, row in zip(live, lams.tolist(), g):
-        try:
-            _require_finite(row, "Siegel")
-        except NumericalError as exc:
-            outcomes[b] = exc
-            continue
-        outcomes[b] = SiegelSeries(
-            alpha=float(alphas[b]),
-            lam=lam,
-            g=TruncatedSeries.from_coeffs(row, n),
+    lams = np.exp(2j * math.pi * alphas)
+    outcomes, floor_seen = _guarded_solve(
+        # f_lambda = lambda f, as family_series builds it
+        lambda live: _solve_siegel(lams[live, None] * base, divisors[live]),
+        divisors, SIEGEL_DIVISOR_FLOOR, "Siegel",
+    )
+    return [
+        out if isinstance(out, SiegelnumError) else SiegelSeries(
+            alpha=float(alpha),
+            lam=complex(lam),
+            g=TruncatedSeries.from_coeffs(out, n),
             family=family,
-            divisor_floor=float(floor_seen[b]),
+            divisor_floor=float(floor),
         )
-    return outcomes
+        for out, alpha, lam, floor in zip(outcomes, alphas, lams, floor_seen)
+    ]
 
 
 def siegel_series(family: FamilySpec, alpha: float, n: int = 128) -> SiegelSeries:
     """Formal conjugacy g with f_lambda(g(w)) = g(lambda w), lambda = e^{2 pi i alpha}:
     siegel_series_many on a single alpha, raising its error."""
-    out = siegel_series_many(family, [alpha], n)[0]
-    if isinstance(out, SiegelnumError):
-        raise out
-    return out
+    return _single(siegel_series_many(family, [alpha], n))
 
 
 def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
@@ -301,7 +300,7 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
         pows = np.zeros((F_b.shape[0], top + 1, n + 1), dtype=np.complex128)
         g = pows[:, 1]
         g[:, 1] = 1
-        with np.errstate(over="ignore", invalid="ignore"):  # _require_finite reports it
+        with np.errstate(over="ignore", invalid="ignore"):  # _guarded_solve reports it
             for k in range(2, n + 1):
                 m = min(k, top)
                 pows[:, 2 : m + 1, k] = (pows[:, 1:m, k - 1 : 0 : -1] @ g[:, 1:k, None])[:, :, 0]
@@ -456,9 +455,12 @@ def _yoccoz_value(family: FamilySpec, lam: complex, hz: complex, m: int, r_entry
 
 def _u_block(family: FamilySpec, cols: np.ndarray, lams: list[complex], budget: int) -> list:
     """u_values for at most U_BLOCK multipliers that passed the precondition."""
-    h, outcomes = _solve_koenigs(cols, np.array(lams))
-    live = [b for b, out in enumerate(outcomes) if out is None]
-    radius = dict(zip(live, _entry_radii(h[live]).tolist()))
+    outcomes = _solve_koenigs(cols, np.array(lams))
+    live = [b for b, out in enumerate(outcomes) if not isinstance(out, SiegelnumError)]
+    if not live:
+        return outcomes
+    h = np.array([outcomes[b] for b in live])
+    radius = dict(zip(live, _entry_radii(h).tolist()))
     reached = []  # (row, z_m, m) of each orbit that entered its disc
     for b in live:
         try:
@@ -470,7 +472,7 @@ def _u_block(family: FamilySpec, cols: np.ndarray, lams: list[complex], budget: 
     if not reached:
         return outcomes
     rows, ends, iters = zip(*reached)
-    coeffs = h[list(rows)]
+    coeffs = np.array([outcomes[b] for b in rows])
     z = np.array(ends)
     hz = coeffs[:, -1]
     for k in range(coeffs.shape[1] - 2, -1, -1):  # Horner, all rows at once
@@ -547,7 +549,4 @@ def yoccoz_w(
     violation therefore indicates a broken evaluation and raises rather
     than returning a value.  This is u_values on a single lambda.
     """
-    out = u_values(family, [lam], n, budget)[0]
-    if isinstance(out, SiegelnumError):
-        raise out
-    return out
+    return _single(u_values(family, [lam], n, budget))

@@ -19,10 +19,10 @@ tail, qa_norm refuses with UnreliableRadiusError rather than return a
 number that silently ignores the truncation.
 
 All values on a circle come from :func:`circle_values`, one inverse FFT
-per series at the S-th roots of unity.  It is the package's single circle
-evaluator: the norm takes the modulus of its output, and the boundary
-report of the construction and the ``siegelnum boundary`` curve use it for
-g and g'.
+per derivative order at the S-th roots of unity.  It is the package's
+single evaluator of g and its derivatives on a circle: the norm takes the
+moduli of its table, and the boundary report of the construction and the
+``siegelnum boundary`` curve read g and g' from one call.
 """
 
 from __future__ import annotations
@@ -58,18 +58,43 @@ def _weights(order_cap: int) -> np.ndarray:
     return ((ks + 2.0) * np.log(ks + 2.0)) ** ks
 
 
-def circle_values(coeffs: np.ndarray, r: float, samples: int) -> np.ndarray:
-    """Complex values sum_m c_m (r w_j)^m at w_j = e^{2 pi i j / S}, j < S,
-    with S = ``samples``.
+def circle_values(coeffs: np.ndarray, r: float, samples: int, order_cap: int = 0) -> np.ndarray:
+    """Row k, k <= order_cap, holds g^(k)(r w_j) for g(w) = sum_m c_m w^m
+    at w_j = e^{2 pi i j / S}, j < S = ``samples``.
 
-    Exact evaluation via the inverse FFT convention sum b_m e^{+2 pi i mj/S}
-    with b_m = c_m r^m; coefficients beyond the sample count fold onto
-    m mod S, which is exact at these nodes.
+    Row 0 is the inverse FFT (convention sum b_m e^{+2 pi i mj/S}) of
+    b_m = c_m r^m, scaled only through the last nonzero coefficient (above
+    it r^m can overflow, and 0 * inf is NaN); b_m <- b_m (m - k + 1) / r
+    gives row k from b_k on.  Coefficients beyond S fold onto m mod S,
+    which is exact at these nodes.  A value past binary64 is non-finite.
     """
-    scaled = coeffs * r ** np.arange(coeffs.size, dtype=np.float64)
-    if scaled.size > samples:
-        scaled = np.pad(scaled, (0, -scaled.size % samples)).reshape(-1, samples).sum(axis=0)
-    return np.fft.ifft(scaled, n=samples) * samples
+    nonzero = np.flatnonzero(coeffs)
+    m_idx = np.arange(nonzero[-1] + 1 if nonzero.size else 1, dtype=np.float64)
+    table = np.empty((order_cap + 1, samples), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        work = _scaled(coeffs[: m_idx.size], r, m_idx)
+        for k in range(order_cap + 1):
+            if k > 0:
+                work *= np.maximum(m_idx - k + 1, 0.0) / r
+            row = work[k:]
+            if row.size > samples:
+                row = np.pad(row, (0, -row.size % samples)).reshape(-1, samples).sum(axis=0)
+            table[k] = np.fft.ifft(row, n=samples) * samples
+    return table
+
+
+def _scaled(coeffs: np.ndarray, r: float, m_idx: np.ndarray) -> np.ndarray:
+    """c_m r^m; where r^m alone overflows, taken in logs (a zero coefficient
+    stays 0), so a term that binary64 holds is not lost."""
+    powers = r**m_idx
+    if np.isfinite(powers[-1]):  # r^m is monotone in m
+        return coeffs * powers
+    over = ~np.isfinite(powers)
+    out = coeffs * np.where(over, 0.0, powers)
+    big = np.flatnonzero(over & (coeffs != 0))
+    mags = np.abs(coeffs[big])
+    out[big] = coeffs[big] / mags * np.exp(np.log(mags) + m_idx[big] * math.log(r))
+    return out
 
 
 def _tail_ratio(mags: np.ndarray, r: float) -> tuple[float | None, np.ndarray]:
@@ -82,7 +107,8 @@ def _tail_ratio(mags: np.ndarray, r: float) -> tuple[float | None, np.ndarray]:
     if idx.size < 2:
         return None, idx
     steps = np.diff(idx)
-    factors = (mags[idx[1:]] / mags[idx[:-1]]) ** (1.0 / steps)
+    with np.errstate(over="ignore"):  # a ratio past binary64 is inf: no decay there
+        factors = (mags[idx[1:]] / mags[idx[:-1]]) ** (1.0 / steps)
     return float(np.median(factors)) * r, idx
 
 
@@ -144,51 +170,37 @@ def qa_norm(
             np.log(mags[idx]) + idx * math.log(r) + (n - idx) * math.log(q)
         ))
 
-    best = -1.0
-    best_k = 0
-    best_j = 0
-    terms = []
-    tail_bound = 0.0
-    # scale only through the last nonzero coefficient: above it r**m can
-    # overflow at a large radius, and 0 * inf would be NaN
-    nonzero = np.flatnonzero(g.coeffs)
-    m_idx = np.arange(nonzero[-1] + 1 if nonzero.size else 1, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-        work = g.coeffs[: m_idx.size] * r**m_idx
+        vals = np.abs(circle_values(g.coeffs, r, circle_samples, order_cap)) / weights[:, None]
+    terms = vals.max(axis=1)  # NaN where a row holds one
+    if not np.isfinite(terms).all():
+        raise UnreliableRadiusError(
+            f"derivative order {int(np.argmax(~np.isfinite(terms)))} of the series "
+            f"overflows binary64 on |w| = {r}"
+        )
+    tail_bound = 0.0
+    if q is not None:
         for k in range(order_cap + 1):
-            if k > 0:
-                # b_m <- b_m * (m - k + 1) / r turns order k-1 into order k
-                work *= np.maximum(m_idx - k + 1, 0.0) / r
-            if q is not None:
-                log_tail_k = (
-                    log_head - n * math.log(q)
-                    + _log_tail_sum(n, k, math.log(q), math.log1p(-q))
-                    - k * math.log(r) - math.log(weights[k])
-                )
-                tail_bound = max(tail_bound, math.exp(min(log_tail_k, 700.0)))
-            vals = np.abs(circle_values(work[k:], 1.0, circle_samples)) / weights[k]
-            if not np.all(np.isfinite(vals)):
-                raise UnreliableRadiusError(
-                    f"derivative order {k} of the series overflows binary64 on |w| = {r}"
-                )
-            j = int(np.argmax(vals))
-            terms.append(float(vals[j]))
-            if vals[j] > best:
-                best = float(vals[j])
-                best_k, best_j = k, j
+            log_tail_k = (
+                log_head - n * math.log(q)
+                + _log_tail_sum(n, k, math.log(q), math.log1p(-q))
+                - k * math.log(r) - math.log(weights[k])
+            )
+            tail_bound = max(tail_bound, math.exp(min(log_tail_k, 700.0)))
     if tail_bound > TAIL_TOL:
         raise UnreliableRadiusError(
             f"truncation tail at r = {r} may reach {tail_bound:.3e} "
             f"(> {TAIL_TOL}); increase the series degree"
         )
+    best_k = int(np.argmax(terms))
     return NormResult(
-        value=best,
+        value=float(terms[best_k]),
         k_at_max=best_k,
-        sample_at_max=best_j,
+        sample_at_max=int(np.argmax(vals[best_k])),
         r=r,
         order_cap=order_cap,
         circle_samples=circle_samples,
-        term_values=tuple(terms),
+        term_values=tuple(terms.tolist()),
         tail_ratio=0.0 if q is None else q,
         tail_bound=tail_bound,
     )

@@ -19,8 +19,6 @@ index = power; a bare real entry ``x`` reads as ``[x, 0]``.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -34,7 +32,6 @@ __all__ = [
     "zero",
     "compose",
     "evaluate",
-    "derivative",
     "reciprocal",
 ]
 
@@ -190,35 +187,3 @@ def evaluate(a: TruncatedSeries, z: complex) -> complex:
     for k in range(a.degree - 1, -1, -1):
         acc = acc * zz + c[k]
     return acc
-
-
-def derivative(a: TruncatedSeries, order: int = 1) -> TruncatedSeries:
-    """Formal derivative of the given order; result has degree N - order.
-
-    An order beyond the truncation degree zeroes every retained
-    coefficient; that case returns the zero series and emits a warning
-    rather than raising, since it is well defined (just degenerate).
-    """
-    if order < 0:
-        raise PreconditionError("derivative order must be >= 0")
-    if order == 0:
-        return a
-    n = a.degree
-    if order > n:
-        warnings.warn(
-            f"derivative order {order} exceeds truncation degree {n}; returning zero series",
-            stacklevel=2,
-        )
-        return zero(0)
-    # factor m! / (m - order)! for the coefficient that lands at index m - order,
-    # rounded once from the exact integer
-    factor = np.array([_int_to_float(math.perm(m, order)) for m in range(order, n + 1)])
-    return TruncatedSeries.from_coeffs(a.coeffs[order:] * factor, n - order)
-
-
-def _int_to_float(k: int) -> float:
-    """Nearest binary64 to a non-negative integer; inf beyond its range."""
-    try:
-        return float(k)
-    except OverflowError:
-        return math.inf

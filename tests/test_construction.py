@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from siegelnum import (
@@ -15,6 +16,7 @@ from siegelnum import (
     siegel_series,
 )
 from siegelnum import construction, linearize
+from siegelnum.construction import CIRCLE_SAMPLES
 from siegelnum.construction import find_alpha_with_rho
 from siegelnum.errors import (
     BracketFailureError,
@@ -99,6 +101,42 @@ def test_boundary_derivative_nonvanishing(report):
     assert report.boundary.gprime_min > 0
     assert report.boundary.g_max < 1.0  # image stays inside the unit disc
     assert report.boundary.radius == pytest.approx(report.r_infinity)
+
+
+def _fft_circle_values(coeffs, r, samples):
+    """Reference: the single-row circle evaluator, as it stood before the table."""
+    scaled = coeffs * r ** np.arange(coeffs.size, dtype=np.float64)
+    if scaled.size > samples:
+        scaled = np.pad(scaled, (0, -scaled.size % samples)).reshape(-1, samples).sum(axis=0)
+    return np.fft.ifft(scaled, n=samples) * samples
+
+
+def _derivative_boundary(g, radius):
+    """Reference: g and g' on the circle as the boundary report took them
+    before, g' from the series of c_m m at index m - 1."""
+    n = g.degree
+    gp = g.coeffs[1:] * np.array([float(m) for m in range(1, n + 1)])
+    return (_fft_circle_values(g.coeffs, radius, CIRCLE_SAMPLES),
+            _fft_circle_values(gp, radius, CIRCLE_SAMPLES))
+
+
+@pytest.mark.parametrize("family_id, depth", [("quadratic", 3), ("exp", 1)])
+def test_boundary_report_matches_the_derivative_series(report, family_id, depth):
+    if family_id == "quadratic":
+        rep = report
+    else:
+        rep = run_construction(ConstructionConfig(family=family_id, depth=depth, delta=DELTA))
+    g = siegel_series(get_family(family_id), rep.final_alpha, 256).g
+    ref_g, ref_gp = _derivative_boundary(g, rep.r_infinity)
+    new_g, new_gp = construction.circle_values(g.coeffs, rep.r_infinity, CIRCLE_SAMPLES, 1)
+    assert np.array_equal(new_g, ref_g)
+    # g' takes other roundings (c_m r^m times m / r): 4 ulp relative
+    eps = np.finfo(np.float64).eps
+    assert np.all(np.abs(np.abs(new_gp) - np.abs(ref_gp)) <= 4 * eps * np.abs(ref_gp))
+    gv, gpv = np.abs(ref_g), np.abs(ref_gp)
+    assert (rep.boundary.g_min, rep.boundary.g_max) == (np.min(gv), np.max(gv))
+    for new, ref in ((rep.boundary.gprime_min, np.min(gpv)), (rep.boundary.gprime_max, np.max(gpv))):
+        assert abs(new - ref) <= 4 * eps * ref
 
 
 def test_describe_is_json_shaped(report):

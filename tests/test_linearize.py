@@ -43,7 +43,7 @@ from siegelnum.linearize import (
     ESCAPE_BOUND,
     KOENIGS_DIVISOR_FLOOR,
     SIEGEL_DIVISOR_FLOOR,
-    _require_finite,
+    _overflow_error,
 )
 from siegelnum.series import TruncatedSeries, compose, evaluate
 
@@ -238,7 +238,7 @@ def _rowwise_solve_siegel(F, divisors):
     pows = np.zeros((top + 1, n + 1), dtype=np.complex128)
     g = pows[1]
     g[1] = 1
-    with np.errstate(over="ignore", invalid="ignore"):  # _require_finite reports it
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller reports it
         for k in range(2, n + 1):
             m = min(k, top)
             pows[2 : m + 1, k] = pows[1:m, k - 1 : 0 : -1] @ g[1:k]
@@ -255,11 +255,7 @@ def _rowwise_siegel_outcome(fam, alpha, n):
     if mags[k] < SIEGEL_DIVISOR_FLOOR:
         return DivisorBreakdownError(k + 2, float(mags[k]), SIEGEL_DIVISOR_FLOOR)
     g = _rowwise_solve_siegel(F, divisors)
-    try:
-        _require_finite(g, "Siegel")
-    except NumericalError as exc:
-        return exc
-    return g
+    return g if np.isfinite(g).all() else _overflow_error(g, "Siegel")
 
 
 def _same_outcome(new, ref):
@@ -406,7 +402,8 @@ def _scalar_koenigs(fam, lam, n):
     if mags[k_min - 2] < KOENIGS_DIVISOR_FLOOR:
         raise DivisorBreakdownError(k_min, float(mags[k_min - 2]), KOENIGS_DIVISOR_FLOOR)
     h = _loop_solve_koenigs(F, divisors)
-    _require_finite(h, "Koenigs")
+    if not np.isfinite(h).all():
+        raise _overflow_error(h, "Koenigs")
     return h
 
 
@@ -571,6 +568,18 @@ def test_u_values_rows_do_not_depend_on_the_block(monkeypatch):
     alone = [yoccoz_w(fam, lam, 64) for lam in lams]
     monkeypatch.setattr(linearize, "U_BLOCK", 4)
     assert u_values(fam, lams, 64) == alone
+
+
+def test_broken_down_row_is_not_solved_with_the_batch():
+    # lambda = 1e-15 breaks down at k = 2 (|lambda^2 - lambda| ~ 1e-15 is
+    # under the Koenigs floor); the rows around it are those of a batch of one
+    quad = get_family("quadratic")
+    good, broken, other = u_values(quad, [0.5, 1e-15, 0.3j], 64)
+    assert good == yoccoz_w(quad, 0.5, 64)
+    assert other == yoccoz_w(quad, 0.3j, 64)
+    assert isinstance(broken, DivisorBreakdownError)
+    assert (broken.k, broken.magnitude, broken.floor) == (2, abs(1e-15**2 - 1e-15), 1e-14)
+    assert str(broken) == "divisor breakdown at k=2: |lambda^k - lambda| = 1.000e-15 < 1.0e-14"
 
 
 def test_entry_radii_do_not_depend_on_the_batch():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelnum import TruncatedSeries, compose, derivative, evaluate
+from siegelnum import TruncatedSeries, compose, evaluate
 from siegelnum.errors import PreconditionError
 from siegelnum.series import identity, reciprocal, zero
 
@@ -50,14 +50,6 @@ def test_compose_requires_zero_constant():
 
 def test_evaluate_geometric_value():
     assert abs(evaluate(geometric(64), 0.5) - (2.0 - 0.5**64 * 2)) < 1e-15
-
-
-def test_derivative_shifts_powers():
-    s = TruncatedSeries.from_coeffs([3, 0, 5, 7])
-    d = derivative(s, 1)
-    assert np.allclose(d.coeffs[:3], [0, 10, 21], atol=0)
-    d2 = derivative(s, 2)
-    assert np.allclose(d2.coeffs[:2], [10, 42], atol=0)
 
 
 def test_padding_roundtrip_and_pairs():
