@@ -13,6 +13,7 @@ from .construction import (
 )
 from .errors import (
     BracketFailureError,
+    CoefficientOverflowError,
     ConstructionStallError,
     DivisorBreakdownError,
     EntryRadiusError,
@@ -46,7 +47,7 @@ from .linearize import (
     u_values,
     yoccoz_w,
 )
-from .qanorm import NormResult, qa_distance, qa_norm
+from .qanorm import NormResult, qa_norm
 from .radius import (
     HarmonicCheckReport,
     PoissonBoundReport,

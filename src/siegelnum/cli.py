@@ -30,7 +30,7 @@ from .construction import ConstructionConfig, run_construction
 from .errors import NumericalError, PreconditionError
 from .families import family_catalog, get_family
 from .linearize import DEFAULT_BUDGET, YoccozValue, siegel_series, u_values, yoccoz_w
-from .qanorm import circle_values, qa_norm
+from .qanorm import _table_norm, circle_values, qa_norm
 from .radius import (
     parse_rotation,
     poisson_bound_check,
@@ -260,9 +260,9 @@ def _cmd_boundary(args) -> int:
         radius = math.exp(args.rho)
     except OverflowError:
         raise PreconditionError(f"rho = {args.rho} puts the circle beyond float range") from None
+    gv, gp = table = circle_values(g.coeffs, radius, args.samples, order_cap=1)
     # the norm's tail gate refuses a circle the truncated series cannot see
-    qa_norm(g, radius, order_cap=1)
-    gv, gp = circle_values(g.coeffs, radius, args.samples, order_cap=1)
+    _table_norm(g, radius, table)
     rows = [
         [j / args.samples, float(v.real), float(v.imag), float(a)]
         for j, (v, a) in enumerate(zip(gv, np.abs(gp)))

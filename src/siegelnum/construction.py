@@ -50,7 +50,7 @@ from .errors import (
     UnreliableRadiusError,
 )
 from .families import FamilySpec, get_family
-from .qanorm import circle_values, qa_distance, qa_norm
+from .qanorm import _table_norm, circle_values, qa_norm
 from .radius import (
     RadiusEstimate,
     RotationNumber,
@@ -329,8 +329,8 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
             # norm budget
             g_c = est_c.series.g
             try:
-                delta_norm = qa_distance(
-                    g_n, g_c, r_inf, order_cap=NORM_ORDER, circle_samples=CIRCLE_SAMPLES
+                delta_norm = qa_norm(
+                    g_n - g_c, r_inf, order_cap=NORM_ORDER, circle_samples=CIRCLE_SAMPLES
                 ).value
             except NumericalError as exc:
                 reasons.append(f"{p}/{q}: {type(exc).__name__}: {exc}")
@@ -384,8 +384,8 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
 def _final_report(cfg, rho0, rho_inf, targets, steps, alpha_n, g_0, g_n, t_start) -> ConstructionReport:
     r_inf = math.exp(rho_inf)
     try:
-        total = qa_distance(g_0, g_n, r_inf, order_cap=NORM_ORDER,
-                            circle_samples=CIRCLE_SAMPLES).value
+        total = qa_norm(g_0 - g_n, r_inf, order_cap=NORM_ORDER,
+                        circle_samples=CIRCLE_SAMPLES).value
     except UnreliableRadiusError:
         total = math.nan
     boundary = boundary_report(g_n, r_inf)
@@ -407,11 +407,12 @@ def _final_report(cfg, rho0, rho_inf, targets, steps, alpha_n, g_0, g_n, t_start
 def boundary_report(g, radius: float) -> BoundaryReport:
     """Geometry of the disc image at |w| = radius: range of |g| and |g'|
     over CIRCLE_SAMPLES points of the circle, plus the derivative norm
-    there.  gprime_min > 0 is the working injectivity indicator (g is
-    normalized, g'(0) = 1)."""
-    gv, gpv = np.abs(circle_values(g.coeffs, radius, CIRCLE_SAMPLES, order_cap=1))
+    there, all from one circle table.  gprime_min > 0 is the working
+    injectivity indicator (g is normalized, g'(0) = 1)."""
+    table = circle_values(g.coeffs, radius, CIRCLE_SAMPLES, order_cap=1)
+    gv, gpv = np.abs(table)
     try:
-        norm_val = qa_norm(g, radius, order_cap=1, circle_samples=CIRCLE_SAMPLES).value
+        norm_val = _table_norm(g, radius, table).value
     except UnreliableRadiusError:
         norm_val = math.nan
     return BoundaryReport(

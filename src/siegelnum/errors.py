@@ -14,6 +14,7 @@ __all__ = [
     "PreconditionError",
     "NumericalError",
     "DivisorBreakdownError",
+    "CoefficientOverflowError",
     "PoleError",
     "NoConvergenceError",
     "EntryRadiusError",
@@ -49,14 +50,15 @@ class DivisorBreakdownError(NumericalError):
     distinguish an exact resonance from a near-resonance.
     """
 
-    def __init__(self, k: int, magnitude: float, floor: float, message: str | None = None):
+    def __init__(self, k: int, magnitude: float, floor: float):
         self.k = k
         self.magnitude = magnitude
         self.floor = floor
-        super().__init__(
-            message
-            or f"divisor breakdown at k={k}: |lambda^k - lambda| = {magnitude:.3e} < {floor:.1e}"
-        )
+        super().__init__(f"divisor breakdown at k={k}: |lambda^k - lambda| = {magnitude:.3e} < {floor:.1e}")
+
+
+class CoefficientOverflowError(NumericalError):
+    """Koenigs or Siegel coefficients outgrew binary64 below the truncation degree."""
 
 
 class PoleError(NumericalError):

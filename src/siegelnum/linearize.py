@@ -17,7 +17,9 @@ radius module.
 
 u_values is the one pipeline from multipliers to Yoccoz values (series,
 entry radius, orbit, log), batched over lambda; yoccoz_w, the CLI grid and
-the radius module's ray scans all go through it.
+the radius module's ray scans all go through it.  Its basin step (entry
+radius, orbit, Horner pass) is also koenigs_eval's, so h on the basin has
+one evaluation whichever entry point asks for it.
 
 Residual checks here are *relative*: coefficients of Koenigs series grow
 like dist(0, basin boundary)^{-k} and reach 1e120 at practical degrees, so
@@ -37,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CoefficientOverflowError,
     DivisorBreakdownError,
     EntryRadiusError,
     NoConvergenceError,
@@ -45,7 +48,7 @@ from .errors import (
     SiegelnumError,
 )
 from .families import FamilySpec, base_series, family_series
-from .series import TruncatedSeries, compose, evaluate
+from .series import TruncatedSeries, compose
 
 __all__ = [
     "KoenigsSeries",
@@ -95,7 +98,6 @@ class SiegelSeries:
     lam: complex
     g: TruncatedSeries
     family: FamilySpec
-    divisor_floor: float
 
 
 @dataclass(frozen=True)
@@ -107,39 +109,37 @@ class YoccozValue:
     entry_radius: float
 
 
-def _overflow_error(row: np.ndarray, kind: str) -> NumericalError:
+def _overflow_error(row: np.ndarray, kind: str) -> CoefficientOverflowError:
     """Conjugacy coefficients can outgrow binary64 when the radius is tiny
     (deep near-rational dips); that is a numerical failure of the run, not
     a caller mistake, so it must not surface as a precondition error."""
     k = int(np.argmax(~np.isfinite(row)))
-    return NumericalError(
+    return CoefficientOverflowError(
         f"{kind} coefficients overflowed binary64 at degree {k}; "
         "the conformal radius here is too small for this truncation"
     )
 
 
-def _guarded_solve(solve, divisors: np.ndarray, floor: float, kind: str) -> tuple[list, np.ndarray]:
+def _guarded_solve(solve, divisors: np.ndarray, floor: float, kind: str) -> list:
     """The divisor guard and overflow check of both coefficient solves.
 
     A row of divisors lambda^k - lambda whose smallest modulus over k >= 2
     is below floor gets that k's DivisorBreakdownError; solve(live) returns
     the coefficient rows of the others, and an overflowed row gets its
-    NumericalError.  Returns each row's coefficients or error, and its
-    smallest divisor modulus.
+    CoefficientOverflowError.  Returns each row's coefficients or error.
     """
     mags = np.abs(divisors[:, 2:])
     k_min = np.argmin(mags, axis=1)
-    floor_seen = mags[np.arange(mags.shape[0]), k_min]
     outcomes: list = [
         DivisorBreakdownError(int(k) + 2, float(m), floor) if m < floor else None
-        for k, m in zip(k_min, floor_seen)
+        for k, m in zip(k_min, mags[np.arange(mags.shape[0]), k_min])
     ]
     live = [b for b, out in enumerate(outcomes) if out is None]
     if live:
         rows = solve(live)
         for b, row, finite in zip(live, rows, np.isfinite(rows).all(axis=1).tolist()):
             outcomes[b] = row if finite else _overflow_error(row, kind)
-    return outcomes, floor_seen
+    return outcomes
 
 
 def _single(outcomes: list):
@@ -184,8 +184,8 @@ def _solve_koenigs(cols: np.ndarray, lams: np.ndarray) -> list:
     on its own, so its coefficients do not depend on the rest of the batch
     (a plain matrix-vector product can sum a row differently by batch size).
     Returns, per lambda, its coefficient row or the DivisorBreakdownError /
-    NumericalError that koenigs_series raises for it; only rows that pass
-    the divisor guard are solved.
+    CoefficientOverflowError that koenigs_series raises for it; only rows
+    that pass the divisor guard are solved.
     """
     n = cols.shape[0] - 1
     lam_pows = np.power(lams[:, None], np.arange(n + 1))
@@ -203,7 +203,7 @@ def _solve_koenigs(cols: np.ndarray, lams: np.ndarray) -> list:
                 g[:, k] = h[:, k] * pows[:, k]
         return h
 
-    return _guarded_solve(solve, divisors, KOENIGS_DIVISOR_FLOOR, "Koenigs")[0]
+    return _guarded_solve(solve, divisors, KOENIGS_DIVISOR_FLOOR, "Koenigs")
 
 
 def koenigs_series(family: FamilySpec, lam: complex, n: int = 128) -> KoenigsSeries:
@@ -229,8 +229,8 @@ def siegel_series_many(
     at many rotation numbers.
 
     Returns, in input order, one outcome per alpha: its SiegelSeries, or
-    the DivisorBreakdownError / NumericalError that siegel_series raises
-    for it (not raised here).  A degree below 2 is a PreconditionError,
+    the DivisorBreakdownError / CoefficientOverflowError that siegel_series
+    raises for it (not raised here).  A degree below 2 is a PreconditionError,
     raised for the whole call.
 
     The recurrence for g is the reversed composition order of the Koenigs
@@ -245,20 +245,16 @@ def siegel_series_many(
     powers = np.exp(2j * math.pi * np.fmod(alphas[:, None] * np.arange(n + 1), 1.0))
     divisors = powers - powers[:, 1:2]
     lams = np.exp(2j * math.pi * alphas)
-    outcomes, floor_seen = _guarded_solve(
+    outcomes = _guarded_solve(
         # f_lambda = lambda f, as family_series builds it
         lambda live: _solve_siegel(lams[live, None] * base, divisors[live]),
         divisors, SIEGEL_DIVISOR_FLOOR, "Siegel",
     )
     return [
         out if isinstance(out, SiegelnumError) else SiegelSeries(
-            alpha=float(alpha),
-            lam=complex(lam),
-            g=TruncatedSeries.from_coeffs(out, n),
-            family=family,
-            divisor_floor=float(floor),
+            alpha=float(alpha), lam=complex(lam), g=TruncatedSeries.from_coeffs(out, n), family=family,
         )
-        for out, alpha, lam, floor in zip(outcomes, alphas, lams, floor_seen)
+        for out, alpha, lam in zip(outcomes, alphas, lams)
     ]
 
 
@@ -426,63 +422,63 @@ def _unwind(hz: complex, m: int, lam: complex) -> complex:
     return cmath.exp(cmath.log(hz) - m * cmath.log(lam))
 
 
+def _basin_step(family: FamilySpec, lams: list, h: np.ndarray, starts: list, budget: int) -> list:
+    """h on the basin of 0 for each row b of solved Koenigs coefficients h
+    (of lams[b]): the orbit of starts[b] into its entry disc (_orbit, one
+    scalar loop per row, as orbit lengths differ widely), then h(z_m) by one
+    Horner pass over the rows that entered.  Returns per row (h(z_m), m,
+    entry radius) or its EntryRadiusError or orbit error; entry radii are
+    stacked per row and Horner is elementwise, so each row is as in a batch
+    of one."""
+    radii = _entry_radii(h).tolist()
+    outcomes: list = []
+    for lam, z, r in zip(lams, starts, radii):
+        try:
+            if math.isnan(r):
+                raise _entry_radius_error()
+            outcomes.append(_orbit(family, lam, z, r, budget))
+        except SiegelnumError as exc:
+            outcomes.append(exc)
+    rows = [b for b, out in enumerate(outcomes) if not isinstance(out, SiegelnumError)]
+    if rows:
+        coeffs = h[rows]
+        z = np.array([outcomes[b][0] for b in rows])
+        hz = coeffs[:, -1]
+        for k in range(coeffs.shape[1] - 2, -1, -1):  # Horner, all rows at once
+            hz = hz * z + coeffs[:, k]
+        for b, value in zip(rows, hz.tolist()):
+            outcomes[b] = (value, outcomes[b][1], radii[b])
+    return outcomes
+
+
 def koenigs_eval(ks: KoenigsSeries, z: complex) -> tuple[complex, int]:
     """h(z) on the whole basin of 0, by iterating into the entry disc.
 
     Iterates z_{m+1} = f_lambda(z_m) until |z_m| <= entry_radius(h), at
     most DEFAULT_BUDGET times, then returns lambda^{-m} h(z_m).  Returns
-    (value, iterations used).
+    (value, iterations used).  This is u_values' basin step on one row, so
+    at z = lambda v it gives yoccoz_w's w and iterations, bit for bit.
     """
     lam = ks.lam
     if abs(lam) >= 1.0:
         raise PreconditionError("basin extension requires |lambda| < 1")
-    z, m = _orbit(ks.family, lam, complex(z), entry_radius(ks.h), DEFAULT_BUDGET)
-    return _unwind(evaluate(ks.h, z), m, lam), m
+    hz, m, _ = _single(_basin_step(ks.family, [lam], ks.h.coeffs[None, :], [complex(z)], DEFAULT_BUDGET))
+    return _unwind(hz, m, lam), m
 
 
-def _yoccoz_value(family: FamilySpec, lam: complex, hz: complex, m: int, r_entry: float) -> YoccozValue:
-    """w = lambda^{-m} h(z_m) with its Koebe and non-vanishing checks."""
+def _yoccoz_value(family: FamilySpec, lam: complex, hz: complex, m: int,
+                  r_entry: float) -> YoccozValue | NumericalError:
+    """w = lambda^{-m} h(z_m) with its Koebe and non-vanishing checks; a
+    failed check is returned as its NumericalError."""
     w = _unwind(hz, m, lam)
     cap = 4.0 * abs(family.v)
     if not abs(w) < cap:
-        raise NumericalError(
+        return NumericalError(
             f"Koebe bound violated: |w| = {abs(w):.6g} >= 4|v| = {cap:.6g} at lambda = {lam!r}"
         )
     if w == 0:
-        raise NumericalError(f"vanishing Yoccoz value at lambda = {lam!r}")
+        return NumericalError(f"vanishing Yoccoz value at lambda = {lam!r}")
     return YoccozValue(lam=lam, w=w, u=math.log(abs(w / lam)), iterations_used=m, entry_radius=r_entry)
-
-
-def _u_block(family: FamilySpec, cols: np.ndarray, lams: list[complex], budget: int) -> list:
-    """u_values for at most U_BLOCK multipliers that passed the precondition."""
-    outcomes = _solve_koenigs(cols, np.array(lams))
-    live = [b for b, out in enumerate(outcomes) if not isinstance(out, SiegelnumError)]
-    if not live:
-        return outcomes
-    h = np.array([outcomes[b] for b in live])
-    radius = dict(zip(live, _entry_radii(h).tolist()))
-    reached = []  # (row, z_m, m) of each orbit that entered its disc
-    for b in live:
-        try:
-            if math.isnan(radius[b]):
-                raise _entry_radius_error()
-            reached.append((b, *_orbit(family, lams[b], lams[b] * family.v, radius[b], budget)))
-        except SiegelnumError as exc:
-            outcomes[b] = exc
-    if not reached:
-        return outcomes
-    rows, ends, iters = zip(*reached)
-    coeffs = np.array([outcomes[b] for b in rows])
-    z = np.array(ends)
-    hz = coeffs[:, -1]
-    for k in range(coeffs.shape[1] - 2, -1, -1):  # Horner, all rows at once
-        hz = hz * z + coeffs[:, k]
-    for b, value, m in zip(rows, hz.tolist(), iters):
-        try:
-            outcomes[b] = _yoccoz_value(family, lams[b], value, m, radius[b])
-        except NumericalError as exc:
-            outcomes[b] = exc
-    return outcomes
 
 
 def u_values(
@@ -496,21 +492,19 @@ def u_values(
     Returns, in input order, one outcome per lambda: its YoccozValue, or
     the SiegelnumError instance that yoccoz_w raises for it (not raised
     here, so a sweep keeps going).  Any other exception, such as one from a
-    user family's point evaluator, propagates.  A budget below 1 is a
-    PreconditionError, raised for the whole call.
+    user family's point evaluator, propagates.  A budget below 1 or a
+    degree below 2 is a PreconditionError, raised for the whole call.
 
     The Koenigs series of every lambda come from one power table of f
     (f_lambda = lambda f) and one batched solve per block of U_BLOCK
-    multipliers; entry radii take one Vandermonde product per grid radius
-    and block.  The basin orbit runs per lambda with the closed-form map,
-    since orbit lengths differ widely: one scalar loop with one chained
-    test per iterate (_orbit).  Near the unit circle orbits run to 10^5
-    iterates, so this loop is where deep ray scans (rho_radial, the
-    benchmark's radius_scan) spend their time.  h(z_m) is then one Horner
-    pass over the block.
+    multipliers, followed by the block's basin step from lambda v
+    (_basin_step).  Near the unit circle orbits run to 10^5 iterates, so
+    its orbit loop is where deep ray scans (rho_radial, the benchmark's
+    radius_scan) spend their time.
     """
     if budget < 1:
         raise PreconditionError(f"iteration budget must be >= 1, got {budget}")
+    cols = _power_columns(base_series(family, n).coeffs)
     lams = [complex(lam) for lam in lams]
     outcomes: list = [None] * len(lams)
     todo = []
@@ -522,17 +516,17 @@ def u_values(
             todo.append(i)
         except PreconditionError as exc:
             outcomes[i] = exc
-    if not todo:
-        return outcomes
-    try:
-        f = base_series(family, n).coeffs
-    except PreconditionError as exc:  # degree below 2: yoccoz_w raises it for every lambda
-        return [exc if out is None else out for out in outcomes]
-    cols = _power_columns(f)
     for start in range(0, len(todo), U_BLOCK):
         block = todo[start : start + U_BLOCK]
-        for i, out in zip(block, _u_block(family, cols, [lams[i] for i in block], budget)):
+        for i, out in zip(block, _solve_koenigs(cols, np.array([lams[i] for i in block]))):
             outcomes[i] = out
+        live = [i for i in block if not isinstance(outcomes[i], SiegelnumError)]
+        if live:
+            h = np.array([outcomes[i] for i in live])
+            starts = [lams[i] * family.v for i in live]
+            for i, step in zip(live, _basin_step(family, [lams[i] for i in live], h, starts, budget)):
+                ok = not isinstance(step, SiegelnumError)
+                outcomes[i] = _yoccoz_value(family, lams[i], *step) if ok else step
     return outcomes
 
 

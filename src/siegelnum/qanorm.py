@@ -22,7 +22,8 @@ All values on a circle come from :func:`circle_values`, one inverse FFT
 per derivative order at the S-th roots of unity.  It is the package's
 single evaluator of g and its derivatives on a circle: the norm takes the
 moduli of its table, and the boundary report of the construction and the
-``siegelnum boundary`` curve read g and g' from one call.
+``siegelnum boundary`` curve read g and g' from one call, whose table
+also gives their norm and tail gate.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from .errors import PreconditionError, UnreliableRadiusError
 from .series import TruncatedSeries
 
-__all__ = ["NormResult", "circle_values", "qa_norm", "qa_distance", "TAIL_TOL"]
+__all__ = ["NormResult", "circle_values", "qa_norm", "TAIL_TOL"]
 
 TAIL_TOL = 1e-6
 
@@ -67,7 +68,10 @@ def circle_values(coeffs: np.ndarray, r: float, samples: int, order_cap: int = 0
     it r^m can overflow, and 0 * inf is NaN); b_m <- b_m (m - k + 1) / r
     gives row k from b_k on.  Coefficients beyond S fold onto m mod S,
     which is exact at these nodes.  A value past binary64 is non-finite.
+    r must be positive and finite.
     """
+    if not 0.0 < r < math.inf:
+        raise PreconditionError(f"circle radius must be positive and finite, got {r}")
     nonzero = np.flatnonzero(coeffs)
     m_idx = np.arange(nonzero[-1] + 1 if nonzero.size else 1, dtype=np.float64)
     table = np.empty((order_cap + 1, samples), dtype=np.complex128)
@@ -138,8 +142,6 @@ def qa_norm(
     order, then the smallest circle-sample index.  A weighted circle value
     that overflows binary64 raises UnreliableRadiusError.
     """
-    if not 0.0 < r < math.inf:
-        raise PreconditionError(f"norm radius must be positive and finite, got {r}")
     if circle_samples < 8:
         raise PreconditionError("need at least 8 circle samples")
     n = g.degree
@@ -149,7 +151,15 @@ def qa_norm(
         order_cap = min(n, 40)
     if not 0 <= order_cap <= n:
         raise PreconditionError("derivative order cap must lie in [0, degree]")
+    return _table_norm(g, r, circle_values(g.coeffs, r, circle_samples, order_cap))
 
+
+def _table_norm(g: TruncatedSeries, r: float, table: np.ndarray) -> NormResult:
+    """qa_norm of g on |w| = r, read off table = circle_values(g.coeffs, r,
+    S, K) for the caller's S samples and order cap K: the tail gate, the
+    overflow check and the weighted maximum."""
+    order_cap, circle_samples = table.shape[0] - 1, table.shape[1]
+    n = g.degree
     mags = np.abs(g.coeffs)
     q, idx = _tail_ratio(mags, r)
     weights = _weights(order_cap)
@@ -171,7 +181,7 @@ def qa_norm(
         ))
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises below
-        vals = np.abs(circle_values(g.coeffs, r, circle_samples, order_cap)) / weights[:, None]
+        vals = np.abs(table) / weights[:, None]
     terms = vals.max(axis=1)  # NaN where a row holds one
     if not np.isfinite(terms).all():
         raise UnreliableRadiusError(
@@ -205,13 +215,3 @@ def qa_norm(
         tail_bound=tail_bound,
     )
 
-
-def qa_distance(
-    a: TruncatedSeries,
-    b: TruncatedSeries,
-    r: float,
-    order_cap: int | None = None,
-    circle_samples: int = 512,
-) -> NormResult:
-    """qa_norm of a - b (whose degree is the larger of the two)."""
-    return qa_norm(a - b, r, order_cap=order_cap, circle_samples=circle_samples)

@@ -36,6 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    CoefficientOverflowError,
     DivisorBreakdownError,
     EntryRadiusError,
     EstimateUnavailableError,
@@ -268,9 +269,9 @@ def rho_radial(
     (see the module docstring for the calibration); a diverging estimate
     carries rho_hat = None, never a sentinel float.  Individual depths may
     fail (iteration budget, entry radius, orbit escape, divisor breakdown,
-    pole) and are recorded; flags are read off the trailing run of
-    consecutive successes.  Any other error yoccoz_w raises for a depth,
-    such as a Koebe-bound violation, is raised here too.
+    Koenigs overflow, pole) and are recorded; flags are read off the
+    trailing run of consecutive successes.  Any other error yoccoz_w raises
+    for a depth, such as a Koebe-bound violation, is raised here too.
     """
     if depth < 4:
         raise PreconditionError("radial scan needs depth >= 4")
@@ -282,7 +283,8 @@ def rho_radial(
     turn = cmath.exp(2j * math.pi * rot.value)
     values = u_values(family, [r * turn for r in ladder], n, RAY_BUDGET)
     for k, r, value in zip(range(2, depth + 1), ladder, values):
-        if isinstance(value, (NoConvergenceError, EntryRadiusError, DivisorBreakdownError, PoleError)):
+        if isinstance(value, (NoConvergenceError, EntryRadiusError, DivisorBreakdownError,
+                              CoefficientOverflowError, PoleError)):
             failures.append(f"depth {k}: {type(value).__name__}: {value}")
             if runs[-1]:
                 runs.append([])

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from siegelnum import get_family, golden_rotation, siegel_series
+from siegelnum import cli, get_family, golden_rotation, qanorm, siegel_series
 from siegelnum.cli import main
 from siegelnum.series import TruncatedSeries, evaluate
 
@@ -134,6 +134,15 @@ def test_nonpositive_budget_is_a_precondition_error(capsys, argv):
     assert json.loads(out)["error"]["type"] == "PreconditionError"
 
 
+def test_grid_degree_below_two_is_a_precondition_error(capsys):
+    code, out, _ = run(
+        capsys, "grid", "--family", "quadratic", "--rmin", "0.1", "--rmax", "0.5",
+        "--res", "2", "--degree", "1",
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == "series degree must be >= 2"
+
+
 def test_grid_bad_range(capsys):
     code, _, _ = run(
         capsys, "grid", "--family", "quadratic", "--rmin", "0", "--rmax", "0.5",
@@ -254,6 +263,24 @@ def test_boundary_csv(tmp_path, capsys):
         assert abs(float(row["re"]) - gv.real) <= 1e-12
         assert abs(float(row["im"]) - gv.imag) <= 1e-12
         assert abs(float(row["abs_gprime"]) - abs(evaluate(gp, w))) <= 1e-12
+
+
+def test_boundary_gate_reads_the_curve_table(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return circle_values(*args, **kwargs)
+
+    circle_values = qanorm.circle_values
+    monkeypatch.setattr(qanorm, "circle_values", counted)
+    monkeypatch.setattr(cli, "circle_values", counted)
+    code, _, _ = run(
+        capsys, "boundary", "--family", "quadratic", "--alpha", "golden",
+        "--rho", "-1.2", "--samples", "8", "--degree", "128",
+    )
+    assert code == 0
+    assert calls == [8]
 
 
 def test_boundary_rejects_nonpositive_samples(capsys):

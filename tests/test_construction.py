@@ -8,14 +8,15 @@ import pytest
 
 from siegelnum import (
     ConstructionConfig,
+    boundary_report,
     get_family,
     golden_rotation,
-    qa_distance,
+    qa_norm,
     rho_coefficient,
     run_construction,
     siegel_series,
 )
-from siegelnum import construction, linearize
+from siegelnum import construction, linearize, qanorm
 from siegelnum.construction import CIRCLE_SAMPLES
 from siegelnum.construction import find_alpha_with_rho
 from siegelnum.errors import (
@@ -89,7 +90,7 @@ def test_cauchy_in_norm_across_all_pairs(report):
     series = [siegel_series(QUAD, a, 256).g for a in alphas]
     for i in range(len(series)):
         for j in range(i + 1, len(series)):
-            d = qa_distance(series[i], series[j], report.r_infinity, order_cap=1)
+            d = qa_norm(series[i] - series[j], report.r_infinity, order_cap=1)
             assert d.value <= 2.0 ** (-min(i, j) + 1) * DELTA
 
 
@@ -101,6 +102,22 @@ def test_boundary_derivative_nonvanishing(report):
     assert report.boundary.gprime_min > 0
     assert report.boundary.g_max < 1.0  # image stays inside the unit disc
     assert report.boundary.radius == pytest.approx(report.r_infinity)
+
+
+def test_boundary_report_evaluates_one_circle_table(report, monkeypatch):
+    g = siegel_series(QUAD, report.final_alpha, 256).g
+    expected = boundary_report(g, report.r_infinity)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return circle_values(*args, **kwargs)
+
+    circle_values = qanorm.circle_values
+    monkeypatch.setattr(qanorm, "circle_values", counted)
+    monkeypatch.setattr(construction, "circle_values", counted)
+    assert boundary_report(g, report.r_infinity) == expected
+    assert calls == [CIRCLE_SAMPLES]
 
 
 def _fft_circle_values(coeffs, r, samples):

@@ -29,6 +29,7 @@ from siegelnum import (
 )
 from siegelnum import linearize, radius
 from siegelnum.errors import (
+    CoefficientOverflowError,
     DivisorBreakdownError,
     EntryRadiusError,
     NoConvergenceError,
@@ -302,7 +303,7 @@ def test_batched_siegel_failures_stay_in_their_slots():
     with warnings.catch_warnings():  # the overflow stays inside the solver's errstate
         warnings.simplefilter("error")
         batched = siegel_series_many(fam, alphas, 128)
-    for slot, kind in ((RATIONAL_SLOT, DivisorBreakdownError), (DEEP_DIP_SLOT, NumericalError)):
+    for slot, kind in ((RATIONAL_SLOT, DivisorBreakdownError), (DEEP_DIP_SLOT, CoefficientOverflowError)):
         with pytest.raises(kind) as exc:
             siegel_series(fam, alphas[slot], 128)
         assert type(exc.value) is kind and _same_outcome(batched[slot], exc.value)
@@ -547,7 +548,6 @@ def test_u_values_edge_cases_match_scalar_pipeline():
     cases = [
         (quad, [0.0, 1.0, 1 - 5e-16, 0.5, 0.999], 64, DEFAULT_BUDGET),  # preconditions, entry radius
         (quad, [0.9, 0.5, 0.9j], 64, 1),  # budget
-        (quad, [0.5], 1, DEFAULT_BUDGET),  # degree below 2
         # tail 1.19e-13 on the batched coefficients, 0.99e-13 on the loop's
         (get_family("zexp"), [0.7646197002379004 - 0.5291398744589179j], 128, DEFAULT_BUDGET),
     ]
@@ -558,6 +558,9 @@ def test_u_values_edge_cases_match_scalar_pipeline():
             if isinstance(ref, SiegelnumError):
                 with pytest.raises(type(ref), match=re.escape(str(ref))):
                     yoccoz_w(fam, lam, n, budget)
+    # a degree below 2 fails the whole call, before any solve
+    with pytest.raises(PreconditionError, match="series degree must be >= 2"):
+        u_values(quad, [0.5, 2.0], 1)
 
 
 def test_u_values_rows_do_not_depend_on_the_block(monkeypatch):
@@ -601,12 +604,22 @@ def test_entry_radii_do_not_depend_on_the_batch():
 
 
 def test_koenigs_eval_matches_yoccoz_w():
-    fam = get_family("quadratic")
-    lam = 0.95 * cmath.exp(2j)
-    value = yoccoz_w(fam, lam)
-    w, m = koenigs_eval(koenigs_series(fam, lam), lam * fam.v)
-    assert m == value.iterations_used > 0
-    assert abs(w - value.w) <= 1e-13 * abs(value.w)
+    # both run the one basin step, so h on the basin is evaluated the same
+    # way bit for bit, whichever entry point asks
+    rng = np.random.default_rng(11)
+    for fam_id in ALL_FAMILY_IDS:
+        fam = get_family(fam_id)
+        lams = rng.uniform(0.1, 0.95, 30) * np.exp(2j * math.pi * rng.uniform(0, 1, 30))
+        compared = 0
+        for lam in lams.tolist():
+            try:
+                value = yoccoz_w(fam, lam, 128)
+            except SiegelnumError:
+                continue
+            w, m = koenigs_eval(koenigs_series(fam, lam, 128), lam * fam.v)
+            assert (w, m) == (value.w, value.iterations_used), (fam_id, lam)
+            compared += 1
+        assert compared >= 20, fam_id
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,19 @@ def test_rational_ray_diverges():
     assert est.effective_rho == -math.inf
 
 
+def test_overflowing_koenigs_depths_are_failed_depths():
+    # at n = 512 the golden ray's Koenigs coefficients outgrow binary64 from
+    # depth 4 on: those depths are recorded and the scan keeps the rest
+    est = rho_radial(QUAD, golden_rotation(), depth=14, n=512)
+    assert [r for r, _ in est.samples] == [0.75, 0.875]
+    assert not est.converged and est.rho_hat == est.samples[-1][1]
+    assert [f.split(":")[:2] for f in est.failures] == [
+        [f"depth {k}", " CoefficientOverflowError"] for k in range(4, 15)
+    ]
+    # at 1/2 and n = 256 they fail from depth 8 on, after the drop is seen
+    assert rho_radial(QUAD, rational_rotation(1, 2), depth=12, n=256).diverging_to_minus_infinity
+
+
 def test_coefficient_estimator_breaks_on_exact_rational():
     with pytest.raises(DivisorBreakdownError):
         rho_coefficient(QUAD, rational_rotation(1, 3), 128)
