@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -244,7 +245,7 @@ def _cmd_construct(args) -> int:
     schedule = settings.pop("schedule", "auto")
     if schedule and schedule != "auto":
         settings["schedule"] = tuple(float(s) for s in schedule.split(","))
-        settings["depth"] = len(settings["schedule"])
+        settings.setdefault("depth", len(settings["schedule"]))
     report = run_construction(ConstructionConfig(**settings))
     _emit_json(report.describe(), args.out)
     return 0
@@ -274,7 +275,9 @@ def _cmd_boundary(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser of main, built on its first call and then shared."""
     common = _Parser(add_help=False)
     common.add_argument(
         "--config",
@@ -373,9 +376,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         sys.stderr.write(exc.usage)
         sys.stderr.write(f"error: {exc}\n")

@@ -13,7 +13,8 @@ Siegel solve) stay strictly below the previous level (one-sided continuity
 has teeth only on an interval), consecutive Siegel series stay close in the
 derivative norm (order NORM_ORDER, CIRCLE_SAMPLES points) at the limiting
 radius (budget delta * 2^-n), and the intervals nest.  The radial probe
-cannot resolve a dip; it serves only as a one-sided cross-check.
+cannot resolve a dip; it serves only as a one-sided cross-check, which
+any radial failure but a missing sample (recorded as NaN) also fails.
 
 Candidates live on a rational anchor's dip: for p/q close to alpha_n the
 estimated radius falls off linearly in log distance, with slope 1/q per
@@ -44,6 +45,7 @@ import numpy as np
 from .errors import (
     BracketFailureError,
     ConstructionStallError,
+    EstimateUnavailableError,
     NumericalError,
     PreconditionError,
     SiegelnumError,
@@ -350,11 +352,13 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
             # dip this narrow, so it must read at or above the coefficient
             # value; a reading *below* it would mean the two estimators
             # disagree about something the radial probe can actually see.
-            radial_value = math.nan
             try:
                 radial_value = rho_radial(family, alpha_c, depth=10, n=min(cfg.n_series, 128)).effective_rho
-            except NumericalError:
-                pass
+            except EstimateUnavailableError:
+                radial_value = math.nan
+            except NumericalError as exc:
+                reasons.append(f"{p}/{q}: {type(exc).__name__}: {exc}")
+                continue
             if radial_value < est_c.rho_hat - CROSSCHECK_SLACK:
                 reasons.append(
                     f"{p}/{q}: radial probe {radial_value:.4f} undercuts "

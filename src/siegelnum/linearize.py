@@ -48,7 +48,7 @@ from .errors import (
     SiegelnumError,
 )
 from .families import FamilySpec, base_series, family_series
-from .series import TruncatedSeries, compose
+from .series import TruncatedSeries, compose, power_table
 
 __all__ = [
     "KoenigsSeries",
@@ -67,7 +67,7 @@ __all__ = [
     "ENTRY_RADIUS_GRID",
     "ENTRY_TAIL_TOL",
     "DEFAULT_BUDGET",
-    "SIEGEL_BLOCK_ENTRIES",
+    "BLOCK_ENTRIES",
 ]
 
 KOENIGS_DIVISOR_FLOOR = 1e-14
@@ -77,12 +77,9 @@ ENTRY_TAIL_TOL = 1e-13
 ENTRY_SAMPLES = 8  # equispaced points per entry-radius circle
 ESCAPE_BOUND = 1e50
 DEFAULT_BUDGET = 10**6
-# multipliers per batched Koenigs solve in u_values: bounds its work arrays
-# to a few (U_BLOCK x (n + 1)) complex tables whatever the sweep size
-U_BLOCK = 256
-# power-table entries per block of the batched Siegel solve: about 1 MB of
-# complex128 whatever the batch size
-SIEGEL_BLOCK_ENTRIES = 2**16
+# table entries per block of a batched Koenigs or Siegel solve: about 1 MB
+# of complex128 per work array whatever the batch size
+BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -156,31 +153,14 @@ def _check_multiplier(lam: complex) -> None:
         raise PreconditionError("|lambda| = 1 is the Siegel regime; use siegel_series")
 
 
-def _power_columns(f: np.ndarray) -> np.ndarray:
-    """C[k, j] = [z^k] f^j for j, k <= n, where n = deg of the truncation.
-
-    f_lambda = lambda f, so [z^k] f_lambda^j = lambda^j C[k, j] and one table
-    serves every lambda.  f has f_0 = 0, so f^j has valuation j and row j of
-    the power table is one convolution of row j - 1 with f_1..f_deg f.
-    Stored transposed: the Koenigs recurrence reads column k of the powers.
-    """
-    n = f.size - 1
-    tail = np.trim_zeros(f[1:], "b")
-    pows = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    pows[0, 0] = 1
-    pows[1] = f
-    for j in range(2, n + 1):
-        pows[j, j:] = np.convolve(pows[j - 1, j - 1 : n], tail[: n + 1 - j])[: n + 1 - j]
-    return np.ascontiguousarray(pows.T)
-
-
 def _solve_koenigs(cols: np.ndarray, lams: np.ndarray) -> list:
     """Rows h of the normalized Koenigs series of lambda f, one per lambda.
 
-    Degree k of h(f_lambda(z)) = lambda h(z) reads
-    h_k (lambda^k - lambda) = -sum_{j<k} h_j lambda^j [z^k] f^j, so with
+    cols = power_table(f) serves every lambda (f_lambda = lambda f): degree k
+    of h(f_lambda(z)) = lambda h(z) reads h_k (lambda^k - lambda) =
+    -sum_{j<k} h_j lambda^j C[k, j], so with
     G[:, j] = h_j lambda^j each degree is one stacked dot product over the
-    batch against column k of the power table.  Each row's dot is computed
+    batch against row k of the table.  Each row's dot is computed
     on its own, so its coefficients do not depend on the rest of the batch
     (a plain matrix-vector product can sum a row differently by batch size).
     Returns, per lambda, its coefficient row or the DivisorBreakdownError /
@@ -217,7 +197,7 @@ def koenigs_series(family: FamilySpec, lam: complex, n: int = 128) -> KoenigsSer
     """
     lam = complex(lam)
     _check_multiplier(lam)
-    cols = _power_columns(base_series(family, n).coeffs)
+    cols = power_table(base_series(family, n).coeffs)
     h = _single(_solve_koenigs(cols, np.array([lam])))
     return KoenigsSeries(lam=lam, h=TruncatedSeries.from_coeffs(h, n), family=family)
 
@@ -280,7 +260,7 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
     Powers above top = deg F never meet a nonzero F_j and are not kept, so
     a row costs O(top * n^2): O(n^2) for polynomial families, O(n^3)
     (inside numpy) for entire ones.  Rows are solved in blocks of at most
-    SIEGEL_BLOCK_ENTRIES power-table entries, (top + 1)(n + 1) per row, and
+    BLOCK_ENTRIES power-table entries, (top + 1)(n + 1) per row, and
     at least one row: a quadratic batch at n = 256 shares blocks of 85 rows,
     while an entire family at n = 256 is solved a row at a time, where a
     wider block would only add memory traffic.
@@ -288,7 +268,7 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
     n = F.shape[1] - 1
     nonzero = np.flatnonzero(F[:, 2:].any(axis=0))
     top = 2 + int(nonzero[-1]) if nonzero.size else 2
-    per_block = max(1, SIEGEL_BLOCK_ENTRIES // ((top + 1) * (n + 1)))
+    per_block = max(1, BLOCK_ENTRIES // ((top + 1) * (n + 1)))
     out = np.zeros_like(F)
     for start in range(0, F.shape[0], per_block):
         rows = slice(start, start + per_block)
@@ -496,15 +476,15 @@ def u_values(
     degree below 2 is a PreconditionError, raised for the whole call.
 
     The Koenigs series of every lambda come from one power table of f
-    (f_lambda = lambda f) and one batched solve per block of U_BLOCK
-    multipliers, followed by the block's basin step from lambda v
-    (_basin_step).  Near the unit circle orbits run to 10^5 iterates, so
-    its orbit loop is where deep ray scans (rho_radial, the benchmark's
-    radius_scan) spend their time.
+    (f_lambda = lambda f) and one batched solve per block of
+    BLOCK_ENTRIES // (n + 1) multipliers (508 at n = 128), followed by the
+    block's basin step from lambda v (_basin_step).  Near the unit circle
+    orbits run to 10^5 iterates, so its orbit loop is where deep ray scans
+    (rho_radial, the benchmark's radius_scan) spend their time.
     """
     if budget < 1:
         raise PreconditionError(f"iteration budget must be >= 1, got {budget}")
-    cols = _power_columns(base_series(family, n).coeffs)
+    cols = power_table(base_series(family, n).coeffs)
     lams = [complex(lam) for lam in lams]
     outcomes: list = [None] * len(lams)
     todo = []
@@ -516,8 +496,9 @@ def u_values(
             todo.append(i)
         except PreconditionError as exc:
             outcomes[i] = exc
-    for start in range(0, len(todo), U_BLOCK):
-        block = todo[start : start + U_BLOCK]
+    per_block = max(1, BLOCK_ENTRIES // (n + 1))
+    for start in range(0, len(todo), per_block):
+        block = todo[start : start + per_block]
         for i, out in zip(block, _solve_koenigs(cols, np.array([lams[i] for i in block]))):
             outcomes[i] = out
         live = [i for i in block if not isinstance(outcomes[i], SiegelnumError)]

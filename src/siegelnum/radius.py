@@ -81,6 +81,8 @@ RAY_BUDGET = 2 * 10**6  # orbit iterations per lambda of a ray scan
 RAY_MAX_DEPTH = 12.0  # dyadic depth of the outermost poisson_bound_check radius
 HARMONIC_R_LO, HARMONIC_R_HI = 0.1, 0.8  # annulus of the harmonic_check grid
 HARMONIC_CIRCLE_POINTS = 4  # ring points per harmonic_check node
+MISSING_SAMPLE = (NoConvergenceError, EntryRadiusError, DivisorBreakdownError,
+                  CoefficientOverflowError, PoleError)  # ray-sample failures that are skipped
 
 
 # -- rotation numbers ---------------------------------------------------------
@@ -255,6 +257,18 @@ def _check_cap(rho: float | None, family: FamilySpec, what: str):
         )
 
 
+def _ray_values(family: FamilySpec, rot: RotationNumber, radii: list, n: int) -> list:
+    """u_values on the ray of rot at radii, under the one sample policy of the
+    ray scans: a MISSING_SAMPLE error is returned, and any other error of a
+    sample (a Koebe-bound violation, a vanishing w) is raised."""
+    turn = cmath.exp(2j * math.pi * rot.value)
+    values = u_values(family, [r * turn for r in radii], n, RAY_BUDGET)
+    for value in values:
+        if isinstance(value, SiegelnumError) and not isinstance(value, MISSING_SAMPLE):
+            raise value
+    return values
+
+
 def rho_radial(
     family: FamilySpec,
     alpha,
@@ -268,10 +282,10 @@ def rho_radial(
     final three consecutive steps to each drop by at least DIVERGENCE_DROP
     (see the module docstring for the calibration); a diverging estimate
     carries rho_hat = None, never a sentinel float.  Individual depths may
-    fail (iteration budget, entry radius, orbit escape, divisor breakdown,
-    Koenigs overflow, pole) and are recorded; flags are read off the
-    trailing run of consecutive successes.  Any other error yoccoz_w raises
-    for a depth, such as a Koebe-bound violation, is raised here too.
+    fail (MISSING_SAMPLE: iteration budget, entry radius, orbit escape,
+    divisor breakdown, Koenigs overflow, pole) and are recorded; flags are
+    read off the trailing run of consecutive successes.  Any other error of
+    a depth, such as a Koebe-bound violation, is raised (_ray_values).
     """
     if depth < 4:
         raise PreconditionError("radial scan needs depth >= 4")
@@ -280,17 +294,12 @@ def rho_radial(
     failures: list[str] = []
     runs: list[list[float]] = [[]]  # u values split into consecutive-k runs
     ladder = [1.0 - 2.0**-k for k in range(2, depth + 1)]
-    turn = cmath.exp(2j * math.pi * rot.value)
-    values = u_values(family, [r * turn for r in ladder], n, RAY_BUDGET)
-    for k, r, value in zip(range(2, depth + 1), ladder, values):
-        if isinstance(value, (NoConvergenceError, EntryRadiusError, DivisorBreakdownError,
-                              CoefficientOverflowError, PoleError)):
+    for k, r, value in zip(range(2, depth + 1), ladder, _ray_values(family, rot, ladder, n)):
+        if isinstance(value, SiegelnumError):
             failures.append(f"depth {k}: {type(value).__name__}: {value}")
             if runs[-1]:
                 runs.append([])
             continue
-        if isinstance(value, SiegelnumError):
-            raise value
         samples.append((r, value.u))
         runs[-1].append(value.u)
     if not samples:
@@ -503,8 +512,8 @@ def poisson_bound_check(
     Radii approach the circle on the dyadic ladder (depth 2 up to
     RAY_MAX_DEPTH, ray_samples >= 1 values).  A violation means the supplied
     caps were not actually valid; violations are counted and reported,
-    never raised.  Ray samples where yoccoz_w raises a package error are
-    masked and counted; other errors propagate.
+    never raised.  As in rho_radial, MISSING_SAMPLE failures are masked
+    and counted, and any other error of a sample is raised.
     """
     if not 0 < delta <= 0.5:
         raise PreconditionError(f"delta must lie in (0, 1/2], got {delta}")
@@ -512,32 +521,20 @@ def poisson_bound_check(
         raise PreconditionError(f"need at least 1 ray sample, got {ray_samples}")
     rot = _as_rotation(alpha)
     m_cap = koebe_cap_log(family)
-    rows = []
-    masked = 0
-    violations = 0
-    min_margin = math.inf
     radii = [
         1.0 - 2.0 ** -(2.0 + (RAY_MAX_DEPTH - 2.0) * j / max(1, ray_samples - 1))
         for j in range(ray_samples)
     ]
-    turn = cmath.exp(2j * math.pi * rot.value)
-    lams = [r * turn for r in radii]
-    for r, lam, value in zip(radii, lams, u_values(family, lams, n, RAY_BUDGET)):
-        if isinstance(value, SiegelnumError):
-            masked += 1
-            continue
-        u = value.u
-        u_eps = poisson_step_value(rot.value, delta, L, R, m_cap, lam)
-        margin = u_eps - u
-        min_margin = min(min_margin, margin)
-        if margin < 0:
-            violations += 1
-        rows.append((r, u, u_eps, margin))
+    rows = []
+    for r, value in zip(radii, _ray_values(family, rot, radii, n)):
+        if not isinstance(value, SiegelnumError):  # a missing sample is masked
+            u_eps = poisson_step_value(rot.value, delta, L, R, m_cap, value.lam)
+            rows.append((r, value.u, u_eps, u_eps - value.u))
     if not rows:
         raise EstimateUnavailableError("every ray sample failed")
     return PoissonBoundReport(
         alpha=rot.value, delta=delta, L=L, R=R, M=m_cap,
         limit_value=0.5 * (L + R),
-        samples=tuple(rows), violations=violations,
-        min_margin=min_margin, masked=masked,
+        samples=tuple(rows), violations=sum(row[3] < 0 for row in rows),
+        min_margin=min(row[3] for row in rows), masked=len(radii) - len(rows),
     )

@@ -4,7 +4,8 @@ A :class:`TruncatedSeries` holds the coefficients ``c_0 .. c_N`` of a formal
 power series truncated at a fixed degree ``N``.  All arithmetic is exact on
 the retained coefficients: adding, multiplying or composing two degree-``N``
 series yields the degree-``N`` truncation of the exact result.
-:func:`evaluate` sums the retained terms by Horner's rule.
+:func:`power_table` forms the truncated powers f^j behind composition and
+the Koenigs solve; :func:`evaluate` sums the retained terms by Horner's rule.
 
 Conventions used throughout the package:
 
@@ -31,6 +32,7 @@ __all__ = [
     "identity",
     "zero",
     "compose",
+    "power_table",
     "evaluate",
     "reciprocal",
 ]
@@ -141,29 +143,35 @@ def zero(degree: int) -> TruncatedSeries:
     return TruncatedSeries.from_coeffs(np.zeros(degree + 1), degree)
 
 
+def power_table(f: np.ndarray, top: int | None = None) -> np.ndarray:
+    """C[k, j] = [z^k] f^j for k <= n = f.size - 1 and j <= top (default n).
+
+    f has f_0 = 0, so f^j has valuation j (zero for j > n) and is one
+    convolution of f^(j-1) with f_1..f_deg f.  Row k is contiguous: the
+    Koenigs recurrence reads one per degree, and C @ a is sum_j a_j f^j.
+    """
+    n = f.size - 1
+    top = n if top is None else top
+    tail = f[1 : max(2, np.trim_zeros(f, "b").size)]  # f_1 kept when f = 0
+    pows = np.zeros((top + 1, n + 1), dtype=np.complex128)
+    pows[0, 0] = 1
+    pows[1:2] = f  # no row when top = 0
+    for j in range(2, min(top, n) + 1):
+        pows[j, j:] = np.convolve(pows[j - 1, j - 1 : n], tail[: n + 1 - j])[: n + 1 - j]
+    return np.ascontiguousarray(pows.T)
+
+
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     """Truncation of outer(inner(z)); inner must have zero constant term.
 
-    Computed by power accumulation: powers of the inner series are built by
-    repeated truncated multiplication and combined with the outer
-    coefficients.  Exact on the retained degrees because inner has no
-    constant term.
+    power_table(inner) times the outer coefficients, with no power above
+    the degree of outer: into a degree-d polynomial it costs O(d n^2).
     """
     if inner.coeffs[0] != 0:
         raise PreconditionError("compose requires inner constant term 0")
     a, b, n = outer._paired(inner)
-    out = np.zeros(n + 1, dtype=np.complex128)
-    out[0] = a[0]
-    power = np.zeros(n + 1, dtype=np.complex128)
-    power[0] = 1
-    for k in range(1, n + 1):
-        power = np.convolve(power, b)[: n + 1]
-        if a[k] != 0:
-            out += a[k] * power
-        # inner^k has valuation >= k, so once k > n every term is truncated
-        if not power.any():
-            break
-    return TruncatedSeries.from_coeffs(out, n)
+    top = max(np.trim_zeros(a, "b").size - 1, 0)
+    return TruncatedSeries.from_coeffs(power_table(b, top) @ a[: top + 1], n)
 
 
 def reciprocal(a: TruncatedSeries) -> TruncatedSeries:

@@ -320,6 +320,25 @@ def test_construct_validation_error(capsys):
     assert "decreasing" in json.loads(out)["error"]["message"]
 
 
+def test_construct_schedule_does_not_override_depth(capsys):
+    code, out, _ = run(capsys, "construct", "--depth", "5", "--schedule=-1.3,-1.4")
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == "schedule length must equal depth"
+    # without --depth the schedule sets it
+    code, out, _ = run(capsys, "construct", "--schedule=-1.3,-1.4")
+    assert code == 0 and len(json.loads(out)["steps"]) == 2
+
+
+def test_two_calls_build_one_parser(capsys):
+    cli.build_parser.cache_clear()
+    try:
+        assert run(capsys, "families", "list")[0] == 0
+        assert run(capsys, "families", "show", "exp")[0] == 0
+        assert cli.build_parser.cache_info().misses == 1
+    finally:
+        cli.build_parser.cache_clear()
+
+
 @pytest.mark.parametrize("key", ["not_a_field", "precision_mode", "seed", "worker_count"])
 def test_config_file_unknown_key(tmp_path, capsys, key):
     cfg = tmp_path / "cfg.json"

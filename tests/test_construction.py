@@ -22,9 +22,12 @@ from siegelnum.construction import find_alpha_with_rho
 from siegelnum.errors import (
     BracketFailureError,
     ConstructionStallError,
+    EstimateUnavailableError,
+    NumericalError,
     PreconditionError,
+    UnreliableRadiusError,
 )
-from siegelnum.radius import rotation_from_cf
+from siegelnum.radius import RadiusEstimate, rotation_from_cf
 
 QUAD = get_family("quadratic")
 DELTA = 0.1
@@ -215,6 +218,48 @@ def test_impossible_norm_budget_stalls_with_partial_report():
     assert partial is not None
     assert partial.steps == ()
     assert "norm delta" in str(exc.value)
+
+
+def _raise(exc):
+    def fake(*args, **kwargs):
+        raise exc
+    return fake
+
+
+def _reading(rho):
+    """An estimate that reads rho, for a stand-in estimator."""
+    return RadiusEstimate(alpha=golden_rotation(), method="stub", rho_hat=rho, samples=(),
+                          converged=True, diverging_to_minus_infinity=False)
+
+
+@pytest.mark.parametrize("eps0, name, fake, reason", [
+    pytest.param(0.05, "find_alpha_with_rho", _raise(BracketFailureError("no bracket here")),
+                 "no bracket here", id="bracket"),
+    pytest.param(1e-12, None, None, "interval does not nest", id="nesting"),
+    pytest.param(0.05, "qa_norm", _raise(UnreliableRadiusError("tail above the gate")),
+                 "UnreliableRadiusError: tail above the gate", id="norm-error"),
+    pytest.param(0.05, "rho_coefficients", lambda family, alphas, n: [_reading(0.0)] * len(alphas),
+                 "flank reaches 0.0000", id="flank"),
+    pytest.param(0.05, "rho_radial", lambda *args, **kwargs: _reading(-10.0),
+                 "radial probe -10.0000 undercuts", id="radial-undercut"),
+    pytest.param(0.05, "rho_radial", _raise(NumericalError("Koebe bound violated: injected")),
+                 "NumericalError: Koebe bound violated: injected", id="radial-error"),
+])
+def test_each_rejection_names_its_reason(monkeypatch, eps0, name, fake, reason):
+    if name is not None:
+        monkeypatch.setattr(construction, name, fake)
+    with pytest.raises(ConstructionStallError) as exc:
+        run_construction(ConstructionConfig(depth=1, eps0=eps0))
+    message = str(exc.value)
+    assert message.startswith("step 1: no anchor produced an acceptable candidate: ")
+    assert reason in message
+    assert exc.value.partial_report.steps == ()
+
+
+def test_a_radial_probe_without_samples_passes_as_nan(monkeypatch):
+    monkeypatch.setattr(construction, "rho_radial", _raise(EstimateUnavailableError("no sample")))
+    (step,) = run_construction(ConstructionConfig(depth=1)).steps
+    assert math.isnan(step.radial_value) and step.retries == 0
 
 
 def _assert_certified(rep, depth):

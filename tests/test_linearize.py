@@ -326,7 +326,7 @@ def test_batched_siegel_rows_do_not_depend_on_the_block(fam_id, monkeypatch):
     default = siegel_series_many(fam, alphas, 64)
     # 3 rows of a quadratic table (3 x 65 entries) per block, so the last
     # block is short; exp (65 x 65 entries) drops from 15 rows to 1
-    monkeypatch.setattr(linearize, "SIEGEL_BLOCK_ENTRIES", 3 * 3 * 65)
+    monkeypatch.setattr(linearize, "BLOCK_ENTRIES", 3 * 3 * 65)
     assert all(map(_same_outcome, siegel_series_many(fam, alphas, 64), default))
 
 
@@ -569,7 +569,7 @@ def test_u_values_rows_do_not_depend_on_the_block(monkeypatch):
     fam = get_family("exp")
     lams = [r * cmath.exp(2j * math.pi * t) for r in (0.2, 0.6, 0.9) for t in (0.1, 0.45, 0.8)]
     alone = [yoccoz_w(fam, lam, 64) for lam in lams]
-    monkeypatch.setattr(linearize, "U_BLOCK", 4)
+    monkeypatch.setattr(linearize, "BLOCK_ENTRIES", 4 * 65)  # 4 rows of degree 64
     assert u_values(fam, lams, 64) == alone
 
 

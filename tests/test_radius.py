@@ -24,7 +24,13 @@ from siegelnum import (
     rotation_from_float,
     silver_rotation,
 )
-from siegelnum.errors import DivisorBreakdownError, PreconditionError
+from siegelnum import radius
+from siegelnum.errors import (
+    DivisorBreakdownError,
+    NoConvergenceError,
+    NumericalError,
+    PreconditionError,
+)
 from siegelnum.families import custom_family
 
 QUAD = get_family("quadratic")
@@ -204,6 +210,36 @@ def test_poisson_check_propagates_foreign_errors():
         )
     with pytest.raises(RuntimeError, match="user map failed"):
         poisson_bound_check(fam, golden_rotation(), 0.01, -1.0, -1.0, ray_samples=4, n=64)
+
+
+def _inject_sample(monkeypatch, error):
+    """Make the second u_values outcome of every ray scan the given error."""
+    real = radius.u_values
+
+    def patched(*args):
+        values = real(*args)
+        values[1] = error
+        return values
+
+    monkeypatch.setattr(radius, "u_values", patched)
+
+
+def test_both_ray_scans_raise_a_broken_sample(monkeypatch):
+    # a Koebe-bound violation is a broken evaluation, not a missing sample
+    _inject_sample(monkeypatch, NumericalError("Koebe bound violated: injected"))
+    with pytest.raises(NumericalError, match="Koebe bound violated"):
+        rho_radial(QUAD, golden_rotation(), depth=8, n=64)
+    with pytest.raises(NumericalError, match="Koebe bound violated"):
+        poisson_bound_check(QUAD, golden_rotation(), 0.01, -1.1, -1.1, ray_samples=4, n=64)
+
+
+def test_both_ray_scans_skip_a_missing_sample(monkeypatch):
+    _inject_sample(monkeypatch, NoConvergenceError(7))
+    radial = rho_radial(QUAD, golden_rotation(), depth=8, n=64)
+    poisson = poisson_bound_check(QUAD, golden_rotation(), 0.01, -1.1, -1.1, ray_samples=4, n=64)
+    assert radial.failures == ("depth 3: NoConvergenceError: iteration budget 7 exhausted",)
+    assert len(radial.samples) == 6
+    assert poisson.masked == 1 and len(poisson.samples) == 3
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.1, 0.5000001, 0.7])

@@ -5,9 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siegelnum import TruncatedSeries, compose, evaluate
+from siegelnum import (
+    TruncatedSeries,
+    compose,
+    evaluate,
+    family_series,
+    get_family,
+    golden_rotation,
+    koenigs_series,
+    siegel_series,
+)
 from siegelnum.errors import PreconditionError
-from siegelnum.series import identity, reciprocal, zero
+from siegelnum.series import identity, power_table, reciprocal, zero
+
+FAMILY_IDS = ("quadratic", "poly_3", "exp", "zexp", "sin", "tan", "reduced(sin)", "reduced(tan)")
 
 
 def geometric(n):
@@ -46,6 +57,60 @@ def test_compose_requires_zero_constant():
     f = TruncatedSeries.from_coeffs([1, 1], degree=3)
     with pytest.raises(PreconditionError):
         compose(f, f)
+
+
+def _loop_compose(outer, inner):
+    """Reference: outer(inner) by accumulating a_k inner^k over every power."""
+    a, b, n = outer._paired(inner)
+    out = np.zeros(n + 1, dtype=np.complex128)
+    out[0] = a[0]
+    power = np.zeros(n + 1, dtype=np.complex128)
+    power[0] = 1
+    for k in range(1, n + 1):
+        power = np.convolve(power, b)[: n + 1]
+        out += a[k] * power
+    return out
+
+
+@pytest.mark.parametrize("outer, inner, expected", [
+    ([3], [0, 1, 1], [3, 0, 0]),  # constant outer
+    ([2 - 1j, 0, 0, 0], [0, 0.5, 1], [2 - 1j, 0, 0, 0]),
+    ([1, 2], [0, 1, 1, 1], [1, 2, 2, 2]),  # degree-1 outer
+    ([1, 2, 3], [0, 0, 0], [1, 0, 0]),  # zero inner
+    ([2.5], [0], [2.5]),  # degree-0 series
+    ([0], [0], [0]),
+    ([0, 0, 0, 0], [0, 1, 1], [0, 0, 0, 0]),
+])
+def test_compose_edge_cases(outer, inner, expected):
+    outer, inner = TruncatedSeries.from_coeffs(outer), TruncatedSeries.from_coeffs(inner)
+    got = compose(outer, inner).coeffs
+    assert got.tolist() == _loop_compose(outer, inner).tolist() == np.asarray(expected, complex).tolist()
+
+
+@pytest.mark.parametrize("fam_id", FAMILY_IDS)
+def test_compose_matches_the_power_loop(fam_id):
+    # both compositions of the conjugacy residuals, within rounding of the
+    # summed term sizes (the loop on the moduli)
+    fam = get_family(fam_id)
+    for n in (64, 128, 256):
+        ks = koenigs_series(fam, 0.5 + 0.3j, n)
+        ss = siegel_series(fam, golden_rotation().value, n)
+        for outer, inner in ((ks.h, family_series(fam, ks.lam, n)), (family_series(fam, ss.lam, n), ss.g)):
+            moduli = (TruncatedSeries.from_coeffs(np.abs(s.coeffs)) for s in (outer, inner))
+            maj = _loop_compose(*moduli).real
+            err = np.abs(compose(outer, inner).coeffs - _loop_compose(outer, inner))
+            assert np.max(err / np.maximum(1.0, maj)) <= 1e-15
+
+
+def test_power_table_stops_at_top():
+    f = TruncatedSeries.from_coeffs([0, 1, 0.5, 0.25j], degree=6).coeffs
+    full = power_table(f)
+    assert full.shape == (7, 7)
+    assert np.array_equal(full[:, 3], np.convolve(np.convolve(f, f), f)[:7])
+    for top in (0, 1, 3, 6):
+        assert np.array_equal(power_table(f, top), full[:, : top + 1])
+    # powers above the degree have valuation above it: zero columns
+    assert np.array_equal(power_table(f, 9)[:, :7], full) and not power_table(f, 9)[:, 7:].any()
 
 
 def test_evaluate_geometric_value():
