@@ -72,9 +72,8 @@ __all__ = [
 
 KOENIGS_DIVISOR_FLOOR = 1e-14
 SIEGEL_DIVISOR_FLOOR = 1e-13
-ENTRY_RADIUS_GRID = (0.2, 0.1, 0.05, 0.02, 0.01)
+ENTRY_RADIUS_GRID = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
 ENTRY_TAIL_TOL = 1e-13
-ENTRY_SAMPLES = 8  # equispaced points per entry-radius circle
 ESCAPE_BOUND = 1e50
 DEFAULT_BUDGET = 10**6
 # table entries per block of a batched Koenigs or Siegel solve: about 1 MB
@@ -313,27 +312,21 @@ def conjugacy_residual(obj: KoenigsSeries | SiegelSeries) -> float:
 def _entry_radii(h: np.ndarray) -> np.ndarray:
     """entry_radius for each row of coefficients h; NaN where no radius passes.
 
-    Full minus half-degree evaluation is the tail sum over N/2 < k <= N, so
-    at each grid radius the discrepancies of all rows still undecided are one
-    product with the Vandermonde matrix of the sample points and those powers.
-    As in _solve_koenigs the product is stacked per row: a plain matrix
-    product over the undecided rows could sum a row differently depending on
-    which rows share it, and a last-bit change in a tail near ENTRY_TAIL_TOL
-    would move the entry radius.
+    The tail majorant sum_{N/2 < k <= N} |h_k| r^k of every row at every
+    grid radius is one product of |h| with the table of those powers.  As
+    in _solve_koenigs the product is stacked per row: a plain matrix
+    product over the batch could sum a row differently depending on which
+    rows share it, and a last-bit change in a tail near ENTRY_TAIL_TOL
+    would move the entry radius.  The majorant grows with r, so the first
+    passing radius of the descending grid is the largest; one that
+    overflows at large degree is inf and fails.
     """
     n = h.shape[1] - 1
     powers = np.arange(n // 2 + 1, n + 1)
-    turns = np.exp(2j * math.pi * np.arange(ENTRY_SAMPLES) / ENTRY_SAMPLES)
-    radii = np.full(h.shape[0], np.nan)
-    undecided = np.arange(h.shape[0])
-    for r in ENTRY_RADIUS_GRID:
-        tails = h[undecided[:, None, None], powers] @ np.power(r * turns[:, None], powers).T
-        passing = np.abs(tails[:, 0]).max(axis=1, initial=0.0) <= ENTRY_TAIL_TOL
-        radii[undecided[passing]] = r
-        undecided = undecided[~passing]
-        if not undecided.size:
-            break
-    return radii
+    grid = np.array(ENTRY_RADIUS_GRID)
+    with np.errstate(over="ignore", invalid="ignore"):
+        passing = (np.abs(h[:, None, powers]) @ np.power(grid, powers[:, None]))[:, 0] <= ENTRY_TAIL_TOL
+    return np.where(passing.any(axis=1), grid[passing.argmax(axis=1)], np.nan)
 
 
 def _entry_radius_error() -> EntryRadiusError:
@@ -345,10 +338,10 @@ def _entry_radius_error() -> EntryRadiusError:
 def entry_radius(ser: TruncatedSeries) -> float:
     """Largest grid radius where the series evaluation is self-consistent.
 
-    Compares full-degree evaluation against the half-degree prefix at
-    ENTRY_SAMPLES equispaced points on |z| = r for r in ENTRY_RADIUS_GRID;
-    accepts the first (largest) r whose worst absolute discrepancy is
-    <= ENTRY_TAIL_TOL.
+    Accepts the first (largest) r in ENTRY_RADIUS_GRID whose tail majorant
+    sum_{N/2 < k <= N} |h_k| r^k is <= ENTRY_TAIL_TOL.  The majorant bounds
+    the gap between full-degree and half-degree evaluation at every point
+    of |z| = r, not only at samples, so the whole entry disc agrees.
     Nothing on the grid passing means the series is untrustworthy even at
     |z| = 0.01 and evaluation should not be attempted.
     """

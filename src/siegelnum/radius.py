@@ -506,17 +506,19 @@ def poisson_bound_check(
 ) -> PoissonBoundReport:
     """Verify u <= Poisson integral of the flank-capped step data on the ray.
 
-    L and R cap rho on (alpha - delta, alpha) and (alpha, alpha + delta);
-    the cap elsewhere is M = log 4 + log|v|.  The two arcs must not
-    overlap, so 0 < delta <= 1/2 (beyond it the weight of M goes negative).
-    Radii approach the circle on the dyadic ladder (depth 2 up to
-    RAY_MAX_DEPTH, ray_samples >= 1 values).  A violation means the supplied
-    caps were not actually valid; violations are counted and reported,
-    never raised.  As in rho_radial, MISSING_SAMPLE failures are masked
+    L and R cap rho on (alpha - delta, alpha) and (alpha, alpha + delta)
+    and must be finite; the cap elsewhere is M = log 4 + log|v|.  The two
+    arcs must not overlap, so 0 < delta <= 1/2 (beyond it the weight of M
+    goes negative).  Radii approach the circle on the dyadic ladder (depth
+    2 up to RAY_MAX_DEPTH, ray_samples >= 1 values).  A violation means the
+    supplied caps were not actually valid; violations are counted and
+    reported, never raised.  As in rho_radial, MISSING_SAMPLE failures are masked
     and counted, and any other error of a sample is raised.
     """
     if not 0 < delta <= 0.5:
         raise PreconditionError(f"delta must lie in (0, 1/2], got {delta}")
+    if not (math.isfinite(L) and math.isfinite(R)):
+        raise PreconditionError(f"caps L and R must be finite, got L = {L}, R = {R}")
     if ray_samples < 1:
         raise PreconditionError(f"need at least 1 ray sample, got {ray_samples}")
     rot = _as_rotation(alpha)

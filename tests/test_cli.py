@@ -221,11 +221,11 @@ def test_norm_keeps_a_term_past_an_overflowing_power(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--samples", "0"), ("--delta", "0.7")]
+    "flag, value", [("--samples", "0"), ("--delta", "0.7"), ("--L", "nan"), ("--R", "inf")]
 )
 def test_poisson_check_input_range(capsys, flag, value):
     argv = {"--family": "quadratic", "--alpha": "golden", "--delta": "0.01",
-            "--L": "-1.1", "--R": "-1.1", "--samples": "4", flag: value}
+            "--L": "-1.1", "--R": "-1.1", "--samples": "4", "--degree": "64", flag: value}
     code, out, _ = run(capsys, "poisson-check", *(x for kv in argv.items() for x in kv))
     assert code == 2
     assert json.loads(out)["error"]["type"] == "PreconditionError"

@@ -21,6 +21,7 @@ from siegelnum import (
     koenigs_series,
     rational_rotation,
     rho_radial,
+    rotation_from_cf,
     siegel_series,
     siegel_series_many,
     silver_rotation,
@@ -408,20 +409,18 @@ def _scalar_koenigs(fam, lam, n):
     return h
 
 
-def _horner_tail(h, r, samples=8):
-    """Worst |full - half-degree| Horner evaluation over samples points on |z| = r."""
-    ser = TruncatedSeries.from_coeffs(h)
-    half = ser.truncated(ser.degree // 2)
-    worst = 0.0
-    for j in range(samples):
-        z = r * cmath.exp(2j * math.pi * j / samples)
-        worst = max(worst, abs(evaluate(ser, z) - evaluate(half, z)))
-    return worst
+def _tail_majorant(h, r):
+    """sum_{N/2 < k <= N} |h_k| r^k, one term at a time."""
+    n = len(h) - 1
+    total = 0.0
+    for k in range(n // 2 + 1, n + 1):
+        total += abs(h[k]) * r**k
+    return total
 
 
-def _horner_entry_radius(h):
+def _scalar_entry_radius(h):
     for r in ENTRY_RADIUS_GRID:
-        if _horner_tail(h, r) <= ENTRY_TAIL_TOL:
+        if _tail_majorant(h, r) <= ENTRY_TAIL_TOL:
             return r
     raise EntryRadiusError(
         f"no radius in {ENTRY_RADIUS_GRID} gives two-truncation agreement <= {ENTRY_TAIL_TOL:g}"
@@ -449,7 +448,7 @@ def _scalar_yoccoz(fam, lam, n=128, budget=DEFAULT_BUDGET):
     if not 0 < abs(lam) < 1:
         raise PreconditionError("yoccoz_w needs 0 < |lambda| < 1")
     h = _scalar_koenigs(fam, lam, n)
-    r_e = _horner_entry_radius(h)
+    r_e = _scalar_entry_radius(h)
     z, m = _reference_orbit(fam, lam, lam * fam.v, r_e, budget)
     hz = 0j if z == 0 else complex(evaluate(TruncatedSeries.from_coeffs(h), z))
     if hz == 0:
@@ -489,10 +488,11 @@ def _assert_same_outcome(fam, lam, n, new, ref):
         return
     # Near the unit circle the recurrence amplifies rounding until the two
     # solves' coefficients above degree N/2 differ by O(1) (zexp at
-    # 0.7646 - 0.5291i: 0.4 relative at degree 50-65), so a tail within a
-    # factor 2 of ENTRY_TAIL_TOL can pass on one and fail on the other.
-    tail = _horner_tail(_scalar_koenigs(fam, lam, n), max(new.entry_radius, ref.entry_radius))
-    assert ENTRY_TAIL_TOL / 2 < tail <= 2 * ENTRY_TAIL_TOL, (lam, tail)
+    # 0.7646 - 0.5291i: 0.4 relative at degree 50-65), so their tail
+    # majorants can straddle ENTRY_TAIL_TOL by more than a factor 2
+    # (reduced(tan) at -0.1816 - 0.9118i: 0.82e-13 and 2.49e-13 at r = 0.5).
+    # The pipeline's radius must then be the oracle's rule on its own solve.
+    assert new.entry_radius == _scalar_entry_radius(koenigs_series(fam, lam, n).h.coeffs), lam
 
 
 def _koenigs_error_majorant(ref, F, divisors):
@@ -548,8 +548,8 @@ def test_u_values_edge_cases_match_scalar_pipeline():
     cases = [
         (quad, [0.0, 1.0, 1 - 5e-16, 0.5, 0.999], 64, DEFAULT_BUDGET),  # preconditions, entry radius
         (quad, [0.9, 0.5, 0.9j], 64, 1),  # budget
-        # tail 1.19e-13 on the batched coefficients, 0.99e-13 on the loop's
-        (get_family("zexp"), [0.7646197002379004 - 0.5291398744589179j], 128, DEFAULT_BUDGET),
+        # tail majorant at r = 0.5: 0.82e-13 on the batched coefficients, 2.49e-13 on the loop's
+        (get_family("reduced(tan)"), [-0.18157682244954285 - 0.9117832556070424j], 128, DEFAULT_BUDGET),
     ]
     for fam, lams, n, budget in cases:
         outcomes = zip(lams, u_values(fam, lams, n, budget), _scalar_u_values(fam, lams, n, budget), strict=True)
@@ -586,21 +586,43 @@ def test_broken_down_row_is_not_solved_with_the_batch():
 
 
 def test_entry_radii_do_not_depend_on_the_batch():
-    # rows scaled so that their tail at r = 0.2 sits within rounding of
-    # ENTRY_TAIL_TOL: the decision between 0.2 and 0.1 then turns on the
-    # last bits of the tail sum, which must not depend on the other rows
+    # rows scaled so that their tail majorant at r = 0.2 sits within
+    # rounding of ENTRY_TAIL_TOL: the decision between 0.2 and 0.1 then
+    # turns on the last bits of the sum, which must not depend on the other rows
     rng = np.random.default_rng(7)
     n, ks = 128, np.arange(65, 129)
     h = rng.standard_normal((400, n + 1)) + 1j * rng.standard_normal((400, n + 1))
     h *= 0.2 ** -np.arange(n + 1) * 10.0 ** rng.uniform(-3, 3, (400, 1))
-    points = 0.2 * np.exp(2j * math.pi * np.arange(8) / 8)
-    tails = np.abs(np.power(points[:, None], ks) @ h[:, ks].T).max(axis=0)
-    h *= (ENTRY_TAIL_TOL / tails)[:, None]
+    h *= (ENTRY_TAIL_TOL / (np.abs(h[:, ks]) @ 0.2**ks))[:, None]
     batch = linearize._entry_radii(h)
     assert set(batch.tolist()) == {0.1, 0.2}
     alone = np.concatenate([linearize._entry_radii(h[b : b + 1]) for b in range(h.shape[0])])
     assert np.array_equal(batch, alone)
     assert np.array_equal(batch[::3], linearize._entry_radii(h[::3]))
+
+
+def test_entry_radii_above_the_old_grid_keep_u(monkeypatch):
+    # the rungs 1.0 and 0.5 shorten ray orbits; on the golden, silver and
+    # six bounded-type rays at depths 2..12 every family must read the same
+    # u as with every orbit run into |z| <= 0.01
+    rng = np.random.default_rng(13)
+    alphas = [golden_rotation().value, silver_rotation().value] + [
+        rotation_from_cf(rng.integers(1, 5, 40).tolist()).value for _ in range(6)
+    ]
+    lams = [(1 - 2.0**-k) * cmath.exp(2j * math.pi * a) for a in alphas for k in range(2, 13)]
+    entered_high = 0
+    for fam_id in ALL_FAMILY_IDS:
+        fam = get_family(fam_id)
+        fast = u_values(fam, lams)
+        with monkeypatch.context() as m:
+            m.setattr(linearize, "ENTRY_RADIUS_GRID", (0.01,))
+            deep = u_values(fam, lams)
+        for lam, new, ref in zip(lams, fast, deep, strict=True):
+            assert type(new) is type(ref), (fam_id, lam, new, ref)
+            if isinstance(ref, YoccozValue):
+                assert abs(new.u - ref.u) <= 1e-11, (fam_id, lam, new.u, ref.u)
+                entered_high += new.entry_radius >= 0.5
+    assert entered_high > 0
 
 
 def test_koenigs_eval_matches_yoccoz_w():

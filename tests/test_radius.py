@@ -250,6 +250,13 @@ def test_poisson_check_needs_disjoint_arcs(delta):
         poisson_bound_check(QUAD, golden_rotation(), delta, -1.0, -1.0, ray_samples=2, n=64)
 
 
+@pytest.mark.parametrize("L, R", [(math.nan, -1.0), (-1.0, math.inf), (-math.inf, -1.0)])
+def test_poisson_check_needs_finite_caps(L, R):
+    # a NaN cap makes every margin NaN, which no comparison counts as a violation
+    with pytest.raises(PreconditionError, match="finite"):
+        poisson_bound_check(QUAD, golden_rotation(), 0.01, L, R, ray_samples=4, n=64)
+
+
 def test_poisson_check_needs_a_ray_sample():
     with pytest.raises(PreconditionError, match="ray sample"):
         poisson_bound_check(QUAD, golden_rotation(), 0.01, -1.0, -1.0, ray_samples=0, n=64)
