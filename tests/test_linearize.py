@@ -489,10 +489,20 @@ def _assert_same_outcome(fam, lam, n, new, ref):
     # Near the unit circle the recurrence amplifies rounding until the two
     # solves' coefficients above degree N/2 differ by O(1) (zexp at
     # 0.7646 - 0.5291i: 0.4 relative at degree 50-65), so their tail
-    # majorants can straddle ENTRY_TAIL_TOL by more than a factor 2
-    # (reduced(tan) at -0.1816 - 0.9118i: 0.82e-13 and 2.49e-13 at r = 0.5).
-    # The pipeline's radius must then be the oracle's rule on its own solve.
-    assert new.entry_radius == _scalar_entry_radius(koenigs_series(fam, lam, n).h.coeffs), lam
+    # majorants can straddle ENTRY_TAIL_TOL (reduced(tan) at -0.1816 - 0.9118i:
+    # 0.82e-13 batched, 2.49e-13 loop at r = 0.5; up to 20x apart at
+    # |lambda| = 0.95).  The pipeline's radius must be the oracle's rule on
+    # its own solve, the radii one rung apart, and at the larger radius the
+    # solve that fails there may miss ENTRY_TAIL_TOL by at most a factor 64;
+    # a genuine rung of difference moves the majorant by at least 2^(N/2).
+    h = koenigs_series(fam, lam, n).h.coeffs
+    assert new.entry_radius == _scalar_entry_radius(h), lam
+    rungs = [ENTRY_RADIUS_GRID.index(x.entry_radius) for x in (new, ref)]
+    assert abs(rungs[0] - rungs[1]) == 1, (lam, new.entry_radius, ref.entry_radius)
+    r = max(new.entry_radius, ref.entry_radius)
+    failing = _scalar_koenigs(fam, lam, n) if new.entry_radius == r else h
+    tail = _tail_majorant(failing, r)
+    assert ENTRY_TAIL_TOL < tail <= 64 * ENTRY_TAIL_TOL, (lam, r, tail)
 
 
 def _koenigs_error_majorant(ref, F, divisors):
@@ -548,6 +558,8 @@ def test_u_values_edge_cases_match_scalar_pipeline():
     cases = [
         (quad, [0.0, 1.0, 1 - 5e-16, 0.5, 0.999], 64, DEFAULT_BUDGET),  # preconditions, entry radius
         (quad, [0.9, 0.5, 0.9j], 64, 1),  # budget
+        # the 8-point tail at r = 0.2 straddled the tolerance: 1.19e-13 batched, 0.99e-13 loop
+        (get_family("zexp"), [0.7646197002379004 - 0.5291398744589179j], 128, DEFAULT_BUDGET),
         # tail majorant at r = 0.5: 0.82e-13 on the batched coefficients, 2.49e-13 on the loop's
         (get_family("reduced(tan)"), [-0.18157682244954285 - 0.9117832556070424j], 128, DEFAULT_BUDGET),
     ]
@@ -602,14 +614,14 @@ def test_entry_radii_do_not_depend_on_the_batch():
 
 
 def test_entry_radii_above_the_old_grid_keep_u(monkeypatch):
-    # the rungs 1.0 and 0.5 shorten ray orbits; on the golden, silver and
-    # six bounded-type rays at depths 2..12 every family must read the same
-    # u as with every orbit run into |z| <= 0.01
+    # the rungs 1.0 and 0.5 shorten ray orbits; on the golden ray at depths
+    # 2..14 (rho_radial's depth in ray scans) and on the silver and six
+    # bounded-type rays at depths 2..12 every family must read the same u as
+    # with every orbit run into |z| <= 0.01
     rng = np.random.default_rng(13)
-    alphas = [golden_rotation().value, silver_rotation().value] + [
-        rotation_from_cf(rng.integers(1, 5, 40).tolist()).value for _ in range(6)
-    ]
-    lams = [(1 - 2.0**-k) * cmath.exp(2j * math.pi * a) for a in alphas for k in range(2, 13)]
+    alphas = [silver_rotation().value] + [rotation_from_cf(rng.integers(1, 5, 40).tolist()).value for _ in range(6)]
+    rays = [(golden_rotation().value, 14)] + [(a, 12) for a in alphas]
+    lams = [(1 - 2.0**-k) * cmath.exp(2j * math.pi * a) for a, depth in rays for k in range(2, depth + 1)]
     entered_high = 0
     for fam_id in ALL_FAMILY_IDS:
         fam = get_family(fam_id)
