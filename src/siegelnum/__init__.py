@@ -1,7 +1,6 @@
 """Numerics for Siegel discs: linearizations, conformal-radius estimators,
 quasi-analytic norms, and a finite-depth boundary construction."""
 
-from .config import RunConfig
 from .construction import (
     BoundaryReport,
     ConstructionConfig,

@@ -26,11 +26,10 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig
 from .construction import ConstructionConfig, run_construction
 from .errors import NumericalError, PreconditionError
 from .families import family_catalog, get_family
-from .linearize import DEFAULT_BUDGET, YoccozValue, siegel_series, u_values, yoccoz_w
+from .linearize import YoccozValue, siegel_series, u_values, yoccoz_w
 from .qanorm import _table_norm, circle_values, qa_norm
 from .radius import (
     parse_rotation,
@@ -140,6 +139,13 @@ def _load_series(path: str) -> TruncatedSeries:
 # -- subcommand handlers -----------------------------------------------------
 
 
+def _given(args, *names) -> dict:
+    """The named options present on the command line.  Parsers suppress
+    absent options, so each takes the default of the library function it
+    feeds, written once in that function's signature."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _cmd_families(args) -> int:
     if args.action == "list":
         _emit_json([f.describe() for f in family_catalog()], args.out)
@@ -153,7 +159,7 @@ def _cmd_families(args) -> int:
 def _cmd_yoccoz(args) -> int:
     family = get_family(args.family)
     lam = _parse_complex_pair(args.lam)
-    value = yoccoz_w(family, lam, n=args.degree, budget=args.budget)
+    value = yoccoz_w(family, lam, **_given(args, "n", "budget"))
     _emit_json(
         {
             "lambda": [lam.real, lam.imag],
@@ -179,7 +185,7 @@ def _cmd_grid(args) -> int:
     thetas = np.arange(args.res) / args.res
     points = [(float(r), float(t)) for r in radii for t in thetas]
     lams = [r * complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t)) for r, t in points]
-    values = u_values(family, lams, n=args.degree, budget=args.budget)
+    values = u_values(family, lams, **_given(args, "n", "budget"))
     rows = []
     for (r, theta), value in zip(points, values):
         row = {"r": r, "theta": theta, "u": math.nan, "iterations": 0, "status": "ok"}
@@ -201,9 +207,9 @@ def _cmd_radius(args) -> int:
     family = get_family(args.family)
     alpha = parse_rotation(args.alpha)
     if args.method == "radial":
-        estimate = rho_radial(family, alpha, depth=args.depth, n=args.degree)
+        estimate = rho_radial(family, alpha, **_given(args, "depth", "n"))
     else:
-        estimate = rho_coefficient(family, alpha, n=args.degree)
+        estimate = rho_coefficient(family, alpha, **_given(args, "n"))
     _emit_json(estimate.describe(), args.out)
     return 0
 
@@ -212,13 +218,7 @@ def _cmd_poisson_check(args) -> int:
     family = get_family(args.family)
     alpha = parse_rotation(args.alpha)
     report = poisson_bound_check(
-        family,
-        alpha,
-        args.delta,
-        args.L,
-        args.R,
-        ray_samples=args.samples,
-        n=args.degree,
+        family, alpha, args.delta, args.L, args.R, **_given(args, "ray_samples", "n")
     )
     _emit_json(report.describe(), args.out)
     return 0
@@ -226,20 +226,17 @@ def _cmd_poisson_check(args) -> int:
 
 def _cmd_norm(args) -> int:
     series = _load_series(args.series)
-    cap = args.K
-    if cap is not None:
-        if cap < 0:
-            raise PreconditionError("K must be >= 0")
+    options = _given(args, "order_cap", "circle_samples")
+    if "order_cap" in options:
         # derivatives above the truncation degree vanish identically
-        cap = min(cap, series.degree)
-    result = qa_norm(series, args.r, order_cap=cap, circle_samples=args.samples)
+        options["order_cap"] = min(options["order_cap"], series.degree)
+    result = qa_norm(series, args.r, **options)
     _emit_json(dataclasses.asdict(result), args.out)
     return 0
 
 
 def _cmd_construct(args) -> int:
-    fields = {f.name for f in dataclasses.fields(ConstructionConfig)}
-    settings = {k: v for k, v in vars(args).items() if k in fields}
+    settings = _given(args, *(f.name for f in dataclasses.fields(ConstructionConfig)))
     if "alpha0" in settings:
         settings["alpha0"] = parse_rotation(settings["alpha0"])
     schedule = settings.pop("schedule", "auto")
@@ -256,7 +253,7 @@ def _cmd_boundary(args) -> int:
         raise PreconditionError("samples must be >= 1")
     family = get_family(args.family)
     alpha = parse_rotation(args.alpha)
-    g = siegel_series(family, alpha.value, n=args.degree).g
+    g = siegel_series(family, alpha.value, **_given(args, "n")).g
     try:
         radius = math.exp(args.rho)
     except OverflowError:
@@ -277,13 +274,14 @@ def _cmd_boundary(args) -> int:
 
 @functools.cache
 def build_parser() -> _Parser:
-    """The argument parser of main, built on its first call and then shared."""
+    """The argument parser of main, built on its first call and then shared.
+
+    Each subcommand's dests are the parameter names of the library function
+    its options feed (--degree is n everywhere, ConstructionConfig's
+    n_series for construct), and an absent option leaves no attribute, so
+    only the CLI's own settings (grid --format, boundary --samples) carry
+    a default here."""
     common = _Parser(add_help=False)
-    common.add_argument(
-        "--config",
-        default=argparse.SUPPRESS,
-        help="JSON file with run-config overrides",
-    )
     common.add_argument(
         "--out", default=argparse.SUPPRESS, help="write output to this file"
     )
@@ -293,66 +291,58 @@ def build_parser() -> _Parser:
         description="Siegel-disc numerics: linearization, radius estimates, "
         "norms, and the rotation-number construction.",
     )
-    parser.add_argument("--config", default=None)
     parser.add_argument("--out", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("families", parents=[common], help="catalog of map families")
+    def command(name, handler, help):
+        p = sub.add_parser(
+            name, parents=[common], argument_default=argparse.SUPPRESS, help=help
+        )
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("families", _cmd_families, "catalog of map families")
     p.add_argument("action", choices=("list", "show"))
     p.add_argument("family_id", nargs="?", default=None)
-    p.set_defaults(handler=_cmd_families)
 
-    p = sub.add_parser("yoccoz", parents=[common], help="w(lambda) inside the disc")
+    p = command("yoccoz", _cmd_yoccoz, "w(lambda) inside the disc")
     p.add_argument("--family", required=True)
     p.add_argument("--lambda", dest="lam", required=True, metavar="RE,IM")
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.set_defaults(handler=_cmd_yoccoz)
+    p.add_argument("--degree", dest="n", type=int)
+    p.add_argument("--budget", type=int)
 
-    p = sub.add_parser("grid", parents=[common], help="polar sweep of u(lambda)")
+    p = command("grid", _cmd_grid, "polar sweep of u(lambda)")
     p.add_argument("--family", required=True)
     p.add_argument("--rmin", type=float, required=True)
     p.add_argument("--rmax", type=float, required=True)
     p.add_argument("--res", type=int, required=True)
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--format", choices=("csv", "json"), default=None)
-    p.set_defaults(handler=_cmd_grid)
+    p.add_argument("--degree", dest="n", type=int)
+    p.add_argument("--budget", type=int)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = sub.add_parser("radius", parents=[common], help="conformal-radius estimate")
+    p = command("radius", _cmd_radius, "conformal-radius estimate")
     p.add_argument("--family", required=True)
     p.add_argument("--alpha", required=True, metavar="float:X|cf:LIST|rat:P/Q|golden")
     p.add_argument("--method", choices=("radial", "coeff", "coefficient"), required=True)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--degree", type=int, default=None)
-    p.set_defaults(handler=_cmd_radius)
+    p.add_argument("--depth", type=int)
+    p.add_argument("--degree", dest="n", type=int)
 
-    p = sub.add_parser(
-        "poisson-check", parents=[common], help="harmonic upper bound on a ray"
-    )
+    p = command("poisson-check", _cmd_poisson_check, "harmonic upper bound on a ray")
     p.add_argument("--family", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--L", type=float, required=True)
     p.add_argument("--R", type=float, required=True)
-    p.add_argument("--samples", type=int, default=16)
-    p.add_argument("--degree", type=int, default=None)
-    p.set_defaults(handler=_cmd_poisson_check)
+    p.add_argument("--samples", dest="ray_samples", type=int)
+    p.add_argument("--degree", dest="n", type=int)
 
-    p = sub.add_parser("norm", parents=[common], help="weighted derivative norm")
+    p = command("norm", _cmd_norm, "weighted derivative norm")
     p.add_argument("--series", required=True, metavar="FILE.json")
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--samples", type=int, default=512)
-    p.set_defaults(handler=_cmd_norm)
+    p.add_argument("--K", dest="order_cap", type=int)
+    p.add_argument("--samples", dest="circle_samples", type=int)
 
-    # dests are ConstructionConfig field names; an absent flag leaves no
-    # attribute, so its defaults apply and RunConfig's never do (--degree
-    # is n_series, 256 by default)
-    p = sub.add_parser(
-        "construct", parents=[common], argument_default=argparse.SUPPRESS,
-        help="rotation-number refinement run",
-    )
+    p = command("construct", _cmd_construct, "rotation-number refinement run")
     p.add_argument("--family")
     p.add_argument("--alpha0")
     p.add_argument("--eps0", type=float)
@@ -362,15 +352,13 @@ def build_parser() -> _Parser:
     p.add_argument("--schedule", metavar="auto|R1,R2,...")
     p.add_argument("--tol-rho", dest="tol_rho", type=float)
     p.add_argument("--degree", dest="n_series", type=int)
-    p.set_defaults(handler=_cmd_construct)
 
-    p = sub.add_parser("boundary", parents=[common], help="disc-boundary curve CSV")
+    p = command("boundary", _cmd_boundary, "disc-boundary curve CSV")
     p.add_argument("--family", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--samples", type=int, default=256)
-    p.add_argument("--degree", type=int, default=None)
-    p.set_defaults(handler=_cmd_boundary)
+    p.add_argument("--degree", dest="n", type=int)
 
     return parser
 
@@ -383,12 +371,6 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     try:
-        cfg = RunConfig.load(args.config)
-        # an unset --degree, --depth or --format takes the run config's value
-        for name, value in (("degree", cfg.default_degree), ("depth", cfg.default_depth),
-                            ("format", cfg.output_format)):
-            if getattr(args, name, value) is None:
-                setattr(args, name, value)
         return args.handler(args)
     except PreconditionError as exc:
         _emit_json(_error_body(exc), None)

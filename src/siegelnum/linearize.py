@@ -208,9 +208,10 @@ def siegel_series_many(
     at many rotation numbers.
 
     Returns, in input order, one outcome per alpha: its SiegelSeries, or
-    the DivisorBreakdownError / CoefficientOverflowError that siegel_series
-    raises for it (not raised here).  A degree below 2 is a PreconditionError,
-    raised for the whole call.
+    the PreconditionError (alpha not finite) / DivisorBreakdownError /
+    CoefficientOverflowError that siegel_series raises for it (not raised
+    here).  A degree below 2 is a PreconditionError, raised for the whole
+    call.
 
     The recurrence for g is the reversed composition order of the Koenigs
     one; both divide by lambda^k - lambda.  Powers of lambda are taken as
@@ -221,20 +222,25 @@ def siegel_series_many(
     """
     alphas = np.array([float(getattr(a, "value", a)) for a in alphas])  # RotationNumber or float
     base = base_series(family, n).coeffs
-    powers = np.exp(2j * math.pi * np.fmod(alphas[:, None] * np.arange(n + 1), 1.0))
+    finite = np.isfinite(alphas)
+    powers = np.exp(2j * math.pi * np.fmod(alphas[finite, None] * np.arange(n + 1), 1.0))
     divisors = powers - powers[:, 1:2]
-    lams = np.exp(2j * math.pi * alphas)
-    outcomes = _guarded_solve(
+    lams = np.exp(2j * math.pi * alphas[finite])
+    solved = iter(zip(lams, _guarded_solve(
         # f_lambda = lambda f, as family_series builds it
         lambda live: _solve_siegel(lams[live, None] * base, divisors[live]),
         divisors, SIEGEL_DIVISOR_FLOOR, "Siegel",
-    )
-    return [
-        out if isinstance(out, SiegelnumError) else SiegelSeries(
-            alpha=float(alpha), lam=complex(lam), g=TruncatedSeries.from_coeffs(out, n), family=family,
-        )
-        for out, alpha, lam in zip(outcomes, alphas, lams)
-    ]
+    )))
+    outcomes: list = []
+    for alpha, ok in zip(alphas.tolist(), finite.tolist()):
+        if not ok:
+            outcomes.append(PreconditionError(f"alpha must be finite, got {alpha}"))
+            continue
+        lam, out = next(solved)
+        outcomes.append(out if isinstance(out, SiegelnumError) else SiegelSeries(
+            alpha=alpha, lam=complex(lam), g=TruncatedSeries.from_coeffs(out, n), family=family,
+        ))
+    return outcomes
 
 
 def siegel_series(family: FamilySpec, alpha: float, n: int = 128) -> SiegelSeries:

@@ -1,5 +1,6 @@
 import cmath
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -8,9 +9,30 @@ import warnings
 import numpy as np
 import pytest
 
-from siegelnum import cli, get_family, golden_rotation, qanorm, siegel_series
+from siegelnum import (
+    ConstructionConfig,
+    YoccozValue,
+    cli,
+    get_family,
+    golden_rotation,
+    parse_rotation,
+    poisson_bound_check,
+    qa_norm,
+    qanorm,
+    rho_coefficient,
+    rho_radial,
+    run_construction,
+    siegel_series,
+    u_values,
+    yoccoz_w,
+)
 from siegelnum.cli import main
+from siegelnum.errors import SiegelnumError
 from siegelnum.series import TruncatedSeries, evaluate
+
+
+QUAD = get_family("quadratic")
+GOLDEN = golden_rotation()
 
 
 def run(capsys, *argv):
@@ -339,22 +361,12 @@ def test_two_calls_build_one_parser(capsys):
         cli.build_parser.cache_clear()
 
 
-@pytest.mark.parametrize("key", ["not_a_field", "precision_mode", "seed", "worker_count"])
-def test_config_file_unknown_key(tmp_path, capsys, key):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({key: 1}))
-    code, out, _ = run(capsys, "families", "list", "--config", str(cfg))
-    assert code == 2
-
-
-def test_config_file_applies_degree(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"default_degree": 32}))
-    code, out, _ = run(
-        capsys, "yoccoz", "--family", "exp", "--lambda", "0.05,0",
-        "--config", str(cfg),
-    )
-    assert code == 0
+@pytest.mark.parametrize("argv", [("--config", "x.json", "families", "list"),
+                                  ("families", "list", "--config", "x.json")])
+def test_config_flag_is_gone(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage")
 
 
 def test_out_flag_writes_json(tmp_path, capsys):
@@ -363,3 +375,161 @@ def test_out_flag_writes_json(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert len(json.loads(target.read_text())) == 6
+
+
+# -- every optional flag reaches the library call it feeds -------------------
+#
+# Absent flags are left to the library's defaults, so a flag whose dest does
+# not name its parameter would fall back silently.  Each case gives one flag a
+# non-default value, compares the output with the library call at that value,
+# and checks that the flag changes the output.
+
+
+def _printed(payload):
+    """A payload as the CLI prints it, read back; wall_time is not compared."""
+    doc = json.loads(json.dumps(cli._jsonable(payload)))
+    if isinstance(doc, dict):
+        doc.pop("wall_time", None)
+    return doc
+
+
+def _yoccoz_doc(family, lam, **options):
+    try:
+        value = yoccoz_w(family, lam, **options)
+    except SiegelnumError as exc:
+        return cli._error_body(exc)
+    return {"lambda": [lam.real, lam.imag], "w": [value.w.real, value.w.imag], "u": value.u,
+            "iterations": value.iterations_used, "entry_radius": value.entry_radius}
+
+
+RADIUS = ("radius", "--family", "quadratic", "--alpha", "golden", "--method")
+POISSON = ("poisson-check", "--family", "quadratic", "--alpha", "golden",
+           "--delta", "0.01", "--L", "-1.1", "--R", "-1.1")
+CONSTRUCT = ("construct", "--depth", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, expected",
+    [
+        (("yoccoz", "--family", "quadratic", "--lambda", "0.5,0.3"), ("--degree", "32"),
+         lambda: _yoccoz_doc(QUAD, 0.5 + 0.3j, n=32)),
+        (("yoccoz", "--family", "quadratic", "--lambda", "0.9,0"), ("--budget", "3"),
+         lambda: _yoccoz_doc(QUAD, 0.9 + 0j, budget=3)),
+        ((*RADIUS, "radial"), ("--depth", "5"),
+         lambda: rho_radial(QUAD, GOLDEN, depth=5).describe()),
+        ((*RADIUS, "radial"), ("--degree", "64"),
+         lambda: rho_radial(QUAD, GOLDEN, n=64).describe()),
+        ((*RADIUS, "coeff"), ("--degree", "64"),
+         lambda: rho_coefficient(QUAD, GOLDEN, n=64).describe()),
+        (POISSON, ("--samples", "3"),
+         lambda: poisson_bound_check(QUAD, GOLDEN, 0.01, -1.1, -1.1, ray_samples=3).describe()),
+        ((*POISSON, "--samples", "4"), ("--degree", "64"),
+         lambda: poisson_bound_check(QUAD, GOLDEN, 0.01, -1.1, -1.1, ray_samples=4, n=64).describe()),
+        ((*CONSTRUCT, "--degree", "64"), ("--alpha0", "silver"),
+         lambda: run_construction(ConstructionConfig(
+             depth=1, n_series=64, alpha0=parse_rotation("silver"))).describe()),
+        (CONSTRUCT, ("--degree", "64"),
+         lambda: run_construction(ConstructionConfig(depth=1, n_series=64)).describe()),
+    ],
+    ids=["yoccoz-degree", "yoccoz-budget", "radial-depth", "radial-degree", "coeff-degree",
+         "poisson-samples", "poisson-degree", "construct-alpha0", "construct-degree"],
+)
+def test_json_flags_reach_the_library(capsys, argv, flag, expected):
+    _, out, _ = run(capsys, *argv, *flag)
+    assert _printed(json.loads(out)) == _printed(expected())
+    assert run(capsys, *argv)[1] != out
+
+
+def _grid_cells(text, fmt):
+    """(u as printed, iterations, status) of each grid row."""
+    if fmt == "json":
+        return [(repr(math.nan if row["u"] is None else row["u"]), row["iterations"], row["status"])
+                for row in json.loads(text)]
+    return [(row["u"], int(row["iterations"]), row["status"])
+            for row in csv.DictReader(io.StringIO(text))]
+
+
+@pytest.mark.parametrize(
+    "flag, options",
+    [(("--degree", "32"), {"n": 32}), (("--budget", "3"), {"budget": 3}),
+     (("--format", "json"), {})],
+)
+def test_grid_flags_reach_u_values(capsys, flag, options):
+    argv = ("grid", "--family", "quadratic", "--rmin", "0.9", "--rmax", "0.9", "--res", "2")
+    code, out, _ = run(capsys, *argv, *flag)
+    assert code == 0
+    lams = [0.9 * complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))
+            for t in (0.0, 0.5, 0.0, 0.5)]
+    expected = [
+        (repr(v.u), v.iterations_used, "ok") if isinstance(v, YoccozValue)
+        else ("nan", 0, type(v).__name__)
+        for v in u_values(QUAD, lams, **options)
+    ]
+    fmt = "json" if "json" in flag else "csv"
+    assert _grid_cells(out, fmt) == expected
+    assert run(capsys, *argv)[1] != out
+
+
+@pytest.mark.parametrize(
+    "flag, options",
+    [(("--K", "3"), {"order_cap": 3}), (("--K", "99"), {"order_cap": 64}),
+     (("--samples", "16"), {"circle_samples": 16})],
+    ids=["K", "K-clamped-to-degree", "samples"],
+)
+def test_norm_flags_reach_qa_norm(tmp_path, capsys, flag, options):
+    g = siegel_series(QUAD, GOLDEN, 64).g
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(g.to_pairs()))
+    argv = ("norm", "--series", str(f), "--r", "0.15")
+    _, out, _ = run(capsys, *argv, *flag)
+    assert json.loads(out) == _printed(dataclasses.asdict(qa_norm(g, 0.15, **options)))
+    assert run(capsys, *argv)[1] != out
+
+
+def test_norm_negative_order_cap_is_a_precondition_error(tmp_path, capsys):
+    f = tmp_path / "series.json"
+    f.write_text(json.dumps([0, 1, 0.5]))
+    code, out, _ = run(capsys, "norm", "--series", str(f), "--r", "0.5", "--K", "-1")
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "PreconditionError"
+
+
+@pytest.mark.parametrize(
+    "flag, n, samples", [(("--degree", "64"), 64, 4), (("--samples", "6"), 128, 6)]
+)
+def test_boundary_flags_reach_the_curve(capsys, flag, n, samples):
+    argv = ("boundary", "--family", "quadratic", "--alpha", "golden", "--rho", "-1.5")
+    if "--samples" not in flag:
+        argv += ("--samples", "4")
+    code, out, _ = run(capsys, *argv, *flag)
+    assert code == 0
+    g = siegel_series(QUAD, GOLDEN, n).g
+    gv, gp = qanorm.circle_values(g.coeffs, math.exp(-1.5), samples, order_cap=1)
+    rows = [[float(x) for x in row] for row in list(csv.reader(io.StringIO(out)))[1:]]
+    assert rows == [[j / samples, v.real, v.imag, a] for j, (v, a) in enumerate(zip(gv, np.abs(gp)))]
+    assert run(capsys, *argv)[1] != out
+
+
+# -- failure paths of grid and construct ---------------------------------------
+
+
+def test_grid_failed_cells_carry_their_error_class(capsys):
+    code, out, _ = run(
+        capsys, "grid", "--family", "quadratic", "--rmin", "0.9", "--rmax", "0.99",
+        "--res", "2", "--budget", "1",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    statuses = {row["status"] for row in rows}
+    assert {"NoConvergenceError", "EntryRadiusError"} <= statuses
+    for row in rows:
+        if row["status"] != "ok":
+            assert (row["u"], row["iterations"]) == ("nan", "0")
+
+
+def test_construct_stall_reports_the_partial_run(capsys):
+    code, out, _ = run(capsys, "construct", "--delta", "1e-9")
+    assert code == 3
+    body = json.loads(out)["error"]
+    assert body["type"] == "ConstructionStallError"
+    assert body["partial_report"]["steps"] == []

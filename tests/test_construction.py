@@ -332,6 +332,11 @@ def test_bracket_failure_when_target_unreachable():
         find_alpha_with_rho(QUAD, -1.0, 0.5, golden_rotation().value, n=128)
 
 
+def test_bracket_failure_when_the_below_end_is_not_below():
+    with pytest.raises(BracketFailureError, match="below end"):
+        find_alpha_with_rho(QUAD, -1.6, golden_rotation().value, 21 / 34, n=128)
+
+
 def test_bisection_lands_on_target():
     alpha, est = find_alpha_with_rho(
         QUAD, -1.6, 21 / 34, golden_rotation().value, tol_rho=0.05, n=128
@@ -382,3 +387,10 @@ def test_config_validation():
         ConstructionConfig(depth=2, schedule=(-1.3,))
     with pytest.raises(PreconditionError):
         ConstructionConfig(depth=2, schedule=(-1.4, -1.3))
+
+
+def test_boundary_report_outside_the_disc_has_no_norm():
+    g = siegel_series(QUAD, golden_rotation().value, 128).g
+    rep = boundary_report(g, 1.0)
+    assert math.isnan(rep.norm_value)
+    assert rep.radius == 1.0 and rep.samples == CIRCLE_SAMPLES

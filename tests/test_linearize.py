@@ -353,6 +353,20 @@ def test_siegel_series_many_edges():
     assert ss.lam == cmath.exp(2j * math.pi * ss.alpha)
 
 
+def test_siegel_non_finite_alpha_is_a_row_precondition_error():
+    fam = get_family("quadratic")
+    golden = golden_rotation().value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = siegel_series_many(fam, [math.nan, golden, math.inf, -math.inf], 64)
+        with pytest.raises(PreconditionError, match="finite"):
+            siegel_series(fam, math.nan, 64)
+    assert [type(out) for out in outcomes] == [PreconditionError, linearize.SiegelSeries] + [
+        PreconditionError
+    ] * 2
+    assert outcomes[1].g.coeffs.tobytes() == siegel_series(fam, golden, 64).g.coeffs.tobytes()
+
+
 @pytest.mark.parametrize("fam_id", ["quadratic", "sin", "reduced(tan)"])
 def test_rho_coefficients_match_rho_coefficient(fam_id):
     fam = get_family(fam_id)

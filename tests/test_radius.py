@@ -19,6 +19,7 @@ from siegelnum import (
     poisson_step_value,
     rational_rotation,
     rho_coefficient,
+    rho_coefficients,
     rho_radial,
     rotation_from_cf,
     rotation_from_float,
@@ -27,6 +28,7 @@ from siegelnum import (
 from siegelnum import radius
 from siegelnum.errors import (
     DivisorBreakdownError,
+    EstimateUnavailableError,
     NoConvergenceError,
     NumericalError,
     PreconditionError,
@@ -210,6 +212,16 @@ def test_poisson_check_propagates_foreign_errors():
         )
     with pytest.raises(RuntimeError, match="user map failed"):
         poisson_bound_check(fam, golden_rotation(), 0.01, -1.0, -1.0, ray_samples=4, n=64)
+
+
+def test_rho_coefficients_returns_an_unavailable_fit():
+    # g(w) = w conjugates the rotation of f(z) = z: no tail to fit
+    with pytest.warns(UserWarning):
+        identity = custom_family(
+            "identity", 1.0, 1, lambda n: np.r_[0, 1, np.zeros(n - 1)], lambda z: z
+        )
+    [outcome] = rho_coefficients(identity, [golden_rotation()], n=64)
+    assert isinstance(outcome, EstimateUnavailableError)
 
 
 def _inject_sample(monkeypatch, error):
