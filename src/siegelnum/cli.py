@@ -66,12 +66,8 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
     return obj
 
 
@@ -208,6 +204,8 @@ def _cmd_radius(args) -> int:
     alpha = parse_rotation(args.alpha)
     if args.method == "radial":
         estimate = rho_radial(family, alpha, **_given(args, "depth", "n"))
+    elif hasattr(args, "depth"):
+        raise PreconditionError("--depth applies to --method radial only")
     else:
         estimate = rho_coefficient(family, alpha, **_given(args, "n"))
     _emit_json(estimate.describe(), args.out)

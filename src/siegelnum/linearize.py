@@ -62,7 +62,6 @@ __all__ = [
     "koenigs_eval",
     "yoccoz_w",
     "u_values",
-    "KOENIGS_DIVISOR_FLOOR",
     "SIEGEL_DIVISOR_FLOOR",
     "ENTRY_RADIUS_GRID",
     "ENTRY_TAIL_TOL",
@@ -70,7 +69,6 @@ __all__ = [
     "BLOCK_ENTRIES",
 ]
 
-KOENIGS_DIVISOR_FLOOR = 1e-14
 SIEGEL_DIVISOR_FLOOR = 1e-13
 ENTRY_RADIUS_GRID = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
 ENTRY_TAIL_TOL = 1e-13
@@ -105,37 +103,19 @@ class YoccozValue:
     entry_radius: float
 
 
-def _overflow_error(row: np.ndarray, kind: str) -> CoefficientOverflowError:
-    """Conjugacy coefficients can outgrow binary64 when the radius is tiny
-    (deep near-rational dips); that is a numerical failure of the run, not
-    a caller mistake, so it must not surface as a precondition error."""
-    k = int(np.argmax(~np.isfinite(row)))
-    return CoefficientOverflowError(
-        f"{kind} coefficients overflowed binary64 at degree {k}; "
-        "the conformal radius here is too small for this truncation"
-    )
-
-
-def _guarded_solve(solve, divisors: np.ndarray, floor: float, kind: str) -> list:
-    """The divisor guard and overflow check of both coefficient solves.
-
-    A row of divisors lambda^k - lambda whose smallest modulus over k >= 2
-    is below floor gets that k's DivisorBreakdownError; solve(live) returns
-    the coefficient rows of the others, and an overflowed row gets its
-    CoefficientOverflowError.  Returns each row's coefficients or error.
-    """
-    mags = np.abs(divisors[:, 2:])
-    k_min = np.argmin(mags, axis=1)
-    outcomes: list = [
-        DivisorBreakdownError(int(k) + 2, float(m), floor) if m < floor else None
-        for k, m in zip(k_min, mags[np.arange(mags.shape[0]), k_min])
+def _read_rows(rows: np.ndarray, kind: str) -> list:
+    """Each solved coefficient row, or the CoefficientOverflowError of a
+    row that is not finite.  Conjugacy coefficients can outgrow binary64
+    when the radius is tiny (deep near-rational dips); that is a numerical
+    failure of the run, not a caller mistake, so it must not surface as a
+    precondition error."""
+    return [
+        row if finite else CoefficientOverflowError(
+            f"{kind} coefficients overflowed binary64 at degree {int(np.argmax(~np.isfinite(row)))}; "
+            "the conformal radius here is too small for this truncation"
+        )
+        for row, finite in zip(rows, np.isfinite(rows).all(axis=1).tolist())
     ]
-    live = [b for b, out in enumerate(outcomes) if out is None]
-    if live:
-        rows = solve(live)
-        for b, row, finite in zip(live, rows, np.isfinite(rows).all(axis=1).tolist()):
-            outcomes[b] = row if finite else _overflow_error(row, kind)
-    return outcomes
 
 
 def _single(outcomes: list):
@@ -162,27 +142,23 @@ def _solve_koenigs(cols: np.ndarray, lams: np.ndarray) -> list:
     batch against row k of the table.  Each row's dot is computed
     on its own, so its coefficients do not depend on the rest of the batch
     (a plain matrix-vector product can sum a row differently by batch size).
-    Returns, per lambda, its coefficient row or the DivisorBreakdownError /
-    CoefficientOverflowError that koenigs_series raises for it; only rows
-    that pass the divisor guard are solved.
+    Returns, per lambda, its coefficient row or the CoefficientOverflowError
+    that koenigs_series raises for it.  There is no divisor guard: off 0
+    and the circle a divisor lambda (lambda^{k-1} - 1) never vanishes, and
+    divisors that round to tiny or zero values overflow their row instead.
     """
     n = cols.shape[0] - 1
-    lam_pows = np.power(lams[:, None], np.arange(n + 1))
-    divisors = lam_pows - lams[:, None]
-
-    def solve(live):
-        pows, divs = lam_pows[live], divisors[live]
-        h = np.zeros((len(live), n + 1), dtype=np.complex128)
-        h[:, 1] = 1
-        g = np.zeros_like(h)
-        g[:, 1] = pows[:, 1]
-        with np.errstate(over="ignore", invalid="ignore"):  # _guarded_solve reports it
-            for k in range(2, n + 1):
-                h[:, k] = -(g[:, None, :k] @ cols[k, :k, None])[:, 0, 0] / divs[:, k]
-                g[:, k] = h[:, k] * pows[:, k]
-        return h
-
-    return _guarded_solve(solve, divisors, KOENIGS_DIVISOR_FLOOR, "Koenigs")
+    pows = np.power(lams[:, None], np.arange(n + 1))
+    divs = pows - lams[:, None]
+    h = np.zeros((len(lams), n + 1), dtype=np.complex128)
+    h[:, 1] = 1
+    g = np.zeros_like(h)
+    g[:, 1] = pows[:, 1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # _read_rows reports it
+        for k in range(2, n + 1):
+            h[:, k] = -(g[:, None, :k] @ cols[k, :k, None])[:, 0, 0] / divs[:, k]
+            g[:, k] = h[:, k] * pows[:, k]
+    return _read_rows(h, "Koenigs")
 
 
 def koenigs_series(family: FamilySpec, lam: complex, n: int = 128) -> KoenigsSeries:
@@ -214,7 +190,8 @@ def siegel_series_many(
     call.
 
     The recurrence for g is the reversed composition order of the Koenigs
-    one; both divide by lambda^k - lambda.  Powers of lambda are taken as
+    one; both divide by lambda^k - lambda, which can vanish only here, on
+    the circle.  Powers of lambda are taken as
     e^{2 pi i frac(k alpha)} so the divisor of an (effectively) rational
     alpha vanishes exactly instead of drifting, and the guard at
     SIEGEL_DIVISOR_FLOOR reports the offending k.  Every alpha that passes
@@ -223,23 +200,28 @@ def siegel_series_many(
     alphas = np.array([float(getattr(a, "value", a)) for a in alphas])  # RotationNumber or float
     base = base_series(family, n).coeffs
     finite = np.isfinite(alphas)
-    powers = np.exp(2j * math.pi * np.fmod(alphas[finite, None] * np.arange(n + 1), 1.0))
+    safe = np.where(finite, alphas, 0.0)  # a non-finite alpha's row is never read
+    powers = np.exp(2j * math.pi * np.fmod(safe[:, None] * np.arange(n + 1), 1.0))
     divisors = powers - powers[:, 1:2]
-    lams = np.exp(2j * math.pi * alphas[finite])
-    solved = iter(zip(lams, _guarded_solve(
-        # f_lambda = lambda f, as family_series builds it
-        lambda live: _solve_siegel(lams[live, None] * base, divisors[live]),
-        divisors, SIEGEL_DIVISOR_FLOOR, "Siegel",
-    )))
+    mags = np.abs(divisors[:, 2:])
+    smallest = zip(np.argmin(mags, axis=1).tolist(), np.min(mags, axis=1).tolist())
     outcomes: list = []
-    for alpha, ok in zip(alphas.tolist(), finite.tolist()):
+    for alpha, ok, (k, m) in zip(alphas.tolist(), finite.tolist(), smallest):
         if not ok:
             outcomes.append(PreconditionError(f"alpha must be finite, got {alpha}"))
-            continue
-        lam, out = next(solved)
-        outcomes.append(out if isinstance(out, SiegelnumError) else SiegelSeries(
-            alpha=alpha, lam=complex(lam), g=TruncatedSeries.from_coeffs(out, n), family=family,
-        ))
+        elif m < SIEGEL_DIVISOR_FLOOR:
+            outcomes.append(DivisorBreakdownError(k + 2, m, SIEGEL_DIVISOR_FLOOR))
+        else:
+            outcomes.append(None)
+    live = [b for b, out in enumerate(outcomes) if out is None]
+    if live:
+        lams = np.exp(2j * math.pi * alphas[live])
+        # f_lambda = lambda f, as family_series builds it
+        rows = _read_rows(_solve_siegel(lams[:, None] * base, divisors[live]), "Siegel")
+        for b, lam, out in zip(live, lams.tolist(), rows):
+            outcomes[b] = out if isinstance(out, SiegelnumError) else SiegelSeries(
+                alpha=float(alphas[b]), lam=lam, g=TruncatedSeries.from_coeffs(out, n), family=family,
+            )
     return outcomes
 
 
@@ -281,7 +263,7 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
         pows = np.zeros((F_b.shape[0], top + 1, n + 1), dtype=np.complex128)
         g = pows[:, 1]
         g[:, 1] = 1
-        with np.errstate(over="ignore", invalid="ignore"):  # _guarded_solve reports it
+        with np.errstate(over="ignore", invalid="ignore"):  # _read_rows reports it
             for k in range(2, n + 1):
                 m = min(k, top)
                 pows[:, 2 : m + 1, k] = (pows[:, 1:m, k - 1 : 0 : -1] @ g[:, 1:k, None])[:, :, 0]
@@ -470,9 +452,11 @@ def u_values(
 
     Returns, in input order, one outcome per lambda: its YoccozValue, or
     the SiegelnumError instance that yoccoz_w raises for it (not raised
-    here, so a sweep keeps going).  Any other exception, such as one from a
-    user family's point evaluator, propagates.  A budget below 1 or a
-    degree below 2 is a PreconditionError, raised for the whole call.
+    here, so a sweep keeps going); past the 0 < |lambda| < 1 check these
+    are coefficient overflow, entry radius, orbit and Koebe failures, never
+    a divisor breakdown.  Any other exception, such as one from a user
+    family's point evaluator, propagates.  A budget below 1 or a degree
+    below 2 is a PreconditionError, raised for the whole call.
 
     The Koenigs series of every lambda come from one power table of f
     (f_lambda = lambda f) and one batched solve per block of

@@ -37,7 +37,6 @@ import numpy as np
 
 from .errors import (
     CoefficientOverflowError,
-    DivisorBreakdownError,
     EntryRadiusError,
     EstimateUnavailableError,
     NoConvergenceError,
@@ -81,8 +80,8 @@ RAY_BUDGET = 2 * 10**6  # orbit iterations per lambda of a ray scan
 RAY_MAX_DEPTH = 12.0  # dyadic depth of the outermost poisson_bound_check radius
 HARMONIC_R_LO, HARMONIC_R_HI = 0.1, 0.8  # annulus of the harmonic_check grid
 HARMONIC_CIRCLE_POINTS = 4  # ring points per harmonic_check node
-MISSING_SAMPLE = (NoConvergenceError, EntryRadiusError, DivisorBreakdownError,
-                  CoefficientOverflowError, PoleError)  # ray-sample failures that are skipped
+# the ray-sample failures that the ray scans skip; any other is raised
+MISSING_SAMPLE = (NoConvergenceError, EntryRadiusError, CoefficientOverflowError, PoleError)
 
 
 # -- rotation numbers ---------------------------------------------------------
@@ -283,7 +282,7 @@ def rho_radial(
     (see the module docstring for the calibration); a diverging estimate
     carries rho_hat = None, never a sentinel float.  Individual depths may
     fail (MISSING_SAMPLE: iteration budget, entry radius, orbit escape,
-    divisor breakdown, Koenigs overflow, pole) and are recorded; flags are
+    Koenigs overflow, pole) and are recorded; flags are
     read off the trailing run of consecutive successes.  Any other error of
     a depth, such as a Koebe-bound violation, is raised (_ray_values).
     """

@@ -91,6 +91,20 @@ def test_radius_exact_rational_reports_breakdown(capsys):
     assert body["k"] >= 2 and body["magnitude"] < body["floor"]
 
 
+def test_radius_depth_needs_the_radial_method(capsys):
+    code, out, _ = run(
+        capsys, "radius", "--family", "quadratic", "--alpha", "golden",
+        "--method", "coeff", "--depth", "5",
+    )
+    assert code == 2
+    body = json.loads(out)["error"]
+    assert body["type"] == "PreconditionError" and "--depth" in body["message"]
+
+
+def test_jsonable_nulls_non_finite_floats():
+    assert cli._jsonable({"a": math.nan, "b": [math.inf]}) == {"a": None, "b": [None]}
+
+
 def test_radius_golden_coefficient(capsys):
     code, out, _ = run(
         capsys, "radius", "--family", "quadratic", "--alpha", "golden",

@@ -352,6 +352,12 @@ def test_bisection_from_an_anchor_above_alpha():
     assert abs(est.rho_hat - (-1.6)) <= 0.05
 
 
+def test_bisection_reports_a_missing_crossing(monkeypatch):
+    monkeypatch.setattr(construction, "MAX_ITER", 1)
+    with pytest.raises(BracketFailureError, match="no crossing within 1 bisection steps"):
+        find_alpha_with_rho(QUAD, -1.6, 21 / 34, golden_rotation().value, tol_rho=1e-9, n=128)
+
+
 def test_bracket_ends_must_differ():
     with pytest.raises(PreconditionError):
         find_alpha_with_rho(QUAD, -1.6, 21 / 34, 21 / 34, n=128)
@@ -361,6 +367,18 @@ def test_rho_infinity_override():
     rep = run_construction(ConstructionConfig(depth=1, rho_infinity=-1.52))
     assert rep.rho_infinity == pytest.approx(-1.52)
     assert rep.schedule[0] == pytest.approx((rep.rho0 - 1.52) / 2)
+
+
+@pytest.mark.parametrize("settings, message", [
+    # tan's coefficient estimate at the golden mean does not converge
+    ({"family": "tan"}, "base rotation number"),
+    ({"rho_infinity": 0.0}, "not below the base estimate"),
+    # -1.0 lies above the base estimate -1.1167
+    ({"depth": 2, "schedule": (-1.0, -1.05)}, "strictly between"),
+])
+def test_run_construction_checks_its_base_and_schedule(settings, message):
+    with pytest.raises(PreconditionError, match=message):
+        run_construction(ConstructionConfig(**settings))
 
 
 def test_deep_rho_infinity_certifies():

@@ -43,9 +43,8 @@ from siegelnum.linearize import (
     ENTRY_RADIUS_GRID,
     ENTRY_TAIL_TOL,
     ESCAPE_BOUND,
-    KOENIGS_DIVISOR_FLOOR,
     SIEGEL_DIVISOR_FLOOR,
-    _overflow_error,
+    _read_rows,
 )
 from siegelnum.series import TruncatedSeries, compose, evaluate
 
@@ -69,8 +68,11 @@ def test_koenigs_residual_small_across_families():
 
 
 def test_koenigs_rejects_degenerate_multipliers():
-    # |lambda| > 1 is fine (repelling point), but 0 and the unit circle are not
-    koenigs_series(get_family("quadratic"), 1.2, 16)
+    # |lambda| > 1 is fine (repelling point), but 0 and the unit circle are
+    # not; a repelling point has no basin to extend h over
+    repelling = koenigs_series(get_family("quadratic"), 1.2, 16)
+    with pytest.raises(PreconditionError, match="basin extension"):
+        koenigs_eval(repelling, 0.1)
     with pytest.raises(PreconditionError):
         koenigs_series(get_family("quadratic"), 0.0, 16)
     with pytest.raises(PreconditionError):
@@ -92,6 +94,9 @@ def test_siegel_rational_breaks_down():
 def test_entry_radius_comes_from_grid():
     ks = koenigs_series(get_family("quadratic"), 0.4, 64)
     assert entry_radius(ks.h) in ENTRY_RADIUS_GRID
+    # a tail too large at every grid radius has no entry disc
+    with pytest.raises(EntryRadiusError, match="no radius in"):
+        entry_radius(TruncatedSeries.from_coeffs([0, 1] + [1e30] * 30))
 
 
 def test_yoccoz_asymptote_and_koebe():
@@ -256,8 +261,7 @@ def _rowwise_siegel_outcome(fam, alpha, n):
     k = int(np.argmin(mags))
     if mags[k] < SIEGEL_DIVISOR_FLOOR:
         return DivisorBreakdownError(k + 2, float(mags[k]), SIEGEL_DIVISOR_FLOOR)
-    g = _rowwise_solve_siegel(F, divisors)
-    return g if np.isfinite(g).all() else _overflow_error(g, "Siegel")
+    return _read_rows(_rowwise_solve_siegel(F, divisors)[None], "Siegel")[0]
 
 
 def _same_outcome(new, ref):
@@ -412,14 +416,9 @@ def _scalar_koenigs(fam, lam, n):
         raise PreconditionError("lambda = 0 has no Koenigs linearization")
     if abs(abs(lam) - 1.0) < 1e-15:
         raise PreconditionError("|lambda| = 1 is the Siegel regime; use siegel_series")
-    F, divisors = _koenigs_inputs(fam, lam, n)
-    mags = np.abs(divisors[2:])
-    k_min = int(np.argmin(mags)) + 2
-    if mags[k_min - 2] < KOENIGS_DIVISOR_FLOOR:
-        raise DivisorBreakdownError(k_min, float(mags[k_min - 2]), KOENIGS_DIVISOR_FLOOR)
-    h = _loop_solve_koenigs(F, divisors)
-    if not np.isfinite(h).all():
-        raise _overflow_error(h, "Koenigs")
+    h = _read_rows(_loop_solve_koenigs(*_koenigs_inputs(fam, lam, n))[None], "Koenigs")[0]
+    if isinstance(h, SiegelnumError):
+        raise h
     return h
 
 
@@ -599,16 +598,24 @@ def test_u_values_rows_do_not_depend_on_the_block(monkeypatch):
     assert u_values(fam, lams, 64) == alone
 
 
-def test_broken_down_row_is_not_solved_with_the_batch():
-    # lambda = 1e-15 breaks down at k = 2 (|lambda^2 - lambda| ~ 1e-15 is
-    # under the Koenigs floor); the rows around it are those of a batch of one
+def test_overflowed_row_is_reported_in_its_slot():
+    # lambda = 1 - 2e-15 is close enough to the circle that its Koenigs
+    # coefficients overflow by degree 64; the rows around it are those of
+    # a batch of one
     quad = get_family("quadratic")
-    good, broken, other = u_values(quad, [0.5, 1e-15, 0.3j], 64)
+    good, broken, other = u_values(quad, [0.5, 1 - 2e-15, 0.3j], 64)
     assert good == yoccoz_w(quad, 0.5, 64)
     assert other == yoccoz_w(quad, 0.3j, 64)
-    assert isinstance(broken, DivisorBreakdownError)
-    assert (broken.k, broken.magnitude, broken.floor) == (2, abs(1e-15**2 - 1e-15), 1e-14)
-    assert str(broken) == "divisor breakdown at k=2: |lambda^k - lambda| = 1.000e-15 < 1.0e-14"
+    assert isinstance(broken, CoefficientOverflowError)
+    assert str(broken).startswith("Koenigs coefficients overflowed binary64 at degree ")
+
+
+@pytest.mark.parametrize("lam", [1e-13, 1e-15, 1e-300])
+def test_tiny_multiplier_gives_the_asymptote(lam):
+    # w(lambda) / lambda -> v as lambda -> 0: a Koenigs divisor
+    # lambda (lambda^{k-1} - 1) is tiny here but never vanishes
+    quad = get_family("quadratic")
+    assert abs(yoccoz_w(quad, lam, 64).w / lam - quad.v) <= 1e-12 * abs(quad.v)
 
 
 def test_entry_radii_do_not_depend_on_the_batch():

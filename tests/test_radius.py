@@ -254,6 +254,17 @@ def test_both_ray_scans_skip_a_missing_sample(monkeypatch):
     assert poisson.masked == 1 and len(poisson.samples) == 3
 
 
+def test_both_ray_scans_refuse_when_every_sample_is_missing(monkeypatch):
+    def missing(family, lams, *rest):
+        return [NoConvergenceError(7)] * len(lams)
+
+    monkeypatch.setattr(radius, "u_values", missing)
+    with pytest.raises(EstimateUnavailableError, match="no radial sample succeeded"):
+        rho_radial(QUAD, golden_rotation(), depth=8, n=64)
+    with pytest.raises(EstimateUnavailableError, match="every ray sample failed"):
+        poisson_bound_check(QUAD, golden_rotation(), 0.01, -1.1, -1.1, ray_samples=4, n=64)
+
+
 @pytest.mark.parametrize("delta", [0.0, -0.1, 0.5000001, 0.7])
 def test_poisson_check_needs_disjoint_arcs(delta):
     # past delta = 1/2 the arcs overlap: at alpha = 0.3, delta = 0.7 and
