@@ -217,6 +217,10 @@ def symmetry_reduce(spec: FamilySpec) -> FamilySpec:
 
     The parameter correspondence is lambda -> lambda^n: the reduced map under
     study is w -> lambda^n F(w) when the original is z -> lambda f(z).
+    At n = 2 (every catalog reduction) F is evaluated as
+    s = f(sqrt(w)); s * s: a square root and a product in place of two
+    complex powers on every basin-orbit step, a few ulps from the general
+    f(w ** (1/n)) ** n.
     """
     n = spec.symmetry_order
     if n == 1:
@@ -237,14 +241,22 @@ def symmetry_reduce(spec: FamilySpec) -> FamilySpec:
         return out
 
     inner_eval = spec._point_eval
-    root = 1.0 / n
 
-    def pe(w):
-        # branch-independent: f(omega z)^n = f(z)^n for the symmetry root omega
-        w = complex(w)
-        if w == 0:
-            return 0j
-        return inner_eval(w ** root) ** n
+    # branch-independent: f(omega z)^n = f(z)^n for the symmetry root omega
+    if n == 2:
+
+        def pe(w):
+            s = inner_eval(cmath.sqrt(w))
+            return s * s
+
+    else:
+        root = 1.0 / n
+
+        def pe(w):
+            w = complex(w)
+            if w == 0:
+                return 0j
+            return inner_eval(w ** root) ** n
 
     return FamilySpec(
         family_id=f"reduced({spec.family_id})",

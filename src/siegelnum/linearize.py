@@ -70,7 +70,13 @@ __all__ = [
 ]
 
 SIEGEL_DIVISOR_FLOOR = 1e-13
-ENTRY_RADIUS_GRID = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
+# the 1-2-5 ladder 1, 0.5, ..., 0.01 with each gap split into 8 geometric
+# steps (ratio 0.89-0.92 per rung); every 1-2-5 rung is kept exactly, so
+# the largest passing rung is never below the 1-2-5 ladder's choice
+_DECADE_RUNGS = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
+ENTRY_RADIUS_GRID = tuple(
+    hi * (lo / hi) ** (j / 8) for hi, lo in zip(_DECADE_RUNGS, _DECADE_RUNGS[1:]) for j in range(8)
+) + (_DECADE_RUNGS[-1],)
 ENTRY_TAIL_TOL = 1e-13
 ESCAPE_BOUND = 1e50
 DEFAULT_BUDGET = 10**6
@@ -307,7 +313,9 @@ def _entry_radii(h: np.ndarray) -> np.ndarray:
     rows share it, and a last-bit change in a tail near ENTRY_TAIL_TOL
     would move the entry radius.  The majorant grows with r, so the first
     passing radius of the descending grid is the largest; one that
-    overflows at large degree is inf and fails.
+    overflows at large degree is inf and fails.  The grid holds every
+    rung of the 1-2-5 ladder, so no row gets a smaller radius (and a
+    longer orbit) than that ladder would give it.
     """
     n = h.shape[1] - 1
     powers = np.arange(n // 2 + 1, n + 1)
@@ -318,8 +326,10 @@ def _entry_radii(h: np.ndarray) -> np.ndarray:
 
 
 def _entry_radius_error() -> EntryRadiusError:
+    grid = ENTRY_RADIUS_GRID
     return EntryRadiusError(
-        f"no radius in {ENTRY_RADIUS_GRID} gives two-truncation agreement <= {ENTRY_TAIL_TOL:g}"
+        f"no radius in the {len(grid)}-rung ladder from {grid[0]:g} down to {grid[-1]:g} "
+        f"gives two-truncation agreement <= {ENTRY_TAIL_TOL:g}"
     )
 
 
@@ -330,8 +340,9 @@ def entry_radius(ser: TruncatedSeries) -> float:
     sum_{N/2 < k <= N} |h_k| r^k is <= ENTRY_TAIL_TOL.  The majorant bounds
     the gap between full-degree and half-degree evaluation at every point
     of |z| = r, not only at samples, so the whole entry disc agrees.
-    Nothing on the grid passing means the series is untrustworthy even at
-    |z| = 0.01 and evaluation should not be attempted.
+    The grid is the 1-2-5 ladder from 1 to 0.01 with each gap split into
+    8 geometric rungs.  Nothing on the grid passing means the series is
+    untrustworthy even at |z| = 0.01 and evaluation should not be attempted.
     """
     r = float(_entry_radii(ser.coeffs[None, :])[0])
     if math.isnan(r):
