@@ -14,6 +14,7 @@ F(w) = f(w^{1/n})^n, a genuine power series in w; see
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -172,11 +173,15 @@ def family_catalog() -> list[FamilySpec]:
     return list(_CATALOG.values())
 
 
+@functools.lru_cache(maxsize=64)
 def get_family(family_id: str) -> FamilySpec:
     """Look up a family by id.
 
     Accepts catalog ids, ``poly_<d>`` for any polynomial degree d >= 2, and
-    ``reduced(<id>)`` for the symmetry reduction of a folded family.
+    ``reduced(<id>)`` for the symmetry reduction of a folded family.  Each
+    id gives one shared spec (memoized, 64 ids), so its coefficient
+    generator, the key of base_series' memo, is the same on every lookup;
+    an unknown id raises on every call.
     """
     if family_id in _CATALOG:
         return _CATALOG[family_id]
@@ -196,10 +201,21 @@ def get_family(family_id: str) -> FamilySpec:
 
 
 def base_series(spec: FamilySpec, n: int) -> TruncatedSeries:
-    """Degree-n truncation of the base map f (parameter lambda = 1)."""
+    """Degree-n truncation of the base map f (parameter lambda = 1).
+
+    Built once per (coefficient generator, n) and shared (its coefficients
+    are read-only).  The key is the generator, not the spec: a spec's
+    equality ignores its map, so two custom families with the same id, v
+    and symmetry must not share an entry.
+    """
     if n < 2:
         raise PreconditionError("series degree must be >= 2")
-    return TruncatedSeries.from_coeffs(spec._coeff_gen(n), n)
+    return _generated_series(spec._coeff_gen, n)
+
+
+@functools.lru_cache(maxsize=64)
+def _generated_series(coeff_gen: Callable, n: int) -> TruncatedSeries:
+    return TruncatedSeries.from_coeffs(coeff_gen(n), n)
 
 
 def family_series(spec: FamilySpec, lam: complex, n: int) -> TruncatedSeries:

@@ -32,6 +32,7 @@ error lives on.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -138,12 +139,28 @@ def _check_multiplier(lam: complex) -> None:
         raise PreconditionError("|lambda| = 1 is the Siegel regime; use siegel_series")
 
 
+@functools.lru_cache(maxsize=16)
+def _koenigs_table(base: TruncatedSeries) -> np.ndarray:
+    """power_table(f) of a base series f, read-only, built once per series.
+
+    base_series hands out one shared series per (map, n) and a
+    TruncatedSeries hashes by identity, so this holds one table per
+    (map, n) for every Koenigs solve of that map and degree: each sweep of
+    a grid, each ray scan, each koenigs_series.  At most 16 tables of
+    (n + 1)^2 complex128 entries: 16 (n + 1)^2 16 B in the worst case,
+    4.3 MB at n = 128 and 67 MB at n = 512.
+    """
+    table = power_table(base.coeffs)
+    table.flags.writeable = False
+    return table
+
+
 def _solve_koenigs(cols: np.ndarray, lams: np.ndarray) -> list:
     """Rows h of the normalized Koenigs series of lambda f, one per lambda.
 
-    cols = power_table(f) serves every lambda (f_lambda = lambda f): degree k
-    of h(f_lambda(z)) = lambda h(z) reads h_k (lambda^k - lambda) =
-    -sum_{j<k} h_j lambda^j C[k, j], so with
+    cols = power_table(f), shared through _koenigs_table, serves every
+    lambda (f_lambda = lambda f): degree k of h(f_lambda(z)) = lambda h(z)
+    reads h_k (lambda^k - lambda) = -sum_{j<k} h_j lambda^j C[k, j], so with
     G[:, j] = h_j lambda^j each degree is one stacked dot product over the
     batch against row k of the table.  Each row's dot is computed
     on its own, so its coefficients do not depend on the rest of the batch
@@ -174,12 +191,12 @@ def koenigs_series(family: FamilySpec, lam: complex, n: int = 128) -> KoenigsSer
     recurrence linearizes a repelling point).  |lambda| = 1 and lambda = 0
     are rejected outright — those regimes belong to siegel_series and to
     no linearizer at all, respectively.  The solve is the batched one of
-    u_values, run on a batch of one.
+    u_values, run on a batch of one, against the same shared power table
+    of f (_koenigs_table).
     """
     lam = complex(lam)
     _check_multiplier(lam)
-    cols = power_table(base_series(family, n).coeffs)
-    h = _single(_solve_koenigs(cols, np.array([lam])))
+    h = _single(_solve_koenigs(_koenigs_table(base_series(family, n)), np.array([lam])))
     return KoenigsSeries(lam=lam, h=TruncatedSeries.from_coeffs(h, n), family=family)
 
 
@@ -307,7 +324,8 @@ def _entry_radii(h: np.ndarray) -> np.ndarray:
     """entry_radius for each row of coefficients h; NaN where no radius passes.
 
     The tail majorant sum_{N/2 < k <= N} |h_k| r^k of every row at every
-    grid radius is one product of |h| with the table of those powers.  As
+    grid radius is one product of |h| with the table of those powers
+    (_rung_table, built once per ladder and n).  As
     in _solve_koenigs the product is stacked per row: a plain matrix
     product over the batch could sum a row differently depending on which
     rows share it, and a last-bit change in a tail near ENTRY_TAIL_TOL
@@ -318,11 +336,20 @@ def _entry_radii(h: np.ndarray) -> np.ndarray:
     longer orbit) than that ladder would give it.
     """
     n = h.shape[1] - 1
-    powers = np.arange(n // 2 + 1, n + 1)
-    grid = np.array(ENTRY_RADIUS_GRID)
+    grid = ENTRY_RADIUS_GRID
     with np.errstate(over="ignore", invalid="ignore"):
-        passing = (np.abs(h[:, None, powers]) @ np.power(grid, powers[:, None]))[:, 0] <= ENTRY_TAIL_TOL
-    return np.where(passing.any(axis=1), grid[passing.argmax(axis=1)], np.nan)
+        passing = (np.abs(h[:, None, n // 2 + 1 :]) @ _rung_table(grid, n))[:, 0] <= ENTRY_TAIL_TOL
+    return np.where(passing.any(axis=1), np.array(grid)[passing.argmax(axis=1)], np.nan)
+
+
+@functools.lru_cache(maxsize=16)
+def _rung_table(grid: tuple, n: int) -> np.ndarray:
+    """r^k for every rung r of the ladder (columns) and N/2 < k <= N (rows),
+    read-only, built once per (ladder, n)."""
+    powers = np.arange(n // 2 + 1, n + 1)
+    table = np.power(np.array(grid), powers[:, None])
+    table.flags.writeable = False
+    return table
 
 
 def _entry_radius_error() -> EntryRadiusError:
@@ -469,8 +496,9 @@ def u_values(
     family's point evaluator, propagates.  A budget below 1 or a degree
     below 2 is a PreconditionError, raised for the whole call.
 
-    The Koenigs series of every lambda come from one power table of f
-    (f_lambda = lambda f) and one batched solve per block of
+    The Koenigs series of every lambda come from the power table of f
+    (f_lambda = lambda f), built once per (map, n) in a process and shared
+    by every later call (_koenigs_table), and one batched solve per block of
     BLOCK_ENTRIES // (n + 1) multipliers (508 at n = 128), followed by the
     block's basin step from lambda v (_basin_step).  Near the unit circle
     orbits run to 10^5 iterates, so its orbit loop is where deep ray scans
@@ -478,7 +506,7 @@ def u_values(
     """
     if budget < 1:
         raise PreconditionError(f"iteration budget must be >= 1, got {budget}")
-    cols = power_table(base_series(family, n).coeffs)
+    cols = _koenigs_table(base_series(family, n))
     lams = [complex(lam) for lam in lams]
     outcomes: list = [None] * len(lams)
     todo = []

@@ -135,6 +135,32 @@ def test_unknown_family_rejected():
         get_family("cubic_but_wrong")
 
 
+def test_get_family_shares_one_spec_per_id():
+    for family_id in ("reduced(tan)", "poly_5"):
+        assert get_family(family_id) is get_family(family_id)
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            get_family("cubic_but_wrong")
+
+
+def test_equal_custom_specs_keep_their_own_series():
+    # FamilySpec equality ignores the map, so these two specs compare equal;
+    # base_series' memo must still hand each its own coefficients.  At
+    # lambda v = 0.125 neither orbit moves (m = 0), so u is h(0.125) from
+    # the series alone
+    with pytest.warns(UserWarning, match="single-singular-value"):
+        full = custom_family("mine", 0.25, 1, lambda n: np.r_[0, 1, -1, np.zeros(n - 2)],
+                             lambda z: z - z * z)
+        half = custom_family("mine", 0.25, 1, lambda n: np.r_[0, 1, -0.5, np.zeros(n - 2)],
+                             lambda z: z - 0.5 * z * z)
+    assert full == half
+    assert base_series(full, 16).coeffs[2] == -1
+    assert base_series(half, 16).coeffs[2] == -0.5
+    a, b = yoccoz_w(full, 0.5, 64), yoccoz_w(half, 0.5, 64)
+    assert a.iterations_used == b.iterations_used == 0
+    assert a.u != b.u
+
+
 def test_custom_family_flagged():
     with pytest.warns(UserWarning, match="single-singular-value"):
         fam = custom_family(

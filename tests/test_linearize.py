@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from siegelnum import (
     YoccozValue,
+    base_series,
     conjugacy_residual,
     entry_radius,
     family_eval,
@@ -28,7 +29,7 @@ from siegelnum import (
     u_values,
     yoccoz_w,
 )
-from siegelnum import linearize, radius
+from siegelnum import families, linearize, radius
 from siegelnum.errors import (
     CoefficientOverflowError,
     DivisorBreakdownError,
@@ -46,7 +47,7 @@ from siegelnum.linearize import (
     SIEGEL_DIVISOR_FLOOR,
     _read_rows,
 )
-from siegelnum.series import TruncatedSeries, compose, evaluate
+from siegelnum.series import TruncatedSeries, compose, evaluate, power_table
 
 EPS = np.finfo(np.float64).eps
 ALL_FAMILY_IDS = (
@@ -589,6 +590,69 @@ def test_u_values_edge_cases_match_scalar_pipeline():
     # a degree below 2 fails the whole call, before any solve
     with pytest.raises(PreconditionError, match="series degree must be >= 2"):
         u_values(quad, [0.5, 2.0], 1)
+
+
+def _fingerprint(outcome):
+    """An outcome of u_values, koenigs_series or siegel_series_many as
+    bytes: its numbers' binary64 bits, or its error class and message."""
+    if isinstance(outcome, SiegelnumError):
+        return type(outcome).__name__, str(outcome)
+    if isinstance(outcome, YoccozValue):
+        numbers = [outcome.lam, outcome.w, outcome.u, outcome.entry_radius]
+        return np.array(numbers).tobytes(), outcome.iterations_used
+    if isinstance(outcome, linearize.KoenigsSeries):
+        return np.complex128(outcome.lam).tobytes(), outcome.h.coeffs.tobytes()
+    return np.complex128(outcome.lam).tobytes(), outcome.g.coeffs.tobytes()
+
+
+def _pipeline_fingerprints(fam, n):
+    """u_values on interior, ray and refused multipliers, koenigs_series on
+    some of them, siegel_series_many on irrational, rational and non-finite
+    rotation numbers."""
+    lams = [r * cmath.exp(2j * math.pi * t) for r in (0.1, 0.5, 0.9) for t in (0.05, 0.4, 0.7)]
+    lams += [(1 - 2.0**-k) * cmath.exp(2j * math.pi * golden_rotation().value) for k in (4, 8)]
+    lams += [0, 1.5, 1 - 2e-15]
+    koenigs = []
+    for lam in lams[::2]:
+        try:
+            koenigs.append(koenigs_series(fam, lam, n))
+        except SiegelnumError as exc:
+            koenigs.append(exc)
+    alphas = [golden_rotation().value, silver_rotation().value, 2 / 7, float("nan")]
+    outcomes = u_values(fam, lams, n) + koenigs + siegel_series_many(fam, alphas, n)
+    return [_fingerprint(out) for out in outcomes]
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("fam_id", ALL_FAMILY_IDS)
+def test_shared_tables_give_the_rebuilt_results(fam_id, n, monkeypatch):
+    # the power table and base series shared per (map, n) give, cold and
+    # warm, the bytes of a table rebuilt from a fresh base series each call
+    fam = get_family(fam_id)
+    linearize._koenigs_table.cache_clear()
+    cold = _pipeline_fingerprints(fam, n)
+    warm = _pipeline_fingerprints(fam, n)
+    with monkeypatch.context() as m:
+        m.setattr(families, "_generated_series", lambda gen, n: TruncatedSeries.from_coeffs(gen(n), n))
+        m.setattr(linearize, "_koenigs_table", lambda base: power_table(base.coeffs))
+        rebuilt = _pipeline_fingerprints(fam, n)
+    assert cold == warm == rebuilt
+    assert base_series(fam, n) is base_series(fam, n)
+    table = linearize._koenigs_table(base_series(fam, n))
+    with pytest.raises(ValueError):
+        table[1, 1] = 0
+    before = linearize._koenigs_table.cache_info()
+    u_values(fam, [0.5], n)
+    after = linearize._koenigs_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_rung_table_is_shared_and_read_only():
+    table = linearize._rung_table(ENTRY_RADIUS_GRID, 128)
+    assert linearize._rung_table(ENTRY_RADIUS_GRID, 128) is table
+    assert table.shape == (64, len(ENTRY_RADIUS_GRID))
+    with pytest.raises(ValueError):
+        table[0, 0] = 0
 
 
 def test_u_values_rows_do_not_depend_on_the_block(monkeypatch):
