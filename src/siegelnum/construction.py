@@ -19,9 +19,10 @@ any radial failure but a missing sample (recorded as NaN) also fails.
 Candidates live on a rational anchor's dip: for p/q close to alpha_n the
 estimated radius falls off linearly in log distance, with slope 1/q per
 log unit (measured 0.0694 per decade at q = 34, i.e. ln 10 / q).  The
-step candidate is found by bisecting (at most MAX_ITER halvings) between
-the anchor (whose estimate diverges — the small-divisor guard trips
-exactly there) and alpha_n, on whichever side of alpha_n the anchor lies.
+step candidate is found by bisecting that log distance (at most MAX_ITER
+halvings) between the anchor (whose estimate diverges — the small-divisor
+guard trips exactly there) and alpha_n, on whichever side of alpha_n the
+anchor lies; alpha_n's estimate is reused from the step that chose it.
 Anchor choice trades three pressures: the dip must stay resolvable in
 binary64 (q * final_dip <= ~30, or the offset from p/q underflows), the
 resonant spike index q+1 must sit low enough for the coefficient window to
@@ -75,14 +76,16 @@ __all__ = [
 ]
 
 MIN_ANCHOR_Q = 5
-MIN_OFFSET_EPS = 200.0  # offsets below this many float-gaps are unresolvable
+# offsets below this many float-gaps are unresolvable when ranking anchors;
+# not a search floor: a crossing may sit closer to its anchor than this
+MIN_OFFSET_EPS = 200.0
 CROSSCHECK_SLACK = 0.1  # tolerance for the one-sided radial cross-check
 DEFAULT_DROP = 0.75  # rho0 - rho_infinity when rho_infinity is not given
 NORM_ORDER = 1  # derivative order cap of the step and total norm deltas
 CIRCLE_SAMPLES = 512  # circle points of every norm and of the boundary report
 FLANK_SAMPLES = 16  # flank probes per side of each candidate
 RETRY_BUDGET = 8  # anchors tried per step
-MAX_ITER = 80  # bisection steps per anchor
+MAX_ITER = 80  # halvings of the log-offset bracket per anchor
 
 
 @dataclass(frozen=True)
@@ -203,23 +206,34 @@ def find_alpha_with_rho(
     above: float,
     tol_rho: float = 0.02,
     n: int = 256,
+    *,
+    above_estimate: RadiusEstimate | None = None,
 ) -> tuple[float, RadiusEstimate]:
-    """Bisect between below and above, in either numeric order, for alpha
-    with a coefficient estimate rho_hat ~ target_rho, in at most MAX_ITER
-    steps.
+    """Bisect t = log|alpha - below| between below and above, in either
+    numeric order, for alpha with a coefficient estimate rho_hat ~
+    target_rho, in at most MAX_ITER halvings.
 
     The below end must estimate below the target and the above end above
     it; a rational anchor whose estimate breaks down counts as -infinity,
-    which is the standard way to seed the bracket.  Bisection needs only
-    the intermediate-value property, which the estimate has by continuity
-    away from breakdown points; the landscape is not monotone (other
-    rationals dent it), so the returned alpha is *a* crossing, not the
-    closest one to either end.
+    which is the standard way to seed the bracket.  Near an anchor p/q the
+    estimate falls off linearly in t (slope 1/q), so each probe sits at the
+    geometric mean of the bracket ends' distances from below, and each
+    halving halves the bracket in t; while the below end itself is still
+    in the bracket, its distance counts as one ulp of below.  Each end's t
+    is the log of its realized float distance.  Bisection needs only the
+    intermediate-value property, which the estimate has by continuity away
+    from breakdown points; the landscape is not monotone (other rationals
+    dent it), so the returned alpha is *a* crossing, not the closest one to
+    either end.  A caller that already holds the above end's estimate (same
+    alpha, same n) passes it as above_estimate, and the end is not solved
+    again.
     """
     if below == above:
         raise PreconditionError("bracket ends must differ")
     below_val = _effective_value(_estimate(family, below, n))
-    above_val = _effective_value(_estimate(family, above, n))
+    if above_estimate is None:
+        above_estimate = _estimate(family, above, n)
+    above_val = _effective_value(above_estimate)
     if not below_val < target_rho:
         raise BracketFailureError(
             f"below end estimates {below_val:.4f}, not below target {target_rho:.4f}"
@@ -228,19 +242,22 @@ def find_alpha_with_rho(
         raise BracketFailureError(
             f"above end estimates {above_val:.4f}, not above target {target_rho:.4f}"
         )
+    side = math.copysign(1.0, above - below)
     lo, hi = below, above
+    t_lo, t_hi = math.log(math.ulp(below)), math.log(abs(above - below))
     for _ in range(MAX_ITER):
-        mid = 0.5 * (lo + hi)
+        mid = below + side * math.exp(0.5 * (t_lo + t_hi))
         if mid in (lo, hi):
             raise BracketFailureError("bracket exhausted float resolution")
         est = _estimate(family, mid, n)
         val = _effective_value(est)
         if abs(val - target_rho) <= tol_rho:  # false at -infinity
             return mid, est
+        t = math.log(abs(mid - below))
         if val < target_rho:
-            lo = mid
+            lo, t_lo = mid, t
         else:
-            hi = mid
+            hi, t_hi = mid, t
     raise BracketFailureError(f"no crossing within {MAX_ITER} bisection steps")
 
 
@@ -306,6 +323,7 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
     alpha_n = cfg.alpha0.value
     eps_n = cfg.eps0
     levelrho_n = rho0
+    est_n = est0
     g_0 = g_n = est0.series.g
     steps: list[StepReport] = []
 
@@ -318,7 +336,8 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
             anchor = p / q
             try:
                 alpha_c, est_c = find_alpha_with_rho(
-                    family, target, anchor, alpha_n, cfg.tol_rho, cfg.n_series
+                    family, target, anchor, alpha_n, cfg.tol_rho, cfg.n_series,
+                    above_estimate=est_n,
                 )
             except BracketFailureError as exc:
                 reasons.append(f"{p}/{q}: {exc}")
@@ -372,7 +391,7 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
                 flank_worst=worst, flank_level=levelrho_n,
                 radial_value=radial_value, retries=retries,
             )
-            alpha_n, eps_n, levelrho_n, g_n = alpha_c, eps_c, target, g_c
+            alpha_n, eps_n, levelrho_n, est_n, g_n = alpha_c, eps_c, target, est_c, g_c
             break
         if accepted is None:
             raise ConstructionStallError(

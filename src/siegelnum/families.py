@@ -237,12 +237,21 @@ def symmetry_reduce(spec: FamilySpec) -> FamilySpec:
     s = f(sqrt(w)); s * s: a square root and a product in place of two
     complex powers on every basin-orbit step, a few ulps from the general
     f(w ** (1/n)) ** n.
+
+    Every reduction of one base map is one shared spec (memoized, 64
+    maps), so its coefficient generator, the key of base_series' memo, is
+    the same on every call.  The key is the base's id, v, order, generator
+    and evaluator, not the spec, whose equality ignores its map.
     """
     n = spec.symmetry_order
     if n == 1:
         raise PreconditionError(f"{spec.family_id} has no symmetry to reduce (n=1)")
-    inner_gen = spec._coeff_gen
+    return _reduced(spec.family_id, spec.v, n, spec._coeff_gen, spec._point_eval)
 
+
+@functools.lru_cache(maxsize=64)
+def _reduced(family_id: str, v: complex, n: int, inner_gen: Callable,
+             inner_eval: Callable) -> FamilySpec:
     def gen(m):
         # f(z) = z * phi(z^n) with phi_j = c_{n j + 1}; then
         # F(w) = f(w^{1/n})^n = w * phi(w)^n, needing inner coefficients
@@ -255,8 +264,6 @@ def symmetry_reduce(spec: FamilySpec) -> FamilySpec:
         out = np.zeros(m + 1, dtype=np.complex128)
         out[1:] = acc[:m]
         return out
-
-    inner_eval = spec._point_eval
 
     # branch-independent: f(omega z)^n = f(z)^n for the symmetry root omega
     if n == 2:
@@ -275,10 +282,10 @@ def symmetry_reduce(spec: FamilySpec) -> FamilySpec:
             return inner_eval(w ** root) ** n
 
     return FamilySpec(
-        family_id=f"reduced({spec.family_id})",
-        v=spec.v**n,
+        family_id=f"reduced({family_id})",
+        v=v**n,
         symmetry_order=1,
-        reduced_from=spec.family_id,
+        reduced_from=family_id,
         _coeff_gen=gen,
         _point_eval=pe,
     )

@@ -371,6 +371,13 @@ def _check_fit_degree(n: int) -> None:
         raise PreconditionError("coefficient estimate needs degree >= 32")
 
 
+def _fit_slope(ks: np.ndarray, ys: np.ndarray) -> float:
+    """Least-squares slope of ys against ks, in closed form:
+    sum (k - k_mean)(y - y_mean) / sum (k - k_mean)^2."""
+    dk = ks - ks.mean()
+    return float(dk @ (ys - ys.mean()) / (dk @ dk))
+
+
 def _coefficient_estimate(family: FamilySpec, rot: RotationNumber, ss: SiegelSeries) -> RadiusEstimate:
     """The fit of rho_coefficient on the solved series ss of rot."""
     n = ss.g.degree
@@ -381,10 +388,10 @@ def _coefficient_estimate(family: FamilySpec, rot: RotationNumber, ss: SiegelSer
     ys = np.log(mags[idx][keep].astype(np.float64))
     if ks.size < 8:
         raise EstimateUnavailableError("tail window has too few nonzero coefficients")
-    slope = float(np.polyfit(ks, ys, 1)[0])
+    slope = _fit_slope(ks, ys)
     mid = ks.size // 2
-    s1 = float(np.polyfit(ks[:mid], ys[:mid], 1)[0])
-    s2 = float(np.polyfit(ks[mid:], ys[mid:], 1)[0])
+    s1 = _fit_slope(ks[:mid], ys[:mid])
+    s2 = _fit_slope(ks[mid:], ys[mid:])
     rho_hat = -slope
     _check_cap(rho_hat, family, "rho_coefficient")
     return RadiusEstimate(

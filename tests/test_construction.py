@@ -298,9 +298,13 @@ def test_default_run_reuses_each_fitted_series(monkeypatch):
 
     monkeypatch.setattr(linearize, "_solve_siegel", counting)
     run_construction(ConstructionConfig())
-    # alpha_0 and each step's accepted alpha take their series from their
-    # estimates; re-solving them would make depth + 1 = 4 more rows (130)
-    assert sum(rows) == 126
+    # alpha_0, then 2 + 4 + 3 log-offset probes, then three flank scans:
+    # 1 + 9 + 93 = 103 rows.  Each step's anchor breaks down before the
+    # solve, and its above end is the previous accepted estimate; alpha_0
+    # and each accepted alpha take their series from their estimates.
+    # Re-solving those for their series would make depth + 1 = 4 more rows
+    # (107), and re-estimating each above end 3 more (106)
+    assert sum(rows) == 103
     # each step's flank scan is one call: 2 * FLANK_SAMPLES probes, less
     # the one that lands on the anchor and breaks down before the solve
     assert rows.count(2 * construction.FLANK_SAMPLES - 1) == 3
@@ -325,6 +329,127 @@ def test_bisection_estimates_each_alpha_once(monkeypatch):
     assert len(set(calls)) == len(calls) > 2
     assert calls[-1] == alpha
     assert results[-1] is est
+
+
+def test_a_held_above_estimate_is_not_solved_again(monkeypatch):
+    lo, hi = 21 / 34, golden_rotation().value
+    plain = find_alpha_with_rho(QUAD, -1.6, lo, hi, tol_rho=0.05, n=128)
+    held = rho_coefficient(QUAD, hi, 128)
+    calls = []
+    estimate = construction.rho_coefficient
+
+    def counting(family, alpha, n):
+        calls.append(alpha)
+        return estimate(family, alpha, n)
+
+    monkeypatch.setattr(construction, "rho_coefficient", counting)
+    alpha, est = find_alpha_with_rho(QUAD, -1.6, lo, hi, tol_rho=0.05, n=128, above_estimate=held)
+    assert hi not in calls and calls[0] == lo
+    assert alpha == plain[0] and est.rho_hat == plain[1].rho_hat
+
+
+def _log_landscape(below, slope):
+    """A stand-in estimator whose value is slope * log|alpha - below|."""
+    def fake(family, alpha, n):
+        return _reading(slope * math.log(abs(alpha - below)) if alpha != below else -math.inf)
+    return fake
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_each_probe_halves_the_log_offset_bracket(monkeypatch, side):
+    below = 0.375
+    above = below + side * 1e-2
+    calls = []
+    landscape = _log_landscape(below, 1 / 34)
+
+    def recording(family, alpha, n):
+        calls.append(alpha)
+        return landscape(family, alpha, n)
+
+    monkeypatch.setattr(construction, "rho_coefficient", recording)
+    # the target sits far below both ends' log offsets' midpoint, so the
+    # search walks towards the anchor and each probe is the geometric mean
+    # of the bracket ends' distances, the anchor's counting as one ulp
+    target = math.log(1e-14) / 34
+    alpha, _ = find_alpha_with_rho(QUAD, target, below, above, tol_rho=0.005)
+    t_lo, t_hi = math.log(math.ulp(below)), math.log(abs(above - below))
+    for probe in calls[2:]:
+        # the probe's distance is the mean one, rounded to a float alpha
+        assert abs(abs(probe - below) - math.exp(0.5 * (t_lo + t_hi))) <= math.ulp(below)
+        t = math.log(abs(probe - below))
+        assert math.copysign(1.0, probe - below) == side
+        if landscape(QUAD, probe, 0).rho_hat < target:
+            t_lo = t
+        else:
+            t_hi = t
+    assert abs(math.log(abs(alpha - below)) - math.log(1e-14)) <= 34 * 0.005
+    # the linear-in-alpha march would take dozens of probes
+    assert len(calls) - 2 <= 8
+
+
+def test_adjacent_bracket_ends_exhaust_float_resolution(monkeypatch):
+    below = 0.375
+    above = math.nextafter(below, 1.0)
+    monkeypatch.setattr(construction, "rho_coefficient", _log_landscape(below, 1.0))
+    with pytest.raises(BracketFailureError, match="bracket exhausted float resolution"):
+        find_alpha_with_rho(QUAD, -40.0, below, above)
+
+
+def _linear_alpha_bisection(family, target_rho, below, above, tol_rho=0.02, n=256, *,
+                            above_estimate=None):
+    """Oracle: the search as it stood before it bisected the log offset,
+    each probe at the midpoint in alpha of the bracket."""
+    below_val = construction._effective_value(construction._estimate(family, below, n))
+    if above_estimate is None:
+        above_estimate = construction._estimate(family, above, n)
+    above_val = construction._effective_value(above_estimate)
+    if not (below_val < target_rho < above_val):
+        raise BracketFailureError("oracle: not a bracket")
+    lo, hi = below, above
+    for _ in range(construction.MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            raise BracketFailureError("bracket exhausted float resolution")
+        est = construction._estimate(family, mid, n)
+        val = construction._effective_value(est)
+        if abs(val - target_rho) <= tol_rho:
+            return mid, est
+        if val < target_rho:
+            lo = mid
+        else:
+            hi = mid
+    raise BracketFailureError("oracle: no crossing")
+
+
+def test_log_offset_search_against_the_linear_alpha_oracle(monkeypatch):
+    calls = []
+    estimate = construction.rho_coefficient
+
+    def counting(family, alpha, n):
+        calls.append(alpha)
+        return estimate(family, alpha, n)
+
+    monkeypatch.setattr(construction, "rho_coefficient", counting)
+    with monkeypatch.context() as m:
+        m.setattr(construction, "find_alpha_with_rho", _linear_alpha_bisection)
+        oracle = run_construction(ConstructionConfig())
+    oracle_calls, calls[:] = len(calls), []
+    rep = run_construction(ConstructionConfig())
+    for new, old in zip(rep.steps, oracle.steps, strict=True):
+        assert abs(new.achieved_rho - new.target_rho) <= 0.02
+        assert (new.anchor_p, new.anchor_q) == (old.anchor_p, old.anchor_q)
+        assert new.retries <= old.retries
+    assert 2 * len(calls) <= oracle_calls
+
+
+def test_a_crossing_inside_the_anchor_rank_floor_certifies():
+    # alpha0 = [0; 2, 3, 1, ...]: step 3's crossing sits ~110 ulps from
+    # 18/41, closer than the MIN_OFFSET_EPS ulps that rank anchors, so a
+    # search that floored the anchor's distance there would stall
+    rep = run_construction(ConstructionConfig(alpha0=rotation_from_cf([2, 3] + [1] * 38)))
+    _assert_certified(rep, 3)
+    step = rep.steps[2]
+    assert step.eps < construction.MIN_OFFSET_EPS * math.ulp(step.anchor_p / step.anchor_q)
 
 
 def test_bracket_failure_when_target_unreachable():

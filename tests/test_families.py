@@ -11,9 +11,10 @@ from siegelnum import (
     family_series,
     get_family,
     symmetry_reduce,
+    u_values,
     yoccoz_w,
 )
-from siegelnum import families
+from siegelnum import families, linearize
 from siegelnum.errors import PoleError, PreconditionError
 from siegelnum.families import custom_family
 from siegelnum.series import TruncatedSeries, evaluate, reciprocal
@@ -141,6 +142,38 @@ def test_get_family_shares_one_spec_per_id():
     for _ in range(2):
         with pytest.raises(PreconditionError):
             get_family("cubic_but_wrong")
+
+
+def test_symmetry_reduce_shares_one_spec_per_map():
+    # each reduction of sin is the spec get_family('reduced(sin)') returns,
+    # so every u_values call after the first hits both the base-series and
+    # the Koenigs-table memo
+    sin = get_family("sin")
+    specs = [symmetry_reduce(sin) for _ in range(3)]
+    assert all(spec is get_family("reduced(sin)") for spec in specs)
+    families._generated_series.cache_clear()
+    linearize._koenigs_table.cache_clear()
+    for spec in specs:
+        u_values(spec, [0.5], 128)
+    for memo in (families._generated_series, linearize._koenigs_table):
+        info = memo.cache_info()
+        assert (info.hits, info.misses) == (2, 1)
+
+
+def test_equal_custom_specs_reduce_to_their_own_maps():
+    # FamilySpec equality ignores the map, so symmetry_reduce must not key
+    # its memo on the spec
+    with pytest.warns(UserWarning, match="single-singular-value"):
+        odd = custom_family("mine", 0.5, 2, lambda n: np.r_[0, 1, 0, -1, np.zeros(n - 3)],
+                            lambda z: z - z**3)
+        half = custom_family("mine", 0.5, 2, lambda n: np.r_[0, 1, 0, -0.5, np.zeros(n - 3)],
+                             lambda z: z - 0.5 * z**3)
+    assert odd == half
+    red_odd, red_half = symmetry_reduce(odd), symmetry_reduce(half)
+    assert red_odd is symmetry_reduce(odd) and red_odd is not red_half
+    assert base_series(red_odd, 4).coeffs[2] == -2
+    assert base_series(red_half, 4).coeffs[2] == -1
+    assert red_odd._point_eval(0.25) == 0.25 * (1 - 0.25) ** 2
 
 
 def test_equal_custom_specs_keep_their_own_series():

@@ -95,6 +95,26 @@ def test_coefficient_estimate_golden_frozen_value():
     assert est.rho_hat == pytest.approx(-1.1167, abs=5e-3)
 
 
+@pytest.mark.parametrize("fam_id, n", [("quadratic", 256), ("sin", 256), ("exp", 128)])
+def test_fit_slope_matches_polyfit(fam_id, n):
+    # the closed-form slope against np.polyfit on the estimator's own
+    # windows (sin's keeps only odd k), full and half, at seeded alphas
+    fam = get_family(fam_id)
+    alphas = np.random.default_rng(7).uniform(0.05, 0.95, 8)
+    checked = 0
+    for est in rho_coefficients(fam, alphas, n):
+        if not isinstance(est, radius.RadiusEstimate):
+            continue
+        ks, ys = (np.array(col) for col in zip(*est.samples))
+        assert (ks.size < n // 2 + 1) == (fam.symmetry_order > 1)
+        mid = ks.size // 2
+        for window in (slice(None), slice(None, mid), slice(mid, None)):
+            ref = np.polyfit(ks[window], ys[window], 1)[0]
+            assert abs(radius._fit_slope(ks[window], ys[window]) - ref) <= 1e-13 * abs(ref)
+        checked += 1
+    assert checked >= 6
+
+
 def test_estimators_agree_at_golden():
     radial = rho_radial(QUAD, golden_rotation(), depth=12, n=128)
     coeff = rho_coefficient(QUAD, golden_rotation(), 128)
