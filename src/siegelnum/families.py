@@ -49,12 +49,13 @@ class FamilySpec:
     degree_param: int | None = None  # d for the polynomial family
     user_defined: bool = False
     reduced_from: str | None = None
-    _coeff_gen: Callable = field(default=None, repr=False, compare=False)
-    _point_eval: Callable = field(default=None, repr=False, compare=False)
+    _coeff_gen: Callable = field(default=None, repr=False)
+    _point_eval: Callable = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.v == 0:
-            raise PreconditionError("distinguished singular value must be nonzero")
+        if not (cmath.isfinite(self.v) and self.v != 0):
+            raise PreconditionError(
+                f"distinguished singular value must be finite and nonzero, got {self.v!r}")
         if self.symmetry_order < 1:
             raise PreconditionError("symmetry order must be >= 1")
 
@@ -84,13 +85,15 @@ def _quadratic_coeffs(n):
     return c
 
 
+@functools.lru_cache(maxsize=64)
 def _poly_family(d: int) -> "FamilySpec":
-    """poly_d: f(z) = (1 + z/d)^d - 1, critical value -1."""
+    """poly_d: f(z) = (1 + z/d)^d - 1, critical value -1.  One spec per d
+    (memoized, 64 degrees), since each call's fresh closures are a new map."""
 
     def gen(n):
         c = np.zeros(n + 1, dtype=np.complex128)
         for k in range(1, min(n, d) + 1):
-            c[k] = np.complex128(math.comb(d, k)) / np.complex128(d) ** k
+            c[k] = math.comb(d, k) / d**k  # correctly rounded, for any d
         return c
 
     return FamilySpec(f"poly_{d}", -1.0, 1, degree_param=d, _coeff_gen=gen,
@@ -173,15 +176,11 @@ def family_catalog() -> list[FamilySpec]:
     return list(_CATALOG.values())
 
 
-@functools.lru_cache(maxsize=64)
 def get_family(family_id: str) -> FamilySpec:
     """Look up a family by id.
 
     Accepts catalog ids, ``poly_<d>`` for any polynomial degree d >= 2, and
-    ``reduced(<id>)`` for the symmetry reduction of a folded family.  Each
-    id gives one shared spec (memoized, 64 ids), so its coefficient
-    generator, the key of base_series' memo, is the same on every lookup;
-    an unknown id raises on every call.
+    ``reduced(<id>)`` for the symmetry reduction of a folded family.
     """
     if family_id in _CATALOG:
         return _CATALOG[family_id]
@@ -200,22 +199,21 @@ def get_family(family_id: str) -> FamilySpec:
     )
 
 
+@functools.lru_cache(maxsize=64)
 def base_series(spec: FamilySpec, n: int) -> TruncatedSeries:
     """Degree-n truncation of the base map f (parameter lambda = 1).
 
-    Built once per (coefficient generator, n) and shared (its coefficients
-    are read-only).  The key is the generator, not the spec: a spec's
-    equality ignores its map, so two custom families with the same id, v
-    and symmetry must not share an entry.
+    Built once per (spec, n) and shared (memoized, 64 series; its
+    coefficients are read-only).  A degree below 2, or a generator output
+    that is not c_0 = 0, c_1 = 1 with n + 1 terms, is a PreconditionError.
     """
     if n < 2:
         raise PreconditionError("series degree must be >= 2")
-    return _generated_series(spec._coeff_gen, n)
-
-
-@functools.lru_cache(maxsize=64)
-def _generated_series(coeff_gen: Callable, n: int) -> TruncatedSeries:
-    return TruncatedSeries.from_coeffs(coeff_gen(n), n)
+    c = np.asarray(spec._coeff_gen(n), dtype=np.complex128)
+    if c.shape != (n + 1,) or c[0] != 0 or c[1] != 1:
+        raise PreconditionError(
+            f"{spec.family_id}: coefficients must be c_0 = 0, c_1 = 1 with n + 1 = {n + 1} terms")
+    return TruncatedSeries.from_coeffs(c, n)
 
 
 def family_series(spec: FamilySpec, lam: complex, n: int) -> TruncatedSeries:
@@ -228,6 +226,7 @@ def family_eval(spec: FamilySpec, lam: complex, z: complex) -> complex:
     return complex(lam) * spec._point_eval(z)
 
 
+@functools.lru_cache(maxsize=64)
 def symmetry_reduce(spec: FamilySpec) -> FamilySpec:
     """Fold an n-symmetric family to F(w) = f(w^{1/n})^n with v_F = v^n.
 
@@ -238,20 +237,13 @@ def symmetry_reduce(spec: FamilySpec) -> FamilySpec:
     complex powers on every basin-orbit step, a few ulps from the general
     f(w ** (1/n)) ** n.
 
-    Every reduction of one base map is one shared spec (memoized, 64
-    maps), so its coefficient generator, the key of base_series' memo, is
-    the same on every call.  The key is the base's id, v, order, generator
-    and evaluator, not the spec, whose equality ignores its map.
+    Every reduction of one base spec is one shared spec (memoized, 64 maps).
     """
     n = spec.symmetry_order
     if n == 1:
         raise PreconditionError(f"{spec.family_id} has no symmetry to reduce (n=1)")
-    return _reduced(spec.family_id, spec.v, n, spec._coeff_gen, spec._point_eval)
+    inner_gen, inner_eval = spec._coeff_gen, spec._point_eval
 
-
-@functools.lru_cache(maxsize=64)
-def _reduced(family_id: str, v: complex, n: int, inner_gen: Callable,
-             inner_eval: Callable) -> FamilySpec:
     def gen(m):
         # f(z) = z * phi(z^n) with phi_j = c_{n j + 1}; then
         # F(w) = f(w^{1/n})^n = w * phi(w)^n, needing inner coefficients
@@ -282,10 +274,10 @@ def _reduced(family_id: str, v: complex, n: int, inner_gen: Callable,
             return inner_eval(w ** root) ** n
 
     return FamilySpec(
-        family_id=f"reduced({family_id})",
-        v=v**n,
+        family_id=f"reduced({spec.family_id})",
+        v=spec.v**n,
         symmetry_order=1,
-        reduced_from=family_id,
+        reduced_from=spec.family_id,
         _coeff_gen=gen,
         _point_eval=pe,
     )
@@ -296,7 +288,10 @@ def custom_family(family_id, v, symmetry_order, coeff_gen, point_eval) -> Family
 
     ``coeff_gen(n)`` returns the coefficients c_0 .. c_n of f (c_0 = 0,
     c_1 = 1) as a length n + 1 sequence, which is taken as complex128;
-    ``point_eval(z)`` returns f(z) for a Python complex z.
+    ``point_eval(z)`` returns f(z) for a Python complex z.  The two
+    callables are the map's identity: specs built from the same callables
+    (and the same id, v and symmetry) are equal and share memo entries, so
+    both must be hashable.
 
     The one-singular-value hypothesis is *not* checked for custom maps; the
     spec is flagged user_defined and a warning is emitted once at build time.

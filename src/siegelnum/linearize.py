@@ -140,17 +140,14 @@ def _check_multiplier(lam: complex) -> None:
 
 
 @functools.lru_cache(maxsize=16)
-def _koenigs_table(base: TruncatedSeries) -> np.ndarray:
-    """power_table(f) of a base series f, read-only, built once per series.
-
-    base_series hands out one shared series per (map, n) and a
-    TruncatedSeries hashes by identity, so this holds one table per
-    (map, n) for every Koenigs solve of that map and degree: each sweep of
-    a grid, each ray scan, each koenigs_series.  At most 16 tables of
+def _koenigs_table(family: FamilySpec, n: int) -> np.ndarray:
+    """power_table(f) of the degree-n base series f, read-only, built once
+    per (map, n) for every Koenigs solve of that map and degree: each sweep
+    of a grid, each ray scan, each koenigs_series.  At most 16 tables of
     (n + 1)^2 complex128 entries: 16 (n + 1)^2 16 B in the worst case,
     4.3 MB at n = 128 and 67 MB at n = 512.
     """
-    table = power_table(base.coeffs)
+    table = power_table(base_series(family, n).coeffs)
     table.flags.writeable = False
     return table
 
@@ -196,7 +193,7 @@ def koenigs_series(family: FamilySpec, lam: complex, n: int = 128) -> KoenigsSer
     """
     lam = complex(lam)
     _check_multiplier(lam)
-    h = _single(_solve_koenigs(_koenigs_table(base_series(family, n)), np.array([lam])))
+    h = _single(_solve_koenigs(_koenigs_table(family, n), np.array([lam])))
     return KoenigsSeries(lam=lam, h=TruncatedSeries.from_coeffs(h, n), family=family)
 
 
@@ -506,7 +503,7 @@ def u_values(
     """
     if budget < 1:
         raise PreconditionError(f"iteration budget must be >= 1, got {budget}")
-    cols = _koenigs_table(base_series(family, n))
+    cols = _koenigs_table(family, n)
     lams = [complex(lam) for lam in lams]
     outcomes: list = [None] * len(lams)
     todo = []

@@ -286,8 +286,9 @@ def rho_radial(
     read off the trailing run of consecutive successes.  Any other error of
     a depth, such as a Koebe-bound violation, is raised (_ray_values).
     """
-    if depth < 4:
-        raise PreconditionError("radial scan needs depth >= 4")
+    if not 4 <= depth <= 49:
+        # past 49, 1 - 2^-depth is within the multiplier check's 1e-15 of the circle
+        raise PreconditionError(f"radial scan needs 4 <= depth <= 49, got depth {depth}")
     rot = _as_rotation(alpha)
     samples: list[tuple[float, float]] = []
     failures: list[str] = []

@@ -70,6 +70,17 @@ def test_yoccoz_asymptotic_example(capsys):
     assert set(doc) == {"lambda", "w", "u", "iterations", "entry_radius"}
 
 
+@pytest.mark.parametrize("lam", ["0.3,0", "0.6,0.3"])
+def test_yoccoz_large_degree_polynomial_tends_to_exp(capsys, lam):
+    # C(d, k) passes binary64 near d = 12 300 at n = 128; poly_d -> exp
+    u = {}
+    for family in ("poly_20000", "exp"):
+        code, out, _ = run(capsys, "yoccoz", "--family", family, "--lambda", lam)
+        assert code == 0
+        u[family] = json.loads(out)["u"]
+    assert abs(u["poly_20000"] - u["exp"]) <= 1e-4
+
+
 def test_yoccoz_rejects_unit_modulus(capsys):
     code, out, _ = run(capsys, "yoccoz", "--family", "quadratic", "--lambda", "1,0")
     assert code == 2
@@ -99,6 +110,17 @@ def test_radius_depth_needs_the_radial_method(capsys):
     assert code == 2
     body = json.loads(out)["error"]
     assert body["type"] == "PreconditionError" and "--depth" in body["message"]
+
+
+def test_radius_depth_past_49_is_refused_by_name(capsys):
+    # 1 - 2^-50 is within the multiplier check's 1e-15 of the circle
+    code, out, _ = run(
+        capsys, "radius", "--family", "quadratic", "--alpha", "golden",
+        "--method", "radial", "--depth", "50",
+    )
+    assert code == 2
+    body = json.loads(out)["error"]
+    assert body["type"] == "PreconditionError" and "depth 50" in body["message"]
 
 
 def test_jsonable_nulls_non_finite_floats():

@@ -10,6 +10,7 @@ from siegelnum import (
     family_eval,
     family_series,
     get_family,
+    siegel_series_many,
     symmetry_reduce,
     u_values,
     yoccoz_w,
@@ -146,29 +147,31 @@ def test_get_family_shares_one_spec_per_id():
 
 def test_symmetry_reduce_shares_one_spec_per_map():
     # each reduction of sin is the spec get_family('reduced(sin)') returns,
-    # so every u_values call after the first hits both the base-series and
-    # the Koenigs-table memo
+    # so every u_values call after the first hits the Koenigs-table memo,
+    # and the base series behind that table is built once
     sin = get_family("sin")
     specs = [symmetry_reduce(sin) for _ in range(3)]
     assert all(spec is get_family("reduced(sin)") for spec in specs)
-    families._generated_series.cache_clear()
+    families.base_series.cache_clear()
     linearize._koenigs_table.cache_clear()
     for spec in specs:
         u_values(spec, [0.5], 128)
-    for memo in (families._generated_series, linearize._koenigs_table):
-        info = memo.cache_info()
-        assert (info.hits, info.misses) == (2, 1)
+    info = linearize._koenigs_table.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+    # a table hit needs no base series, so its memo is asked only once
+    info = families.base_series.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
 
 
 def test_equal_custom_specs_reduce_to_their_own_maps():
-    # FamilySpec equality ignores the map, so symmetry_reduce must not key
-    # its memo on the spec
+    # same id, v and symmetry but different maps: the specs differ, and
+    # each reduces to its own map
     with pytest.warns(UserWarning, match="single-singular-value"):
         odd = custom_family("mine", 0.5, 2, lambda n: np.r_[0, 1, 0, -1, np.zeros(n - 3)],
                             lambda z: z - z**3)
         half = custom_family("mine", 0.5, 2, lambda n: np.r_[0, 1, 0, -0.5, np.zeros(n - 3)],
                              lambda z: z - 0.5 * z**3)
-    assert odd == half
+    assert odd != half
     red_odd, red_half = symmetry_reduce(odd), symmetry_reduce(half)
     assert red_odd is symmetry_reduce(odd) and red_odd is not red_half
     assert base_series(red_odd, 4).coeffs[2] == -2
@@ -177,21 +180,73 @@ def test_equal_custom_specs_reduce_to_their_own_maps():
 
 
 def test_equal_custom_specs_keep_their_own_series():
-    # FamilySpec equality ignores the map, so these two specs compare equal;
-    # base_series' memo must still hand each its own coefficients.  At
-    # lambda v = 0.125 neither orbit moves (m = 0), so u is h(0.125) from
-    # the series alone
+    # same id, v and symmetry but different maps: the specs differ, and
+    # base_series' memo hands each its own coefficients.  At lambda v =
+    # 0.125 neither orbit moves (m = 0), so u is h(0.125) from the series
+    # alone
     with pytest.warns(UserWarning, match="single-singular-value"):
         full = custom_family("mine", 0.25, 1, lambda n: np.r_[0, 1, -1, np.zeros(n - 2)],
                              lambda z: z - z * z)
         half = custom_family("mine", 0.25, 1, lambda n: np.r_[0, 1, -0.5, np.zeros(n - 2)],
                              lambda z: z - 0.5 * z * z)
-    assert full == half
+    assert full != half
     assert base_series(full, 16).coeffs[2] == -1
     assert base_series(half, 16).coeffs[2] == -0.5
     a, b = yoccoz_w(full, 0.5, 64), yoccoz_w(half, 0.5, 64)
     assert a.iterations_used == b.iterations_used == 0
     assert a.u != b.u
+
+
+def test_custom_specs_from_the_same_callables_share_memo_entries():
+    def gen(n):
+        return np.r_[0, 1, 0, -1 / 6, np.zeros(n - 3)]
+
+    def pe(z):
+        return z - z**3 / 6
+
+    with pytest.warns(UserWarning, match="single-singular-value"):
+        a = custom_family("cubic", 0.5, 2, gen, pe)
+        b = custom_family("cubic", 0.5, 2, gen, pe)
+    assert a == b and a is not b
+    families.base_series.cache_clear()
+    linearize._koenigs_table.cache_clear()
+    for spec in (a, b, a):
+        u_values(spec, [0.5], 64)
+    for memo in (families.base_series, linearize._koenigs_table):
+        info = memo.cache_info()
+        assert info.misses == 1, memo
+    assert linearize._koenigs_table.cache_info().hits == 2
+    assert base_series(a, 64) is base_series(b, 64)
+    assert symmetry_reduce(a) is symmetry_reduce(b)
+
+
+def _bad_gen(n, c0=0, c1=1, extra=0):
+    return np.r_[c0, c1, -1, np.zeros(n - 2 + extra)]
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [lambda n: _bad_gen(n, c1=2), lambda n: _bad_gen(n, c0=0.1),
+     lambda n: _bad_gen(n, extra=1), lambda n: _bad_gen(n, extra=-1)],
+    ids=["c1=2", "c0=0.1", "long", "short"],
+)
+def test_custom_coefficients_must_be_normalized(gen):
+    with pytest.warns(UserWarning, match="single-singular-value"):
+        fam = custom_family("bad", 0.25, 1, gen, lambda z: z - z * z)
+    match = "bad: coefficients must be c_0 = 0, c_1 = 1"
+    with pytest.raises(PreconditionError, match=match):
+        base_series(fam, 16)
+    with pytest.raises(PreconditionError, match=match):
+        yoccoz_w(fam, 0.3)
+    with pytest.raises(PreconditionError, match=match):
+        siegel_series_many(fam, [0.618])
+
+
+@pytest.mark.parametrize("v", [0, float("nan"), complex(math.inf, 0), complex(0, math.nan)])
+def test_singular_value_must_be_finite_and_nonzero(v):
+    with pytest.warns(UserWarning, match="single-singular-value"):
+        with pytest.raises(PreconditionError, match="finite and nonzero"):
+            custom_family("bad", v, 1, _bad_gen, lambda z: z - z * z)
 
 
 def test_custom_family_flagged():

@@ -47,7 +47,7 @@ from siegelnum.linearize import (
     SIEGEL_DIVISOR_FLOOR,
     _read_rows,
 )
-from siegelnum.series import TruncatedSeries, compose, evaluate, power_table
+from siegelnum.series import TruncatedSeries, compose, evaluate
 
 EPS = np.finfo(np.float64).eps
 ALL_FAMILY_IDS = (
@@ -629,16 +629,19 @@ def test_shared_tables_give_the_rebuilt_results(fam_id, n, monkeypatch):
     # the power table and base series shared per (map, n) give, cold and
     # warm, the bytes of a table rebuilt from a fresh base series each call
     fam = get_family(fam_id)
+    families.base_series.cache_clear()
     linearize._koenigs_table.cache_clear()
     cold = _pipeline_fingerprints(fam, n)
     warm = _pipeline_fingerprints(fam, n)
     with monkeypatch.context() as m:
-        m.setattr(families, "_generated_series", lambda gen, n: TruncatedSeries.from_coeffs(gen(n), n))
-        m.setattr(linearize, "_koenigs_table", lambda base: power_table(base.coeffs))
+        build = families.base_series.__wrapped__
+        for module in (families, linearize):
+            m.setattr(module, "base_series", build)
+        m.setattr(linearize, "_koenigs_table", linearize._koenigs_table.__wrapped__)
         rebuilt = _pipeline_fingerprints(fam, n)
     assert cold == warm == rebuilt
     assert base_series(fam, n) is base_series(fam, n)
-    table = linearize._koenigs_table(base_series(fam, n))
+    table = linearize._koenigs_table(fam, n)
     with pytest.raises(ValueError):
         table[1, 1] = 0
     before = linearize._koenigs_table.cache_info()
