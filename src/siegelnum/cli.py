@@ -7,10 +7,13 @@ One executable, eight subcommands, one exit-code contract:
     2  precondition error (value out of range, unknown family, bad file)
     3  numerical failure (divisor breakdown, budget exhaustion, stall)
 
-Numerical failures are printed as structured JSON on stdout so parameter
-sweeps can log and continue; usage errors go to stderr like any other
-tool.  Angles are measured in turns throughout (theta = 1 is a full
-circle), matching the rotation-number convention of the library.
+Output goes to stdout, or to the subcommand's ``--out`` file.  Failures
+are printed as structured JSON on stdout (even with ``--out``) so parameter
+sweeps can log and continue; usage errors go to stderr like any other tool.
+A reader that closes stdout early ends the run quietly, with the exit code
+the command would have returned.  Angles are measured in turns throughout
+(theta = 1 is a full circle), matching the rotation-number convention of
+the library.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -71,27 +75,17 @@ def _jsonable(obj):
     return obj
 
 
-def _write_text(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+def _json(payload) -> str:
+    return json.dumps(_jsonable(payload), indent=2)
 
 
-def _emit_json(payload, out_path: str | None) -> None:
-    _write_text(json.dumps(_jsonable(payload), indent=2), out_path)
-
-
-def _emit_csv(header: list[str], rows: list[list], out_path: str | None) -> None:
+def _csv(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    _write_text(buf.getvalue(), out_path)
+    return buf.getvalue()
 
 
 def _error_body(exc: Exception) -> dict:
@@ -142,34 +136,30 @@ def _given(args, *names) -> dict:
     return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
-def _cmd_families(args) -> int:
+def _cmd_families(args) -> str:
     if args.action == "list":
-        _emit_json([f.describe() for f in family_catalog()], args.out)
-    else:  # show
-        if args.family_id is None:
-            raise PreconditionError("families show needs a family id")
-        _emit_json(get_family(args.family_id).describe(), args.out)
-    return 0
+        return _json([f.describe() for f in family_catalog()])
+    if args.family_id is None:
+        raise PreconditionError("families show needs a family id")
+    return _json(get_family(args.family_id).describe())
 
 
-def _cmd_yoccoz(args) -> int:
+def _cmd_yoccoz(args) -> str:
     family = get_family(args.family)
     lam = _parse_complex_pair(args.lam)
     value = yoccoz_w(family, lam, **_given(args, "n", "budget"))
-    _emit_json(
+    return _json(
         {
             "lambda": [lam.real, lam.imag],
             "w": [value.w.real, value.w.imag],
             "u": value.u,
             "iterations": value.iterations_used,
             "entry_radius": value.entry_radius,
-        },
-        args.out,
+        }
     )
-    return 0
 
 
-def _cmd_grid(args) -> int:
+def _cmd_grid(args) -> str:
     """u over a polar grid; never aborts for a package error, so a sweep
     survives bad parameters (the row carries the error class)."""
     if not 0.0 < args.rmin <= args.rmax < 1.0:
@@ -192,14 +182,12 @@ def _cmd_grid(args) -> int:
             row["status"] = type(value).__name__
         rows.append(row)
     if args.format == "json":
-        _emit_json(rows, args.out)
-    else:
-        header = ["r", "theta", "u", "iterations", "status"]
-        _emit_csv(header, [[row[k] for k in header] for row in rows], args.out)
-    return 0
+        return _json(rows)
+    header = ["r", "theta", "u", "iterations", "status"]
+    return _csv(header, [[row[k] for k in header] for row in rows])
 
 
-def _cmd_radius(args) -> int:
+def _cmd_radius(args) -> str:
     family = get_family(args.family)
     alpha = parse_rotation(args.alpha)
     if args.method == "radial":
@@ -208,32 +196,29 @@ def _cmd_radius(args) -> int:
         raise PreconditionError("--depth applies to --method radial only")
     else:
         estimate = rho_coefficient(family, alpha, **_given(args, "n"))
-    _emit_json(estimate.describe(), args.out)
-    return 0
+    return _json(estimate.describe())
 
 
-def _cmd_poisson_check(args) -> int:
+def _cmd_poisson_check(args) -> str:
     family = get_family(args.family)
     alpha = parse_rotation(args.alpha)
     report = poisson_bound_check(
         family, alpha, args.delta, args.L, args.R, **_given(args, "ray_samples", "n")
     )
-    _emit_json(report.describe(), args.out)
-    return 0
+    return _json(report.describe())
 
 
-def _cmd_norm(args) -> int:
+def _cmd_norm(args) -> str:
     series = _load_series(args.series)
     options = _given(args, "order_cap", "circle_samples")
     if "order_cap" in options:
         # derivatives above the truncation degree vanish identically
         options["order_cap"] = min(options["order_cap"], series.degree)
     result = qa_norm(series, args.r, **options)
-    _emit_json(dataclasses.asdict(result), args.out)
-    return 0
+    return _json(dataclasses.asdict(result))
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> str:
     settings = _given(args, *(f.name for f in dataclasses.fields(ConstructionConfig)))
     if "alpha0" in settings:
         settings["alpha0"] = parse_rotation(settings["alpha0"])
@@ -242,11 +227,10 @@ def _cmd_construct(args) -> int:
         settings["schedule"] = tuple(float(s) for s in schedule.split(","))
         settings.setdefault("depth", len(settings["schedule"]))
     report = run_construction(ConstructionConfig(**settings))
-    _emit_json(report.describe(), args.out)
-    return 0
+    return _json(report.describe())
 
 
-def _cmd_boundary(args) -> int:
+def _cmd_boundary(args) -> str:
     if args.samples < 1:
         raise PreconditionError("samples must be >= 1")
     family = get_family(args.family)
@@ -263,8 +247,7 @@ def _cmd_boundary(args) -> int:
         [j / args.samples, float(v.real), float(v.imag), float(a)]
         for j, (v, a) in enumerate(zip(gv, np.abs(gp)))
     ]
-    _emit_csv(["theta", "re", "im", "abs_gprime"], rows, args.out)
-    return 0
+    return _csv(["theta", "re", "im", "abs_gprime"], rows)
 
 
 # -- parser ------------------------------------------------------------------
@@ -277,19 +260,16 @@ def build_parser() -> _Parser:
     Each subcommand's dests are the parameter names of the library function
     its options feed (--degree is n everywhere, ConstructionConfig's
     n_series for construct), and an absent option leaves no attribute, so
-    only the CLI's own settings (grid --format, boundary --samples) carry
-    a default here."""
+    only the CLI's own settings (--out, grid --format, boundary --samples)
+    carry a default here."""
     common = _Parser(add_help=False)
-    common.add_argument(
-        "--out", default=argparse.SUPPRESS, help="write output to this file"
-    )
+    common.add_argument("--out", help="write output to this file")
 
     parser = _Parser(
         prog="siegelnum",
         description="Siegel-disc numerics: linearization, radius estimates, "
         "norms, and the rotation-number construction.",
     )
-    parser.add_argument("--out", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, handler, help):
@@ -361,7 +341,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _print(text: str) -> None:
+    """Text and a trailing newline to stdout.  If the reader closed it, fd 1
+    goes to os.devnull (as the signal module's docs advise), so the flush at
+    exit cannot fail again."""
+    try:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
+    """Run one subcommand: the one place that writes its output and picks
+    the exit code."""
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:
@@ -369,17 +364,14 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     try:
-        return args.handler(args)
-    except PreconditionError as exc:
-        _emit_json(_error_body(exc), None)
-        return 2
+        text, code = args.handler(args), 0
+        if args.out is not None:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+            return 0
     except NumericalError as exc:
-        _emit_json(_error_body(exc), None)
-        return 3
-    except (OSError, ValueError) as exc:
-        _emit_json(_error_body(exc), None)
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        text, code = _json(_error_body(exc)), 3
+    except (OSError, ValueError) as exc:  # PreconditionError is a ValueError
+        text, code = _json(_error_body(exc)), 2
+    _print(text)
+    return code

@@ -4,11 +4,15 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import siegelnum
 from siegelnum import (
     ConstructionConfig,
     YoccozValue,
@@ -219,9 +223,10 @@ def test_norm_hand_value(tmp_path, capsys):
     assert doc["k_at_max"] == 0
 
 
-def test_norm_missing_file(capsys):
-    code, out, _ = run(capsys, "norm", "--series", "/nope/missing.json", "--r", "0.5")
+def test_norm_missing_file(tmp_path, capsys):
+    code, out, _ = run(capsys, "norm", "--series", str(tmp_path / "missing.json"), "--r", "0.5")
     assert code == 2
+    assert json.loads(out)["error"]["type"] == "FileNotFoundError"
 
 
 @pytest.mark.parametrize(
@@ -569,3 +574,70 @@ def test_construct_stall_reports_the_partial_run(capsys):
     body = json.loads(out)["error"]
     assert body["type"] == "ConstructionStallError"
     assert body["partial_report"]["steps"] == []
+
+
+# -- where output goes, and the exit code when it cannot ---------------------
+
+
+def test_unwritable_out_exits_two_and_writes_nothing(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "families", "list", "--out", str(target))
+    assert (code, err) == (2, "")
+    assert json.loads(out)["error"]["type"] == "FileNotFoundError"
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        (("families", "show", "nope"), 2, "PreconditionError"),
+        (("radius", "--family", "quadratic", "--alpha", "rat:1/2", "--method", "coeff"),
+         3, "DivisorBreakdownError"),
+    ],
+)
+def test_failure_body_goes_to_stdout_despite_out(tmp_path, capsys, argv, code, error):
+    target = tmp_path / "out.json"
+    got, out, _ = run(capsys, *argv, "--out", str(target))
+    assert got == code
+    assert json.loads(out)["error"]["type"] == error
+    assert not target.exists()
+
+
+def test_top_level_out_is_gone(capsys):
+    code, out, err = run(capsys, "--out", "f", "families", "list")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage")
+
+
+def _run_with_closed_stdout(argv, unbuffered):
+    """Exit code and stderr of `python -m siegelnum` writing to a pipe whose
+    read end is closed before the child starts, so every write meets EPIPE:
+    at the flush when stdout is buffered, at the write itself under -u."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(siegelnum.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    flags = ["-u"] if unbuffered else []
+    try:
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "siegelnum", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("families", "show", "exp"), 0),
+        (("grid", "--family", "exp", "--rmin", "0.1", "--rmax", "0.9", "--res", "8"), 0),
+        (("families", "show", "nope"), 2),
+    ],
+    ids=["json", "csv", "error-body"],
+)
+def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(argv, code, unbuffered):
+    assert _run_with_closed_stdout(argv, unbuffered) == (code, b"")

@@ -910,3 +910,33 @@ def test_overflowing_map_is_a_typed_escape(fam_id, z, m):
         koenigs_eval(ks, z)
     assert str(exc.value) == f"orbit escaped (map overflowed) after {m} iterations"
     assert exc.value.budget == DEFAULT_BUDGET
+
+
+# phi = h_lambda^-1 solves f_lambda(phi(w)) = phi(lambda w): the Siegel
+# equation at |lambda| < 1, where the divisors lambda^k - lambda never vanish.
+# phi extends to the disc of radius |w(lambda) / lambda| = e^u, bounded by
+# the critical point (or asymptotic value), so the root test of its
+# coefficients reads u, which the orbit pipeline gives to ~1e-12.  The band
+# covers the pure-exponential fit's bias, +0.005 to +0.008 at n = 256.
+INTERIOR_LAMS = np.array([
+    r * cmath.exp(2j * math.pi * alpha)
+    for alpha in (golden_rotation().value, silver_rotation().value, 0.1, 0.5)
+    for r in (0.5, 15 / 16)
+])
+
+
+@pytest.mark.parametrize("fam_id", [
+    pytest.param(f, marks=pytest.mark.xfail(
+        strict=True, reason="tan's composition sum loses the coefficients to rounding "
+        "(ROADMAP item 2)")) if f == "reduced(tan)" else f
+    for f in ALL_FAMILY_IDS
+])
+def test_interior_root_test_reads_u(fam_id):
+    family, n, lams = get_family(fam_id), 256, INTERIOR_LAMS
+    k = np.arange(n + 1)
+    phis = linearize._solve_siegel(lams[:, None] * base_series(family, n).coeffs,
+                                   lams[:, None] ** k - lams[:, None])
+    for phi, value in zip(phis, u_values(family, lams.tolist())):
+        tail = k[n // 2:][phi[n // 2:] != 0]
+        slope = radius._fit_slope(tail.astype(np.float64), np.log(np.abs(phi[tail])))
+        assert abs(-slope - value.u) <= 0.01
