@@ -136,15 +136,9 @@ class StepReport:
     retries: int
 
     def describe(self) -> dict:
-        return {
-            "n": self.n, "alpha": self.alpha,
-            "anchor": f"{self.anchor_p}/{self.anchor_q}",
-            "target_rho": self.target_rho, "achieved_rho": self.achieved_rho,
-            "eps": self.eps, "norm_delta": self.norm_delta,
-            "norm_budget": self.norm_budget, "flank_worst": self.flank_worst,
-            "flank_level": self.flank_level, "radial_value": self.radial_value,
-            "retries": self.retries,
-        }
+        out = asdict(self)
+        anchor = f"{out.pop('anchor_p')}/{out.pop('anchor_q')}"
+        return {"n": out.pop("n"), "alpha": out.pop("alpha"), "anchor": anchor, **out}
 
 
 @dataclass(frozen=True)
@@ -188,15 +182,16 @@ def _estimate(family: FamilySpec, alpha: float, n: int) -> RadiusEstimate | Nume
 
 
 def _effective_value(outcome: RadiusEstimate | SiegelnumError) -> float:
-    """The effective value of a coefficient estimate's outcome.  Breakdown,
-    coefficient overflow, an unusable sample run: every NumericalError
-    happens exactly where the dip is effectively bottomless, so it reads as
-    -infinity; any other package error is raised."""
+    """The effective value of a coefficient estimate's outcome: its rho_hat
+    (-infinity on a diverging ray).  Breakdown, coefficient overflow, an
+    unusable sample run: every NumericalError happens exactly where the dip
+    is effectively bottomless, so it reads as -infinity too; any other
+    package error is raised."""
     if isinstance(outcome, NumericalError):
         return -math.inf
     if isinstance(outcome, SiegelnumError):
         raise outcome
-    return outcome.effective_rho
+    return outcome.rho_hat
 
 
 def find_alpha_with_rho(
@@ -320,17 +315,15 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
     rho_inf, targets = _schedule(rho0, cfg)
     r_inf = math.exp(rho_inf)
 
-    alpha_n = cfg.alpha0.value
-    eps_n = cfg.eps0
-    levelrho_n = rho0
-    est_n = est0
-    g_0 = g_n = est0.series.g
+    # the state of step n: alpha_n and g_n are est_n.alpha.value and est_n.series.g
+    est_n, eps_n, levelrho_n = est0, cfg.eps0, rho0
     steps: list[StepReport] = []
 
     for n, target in enumerate(targets, start=1):
         budget = cfg.delta * 2.0 ** (-(n - 1))
         accepted = None
         reasons = []
+        alpha_n = est_n.alpha.value
         ladder = _anchor_ladder(alpha_n, cfg.n_series, rho0 - targets[-1])
         for retries, (p, q) in enumerate(ladder[:RETRY_BUDGET]):
             anchor = p / q
@@ -348,11 +341,9 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
                 reasons.append(f"{p}/{q}: interval does not nest")
                 continue
             # norm budget
-            g_c = est_c.series.g
             try:
-                delta_norm = qa_norm(
-                    g_n - g_c, r_inf, order_cap=NORM_ORDER, circle_samples=CIRCLE_SAMPLES
-                ).value
+                delta_norm = qa_norm(est_n.series.g - est_c.series.g, r_inf,
+                                     order_cap=NORM_ORDER, circle_samples=CIRCLE_SAMPLES).value
             except NumericalError as exc:
                 reasons.append(f"{p}/{q}: {type(exc).__name__}: {exc}")
                 continue
@@ -372,7 +363,7 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
             # value; a reading *below* it would mean the two estimators
             # disagree about something the radial probe can actually see.
             try:
-                radial_value = rho_radial(family, alpha_c, depth=10, n=min(cfg.n_series, 128)).effective_rho
+                radial_value = rho_radial(family, alpha_c, depth=10, n=min(cfg.n_series, 128)).rho_hat
             except EstimateUnavailableError:
                 radial_value = math.nan
             except NumericalError as exc:
@@ -391,27 +382,27 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
                 flank_worst=worst, flank_level=levelrho_n,
                 radial_value=radial_value, retries=retries,
             )
-            alpha_n, eps_n, levelrho_n, est_n, g_n = alpha_c, eps_c, target, est_c, g_c
+            est_n, eps_n, levelrho_n = est_c, eps_c, target
             break
         if accepted is None:
             raise ConstructionStallError(
                 f"step {n}: no anchor produced an acceptable candidate: "
                 + "; ".join(reasons),
-                partial_report=_final_report(cfg, rho0, rho_inf, targets, steps, alpha_n, g_0, g_n, t_start),
+                partial_report=_final_report(cfg, rho0, rho_inf, targets, steps, est0, est_n, t_start),
             )
         steps.append(accepted)
 
-    return _final_report(cfg, rho0, rho_inf, targets, steps, alpha_n, g_0, g_n, t_start)
+    return _final_report(cfg, rho0, rho_inf, targets, steps, est0, est_n, t_start)
 
 
-def _final_report(cfg, rho0, rho_inf, targets, steps, alpha_n, g_0, g_n, t_start) -> ConstructionReport:
+def _final_report(cfg, rho0, rho_inf, targets, steps, est0, est_n, t_start) -> ConstructionReport:
     r_inf = math.exp(rho_inf)
     try:
-        total = qa_norm(g_0 - g_n, r_inf, order_cap=NORM_ORDER,
+        total = qa_norm(est0.series.g - est_n.series.g, r_inf, order_cap=NORM_ORDER,
                         circle_samples=CIRCLE_SAMPLES).value
     except UnreliableRadiusError:
         total = math.nan
-    boundary = boundary_report(g_n, r_inf)
+    boundary = boundary_report(est_n.series.g, r_inf)
     return ConstructionReport(
         family=cfg.family,
         alpha0=cfg.alpha0.value,
@@ -420,7 +411,7 @@ def _final_report(cfg, rho0, rho_inf, targets, steps, alpha_n, g_0, g_n, t_start
         r_infinity=r_inf,
         schedule=tuple(targets),
         steps=tuple(steps),
-        final_alpha=alpha_n,
+        final_alpha=est_n.alpha.value,
         total_distance=total,
         boundary=boundary,
         wall_time=time.perf_counter() - t_start,

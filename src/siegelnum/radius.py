@@ -92,8 +92,9 @@ class RotationNumber:
     """A rotation number in (0,1), remembering how it was given.
 
     tag is one of golden, rational, float, cf; p/q are set only for the
-    rational tag (reduced).  Exact rationals matter: they must reach the
-    small-divisor guard exactly rather than as a nearby float.
+    rational tag (reduced).  p/q are report metadata: the estimators see
+    only value, the nearest float, so the small-divisor guard trips on an
+    exact rational only as far as binary64 phases resolve it.
     """
 
     value: float
@@ -217,19 +218,17 @@ def _as_rotation(alpha) -> RotationNumber:
 class RadiusEstimate:
     alpha: RotationNumber
     method: str
-    rho_hat: float | None  # None exactly when diverging_to_minus_infinity
+    rho_hat: float  # -inf on a diverging ray: there is no disc
     samples: tuple
     converged: bool
-    diverging_to_minus_infinity: bool
     failures: tuple = ()
     # the fitted Siegel series (coefficient method only); kept out of the
     # repr, of equality and of describe()
     series: SiegelSeries | None = field(default=None, repr=False, compare=False)
 
     @property
-    def effective_rho(self) -> float:
-        """rho_hat with the divergence flag folded in as -inf, for ordering."""
-        return -math.inf if self.diverging_to_minus_infinity else self.rho_hat
+    def diverging_to_minus_infinity(self) -> bool:
+        return self.rho_hat == -math.inf
 
     def describe(self) -> dict:
         return {
@@ -248,8 +247,8 @@ def koebe_cap_log(family: FamilySpec) -> float:
     return math.log(4.0) + math.log(abs(family.v))
 
 
-def _check_cap(rho: float | None, family: FamilySpec, what: str):
-    if rho is not None and rho > koebe_cap_log(family) + M_SLACK:
+def _check_cap(rho: float, family: FamilySpec, what: str):
+    if rho > koebe_cap_log(family) + M_SLACK:
         raise NumericalError(
             f"{what} produced rho_hat = {rho:.4f} above the Koebe cap "
             f"M + {M_SLACK} = {koebe_cap_log(family) + M_SLACK:.4f}"
@@ -280,7 +279,7 @@ def rho_radial(
     samples differ by at most PLATEAU_TOL.  The diverging flag requires the
     final three consecutive steps to each drop by at least DIVERGENCE_DROP
     (see the module docstring for the calibration); a diverging estimate
-    carries rho_hat = None, never a sentinel float.  Individual depths may
+    carries rho_hat = -inf, the value rho takes there.  Individual depths may
     fail (MISSING_SAMPLE: iteration budget, entry radius, orbit escape,
     Koenigs overflow, pole) and are recorded; flags are
     read off the trailing run of consecutive successes.  Any other error of
@@ -312,7 +311,7 @@ def rho_radial(
     diffs = [b - a for a, b in zip(trailing, trailing[1:])]
     converged = len(trailing) >= 2 and abs(diffs[-1]) <= PLATEAU_TOL
     diverging = len(diffs) >= 3 and all(d <= -DIVERGENCE_DROP for d in diffs[-3:])
-    rho_hat = None if diverging else samples[-1][1]
+    rho_hat = -math.inf if diverging else samples[-1][1]
     _check_cap(rho_hat, family, "rho_radial")
     return RadiusEstimate(
         alpha=rot,
@@ -320,7 +319,6 @@ def rho_radial(
         rho_hat=rho_hat,
         samples=tuple(samples),
         converged=converged and not diverging,
-        diverging_to_minus_infinity=diverging,
         failures=tuple(failures),
     )
 
@@ -401,7 +399,6 @@ def _coefficient_estimate(family: FamilySpec, rot: RotationNumber, ss: SiegelSer
         rho_hat=rho_hat,
         samples=tuple(zip(ks.tolist(), ys.tolist())),
         converged=abs(s1 - s2) <= SLOPE_STABILITY_TOL,
-        diverging_to_minus_infinity=False,
         series=ss,
     )
 

@@ -31,7 +31,7 @@ from siegelnum import (
     yoccoz_w,
 )
 from siegelnum.cli import main
-from siegelnum.errors import SiegelnumError
+from siegelnum.errors import ConstructionStallError, SiegelnumError
 from siegelnum.series import TruncatedSeries, evaluate
 
 
@@ -104,6 +104,28 @@ def test_radius_exact_rational_reports_breakdown(capsys):
     body = json.loads(out)["error"]
     assert body["type"] == "DivisorBreakdownError"
     assert body["k"] >= 2 and body["magnitude"] < body["floor"]
+
+
+# at n = 256 binary64 phases frac(k alpha) miss some rationals with q > 128;
+# strict, so ROADMAP item 7's exact phases show up here
+@pytest.mark.xfail(strict=True, reason="binary64 phases miss large-q rationals (ROADMAP item 7)")
+def test_radius_large_q_exact_rational_reports_breakdown(capsys):
+    code, out, _ = run(
+        capsys, "radius", "--family", "quadratic", "--alpha", "rat:128/133",
+        "--method", "coeff", "--degree", "256",
+    )
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "DivisorBreakdownError"
+
+
+def test_radius_diverging_ray_prints_null(capsys):
+    code, out, _ = run(
+        capsys, "radius", "--family", "quadratic", "--alpha", "rat:1/2",
+        "--method", "radial", "--depth", "12",
+    )
+    assert code == 0
+    for text in ('"rho_hat": null', '"converged": false', '"diverging_to_minus_infinity": true'):
+        assert text in out
 
 
 def test_radius_depth_needs_the_radial_method(capsys):
@@ -574,6 +596,21 @@ def test_construct_stall_reports_the_partial_run(capsys):
     body = json.loads(out)["error"]
     assert body["type"] == "ConstructionStallError"
     assert body["partial_report"]["steps"] == []
+
+
+def test_construct_stall_prints_the_steps_it_made(capsys):
+    code, out, _ = run(capsys, "construct", "--depth", "6")
+    assert code == 3
+    steps = json.loads(out)["error"]["partial_report"]["steps"]
+    assert len(steps) == 5
+    for step in steps:
+        keys = list(step)
+        assert keys[:4] == ["n", "alpha", "anchor", "target_rho"] and keys[-1] == "retries"
+        p, q = step["anchor"].split("/")
+        assert 0 < int(p) < int(q)
+    with pytest.raises(ConstructionStallError) as exc:
+        run_construction(ConstructionConfig(depth=6))
+    assert steps == _printed(exc.value.partial_report.describe())["steps"]
 
 
 # -- where output goes, and the exit code when it cannot ---------------------

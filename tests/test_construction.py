@@ -228,8 +228,7 @@ def _raise(exc):
 
 def _reading(rho):
     """An estimate that reads rho, for a stand-in estimator."""
-    return RadiusEstimate(alpha=golden_rotation(), method="stub", rho_hat=rho, samples=(),
-                          converged=True, diverging_to_minus_infinity=False)
+    return RadiusEstimate(alpha=golden_rotation(), method="stub", rho_hat=rho, samples=(), converged=True)
 
 
 @pytest.mark.parametrize("eps0, name, fake, reason", [

@@ -316,6 +316,15 @@ def test_batched_siegel_failures_stay_in_their_slots():
     assert sum(isinstance(out, SiegelnumError) for out in batched) == 2
 
 
+def test_every_small_q_rational_trips_the_divisor_guard():
+    # at n = 128 the binary64 phases frac(k p/q) resolve every reduced p/q
+    # with q < 128; at n = 256 larger q slip past (test_radius, ROADMAP item 7)
+    alphas = [p / q for q in range(2, 128) for p in range(1, q) if math.gcd(p, q) == 1]
+    assert len(alphas) == 4957
+    outcomes = siegel_series_many(get_family("quadratic"), alphas, 128)
+    assert {type(out) for out in outcomes} == {DivisorBreakdownError}
+
+
 def test_batched_siegel_row_does_not_depend_on_its_batch():
     fam = get_family("poly_3")
     alphas = _siegel_batch(32)
@@ -829,7 +838,7 @@ def test_rho_radial_matches_scalar_pipeline(fam_id, alpha, monkeypatch):
     assert (new.converged, new.diverging_to_minus_infinity) == (ref.converged, ref.diverging_to_minus_infinity)
     assert [r for r, _ in new.samples] == [r for r, _ in ref.samples]
     assert max(abs(a - b) for (_, a), (_, b) in zip(new.samples, ref.samples)) <= 1e-12
-    assert (new.rho_hat is None) == (ref.rho_hat is None)
+    assert (new.rho_hat == -math.inf) == (ref.rho_hat == -math.inf)
 
 
 def _orbit_outcome(orbit, *args):

@@ -153,7 +153,7 @@ def test_estimators_agree_at_golden():
 def test_rational_ray_diverges():
     est = rho_radial(QUAD, rational_rotation(1, 2), depth=14, n=128)
     assert est.diverging_to_minus_infinity
-    assert est.effective_rho == -math.inf
+    assert est.rho_hat == -math.inf
 
 
 def test_overflowing_koenigs_depths_are_failed_depths():
@@ -172,6 +172,17 @@ def test_overflowing_koenigs_depths_are_failed_depths():
 def test_coefficient_estimator_breaks_on_exact_rational():
     with pytest.raises(DivisorBreakdownError):
         rho_coefficient(QUAD, rational_rotation(1, 3), 128)
+
+
+# The estimator sees only the float p/q, and frac(k alpha) carries the
+# rounding error of k alpha at its own size: at 128/133 and n = 256 the
+# computed |lambda^134 - lambda| is 1.34e-13, above the divisor floor, and a
+# finite rho is fitted.  Strict, so ROADMAP item 7's exact phases show up here.
+@pytest.mark.xfail(strict=True, reason="binary64 phases miss large-q rationals (ROADMAP item 7)")
+@pytest.mark.parametrize("p, q", [(128, 133), (129, 137)])
+def test_coefficient_estimator_breaks_on_large_q_rational(p, q):
+    with pytest.raises(DivisorBreakdownError):
+        rho_coefficient(QUAD, rational_rotation(p, q), 256)
 
 
 def test_near_rational_dips_below_golden():
