@@ -14,7 +14,7 @@ import csv
 import math
 import sys
 
-from siegelnum import get_family, rho_coefficients
+from siegelnum import get_family, parse_rotation, rho_coefficients
 from siegelnum.errors import SiegelnumError
 
 
@@ -28,8 +28,7 @@ def main():
     ap.add_argument("--out", default=None, help="CSV path (default stdout table)")
     args = ap.parse_args()
 
-    p, q = (int(s) for s in args.rational.split("/"))
-    center = p / q
+    center = parse_rotation(f"rat:{args.rational}").value
     fam = get_family(args.family)
 
     # log-spaced offsets: the dip is much sharper than any linear grid;

@@ -231,8 +231,6 @@ def _cmd_construct(args) -> str:
 
 
 def _cmd_boundary(args) -> str:
-    if args.samples < 1:
-        raise PreconditionError("samples must be >= 1")
     family = get_family(args.family)
     alpha = parse_rotation(args.alpha)
     g = siegel_series(family, alpha.value, **_given(args, "n")).g

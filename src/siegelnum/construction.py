@@ -38,6 +38,7 @@ offsets sink under float resolution and the run stalls honestly.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -104,6 +105,10 @@ class ConstructionConfig:
     n_series: int = 256
 
     def __post_init__(self):
+        try:
+            operator.index(self.depth), operator.index(self.n_series)
+        except TypeError:
+            raise PreconditionError("depth and n_series must be integers") from None
         if self.depth < 1:
             raise PreconditionError("depth must be at least 1")
         if not (self.delta > 0 and self.eps0 > 0 and self.tol_rho > 0):
@@ -111,7 +116,10 @@ class ConstructionConfig:
         if self.n_series < 64:
             raise PreconditionError("construction needs series degree >= 64")
         if self.schedule is not None:
-            vals = tuple(float(v) for v in self.schedule)
+            try:
+                vals = tuple(float(v) for v in self.schedule)
+            except (TypeError, ValueError):
+                raise PreconditionError("schedule must be a sequence of numbers") from None
             if len(vals) != self.depth:
                 raise PreconditionError("schedule length must equal depth")
             if any(b >= a for a, b in zip(vals, vals[1:])):

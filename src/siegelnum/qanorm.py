@@ -68,10 +68,12 @@ def circle_values(coeffs: np.ndarray, r: float, samples: int, order_cap: int = 0
     it r^m can overflow, and 0 * inf is NaN); b_m <- b_m (m - k + 1) / r
     gives row k from b_k on.  Coefficients beyond S fold onto m mod S,
     which is exact at these nodes.  A value past binary64 is non-finite.
-    r must be positive and finite.
+    r must be positive and finite, and samples at least 1.
     """
     if not 0.0 < r < math.inf:
         raise PreconditionError(f"circle radius must be positive and finite, got {r}")
+    if samples < 1:
+        raise PreconditionError("samples must be >= 1")
     nonzero = np.flatnonzero(coeffs)
     m_idx = np.arange(nonzero[-1] + 1 if nonzero.size else 1, dtype=np.float64)
     table = np.empty((order_cap + 1, samples), dtype=np.complex128)
@@ -162,7 +164,8 @@ def _table_norm(g: TruncatedSeries, r: float, table: np.ndarray) -> NormResult:
     n = g.degree
     mags = np.abs(g.coeffs)
     q, idx = _tail_ratio(mags, r)
-    weights = _weights(order_cap)
+    with np.errstate(over="ignore"):  # an overflowing weight is refused below
+        weights = _weights(order_cap)
     if not np.all(np.isfinite(weights)):
         raise PreconditionError("derivative order cap too large for float weights")
 

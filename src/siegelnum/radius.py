@@ -164,13 +164,18 @@ def parse_rotation(text: str) -> RotationNumber:
         return golden_rotation()
     if text == "silver":
         return silver_rotation()
-    if text.startswith("float:"):
-        return rotation_from_float(float(text[6:]))
-    if text.startswith("cf:"):
-        return rotation_from_cf([int(s) for s in text[3:].split(",") if s])
-    if text.startswith("rat:"):
-        p, _, q = text[4:].partition("/")
-        return rational_rotation(int(p), int(q))
+    try:
+        if text.startswith("float:"):
+            return rotation_from_float(float(text[6:]))
+        if text.startswith("cf:"):
+            return rotation_from_cf([int(s) for s in text[3:].split(",") if s])
+        if text.startswith("rat:"):
+            p, _, q = text[4:].partition("/")
+            return rational_rotation(int(p), int(q))
+    except PreconditionError:
+        raise
+    except ValueError:  # a malformed number is bad syntax too
+        pass
     raise PreconditionError(
         f"bad rotation syntax {text!r}; use float:X, cf:a1,a2,..., rat:P/Q, golden, silver"
     )

@@ -252,7 +252,8 @@ def test_norm_missing_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "coeffs", [[0, 1, ["a", 0.5]], [0, 1, [0.5, None]], [0, 1, "1"], [0, 1, [1]]]
+    "coeffs",
+    [[0, 1, ["a", 0.5]], [0, 1, [0.5, None]], [0, 1, "1"], [0, 1, [1]], {"terms": [0, 1]}],
 )
 def test_norm_malformed_series_file(tmp_path, capsys, coeffs):
     f = tmp_path / "series.json"
@@ -314,6 +315,22 @@ def test_poisson_check_input_range(capsys, flag, value):
     code, out, _ = run(capsys, "poisson-check", *(x for kv in argv.items() for x in kv))
     assert code == 2
     assert json.loads(out)["error"]["type"] == "PreconditionError"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(("grid", "--family", "quadratic", "--rmin", "0.1", "--rmax", "0.5", "--res", "0"),
+      "res must be >= 1"),
+     (("construct", "--degree", "32"), "series degree >= 64"),
+     (("radius", "--family", "quadratic", "--alpha", "rat:a/b", "--method", "coeff"),
+      "bad rotation syntax")],
+    ids=["grid-res-0", "construct-degree-32", "radius-alpha-rat:a/b"],
+)
+def test_out_of_range_option_names_its_rule(capsys, argv, message):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "PreconditionError" and message in error["message"]
 
 
 def test_poisson_check_runs(capsys):

@@ -505,6 +505,22 @@ def test_run_construction_checks_its_base_and_schedule(settings, message):
         run_construction(ConstructionConfig(**settings))
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"depth": 1.5}, "must be integers"),
+    ({"n_series": 256.0}, "must be integers"),
+    ({"depth": 3, "schedule": "abc"}, "sequence of numbers"),
+    ({"depth": 1, "schedule": (None,)}, "sequence of numbers"),
+], ids=["float-depth", "float-n_series", "string-schedule", "none-in-schedule"])
+def test_config_rejects_malformed_settings(settings, message):
+    with pytest.raises(PreconditionError, match=message):
+        ConstructionConfig(**settings)
+
+
+def test_config_takes_numpy_integers():
+    cfg = ConstructionConfig(depth=np.int64(2), n_series=np.int32(128))
+    assert (cfg.depth, cfg.n_series) == (2, 128)
+
+
 def test_deep_rho_infinity_certifies():
     # the anchor ladder is sized by the real final dip rho0 - targets[-1],
     # not by the default drop, so a deep rho_infinity finds a feasible anchor

@@ -137,6 +137,16 @@ def test_unknown_family_rejected():
         get_family("cubic_but_wrong")
 
 
+@pytest.mark.parametrize(
+    "family_id, match",
+    [("poly_x", "bad polynomial family id"), ("poly_1", "degree >= 2")],
+    ids=["poly_x", "poly_1"],
+)
+def test_malformed_polynomial_id_rejected(family_id, match):
+    with pytest.raises(PreconditionError, match=match):
+        get_family(family_id)
+
+
 def test_get_family_shares_one_spec_per_id():
     for family_id in ("reduced(tan)", "poly_5"):
         assert get_family(family_id) is get_family(family_id)
@@ -247,6 +257,12 @@ def test_singular_value_must_be_finite_and_nonzero(v):
     with pytest.warns(UserWarning, match="single-singular-value"):
         with pytest.raises(PreconditionError, match="finite and nonzero"):
             custom_family("bad", v, 1, _bad_gen, lambda z: z - z * z)
+
+
+def test_symmetry_order_must_be_positive():
+    with pytest.warns(UserWarning, match="single-singular-value"):
+        with pytest.raises(PreconditionError, match="symmetry order must be >= 1"):
+            custom_family("bad", 0.25, 0, _bad_gen, lambda z: z - z * z)
 
 
 def test_custom_family_flagged():

@@ -85,6 +85,11 @@ def test_siegel_residual_at_golden():
     assert conjugacy_residual(ss) <= 1e-7
 
 
+def test_residual_needs_a_conjugacy_series():
+    with pytest.raises(PreconditionError, match="expected a KoenigsSeries or SiegelSeries"):
+        conjugacy_residual(get_family("quadratic"))
+
+
 def test_siegel_rational_breaks_down():
     with pytest.raises(DivisorBreakdownError) as exc:
         siegel_series(get_family("quadratic"), 0.5, 64)

@@ -77,6 +77,26 @@ def test_norm_rejects_bad_arguments():
         qa_norm(identity(8), 0.5, order_cap=99)
 
 
+@pytest.mark.parametrize(
+    "g, order_cap, match",
+    [(TruncatedSeries.from_coeffs([0.5]), None, "at least degree 1"),
+     # ((k + 2) ln(k + 2))^k passes binary64 at k = 113
+     (identity(160), 160, "too large for float weights")],
+    ids=["degree-0", "order-cap-160"],
+)
+def test_norm_rejects_what_it_cannot_weigh(g, order_cap, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match=match):
+            qa_norm(g, 0.5, order_cap=order_cap)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_circle_values_needs_a_sample(samples):
+    with pytest.raises(PreconditionError, match="samples must be >= 1"):
+        circle_values(identity(8).coeffs, 0.5, samples)
+
+
 @pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
 def test_norm_radius_must_be_positive_and_finite(r):
     with warnings.catch_warnings():

@@ -40,6 +40,19 @@ def test_from_coeffs_rejects_bad_input():
         TruncatedSeries.from_coeffs([1.0, math.inf])
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [(lambda: TruncatedSeries.from_coeffs([1.0], degree=-1), "degree must be >= 0"),
+     (lambda: geometric(4).padded(3), "cannot lower the degree"),
+     (lambda: geometric(4) + 1.0, "operands must both be TruncatedSeries"),
+     (lambda: reciprocal(identity(4)), "nonzero constant term")],
+    ids=["negative-degree", "padded-lower", "foreign-operand", "reciprocal-of-z"],
+)
+def test_series_preconditions(call, match):
+    with pytest.raises(PreconditionError, match=match):
+        call()
+
+
 def test_reciprocal_of_one_minus_z_is_geometric():
     one_minus = TruncatedSeries.from_coeffs([1, -1], degree=16)
     rec = reciprocal(one_minus)
