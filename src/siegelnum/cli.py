@@ -224,7 +224,7 @@ def _cmd_construct(args) -> str:
         settings["alpha0"] = parse_rotation(settings["alpha0"])
     schedule = settings.pop("schedule", "auto")
     if schedule and schedule != "auto":
-        settings["schedule"] = tuple(float(s) for s in schedule.split(","))
+        settings["schedule"] = schedule.split(",")
         settings.setdefault("depth", len(settings["schedule"]))
     report = run_construction(ConstructionConfig(**settings))
     return _json(report.describe())
@@ -299,7 +299,7 @@ def build_parser() -> _Parser:
     p = command("radius", _cmd_radius, "conformal-radius estimate")
     p.add_argument("--family", required=True)
     p.add_argument("--alpha", required=True, metavar="float:X|cf:LIST|rat:P/Q|golden")
-    p.add_argument("--method", choices=("radial", "coeff", "coefficient"), required=True)
+    p.add_argument("--method", choices=("radial", "coeff"), required=True)
     p.add_argument("--depth", type=int)
     p.add_argument("--degree", dest="n", type=int)
 

@@ -46,7 +46,9 @@ import numpy as np
 
 from .errors import (
     BracketFailureError,
+    CoefficientOverflowError,
     ConstructionStallError,
+    DivisorBreakdownError,
     EstimateUnavailableError,
     NumericalError,
     PreconditionError,
@@ -87,6 +89,9 @@ CIRCLE_SAMPLES = 512  # circle points of every norm and of the boundary report
 FLANK_SAMPLES = 16  # flank probes per side of each candidate
 RETRY_BUDGET = 8  # anchors tried per step
 MAX_ITER = 80  # halvings of the log-offset bracket per anchor
+# the estimate errors that mean "no disc", so rho = -infinity: a resonance,
+# or a radius too small for binary64
+NO_DISC = (DivisorBreakdownError, CoefficientOverflowError)
 
 
 @dataclass(frozen=True)
@@ -191,11 +196,10 @@ def _estimate(family: FamilySpec, alpha: float, n: int) -> RadiusEstimate | Nume
 
 def _effective_value(outcome: RadiusEstimate | SiegelnumError) -> float:
     """The effective value of a coefficient estimate's outcome: its rho_hat
-    (-infinity on a diverging ray).  Breakdown, coefficient overflow, an
-    unusable sample run: every NumericalError happens exactly where the dip
-    is effectively bottomless, so it reads as -infinity too; any other
-    package error is raised."""
-    if isinstance(outcome, NumericalError):
+    (-infinity on a diverging ray), or -infinity for a NO_DISC error, where
+    the dip is bottomless.  Any other package error, such as an estimate
+    above the Koebe cap, is raised."""
+    if isinstance(outcome, NO_DISC):
         return -math.inf
     if isinstance(outcome, SiegelnumError):
         raise outcome
@@ -311,7 +315,8 @@ def _anchor_ladder(alpha: float, n_series: int, final_dip: float) -> list[tuple[
 
 def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
     """Run the full schedule; raise ConstructionStallError (with the partial
-    report attached) if some step exhausts its retry budget."""
+    report attached) if some step exhausts its retry budget.  An estimate
+    error other than NO_DISC is raised."""
     t_start = time.perf_counter()
     family = get_family(cfg.family)
     est0 = rho_coefficient(family, cfg.alpha0.value, cfg.n_series)
@@ -329,7 +334,6 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
 
     for n, target in enumerate(targets, start=1):
         budget = cfg.delta * 2.0 ** (-(n - 1))
-        accepted = None
         reasons = []
         alpha_n = est_n.alpha.value
         ladder = _anchor_ladder(alpha_n, cfg.n_series, rho0 - targets[-1])
@@ -383,35 +387,24 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
                     f"coefficient estimate {est_c.rho_hat:.4f}"
                 )
                 continue
-            accepted = StepReport(
+            steps.append(StepReport(
                 n=n, alpha=alpha_c, anchor_p=p, anchor_q=q,
                 target_rho=target, achieved_rho=est_c.rho_hat, eps=eps_c,
                 norm_delta=delta_norm, norm_budget=budget,
                 flank_worst=worst, flank_level=levelrho_n,
                 radial_value=radial_value, retries=retries,
-            )
+            ))
             est_n, eps_n, levelrho_n = est_c, eps_c, target
             break
-        if accepted is None:
-            raise ConstructionStallError(
-                f"step {n}: no anchor produced an acceptable candidate: "
-                + "; ".join(reasons),
-                partial_report=_final_report(cfg, rho0, rho_inf, targets, steps, est0, est_n, t_start),
-            )
-        steps.append(accepted)
+        else:  # no anchor passed: the run stalls at step n
+            break
 
-    return _final_report(cfg, rho0, rho_inf, targets, steps, est0, est_n, t_start)
-
-
-def _final_report(cfg, rho0, rho_inf, targets, steps, est0, est_n, t_start) -> ConstructionReport:
-    r_inf = math.exp(rho_inf)
     try:
         total = qa_norm(est0.series.g - est_n.series.g, r_inf, order_cap=NORM_ORDER,
                         circle_samples=CIRCLE_SAMPLES).value
     except UnreliableRadiusError:
         total = math.nan
-    boundary = boundary_report(est_n.series.g, r_inf)
-    return ConstructionReport(
+    report = ConstructionReport(
         family=cfg.family,
         alpha0=cfg.alpha0.value,
         rho0=rho0,
@@ -421,9 +414,15 @@ def _final_report(cfg, rho0, rho_inf, targets, steps, est0, est_n, t_start) -> C
         steps=tuple(steps),
         final_alpha=est_n.alpha.value,
         total_distance=total,
-        boundary=boundary,
+        boundary=boundary_report(est_n.series.g, r_inf),
         wall_time=time.perf_counter() - t_start,
     )
+    if len(steps) < len(targets):
+        raise ConstructionStallError(
+            f"step {n}: no anchor produced an acceptable candidate: " + "; ".join(reasons),
+            partial_report=report,
+        )
+    return report
 
 
 def boundary_report(g, radius: float) -> BoundaryReport:

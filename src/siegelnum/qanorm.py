@@ -139,7 +139,8 @@ def qa_norm(
 ) -> NormResult:
     """Weighted derivative sup-norm of g on |w| = r (see module docstring).
 
-    r must be positive and finite.  order_cap defaults to min(degree, 40).
+    r must be positive and finite.  order_cap defaults to min(degree, 40)
+    and must stay below 113, where its weights overflow binary64.
     Ties in the maximum break deterministically to the smallest derivative
     order, then the smallest circle-sample index.  A weighted circle value
     that overflows binary64 raises UnreliableRadiusError.
@@ -153,21 +154,21 @@ def qa_norm(
         order_cap = min(n, 40)
     if not 0 <= order_cap <= n:
         raise PreconditionError("derivative order cap must lie in [0, degree]")
+    with np.errstate(over="ignore"):  # an overflowing weight is refused here
+        if not np.isfinite(_weights(order_cap)).all():
+            raise PreconditionError("derivative order cap too large for float weights")
     return _table_norm(g, r, circle_values(g.coeffs, r, circle_samples, order_cap))
 
 
 def _table_norm(g: TruncatedSeries, r: float, table: np.ndarray) -> NormResult:
     """qa_norm of g on |w| = r, read off table = circle_values(g.coeffs, r,
-    S, K) for the caller's S samples and order cap K: the tail gate, the
-    overflow check and the weighted maximum."""
+    S, K) for the caller's S samples and an order cap K whose weights fit
+    binary64: the tail gate, the overflow check and the weighted maximum."""
     order_cap, circle_samples = table.shape[0] - 1, table.shape[1]
     n = g.degree
     mags = np.abs(g.coeffs)
     q, idx = _tail_ratio(mags, r)
-    with np.errstate(over="ignore"):  # an overflowing weight is refused below
-        weights = _weights(order_cap)
-    if not np.all(np.isfinite(weights)):
-        raise PreconditionError("derivative order cap too large for float weights")
+    weights = _weights(order_cap)
 
     log_head = None
     if q is not None:

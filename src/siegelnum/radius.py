@@ -68,6 +68,7 @@ __all__ = [
     "harmonic_check",
     "harmonic_measure",
     "poisson_bound_check",
+    "poisson_step_value",
     "PLATEAU_TOL",
     "DIVERGENCE_DROP",
 ]
@@ -127,16 +128,12 @@ def rotation_from_cf(coeffs) -> RotationNumber:
         raise PreconditionError("continued fraction needs at least one partial quotient")
     if any(a < 1 for a in coeffs):
         raise PreconditionError("partial quotients must be positive integers")
-    frac = Fraction(0)
-    for a in reversed(coeffs):
-        frac = Fraction(1, a + frac)
-    value = float(frac)
+    p, q = cf_convergents(coeffs)[-1]  # in lowest terms
     # a short finite list is exactly rational; long lists are float-precision
     # stand-ins for an infinite expansion and keep the cf tag
-    if len(coeffs) < 30 and frac.denominator <= 10**15:
-        return RotationNumber(value, "rational", cf=coeffs,
-                              p=frac.numerator, q=frac.denominator)
-    return RotationNumber(value, "cf", cf=coeffs)
+    if len(coeffs) < 30 and q <= 10**15:
+        return RotationNumber(p / q, "rational", cf=coeffs, p=p, q=q)
+    return RotationNumber(p / q, "cf", cf=coeffs)
 
 
 def rational_rotation(p: int, q: int) -> RotationNumber:

@@ -167,6 +167,11 @@ def test_usage_errors_exit_one(capsys):
     code, _, err = run(capsys, "radius", "--family", "quadratic", "--method", "nope")
     assert code == 1
     assert "usage" in err
+    # one spelling per choice: the coefficient method is "coeff"
+    code, _, err = run(capsys, "radius", "--family", "quadratic", "--alpha", "golden",
+                       "--method", "coefficient")
+    assert code == 1
+    assert "invalid choice: 'coefficient'" in err
     code, _, _ = run(capsys, "not-a-command")
     assert code == 1
     code, _, _ = run(capsys)
@@ -323,8 +328,9 @@ def test_poisson_check_input_range(capsys, flag, value):
       "res must be >= 1"),
      (("construct", "--degree", "32"), "series degree >= 64"),
      (("radius", "--family", "quadratic", "--alpha", "rat:a/b", "--method", "coeff"),
-      "bad rotation syntax")],
-    ids=["grid-res-0", "construct-degree-32", "radius-alpha-rat:a/b"],
+      "bad rotation syntax"),
+     (("construct", "--schedule", "abc"), "schedule must be a sequence of numbers")],
+    ids=["grid-res-0", "construct-degree-32", "radius-alpha-rat:a/b", "construct-schedule-abc"],
 )
 def test_out_of_range_option_names_its_rule(capsys, argv, message):
     code, out, _ = run(capsys, *argv)

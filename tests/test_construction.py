@@ -21,12 +21,15 @@ from siegelnum.construction import CIRCLE_SAMPLES
 from siegelnum.construction import find_alpha_with_rho
 from siegelnum.errors import (
     BracketFailureError,
+    CoefficientOverflowError,
     ConstructionStallError,
+    DivisorBreakdownError,
     EstimateUnavailableError,
     NumericalError,
     PreconditionError,
     UnreliableRadiusError,
 )
+from siegelnum.families import custom_family
 from siegelnum.radius import RadiusEstimate, rotation_from_cf
 
 QUAD = get_family("quadratic")
@@ -261,6 +264,25 @@ def test_a_radial_probe_without_samples_passes_as_nan(monkeypatch):
     assert math.isnan(step.radial_value) and step.retries == 0
 
 
+@pytest.mark.parametrize("failure", [DivisorBreakdownError(35, 1e-15, 1e-14),
+                                     CoefficientOverflowError("past binary64")],
+                         ids=["breakdown", "overflow"])
+def test_a_flank_probe_without_a_disc_reads_minus_infinity(monkeypatch, failure):
+    monkeypatch.setattr(construction, "rho_coefficients",
+                        lambda family, alphas, n: [failure] * len(alphas))
+    (step,) = run_construction(ConstructionConfig(depth=1)).steps
+    assert step.flank_worst == -math.inf
+
+
+def test_any_other_flank_probe_error_is_raised(monkeypatch):
+    failure = NumericalError("probe failed")
+    monkeypatch.setattr(construction, "rho_coefficients",
+                        lambda family, alphas, n: [failure] * len(alphas))
+    with pytest.raises(NumericalError) as exc:
+        run_construction(ConstructionConfig(depth=1))
+    assert exc.value is failure
+
+
 def _assert_certified(rep, depth):
     """Criterion 9's checks, with budgets delta * 2^-(n-1) at every step."""
     assert len(rep.steps) == depth
@@ -459,6 +481,15 @@ def test_bracket_failure_when_target_unreachable():
 def test_bracket_failure_when_the_below_end_is_not_below():
     with pytest.raises(BracketFailureError, match="below end"):
         find_alpha_with_rho(QUAD, -1.6, golden_rotation().value, 21 / 34, n=128)
+
+
+def test_an_estimate_above_the_koebe_cap_is_raised_not_bracketed():
+    # the quadratic map with a false singular value v = 1e-3: the golden
+    # mean's estimate breaks the cap M = -5.52, which is no "no disc" -inf
+    with pytest.warns(UserWarning, match="single-singular-value"):
+        fam = custom_family("quadratic-v", 1e-3, 1, QUAD._coeff_gen, QUAD._point_eval)
+    with pytest.raises(NumericalError, match="above the Koebe cap"):
+        find_alpha_with_rho(fam, -1.5, 21 / 34, golden_rotation().value, n=128)
 
 
 def test_bisection_lands_on_target():

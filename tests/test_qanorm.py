@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from siegelnum import TruncatedSeries, qa_norm
+from siegelnum import TruncatedSeries, qa_norm, qanorm
 from siegelnum.errors import PreconditionError, UnreliableRadiusError
 from siegelnum.qanorm import (
     TAIL_TOL,
@@ -84,11 +84,15 @@ def test_norm_rejects_bad_arguments():
      (identity(160), 160, "too large for float weights")],
     ids=["degree-0", "order-cap-160"],
 )
-def test_norm_rejects_what_it_cannot_weigh(g, order_cap, match):
+def test_norm_rejects_what_it_cannot_weigh(monkeypatch, g, order_cap, match):
+    # refused in the precondition block, before any circle is evaluated
+    calls = []
+    monkeypatch.setattr(qanorm, "circle_values", lambda *args, **kw: calls.append(args))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PreconditionError, match=match):
             qa_norm(g, 0.5, order_cap=order_cap)
+    assert calls == []
 
 
 @pytest.mark.parametrize("samples", [0, -3])

@@ -79,6 +79,23 @@ def test_cf_expand_inverts_convergent():
     assert cf_convergents(digits)[-1] == (13, 30)
 
 
+def test_rotation_from_cf_matches_the_fraction_loop():
+    # the last convergent p/q against [0; a1, ..., ak] summed as Fractions
+    # from the tail: same value (both round p/q once), tag, p and q
+    rng = np.random.default_rng(20)
+    for _ in range(2000):
+        coeffs = rng.integers(1, 1001, size=rng.integers(1, 46)).tolist()
+        frac = Fraction(0)
+        for a in reversed(coeffs):
+            frac = 1 / (a + frac)
+        rational = len(coeffs) < 30 and frac.denominator <= 10**15
+        rot = rotation_from_cf(coeffs)
+        assert rot.value == float(frac)
+        assert rot.tag == ("rational" if rational else "cf")
+        if rational:
+            assert (rot.p, rot.q) == (frac.numerator, frac.denominator)
+
+
 def test_rotation_from_float_tags():
     r = rotation_from_float(0.3819660112501051)
     assert r.tag == "float" and not r.is_rational
