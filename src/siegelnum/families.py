@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 TAN_POLE_THRESHOLD = 1e-12
+_TAN_POLE_BOUND = 1 / TAN_POLE_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -144,11 +145,13 @@ def _tan_coeffs(n):
 
 
 def _tan_eval(z):
-    z = complex(z)
-    c = cmath.cos(z)
-    if abs(c) < TAN_POLE_THRESHOLD:
-        raise PoleError(f"tan evaluation too close to a pole at z={z!r}")
-    return cmath.sin(z) / c
+    """tan z by one cmath call; PoleError where |tan z| > 1 / TAN_POLE_THRESHOLD,
+    which is |cos z| < TAN_POLE_THRESHOLD to ~1e-15 relative (the poles are
+    real, |sin z| = 1 + O(|cos z|^2) there).  tan(800j) == 1j: no overflow."""
+    t = cmath.tan(z)
+    if abs(t) > _TAN_POLE_BOUND:
+        raise PoleError(f"tan evaluation too close to a pole at z={complex(z)!r}")
+    return t
 
 
 def _build_catalog() -> dict[str, FamilySpec]:
@@ -160,8 +163,7 @@ def _build_catalog() -> dict[str, FamilySpec]:
                    _point_eval=lambda z: cmath.exp(z) - 1),
         FamilySpec("zexp", -math.exp(-1.0), 1, _coeff_gen=_zexp_coeffs,
                    _point_eval=lambda z: z * cmath.exp(z)),
-        FamilySpec("sin", 1.0, 2, _coeff_gen=_sin_coeffs,
-                   _point_eval=lambda z: cmath.sin(z)),
+        FamilySpec("sin", 1.0, 2, _coeff_gen=_sin_coeffs, _point_eval=cmath.sin),
         # of the symmetric pair +-i of asymptotic values, +i is the recorded one
         FamilySpec("tan", 1j, 2, _coeff_gen=_tan_coeffs, _point_eval=_tan_eval),
     ]
@@ -233,9 +235,11 @@ def symmetry_reduce(spec: FamilySpec) -> FamilySpec:
     The parameter correspondence is lambda -> lambda^n: the reduced map under
     study is w -> lambda^n F(w) when the original is z -> lambda f(z).
     At n = 2 (every catalog reduction) F is evaluated as
-    s = f(sqrt(w)); s * s: a square root and a product in place of two
-    complex powers on every basin-orbit step, a few ulps from the general
-    f(w ** (1/n)) ** n.
+    s = f(sqrt(w)); s * s, with cmath.sqrt bound in the closure: a square
+    root and a product in place of two complex powers on every basin-orbit
+    step, a few ulps from the general f(w ** (1/n)) ** n.  reduced(tan)
+    keeps tan's pole rule on |tan sqrt(w)| and its bound off the real axis:
+    F(-640000) == tan(800j)**2 == -1.
 
     Every reduction of one base spec is one shared spec (memoized, 64 maps).
     """
@@ -259,9 +263,10 @@ def symmetry_reduce(spec: FamilySpec) -> FamilySpec:
 
     # branch-independent: f(omega z)^n = f(z)^n for the symmetry root omega
     if n == 2:
+        sqrt = cmath.sqrt
 
         def pe(w):
-            s = inner_eval(cmath.sqrt(w))
+            s = inner_eval(sqrt(w))
             return s * s
 
     else:
@@ -273,14 +278,8 @@ def symmetry_reduce(spec: FamilySpec) -> FamilySpec:
                 return 0j
             return inner_eval(w ** root) ** n
 
-    return FamilySpec(
-        family_id=f"reduced({spec.family_id})",
-        v=spec.v**n,
-        symmetry_order=1,
-        reduced_from=spec.family_id,
-        _coeff_gen=gen,
-        _point_eval=pe,
-    )
+    return FamilySpec(f"reduced({spec.family_id})", spec.v**n, 1, reduced_from=spec.family_id,
+                      _coeff_gen=gen, _point_eval=pe)
 
 
 def custom_family(family_id, v, symmetry_order, coeff_gen, point_eval) -> FamilySpec:

@@ -365,3 +365,61 @@ def test_poly_family_is_one_constructor():
     assert get_family("poly_7").describe()["d"] == 7
     z = 0.3 - 0.2j
     assert get_family("poly_7")._point_eval(z) == (1 + z / 7) ** 7 - 1
+
+
+# -- parity with the point evaluators the one-call ones replaced -------------
+# The oracles are the earlier expressions: sin through a lambda, tan as
+# sin(z) / cos(z) behind |cos z| < TAN_POLE_THRESHOLD, and the n = 2 fold
+# through the module's cmath.sqrt.
+
+EPS = np.finfo(float).eps
+
+
+def _seeded_points(count, half_width):
+    rng = np.random.default_rng(11)
+    return (half_width * (rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count))).tolist()
+
+
+def test_sin_and_the_folds_match_the_old_expressions_bitwise():
+    sin, tan = get_family("sin")._point_eval, get_family("tan")._point_eval
+
+    def old_sin(z):
+        return cmath.sin(z)
+
+    for z in _seeded_points(2000, 3.0):
+        assert repr(sin(z)) == repr(old_sin(z)), z
+    # reduced(tan) folds over today's tan, whose own distance from sin / cos
+    # is the next test's
+    for w in _seeded_points(2000, 9.0):
+        for inner, red_id in ((old_sin, "reduced(sin)"), (tan, "reduced(tan)")):
+            s = inner(cmath.sqrt(w))
+            assert repr(get_family(red_id)._point_eval(w)) == repr(s * s), (red_id, w)
+
+
+def test_tan_is_within_a_few_ulps_of_sin_over_cos():
+    # measured on these points: at most 3.7 ulps of |tan z|
+    tan = get_family("tan")._point_eval
+    worst = 0.0
+    for z in _seeded_points(20000, 3.0):
+        ref = cmath.sin(z) / cmath.cos(z)
+        worst = max(worst, abs(tan(z) - ref) / (EPS * abs(ref)))
+    assert worst <= 8
+
+
+@pytest.mark.parametrize("k", range(-3, 4))
+def test_tan_pole_rule_is_the_cosine_rule(k):
+    # z = pi/2 + k pi + delta e^{i theta}: |tan z| > 1 / TAN_POLE_THRESHOLD
+    # raises exactly where |cos z| < TAN_POLE_THRESHOLD, here for the two
+    # deltas below the threshold
+    tan = get_family("tan")._point_eval
+    raised = set()
+    for delta in (1e-13, 5e-13, 2e-12, 1e-11):
+        for theta in (0.0, 0.4, math.pi / 2, 2.0, math.pi, 4.0, 5.5):
+            z = math.pi / 2 + k * math.pi + delta * cmath.exp(1j * theta)
+            if abs(cmath.cos(z)) < families.TAN_POLE_THRESHOLD:
+                with pytest.raises(PoleError):
+                    tan(z)
+                raised.add(delta)
+            else:
+                assert abs(tan(z)) <= 1 / families.TAN_POLE_THRESHOLD, (delta, theta)
+    assert raised == {1e-13, 5e-13}
