@@ -110,6 +110,8 @@ class ConstructionConfig:
     n_series: int = 256
 
     def __post_init__(self):
+        if not isinstance(self.alpha0, RotationNumber):
+            raise PreconditionError(f"alpha0 must be a RotationNumber, got {type(self.alpha0).__name__}")
         try:
             operator.index(self.depth), operator.index(self.n_series)
         except TypeError:

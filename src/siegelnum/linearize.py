@@ -133,9 +133,10 @@ def _single(outcomes: list):
 
 
 def _check_multiplier(lam: complex) -> None:
-    if lam == 0:
-        raise PreconditionError("lambda = 0 has no Koenigs linearization")
-    if abs(abs(lam) - 1.0) < 1e-15:
+    """The one basin rule: a Koenigs linearization needs 0 < |lambda| < 1."""
+    if not 0 < abs(lam) < 1:
+        raise PreconditionError("a Koenigs linearization needs 0 < |lambda| < 1")
+    if 1.0 - abs(lam) < 1e-15:
         raise PreconditionError("|lambda| = 1 is the Siegel regime; use siegel_series")
 
 
@@ -184,17 +185,31 @@ def _solve_koenigs(cols: np.ndarray, lams: np.ndarray) -> list:
 def koenigs_series(family: FamilySpec, lam: complex, n: int = 128) -> KoenigsSeries:
     """Normalized linearizer h with h(f_lambda(z)) = lambda h(z), degree n.
 
-    Defined for 0 < |lambda| < 1; |lambda| > 1 is accepted too (the same
-    recurrence linearizes a repelling point).  |lambda| = 1 and lambda = 0
-    are rejected outright — those regimes belong to siegel_series and to
-    no linearizer at all, respectively.  The solve is the batched one of
-    u_values, run on a batch of one, against the same shared power table
-    of f (_koenigs_table).
+    Defined for attracting 0 < |lambda| < 1 only, under the one basin rule
+    (_check_multiplier) that u_values applies: lambda = 0 has no Koenigs
+    linearization, |lambda| > 1 no basin to extend h over, and |lambda|
+    within 1e-15 of 1 is the Siegel regime (siegel_series).  The solve is
+    the batched one of u_values, run on a batch of one, against the same
+    shared power table of f (_koenigs_table).
     """
     lam = complex(lam)
     _check_multiplier(lam)
     h = _single(_solve_koenigs(_koenigs_table(family, n), np.array([lam])))
     return KoenigsSeries(lam=lam, h=TruncatedSeries.from_coeffs(h, n), family=family)
+
+
+def _phases(alphas: np.ndarray, n: int) -> np.ndarray:
+    """frac(k alpha) for k = 0..n, one row per alpha, within 2^-53 mod 1.
+
+    alpha = hi + lo in 27 and 26 bits: k frac(hi), k frac(lo) and their fmod
+    are exact for k < 2^26, so only the sum rounds, and column 1 is alpha
+    on [0, 1).  A phase has alpha's sign and lies in (-2, 2).
+    """
+    mant, e = np.frexp(alphas)
+    hi = np.ldexp(np.trunc(np.ldexp(mant, 27)), e - 27)
+    k = np.arange(n + 1)
+    a, b = (np.fmod(np.fmod(part, 1.0)[:, None] * k, 1.0) for part in (hi, alphas - hi))
+    return a + b
 
 
 def siegel_series_many(
@@ -211,17 +226,17 @@ def siegel_series_many(
 
     The recurrence for g is the reversed composition order of the Koenigs
     one; both divide by lambda^k - lambda, which can vanish only here, on
-    the circle.  Powers of lambda are taken as
-    e^{2 pi i frac(k alpha)} so the divisor of an (effectively) rational
-    alpha vanishes exactly instead of drifting, and the guard at
-    SIEGEL_DIVISOR_FLOOR reports the offending k.  Every alpha that passes
-    the guard goes into one batched _solve_siegel call.
+    the circle.  Powers of lambda, lambda itself included, are
+    e^{2 pi i frac(k alpha)} from _phases, rounded once, so the divisor of
+    a rational alpha vanishes instead of drifting with k alpha's rounding,
+    and the guard at SIEGEL_DIVISOR_FLOOR reports the offending k.  Every
+    alpha that passes the guard goes into one batched _solve_siegel call.
     """
     alphas = np.array([float(getattr(a, "value", a)) for a in alphas])  # RotationNumber or float
     base = base_series(family, n).coeffs
     finite = np.isfinite(alphas)
     safe = np.where(finite, alphas, 0.0)  # a non-finite alpha's row is never read
-    powers = np.exp(2j * math.pi * np.fmod(safe[:, None] * np.arange(n + 1), 1.0))
+    powers = np.exp(2j * math.pi * _phases(safe, n))
     divisors = powers - powers[:, 1:2]
     mags = np.abs(divisors[:, 2:])
     smallest = zip(np.argmin(mags, axis=1).tolist(), np.min(mags, axis=1).tolist())
@@ -235,7 +250,7 @@ def siegel_series_many(
             outcomes.append(None)
     live = [b for b, out in enumerate(outcomes) if out is None]
     if live:
-        lams = np.exp(2j * math.pi * alphas[live])
+        lams = powers[live, 1]
         # f_lambda = lambda f, as family_series builds it
         rows = _read_rows(_solve_siegel(lams[:, None] * base, divisors[live]), "Siegel")
         for b, lam, out in zip(live, lams.tolist(), rows):
@@ -308,7 +323,7 @@ def conjugacy_residual(obj: KoenigsSeries | SiegelSeries) -> float:
     elif isinstance(obj, SiegelSeries):
         ser = obj.g
         outer, inner = family_series(obj.family, obj.lam, ser.degree), ser
-        rot = ser.coeffs * np.power(obj.lam, np.arange(ser.degree + 1))
+        rot = ser.coeffs * np.exp(2j * math.pi * _phases(np.array([obj.alpha]), ser.degree))[0]
     else:
         raise PreconditionError("expected a KoenigsSeries or SiegelSeries")
     res = compose(outer, inner).coeffs - rot
@@ -456,8 +471,6 @@ def koenigs_eval(ks: KoenigsSeries, z: complex) -> tuple[complex, int]:
     at z = lambda v it gives yoccoz_w's w and iterations, bit for bit.
     """
     lam = ks.lam
-    if abs(lam) >= 1.0:
-        raise PreconditionError("basin extension requires |lambda| < 1")
     hz, m, _ = _single(_basin_step(ks.family, [lam], ks.h.coeffs[None, :], [complex(z)], DEFAULT_BUDGET))
     return _unwind(hz, m, lam), m
 
@@ -509,8 +522,6 @@ def u_values(
     todo = []
     for i, lam in enumerate(lams):
         try:
-            if not 0 < abs(lam) < 1:
-                raise PreconditionError("yoccoz_w needs 0 < |lambda| < 1")
             _check_multiplier(lam)
             todo.append(i)
         except PreconditionError as exc:

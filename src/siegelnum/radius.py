@@ -94,8 +94,9 @@ class RotationNumber:
 
     tag is one of golden, rational, float, cf; p/q are set only for the
     rational tag (reduced).  p/q are report metadata: the estimators see
-    only value, the nearest float, so the small-divisor guard trips on an
-    exact rational only as far as binary64 phases resolve it.
+    only value, the nearest float, so the small-divisor guard trips on
+    every p/q with q < 256 at degree 256; from q = 289 on, q times the
+    float's offset from p/q can lift the divisor past the floor.
     """
 
     value: float

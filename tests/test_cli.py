@@ -106,9 +106,7 @@ def test_radius_exact_rational_reports_breakdown(capsys):
     assert body["k"] >= 2 and body["magnitude"] < body["floor"]
 
 
-# at n = 256 binary64 phases frac(k alpha) miss some rationals with q > 128;
-# strict, so ROADMAP item 7's exact phases show up here
-@pytest.mark.xfail(strict=True, reason="binary64 phases miss large-q rationals (ROADMAP item 7)")
+# exact phases frac(k alpha) see a rational with q > 128 at n = 256
 def test_radius_large_q_exact_rational_reports_breakdown(capsys):
     code, out, _ = run(
         capsys, "radius", "--family", "quadratic", "--alpha", "rat:128/133",

@@ -541,7 +541,8 @@ def test_run_construction_checks_its_base_and_schedule(settings, message):
     ({"n_series": 256.0}, "must be integers"),
     ({"depth": 3, "schedule": "abc"}, "sequence of numbers"),
     ({"depth": 1, "schedule": (None,)}, "sequence of numbers"),
-], ids=["float-depth", "float-n_series", "string-schedule", "none-in-schedule"])
+    ({"alpha0": 0.618}, "RotationNumber"),
+], ids=["float-depth", "float-n_series", "string-schedule", "none-in-schedule", "float-alpha0"])
 def test_config_rejects_malformed_settings(settings, message):
     with pytest.raises(PreconditionError, match=message):
         ConstructionConfig(**settings)

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -71,13 +72,11 @@ def test_koenigs_residual_small_across_families():
 
 
 def test_koenigs_rejects_degenerate_multipliers():
-    # |lambda| > 1 is fine (repelling point), but 0 and the unit circle are
-    # not; a repelling point has no basin to extend h over
-    repelling = koenigs_series(get_family("quadratic"), 1.2, 16)
-    with pytest.raises(PreconditionError, match="basin extension"):
-        koenigs_eval(repelling, 0.1)
-    with pytest.raises(PreconditionError):
-        koenigs_series(get_family("quadratic"), 0.0, 16)
+    # one basin rule, 0 < |lambda| < 1: a repelling point has no basin to
+    # extend h over, lambda = 0 no linearization, the circle is Siegel's
+    for lam in (1.2, 0.0):
+        with pytest.raises(PreconditionError, match=re.escape("needs 0 < |lambda| < 1")):
+            koenigs_series(get_family("quadratic"), lam, 16)
     with pytest.raises(PreconditionError):
         koenigs_series(get_family("quadratic"), cmath.exp(1.3j), 16)
 
@@ -163,9 +162,7 @@ def _loop_solve_siegel(F, divisors):
 
 
 def _siegel_inputs(fam, alpha, n):
-    powers = np.array(
-        [cmath.exp(2j * math.pi * math.fmod(k * alpha, 1.0)) for k in range(n + 1)]
-    )
+    powers = np.exp(2j * math.pi * linearize._phases(np.array([alpha]), n))[0]
     return family_series(fam, powers[1], n).coeffs, powers - powers[1]
 
 
@@ -324,12 +321,32 @@ def test_batched_siegel_failures_stay_in_their_slots():
 
 
 def test_every_small_q_rational_trips_the_divisor_guard():
-    # at n = 128 the binary64 phases frac(k p/q) resolve every reduced p/q
-    # with q < 128; at n = 256 larger q slip past (test_radius, ROADMAP item 7)
-    alphas = [p / q for q in range(2, 128) for p in range(1, q) if math.gcd(p, q) == 1]
-    assert len(alphas) == 4957
-    outcomes = siegel_series_many(get_family("quadratic"), alphas, 128)
+    # phases frac(k p/q) rounded once resolve every reduced p/q with q < 256
+    # at n = 256, large q included (the first q a k alpha rounding hid was 133)
+    alphas = [p / q for q in range(2, 256) for p in range(1, q) if math.gcd(p, q) == 1]
+    assert len(alphas) == 19819
+    outcomes = siegel_series_many(get_family("quadratic"), alphas, 256)
     assert {type(out) for out in outcomes} == {DivisorBreakdownError}
+
+
+def test_phases_are_rounded_once():
+    # against exact Fraction arithmetic: |phase - frac(k alpha)| <= 2^-53
+    # mod 1 for every k, including tiny, negative and large alpha, and
+    # column 1 is alpha itself on [0, 1), so lambda is e^{2 pi i alpha}
+    rng = np.random.default_rng(26)
+    alphas = np.concatenate([
+        rng.uniform(0, 1, 40), rng.uniform(-3, 3, 10), 10.0 ** rng.uniform(-300, 0, 10),
+        -(10.0 ** rng.uniform(-300, 0, 5)), rng.uniform(1, 1e6, 5),
+        [0.0, 1.0, 128 / 133, 1 - 2**-53, 2.0**60 + 2**8, 1e300, 5e-324, 1e-310],
+    ])
+    phases = linearize._phases(alphas, 256)
+    for alpha, row in zip(alphas.tolist(), phases.tolist()):
+        exact = Fraction(alpha)
+        for k, phase in enumerate(row):
+            d = (Fraction(phase) - k * exact) % 1
+            assert min(d, 1 - d) <= Fraction(1, 2**53), (alpha, k)
+    unit = np.concatenate([rng.uniform(0, 1, 2000), 10.0 ** rng.uniform(-320, 0, 200)])
+    assert linearize._phases(unit, 1)[:, 1].tobytes() == unit.tobytes()
 
 
 def test_batched_siegel_row_does_not_depend_on_its_batch():
@@ -429,9 +446,9 @@ def _koenigs_inputs(fam, lam, n):
 
 
 def _scalar_koenigs(fam, lam, n):
-    if lam == 0:
-        raise PreconditionError("lambda = 0 has no Koenigs linearization")
-    if abs(abs(lam) - 1.0) < 1e-15:
+    if not 0 < abs(lam) < 1:
+        raise PreconditionError("a Koenigs linearization needs 0 < |lambda| < 1")
+    if 1.0 - abs(lam) < 1e-15:
         raise PreconditionError("|lambda| = 1 is the Siegel regime; use siegel_series")
     h = _read_rows(_loop_solve_koenigs(*_koenigs_inputs(fam, lam, n))[None], "Koenigs")[0]
     if isinstance(h, SiegelnumError):
@@ -477,8 +494,6 @@ def _reference_orbit(family, lam, z, r_entry, budget):
 def _scalar_yoccoz(fam, lam, n=128, budget=DEFAULT_BUDGET):
     """Reference: yoccoz_w one lambda at a time, series to orbit to log."""
     lam = complex(lam)
-    if not 0 < abs(lam) < 1:
-        raise PreconditionError("yoccoz_w needs 0 < |lambda| < 1")
     h = _scalar_koenigs(fam, lam, n)
     r_e = _scalar_entry_radius(h)
     z, m = _reference_orbit(fam, lam, lam * fam.v, r_e, budget)

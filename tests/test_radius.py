@@ -214,11 +214,9 @@ def test_coefficient_estimator_breaks_on_exact_rational():
         rho_coefficient(QUAD, rational_rotation(1, 3), 128)
 
 
-# The estimator sees only the float p/q, and frac(k alpha) carries the
-# rounding error of k alpha at its own size: at 128/133 and n = 256 the
-# computed |lambda^134 - lambda| is 1.34e-13, above the divisor floor, and a
-# finite rho is fitted.  Strict, so ROADMAP item 7's exact phases show up here.
-@pytest.mark.xfail(strict=True, reason="binary64 phases miss large-q rationals (ROADMAP item 7)")
+# The estimator sees only the float p/q; with frac(k alpha) rounded once
+# the divisor at 128/133 and n = 256 is |lambda^134 - lambda| = 4.5e-14,
+# below the floor, so a q > 128 breaks down as p/q must
 @pytest.mark.parametrize("p, q", [(128, 133), (129, 137)])
 def test_coefficient_estimator_breaks_on_large_q_rational(p, q):
     with pytest.raises(DivisorBreakdownError):
@@ -238,6 +236,28 @@ def test_overflowing_dip_is_a_numerical_error():
 
     with pytest.raises(NumericalError):
         rho_coefficient(QUAD, 0.5 + 1e-4, 256)
+
+
+# Yoccoz's identity: u is harmonic with u <= log 4|v| and u(0) = log|v|, so
+# the boundary values rho have mean >= log|v| over the circle.  One
+# stratified draw of 512 alpha, the coefficient estimate where it converged
+# and the ray elsewhere; the two end strata, within 1/512 of 0 and 1, are
+# dropped: there the Siegel series overflows and the ray reads -inf.  The
+# lower edge is the theorem less sampling slack.  The upper edge sits above
+# the largest gap of seeds 1-12 (+0.026, seed-to-seed spread 0.002).
+@pytest.mark.parametrize("fam_id", ["quadratic", "poly_3"])
+def test_boundary_mean_keeps_the_harmonic_identity(fam_id):
+    fam = get_family(fam_id)
+    rng = np.random.default_rng(3)
+    alphas = ((np.arange(512) + rng.uniform(size=512)) / 512)[1:-1].tolist()
+    rhos = np.array([
+        est.rho_hat if isinstance(est, radius.RadiusEstimate) and est.converged
+        else rho_radial(fam, alpha, depth=14, n=128).rho_hat
+        for alpha, est in zip(alphas, rho_coefficients(fam, alphas, 256))
+    ])
+    gap = rhos.mean() - math.log(abs(fam.v))
+    se = rhos.std(ddof=1) / math.sqrt(len(rhos))
+    assert -3 * se <= gap <= 0.04, (gap, se)
 
 
 def test_estimate_above_the_koebe_cap_is_a_numerical_error():
