@@ -54,6 +54,7 @@ from .errors import (
     PreconditionError,
     SiegelnumError,
     UnreliableRadiusError,
+    outcome,
 )
 from .families import FamilySpec, get_family
 from .qanorm import _table_norm, circle_values, qa_norm
@@ -188,24 +189,16 @@ class ConstructionReport:
         return {**asdict(self), "steps": [s.describe() for s in self.steps]}
 
 
-def _estimate(family: FamilySpec, alpha: float, n: int) -> RadiusEstimate | NumericalError:
-    """rho_coefficient at alpha, with a NumericalError returned, not raised."""
-    try:
-        return rho_coefficient(family, alpha, n)
-    except NumericalError as exc:
-        return exc
-
-
-def _effective_value(outcome: RadiusEstimate | SiegelnumError) -> float:
+def _effective_value(est: RadiusEstimate | SiegelnumError) -> float:
     """The effective value of a coefficient estimate's outcome: its rho_hat
     (-infinity on a diverging ray), or -infinity for a NO_DISC error, where
     the dip is bottomless.  Any other package error, such as an estimate
     above the Koebe cap, is raised."""
-    if isinstance(outcome, NO_DISC):
+    if isinstance(est, NO_DISC):
         return -math.inf
-    if isinstance(outcome, SiegelnumError):
-        raise outcome
-    return outcome.rho_hat
+    if isinstance(est, SiegelnumError):
+        raise est
+    return est.rho_hat
 
 
 def find_alpha_with_rho(
@@ -239,9 +232,9 @@ def find_alpha_with_rho(
     """
     if below == above:
         raise PreconditionError("bracket ends must differ")
-    below_val = _effective_value(_estimate(family, below, n))
+    below_val = _effective_value(outcome(rho_coefficient, family, below, n))
     if above_estimate is None:
-        above_estimate = _estimate(family, above, n)
+        above_estimate = outcome(rho_coefficient, family, above, n)
     above_val = _effective_value(above_estimate)
     if not below_val < target_rho:
         raise BracketFailureError(
@@ -258,7 +251,7 @@ def find_alpha_with_rho(
         mid = below + side * math.exp(0.5 * (t_lo + t_hi))
         if mid in (lo, hi):
             raise BracketFailureError("bracket exhausted float resolution")
-        est = _estimate(family, mid, n)
+        est = outcome(rho_coefficient, family, mid, n)
         val = _effective_value(est)
         if abs(val - target_rho) <= tol_rho:  # false at -infinity
             return mid, est

@@ -35,6 +35,15 @@ class SiegelnumError(Exception):
         return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
+def outcome(fn, *args):
+    """fn(*args), or the SiegelnumError it raised, as one row's or one
+    probe's outcome; any other exception propagates."""
+    try:
+        return fn(*args)
+    except SiegelnumError as exc:
+        return exc
+
+
 class PreconditionError(SiegelnumError, ValueError):
     """An argument violates a documented precondition."""
 

@@ -47,6 +47,7 @@ from .errors import (
     NumericalError,
     PreconditionError,
     SiegelnumError,
+    outcome,
 )
 from .families import FamilySpec, base_series, family_series
 from .series import TruncatedSeries, compose, power_table
@@ -442,14 +443,10 @@ def _basin_step(family: FamilySpec, lams: list, h: np.ndarray, starts: list, bud
     stacked per row and Horner is elementwise, so each row is as in a batch
     of one."""
     radii = _entry_radii(h).tolist()
-    outcomes: list = []
-    for lam, z, r in zip(lams, starts, radii):
-        try:
-            if math.isnan(r):
-                raise _entry_radius_error()
-            outcomes.append(_orbit(family, lam, z, r, budget))
-        except SiegelnumError as exc:
-            outcomes.append(exc)
+    outcomes = [
+        _entry_radius_error() if math.isnan(r) else outcome(_orbit, family, lam, z, r, budget)
+        for lam, z, r in zip(lams, starts, radii)
+    ]
     rows = [b for b, out in enumerate(outcomes) if not isinstance(out, SiegelnumError)]
     if rows:
         coeffs = h[rows]
@@ -518,14 +515,8 @@ def u_values(
         raise PreconditionError(f"iteration budget must be >= 1, got {budget}")
     cols = _koenigs_table(family, n)
     lams = [complex(lam) for lam in lams]
-    outcomes: list = [None] * len(lams)
-    todo = []
-    for i, lam in enumerate(lams):
-        try:
-            _check_multiplier(lam)
-            todo.append(i)
-        except PreconditionError as exc:
-            outcomes[i] = exc
+    outcomes = [outcome(_check_multiplier, lam) for lam in lams]
+    todo = [i for i, out in enumerate(outcomes) if out is None]
     per_block = max(1, BLOCK_ENTRIES // (n + 1))
     for start in range(0, len(todo), per_block):
         block = todo[start : start + per_block]

@@ -44,6 +44,7 @@ from .errors import (
     PoleError,
     PreconditionError,
     SiegelnumError,
+    outcome,
 )
 from .families import FamilySpec
 from .linearize import SiegelSeries, siegel_series, siegel_series_many, u_values
@@ -351,20 +352,11 @@ def rho_coefficients(family: FamilySpec, alphas, n: int = 128) -> list[RadiusEst
     call.
     """
     _check_fit_degree(n)
-    outcomes: list = []
-    for alpha in alphas:
-        try:
-            outcomes.append(_as_rotation(alpha))
-        except PreconditionError as exc:
-            outcomes.append(exc)
+    outcomes = [outcome(_as_rotation, alpha) for alpha in alphas]
     todo = [i for i, rot in enumerate(outcomes) if isinstance(rot, RotationNumber)]
-    for i, out in zip(todo, siegel_series_many(family, [outcomes[i].value for i in todo], n)):
-        if isinstance(out, SiegelSeries):
-            try:
-                out = _coefficient_estimate(family, outcomes[i], out)
-            except SiegelnumError as exc:
-                out = exc
-        outcomes[i] = out
+    for i, ss in zip(todo, siegel_series_many(family, [outcomes[i].value for i in todo], n)):
+        ok = isinstance(ss, SiegelSeries)
+        outcomes[i] = outcome(_coefficient_estimate, family, outcomes[i], ss) if ok else ss
     return outcomes
 
 

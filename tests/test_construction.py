@@ -28,6 +28,7 @@ from siegelnum.errors import (
     NumericalError,
     PreconditionError,
     UnreliableRadiusError,
+    outcome,
 )
 from siegelnum.families import custom_family
 from siegelnum.radius import RadiusEstimate, rotation_from_cf
@@ -420,9 +421,9 @@ def _linear_alpha_bisection(family, target_rho, below, above, tol_rho=0.02, n=25
                             above_estimate=None):
     """Oracle: the search as it stood before it bisected the log offset,
     each probe at the midpoint in alpha of the bracket."""
-    below_val = construction._effective_value(construction._estimate(family, below, n))
+    below_val = construction._effective_value(outcome(construction.rho_coefficient, family, below, n))
     if above_estimate is None:
-        above_estimate = construction._estimate(family, above, n)
+        above_estimate = outcome(construction.rho_coefficient, family, above, n)
     above_val = construction._effective_value(above_estimate)
     if not (below_val < target_rho < above_val):
         raise BracketFailureError("oracle: not a bracket")
@@ -431,7 +432,7 @@ def _linear_alpha_bisection(family, target_rho, below, above, tol_rho=0.02, n=25
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             raise BracketFailureError("bracket exhausted float resolution")
-        est = construction._estimate(family, mid, n)
+        est = outcome(construction.rho_coefficient, family, mid, n)
         val = construction._effective_value(est)
         if abs(val - target_rho) <= tol_rho:
             return mid, est
