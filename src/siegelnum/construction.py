@@ -119,8 +119,8 @@ class ConstructionConfig:
             raise PreconditionError("depth and n_series must be integers") from None
         if self.depth < 1:
             raise PreconditionError("depth must be at least 1")
-        if not (self.delta > 0 and self.eps0 > 0 and self.tol_rho > 0):
-            raise PreconditionError("delta, eps0 and tol_rho must be positive")
+        if not all(0 < x < math.inf for x in (self.delta, self.eps0, self.tol_rho)):
+            raise PreconditionError("delta, eps0 and tol_rho must be positive and finite")
         if self.n_series < 64:
             raise PreconditionError("construction needs series degree >= 64")
         if self.schedule is not None:
@@ -232,6 +232,8 @@ def find_alpha_with_rho(
     """
     if below == above:
         raise PreconditionError("bracket ends must differ")
+    if not 0 < tol_rho < math.inf:
+        raise PreconditionError(f"tol_rho must be positive and finite, got {tol_rho}")
     below_val = _effective_value(outcome(rho_coefficient, family, below, n))
     if above_estimate is None:
         above_estimate = outcome(rho_coefficient, family, above, n)

@@ -65,6 +65,7 @@ __all__ = [
     "yoccoz_w",
     "u_values",
     "SIEGEL_DIVISOR_FLOOR",
+    "SIEGEL_EDGE",
     "ENTRY_RADIUS_GRID",
     "ENTRY_TAIL_TOL",
     "DEFAULT_BUDGET",
@@ -72,6 +73,7 @@ __all__ = [
 ]
 
 SIEGEL_DIVISOR_FLOOR = 1e-13
+SIEGEL_EDGE = 1e-15  # a multiplier this close to |lambda| = 1 is in the Siegel regime
 # the 1-2-5 ladder 1, 0.5, ..., 0.01 with each gap split into 8 geometric
 # steps (ratio 0.89-0.92 per rung); every 1-2-5 rung is kept exactly, so
 # the largest passing rung is never below the 1-2-5 ladder's choice
@@ -137,7 +139,7 @@ def _check_multiplier(lam: complex) -> None:
     """The one basin rule: a Koenigs linearization needs 0 < |lambda| < 1."""
     if not 0 < abs(lam) < 1:
         raise PreconditionError("a Koenigs linearization needs 0 < |lambda| < 1")
-    if 1.0 - abs(lam) < 1e-15:
+    if 1.0 - abs(lam) < SIEGEL_EDGE:
         raise PreconditionError("|lambda| = 1 is the Siegel regime; use siegel_series")
 
 
@@ -189,7 +191,7 @@ def koenigs_series(family: FamilySpec, lam: complex, n: int = 128) -> KoenigsSer
     Defined for attracting 0 < |lambda| < 1 only, under the one basin rule
     (_check_multiplier) that u_values applies: lambda = 0 has no Koenigs
     linearization, |lambda| > 1 no basin to extend h over, and |lambda|
-    within 1e-15 of 1 is the Siegel regime (siegel_series).  The solve is
+    within SIEGEL_EDGE of 1 is the Siegel regime (siegel_series).  The solve is
     the batched one of u_values, run on a batch of one, against the same
     shared power table of f (_koenigs_table).
     """

@@ -47,7 +47,7 @@ from .errors import (
     outcome,
 )
 from .families import FamilySpec
-from .linearize import SiegelSeries, siegel_series, siegel_series_many, u_values
+from .linearize import SIEGEL_EDGE, SiegelSeries, siegel_series, siegel_series_many, u_values
 
 __all__ = [
     "RotationNumber",
@@ -80,6 +80,8 @@ SLOPE_STABILITY_TOL = 0.1
 M_SLACK = 0.1
 RAY_BUDGET = 2 * 10**6  # orbit iterations per lambda of a ray scan
 RAY_MAX_DEPTH = 12.0  # dyadic depth of the outermost poisson_bound_check radius
+# deepest radial scan: past it, 1 - 2^-depth lies within SIEGEL_EDGE of the circle (49)
+RADIAL_DEPTH_CAP = int(-math.log2(SIEGEL_EDGE))
 HARMONIC_R_LO, HARMONIC_R_HI = 0.1, 0.8  # annulus of the harmonic_check grid
 HARMONIC_CIRCLE_POINTS = 4  # ring points per harmonic_check node
 # the ray-sample failures that the ray scans skip; any other is raised
@@ -289,9 +291,8 @@ def rho_radial(
     read off the trailing run of consecutive successes.  Any other error of
     a depth, such as a Koebe-bound violation, is raised (_ray_values).
     """
-    if not 4 <= depth <= 49:
-        # past 49, 1 - 2^-depth is within the multiplier check's 1e-15 of the circle
-        raise PreconditionError(f"radial scan needs 4 <= depth <= 49, got depth {depth}")
+    if not 4 <= depth <= RADIAL_DEPTH_CAP:
+        raise PreconditionError(f"radial scan needs 4 <= depth <= {RADIAL_DEPTH_CAP}, got depth {depth}")
     rot = _as_rotation(alpha)
     samples: list[tuple[float, float]] = []
     failures: list[str] = []

@@ -519,6 +519,12 @@ def test_bracket_ends_must_differ():
         find_alpha_with_rho(QUAD, -1.6, 21 / 34, 21 / 34, n=128)
 
 
+def test_tolerance_must_be_finite():
+    # an infinite tolerance would accept the first probe that is not -inf
+    with pytest.raises(PreconditionError, match="tol_rho must be positive and finite"):
+        find_alpha_with_rho(QUAD, -1.6, 21 / 34, golden_rotation().value, tol_rho=math.inf, n=128)
+
+
 def test_rho_infinity_override():
     rep = run_construction(ConstructionConfig(depth=1, rho_infinity=-1.52))
     assert rep.rho_infinity == pytest.approx(-1.52)
@@ -543,7 +549,11 @@ def test_run_construction_checks_its_base_and_schedule(settings, message):
     ({"depth": 3, "schedule": "abc"}, "sequence of numbers"),
     ({"depth": 1, "schedule": (None,)}, "sequence of numbers"),
     ({"alpha0": 0.618}, "RotationNumber"),
-], ids=["float-depth", "float-n_series", "string-schedule", "none-in-schedule", "float-alpha0"])
+    ({"tol_rho": math.inf}, "positive and finite"),
+    ({"eps0": math.inf}, "positive and finite"),
+    ({"delta": math.inf}, "positive and finite"),
+], ids=["float-depth", "float-n_series", "string-schedule", "none-in-schedule", "float-alpha0",
+        "infinite-tol_rho", "infinite-eps0", "infinite-delta"])
 def test_config_rejects_malformed_settings(settings, message):
     with pytest.raises(PreconditionError, match=message):
         ConstructionConfig(**settings)

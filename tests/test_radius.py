@@ -25,7 +25,7 @@ from siegelnum import (
     rotation_from_float,
     silver_rotation,
 )
-from siegelnum import radius
+from siegelnum import linearize, radius
 from siegelnum.errors import (
     DivisorBreakdownError,
     EstimateUnavailableError,
@@ -260,6 +260,46 @@ def test_boundary_mean_keeps_the_harmonic_identity(fam_id):
     assert -3 * se <= gap <= 0.04, (gap, se)
 
 
+def _brjuno(alpha):
+    """Phi(alpha) = sum_{n>=0} beta_{n-1} log(1/alpha_n), with alpha_0 = alpha,
+    alpha_{n+1} = {1/alpha_n}, beta_{-1} = 1 and beta_n = alpha_0...alpha_n;
+    stopped once beta < 1e-14 or alpha_n = 0."""
+    total, beta, a = 0.0, 1.0, alpha
+    while beta >= 1e-14 and a > 0:
+        total += beta * math.log(1.0 / a)
+        beta *= a
+        a = 1.0 / a % 1.0
+    return total
+
+
+# Yoccoz: rho + Phi is bounded on the Brjuno numbers for quadratic.  Over
+# seeds 0-19 of this draw the converged sums span [0.1431, 1.5047], the
+# minimum at the golden mean (0.1454 without it); the band adds about 0.05
+# below and 0.1 above.  Seed 0 keeps 199 of the 201 readings.
+def test_brjuno_sum_is_bounded_on_quadratic():
+    golden = golden_rotation().value
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    assert _brjuno(golden) == pytest.approx(phi**2 * math.log(phi), abs=1e-7)
+    alphas = [*np.random.default_rng(0).uniform(0.05, 0.95, 200).tolist(), golden]
+    sums = [
+        est.rho_hat + _brjuno(alpha)
+        for alpha, est in zip(alphas, rho_coefficients(QUAD, alphas, 256))
+        if isinstance(est, radius.RadiusEstimate) and est.converged
+    ]
+    assert len(sums) >= 195
+    assert 0.10 <= min(sums) and max(sums) <= 1.60, (min(sums), max(sums))
+
+
+def test_radial_depth_cap_is_the_siegel_edge():
+    # the deepest ray radius 1 - 2^-49 is a Koenigs multiplier; 1 - 2^-50 is
+    # a float too, but within SIEGEL_EDGE of the circle
+    cap = radius.RADIAL_DEPTH_CAP
+    assert cap == 49
+    linearize._check_multiplier(1.0 - 2.0**-cap)
+    with pytest.raises(PreconditionError, match="Siegel regime"):
+        linearize._check_multiplier(1.0 - 2.0 ** -(cap + 1))
+
+
 def test_estimate_above_the_koebe_cap_is_a_numerical_error():
     # the quadratic map with a false singular value v = 1e-3: its disc
     # (rho = -1.106 at the golden mean) exceeds M = log 4 + log|v| = -5.52
@@ -363,6 +403,11 @@ def test_poisson_check_propagates_foreign_errors():
         )
     with pytest.raises(RuntimeError, match="user map failed"):
         poisson_bound_check(fam, golden_rotation(), 0.01, -1.0, -1.0, ray_samples=4, n=64)
+    # at lambda = 0.9 the orbit of lambda v starts outside the entry disc
+    with pytest.raises(RuntimeError, match="user map failed"):
+        linearize.u_values(fam, [0.9], n=64)
+    with pytest.raises(RuntimeError, match="user map failed"):
+        rho_radial(fam, golden_rotation(), depth=4, n=64)
 
 
 def test_rho_coefficients_returns_an_unavailable_fit():
