@@ -23,6 +23,8 @@ step candidate is found by bisecting that log distance (at most MAX_ITER
 halvings) between the anchor (whose estimate diverges — the small-divisor
 guard trips exactly there) and alpha_n, on whichever side of alpha_n the
 anchor lies; alpha_n's estimate is reused from the step that chose it.
+The bisection runs in rounds: every probe of the next PROBE_LEVELS
+halvings is estimated by one rho_coefficients call, then walked in order.
 Anchor choice trades three pressures: the dip must stay resolvable in
 binary64 (q * final_dip <= ~30, or the offset from p/q underflows), the
 resonant spike index q+1 must sit low enough for the coefficient window to
@@ -57,6 +59,7 @@ from .errors import (
     outcome,
 )
 from .families import FamilySpec, get_family
+from .linearize import _siegel_block_rows
 from .qanorm import _table_norm, circle_values, qa_norm
 from .radius import (
     RadiusEstimate,
@@ -90,6 +93,7 @@ CIRCLE_SAMPLES = 512  # circle points of every norm and of the boundary report
 FLANK_SAMPLES = 16  # flank probes per side of each candidate
 RETRY_BUDGET = 8  # anchors tried per step
 MAX_ITER = 80  # halvings of the log-offset bracket per anchor
+PROBE_LEVELS = 4  # halvings laid out ahead and estimated as one batch
 # the estimate errors that mean "no disc", so rho = -infinity: a resonance,
 # or a radius too small for binary64
 NO_DISC = (DivisorBreakdownError, CoefficientOverflowError)
@@ -123,6 +127,11 @@ class ConstructionConfig:
             raise PreconditionError("delta, eps0 and tol_rho must be positive and finite")
         if self.n_series < 64:
             raise PreconditionError("construction needs series degree >= 64")
+        # r_infinity = e^rho_infinity is the radius of every norm: it must be positive
+        if self.rho_infinity is not None and not (
+                math.isfinite(self.rho_infinity) and math.exp(min(self.rho_infinity, 0.0)) > 0):
+            raise PreconditionError(
+                f"rho_infinity must be finite, with e^rho_infinity > 0, got {self.rho_infinity}")
         if self.schedule is not None:
             try:
                 vals = tuple(float(v) for v in self.schedule)
@@ -229,6 +238,11 @@ def find_alpha_with_rho(
     either end.  A caller that already holds the above end's estimate (same
     alpha, same n) passes it as above_estimate, and the end is not solved
     again.
+
+    The probes come in rounds: one rho_coefficients call estimates every
+    probe of the next PROBE_LEVELS halvings (_probe_tree), at most one
+    solver block of them, and the walk reads only those that sequential
+    bisection would make, so it returns or raises as that would.
     """
     if below == above:
         raise PreconditionError("bracket ends must differ")
@@ -249,11 +263,16 @@ def find_alpha_with_rho(
     side = math.copysign(1.0, above - below)
     lo, hi = below, above
     t_lo, t_hi = math.log(math.ulp(below)), math.log(abs(above - below))
-    for _ in range(MAX_ITER):
-        mid = below + side * math.exp(0.5 * (t_lo + t_hi))
+    levels = min(PROBE_LEVELS, (_siegel_block_rows(family, n) + 1).bit_length() - 1)
+    probes: dict[float, RadiusEstimate | SiegelnumError] = {}  # this round's, by alpha
+    for step in range(MAX_ITER):
+        mid = _log_midpoint(below, side, t_lo, t_hi)
         if mid in (lo, hi):
             raise BracketFailureError("bracket exhausted float resolution")
-        est = outcome(rho_coefficient, family, mid, n)
+        if mid not in probes:  # the walk has left the round: lay out the next one
+            alphas = _probe_tree(below, side, lo, hi, t_lo, t_hi, min(levels, MAX_ITER - step))
+            probes = dict(zip(alphas, rho_coefficients(family, alphas, n)))
+        est = probes[mid]
         val = _effective_value(est)
         if abs(val - target_rho) <= tol_rho:  # false at -infinity
             return mid, est
@@ -263,6 +282,32 @@ def find_alpha_with_rho(
         else:
             hi, t_hi = mid, t
     raise BracketFailureError(f"no crossing within {MAX_ITER} bisection steps")
+
+
+def _probe_tree(below: float, side: float, lo: float, hi: float, t_lo: float, t_hi: float,
+                levels: int) -> list[float]:
+    """The probes that find_alpha_with_rho can walk in its next `levels`
+    halvings from the bracket (lo, hi), in tree order: each probe's alpha
+    and t follow from its bracket alone, so all are known before any is
+    estimated.  A probe where the walk stops on float resolution is left
+    out with the probes below it; so are the probes below one that lands
+    on below itself, where t = log 0."""
+    if levels == 0:
+        return []
+    mid = _log_midpoint(below, side, t_lo, t_hi)
+    if mid in (lo, hi):
+        return []
+    if mid == below:
+        return [mid]
+    t = math.log(abs(mid - below))
+    return [mid, *_probe_tree(below, side, mid, hi, t, t_hi, levels - 1),
+            *_probe_tree(below, side, lo, mid, t_lo, t, levels - 1)]
+
+
+def _log_midpoint(below: float, side: float, t_lo: float, t_hi: float) -> float:
+    """The probe of a bracket: its distance from below is the geometric
+    mean of the ends' distances e^t_lo and e^t_hi."""
+    return below + side * math.exp(0.5 * (t_lo + t_hi))
 
 
 def _schedule(rho0: float, cfg: ConstructionConfig) -> tuple[float, list[float]]:

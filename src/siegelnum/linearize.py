@@ -291,9 +291,7 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
     wider block would only add memory traffic.
     """
     n = F.shape[1] - 1
-    nonzero = np.flatnonzero(F[:, 2:].any(axis=0))
-    top = 2 + int(nonzero[-1]) if nonzero.size else 2
-    per_block = max(1, BLOCK_ENTRIES // ((top + 1) * (n + 1)))
+    top, per_block = _siegel_blocks(F)
     out = np.zeros_like(F)
     for start in range(0, F.shape[0], per_block):
         rows = slice(start, start + per_block)
@@ -308,6 +306,22 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
                 g[:, k] = (F_b[:, None, 2 : m + 1] @ pows[:, 2 : m + 1, k, None])[:, 0, 0] / d_b[:, k]
         out[rows] = g
     return out
+
+
+def _siegel_blocks(F: np.ndarray) -> tuple[int, int]:
+    """(top, rows per block) of a _solve_siegel call on the maps F, one
+    row each: top = deg F, and as many rows as fit in BLOCK_ENTRIES."""
+    n = F.shape[1] - 1
+    nonzero = np.flatnonzero(F[:, 2:].any(axis=0))
+    top = 2 + int(nonzero[-1]) if nonzero.size else 2
+    return top, max(1, BLOCK_ENTRIES // ((top + 1) * (n + 1)))
+
+
+def _siegel_block_rows(family: FamilySpec, n: int) -> int:
+    """Rows per block of a degree-n Siegel solve of family: a block shares
+    each degree's numpy calls among its rows (85 rows for quadratic at
+    n = 256; one row for an entire map, where each row costs a solve)."""
+    return _siegel_blocks(base_series(family, n).coeffs[None, :])[1]
 
 
 def conjugacy_residual(obj: KoenigsSeries | SiegelSeries) -> float:

@@ -47,7 +47,7 @@ from .errors import (
     outcome,
 )
 from .families import FamilySpec
-from .linearize import SIEGEL_EDGE, SiegelSeries, siegel_series, siegel_series_many, u_values
+from .linearize import SIEGEL_EDGE, SiegelSeries, _single, siegel_series, siegel_series_many, u_values
 
 __all__ = [
     "RotationNumber",
@@ -336,16 +336,18 @@ def rho_coefficient(family: FamilySpec, alpha, n: int = 128) -> RadiusEstimate:
     index).  converged requires the slopes fitted on the two half-windows
     to agree within SLOPE_STABILITY_TOL.  A small-divisor breakdown
     propagates: that is the honest signal for effectively rational alpha.
-    The estimate keeps the fitted SiegelSeries as ``series``.
+    The estimate keeps the fitted SiegelSeries as ``series``.  The fit is
+    the batched one of rho_coefficients, run on a batch of one.
     """
     _check_fit_degree(n)
     rot = _as_rotation(alpha)
     # DivisorBreakdownError propagates
-    return _coefficient_estimate(family, rot, siegel_series(family, rot.value, n))
+    return _single(_coefficient_estimates(family, [rot], [siegel_series(family, rot.value, n)]))
 
 
 def rho_coefficients(family: FamilySpec, alphas, n: int = 128) -> list[RadiusEstimate | SiegelnumError]:
-    """rho_coefficient at many rotation numbers, from one batched Siegel solve.
+    """rho_coefficient at many rotation numbers, from one batched Siegel
+    solve and one batched fit.
 
     Returns, in input order, one outcome per alpha: its RadiusEstimate, or
     the SiegelnumError that rho_coefficient raises for it (not raised
@@ -353,11 +355,15 @@ def rho_coefficients(family: FamilySpec, alphas, n: int = 128) -> list[RadiusEst
     call.
     """
     _check_fit_degree(n)
-    outcomes = [outcome(_as_rotation, alpha) for alpha in alphas]
-    todo = [i for i, rot in enumerate(outcomes) if isinstance(rot, RotationNumber)]
-    for i, ss in zip(todo, siegel_series_many(family, [outcomes[i].value for i in todo], n)):
-        ok = isinstance(ss, SiegelSeries)
-        outcomes[i] = outcome(_coefficient_estimate, family, outcomes[i], ss) if ok else ss
+    rots = [outcome(_as_rotation, alpha) for alpha in alphas]
+    outcomes = list(rots)
+    todo = [i for i, rot in enumerate(rots) if isinstance(rot, RotationNumber)]
+    for i, ss in zip(todo, siegel_series_many(family, [rots[i].value for i in todo], n)):
+        outcomes[i] = ss
+    fit = [i for i in todo if isinstance(outcomes[i], SiegelSeries)]
+    estimates = _coefficient_estimates(family, [rots[i] for i in fit], [outcomes[i] for i in fit])
+    for i, est in zip(fit, estimates):
+        outcomes[i] = est
     return outcomes
 
 
@@ -366,37 +372,59 @@ def _check_fit_degree(n: int) -> None:
         raise PreconditionError("coefficient estimate needs degree >= 32")
 
 
-def _fit_slope(ks: np.ndarray, ys: np.ndarray) -> float:
+def _fit_slope(ks: np.ndarray, ys: np.ndarray):
     """Least-squares slope of ys against ks, in closed form:
-    sum (k - k_mean)(y - y_mean) / sum (k - k_mean)^2."""
+    sum (k - k_mean)(y - y_mean) / sum (k - k_mean)^2, for one row ys or
+    for each row of a 2-D ys.  Each row's sum is a (1, m) @ (m, 1) product
+    of its own, which rounds as the 1-D dot of that row alone would."""
     dk = ks - ks.mean()
-    return float(dk @ (ys - ys.mean()) / (dk @ dk))
+    yc = ys - ys.mean(axis=-1, keepdims=True)
+    return (yc[..., None, :] @ dk[:, None])[..., 0, 0] / (dk @ dk)
 
 
-def _coefficient_estimate(family: FamilySpec, rot: RotationNumber, ss: SiegelSeries) -> RadiusEstimate:
-    """The fit of rho_coefficient on the solved series ss of rot."""
-    n = ss.g.degree
-    mags = np.abs(ss.g.coeffs)
-    idx = np.arange(n // 2, n + 1)
-    keep = mags[idx] > 0.0
-    ks = idx[keep].astype(np.float64)
-    ys = np.log(mags[idx][keep].astype(np.float64))
-    if ks.size < 8:
-        raise EstimateUnavailableError("tail window has too few nonzero coefficients")
-    slope = _fit_slope(ks, ys)
-    mid = ks.size // 2
-    s1 = _fit_slope(ks[:mid], ys[:mid])
-    s2 = _fit_slope(ks[mid:], ys[mid:])
-    rho_hat = -slope
+def _coefficient_estimates(family: FamilySpec, rots: list, series: list) -> list[RadiusEstimate | SiegelnumError]:
+    """The fit of rho_coefficient on each solved series of one degree, with
+    its rotation number: per row, its RadiusEstimate, or the
+    EstimateUnavailableError (fewer than 8 nonzero coefficients in the
+    window) or NumericalError (above the Koebe cap) of that row.
+
+    Rows are fitted together, one group per pattern of nonzero window
+    coefficients; a row's numbers are those of a batch of one, since every
+    reduction runs along that row alone, over a C-ordered array."""
+    if not series:
+        return []
+    n = series[0].g.degree
+    window = np.abs(np.array([ss.g.coeffs for ss in series]))[:, n // 2 :]
+    idx = np.arange(n // 2, n + 1, dtype=np.float64)
+    keep = window > 0.0
+    groups: dict[bytes, list[int]] = {}
+    for b, row in enumerate(keep):
+        groups.setdefault(row.tobytes(), []).append(b)
+    out: list = [None] * len(series)
+    for rows in groups.values():
+        mask = keep[rows[0]]
+        ks = idx[mask]
+        if ks.size < 8:
+            for b in rows:
+                out[b] = EstimateUnavailableError("tail window has too few nonzero coefficients")
+            continue
+        ys = np.log(np.ascontiguousarray(window[rows][:, mask]))
+        mid = ks.size // 2
+        slopes, s1, s2 = (
+            _fit_slope(ks[part], ys[:, part]).tolist()
+            for part in (slice(None), slice(None, mid), slice(mid, None))
+        )
+        k_list = ks.tolist()
+        for b, slope, y, a, c in zip(rows, slopes, ys.tolist(), s1, s2):
+            out[b] = outcome(_estimate_row, family, rots[b], -slope, tuple(zip(k_list, y)),
+                             abs(a - c) <= SLOPE_STABILITY_TOL, series[b])
+    return out
+
+
+def _estimate_row(family, rot, rho_hat, samples, converged, ss) -> RadiusEstimate:
     _check_cap(rho_hat, family, "rho_coefficient")
-    return RadiusEstimate(
-        alpha=rot,
-        method="coefficient",
-        rho_hat=rho_hat,
-        samples=tuple(zip(ks.tolist(), ys.tolist())),
-        converged=abs(s1 - s2) <= SLOPE_STABILITY_TOL,
-        series=ss,
-    )
+    return RadiusEstimate(alpha=rot, method="coefficient", rho_hat=rho_hat,
+                          samples=samples, converged=converged, series=ss)
 
 
 # -- harmonic diagnostics -----------------------------------------------------

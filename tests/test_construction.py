@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -31,7 +32,7 @@ from siegelnum.errors import (
     outcome,
 )
 from siegelnum.families import custom_family
-from siegelnum.radius import RadiusEstimate, rotation_from_cf
+from siegelnum.radius import RadiusEstimate, rotation_from_cf, rotation_from_float
 
 QUAD = get_family("quadratic")
 DELTA = 0.1
@@ -230,9 +231,36 @@ def _raise(exc):
     return fake
 
 
-def _reading(rho):
-    """An estimate that reads rho, for a stand-in estimator."""
-    return RadiusEstimate(alpha=golden_rotation(), method="stub", rho_hat=rho, samples=(), converged=True)
+def _reading(rho, alpha=None):
+    """An estimate that reads rho, for a stand-in estimator; alpha outside
+    (0, 1) raises the PreconditionError of the real estimators."""
+    rot = golden_rotation() if alpha is None else rotation_from_float(alpha)
+    return RadiusEstimate(alpha=rot, method="stub", rho_hat=rho, samples=(), converged=True)
+
+
+def _fake_flank_batches(monkeypatch, fake):
+    """Route run_construction's flank scans, and only them, to fake: the
+    bisection's batches, inside find_alpha_with_rho, keep the real
+    rho_coefficients.  Returns the list of the flank batches faked."""
+    real_search, real_batch = construction.find_alpha_with_rho, construction.rho_coefficients
+    searching, faked = [], []
+
+    def search(*args, **kwargs):
+        searching.append(True)
+        try:
+            return real_search(*args, **kwargs)
+        finally:
+            searching.pop()
+
+    def batch(family, alphas, n):
+        if searching:
+            return real_batch(family, alphas, n)
+        faked.append(list(alphas))
+        return fake(family, alphas, n)
+
+    monkeypatch.setattr(construction, "find_alpha_with_rho", search)
+    monkeypatch.setattr(construction, "rho_coefficients", batch)
+    return faked
 
 
 @pytest.mark.parametrize("eps0, name, fake, reason", [
@@ -249,7 +277,9 @@ def _reading(rho):
                  "NumericalError: Koebe bound violated: injected", id="radial-error"),
 ])
 def test_each_rejection_names_its_reason(monkeypatch, eps0, name, fake, reason):
-    if name is not None:
+    if name == "rho_coefficients":
+        _fake_flank_batches(monkeypatch, fake)
+    elif name is not None:
         monkeypatch.setattr(construction, name, fake)
     with pytest.raises(ConstructionStallError) as exc:
         run_construction(ConstructionConfig(depth=1, eps0=eps0))
@@ -269,19 +299,19 @@ def test_a_radial_probe_without_samples_passes_as_nan(monkeypatch):
                                      CoefficientOverflowError("past binary64")],
                          ids=["breakdown", "overflow"])
 def test_a_flank_probe_without_a_disc_reads_minus_infinity(monkeypatch, failure):
-    monkeypatch.setattr(construction, "rho_coefficients",
-                        lambda family, alphas, n: [failure] * len(alphas))
+    faked = _fake_flank_batches(monkeypatch, lambda family, alphas, n: [failure] * len(alphas))
     (step,) = run_construction(ConstructionConfig(depth=1)).steps
     assert step.flank_worst == -math.inf
+    assert len(faked) == 1 and len(faked[0]) == 2 * construction.FLANK_SAMPLES
 
 
 def test_any_other_flank_probe_error_is_raised(monkeypatch):
     failure = NumericalError("probe failed")
-    monkeypatch.setattr(construction, "rho_coefficients",
-                        lambda family, alphas, n: [failure] * len(alphas))
+    faked = _fake_flank_batches(monkeypatch, lambda family, alphas, n: [failure] * len(alphas))
     with pytest.raises(NumericalError) as exc:
         run_construction(ConstructionConfig(depth=1))
     assert exc.value is failure
+    assert len(faked) == 1  # the search found its candidate; its flank scan raised
 
 
 def _assert_certified(rep, depth):
@@ -311,46 +341,114 @@ def test_anchor_above_alpha0_certifies_without_retries(a1, a2):
 
 
 def test_default_run_reuses_each_fitted_series(monkeypatch):
-    rows = []  # rows per solver call
+    calls = []  # per solver call, each row's lambda, one per alpha
     solve = linearize._solve_siegel
 
     def counting(F, divisors):
-        rows.append(F.shape[0])
+        calls.append(F[:, 1].tolist())  # F = lambda f, and f has c_1 = 1
         return solve(F, divisors)
 
     monkeypatch.setattr(linearize, "_solve_siegel", counting)
-    run_construction(ConstructionConfig())
-    # alpha_0, then 2 + 4 + 3 log-offset probes, then three flank scans:
-    # 1 + 9 + 93 = 103 rows.  Each step's anchor breaks down before the
-    # solve, and its above end is the previous accepted estimate; alpha_0
-    # and each accepted alpha take their series from their estimates.
-    # Re-solving those for their series would make depth + 1 = 4 more rows
-    # (107), and re-estimating each above end 3 more (106)
-    assert sum(rows) == 103
+    rep = run_construction(ConstructionConfig())
+    # alpha_0; then per step one batched round of 15 log-offset probes
+    # (in step 3 one lands so close to the anchor that it breaks down
+    # before the solve) and one flank scan: 7 solver calls, where one
+    # call per probe made 13 (1 + 9 probes + 3 flank scans)
+    assert [len(rows) for rows in calls] == [1, 15, 31, 15, 31, 14, 31]
     # each step's flank scan is one call: 2 * FLANK_SAMPLES probes, less
     # the one that lands on the anchor and breaks down before the solve
-    assert rows.count(2 * construction.FLANK_SAMPLES - 1) == 3
-    assert all(r == 1 for r in rows if r != 2 * construction.FLANK_SAMPLES - 1)
+    assert [len(rows) for rows in calls[2::2]] == [2 * construction.FLANK_SAMPLES - 1] * 3
+    # each step's anchor breaks down before the solve, and its above end
+    # is the previous accepted estimate; alpha_0 and each accepted alpha
+    # take their series from their estimates.  Re-solving those for their
+    # series, or re-estimating an above end, would solve them twice
+    lams = [lam for rows in calls for lam in rows]
+    for alpha in [rep.alpha0] + [step.alpha for step in rep.steps]:
+        (lam,) = np.exp(2j * math.pi * linearize._phases(np.array([alpha]), 1))[:, 1].tolist()
+        assert lams.count(lam) == 1
+    # all three steps share the anchor 21/34, and each step's round starts
+    # from the bracket that the previous walk ended in: two probes laid out
+    # near the anchor in one round and not walked come back in the next
+    assert len(lams) - len(set(lams)) == 2
+
+
+def _recording_estimators(monkeypatch):
+    """Record every alpha that find_alpha_with_rho estimates, through
+    rho_coefficient (the bracket ends) or rho_coefficients (the rounds),
+    and its outcome."""
+    calls, results = [], []
+    single, batch = construction.rho_coefficient, construction.rho_coefficients
+
+    def recording_single(family, alpha, n):
+        calls.append(alpha)
+        results.append(outcome(single, family, alpha, n))
+        if isinstance(results[-1], Exception):
+            raise results[-1]
+        return results[-1]
+
+    def recording_batch(family, alphas, n):
+        calls.extend(alphas)
+        out = batch(family, alphas, n)
+        results.extend(out)
+        return out
+
+    monkeypatch.setattr(construction, "rho_coefficient", recording_single)
+    monkeypatch.setattr(construction, "rho_coefficients", recording_batch)
+    return calls, results
+
+
+def _fake_estimators(monkeypatch, fake):
+    """Stand fake(family, alpha, n) in for both estimators of the search."""
+    monkeypatch.setattr(construction, "rho_coefficient", fake)
+    monkeypatch.setattr(construction, "rho_coefficients",
+                        lambda family, alphas, n: [outcome(fake, family, a, n) for a in alphas])
+
+
+def _walked(monkeypatch):
+    """Record each estimate that find_alpha_with_rho reads, in order: the
+    two bracket ends', then the probes' the walk reaches."""
+    reads = []
+    read = construction._effective_value
+
+    def recording(est):
+        reads.append(est)
+        return read(est)
+
+    monkeypatch.setattr(construction, "_effective_value", recording)
+    return reads
 
 
 def test_bisection_estimates_each_alpha_once(monkeypatch):
-    calls, results = [], []
-    estimate = construction.rho_coefficient
-
-    def counting(family, alpha, n):
-        calls.append(alpha)
-        results.append(estimate(family, alpha, n))
-        return results[-1]
-
-    monkeypatch.setattr(construction, "rho_coefficient", counting)
+    calls, results = _recording_estimators(monkeypatch)
     lo, hi = 21 / 34, golden_rotation().value
     alpha, est = find_alpha_with_rho(QUAD, -1.6, lo, hi, tol_rho=0.05, n=128)
     # one call per bracket end (the rational lo end breaks down), then one
-    # per bisection probe; the accepted probe's estimate is returned as is
+    # row per probe of each round, ends and rounds together estimating no
+    # alpha twice; the accepted probe's estimate is returned as is
     assert calls[:2] == [lo, hi]
     assert len(set(calls)) == len(calls) > 2
-    assert calls[-1] == alpha
-    assert results[-1] is est
+    assert results[calls.index(alpha)] is est
+
+
+@pytest.mark.parametrize("fam_id, rows", [("quadratic", 2**construction.PROBE_LEVELS - 1), ("exp", 1)])
+def test_a_round_fills_at_most_one_solver_block(monkeypatch, fam_id, rows):
+    # a quadratic map at n = 256 shares each solver block among 85 rows;
+    # exp's rows are solved one at a time, so batching its probes would
+    # only solve rows that the walk never reads
+    family = get_family(fam_id)
+    assert linearize._siegel_block_rows(family, 256) == {"quadratic": 85, "exp": 1}[fam_id]
+    batches = []
+    batch = construction.rho_coefficients
+
+    def recording(family, alphas, n):
+        batches.append(len(alphas))
+        return batch(family, alphas, n)
+
+    monkeypatch.setattr(construction, "rho_coefficients", recording)
+    golden = golden_rotation().value
+    above = rho_coefficient(family, golden, 256)
+    find_alpha_with_rho(family, above.rho_hat - 0.2, 21 / 34, golden, n=256, above_estimate=above)
+    assert batches and max(batches) == rows
 
 
 def test_a_held_above_estimate_is_not_solved_again(monkeypatch):
@@ -373,7 +471,7 @@ def test_a_held_above_estimate_is_not_solved_again(monkeypatch):
 def _log_landscape(below, slope):
     """A stand-in estimator whose value is slope * log|alpha - below|."""
     def fake(family, alpha, n):
-        return _reading(slope * math.log(abs(alpha - below)) if alpha != below else -math.inf)
+        return _reading(slope * math.log(abs(alpha - below)) if alpha != below else -math.inf, alpha)
     return fake
 
 
@@ -381,21 +479,17 @@ def _log_landscape(below, slope):
 def test_each_probe_halves_the_log_offset_bracket(monkeypatch, side):
     below = 0.375
     above = below + side * 1e-2
-    calls = []
     landscape = _log_landscape(below, 1 / 34)
-
-    def recording(family, alpha, n):
-        calls.append(alpha)
-        return landscape(family, alpha, n)
-
-    monkeypatch.setattr(construction, "rho_coefficient", recording)
+    _fake_estimators(monkeypatch, landscape)
+    reads = _walked(monkeypatch)
     # the target sits far below both ends' log offsets' midpoint, so the
     # search walks towards the anchor and each probe is the geometric mean
     # of the bracket ends' distances, the anchor's counting as one ulp
     target = math.log(1e-14) / 34
     alpha, _ = find_alpha_with_rho(QUAD, target, below, above, tol_rho=0.005)
+    walked = [est.alpha.value for est in reads[2:]]
     t_lo, t_hi = math.log(math.ulp(below)), math.log(abs(above - below))
-    for probe in calls[2:]:
+    for probe in walked:
         # the probe's distance is the mean one, rounded to a float alpha
         assert abs(abs(probe - below) - math.exp(0.5 * (t_lo + t_hi))) <= math.ulp(below)
         t = math.log(abs(probe - below))
@@ -404,9 +498,10 @@ def test_each_probe_halves_the_log_offset_bracket(monkeypatch, side):
             t_lo = t
         else:
             t_hi = t
+    assert walked[-1] == alpha
     assert abs(math.log(abs(alpha - below)) - math.log(1e-14)) <= 34 * 0.005
     # the linear-in-alpha march would take dozens of probes
-    assert len(calls) - 2 <= 8
+    assert len(walked) <= 8
 
 
 def test_adjacent_bracket_ends_exhaust_float_resolution(monkeypatch):
@@ -415,6 +510,115 @@ def test_adjacent_bracket_ends_exhaust_float_resolution(monkeypatch):
     monkeypatch.setattr(construction, "rho_coefficient", _log_landscape(below, 1.0))
     with pytest.raises(BracketFailureError, match="bracket exhausted float resolution"):
         find_alpha_with_rho(QUAD, -40.0, below, above)
+
+
+def _sequential_bisection(family, target_rho, below, above, tol_rho=0.02, n=256, *,
+                          above_estimate=None):
+    """Oracle: find_alpha_with_rho as it stood before its probes were
+    batched, one rho_coefficient call per probe, each made as the walk
+    reaches it."""
+    below_val = construction._effective_value(outcome(construction.rho_coefficient, family, below, n))
+    if above_estimate is None:
+        above_estimate = outcome(construction.rho_coefficient, family, above, n)
+    above_val = construction._effective_value(above_estimate)
+    if not below_val < target_rho:
+        raise BracketFailureError(
+            f"below end estimates {below_val:.4f}, not below target {target_rho:.4f}")
+    if not above_val > target_rho:
+        raise BracketFailureError(
+            f"above end estimates {above_val:.4f}, not above target {target_rho:.4f}")
+    side = math.copysign(1.0, above - below)
+    lo, hi = below, above
+    t_lo, t_hi = math.log(math.ulp(below)), math.log(abs(above - below))
+    for _ in range(construction.MAX_ITER):
+        mid = below + side * math.exp(0.5 * (t_lo + t_hi))
+        if mid in (lo, hi):
+            raise BracketFailureError("bracket exhausted float resolution")
+        est = outcome(construction.rho_coefficient, family, mid, n)
+        val = construction._effective_value(est)
+        if abs(val - target_rho) <= tol_rho:
+            return mid, est
+        t = math.log(abs(mid - below))
+        if val < target_rho:
+            lo, t_lo = mid, t
+        else:
+            hi, t_hi = mid, t
+    raise BracketFailureError(f"no crossing within {construction.MAX_ITER} bisection steps")
+
+
+def _assert_search_matches_the_oracle(*args, **kwargs):
+    """The same alpha and estimate, by repr, or the same error."""
+    got = outcome(functools.partial(find_alpha_with_rho, **kwargs), *args)
+    want = outcome(functools.partial(_sequential_bisection, **kwargs), *args)
+    assert type(got) is type(want)
+    assert repr(got) == repr(want)
+    return got
+
+
+@pytest.mark.parametrize("alpha0", [golden_rotation(), rotation_from_cf([2, 1] + [1] * 38),
+                                    rotation_from_cf([3, 3] + [1] * 38)],
+                         ids=["default", "cf-2-1", "cf-3-3"])
+def test_batched_search_matches_the_sequential_oracle(monkeypatch, alpha0):
+    searches = []
+    search = construction.find_alpha_with_rho
+
+    def recording(*args, **kwargs):
+        searches.append((args, kwargs))
+        return search(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(construction, "find_alpha_with_rho", recording)
+        rep = run_construction(ConstructionConfig(alpha0=alpha0))
+    assert len(searches) >= len(rep.steps) == 3
+    for args, kwargs in searches:
+        _assert_search_matches_the_oracle(*args, **kwargs)
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+@pytest.mark.parametrize("target", [math.log(1e-14) / 34, math.log(3e-3) / 34], ids=["deep", "shallow"])
+def test_batched_search_matches_the_oracle_on_a_log_landscape(monkeypatch, side, target):
+    below = 0.375
+    _fake_estimators(monkeypatch, _log_landscape(below, 1 / 34))
+    alpha, _ = _assert_search_matches_the_oracle(QUAD, target, below, below + side * 1e-2, tol_rho=0.005)
+    assert math.copysign(1.0, alpha - below) == side
+
+
+@pytest.mark.parametrize("ulps", [1, 8])
+def test_batched_search_exhausts_float_resolution_where_the_oracle_does(monkeypatch, ulps):
+    below = 0.375
+    above = below + ulps * math.ulp(below)
+    _fake_estimators(monkeypatch, _log_landscape(below, 1.0))
+    exc = _assert_search_matches_the_oracle(QUAD, -40.0, below, above)
+    assert str(exc) == "bracket exhausted float resolution"
+
+
+@pytest.mark.parametrize("max_iter", [1, 6])
+def test_batched_search_runs_out_of_halvings_where_the_oracle_does(monkeypatch, max_iter):
+    monkeypatch.setattr(construction, "MAX_ITER", max_iter)
+    exc = _assert_search_matches_the_oracle(QUAD, -1.6, 21 / 34, golden_rotation().value,
+                                            tol_rho=1e-9, n=128)
+    assert str(exc) == f"no crossing within {max_iter} bisection steps"
+
+
+@pytest.mark.parametrize("target, walked", [(math.log(0.7) / 34, True), (math.log(0.25) / 34, False)],
+                         ids=["walked", "not-walked"])
+def test_a_probe_outside_the_unit_interval_fails_only_when_walked(monkeypatch, target, walked):
+    # a bracket from 0.5 to 1.5 (its above end held, so never estimated):
+    # the round that probes distances 0.32 and 0.18 from 0.5 also lays out
+    # 0.56, which lies past 1; the walk reaches it only on its way to 0.7
+    below = 0.5
+    estimated = []
+    landscape = _log_landscape(below, 1 / 34)
+
+    def recording(family, alpha, n):
+        estimated.append(alpha)
+        return landscape(family, alpha, n)
+
+    _fake_estimators(monkeypatch, recording)
+    got = _assert_search_matches_the_oracle(QUAD, target, below, 1.5, tol_rho=0.002,
+                                            above_estimate=_reading(0.0))
+    assert any(alpha > 1.0 for alpha in estimated)
+    assert isinstance(got, PreconditionError) == walked
 
 
 def _linear_alpha_bisection(family, target_rho, below, above, tol_rho=0.02, n=256, *,
@@ -552,8 +756,13 @@ def test_run_construction_checks_its_base_and_schedule(settings, message):
     ({"tol_rho": math.inf}, "positive and finite"),
     ({"eps0": math.inf}, "positive and finite"),
     ({"delta": math.inf}, "positive and finite"),
+    ({"rho_infinity": -math.inf}, "rho_infinity must be finite"),
+    ({"rho_infinity": math.nan}, "rho_infinity must be finite"),
+    # e^-800 underflows to a norm radius of 0
+    ({"rho_infinity": -800.0}, "rho_infinity must be finite"),
 ], ids=["float-depth", "float-n_series", "string-schedule", "none-in-schedule", "float-alpha0",
-        "infinite-tol_rho", "infinite-eps0", "infinite-delta"])
+        "infinite-tol_rho", "infinite-eps0", "infinite-delta", "minus-infinite-rho_infinity",
+        "nan-rho_infinity", "underflowing-rho_infinity"])
 def test_config_rejects_malformed_settings(settings, message):
     with pytest.raises(PreconditionError, match=message):
         ConstructionConfig(**settings)

@@ -32,6 +32,7 @@ from siegelnum.errors import (
     NoConvergenceError,
     NumericalError,
     PreconditionError,
+    outcome,
 )
 from siegelnum.families import custom_family
 
@@ -418,6 +419,78 @@ def test_rho_coefficients_returns_an_unavailable_fit():
         )
     [outcome] = rho_coefficients(identity, [golden_rotation()], n=64)
     assert isinstance(outcome, EstimateUnavailableError)
+
+
+def _per_row_estimate(family, rot, ss):
+    """Oracle: rho_coefficient's fit as it stood before fits were batched,
+    one series at a time with 1-D reductions and dots."""
+    n = ss.g.degree
+    mags = np.abs(ss.g.coeffs)
+    idx = np.arange(n // 2, n + 1)
+    keep = mags[idx] > 0.0
+    ks = idx[keep].astype(np.float64)
+    ys = np.log(mags[idx][keep].astype(np.float64))
+    if ks.size < 8:
+        raise EstimateUnavailableError("tail window has too few nonzero coefficients")
+
+    def slope(k, y):
+        dk = k - k.mean()
+        return float(dk @ (y - y.mean()) / (dk @ dk))
+
+    mid = ks.size // 2
+    rho_hat = -slope(ks, ys)
+    radius._check_cap(rho_hat, family, "rho_coefficient")
+    return radius.RadiusEstimate(
+        alpha=rot, method="coefficient", rho_hat=rho_hat,
+        samples=tuple(zip(ks.tolist(), ys.tolist())),
+        converged=abs(slope(ks[:mid], ys[:mid]) - slope(ks[mid:], ys[mid:])) <= radius.SLOPE_STABILITY_TOL,
+    )
+
+
+def _assert_fits_match_the_oracle(family, alphas, n):
+    """rho_coefficients, and rho_coefficient on each alpha, against the
+    per-row oracle on the same solved series, by repr."""
+    rots = [rotation_from_float(a) for a in alphas]
+    batched = rho_coefficients(family, rots, n)
+    for rot, ss, got in zip(rots, linearize.siegel_series_many(family, alphas, n), batched, strict=True):
+        want = ss if isinstance(ss, Exception) else outcome(_per_row_estimate, family, rot, ss)
+        single = outcome(rho_coefficient, family, rot, n)
+        assert repr(got) == repr(single) == repr(want)
+        assert type(got) is type(single) is type(want)
+    return batched
+
+
+@pytest.mark.parametrize("fam_id", ["quadratic", "sin"])
+def test_batched_fit_matches_the_per_row_oracle(fam_id):
+    # sin keeps only odd k in its window, so its mask is not the full one
+    alphas = np.random.default_rng(3).uniform(0.05, 0.95, 31).tolist()
+    batched = _assert_fits_match_the_oracle(get_family(fam_id), alphas + [2 / 5], 256)
+    assert sum(isinstance(e, radius.RadiusEstimate) for e in batched) == 31
+    assert isinstance(batched[-1], DivisorBreakdownError)
+
+
+def test_batched_fit_groups_rows_by_their_nonzero_coefficients():
+    # z + c z^2 with c = 0.0012 has a disc of radius ~500: its coefficients
+    # underflow to exact zeros from a k that moves with alpha, so one batch
+    # holds several masks, rows with fewer than 8 nonzero coefficients, and,
+    # with v set low, rows above the Koebe cap
+    c = 0.0012
+    with pytest.warns(UserWarning):
+        fam = custom_family("tiny-quadratic", 45.0, 1, lambda n: np.r_[0, 1, c, np.zeros(n - 2)],
+                            lambda z: z + c * z * z)
+    alphas = np.random.default_rng(0).uniform(0.05, 0.95, 12).tolist()
+    batched = _assert_fits_match_the_oracle(fam, alphas, 256)
+    fitted = [e for e in batched if isinstance(e, radius.RadiusEstimate)]
+    assert len({len(e.samples) for e in fitted}) >= 2
+    assert any(isinstance(e, EstimateUnavailableError) for e in batched)
+    assert any(isinstance(e, NumericalError) and "Koebe cap" in str(e) for e in batched)
+
+
+def test_batched_fit_refuses_a_row_above_the_koebe_cap():
+    with pytest.warns(UserWarning):
+        fam = custom_family("quadratic-v", 1e-3, 1, QUAD._coeff_gen, QUAD._point_eval)
+    batched = _assert_fits_match_the_oracle(fam, [golden_rotation().value, silver_rotation().value], 128)
+    assert all(isinstance(e, NumericalError) and "Koebe cap" in str(e) for e in batched)
 
 
 def _inject_sample(monkeypatch, error):
