@@ -44,6 +44,13 @@ def outcome(fn, *args):
         return exc
 
 
+def single(outcomes: list):
+    """The one outcome of a batch of one, raised if it is an error (outcome's inverse)."""
+    if isinstance(outcomes[0], SiegelnumError):
+        raise outcomes[0]
+    return outcomes[0]
+
+
 class PreconditionError(SiegelnumError, ValueError):
     """An argument violates a documented precondition."""
 

@@ -48,6 +48,7 @@ from .errors import (
     PreconditionError,
     SiegelnumError,
     outcome,
+    single,
 )
 from .families import FamilySpec, base_series, family_series
 from .series import TruncatedSeries, compose, power_table
@@ -114,33 +115,28 @@ class YoccozValue:
 
 
 def _read_rows(rows: np.ndarray, kind: str) -> list:
-    """Each solved coefficient row, or the CoefficientOverflowError of a
-    row that is not finite.  Conjugacy coefficients can outgrow binary64
-    when the radius is tiny (deep near-rational dips); that is a numerical
-    failure of the run, not a caller mistake, so it must not surface as a
-    precondition error."""
+    """Each solved coefficient row, or the CoefficientOverflowError of a row
+    with some |c_k| not finite (its parts may be finite).  Coefficients
+    outgrow binary64 when the radius is tiny (deep near-rational dips): a
+    numerical failure of the run, not a precondition error."""
+    with np.errstate(over="ignore"):
+        usable = np.isfinite(np.abs(rows))
     return [
-        row if finite else CoefficientOverflowError(
-            f"{kind} coefficients overflowed binary64 at degree {int(np.argmax(~np.isfinite(row)))}; "
+        row if ok else CoefficientOverflowError(
+            f"{kind} coefficients overflowed binary64 at degree {int(np.argmin(mods))}; "
             "the conformal radius here is too small for this truncation"
         )
-        for row, finite in zip(rows, np.isfinite(rows).all(axis=1).tolist())
+        for row, mods, ok in zip(rows, usable, usable.all(axis=1).tolist())
     ]
 
 
-def _single(outcomes: list):
-    """The one outcome of a batch of one, raised if it is an error."""
-    if isinstance(outcomes[0], SiegelnumError):
-        raise outcomes[0]
-    return outcomes[0]
-
-
-def _check_multiplier(lam: complex) -> None:
-    """The one basin rule: a Koenigs linearization needs 0 < |lambda| < 1."""
+def _check_multiplier(lam: complex) -> complex:
+    """The one basin rule, 0 < |lambda| < 1 for a Koenigs linearization; returns lam."""
     if not 0 < abs(lam) < 1:
         raise PreconditionError("a Koenigs linearization needs 0 < |lambda| < 1")
     if 1.0 - abs(lam) < SIEGEL_EDGE:
         raise PreconditionError("|lambda| = 1 is the Siegel regime; use siegel_series")
+    return lam
 
 
 @functools.lru_cache(maxsize=16)
@@ -195,9 +191,8 @@ def koenigs_series(family: FamilySpec, lam: complex, n: int = 128) -> KoenigsSer
     the batched one of u_values, run on a batch of one, against the same
     shared power table of f (_koenigs_table).
     """
-    lam = complex(lam)
-    _check_multiplier(lam)
-    h = _single(_solve_koenigs(_koenigs_table(family, n), np.array([lam])))
+    lam = _check_multiplier(complex(lam))
+    h = single(_solve_koenigs(_koenigs_table(family, n), np.array([lam])))
     return KoenigsSeries(lam=lam, h=TruncatedSeries.from_coeffs(h, n), family=family)
 
 
@@ -250,15 +245,15 @@ def siegel_series_many(
         elif m < SIEGEL_DIVISOR_FLOOR:
             outcomes.append(DivisorBreakdownError(k + 2, m, SIEGEL_DIVISOR_FLOOR))
         else:
-            outcomes.append(None)
-    live = [b for b, out in enumerate(outcomes) if out is None]
+            outcomes.append(alpha)
+    live = [b for b, out in enumerate(outcomes) if not isinstance(out, SiegelnumError)]
     if live:
         lams = powers[live, 1]
         # f_lambda = lambda f, as family_series builds it
         rows = _read_rows(_solve_siegel(lams[:, None] * base, divisors[live]), "Siegel")
         for b, lam, out in zip(live, lams.tolist(), rows):
             outcomes[b] = out if isinstance(out, SiegelnumError) else SiegelSeries(
-                alpha=float(alphas[b]), lam=lam, g=TruncatedSeries.from_coeffs(out, n), family=family,
+                alpha=outcomes[b], lam=lam, g=TruncatedSeries.from_coeffs(out, n), family=family,
             )
     return outcomes
 
@@ -266,7 +261,7 @@ def siegel_series_many(
 def siegel_series(family: FamilySpec, alpha: float, n: int = 128) -> SiegelSeries:
     """Formal conjugacy g with f_lambda(g(w)) = g(lambda w), lambda = e^{2 pi i alpha}:
     siegel_series_many on a single alpha, raising its error."""
-    return _single(siegel_series_many(family, [alpha], n))
+    return single(siegel_series_many(family, [alpha], n))
 
 
 def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
@@ -349,8 +344,8 @@ def conjugacy_residual(obj: KoenigsSeries | SiegelSeries) -> float:
     return float(np.max(np.abs(res) / np.maximum(1.0, maj)))
 
 
-def _entry_radii(h: np.ndarray) -> np.ndarray:
-    """entry_radius for each row of coefficients h; NaN where no radius passes.
+def _entry_radii(h: np.ndarray) -> list[float | EntryRadiusError]:
+    """entry_radius of each row of coefficients h, or that row's EntryRadiusError.
 
     The tail majorant sum_{N/2 < k <= N} |h_k| r^k of every row at every
     grid radius is one product of |h| with the table of those powers
@@ -368,7 +363,13 @@ def _entry_radii(h: np.ndarray) -> np.ndarray:
     grid = ENTRY_RADIUS_GRID
     with np.errstate(over="ignore", invalid="ignore"):
         passing = (np.abs(h[:, None, n // 2 + 1 :]) @ _rung_table(grid, n))[:, 0] <= ENTRY_TAIL_TOL
-    return np.where(passing.any(axis=1), np.array(grid)[passing.argmax(axis=1)], np.nan)
+    return [
+        grid[rung] if ok else EntryRadiusError(
+            f"no radius in the {len(grid)}-rung ladder from {grid[0]:g} down to {grid[-1]:g} "
+            f"gives two-truncation agreement <= {ENTRY_TAIL_TOL:g}"
+        )
+        for rung, ok in zip(passing.argmax(axis=1).tolist(), passing.any(axis=1).tolist())
+    ]
 
 
 @functools.lru_cache(maxsize=16)
@@ -379,14 +380,6 @@ def _rung_table(grid: tuple, n: int) -> np.ndarray:
     table = np.power(np.array(grid), powers[:, None])
     table.flags.writeable = False
     return table
-
-
-def _entry_radius_error() -> EntryRadiusError:
-    grid = ENTRY_RADIUS_GRID
-    return EntryRadiusError(
-        f"no radius in the {len(grid)}-rung ladder from {grid[0]:g} down to {grid[-1]:g} "
-        f"gives two-truncation agreement <= {ENTRY_TAIL_TOL:g}"
-    )
 
 
 def entry_radius(ser: TruncatedSeries) -> float:
@@ -400,10 +393,7 @@ def entry_radius(ser: TruncatedSeries) -> float:
     8 geometric rungs.  Nothing on the grid passing means the series is
     untrustworthy even at |z| = 0.01 and evaluation should not be attempted.
     """
-    r = float(_entry_radii(ser.coeffs[None, :])[0])
-    if math.isnan(r):
-        raise _entry_radius_error()
-    return r
+    return single(_entry_radii(ser.coeffs[None, :]))
 
 
 def _orbit(family: FamilySpec, lam: complex, z: complex, r_entry: float, budget: int) -> tuple[complex, int]:
@@ -458,9 +448,9 @@ def _basin_step(family: FamilySpec, lams: list, h: np.ndarray, starts: list, bud
     entry radius) or its EntryRadiusError or orbit error; entry radii are
     stacked per row and Horner is elementwise, so each row is as in a batch
     of one."""
-    radii = _entry_radii(h).tolist()
+    radii = _entry_radii(h)
     outcomes = [
-        _entry_radius_error() if math.isnan(r) else outcome(_orbit, family, lam, z, r, budget)
+        r if isinstance(r, SiegelnumError) else outcome(_orbit, family, lam, z, r, budget)
         for lam, z, r in zip(lams, starts, radii)
     ]
     rows = [b for b, out in enumerate(outcomes) if not isinstance(out, SiegelnumError)]
@@ -484,7 +474,7 @@ def koenigs_eval(ks: KoenigsSeries, z: complex) -> tuple[complex, int]:
     at z = lambda v it gives yoccoz_w's w and iterations, bit for bit.
     """
     lam = ks.lam
-    hz, m, _ = _single(_basin_step(ks.family, [lam], ks.h.coeffs[None, :], [complex(z)], DEFAULT_BUDGET))
+    hz, m, _ = single(_basin_step(ks.family, [lam], ks.h.coeffs[None, :], [complex(z)], DEFAULT_BUDGET))
     return _unwind(hz, m, lam), m
 
 
@@ -532,7 +522,7 @@ def u_values(
     cols = _koenigs_table(family, n)
     lams = [complex(lam) for lam in lams]
     outcomes = [outcome(_check_multiplier, lam) for lam in lams]
-    todo = [i for i, out in enumerate(outcomes) if out is None]
+    todo = [i for i, out in enumerate(outcomes) if not isinstance(out, SiegelnumError)]
     per_block = max(1, BLOCK_ENTRIES // (n + 1))
     for start in range(0, len(todo), per_block):
         block = todo[start : start + per_block]
@@ -561,4 +551,4 @@ def yoccoz_w(
     violation therefore indicates a broken evaluation and raises rather
     than returning a value.  This is u_values on a single lambda.
     """
-    return _single(u_values(family, [lam], n, budget))
+    return single(u_values(family, [lam], n, budget))

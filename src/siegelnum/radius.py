@@ -45,9 +45,10 @@ from .errors import (
     PreconditionError,
     SiegelnumError,
     outcome,
+    single,
 )
 from .families import FamilySpec
-from .linearize import SIEGEL_EDGE, SiegelSeries, _single, siegel_series, siegel_series_many, u_values
+from .linearize import SIEGEL_EDGE, SiegelSeries, siegel_series, siegel_series_many, u_values
 
 __all__ = [
     "RotationNumber",
@@ -342,7 +343,7 @@ def rho_coefficient(family: FamilySpec, alpha, n: int = 128) -> RadiusEstimate:
     _check_fit_degree(n)
     rot = _as_rotation(alpha)
     # DivisorBreakdownError propagates
-    return _single(_coefficient_estimates(family, [rot], [siegel_series(family, rot.value, n)]))
+    return single(_coefficient_estimates(family, [rot], [siegel_series(family, rot.value, n)]))
 
 
 def rho_coefficients(family: FamilySpec, alphas, n: int = 128) -> list[RadiusEstimate | SiegelnumError]:
@@ -357,10 +358,10 @@ def rho_coefficients(family: FamilySpec, alphas, n: int = 128) -> list[RadiusEst
     _check_fit_degree(n)
     rots = [outcome(_as_rotation, alpha) for alpha in alphas]
     outcomes = list(rots)
-    todo = [i for i, rot in enumerate(rots) if isinstance(rot, RotationNumber)]
+    todo = [i for i, rot in enumerate(rots) if not isinstance(rot, SiegelnumError)]
     for i, ss in zip(todo, siegel_series_many(family, [rots[i].value for i in todo], n)):
         outcomes[i] = ss
-    fit = [i for i in todo if isinstance(outcomes[i], SiegelSeries)]
+    fit = [i for i in todo if not isinstance(outcomes[i], SiegelnumError)]
     estimates = _coefficient_estimates(family, [rots[i] for i in fit], [outcomes[i] for i in fit])
     for i, est in zip(fit, estimates):
         outcomes[i] = est

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,6 +224,18 @@ def test_impossible_norm_budget_stalls_with_partial_report():
     assert partial is not None
     assert partial.steps == ()
     assert "norm delta" in str(exc.value)
+
+
+def test_a_target_below_binary64_stalls_on_overflowed_probes():
+    # rho_infinity = -745 puts step 1's targets where the probes' Siegel
+    # coefficients outgrow binary64, some with finite parts and |g_k| = inf;
+    # each such probe reads "no disc" (a CoefficientOverflowError), never a
+    # NaN estimate, and the search stalls without a RuntimeWarning
+    with warnings.catch_warnings(), pytest.raises(ConstructionStallError) as exc:
+        warnings.simplefilter("error")
+        run_construction(ConstructionConfig(rho_infinity=-745))
+    assert exc.value.partial_report.steps == ()
+    assert str(exc.value).startswith("step 1: no anchor produced an acceptable candidate")
 
 
 def _raise(exc):

@@ -711,6 +711,19 @@ def test_overflowed_row_is_reported_in_its_slot():
     assert str(broken).startswith("Koenigs coefficients overflowed binary64 at degree ")
 
 
+def test_a_row_overflows_where_its_first_modulus_does():
+    # finite parts, |c_3| = 2.1e308 > 1.8e308: the row is refused at degree
+    # 3, without the overflow warning of |c_3| (Tier-1 runs with -W error)
+    row = np.ones((1, 6), dtype=np.complex128)
+    row[0, 3:] = 1.5e308 + 1.5e308j
+    assert np.isfinite(row).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [out] = _read_rows(row, "Siegel")
+    assert isinstance(out, CoefficientOverflowError)
+    assert str(out).startswith("Siegel coefficients overflowed binary64 at degree 3;")
+
+
 @pytest.mark.parametrize("lam", [1e-13, 1e-15, 1e-300])
 def test_tiny_multiplier_gives_the_asymptote(lam):
     # w(lambda) / lambda -> v as lambda -> 0: a Koenigs divisor
@@ -723,18 +736,27 @@ def test_entry_radii_do_not_depend_on_the_batch():
     # rows scaled so that their tail majorant at r = 0.2 sits within
     # rounding of ENTRY_TAIL_TOL: the decision between 0.2 and the rung
     # below it then turns on the last bits of the sum, which must not
-    # depend on the other rows
+    # depend on the other rows; two rows growing like 200^k pass no rung,
+    # and each gets an EntryRadiusError of its own in its slot
     rng = np.random.default_rng(7)
     n, ks = 128, np.arange(65, 129)
     h = rng.standard_normal((400, n + 1)) + 1j * rng.standard_normal((400, n + 1))
     h *= 0.2 ** -np.arange(n + 1) * 10.0 ** rng.uniform(-3, 3, (400, 1))
     h *= (ENTRY_TAIL_TOL / (np.abs(h[:, ks]) @ 0.2**ks))[:, None]
+    stuck = 200.0 ** np.arange(n + 1) + 0j
+    h = np.vstack([h[:200], stuck, h[200:], stuck])
     batch = linearize._entry_radii(h)
+    failed = [batch[200], batch[-1]]
     below = ENTRY_RADIUS_GRID[ENTRY_RADIUS_GRID.index(0.2) + 1]
-    assert set(batch.tolist()) == {0.2, below}
-    alone = np.concatenate([linearize._entry_radii(h[b : b + 1]) for b in range(h.shape[0])])
-    assert np.array_equal(batch, alone)
-    assert np.array_equal(batch[::3], linearize._entry_radii(h[::3]))
+    assert set(batch[:200] + batch[201:-1]) == {0.2, below}
+    message = "no radius in the 49-rung ladder from 1 down to 0.01 gives two-truncation agreement <= 1e-13"
+    assert [type(e) for e in failed] == [EntryRadiusError] * 2 and failed[0] is not failed[1]
+    assert [str(e) for e in failed] == [message] * 2
+    with pytest.raises(EntryRadiusError, match=re.escape(message)):
+        entry_radius(TruncatedSeries.from_coeffs(stuck))
+    alone = [r for b in range(h.shape[0]) for r in linearize._entry_radii(h[b : b + 1])]
+    assert list(map(repr, batch)) == list(map(repr, alone))
+    assert list(map(repr, batch[::3])) == list(map(repr, linearize._entry_radii(h[::3])))
 
 
 def _scan_rays():

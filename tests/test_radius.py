@@ -27,6 +27,7 @@ from siegelnum import (
 )
 from siegelnum import linearize, radius
 from siegelnum.errors import (
+    CoefficientOverflowError,
     DivisorBreakdownError,
     EstimateUnavailableError,
     NoConvergenceError,
@@ -237,6 +238,24 @@ def test_overflowing_dip_is_a_numerical_error():
 
     with pytest.raises(NumericalError):
         rho_coefficient(QUAD, 0.5 + 1e-4, 256)
+
+
+# near 8/13, the top coefficient has finite parts (|Re g_k| <= 6.7e307,
+# |Im g_k| <= 1.8e308) and a modulus above binary64's 1.8e308: the fit of
+# log|g_k| would read rho_hat = nan, so the row is an overflow
+NEAR_8_13 = 0.6153846153846997
+
+
+def test_a_modulus_overflow_is_a_coefficient_overflow():
+    with pytest.raises(CoefficientOverflowError, match="overflowed binary64 at degree 256;"):
+        rho_coefficient(QUAD, NEAR_8_13, 256)
+
+
+def test_a_modulus_overflow_keeps_its_slot_in_a_batch():
+    broken, fine = rho_coefficients(QUAD, [NEAR_8_13, 0.618], 256)
+    assert isinstance(broken, CoefficientOverflowError)
+    assert "at degree 256;" in str(broken)
+    assert repr(fine) == repr(rho_coefficients(QUAD, [0.618], 256)[0])
 
 
 # Yoccoz's identity: u is harmonic with u <= log 4|v| and u(0) = log|v|, so
