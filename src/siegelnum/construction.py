@@ -17,14 +17,15 @@ cannot resolve a dip; it serves only as a one-sided cross-check, which
 any radial failure but a missing sample (recorded as NaN) also fails.
 
 Candidates live on a rational anchor's dip: for p/q close to alpha_n the
-estimated radius falls off linearly in log distance, with slope 1/q per
-log unit (measured 0.0694 per decade at q = 34, i.e. ln 10 / q).  The
-step candidate is found by bisecting that log distance (at most MAX_ITER
-halvings) between the anchor (whose estimate diverges — the small-divisor
-guard trips exactly there) and alpha_n, on whichever side of alpha_n the
-anchor lies; alpha_n's estimate is reused from the step that chose it.
-The bisection runs in rounds: every probe of the next PROBE_LEVELS
-halvings is estimated by one rho_coefficients call, then walked in order.
+estimated radius follows the dip law rho_hat = L + (1/q) * log|alpha - p/q|,
+a straight line in t = log|alpha - p/q| (measured at q = 34: L stays within
+1e-3 of -0.844 for offsets from 3e-5 down to 1e-8, on both sides).  So each
+step aims: its first probe sits where the law, read off alpha_n's estimate
+(reused from the step that chose it), puts the target, and further probes
+take Illinois secant steps in t, or bisection steps where a secant cannot
+be trusted, between the anchor (no disc: the small-divisor guard trips
+exactly there) and alpha_n, on whichever side of alpha_n the anchor lies.
+A step usually lands within tol_rho in one or two single-row estimates.
 Anchor choice trades three pressures: the dip must stay resolvable in
 binary64 (q * final_dip <= ~30, or the offset from p/q underflows), the
 resonant spike index q+1 must sit low enough for the coefficient window to
@@ -33,8 +34,10 @@ the step gap.  A single anchor that is feasible for the *whole* schedule
 is preferred, because every alpha_n then keeps p/q among its convergents
 and the intervals nest around the common anchor for free; a step tries at
 most RETRY_BUDGET anchors.  At the defaults (G = 0.75, q = 34 for the
-golden mean) the ladder is feasible to depth ~5; beyond that the final
-offsets sink under float resolution and the run stalls honestly.
+golden mean) every step takes 21/34 and the run certifies to depth 5; at
+depth 6, step 6 stalls on the norm budget (21/34's delta exceeds
+delta * 2^-5, and no other anchor nests), long before the offsets reach
+float resolution.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from .errors import (
     outcome,
 )
 from .families import FamilySpec, get_family
-from .linearize import _siegel_block_rows
 from .qanorm import _table_norm, circle_values, qa_norm
 from .radius import (
     RadiusEstimate,
@@ -92,8 +94,7 @@ NORM_ORDER = 1  # derivative order cap of the step and total norm deltas
 CIRCLE_SAMPLES = 512  # circle points of every norm and of the boundary report
 FLANK_SAMPLES = 16  # flank probes per side of each candidate
 RETRY_BUDGET = 8  # anchors tried per step
-MAX_ITER = 80  # halvings of the log-offset bracket per anchor
-PROBE_LEVELS = 4  # halvings laid out ahead and estimated as one batch
+MAX_ITER = 80  # probes of the log-offset bracket per anchor
 # the estimate errors that mean "no disc", so rho = -infinity: a resonance,
 # or a radius too small for binary64
 NO_DISC = (DivisorBreakdownError, CoefficientOverflowError)
@@ -219,36 +220,42 @@ def find_alpha_with_rho(
     n: int = 256,
     *,
     above_estimate: RadiusEstimate | None = None,
+    q: int | None = None,
 ) -> tuple[float, RadiusEstimate]:
-    """Bisect t = log|alpha - below| between below and above, in either
-    numeric order, for alpha with a coefficient estimate rho_hat ~
-    target_rho, in at most MAX_ITER halvings.
+    """Search t = log|alpha - below| between below and above, in either
+    numeric order, for alpha with a coefficient estimate rho_hat within
+    tol_rho of target_rho, in at most MAX_ITER single-row estimates.
 
     The below end must estimate below the target and the above end above
     it; a rational anchor whose estimate breaks down counts as -infinity,
-    which is the standard way to seed the bracket.  Near an anchor p/q the
-    estimate falls off linearly in t (slope 1/q), so each probe sits at the
-    geometric mean of the bracket ends' distances from below, and each
-    halving halves the bracket in t; while the below end itself is still
-    in the bracket, its distance counts as one ulp of below.  Each end's t
-    is the log of its realized float distance.  Bisection needs only the
-    intermediate-value property, which the estimate has by continuity away
-    from breakdown points; the landscape is not monotone (other rationals
-    dent it), so the returned alpha is *a* crossing, not the closest one to
-    either end.  A caller that already holds the above end's estimate (same
-    alpha, same n) passes it as above_estimate, and the end is not solved
-    again.
+    which is the standard way to seed the bracket.  A caller that already
+    holds the above end's estimate (same alpha, same n) passes it as
+    above_estimate, and the end is not solved again.  A caller whose below
+    end is an anchor p/q passes q, and for q < n the anchor reads -infinity
+    without a solve: exact phases make the small-divisor guard trip there
+    (at every reduced p/q for n <= 256).  Only a probe's own estimate is
+    ever returned, so an anchor that would not trip can change only the
+    reason a failed search gives.
 
-    The probes come in rounds: one rho_coefficients call estimates every
-    probe of the next PROBE_LEVELS halvings (_probe_tree), at most one
-    solver block of them, and the walk reads only those that sequential
-    bisection would make, so it returns or raises as that would.
+    Near an anchor the estimate is linear in t with slope 1/q (the dip
+    law).  So while the bracket has no finite below reading, each probe
+    aims along that slope from a fresh above reading; once both ends read
+    finite values, it takes an Illinois secant step between them.  A step
+    that would leave the bracket, follows a -infinity reading, or has no q
+    to aim with is a bisection step: the geometric mean of the ends'
+    distances from below, where below itself counts as one ulp.  Each
+    end's t is the log of its realized float distance.  The search needs
+    only the intermediate-value property, which the estimate has by
+    continuity away from breakdown points; the landscape is not monotone
+    (other rationals dent it), so the returned alpha is *a* crossing, not
+    the closest one to either end.
     """
     if below == above:
         raise PreconditionError("bracket ends must differ")
     if not 0 < tol_rho < math.inf:
         raise PreconditionError(f"tol_rho must be positive and finite, got {tol_rho}")
-    below_val = _effective_value(outcome(rho_coefficient, family, below, n))
+    below_val = -math.inf if q is not None and q < n else _effective_value(
+        outcome(rho_coefficient, family, below, n))
     if above_estimate is None:
         above_estimate = outcome(rho_coefficient, family, above, n)
     above_val = _effective_value(above_estimate)
@@ -263,51 +270,33 @@ def find_alpha_with_rho(
     side = math.copysign(1.0, above - below)
     lo, hi = below, above
     t_lo, t_hi = math.log(math.ulp(below)), math.log(abs(above - below))
-    levels = min(PROBE_LEVELS, (_siegel_block_rows(family, n) + 1).bit_length() - 1)
-    probes: dict[float, RadiusEstimate | SiegelnumError] = {}  # this round's, by alpha
-    for step in range(MAX_ITER):
-        mid = _log_midpoint(below, side, t_lo, t_hi)
+    # the ends' readings less the target; below itself is no secant end
+    f_lo, f_hi = -math.inf, above_val - target_rho
+    moved = 1  # the end the last probe replaced: the law aims from a fresh above end
+    for _ in range(MAX_ITER):
+        if f_lo > -math.inf:
+            t = t_lo - f_lo * (t_hi - t_lo) / (f_hi - f_lo)
+        else:
+            t = t_hi - q * f_hi if q is not None and moved > 0 else math.nan
+        if not t_lo < t < t_hi:
+            t = 0.5 * (t_lo + t_hi)
+        mid = below + side * math.exp(t)
         if mid in (lo, hi):
             raise BracketFailureError("bracket exhausted float resolution")
-        if mid not in probes:  # the walk has left the round: lay out the next one
-            alphas = _probe_tree(below, side, lo, hi, t_lo, t_hi, min(levels, MAX_ITER - step))
-            probes = dict(zip(alphas, rho_coefficients(family, alphas, n)))
-        est = probes[mid]
+        est = outcome(rho_coefficient, family, mid, n)
         val = _effective_value(est)
         if abs(val - target_rho) <= tol_rho:  # false at -infinity
             return mid, est
-        t = math.log(abs(mid - below))
-        if val < target_rho:
-            lo, t_lo = mid, t
+        t, f = math.log(abs(mid - below)), val - target_rho
+        if f < 0:
+            if moved < 0:  # Illinois: an end kept twice in a row has its reading halved
+                f_hi *= 0.5
+            lo, t_lo, f_lo, moved = mid, t, f, -1
         else:
-            hi, t_hi = mid, t
+            if moved > 0:
+                f_lo *= 0.5
+            hi, t_hi, f_hi, moved = mid, t, f, 1
     raise BracketFailureError(f"no crossing within {MAX_ITER} bisection steps")
-
-
-def _probe_tree(below: float, side: float, lo: float, hi: float, t_lo: float, t_hi: float,
-                levels: int) -> list[float]:
-    """The probes that find_alpha_with_rho can walk in its next `levels`
-    halvings from the bracket (lo, hi), in tree order: each probe's alpha
-    and t follow from its bracket alone, so all are known before any is
-    estimated.  A probe where the walk stops on float resolution is left
-    out with the probes below it; so are the probes below one that lands
-    on below itself, where t = log 0."""
-    if levels == 0:
-        return []
-    mid = _log_midpoint(below, side, t_lo, t_hi)
-    if mid in (lo, hi):
-        return []
-    if mid == below:
-        return [mid]
-    t = math.log(abs(mid - below))
-    return [mid, *_probe_tree(below, side, mid, hi, t, t_hi, levels - 1),
-            *_probe_tree(below, side, lo, mid, t_lo, t, levels - 1)]
-
-
-def _log_midpoint(below: float, side: float, t_lo: float, t_hi: float) -> float:
-    """The probe of a bracket: its distance from below is the geometric
-    mean of the ends' distances e^t_lo and e^t_hi."""
-    return below + side * math.exp(0.5 * (t_lo + t_hi))
 
 
 def _schedule(rho0: float, cfg: ConstructionConfig) -> tuple[float, list[float]]:
@@ -384,7 +373,7 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
             try:
                 alpha_c, est_c = find_alpha_with_rho(
                     family, target, anchor, alpha_n, cfg.tol_rho, cfg.n_series,
-                    above_estimate=est_n,
+                    above_estimate=est_n, q=q,
                 )
             except BracketFailureError as exc:
                 reasons.append(f"{p}/{q}: {exc}")

@@ -312,13 +312,6 @@ def _siegel_blocks(F: np.ndarray) -> tuple[int, int]:
     return top, max(1, BLOCK_ENTRIES // ((top + 1) * (n + 1)))
 
 
-def _siegel_block_rows(family: FamilySpec, n: int) -> int:
-    """Rows per block of a degree-n Siegel solve of family: a block shares
-    each degree's numpy calls among its rows (85 rows for quadratic at
-    n = 256; one row for an entire map, where each row costs a solve)."""
-    return _siegel_blocks(base_series(family, n).coeffs[None, :])[1]
-
-
 def conjugacy_residual(obj: KoenigsSeries | SiegelSeries) -> float:
     """Max relative residual coefficient of the defining functional equation.
 

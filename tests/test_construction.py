@@ -15,6 +15,7 @@ from siegelnum import (
     golden_rotation,
     qa_norm,
     rho_coefficient,
+    rho_coefficients,
     run_construction,
     siegel_series,
 )
@@ -252,26 +253,14 @@ def _reading(rho, alpha=None):
 
 
 def _fake_flank_batches(monkeypatch, fake):
-    """Route run_construction's flank scans, and only them, to fake: the
-    bisection's batches, inside find_alpha_with_rho, keep the real
-    rho_coefficients.  Returns the list of the flank batches faked."""
-    real_search, real_batch = construction.find_alpha_with_rho, construction.rho_coefficients
-    searching, faked = [], []
-
-    def search(*args, **kwargs):
-        searching.append(True)
-        try:
-            return real_search(*args, **kwargs)
-        finally:
-            searching.pop()
+    """Route run_construction's flank scans, its only rho_coefficients
+    calls, to fake.  Returns the list of the flank batches faked."""
+    faked = []
 
     def batch(family, alphas, n):
-        if searching:
-            return real_batch(family, alphas, n)
         faked.append(list(alphas))
         return fake(family, alphas, n)
 
-    monkeypatch.setattr(construction, "find_alpha_with_rho", search)
     monkeypatch.setattr(construction, "rho_coefficients", batch)
     return faked
 
@@ -363,105 +352,62 @@ def test_default_run_reuses_each_fitted_series(monkeypatch):
 
     monkeypatch.setattr(linearize, "_solve_siegel", counting)
     rep = run_construction(ConstructionConfig())
-    # alpha_0; then per step one batched round of 15 log-offset probes
-    # (in step 3 one lands so close to the anchor that it breaks down
-    # before the solve) and one flank scan: 7 solver calls, where one
-    # call per probe made 13 (1 + 9 probes + 3 flank scans)
-    assert [len(rows) for rows in calls] == [1, 15, 31, 15, 31, 14, 31]
+    # alpha_0; then per step one single-row call per probe (two in step 1,
+    # whose start alpha_0 sits off the dip law's line, one in steps 2 and
+    # 3) and one flank scan: 8 solver calls
+    assert [len(rows) for rows in calls] == [1, 1, 1, 31, 1, 31, 1, 31]
     # each step's flank scan is one call: 2 * FLANK_SAMPLES probes, less
     # the one that lands on the anchor and breaks down before the solve
-    assert [len(rows) for rows in calls[2::2]] == [2 * construction.FLANK_SAMPLES - 1] * 3
-    # each step's anchor breaks down before the solve, and its above end
-    # is the previous accepted estimate; alpha_0 and each accepted alpha
-    # take their series from their estimates.  Re-solving those for their
-    # series, or re-estimating an above end, would solve them twice
+    assert [len(rows) for rows in calls[3::2]] == [2 * construction.FLANK_SAMPLES - 1] * 3
+    # each step's above end is the previous accepted estimate, and alpha_0
+    # and each accepted alpha take their series from their estimates, so
+    # no alpha is solved twice
     lams = [lam for rows in calls for lam in rows]
+    assert len(lams) == len(set(lams))
     for alpha in [rep.alpha0] + [step.alpha for step in rep.steps]:
         (lam,) = np.exp(2j * math.pi * linearize._phases(np.array([alpha]), 1))[:, 1].tolist()
-        assert lams.count(lam) == 1
-    # all three steps share the anchor 21/34, and each step's round starts
-    # from the bracket that the previous walk ended in: two probes laid out
-    # near the anchor in one round and not walked come back in the next
-    assert len(lams) - len(set(lams)) == 2
+        assert lam in lams
 
 
-def _recording_estimators(monkeypatch):
-    """Record every alpha that find_alpha_with_rho estimates, through
-    rho_coefficient (the bracket ends) or rho_coefficients (the rounds),
-    and its outcome."""
+def _recording_estimates(monkeypatch):
+    """Record every alpha that find_alpha_with_rho estimates, and its
+    outcome."""
     calls, results = [], []
-    single, batch = construction.rho_coefficient, construction.rho_coefficients
+    single = construction.rho_coefficient
 
-    def recording_single(family, alpha, n):
+    def recording(family, alpha, n):
         calls.append(alpha)
         results.append(outcome(single, family, alpha, n))
         if isinstance(results[-1], Exception):
             raise results[-1]
         return results[-1]
 
-    def recording_batch(family, alphas, n):
-        calls.extend(alphas)
-        out = batch(family, alphas, n)
-        results.extend(out)
-        return out
-
-    monkeypatch.setattr(construction, "rho_coefficient", recording_single)
-    monkeypatch.setattr(construction, "rho_coefficients", recording_batch)
+    monkeypatch.setattr(construction, "rho_coefficient", recording)
     return calls, results
 
 
-def _fake_estimators(monkeypatch, fake):
-    """Stand fake(family, alpha, n) in for both estimators of the search."""
-    monkeypatch.setattr(construction, "rho_coefficient", fake)
-    monkeypatch.setattr(construction, "rho_coefficients",
-                        lambda family, alphas, n: [outcome(fake, family, a, n) for a in alphas])
-
-
-def _walked(monkeypatch):
-    """Record each estimate that find_alpha_with_rho reads, in order: the
-    two bracket ends', then the probes' the walk reaches."""
-    reads = []
-    read = construction._effective_value
-
-    def recording(est):
-        reads.append(est)
-        return read(est)
-
-    monkeypatch.setattr(construction, "_effective_value", recording)
-    return reads
-
-
 def test_bisection_estimates_each_alpha_once(monkeypatch):
-    calls, results = _recording_estimators(monkeypatch)
+    calls, results = _recording_estimates(monkeypatch)
     lo, hi = 21 / 34, golden_rotation().value
     alpha, est = find_alpha_with_rho(QUAD, -1.6, lo, hi, tol_rho=0.05, n=128)
-    # one call per bracket end (the rational lo end breaks down), then one
-    # row per probe of each round, ends and rounds together estimating no
-    # alpha twice; the accepted probe's estimate is returned as is
+    # one estimate per bracket end (without q the rational lo end is
+    # estimated, and breaks down), then one per probe, no alpha twice; the
+    # accepted probe's estimate is returned as is
     assert calls[:2] == [lo, hi]
     assert len(set(calls)) == len(calls) > 2
     assert results[calls.index(alpha)] is est
 
 
-@pytest.mark.parametrize("fam_id, rows", [("quadratic", 2**construction.PROBE_LEVELS - 1), ("exp", 1)])
-def test_a_round_fills_at_most_one_solver_block(monkeypatch, fam_id, rows):
-    # a quadratic map at n = 256 shares each solver block among 85 rows;
-    # exp's rows are solved one at a time, so batching its probes would
-    # only solve rows that the walk never reads
-    family = get_family(fam_id)
-    assert linearize._siegel_block_rows(family, 256) == {"quadratic": 85, "exp": 1}[fam_id]
-    batches = []
-    batch = construction.rho_coefficients
-
-    def recording(family, alphas, n):
-        batches.append(len(alphas))
-        return batch(family, alphas, n)
-
-    monkeypatch.setattr(construction, "rho_coefficients", recording)
-    golden = golden_rotation().value
-    above = rho_coefficient(family, golden, 256)
-    find_alpha_with_rho(family, above.rho_hat - 0.2, 21 / 34, golden, n=256, above_estimate=above)
-    assert batches and max(batches) == rows
+def test_an_anchor_is_estimated_only_at_or_above_the_degree(monkeypatch):
+    calls, _ = _recording_estimates(monkeypatch)
+    lo, hi = 21 / 34, golden_rotation().value
+    _, est = find_alpha_with_rho(QUAD, -1.6, lo, hi, tol_rho=0.05, n=128, q=34)
+    # q = 34 < n: the guard's -infinity at the anchor is known unsolved
+    assert lo not in calls and calls[0] == hi
+    assert abs(est.rho_hat + 1.6) <= 0.05
+    calls.clear()
+    outcome(functools.partial(find_alpha_with_rho, n=32, q=34), QUAD, -1.6, lo, hi)
+    assert calls[0] == lo  # at n = 32 the series stops before the resonance at 35
 
 
 def test_a_held_above_estimate_is_not_solved_again(monkeypatch):
@@ -481,40 +427,111 @@ def test_a_held_above_estimate_is_not_solved_again(monkeypatch):
     assert alpha == plain[0] and est.rho_hat == plain[1].rho_hat
 
 
-def _log_landscape(below, slope):
-    """A stand-in estimator whose value is slope * log|alpha - below|."""
+def test_a_default_step_estimates_at_most_three_probe_rows(monkeypatch):
+    probes, searching = [], []  # per find_alpha_with_rho call, the alphas it estimated
+    search = construction.find_alpha_with_rho
+    single, batch = construction.rho_coefficient, construction.rho_coefficients
+
+    def recording(*args, **kwargs):
+        probes.append([])
+        searching.append(True)
+        try:
+            return search(*args, **kwargs)
+        finally:
+            searching.pop()
+
+    def counting_single(family, alpha, n):
+        if searching:  # alpha_0 and the flank scans are no probes
+            probes[-1].append(alpha)
+        return single(family, alpha, n)
+
+    def counting_batch(family, alphas, n):
+        if searching:
+            probes[-1].extend(alphas)
+        return batch(family, alphas, n)
+
+    monkeypatch.setattr(construction, "find_alpha_with_rho", recording)
+    monkeypatch.setattr(construction, "rho_coefficient", counting_single)
+    monkeypatch.setattr(construction, "rho_coefficients", counting_batch)
+    rep = run_construction(ConstructionConfig())
+    assert [step.retries for step in rep.steps] == [0, 0, 0] and len(probes) == 3
+    assert max(map(len, probes)) <= 3
+    # neither the anchor nor the held above end is estimated; the last probe is the step's alpha
+    starts = [rep.alpha0] + [step.alpha for step in rep.steps]
+    for rows, start, step in zip(probes, starts, rep.steps):
+        assert start not in rows and step.anchor_p / step.anchor_q not in rows
+        assert rows[-1] == step.alpha
+
+
+def test_the_dip_law_holds_at_21_34():
+    # the law the search aims by: near p/q, rho_hat - (1/q) log|alpha - p/q|
+    # is one constant L, from both sides (measured spread 7.1e-4 around -0.844)
+    offsets = [s * e for e in (3e-5, 1e-5, 3e-6, 1e-6, 3e-7, 1e-7, 3e-8, 1e-8) for s in (1, -1)]
+    alphas = [21 / 34 + e for e in offsets]
+    estimates = rho_coefficients(QUAD, alphas, 512)
+    assert all(est.converged for est in estimates)
+    L = [est.rho_hat - math.log(abs(a - 21 / 34)) / 34 for a, est in zip(alphas, estimates)]
+    assert max(L) - min(L) <= 1e-3
+
+
+def _log_landscape(below, slope, level=0.0):
+    """A stand-in estimator whose value is level + slope * log|alpha - below|."""
     def fake(family, alpha, n):
-        return _reading(slope * math.log(abs(alpha - below)) if alpha != below else -math.inf, alpha)
+        return _reading(level + slope * math.log(abs(alpha - below)) if alpha != below else -math.inf,
+                        alpha)
     return fake
 
 
 @pytest.mark.parametrize("side", [1.0, -1.0])
-def test_each_probe_halves_the_log_offset_bracket(monkeypatch, side):
+@pytest.mark.parametrize("target", [math.log(1e-14) / 34, math.log(3e-3) / 34], ids=["deep", "shallow"])
+def test_a_linear_law_lands_in_at_most_two_probes(monkeypatch, side, target):
+    # the law rho = t / 34, with the held above end 0.036 below its line,
+    # as the golden mean sits off 21/34's: the first probe, aimed from the
+    # above end, reads 0.036 high, and the second, aimed from the first, lands
+    below = 0.375
+    above = below + side * 3e-2
+    monkeypatch.setattr(construction, "rho_coefficient", _log_landscape(below, 1 / 34))
+    calls, _ = _recording_estimates(monkeypatch)
+    held = _log_landscape(below, 1 / 34, level=-0.036)(QUAD, above, 256)
+    alpha, est = find_alpha_with_rho(QUAD, target, below, above, tol_rho=0.005,
+                                     above_estimate=held, q=34)
+    assert len(calls) == 2 and calls[-1] == alpha
+    assert math.copysign(1.0, alpha - below) == side
+    # exactly on target but for the rounding of alpha to a float
+    assert abs(est.rho_hat - target) <= math.ulp(below) / abs(alpha - below) / 34
+
+
+def _dented_landscape(below, q):
+    """The dip law with dents: rho = t/q + 0.1 sin(3t) in t = log|alpha -
+    below|, with no disc (-infinity) wherever sin(7t) > 0.95."""
+    def fake(family, alpha, n):
+        t = math.log(abs(alpha - below)) if alpha != below else -math.inf
+        dented = t > -math.inf and math.sin(7 * t) <= 0.95
+        return _reading(t / q + 0.1 * math.sin(3 * t) if dented else -math.inf, alpha)
+    return fake
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+@pytest.mark.parametrize("target", [-0.45, -0.6, -0.9, -1.2])
+def test_a_non_monotone_landscape_is_searched_inside_its_bracket(monkeypatch, side, target):
     below = 0.375
     above = below + side * 1e-2
-    landscape = _log_landscape(below, 1 / 34)
-    _fake_estimators(monkeypatch, landscape)
-    reads = _walked(monkeypatch)
-    # the target sits far below both ends' log offsets' midpoint, so the
-    # search walks towards the anchor and each probe is the geometric mean
-    # of the bracket ends' distances, the anchor's counting as one ulp
-    target = math.log(1e-14) / 34
-    alpha, _ = find_alpha_with_rho(QUAD, target, below, above, tol_rho=0.005)
-    walked = [est.alpha.value for est in reads[2:]]
-    t_lo, t_hi = math.log(math.ulp(below)), math.log(abs(above - below))
-    for probe in walked:
-        # the probe's distance is the mean one, rounded to a float alpha
-        assert abs(abs(probe - below) - math.exp(0.5 * (t_lo + t_hi))) <= math.ulp(below)
-        t = math.log(abs(probe - below))
-        assert math.copysign(1.0, probe - below) == side
-        if landscape(QUAD, probe, 0).rho_hat < target:
-            t_lo = t
+    landscape = _dented_landscape(below, 34)
+    monkeypatch.setattr(construction, "rho_coefficient", landscape)
+    calls, results = _recording_estimates(monkeypatch)
+    got = outcome(functools.partial(find_alpha_with_rho, tol_rho=0.005, q=34,
+                                    above_estimate=landscape(QUAD, above, 256)),
+                  QUAD, target, below, above)
+    # replay the bracket: every probe lies strictly inside the one it was aimed into
+    lo, hi = below, above
+    for alpha, est in zip(calls, results):
+        assert min(lo, hi) < alpha < max(lo, hi)
+        if est.rho_hat < target:
+            lo = alpha
         else:
-            t_hi = t
-    assert walked[-1] == alpha
-    assert abs(math.log(abs(alpha - below)) - math.log(1e-14)) <= 34 * 0.005
-    # the linear-in-alpha march would take dozens of probes
-    assert len(walked) <= 8
+            hi = alpha
+    assert isinstance(got, BracketFailureError) or (
+        got[0] == calls[-1] and abs(got[1].rho_hat - target) <= 0.005)
 
 
 def test_adjacent_bracket_ends_exhaust_float_resolution(monkeypatch):
@@ -525,53 +542,50 @@ def test_adjacent_bracket_ends_exhaust_float_resolution(monkeypatch):
         find_alpha_with_rho(QUAD, -40.0, below, above)
 
 
-def _sequential_bisection(family, target_rho, below, above, tol_rho=0.02, n=256, *,
-                          above_estimate=None):
-    """Oracle: find_alpha_with_rho as it stood before its probes were
-    batched, one rho_coefficient call per probe, each made as the walk
-    reaches it."""
-    below_val = construction._effective_value(outcome(construction.rho_coefficient, family, below, n))
-    if above_estimate is None:
-        above_estimate = outcome(construction.rho_coefficient, family, above, n)
-    above_val = construction._effective_value(above_estimate)
-    if not below_val < target_rho:
-        raise BracketFailureError(
-            f"below end estimates {below_val:.4f}, not below target {target_rho:.4f}")
-    if not above_val > target_rho:
-        raise BracketFailureError(
-            f"above end estimates {above_val:.4f}, not above target {target_rho:.4f}")
-    side = math.copysign(1.0, above - below)
-    lo, hi = below, above
-    t_lo, t_hi = math.log(math.ulp(below)), math.log(abs(above - below))
-    for _ in range(construction.MAX_ITER):
-        mid = below + side * math.exp(0.5 * (t_lo + t_hi))
-        if mid in (lo, hi):
-            raise BracketFailureError("bracket exhausted float resolution")
-        est = outcome(construction.rho_coefficient, family, mid, n)
-        val = construction._effective_value(est)
-        if abs(val - target_rho) <= tol_rho:
-            return mid, est
-        t = math.log(abs(mid - below))
-        if val < target_rho:
-            lo, t_lo = mid, t
-        else:
-            hi, t_hi = mid, t
-    raise BracketFailureError(f"no crossing within {construction.MAX_ITER} bisection steps")
+@pytest.mark.parametrize("ulps", [1, 8])
+def test_the_search_exhausts_float_resolution(monkeypatch, ulps):
+    below = 0.375
+    above = below + ulps * math.ulp(below)
+    monkeypatch.setattr(construction, "rho_coefficient", _log_landscape(below, 1.0))
+    with pytest.raises(BracketFailureError, match="bracket exhausted float resolution"):
+        find_alpha_with_rho(QUAD, -40.0, below, above, q=1)
 
 
-def _assert_search_matches_the_oracle(*args, **kwargs):
-    """The same alpha and estimate, by repr, or the same error."""
-    got = outcome(functools.partial(find_alpha_with_rho, **kwargs), *args)
-    want = outcome(functools.partial(_sequential_bisection, **kwargs), *args)
-    assert type(got) is type(want)
-    assert repr(got) == repr(want)
-    return got
+@pytest.mark.parametrize("max_iter", [1, 6])
+def test_the_search_runs_out_of_steps(monkeypatch, max_iter):
+    # a step landscape: -1 up to 1e-9 from below, +1 beyond, never within
+    # tol_rho of the target 0; each step is one probe
+    below = 0.375
+    monkeypatch.setattr(construction, "MAX_ITER", max_iter)
+    monkeypatch.setattr(construction, "rho_coefficient",
+                        lambda family, alpha, n: _reading(math.copysign(1.0, abs(alpha - below) - 1e-9), alpha))
+    calls, _ = _recording_estimates(monkeypatch)
+    with pytest.raises(BracketFailureError, match=f"no crossing within {max_iter} bisection steps"):
+        find_alpha_with_rho(QUAD, 0.0, below, below + 1e-2, tol_rho=0.5, q=34)
+    assert len(calls) == 1 + max_iter  # the above end, then one probe per step
+
+
+@pytest.mark.parametrize("target, walked", [(math.log(0.7) / 34, True), (math.log(0.25) / 34, False)],
+                         ids=["walked", "not-walked"])
+def test_a_probe_outside_the_unit_interval_fails_only_when_walked(monkeypatch, target, walked):
+    # a bracket from 0.5 to 1.5 (its above end held, so never estimated):
+    # the law puts the target 0.7 past 0.5, at 1.2, where the probe is
+    # refused; the target 0.25 past it sits at 0.75, and the search lands
+    # there without estimating any alpha past 1
+    below = 0.5
+    monkeypatch.setattr(construction, "rho_coefficient", _log_landscape(below, 1 / 34))
+    calls, _ = _recording_estimates(monkeypatch)
+    got = outcome(functools.partial(find_alpha_with_rho, tol_rho=0.002, q=34,
+                                    above_estimate=_reading(0.0)),
+                  QUAD, target, below, 1.5)
+    assert any(alpha > 1.0 for alpha in calls) == walked
+    assert isinstance(got, PreconditionError) == walked
 
 
 @pytest.mark.parametrize("alpha0", [golden_rotation(), rotation_from_cf([2, 1] + [1] * 38),
                                     rotation_from_cf([3, 3] + [1] * 38)],
                          ids=["default", "cf-2-1", "cf-3-3"])
-def test_batched_search_matches_the_sequential_oracle(monkeypatch, alpha0):
+def test_every_search_of_a_run_probes_inside_its_bracket(monkeypatch, alpha0):
     searches = []
     search = construction.find_alpha_with_rho
 
@@ -583,59 +597,23 @@ def test_batched_search_matches_the_sequential_oracle(monkeypatch, alpha0):
         m.setattr(construction, "find_alpha_with_rho", recording)
         rep = run_construction(ConstructionConfig(alpha0=alpha0))
     assert len(searches) >= len(rep.steps) == 3
-    for args, kwargs in searches:
-        _assert_search_matches_the_oracle(*args, **kwargs)
-
-
-@pytest.mark.parametrize("side", [1.0, -1.0])
-@pytest.mark.parametrize("target", [math.log(1e-14) / 34, math.log(3e-3) / 34], ids=["deep", "shallow"])
-def test_batched_search_matches_the_oracle_on_a_log_landscape(monkeypatch, side, target):
-    below = 0.375
-    _fake_estimators(monkeypatch, _log_landscape(below, 1 / 34))
-    alpha, _ = _assert_search_matches_the_oracle(QUAD, target, below, below + side * 1e-2, tol_rho=0.005)
-    assert math.copysign(1.0, alpha - below) == side
-
-
-@pytest.mark.parametrize("ulps", [1, 8])
-def test_batched_search_exhausts_float_resolution_where_the_oracle_does(monkeypatch, ulps):
-    below = 0.375
-    above = below + ulps * math.ulp(below)
-    _fake_estimators(monkeypatch, _log_landscape(below, 1.0))
-    exc = _assert_search_matches_the_oracle(QUAD, -40.0, below, above)
-    assert str(exc) == "bracket exhausted float resolution"
-
-
-@pytest.mark.parametrize("max_iter", [1, 6])
-def test_batched_search_runs_out_of_halvings_where_the_oracle_does(monkeypatch, max_iter):
-    monkeypatch.setattr(construction, "MAX_ITER", max_iter)
-    exc = _assert_search_matches_the_oracle(QUAD, -1.6, 21 / 34, golden_rotation().value,
-                                            tol_rho=1e-9, n=128)
-    assert str(exc) == f"no crossing within {max_iter} bisection steps"
-
-
-@pytest.mark.parametrize("target, walked", [(math.log(0.7) / 34, True), (math.log(0.25) / 34, False)],
-                         ids=["walked", "not-walked"])
-def test_a_probe_outside_the_unit_interval_fails_only_when_walked(monkeypatch, target, walked):
-    # a bracket from 0.5 to 1.5 (its above end held, so never estimated):
-    # the round that probes distances 0.32 and 0.18 from 0.5 also lays out
-    # 0.56, which lies past 1; the walk reaches it only on its way to 0.7
-    below = 0.5
-    estimated = []
-    landscape = _log_landscape(below, 1 / 34)
-
-    def recording(family, alpha, n):
-        estimated.append(alpha)
-        return landscape(family, alpha, n)
-
-    _fake_estimators(monkeypatch, recording)
-    got = _assert_search_matches_the_oracle(QUAD, target, below, 1.5, tol_rho=0.002,
-                                            above_estimate=_reading(0.0))
-    assert any(alpha > 1.0 for alpha in estimated)
-    assert isinstance(got, PreconditionError) == walked
+    calls, results = _recording_estimates(monkeypatch)
+    for (family, target, below, above, tol_rho, n), kwargs in searches:
+        calls.clear(), results.clear()
+        got = outcome(functools.partial(find_alpha_with_rho, **kwargs),
+                      family, target, below, above, tol_rho, n)
+        lo, hi = below, above
+        for alpha, est in zip(calls, results):
+            assert min(lo, hi) < alpha < max(lo, hi)
+            if construction._effective_value(est) < target:
+                lo = alpha
+            else:
+                hi = alpha
+        assert isinstance(got, BracketFailureError) or abs(got[1].rho_hat - target) <= tol_rho
 
 
 def _linear_alpha_bisection(family, target_rho, below, above, tol_rho=0.02, n=256, *,
-                            above_estimate=None):
+                            above_estimate=None, q=None):
     """Oracle: the search as it stood before it bisected the log offset,
     each probe at the midpoint in alpha of the bracket."""
     below_val = construction._effective_value(outcome(construction.rho_coefficient, family, below, n))
