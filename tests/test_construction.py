@@ -463,6 +463,35 @@ def test_a_default_step_estimates_at_most_three_probe_rows(monkeypatch):
         assert rows[-1] == step.alpha
 
 
+@pytest.mark.parametrize("fam_id", ["exp", "quadratic"])
+def test_a_search_solves_one_row_per_probe(monkeypatch, fam_id):
+    # each probe is one single-row Siegel solve, whatever rows a solver
+    # block of the family could hold; the anchor and the held above end
+    # are not solved
+    family = get_family(fam_id)
+    golden = golden_rotation().value
+    above = rho_coefficient(family, golden, 256)
+    rows, probes = [], []
+    solve, estimate = linearize._solve_siegel, construction.rho_coefficient
+
+    def recording_solve(F, divisors):
+        rows.append(F.shape[0])
+        return solve(F, divisors)
+
+    def recording_estimate(family, alpha, n):
+        probes.append(alpha)
+        return estimate(family, alpha, n)
+
+    monkeypatch.setattr(linearize, "_solve_siegel", recording_solve)
+    monkeypatch.setattr(construction, "rho_coefficient", recording_estimate)
+    alpha, est = find_alpha_with_rho(family, above.rho_hat - 0.2, 21 / 34, golden, n=256,
+                                     above_estimate=above, q=34)
+    assert abs(est.rho_hat - (above.rho_hat - 0.2)) <= 0.02
+    assert probes and probes[-1] == alpha and len(set(probes)) == len(probes)
+    assert 21 / 34 not in probes and golden not in probes
+    assert rows == [1] * len(probes)
+
+
 def test_the_dip_law_holds_at_21_34():
     # the law the search aims by: near p/q, rho_hat - (1/q) log|alpha - p/q|
     # is one constant L, from both sides (measured spread 7.1e-4 around -0.844)
