@@ -83,8 +83,7 @@ def _csv(header: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    writer.writerows(rows)  # a float is written as its repr
     return buf.getvalue()
 
 

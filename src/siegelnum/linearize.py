@@ -18,8 +18,8 @@ radius module.
 u_values is the one pipeline from multipliers to Yoccoz values (series,
 entry radius, orbit, log), batched over lambda; yoccoz_w, the CLI grid and
 the radius module's ray scans all go through it.  Its basin step (entry
-radius, orbit, Horner pass) is also koenigs_eval's, so h on the basin has
-one evaluation whichever entry point asks for it.
+radius, orbit, one product for h(z_m)) is also koenigs_eval's, so h on the
+basin has one evaluation whichever entry point asks for it.
 
 Residual checks here are *relative*: coefficients of Koenigs series grow
 like dist(0, basin boundary)^{-k} and reach 1e120 at practical degrees, so
@@ -140,45 +140,82 @@ def _check_multiplier(lam: complex) -> complex:
 
 
 @functools.lru_cache(maxsize=16)
-def _koenigs_table(family: FamilySpec, n: int) -> np.ndarray:
-    """power_table(f) of the degree-n base series f, read-only, built once
-    per (map, n) for every Koenigs solve of that map and degree: each sweep
-    of a grid, each ray scan, each koenigs_series.  At most 16 tables of
-    (n + 1)^2 complex128 entries: 16 (n + 1)^2 16 B in the worst case,
-    4.3 MB at n = 128 and 67 MB at n = 512.
+def _koenigs_table(family: FamilySpec, n: int) -> tuple[np.ndarray, tuple]:
+    """(cols, plan) for every Koenigs solve of one map and degree: each
+    sweep of a grid, each ray scan, each koenigs_series.  cols is
+    power_table(f) of the degree-n base series f, read-only, and plan its
+    _degree_plan.  Built once per (map, n); at most 16 tables of (n + 1)^2
+    complex128 entries: 16 (n + 1)^2 16 B in the worst case, 4.3 MB at
+    n = 128 and 67 MB at n = 512.
     """
-    table = power_table(base_series(family, n).coeffs)
-    table.flags.writeable = False
-    return table
+    cols = power_table(base_series(family, n).coeffs)
+    cols.flags.writeable = False
+    return cols, _degree_plan(cols)
 
 
-def _solve_koenigs(cols: np.ndarray, lams: np.ndarray) -> list:
-    """Rows h of the normalized Koenigs series of lambda f, one per lambda.
+def _degree_plan(cols: np.ndarray) -> tuple:
+    """(k, slice, row) for each degree k of h that can be nonzero, read off
+    the exact zeros of cols = power_table(f), never off a declared symmetry.
 
-    cols = power_table(f), shared through _koenigs_table, serves every
-    lambda (f_lambda = lambda f): degree k of h(f_lambda(z)) = lambda h(z)
-    reads h_k (lambda^k - lambda) = -sum_{j<k} h_j lambda^j C[k, j], so with
-    G[:, j] = h_j lambda^j each degree is one stacked dot product over the
-    batch against row k of the table.  Each row's dot is computed
-    on its own, so its coefficients do not depend on the rest of the batch
-    (a plain matrix-vector product can sum a row differently by batch size).
-    Returns, per lambda, its coefficient row or the CoefficientOverflowError
-    that koenigs_series raises for it.  There is no divisor guard: off 0
-    and the circle a divisor lambda (lambda^{k-1} - 1) never vanishes, and
-    divisors that round to tiny or zero values overflow their row instead.
+    h_k is a sum over the live columns j < k (h_j not structurally 0,
+    starting from j = 1) where C[k, j] != 0; a degree with no such column
+    is exactly 0 and has no entry (every even degree of sin and tan).  The
+    others read the one slice start:stop:step that holds all of them, and row
+    is the matching view cols[k, slice] as a column: j >= ceil(k/2) for
+    quadratic, j >= ceil(k/3) for poly_3, odd j for sin and tan.  A column
+    in the slice that is not needed contributes an exact 0.
     """
     n = cols.shape[0] - 1
-    pows = np.power(lams[:, None], np.arange(n + 1))
-    divs = pows - lams[:, None]
-    h = np.zeros((len(lams), n + 1), dtype=np.complex128)
-    h[:, 1] = 1
-    g = np.zeros_like(h)
-    g[:, 1] = pows[:, 1]
+    live = np.zeros(n + 1, dtype=bool)
+    live[1] = True
+    plan = []
+    for k in range(2, n + 1):
+        needed = np.flatnonzero(live[:k] & (cols[k, :k] != 0))
+        if needed.size:
+            live[k] = True
+            step = int(np.gcd.reduce(k - needed))
+            sl = slice(int(needed[0]), int(needed[-1]) + 1, step)
+            plan.append((k, sl, cols[k, sl, None]))
+    return tuple(plan)
+
+
+def _solve_koenigs(cols: np.ndarray, plan: tuple, lams: np.ndarray) -> list:
+    """Rows h of the normalized Koenigs series of lambda f, one per lambda.
+
+    cols = power_table(f) and its plan, shared through _koenigs_table,
+    serve every lambda (f_lambda = lambda f): degree k of
+    h(f_lambda(z)) = lambda h(z) reads
+    h_k (lambda - lambda^k) = sum_{j<k} h_j lambda^j C[k, j], so with
+    G[:, j] = h_j lambda^j each planned degree is one stacked dot product
+    of G's slice with the plan's slice of row k, written into h, one
+    divide by lambda - lambda^k and one multiply by lambda^k into G, all in
+    place; a degree off the plan stays exactly 0.  The powers lambda^k are
+    one cumulative product.  Each row's dot is computed on its own, so its
+    coefficients do not depend on the rest of the batch (a plain
+    matrix-vector product can sum a row differently by batch size).
+    Returns, per lambda, its coefficient row or the
+    CoefficientOverflowError that koenigs_series raises for it.  There is
+    no divisor guard: off 0 and the circle a divisor lambda (1 - lambda^{k-1})
+    never vanishes, and divisors that round to tiny or zero values
+    overflow their row instead.
+    """
+    n = cols.shape[0] - 1
+    pows = np.empty((n + 1, len(lams)), dtype=np.complex128)  # one column per lambda
+    pows[0] = 1
+    pows[1:] = lams
+    np.cumprod(pows, axis=0, out=pows)
+    divs = lams - pows
+    h = np.zeros_like(pows)
+    h[1] = 1
+    g = np.zeros((len(lams), n + 1), dtype=np.complex128)  # one row per lambda
+    g[:, 1] = lams
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # _read_rows reports it
-        for k in range(2, n + 1):
-            h[:, k] = -(g[:, None, :k] @ cols[k, :k, None])[:, 0, 0] / divs[:, k]
-            g[:, k] = h[:, k] * pows[:, k]
-    return _read_rows(h, "Koenigs")
+        for k, sl, row in plan:
+            h_k = h[k]
+            np.matmul(g[:, None, sl], row, out=h_k[:, None, None])
+            np.divide(h_k, divs[k], out=h_k)
+            np.multiply(h_k, pows[k], out=g[:, k])
+    return _read_rows(h.T, "Koenigs")
 
 
 def koenigs_series(family: FamilySpec, lam: complex, n: int = 128) -> KoenigsSeries:
@@ -192,7 +229,7 @@ def koenigs_series(family: FamilySpec, lam: complex, n: int = 128) -> KoenigsSer
     shared power table of f (_koenigs_table).
     """
     lam = _check_multiplier(complex(lam))
-    h = single(_solve_koenigs(_koenigs_table(family, n), np.array([lam])))
+    h = single(_solve_koenigs(*_koenigs_table(family, n), np.array([lam])))
     return KoenigsSeries(lam=lam, h=TruncatedSeries.from_coeffs(h, n), family=family)
 
 
@@ -272,10 +309,11 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
     right side is lambda^k g_k, so g_k (lambda^k - lambda) equals that sum.
     The table pows[:, j] holds g^j of every row, filled through the current
     degree.  Column k of g^j is sum_{i<k} g_i [w^{k-i}] g^{j-1}, which reads
-    only columns < k, so one stacked mat-vec per degree appends column k of
-    every power of every row, and one stacked dot gives each row's g_k.
-    Each row's product is computed on its own, as in _solve_koenigs, so a
-    row's coefficients are those of a batch of one.
+    only columns < k, so one stacked mat-vec per degree writes column k of
+    every power of every row in place, and one stacked dot and a divide,
+    also in place, give each row's g_k.  Each row's product is computed on
+    its own, as in _solve_koenigs, so a row's coefficients are those of a
+    batch of one.
 
     Powers above top = deg F never meet a nonzero F_j and are not kept, so
     a row costs O(top * n^2): O(n^2) for polynomial families, O(n^3)
@@ -297,8 +335,10 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # _read_rows reports it
             for k in range(2, n + 1):
                 m = min(k, top)
-                pows[:, 2 : m + 1, k] = (pows[:, 1:m, k - 1 : 0 : -1] @ g[:, 1:k, None])[:, :, 0]
-                g[:, k] = (F_b[:, None, 2 : m + 1] @ pows[:, 2 : m + 1, k, None])[:, 0, 0] / d_b[:, k]
+                col, g_k = pows[:, 2 : m + 1, k, None], g[:, k]
+                np.matmul(pows[:, 1:m, k - 1 : 0 : -1], g[:, 1:k, None], out=col)
+                np.matmul(F_b[:, None, 2 : m + 1], col, out=g_k[:, None, None])
+                np.divide(g_k, d_b[:, k], out=g_k)
         out[rows] = g
     return out
 
@@ -436,11 +476,11 @@ def _unwind(hz: complex, m: int, lam: complex) -> complex:
 def _basin_step(family: FamilySpec, lams: list, h: np.ndarray, starts: list, budget: int) -> list:
     """h on the basin of 0 for each row b of solved Koenigs coefficients h
     (of lams[b]): the orbit of starts[b] into its entry disc (_orbit, one
-    scalar loop per row, as orbit lengths differ widely), then h(z_m) by one
-    Horner pass over the rows that entered.  Returns per row (h(z_m), m,
-    entry radius) or its EntryRadiusError or orbit error; entry radii are
-    stacked per row and Horner is elementwise, so each row is as in a batch
-    of one."""
+    scalar loop per row, as orbit lengths differ widely), then h(z_m) for
+    every row that entered as one stacked product of its coefficients with
+    the powers z_m^k from one cumulative product.  Returns per row (h(z_m),
+    m, entry radius) or its EntryRadiusError or orbit error; entry radii and
+    h(z_m) are stacked per row, so each row is as in a batch of one."""
     radii = _entry_radii(h)
     outcomes = [
         r if isinstance(r, SiegelnumError) else outcome(_orbit, family, lam, z, r, budget)
@@ -448,11 +488,11 @@ def _basin_step(family: FamilySpec, lams: list, h: np.ndarray, starts: list, bud
     ]
     rows = [b for b, out in enumerate(outcomes) if not isinstance(out, SiegelnumError)]
     if rows:
-        coeffs = h[rows]
-        z = np.array([outcomes[b][0] for b in rows])
-        hz = coeffs[:, -1]
-        for k in range(coeffs.shape[1] - 2, -1, -1):  # Horner, all rows at once
-            hz = hz * z + coeffs[:, k]
+        zpow = np.empty((len(rows), h.shape[1]), dtype=np.complex128)
+        zpow[:, 0] = 1
+        zpow[:, 1:] = np.array([outcomes[b][0] for b in rows])[:, None]
+        np.cumprod(zpow, axis=1, out=zpow)
+        hz = (h[rows, None, :] @ zpow[:, :, None])[:, 0, 0]
         for b, value in zip(rows, hz.tolist()):
             outcomes[b] = (value, outcomes[b][1], radii[b])
     return outcomes
@@ -503,23 +543,25 @@ def u_values(
     below 2 is a PreconditionError, raised for the whole call.
 
     The Koenigs series of every lambda come from the power table of f
-    (f_lambda = lambda f), built once per (map, n) in a process and shared
-    by every later call (_koenigs_table), and one batched solve per block of
-    BLOCK_ENTRIES // (n + 1) multipliers (508 at n = 128), followed by the
-    block's basin step from lambda v (_basin_step).  Near the unit circle
+    (f_lambda = lambda f) and its degree plan, built once per (map, n) in a
+    process and shared by every later call (_koenigs_table), and one batched
+    solve per block of BLOCK_ENTRIES // (n + 1) multipliers (508 at
+    n = 128) that reads only the table entries that can be nonzero,
+    followed by the block's basin step from lambda v (_basin_step: orbits,
+    then one product for every h(z_m)).  Near the unit circle
     orbits run to 10^5 iterates, so its orbit loop is where deep ray scans
     (rho_radial, the benchmark's radius_scan) spend their time.
     """
     if budget < 1:
         raise PreconditionError(f"iteration budget must be >= 1, got {budget}")
-    cols = _koenigs_table(family, n)
+    cols, plan = _koenigs_table(family, n)
     lams = [complex(lam) for lam in lams]
     outcomes = [outcome(_check_multiplier, lam) for lam in lams]
     todo = [i for i, out in enumerate(outcomes) if not isinstance(out, SiegelnumError)]
     per_block = max(1, BLOCK_ENTRIES // (n + 1))
     for start in range(0, len(todo), per_block):
         block = todo[start : start + per_block]
-        for i, out in zip(block, _solve_koenigs(cols, np.array([lams[i] for i in block]))):
+        for i, out in zip(block, _solve_koenigs(cols, plan, np.array([lams[i] for i in block]))):
             outcomes[i] = out
         live = [i for i in block if not isinstance(outcomes[i], SiegelnumError)]
         if live:

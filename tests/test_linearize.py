@@ -50,6 +50,7 @@ from siegelnum.linearize import (
     SIEGEL_DIVISOR_FLOOR,
     _read_rows,
 )
+from siegelnum.families import custom_family
 from siegelnum.series import TruncatedSeries, compose, evaluate
 
 EPS = np.finfo(np.float64).eps
@@ -570,19 +571,104 @@ def _koenigs_error_majorant(ref, F, divisors):
     return maj
 
 
-@pytest.mark.parametrize("fam_id", ALL_FAMILY_IDS)
-def test_koenigs_solver_matches_loop_oracle(fam_id):
+def _planned_degrees(fam, n):
+    return [k for k, _, _ in linearize._koenigs_table(fam, n)[1]]
+
+
+def _assert_planned_rows_match_loop_oracle(fam_id, n):
+    """The degree plan reads only table entries that can be nonzero: a
+    batch's rows are those of koenigs_series, stay within the loop oracle's
+    majorant bound, and a degree off the plan is exactly 0, as the oracle's is."""
     fam = get_family(fam_id)
-    for lam in (0.3, 0.5j, 0.7 * cmath.exp(2.1j), 0.95 * cmath.exp(-0.4j)):
-        F, divisors = _koenigs_inputs(fam, lam, 128)
+    skipped = sorted(set(range(2, n + 1)) - set(_planned_degrees(fam, n)))
+    lams = (0.3, 0.5j, 0.7 * cmath.exp(2.1j), 0.95 * cmath.exp(-0.4j))
+    rows = linearize._solve_koenigs(*linearize._koenigs_table(fam, n), np.array(lams))
+    for lam, new in zip(lams, rows, strict=True):
+        F, divisors = _koenigs_inputs(fam, lam, n)
         ref = _loop_solve_koenigs(F, divisors)
-        new = koenigs_series(fam, lam, 128).h.coeffs
-        assert np.array_equal(new == 0, ref == 0), (fam_id, lam)
+        assert new.tobytes() == koenigs_series(fam, lam, n).h.coeffs.tobytes()
+        assert np.all(new[skipped] == 0) and np.all(ref[skipped] == 0), (fam_id, n, lam)
+        assert np.array_equal(new == 0, ref == 0), (fam_id, n, lam)
         assert np.array_equal(new[:2], ref[:2])
-        maj = _koenigs_error_majorant(ref, F, divisors)[2:]
+        # at n = 257 and |lambda| = 0.95 the rows reach 1e221 and the
+        # majorant of quadratic and zexp outgrows binary64 from degree 247-249:
+        # no bound is checked on those degrees
+        with np.errstate(over="ignore"):
+            maj = _koenigs_error_majorant(ref, F, divisors)[2:]
         diff = np.abs(new - ref)[2:]
         assert np.all(diff[maj == 0] == 0)
-        assert np.max(diff[maj > 0] / maj[maj > 0]) <= 1e3 * EPS, (fam_id, lam)
+        bounded = (maj > 0) & (maj < np.inf)
+        assert np.max(diff[bounded] / maj[bounded], initial=0) <= 1e3 * EPS, (fam_id, n, lam)
+
+
+@pytest.mark.parametrize("fam_id", ALL_FAMILY_IDS)
+def test_koenigs_solver_matches_loop_oracle(fam_id):
+    _assert_planned_rows_match_loop_oracle(fam_id, 128)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 64, 257])
+@pytest.mark.parametrize("fam_id", ALL_FAMILY_IDS)
+def test_planned_koenigs_rows_match_loop_oracle(fam_id, n):
+    _assert_planned_rows_match_loop_oracle(fam_id, n)
+
+
+@pytest.mark.parametrize("n", [7, 64, 257])
+def test_degree_plan_reads_the_nonzero_band(n):
+    def plan(fam_id):
+        return {k: sl for k, sl, _ in linearize._koenigs_table(get_family(fam_id), n)[1]}
+
+    # polynomial rows are banded: [z^k] f^j = 0 below j = ceil(k/d)
+    for fam_id, d in (("quadratic", 2), ("poly_3", 3)):
+        assert plan(fam_id) == {k: slice(-(-k // d), k, 1) for k in range(2, n + 1)}, fam_id
+    # odd maps: every even degree is structurally 0, odd degrees read odd j;
+    # sin's 1/k! underflows to 0 from k = 179, where its slices start later
+    for fam_id in ("sin", "tan"):
+        odd = plan(fam_id)
+        assert list(odd) == list(range(3, n + 1, 2)), fam_id
+        assert all((sl.start % 2, sl.stop, sl.step) == (1, k - 1, 2) for k, sl in odd.items())
+        assert all(sl.start == 1 for k, sl in odd.items() if k < 179), fam_id
+    # the others read full rows while their coefficients are representable
+    if n < 170:
+        for fam_id in ("exp", "zexp", "reduced(sin)", "reduced(tan)"):
+            assert plan(fam_id) == {k: slice(1, k, 1) for k in range(2, n + 1)}, fam_id
+    # each row view is the table's own read-only slice
+    cols, degrees = linearize._koenigs_table(get_family("sin"), n)
+    for k, sl, row in degrees:
+        assert np.shares_memory(row, cols) and row[:, 0].tobytes() == cols[k, sl].tobytes()
+
+
+def test_degree_plan_ignores_the_declared_symmetry():
+    # a map that declares symmetry order 2 but is not odd: the plan is read
+    # off the table, so no degree is skipped and every row is solved
+    with pytest.warns(UserWarning, match="single-singular-value"):
+        lying = custom_family("lying", 0.25, 2, families._quadratic_coeffs, lambda z: z * (1 - z))
+    assert _planned_degrees(lying, 64) == list(range(2, 65))
+    quad = get_family("quadratic")
+    for lam in (0.5, 0.7j):
+        assert (koenigs_series(lying, lam, 64).h.coeffs.tobytes()
+                == koenigs_series(quad, lam, 64).h.coeffs.tobytes())
+        assert np.all(koenigs_series(lying, lam, 64).h.coeffs[2::2] != 0)
+
+
+@pytest.mark.parametrize("fam_id", ALL_FAMILY_IDS)
+def test_entry_value_product_matches_horner(fam_id):
+    # h(z_m) is one product of each row with the cumulative powers z^k; on
+    # random rows and points inside the entry disc it is within 16 ulps of
+    # Horner's value, relative to the term majorant sum |h_k| |z|^k (at most
+    # 1.6 ulps seen: inside the entry disc the terms decay fast, so the
+    # k roundings behind z^k only reach terms that hardly count)
+    fam = get_family(fam_id)
+    rng = np.random.default_rng(32)
+    n = 128
+    lams = (rng.uniform(0.05, 0.9, 12) * np.exp(2j * math.pi * rng.uniform(0, 1, 12))).tolist()
+    rows = [koenigs_series(fam, lam, n).h for lam in lams]
+    radii = [entry_radius(h) for h in rows]
+    starts = [r * rng.uniform(0, 1) * cmath.exp(2j * math.pi * rng.uniform(0, 1)) for r in radii]
+    steps = linearize._basin_step(fam, lams, np.array([h.coeffs for h in rows]), starts, 1)
+    for h, z, r, (hz, m, r_entry) in zip(rows, starts, radii, steps, strict=True):
+        assert (m, r_entry) == (0, r)
+        terms = np.abs(h.coeffs) * abs(z) ** np.arange(n + 1)
+        assert abs(hz - evaluate(h, z)) <= 16 * EPS * terms.sum(), (fam_id, z)
 
 
 @pytest.mark.parametrize("fam_id", ALL_FAMILY_IDS)
@@ -672,9 +758,10 @@ def test_shared_tables_give_the_rebuilt_results(fam_id, n, monkeypatch):
         rebuilt = _pipeline_fingerprints(fam, n)
     assert cold == warm == rebuilt
     assert base_series(fam, n) is base_series(fam, n)
-    table = linearize._koenigs_table(fam, n)
+    cols, plan = linearize._koenigs_table(fam, n)
     with pytest.raises(ValueError):
-        table[1, 1] = 0
+        cols[1, 1] = 0
+    assert not any(row.flags.writeable for _, _, row in plan)
     before = linearize._koenigs_table.cache_info()
     u_values(fam, [0.5], n)
     after = linearize._koenigs_table.cache_info()
@@ -691,12 +778,16 @@ def test_rung_table_is_shared_and_read_only():
 
 def test_u_values_rows_do_not_depend_on_the_block(monkeypatch):
     # a lambda's value is the same whether yoccoz_w, a grid or a ray scan
-    # asks for it, whatever block it is solved in
-    fam = get_family("exp")
+    # asks for it, whatever block it is solved in: full rows (exp), banded
+    # rows (quadratic) and rows that skip every even degree (sin)
     lams = [r * cmath.exp(2j * math.pi * t) for r in (0.2, 0.6, 0.9) for t in (0.1, 0.45, 0.8)]
-    alone = [yoccoz_w(fam, lam, 64) for lam in lams]
-    monkeypatch.setattr(linearize, "BLOCK_ENTRIES", 4 * 65)  # 4 rows of degree 64
-    assert u_values(fam, lams, 64) == alone
+    for fam_id in ("exp", "quadratic", "sin"):
+        fam = get_family(fam_id)
+        alone = [yoccoz_w(fam, lam, 64) for lam in lams]
+        assert u_values(fam, lams, 64) == alone, fam_id
+        with monkeypatch.context() as m:
+            m.setattr(linearize, "BLOCK_ENTRIES", 4 * 65)  # 4 rows of degree 64
+            assert u_values(fam, lams, 64) == alone, fam_id
 
 
 def test_overflowed_row_is_reported_in_its_slot():
