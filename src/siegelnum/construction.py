@@ -6,15 +6,17 @@ The driver walks a decreasing schedule of radius targets
 
 with rho_infinity = rho_hat(alpha_0) - G (G = DEFAULT_DROP unless
 rho_infinity is given), and at each step replaces the rotation number by a
-nearby one whose coefficient estimate of the radius sits on the schedule,
-certifying three things per step: the new value's flanks (FLANK_SAMPLES
-per side, estimated together by one rho_coefficients call, so one batched
-Siegel solve) stay strictly below the previous level (one-sided continuity
-has teeth only on an interval), consecutive Siegel series stay close in the
-derivative norm (order NORM_ORDER, CIRCLE_SAMPLES points) at the limiting
-radius (budget delta * 2^-n), and the intervals nest.  The radial probe
-cannot resolve a dip; it serves only as a one-sided cross-check, which
-any radial failure but a missing sample (recorded as NaN) also fails.
+nearby one whose coefficient estimate of the radius sits on the schedule.
+One candidate check, _check_anchor, decides each anchor p/q a step tries,
+in this order: the search for the target near p/q; nesting of the
+intervals; the norm budget delta * 2^-(n-1) on consecutive Siegel series
+in the derivative norm (order NORM_ORDER, CIRCLE_SAMPLES points) at the
+limiting radius; the flank scan (FLANK_SAMPLES per side, one batched
+rho_coefficients call) strictly below the previous level, since one-sided
+continuity has teeth only on an interval; and the radial cross-check,
+one-sided because the radial probe cannot resolve a dip, which any radial
+failure but a missing sample (recorded as NaN) also fails.  It returns
+the step or the first failed check's reason.
 
 Candidates live on a rational anchor's dip: for p/q close to alpha_n the
 estimated radius follows the dip law rho_hat = L + (1/q) * log|alpha - p/q|,
@@ -296,7 +298,7 @@ def find_alpha_with_rho(
             if moved > 0:
                 f_lo *= 0.5
             hi, t_hi, f_hi, moved = mid, t, f, 1
-    raise BracketFailureError(f"no crossing within {MAX_ITER} bisection steps")
+    raise BracketFailureError(f"no crossing within {MAX_ITER} probes")
 
 
 def _schedule(rho0: float, cfg: ConstructionConfig) -> tuple[float, list[float]]:
@@ -344,10 +346,59 @@ def _anchor_ladder(alpha: float, n_series: int, final_dip: float) -> list[tuple[
     return sorted(anchors, key=rank)
 
 
+def _check_anchor(family: FamilySpec, cfg: ConstructionConfig, p: int, q: int, target: float,
+                  est_n: RadiusEstimate, eps_n: float, level: float, budget: float,
+                  r_inf: float) -> tuple[RadiusEstimate, dict] | str:
+    """Every check the anchor p/q must pass for one step from est_n, in
+    order: the log-offset search for the target, nesting in alpha_n's
+    interval eps_n, the norm budget at r_inf, the flank scan below level,
+    and the one-sided radial cross-check.  Returns the accepted estimate
+    with its StepReport fields, or the first failed check's reason."""
+    anchor, alpha_n = p / q, est_n.alpha.value
+    try:
+        alpha_c, est_c = find_alpha_with_rho(
+            family, target, anchor, alpha_n, cfg.tol_rho, cfg.n_series, above_estimate=est_n, q=q,
+        )
+    except BracketFailureError as exc:
+        return str(exc)
+    eps_c = abs(alpha_c - anchor)
+    if abs(alpha_c - alpha_n) + eps_c > eps_n:
+        return "interval does not nest"
+    try:
+        delta_norm = qa_norm(est_n.series.g - est_c.series.g, r_inf,
+                             order_cap=NORM_ORDER, circle_samples=CIRCLE_SAMPLES).value
+    except NumericalError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if delta_norm > budget:
+        return f"norm delta {delta_norm:.3e} > {budget:.3e}"
+    # flank scan: every probe in one batched estimate
+    flanks = (alpha_c + sgn * j * eps_c / FLANK_SAMPLES
+              for j in range(1, FLANK_SAMPLES + 1) for sgn in (1.0, -1.0))
+    probes = rho_coefficients(family, [b for b in flanks if 0.0 < b < 1.0], cfg.n_series)
+    worst = max(map(_effective_value, probes), default=-math.inf)
+    if not worst < level:
+        return f"flank reaches {worst:.4f}, not below {level:.4f}"
+    # one-sided radial cross-check: the radial probe cannot resolve a dip
+    # this narrow, so it must read at or above the coefficient value; a
+    # reading *below* it would mean the two estimators disagree about
+    # something the radial probe can actually see.
+    try:
+        radial_value = rho_radial(family, alpha_c, depth=10, n=min(cfg.n_series, 128)).rho_hat
+    except EstimateUnavailableError:
+        radial_value = math.nan
+    except NumericalError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if radial_value < est_c.rho_hat - CROSSCHECK_SLACK:
+        return (f"radial probe {radial_value:.4f} undercuts "
+                f"coefficient estimate {est_c.rho_hat:.4f}")
+    return est_c, dict(alpha=alpha_c, achieved_rho=est_c.rho_hat, eps=eps_c, norm_delta=delta_norm,
+                       flank_worst=worst, radial_value=radial_value)
+
+
 def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
     """Run the full schedule; raise ConstructionStallError (with the partial
-    report attached) if some step exhausts its retry budget.  An estimate
-    error other than NO_DISC is raised."""
+    report attached) if some step's anchors all fail _check_anchor.  An
+    estimate error other than NO_DISC is raised."""
     t_start = time.perf_counter()
     family = get_family(cfg.family)
     est0 = rho_coefficient(family, cfg.alpha0.value, cfg.n_series)
@@ -363,97 +414,45 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
     est_n, eps_n, levelrho_n = est0, cfg.eps0, rho0
     steps: list[StepReport] = []
 
+    def report() -> ConstructionReport:  # of the steps made so far
+        try:
+            total = qa_norm(est0.series.g - est_n.series.g, r_inf, order_cap=NORM_ORDER,
+                            circle_samples=CIRCLE_SAMPLES).value
+        except UnreliableRadiusError:
+            total = math.nan
+        return ConstructionReport(
+            family=cfg.family,
+            alpha0=cfg.alpha0.value,
+            rho0=rho0,
+            rho_infinity=rho_inf,
+            r_infinity=r_inf,
+            schedule=tuple(targets),
+            steps=tuple(steps),
+            final_alpha=est_n.alpha.value,
+            total_distance=total,
+            boundary=boundary_report(est_n.series.g, r_inf),
+            wall_time=time.perf_counter() - t_start,
+        )
+
     for n, target in enumerate(targets, start=1):
         budget = cfg.delta * 2.0 ** (-(n - 1))
+        ladder = _anchor_ladder(est_n.alpha.value, cfg.n_series, rho0 - targets[-1])
         reasons = []
-        alpha_n = est_n.alpha.value
-        ladder = _anchor_ladder(alpha_n, cfg.n_series, rho0 - targets[-1])
         for retries, (p, q) in enumerate(ladder[:RETRY_BUDGET]):
-            anchor = p / q
-            try:
-                alpha_c, est_c = find_alpha_with_rho(
-                    family, target, anchor, alpha_n, cfg.tol_rho, cfg.n_series,
-                    above_estimate=est_n, q=q,
-                )
-            except BracketFailureError as exc:
-                reasons.append(f"{p}/{q}: {exc}")
-                continue
-            eps_c = abs(alpha_c - anchor)
-            # nesting
-            if abs(alpha_c - alpha_n) + eps_c > eps_n:
-                reasons.append(f"{p}/{q}: interval does not nest")
-                continue
-            # norm budget
-            try:
-                delta_norm = qa_norm(est_n.series.g - est_c.series.g, r_inf,
-                                     order_cap=NORM_ORDER, circle_samples=CIRCLE_SAMPLES).value
-            except NumericalError as exc:
-                reasons.append(f"{p}/{q}: {type(exc).__name__}: {exc}")
-                continue
-            if delta_norm > budget:
-                reasons.append(f"{p}/{q}: norm delta {delta_norm:.3e} > {budget:.3e}")
-                continue
-            # flank scan: every probe in one batched estimate
-            flanks = (alpha_c + sgn * j * eps_c / FLANK_SAMPLES
-                      for j in range(1, FLANK_SAMPLES + 1) for sgn in (1.0, -1.0))
-            probes = rho_coefficients(family, [b for b in flanks if 0.0 < b < 1.0], cfg.n_series)
-            worst = max(map(_effective_value, probes), default=-math.inf)
-            if not worst < levelrho_n:
-                reasons.append(f"{p}/{q}: flank reaches {worst:.4f}, not below {levelrho_n:.4f}")
-                continue
-            # one-sided radial cross-check: the radial probe cannot resolve a
-            # dip this narrow, so it must read at or above the coefficient
-            # value; a reading *below* it would mean the two estimators
-            # disagree about something the radial probe can actually see.
-            try:
-                radial_value = rho_radial(family, alpha_c, depth=10, n=min(cfg.n_series, 128)).rho_hat
-            except EstimateUnavailableError:
-                radial_value = math.nan
-            except NumericalError as exc:
-                reasons.append(f"{p}/{q}: {type(exc).__name__}: {exc}")
-                continue
-            if radial_value < est_c.rho_hat - CROSSCHECK_SLACK:
-                reasons.append(
-                    f"{p}/{q}: radial probe {radial_value:.4f} undercuts "
-                    f"coefficient estimate {est_c.rho_hat:.4f}"
-                )
-                continue
-            steps.append(StepReport(
-                n=n, alpha=alpha_c, anchor_p=p, anchor_q=q,
-                target_rho=target, achieved_rho=est_c.rho_hat, eps=eps_c,
-                norm_delta=delta_norm, norm_budget=budget,
-                flank_worst=worst, flank_level=levelrho_n,
-                radial_value=radial_value, retries=retries,
-            ))
-            est_n, eps_n, levelrho_n = est_c, eps_c, target
-            break
-        else:  # no anchor passed: the run stalls at step n
-            break
-
-    try:
-        total = qa_norm(est0.series.g - est_n.series.g, r_inf, order_cap=NORM_ORDER,
-                        circle_samples=CIRCLE_SAMPLES).value
-    except UnreliableRadiusError:
-        total = math.nan
-    report = ConstructionReport(
-        family=cfg.family,
-        alpha0=cfg.alpha0.value,
-        rho0=rho0,
-        rho_infinity=rho_inf,
-        r_infinity=r_inf,
-        schedule=tuple(targets),
-        steps=tuple(steps),
-        final_alpha=est_n.alpha.value,
-        total_distance=total,
-        boundary=boundary_report(est_n.series.g, r_inf),
-        wall_time=time.perf_counter() - t_start,
-    )
-    if len(steps) < len(targets):
-        raise ConstructionStallError(
-            f"step {n}: no anchor produced an acceptable candidate: " + "; ".join(reasons),
-            partial_report=report,
-        )
-    return report
+            checked = _check_anchor(family, cfg, p, q, target, est_n, eps_n, levelrho_n, budget, r_inf)
+            if not isinstance(checked, str):
+                break
+            reasons.append(f"{p}/{q}: {checked}")
+        else:  # the ladder ran out: the run stalls at step n
+            raise ConstructionStallError(
+                f"step {n}: no anchor produced an acceptable candidate: " + "; ".join(reasons),
+                partial_report=report(),
+            )
+        est_c, fields = checked
+        steps.append(StepReport(n=n, anchor_p=p, anchor_q=q, target_rho=target, norm_budget=budget,
+                                flank_level=levelrho_n, retries=retries, **fields))
+        est_n, eps_n, levelrho_n = est_c, fields["eps"], target
+    return report()
 
 
 def boundary_report(g, radius: float) -> BoundaryReport:

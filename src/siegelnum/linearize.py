@@ -309,11 +309,10 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
     right side is lambda^k g_k, so g_k (lambda^k - lambda) equals that sum.
     The table pows[:, j] holds g^j of every row, filled through the current
     degree.  Column k of g^j is sum_{i<k} g_i [w^{k-i}] g^{j-1}, which reads
-    only columns < k, so one stacked mat-vec per degree writes column k of
-    every power of every row in place, and one stacked dot and a divide,
-    also in place, give each row's g_k.  Each row's product is computed on
-    its own, as in _solve_koenigs, so a row's coefficients are those of a
-    batch of one.
+    only columns < k, so one stacked mat-vec per degree appends column k of
+    every power of every row, and one stacked dot gives each row's g_k.
+    Each row's product is computed on its own, as in _solve_koenigs, so a
+    row's coefficients are those of a batch of one.
 
     Powers above top = deg F never meet a nonzero F_j and are not kept, so
     a row costs O(top * n^2): O(n^2) for polynomial families, O(n^3)
@@ -324,7 +323,9 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
     wider block would only add memory traffic.
     """
     n = F.shape[1] - 1
-    top, per_block = _siegel_blocks(F)
+    nonzero = np.flatnonzero(F[:, 2:].any(axis=0))
+    top = 2 + int(nonzero[-1]) if nonzero.size else 2
+    per_block = max(1, BLOCK_ENTRIES // ((top + 1) * (n + 1)))
     out = np.zeros_like(F)
     for start in range(0, F.shape[0], per_block):
         rows = slice(start, start + per_block)
@@ -335,21 +336,10 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # _read_rows reports it
             for k in range(2, n + 1):
                 m = min(k, top)
-                col, g_k = pows[:, 2 : m + 1, k, None], g[:, k]
-                np.matmul(pows[:, 1:m, k - 1 : 0 : -1], g[:, 1:k, None], out=col)
-                np.matmul(F_b[:, None, 2 : m + 1], col, out=g_k[:, None, None])
-                np.divide(g_k, d_b[:, k], out=g_k)
+                pows[:, 2 : m + 1, k] = (pows[:, 1:m, k - 1 : 0 : -1] @ g[:, 1:k, None])[:, :, 0]
+                g[:, k] = (F_b[:, None, 2 : m + 1] @ pows[:, 2 : m + 1, k, None])[:, 0, 0] / d_b[:, k]
         out[rows] = g
     return out
-
-
-def _siegel_blocks(F: np.ndarray) -> tuple[int, int]:
-    """(top, rows per block) of a _solve_siegel call on the maps F, one
-    row each: top = deg F, and as many rows as fit in BLOCK_ENTRIES."""
-    n = F.shape[1] - 1
-    nonzero = np.flatnonzero(F[:, 2:].any(axis=0))
-    top = 2 + int(nonzero[-1]) if nonzero.size else 2
-    return top, max(1, BLOCK_ENTRIES // ((top + 1) * (n + 1)))
 
 
 def conjugacy_residual(obj: KoenigsSeries | SiegelSeries) -> float:

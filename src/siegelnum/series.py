@@ -109,9 +109,6 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return TruncatedSeries.from_coeffs(-self.coeffs, self.degree)
-
     # -- serialization ------------------------------------------------------
 
     def to_pairs(self) -> list[list[float]]:

@@ -59,6 +59,13 @@ def test_families_show(capsys):
     assert json.loads(out)["id"] == "exp"
 
 
+def test_families_show_names_the_map_a_reduced_family_comes_from(capsys):
+    code, out, _ = run(capsys, "families", "show", "reduced(sin)")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["reduced_from"] == "sin" and doc["symmetry_order"] == 1
+
+
 def test_families_show_without_id_is_a_precondition_error(capsys):
     code, out, _ = run(capsys, "families", "show")
     assert code == 2

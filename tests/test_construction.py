@@ -589,7 +589,7 @@ def test_the_search_runs_out_of_steps(monkeypatch, max_iter):
     monkeypatch.setattr(construction, "rho_coefficient",
                         lambda family, alpha, n: _reading(math.copysign(1.0, abs(alpha - below) - 1e-9), alpha))
     calls, _ = _recording_estimates(monkeypatch)
-    with pytest.raises(BracketFailureError, match=f"no crossing within {max_iter} bisection steps"):
+    with pytest.raises(BracketFailureError, match=f"no crossing within {max_iter} probes"):
         find_alpha_with_rho(QUAD, 0.0, below, below + 1e-2, tol_rho=0.5, q=34)
     assert len(calls) == 1 + max_iter  # the above end, then one probe per step
 
@@ -734,7 +734,7 @@ def test_bisection_from_an_anchor_above_alpha():
 
 def test_bisection_reports_a_missing_crossing(monkeypatch):
     monkeypatch.setattr(construction, "MAX_ITER", 1)
-    with pytest.raises(BracketFailureError, match="no crossing within 1 bisection steps"):
+    with pytest.raises(BracketFailureError, match="no crossing within 1 probes"):
         find_alpha_with_rho(QUAD, -1.6, 21 / 34, golden_rotation().value, tol_rho=1e-9, n=128)
 
 

@@ -330,6 +330,18 @@ def test_every_small_q_rational_trips_the_divisor_guard():
     assert {type(out) for out in outcomes} == {DivisorBreakdownError}
 
 
+@pytest.mark.xfail(strict=True, reason="the absolute divisor floor misses float p/q with "
+                   "q >= 289 at n = 512 (ROADMAP item 7)")
+def test_every_large_q_rational_trips_the_divisor_guard():
+    # the float p/q sits up to ulp/2 off the rational, so the degree-(q + 1)
+    # divisor is up to ~2 pi q ulp(alpha), above the 1e-13 floor for large q;
+    # today 29 of these 2064 do not trip (200/289 solves, 176/293 overflows)
+    alphas = [p / q for q in range(289, 300) for p in range(1, q) if math.gcd(p, q) == 1]
+    assert len(alphas) == 2064
+    outcomes = siegel_series_many(get_family("quadratic"), alphas, 512)
+    assert {type(out) for out in outcomes} == {DivisorBreakdownError}
+
+
 def test_phases_are_rounded_once():
     # against exact Fraction arithmetic: |phase - frac(k alpha)| <= 2^-53
     # mod 1 for every k, including tiny, negative and large alpha, and
@@ -939,6 +951,21 @@ def test_reduced_orbit_matches_mpmath(fam_id, inner):
 )
 def test_near_parabolic_u_matches_mpmath(lam, u_ref):
     assert abs(yoccoz_w(get_family("quadratic"), lam).u - u_ref) <= 1e-10
+
+
+def test_an_orbit_onto_the_fixed_point_has_a_vanishing_yoccoz_value():
+    # quadratic with v = 2 declared: at lambda = 0.5 the orbit of lambda v = 1
+    # lands exactly on 0, where h = 0, so w = 0 and u = log 0 is refused
+    quad = get_family("quadratic")
+    with pytest.warns(UserWarning, match="single-singular-value"):
+        pre0 = custom_family("pre0", 2.0, 1, quad._coeff_gen, quad._point_eval)
+    (out,) = u_values(pre0, [0.5], 64)
+    assert isinstance(out, NumericalError) and str(out) == "vanishing Yoccoz value at lambda = (0.5+0j)"
+
+
+def test_koenigs_eval_at_a_preimage_of_the_fixed_point_is_zero():
+    # f_lambda(1) = 0 for quadratic, so h(1) = lambda^-1 h(0) = 0 after one step
+    assert koenigs_eval(koenigs_series(get_family("quadratic"), 0.5, 64), 1.0) == (0j, 1)
 
 
 def test_koenigs_eval_matches_yoccoz_w():
