@@ -222,7 +222,7 @@ def _cmd_construct(args) -> str:
     if "alpha0" in settings:
         settings["alpha0"] = parse_rotation(settings["alpha0"])
     schedule = settings.pop("schedule", "auto")
-    if schedule and schedule != "auto":
+    if schedule != "auto":
         settings["schedule"] = schedule.split(",")
         settings.setdefault("depth", len(settings["schedule"]))
     report = run_construction(ConstructionConfig(**settings))

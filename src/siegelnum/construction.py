@@ -22,12 +22,15 @@ Candidates live on a rational anchor's dip: for p/q close to alpha_n the
 estimated radius follows the dip law rho_hat = L + (1/q) * log|alpha - p/q|,
 a straight line in t = log|alpha - p/q| (measured at q = 34: L stays within
 1e-3 of -0.844 for offsets from 3e-5 down to 1e-8, on both sides).  So each
-step aims: its first probe sits where the law, read off alpha_n's estimate
-(reused from the step that chose it), puts the target, and further probes
-take Illinois secant steps in t, or bisection steps where a secant cannot
-be trusted, between the anchor (no disc: the small-divisor guard trips
-exactly there) and alpha_n, on whichever side of alpha_n the anchor lies.
-A step usually lands within tol_rho in one or two single-row estimates.
+step aims, in one call find_alpha_with_rho(family, target, p, q, est_n):
+the ends are the anchor, which reads -infinity unsolved (q < n puts its
+resonance inside the series, where the small-divisor guard trips), and
+alpha_n, whose estimate est_n the previous step already holds, on
+whichever side of p/q it lies.  The first probe sits where the law, read
+off est_n, puts the target; further probes take Illinois secant steps in
+t, or bisection steps where a secant cannot be trusted.  The call returns
+the accepted probe's estimate, which is alpha_{n+1} with its series, and
+usually lands within tol_rho in one or two single-row estimates.
 Anchor choice trades three pressures: the dip must stay resolvable in
 binary64 (q * final_dip <= ~30, or the offset from p/q underflows), the
 resonant spike index q+1 must sit low enough for the coefficient window to
@@ -216,80 +219,64 @@ def _effective_value(est: RadiusEstimate | SiegelnumError) -> float:
 def find_alpha_with_rho(
     family: FamilySpec,
     target_rho: float,
-    below: float,
-    above: float,
+    p: int,
+    q: int,
+    above: RadiusEstimate,
     tol_rho: float = 0.02,
     n: int = 256,
-    *,
-    above_estimate: RadiusEstimate | None = None,
-    q: int | None = None,
-) -> tuple[float, RadiusEstimate]:
-    """Search t = log|alpha - below| between below and above, in either
-    numeric order, for alpha with a coefficient estimate rho_hat within
-    tol_rho of target_rho, in at most MAX_ITER single-row estimates.
+) -> RadiusEstimate:
+    """Search t = log|alpha - p/q| between the anchor p/q and the held
+    degree-n estimate above, whose alpha may lie on either side of p/q, for
+    alpha with a coefficient estimate within tol_rho of target_rho, in at
+    most MAX_ITER single-row estimates.  Returns that probe's estimate.
 
-    The below end must estimate below the target and the above end above
-    it; a rational anchor whose estimate breaks down counts as -infinity,
-    which is the standard way to seed the bracket.  A caller that already
-    holds the above end's estimate (same alpha, same n) passes it as
-    above_estimate, and the end is not solved again.  A caller whose below
-    end is an anchor p/q passes q, and for q < n the anchor reads -infinity
-    without a solve: exact phases make the small-divisor guard trip there
-    (at every reduced p/q for n <= 256).  Only a probe's own estimate is
-    ever returned, so an anchor that would not trip can change only the
-    reason a failed search gives.
+    The anchor reads -infinity and is never estimated: 0 < q < n puts the
+    resonance at degree q + 1 inside the series, and exact phases make the
+    small-divisor guard trip there.  above must read above the target.
 
-    Near an anchor the estimate is linear in t with slope 1/q (the dip
+    Near the anchor the estimate is linear in t with slope 1/q (the dip
     law).  So while the bracket has no finite below reading, each probe
     aims along that slope from a fresh above reading; once both ends read
     finite values, it takes an Illinois secant step between them.  A step
-    that would leave the bracket, follows a -infinity reading, or has no q
-    to aim with is a bisection step: the geometric mean of the ends'
-    distances from below, where below itself counts as one ulp.  Each
-    end's t is the log of its realized float distance.  The search needs
-    only the intermediate-value property, which the estimate has by
-    continuity away from breakdown points; the landscape is not monotone
-    (other rationals dent it), so the returned alpha is *a* crossing, not
-    the closest one to either end.
+    that would leave the bracket or follows a -infinity reading is a
+    bisection step: the geometric mean of the ends' distances from p/q,
+    where p/q itself counts as one ulp.  Each end's t is the log of its
+    realized float distance.  The search needs only the intermediate-value
+    property, which the estimate has by continuity away from breakdown
+    points; the landscape is not monotone (other rationals dent it), so
+    the result is *a* crossing, not the closest one to either end.
     """
-    if below == above:
+    if not 0 < q < n:
+        raise PreconditionError(f"anchor denominator must satisfy 0 < q < n = {n}, got q = {q}")
+    anchor, hi = p / q, above.alpha.value
+    if anchor == hi:
         raise PreconditionError("bracket ends must differ")
     if not 0 < tol_rho < math.inf:
         raise PreconditionError(f"tol_rho must be positive and finite, got {tol_rho}")
-    below_val = -math.inf if q is not None and q < n else _effective_value(
-        outcome(rho_coefficient, family, below, n))
-    if above_estimate is None:
-        above_estimate = outcome(rho_coefficient, family, above, n)
-    above_val = _effective_value(above_estimate)
-    if not below_val < target_rho:
+    if not above.rho_hat > target_rho:
         raise BracketFailureError(
-            f"below end estimates {below_val:.4f}, not below target {target_rho:.4f}"
+            f"above end estimates {above.rho_hat:.4f}, not above target {target_rho:.4f}"
         )
-    if not above_val > target_rho:
-        raise BracketFailureError(
-            f"above end estimates {above_val:.4f}, not above target {target_rho:.4f}"
-        )
-    side = math.copysign(1.0, above - below)
-    lo, hi = below, above
-    t_lo, t_hi = math.log(math.ulp(below)), math.log(abs(above - below))
-    # the ends' readings less the target; below itself is no secant end
-    f_lo, f_hi = -math.inf, above_val - target_rho
+    side, lo = math.copysign(1.0, hi - anchor), anchor
+    t_lo, t_hi = math.log(math.ulp(anchor)), math.log(abs(hi - anchor))
+    # the ends' readings less the target; the anchor is no secant end
+    f_lo, f_hi = -math.inf, above.rho_hat - target_rho
     moved = 1  # the end the last probe replaced: the law aims from a fresh above end
     for _ in range(MAX_ITER):
         if f_lo > -math.inf:
             t = t_lo - f_lo * (t_hi - t_lo) / (f_hi - f_lo)
         else:
-            t = t_hi - q * f_hi if q is not None and moved > 0 else math.nan
+            t = t_hi - q * f_hi if moved > 0 else math.nan
         if not t_lo < t < t_hi:
             t = 0.5 * (t_lo + t_hi)
-        mid = below + side * math.exp(t)
+        mid = anchor + side * math.exp(t)
         if mid in (lo, hi):
             raise BracketFailureError("bracket exhausted float resolution")
         est = outcome(rho_coefficient, family, mid, n)
         val = _effective_value(est)
         if abs(val - target_rho) <= tol_rho:  # false at -infinity
-            return mid, est
-        t, f = math.log(abs(mid - below)), val - target_rho
+            return est
+        t, f = math.log(abs(mid - anchor)), val - target_rho
         if f < 0:
             if moved < 0:  # Illinois: an end kept twice in a row has its reading halved
                 f_hi *= 0.5
@@ -354,14 +341,12 @@ def _check_anchor(family: FamilySpec, cfg: ConstructionConfig, p: int, q: int, t
     interval eps_n, the norm budget at r_inf, the flank scan below level,
     and the one-sided radial cross-check.  Returns the accepted estimate
     with its StepReport fields, or the first failed check's reason."""
-    anchor, alpha_n = p / q, est_n.alpha.value
     try:
-        alpha_c, est_c = find_alpha_with_rho(
-            family, target, anchor, alpha_n, cfg.tol_rho, cfg.n_series, above_estimate=est_n, q=q,
-        )
+        est_c = find_alpha_with_rho(family, target, p, q, est_n, cfg.tol_rho, cfg.n_series)
     except BracketFailureError as exc:
         return str(exc)
-    eps_c = abs(alpha_c - anchor)
+    alpha_c, alpha_n = est_c.alpha.value, est_n.alpha.value
+    eps_c = abs(alpha_c - p / q)
     if abs(alpha_c - alpha_n) + eps_c > eps_n:
         return "interval does not nest"
     try:

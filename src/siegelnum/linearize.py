@@ -263,9 +263,13 @@ def siegel_series_many(
     one; both divide by lambda^k - lambda, which can vanish only here, on
     the circle.  Powers of lambda, lambda itself included, are
     e^{2 pi i frac(k alpha)} from _phases, rounded once, so the divisor of
-    a rational alpha vanishes instead of drifting with k alpha's rounding,
-    and the guard at SIEGEL_DIVISOR_FLOOR reports the offending k.  Every
-    alpha that passes the guard goes into one batched _solve_siegel call.
+    a rational alpha vanishes instead of drifting with k alpha's rounding.
+    A float p/q still sits up to ulp/2 off the rational, which moves the
+    resonant divisor (k = q + 1) by up to pi q ulp(alpha), so the guard
+    trips where |lambda^k - lambda| < max(SIEGEL_DIVISOR_FLOOR,
+    2 pi (k - 1) ulp(alpha)), and reports the k of the smallest ratio of
+    divisor to floor, with that floor.  Every alpha that passes the guard
+    goes into one batched _solve_siegel call.
     """
     alphas = np.array([float(getattr(a, "value", a)) for a in alphas])  # RotationNumber or float
     base = base_series(family, n).coeffs
@@ -274,13 +278,17 @@ def siegel_series_many(
     powers = np.exp(2j * math.pi * _phases(safe, n))
     divisors = powers - powers[:, 1:2]
     mags = np.abs(divisors[:, 2:])
-    smallest = zip(np.argmin(mags, axis=1).tolist(), np.min(mags, axis=1).tolist())
+    ulps = np.spacing(np.abs(safe))[:, None]
+    floors = np.maximum(SIEGEL_DIVISOR_FLOOR, 2.0 * math.pi * np.arange(1, n) * ulps)
+    worst = np.argmin(mags / floors, axis=1)
+    at = np.arange(len(alphas)), worst
+    smallest = zip((worst + 2).tolist(), mags[at].tolist(), floors[at].tolist())
     outcomes: list = []
-    for alpha, ok, (k, m) in zip(alphas.tolist(), finite.tolist(), smallest):
+    for alpha, ok, (k, m, floor) in zip(alphas.tolist(), finite.tolist(), smallest):
         if not ok:
             outcomes.append(PreconditionError(f"alpha must be finite, got {alpha}"))
-        elif m < SIEGEL_DIVISOR_FLOOR:
-            outcomes.append(DivisorBreakdownError(k + 2, m, SIEGEL_DIVISOR_FLOOR))
+        elif m < floor:
+            outcomes.append(DivisorBreakdownError(k, m, floor))
         else:
             outcomes.append(alpha)
     live = [b for b, out in enumerate(outcomes) if not isinstance(out, SiegelnumError)]

@@ -98,9 +98,10 @@ class RotationNumber:
 
     tag is one of golden, rational, float, cf; p/q are set only for the
     rational tag (reduced).  p/q are report metadata: the estimators see
-    only value, the nearest float, so the small-divisor guard trips on
-    every p/q with q < 256 at degree 256; from q = 289 on, q times the
-    float's offset from p/q can lift the divisor past the floor.
+    only value, the nearest float.  The small-divisor guard's floor grows
+    with k * ulp(value) to cover that float's offset from p/q, so the
+    guard trips on every reduced p/q with q < n at degree n (measured for
+    q < 1024).
     """
 
     value: float

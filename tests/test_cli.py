@@ -334,8 +334,10 @@ def test_poisson_check_input_range(capsys, flag, value):
      (("construct", "--degree", "32"), "series degree >= 64"),
      (("radius", "--family", "quadratic", "--alpha", "rat:a/b", "--method", "coeff"),
       "bad rotation syntax"),
-     (("construct", "--schedule", "abc"), "schedule must be a sequence of numbers")],
-    ids=["grid-res-0", "construct-degree-32", "radius-alpha-rat:a/b", "construct-schedule-abc"],
+     (("construct", "--schedule", "abc"), "schedule must be a sequence of numbers"),
+     (("construct", "--schedule="), "schedule must be a sequence of numbers")],
+    ids=["grid-res-0", "construct-degree-32", "radius-alpha-rat:a/b", "construct-schedule-abc",
+         "construct-schedule-empty"],
 )
 def test_out_of_range_option_names_its_rule(capsys, argv, message):
     code, out, _ = run(capsys, *argv)

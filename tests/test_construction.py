@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import itertools
 import json
 import math
@@ -386,45 +385,26 @@ def _recording_estimates(monkeypatch):
     return calls, results
 
 
-def test_bisection_estimates_each_alpha_once(monkeypatch):
-    calls, results = _recording_estimates(monkeypatch)
-    lo, hi = 21 / 34, golden_rotation().value
-    alpha, est = find_alpha_with_rho(QUAD, -1.6, lo, hi, tol_rho=0.05, n=128)
-    # one estimate per bracket end (without q the rational lo end is
-    # estimated, and breaks down), then one per probe, no alpha twice; the
-    # accepted probe's estimate is returned as is
-    assert calls[:2] == [lo, hi]
-    assert len(set(calls)) == len(calls) > 2
-    assert results[calls.index(alpha)] is est
+@pytest.fixture(scope="module")
+def golden_128():
+    """The held degree-128 estimate at the golden mean, the above end of
+    the searches from 21/34 and 34/55."""
+    return rho_coefficient(QUAD, golden_rotation().value, 128)
 
 
-def test_an_anchor_is_estimated_only_at_or_above_the_degree(monkeypatch):
+def test_an_anchor_is_never_estimated_and_needs_q_below_the_degree(monkeypatch, golden_128):
     calls, _ = _recording_estimates(monkeypatch)
-    lo, hi = 21 / 34, golden_rotation().value
-    _, est = find_alpha_with_rho(QUAD, -1.6, lo, hi, tol_rho=0.05, n=128, q=34)
-    # q = 34 < n: the guard's -infinity at the anchor is known unsolved
-    assert lo not in calls and calls[0] == hi
-    assert abs(est.rho_hat + 1.6) <= 0.05
+    est = find_alpha_with_rho(QUAD, -1.6, 21, 34, golden_128, tol_rho=0.05, n=128)
+    # q = 34 < n: the guard's -infinity at the anchor is known unsolved, and
+    # the held above end is not solved again
+    assert 21 / 34 not in calls and golden_128.alpha.value not in calls
+    assert calls[-1] == est.alpha.value and abs(est.rho_hat + 1.6) <= 0.05
     calls.clear()
-    outcome(functools.partial(find_alpha_with_rho, n=32, q=34), QUAD, -1.6, lo, hi)
-    assert calls[0] == lo  # at n = 32 the series stops before the resonance at 35
-
-
-def test_a_held_above_estimate_is_not_solved_again(monkeypatch):
-    lo, hi = 21 / 34, golden_rotation().value
-    plain = find_alpha_with_rho(QUAD, -1.6, lo, hi, tol_rho=0.05, n=128)
-    held = rho_coefficient(QUAD, hi, 128)
-    calls = []
-    estimate = construction.rho_coefficient
-
-    def counting(family, alpha, n):
-        calls.append(alpha)
-        return estimate(family, alpha, n)
-
-    monkeypatch.setattr(construction, "rho_coefficient", counting)
-    alpha, est = find_alpha_with_rho(QUAD, -1.6, lo, hi, tol_rho=0.05, n=128, above_estimate=held)
-    assert hi not in calls and calls[0] == lo
-    assert alpha == plain[0] and est.rho_hat == plain[1].rho_hat
+    # at n <= q the series stops before the resonance at q + 1
+    for q, n in [(34, 34), (34, 32), (0, 128)]:
+        with pytest.raises(PreconditionError, match="0 < q < n"):
+            find_alpha_with_rho(QUAD, -1.6, 21, q, golden_128, n=n)
+    assert calls == []
 
 
 def test_a_default_step_estimates_at_most_three_probe_rows(monkeypatch):
@@ -484,10 +464,9 @@ def test_a_search_solves_one_row_per_probe(monkeypatch, fam_id):
 
     monkeypatch.setattr(linearize, "_solve_siegel", recording_solve)
     monkeypatch.setattr(construction, "rho_coefficient", recording_estimate)
-    alpha, est = find_alpha_with_rho(family, above.rho_hat - 0.2, 21 / 34, golden, n=256,
-                                     above_estimate=above, q=34)
+    est = find_alpha_with_rho(family, above.rho_hat - 0.2, 21, 34, above, n=256)
     assert abs(est.rho_hat - (above.rho_hat - 0.2)) <= 0.02
-    assert probes and probes[-1] == alpha and len(set(probes)) == len(probes)
+    assert probes and probes[-1] == est.alpha.value and len(set(probes)) == len(probes)
     assert 21 / 34 not in probes and golden not in probes
     assert rows == [1] * len(probes)
 
@@ -503,10 +482,10 @@ def test_the_dip_law_holds_at_21_34():
     assert max(L) - min(L) <= 1e-3
 
 
-def _log_landscape(below, slope, level=0.0):
-    """A stand-in estimator whose value is level + slope * log|alpha - below|."""
+def _log_landscape(anchor, slope, level=0.0):
+    """A stand-in estimator whose value is level + slope * log|alpha - anchor|."""
     def fake(family, alpha, n):
-        return _reading(level + slope * math.log(abs(alpha - below)) if alpha != below else -math.inf,
+        return _reading(level + slope * math.log(abs(alpha - anchor)) if alpha != anchor else -math.inf,
                         alpha)
     return fake
 
@@ -514,27 +493,26 @@ def _log_landscape(below, slope, level=0.0):
 @pytest.mark.parametrize("side", [1.0, -1.0])
 @pytest.mark.parametrize("target", [math.log(1e-14) / 34, math.log(3e-3) / 34], ids=["deep", "shallow"])
 def test_a_linear_law_lands_in_at_most_two_probes(monkeypatch, side, target):
-    # the law rho = t / 34, with the held above end 0.036 below its line,
-    # as the golden mean sits off 21/34's: the first probe, aimed from the
-    # above end, reads 0.036 high, and the second, aimed from the first, lands
-    below = 0.375
-    above = below + side * 3e-2
-    monkeypatch.setattr(construction, "rho_coefficient", _log_landscape(below, 1 / 34))
+    # the law rho = t / 34 at 21/34, with the held above end 0.036 below its
+    # line, as the golden mean sits off 21/34's: the first probe, aimed from
+    # the above end, reads 0.036 high, and the second, aimed from the first, lands
+    anchor = 21 / 34
+    monkeypatch.setattr(construction, "rho_coefficient", _log_landscape(anchor, 1 / 34))
     calls, _ = _recording_estimates(monkeypatch)
-    held = _log_landscape(below, 1 / 34, level=-0.036)(QUAD, above, 256)
-    alpha, est = find_alpha_with_rho(QUAD, target, below, above, tol_rho=0.005,
-                                     above_estimate=held, q=34)
+    held = _log_landscape(anchor, 1 / 34, level=-0.036)(QUAD, anchor + side * 3e-2, 256)
+    est = find_alpha_with_rho(QUAD, target, 21, 34, held, tol_rho=0.005)
+    alpha = est.alpha.value
     assert len(calls) == 2 and calls[-1] == alpha
-    assert math.copysign(1.0, alpha - below) == side
+    assert math.copysign(1.0, alpha - anchor) == side
     # exactly on target but for the rounding of alpha to a float
-    assert abs(est.rho_hat - target) <= math.ulp(below) / abs(alpha - below) / 34
+    assert abs(est.rho_hat - target) <= math.ulp(anchor) / abs(alpha - anchor) / 34
 
 
-def _dented_landscape(below, q):
+def _dented_landscape(anchor, q):
     """The dip law with dents: rho = t/q + 0.1 sin(3t) in t = log|alpha -
-    below|, with no disc (-infinity) wherever sin(7t) > 0.95."""
+    anchor|, with no disc (-infinity) wherever sin(7t) > 0.95."""
     def fake(family, alpha, n):
-        t = math.log(abs(alpha - below)) if alpha != below else -math.inf
+        t = math.log(abs(alpha - anchor)) if alpha != anchor else -math.inf
         dented = t > -math.inf and math.sin(7 * t) <= 0.95
         return _reading(t / q + 0.1 * math.sin(3 * t) if dented else -math.inf, alpha)
     return fake
@@ -543,16 +521,14 @@ def _dented_landscape(below, q):
 @pytest.mark.parametrize("side", [1.0, -1.0])
 @pytest.mark.parametrize("target", [-0.45, -0.6, -0.9, -1.2])
 def test_a_non_monotone_landscape_is_searched_inside_its_bracket(monkeypatch, side, target):
-    below = 0.375
-    above = below + side * 1e-2
-    landscape = _dented_landscape(below, 34)
+    anchor = 21 / 34
+    above = anchor + side * 1e-2
+    landscape = _dented_landscape(anchor, 34)
     monkeypatch.setattr(construction, "rho_coefficient", landscape)
     calls, results = _recording_estimates(monkeypatch)
-    got = outcome(functools.partial(find_alpha_with_rho, tol_rho=0.005, q=34,
-                                    above_estimate=landscape(QUAD, above, 256)),
-                  QUAD, target, below, above)
+    got = outcome(find_alpha_with_rho, QUAD, target, 21, 34, landscape(QUAD, above, 256), 0.005)
     # replay the bracket: every probe lies strictly inside the one it was aimed into
-    lo, hi = below, above
+    lo, hi = anchor, above
     for alpha, est in zip(calls, results):
         assert min(lo, hi) < alpha < max(lo, hi)
         if est.rho_hat < target:
@@ -560,53 +536,49 @@ def test_a_non_monotone_landscape_is_searched_inside_its_bracket(monkeypatch, si
         else:
             hi = alpha
     assert isinstance(got, BracketFailureError) or (
-        got[0] == calls[-1] and abs(got[1].rho_hat - target) <= 0.005)
+        got.alpha.value == calls[-1] and abs(got.rho_hat - target) <= 0.005)
 
 
 def test_adjacent_bracket_ends_exhaust_float_resolution(monkeypatch):
-    below = 0.375
-    above = math.nextafter(below, 1.0)
-    monkeypatch.setattr(construction, "rho_coefficient", _log_landscape(below, 1.0))
+    landscape = _log_landscape(3 / 8, 1.0)
+    monkeypatch.setattr(construction, "rho_coefficient", landscape)
+    held = landscape(QUAD, math.nextafter(3 / 8, 1.0), 256)
     with pytest.raises(BracketFailureError, match="bracket exhausted float resolution"):
-        find_alpha_with_rho(QUAD, -40.0, below, above)
+        find_alpha_with_rho(QUAD, -40.0, 3, 8, held)
 
 
 @pytest.mark.parametrize("ulps", [1, 8])
 def test_the_search_exhausts_float_resolution(monkeypatch, ulps):
-    below = 0.375
-    above = below + ulps * math.ulp(below)
-    monkeypatch.setattr(construction, "rho_coefficient", _log_landscape(below, 1.0))
+    landscape = _log_landscape(3 / 8, 1.0)
+    monkeypatch.setattr(construction, "rho_coefficient", landscape)
+    held = landscape(QUAD, 3 / 8 + ulps * math.ulp(3 / 8), 256)
     with pytest.raises(BracketFailureError, match="bracket exhausted float resolution"):
-        find_alpha_with_rho(QUAD, -40.0, below, above, q=1)
+        find_alpha_with_rho(QUAD, -40.0, 3, 8, held)
 
 
 @pytest.mark.parametrize("max_iter", [1, 6])
 def test_the_search_runs_out_of_steps(monkeypatch, max_iter):
-    # a step landscape: -1 up to 1e-9 from below, +1 beyond, never within
+    # a step landscape: -1 up to 1e-9 from 3/8, +1 beyond, never within
     # tol_rho of the target 0; each step is one probe
-    below = 0.375
     monkeypatch.setattr(construction, "MAX_ITER", max_iter)
     monkeypatch.setattr(construction, "rho_coefficient",
-                        lambda family, alpha, n: _reading(math.copysign(1.0, abs(alpha - below) - 1e-9), alpha))
+                        lambda family, alpha, n: _reading(math.copysign(1.0, abs(alpha - 3 / 8) - 1e-9), alpha))
     calls, _ = _recording_estimates(monkeypatch)
     with pytest.raises(BracketFailureError, match=f"no crossing within {max_iter} probes"):
-        find_alpha_with_rho(QUAD, 0.0, below, below + 1e-2, tol_rho=0.5, q=34)
-    assert len(calls) == 1 + max_iter  # the above end, then one probe per step
+        find_alpha_with_rho(QUAD, 0.0, 3, 8, _reading(1.0, 3 / 8 + 1e-2), tol_rho=0.5)
+    assert len(calls) == max_iter  # one probe per step; the held above end is not solved
 
 
-@pytest.mark.parametrize("target, walked", [(math.log(0.7) / 34, True), (math.log(0.25) / 34, False)],
+@pytest.mark.parametrize("target, walked", [(math.log(0.25) / 2, True), (math.log(0.7) / 2, False)],
                          ids=["walked", "not-walked"])
 def test_a_probe_outside_the_unit_interval_fails_only_when_walked(monkeypatch, target, walked):
-    # a bracket from 0.5 to 1.5 (its above end held, so never estimated):
-    # the law puts the target 0.7 past 0.5, at 1.2, where the probe is
-    # refused; the target 0.25 past it sits at 0.75, and the search lands
-    # there without estimating any alpha past 1
-    below = 0.5
-    monkeypatch.setattr(construction, "rho_coefficient", _log_landscape(below, 1 / 34))
+    # a bracket from the anchor 3/2 down to the held end at 0.5, on the law
+    # rho = log|alpha - 3/2| / 2: the law puts the target 0.25 below 3/2, at
+    # 1.25, where the probe is refused; the target 0.7 below it sits at 0.8,
+    # and the search lands there without estimating any alpha past 1
+    monkeypatch.setattr(construction, "rho_coefficient", _log_landscape(1.5, 1 / 2))
     calls, _ = _recording_estimates(monkeypatch)
-    got = outcome(functools.partial(find_alpha_with_rho, tol_rho=0.002, q=34,
-                                    above_estimate=_reading(0.0)),
-                  QUAD, target, below, 1.5)
+    got = outcome(find_alpha_with_rho, QUAD, target, 3, 2, _reading(0.0, 0.5), 0.002)
     assert any(alpha > 1.0 for alpha in calls) == walked
     assert isinstance(got, PreconditionError) == walked
 
@@ -618,40 +590,35 @@ def test_every_search_of_a_run_probes_inside_its_bracket(monkeypatch, alpha0):
     searches = []
     search = construction.find_alpha_with_rho
 
-    def recording(*args, **kwargs):
-        searches.append((args, kwargs))
-        return search(*args, **kwargs)
+    def recording(*args):
+        searches.append(args)
+        return search(*args)
 
     with monkeypatch.context() as m:
         m.setattr(construction, "find_alpha_with_rho", recording)
         rep = run_construction(ConstructionConfig(alpha0=alpha0))
     assert len(searches) >= len(rep.steps) == 3
     calls, results = _recording_estimates(monkeypatch)
-    for (family, target, below, above, tol_rho, n), kwargs in searches:
+    for family, target, p, q, above, tol_rho, n in searches:
         calls.clear(), results.clear()
-        got = outcome(functools.partial(find_alpha_with_rho, **kwargs),
-                      family, target, below, above, tol_rho, n)
-        lo, hi = below, above
+        got = outcome(find_alpha_with_rho, family, target, p, q, above, tol_rho, n)
+        lo, hi = p / q, above.alpha.value
         for alpha, est in zip(calls, results):
             assert min(lo, hi) < alpha < max(lo, hi)
             if construction._effective_value(est) < target:
                 lo = alpha
             else:
                 hi = alpha
-        assert isinstance(got, BracketFailureError) or abs(got[1].rho_hat - target) <= tol_rho
+        assert isinstance(got, BracketFailureError) or abs(got.rho_hat - target) <= tol_rho
 
 
-def _linear_alpha_bisection(family, target_rho, below, above, tol_rho=0.02, n=256, *,
-                            above_estimate=None, q=None):
+def _linear_alpha_bisection(family, target_rho, p, q, above, tol_rho=0.02, n=256):
     """Oracle: the search as it stood before it bisected the log offset,
-    each probe at the midpoint in alpha of the bracket."""
-    below_val = construction._effective_value(outcome(construction.rho_coefficient, family, below, n))
-    if above_estimate is None:
-        above_estimate = outcome(construction.rho_coefficient, family, above, n)
-    above_val = construction._effective_value(above_estimate)
-    if not (below_val < target_rho < above_val):
+    each probe at the midpoint in alpha of the bracket from the anchor p/q
+    (-infinity) to the held estimate above."""
+    if not above.rho_hat > target_rho:
         raise BracketFailureError("oracle: not a bracket")
-    lo, hi = below, above
+    lo, hi = p / q, above.alpha.value
     for _ in range(construction.MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
@@ -659,7 +626,7 @@ def _linear_alpha_bisection(family, target_rho, below, above, tol_rho=0.02, n=25
         est = outcome(construction.rho_coefficient, family, mid, n)
         val = construction._effective_value(est)
         if abs(val - target_rho) <= tol_rho:
-            return mid, est
+            return est
         if val < target_rho:
             lo = mid
         else:
@@ -698,55 +665,48 @@ def test_a_crossing_inside_the_anchor_rank_floor_certifies():
     assert step.eps < construction.MIN_OFFSET_EPS * math.ulp(step.anchor_p / step.anchor_q)
 
 
-def test_bracket_failure_when_target_unreachable():
-    with pytest.raises(BracketFailureError):
-        find_alpha_with_rho(QUAD, -1.0, 0.5, golden_rotation().value, n=128)
-
-
-def test_bracket_failure_when_the_below_end_is_not_below():
-    with pytest.raises(BracketFailureError, match="below end"):
-        find_alpha_with_rho(QUAD, -1.6, golden_rotation().value, 21 / 34, n=128)
+def test_bracket_failure_when_target_unreachable(golden_128):
+    with pytest.raises(BracketFailureError, match="above end estimates"):
+        find_alpha_with_rho(QUAD, -1.0, 1, 2, golden_128, n=128)
 
 
 def test_an_estimate_above_the_koebe_cap_is_raised_not_bracketed():
-    # the quadratic map with a false singular value v = 1e-3: the golden
-    # mean's estimate breaks the cap M = -5.52, which is no "no disc" -inf
+    # the quadratic map with a false singular value v = 1e-3: estimates near
+    # the golden mean break the cap M = -5.52, which is no "no disc" -inf;
+    # the held above end is a stand-in, so the first probe meets the cap
     with pytest.warns(UserWarning, match="single-singular-value"):
         fam = custom_family("quadratic-v", 1e-3, 1, QUAD._coeff_gen, QUAD._point_eval)
     with pytest.raises(NumericalError, match="above the Koebe cap"):
-        find_alpha_with_rho(fam, -1.5, 21 / 34, golden_rotation().value, n=128)
+        find_alpha_with_rho(fam, -1.5, 21, 34, _reading(-1.0), n=128)
 
 
-def test_bisection_lands_on_target():
-    alpha, est = find_alpha_with_rho(
-        QUAD, -1.6, 21 / 34, golden_rotation().value, tol_rho=0.05, n=128
-    )
-    assert 21 / 34 < alpha < golden_rotation().value
+def test_bisection_lands_on_target(golden_128):
+    est = find_alpha_with_rho(QUAD, -1.6, 21, 34, golden_128, tol_rho=0.05, n=128)
+    assert 21 / 34 < est.alpha.value < golden_rotation().value
     assert abs(est.rho_hat - (-1.6)) <= 0.05
 
 
-def test_bisection_from_an_anchor_above_alpha():
-    golden = golden_rotation().value
-    alpha, est = find_alpha_with_rho(QUAD, -1.6, 34 / 55, golden, tol_rho=0.05, n=128)
-    assert golden < alpha < 34 / 55
+def test_bisection_from_an_anchor_above_alpha(golden_128):
+    est = find_alpha_with_rho(QUAD, -1.6, 34, 55, golden_128, tol_rho=0.05, n=128)
+    assert golden_rotation().value < est.alpha.value < 34 / 55
     assert abs(est.rho_hat - (-1.6)) <= 0.05
 
 
-def test_bisection_reports_a_missing_crossing(monkeypatch):
+def test_bisection_reports_a_missing_crossing(monkeypatch, golden_128):
     monkeypatch.setattr(construction, "MAX_ITER", 1)
     with pytest.raises(BracketFailureError, match="no crossing within 1 probes"):
-        find_alpha_with_rho(QUAD, -1.6, 21 / 34, golden_rotation().value, tol_rho=1e-9, n=128)
+        find_alpha_with_rho(QUAD, -1.6, 21, 34, golden_128, tol_rho=1e-9, n=128)
 
 
 def test_bracket_ends_must_differ():
-    with pytest.raises(PreconditionError):
-        find_alpha_with_rho(QUAD, -1.6, 21 / 34, 21 / 34, n=128)
+    with pytest.raises(PreconditionError, match="bracket ends must differ"):
+        find_alpha_with_rho(QUAD, -1.6, 21, 34, _reading(0.0, 21 / 34), n=128)
 
 
-def test_tolerance_must_be_finite():
+def test_tolerance_must_be_finite(golden_128):
     # an infinite tolerance would accept the first probe that is not -inf
     with pytest.raises(PreconditionError, match="tol_rho must be positive and finite"):
-        find_alpha_with_rho(QUAD, -1.6, 21 / 34, golden_rotation().value, tol_rho=math.inf, n=128)
+        find_alpha_with_rho(QUAD, -1.6, 21, 34, golden_128, tol_rho=math.inf, n=128)
 
 
 def test_rho_infinity_override():

@@ -264,9 +264,10 @@ def _rowwise_siegel_outcome(fam, alpha, n):
     package error it raised."""
     F, divisors = _siegel_inputs(fam, alpha, n)
     mags = np.abs(divisors[2:])
-    k = int(np.argmin(mags))
-    if mags[k] < SIEGEL_DIVISOR_FLOOR:
-        return DivisorBreakdownError(k + 2, float(mags[k]), SIEGEL_DIVISOR_FLOOR)
+    floors = [max(SIEGEL_DIVISOR_FLOOR, 2 * math.pi * (k - 1) * math.ulp(alpha)) for k in range(2, n + 1)]
+    k = int(np.argmin(mags / floors))
+    if mags[k] < floors[k]:
+        return DivisorBreakdownError(k + 2, float(mags[k]), floors[k])
     return _read_rows(_rowwise_solve_siegel(F, divisors)[None], "Siegel")[0]
 
 
@@ -330,16 +331,26 @@ def test_every_small_q_rational_trips_the_divisor_guard():
     assert {type(out) for out in outcomes} == {DivisorBreakdownError}
 
 
-@pytest.mark.xfail(strict=True, reason="the absolute divisor floor misses float p/q with "
-                   "q >= 289 at n = 512 (ROADMAP item 7)")
 def test_every_large_q_rational_trips_the_divisor_guard():
     # the float p/q sits up to ulp/2 off the rational, so the degree-(q + 1)
-    # divisor is up to ~2 pi q ulp(alpha), above the 1e-13 floor for large q;
-    # today 29 of these 2064 do not trip (200/289 solves, 176/293 overflows)
+    # divisor is up to ~pi q ulp(alpha), above the 1e-13 floor for 29 of
+    # these 2064 (200/289, 176/293, ...): the floor 2 pi (k - 1) ulp(alpha)
+    # is what trips there
     alphas = [p / q for q in range(289, 300) for p in range(1, q) if math.gcd(p, q) == 1]
     assert len(alphas) == 2064
     outcomes = siegel_series_many(get_family("quadratic"), alphas, 512)
     assert {type(out) for out in outcomes} == {DivisorBreakdownError}
+
+
+def test_the_guard_reports_the_relative_floor_it_tripped():
+    # the float 200/289 sits so far off the rational that its resonant
+    # divisor clears SIEGEL_DIVISOR_FLOOR; only the relative floor catches it
+    alpha = 200 / 289
+    with pytest.raises(DivisorBreakdownError) as exc:
+        siegel_series(get_family("quadratic"), alpha, 512)
+    assert exc.value.k == 290
+    assert exc.value.floor == 2 * math.pi * 289 * math.ulp(alpha) > SIEGEL_DIVISOR_FLOOR
+    assert exc.value.magnitude < exc.value.floor
 
 
 def test_phases_are_rounded_once():

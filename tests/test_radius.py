@@ -112,6 +112,15 @@ def test_radial_estimate_golden_frozen_value():
     assert est.rho_hat == pytest.approx(-1.126, abs=5e-3)
 
 
+@pytest.mark.xfail(strict=True, reason="a ray near a rational it cannot resolve reads "
+                   "-infinity (ROADMAP item 16)")
+@pytest.mark.parametrize("alpha", [0.66665823335223, 0.9977401598433716])
+def test_a_float_near_a_rational_reads_no_minus_infinity(alpha):
+    # floats, not rationals, so rho is finite: 8.4e-6 off 2/3, and one whose
+    # depths 8-14 fail on entry radii; each ray still drops at depth 14
+    assert rho_radial(QUAD, alpha, depth=14, n=128).rho_hat != -math.inf
+
+
 def test_coefficient_estimate_golden_frozen_value():
     est = rho_coefficient(QUAD, golden_rotation(), 256)
     assert est.converged
