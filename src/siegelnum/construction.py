@@ -13,10 +13,9 @@ intervals; the norm budget delta * 2^-(n-1) on consecutive Siegel series
 in the derivative norm (order NORM_ORDER, CIRCLE_SAMPLES points) at the
 limiting radius; the flank scan (FLANK_SAMPLES per side, one batched
 rho_coefficients call) strictly below the previous level, since one-sided
-continuity has teeth only on an interval; and the radial cross-check,
-one-sided because the radial probe cannot resolve a dip, which any radial
-failure but a missing sample (recorded as NaN) also fails.  It returns
-the step or the first failed check's reason.
+continuity has teeth only on an interval, with probes that are distinct
+floats; and that worst reading within tol_rho of the dip law (below) at
+twice the offset.  It returns the step or the first failed check's reason.
 
 Candidates live on a rational anchor's dip: for p/q close to alpha_n the
 estimated radius follows the dip law rho_hat = L + (1/q) * log|alpha - p/q|,
@@ -59,7 +58,6 @@ from .errors import (
     CoefficientOverflowError,
     ConstructionStallError,
     DivisorBreakdownError,
-    EstimateUnavailableError,
     NumericalError,
     PreconditionError,
     SiegelnumError,
@@ -76,7 +74,6 @@ from .radius import (
     golden_rotation,
     rho_coefficient,
     rho_coefficients,
-    rho_radial,
 )
 
 __all__ = [
@@ -93,7 +90,6 @@ MIN_ANCHOR_Q = 5
 # offsets below this many float-gaps are unresolvable when ranking anchors;
 # not a search floor: a crossing may sit closer to its anchor than this
 MIN_OFFSET_EPS = 200.0
-CROSSCHECK_SLACK = 0.1  # tolerance for the one-sided radial cross-check
 DEFAULT_DROP = 0.75  # rho0 - rho_infinity when rho_infinity is not given
 NORM_ORDER = 1  # derivative order cap of the step and total norm deltas
 CIRCLE_SAMPLES = 512  # circle points of every norm and of the boundary report
@@ -163,7 +159,6 @@ class StepReport:
     norm_budget: float
     flank_worst: float
     flank_level: float
-    radial_value: float
     retries: int
 
     def describe(self) -> dict:
@@ -338,9 +333,10 @@ def _check_anchor(family: FamilySpec, cfg: ConstructionConfig, p: int, q: int, t
                   r_inf: float) -> tuple[RadiusEstimate, dict] | str:
     """Every check the anchor p/q must pass for one step from est_n, in
     order: the log-offset search for the target, nesting in alpha_n's
-    interval eps_n, the norm budget at r_inf, the flank scan below level,
-    and the one-sided radial cross-check.  Returns the accepted estimate
-    with its StepReport fields, or the first failed check's reason."""
+    interval eps_n, the norm budget at r_inf, the flank scan's float
+    resolution, its worst reading below level, and that reading on the dip
+    law at twice the offset.  Returns the accepted estimate with its
+    StepReport fields, or the first failed check's reason."""
     try:
         est_c = find_alpha_with_rho(family, target, p, q, est_n, cfg.tol_rho, cfg.n_series)
     except BracketFailureError as exc:
@@ -356,28 +352,22 @@ def _check_anchor(family: FamilySpec, cfg: ConstructionConfig, p: int, q: int, t
         return f"{type(exc).__name__}: {exc}"
     if delta_norm > budget:
         return f"norm delta {delta_norm:.3e} > {budget:.3e}"
-    # flank scan: every probe in one batched estimate
+    # flank scan: every probe in one batched estimate, each a distinct float
     flanks = (alpha_c + sgn * j * eps_c / FLANK_SAMPLES
               for j in range(1, FLANK_SAMPLES + 1) for sgn in (1.0, -1.0))
-    probes = rho_coefficients(family, [b for b in flanks if 0.0 < b < 1.0], cfg.n_series)
-    worst = max(map(_effective_value, probes), default=-math.inf)
+    flanks = [b for b in flanks if 0.0 < b < 1.0]
+    if len({alpha_c, *flanks}) <= len(flanks):
+        return "flank scan below float resolution"
+    worst = max(map(_effective_value, rho_coefficients(family, flanks, cfg.n_series)),
+                default=-math.inf)
     if not worst < level:
         return f"flank reaches {worst:.4f}, not below {level:.4f}"
-    # one-sided radial cross-check: the radial probe cannot resolve a dip
-    # this narrow, so it must read at or above the coefficient value; a
-    # reading *below* it would mean the two estimators disagree about
-    # something the radial probe can actually see.
-    try:
-        radial_value = rho_radial(family, alpha_c, depth=10, n=min(cfg.n_series, 128)).rho_hat
-    except EstimateUnavailableError:
-        radial_value = math.nan
-    except NumericalError as exc:
-        return f"{type(exc).__name__}: {exc}"
-    if radial_value < est_c.rho_hat - CROSSCHECK_SLACK:
-        return (f"radial probe {radial_value:.4f} undercuts "
-                f"coefficient estimate {est_c.rho_hat:.4f}")
+    # the worst flank sits near twice the offset, where the dip law reads ln 2 / q higher
+    law = est_c.rho_hat + math.log(2.0) / q
+    if not abs(worst - law) <= cfg.tol_rho:
+        return f"flank reads {worst:.4f}, off the dip law's {law:.4f}"
     return est_c, dict(alpha=alpha_c, achieved_rho=est_c.rho_hat, eps=eps_c, norm_delta=delta_norm,
-                       flank_worst=worst, radial_value=radial_value)
+                       flank_worst=worst)
 
 
 def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
@@ -443,8 +433,10 @@ def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
 def boundary_report(g, radius: float) -> BoundaryReport:
     """Geometry of the disc image at |w| = radius: range of |g| and |g'|
     over CIRCLE_SAMPLES points of the circle, plus the derivative norm
-    there, all from one circle table.  gprime_min > 0 is the working
-    injectivity indicator (g is normalized, g'(0) = 1)."""
+    there, all from one circle table (g is normalized, g'(0) = 1).
+    gprime_min > 0 is necessary for g to be injective on the disc, not
+    sufficient: z + z^2 at radius 1 reads gprime_min = 1 and maps both
+    e^(+-2 pi i/3) to -1."""
     table = circle_values(g.coeffs, radius, CIRCLE_SAMPLES, order_cap=1)
     gv, gpv = np.abs(table)
     try:

@@ -26,7 +26,6 @@ from siegelnum.errors import (
     CoefficientOverflowError,
     ConstructionStallError,
     DivisorBreakdownError,
-    EstimateUnavailableError,
     NumericalError,
     PreconditionError,
     UnreliableRadiusError,
@@ -79,13 +78,6 @@ def test_norm_deltas_within_halving_budgets(report):
 def test_flanks_stay_below_previous_level(report):
     for step in report.steps:
         assert step.flank_worst < step.flank_level
-
-
-def test_radial_crosscheck_recorded(report):
-    for step in report.steps:
-        assert math.isnan(step.radial_value) or (
-            step.radial_value >= step.achieved_rho - 0.1
-        )
 
 
 def test_final_radius_consistency(report):
@@ -182,8 +174,7 @@ def test_describe_keeps_the_hand_written_dicts(report):
             "target_rho": s.target_rho, "achieved_rho": s.achieved_rho,
             "eps": s.eps, "norm_delta": s.norm_delta,
             "norm_budget": s.norm_budget, "flank_worst": s.flank_worst,
-            "flank_level": s.flank_level, "radial_value": s.radial_value,
-            "retries": s.retries,
+            "flank_level": s.flank_level, "retries": s.retries,
         }
 
     b = report.boundary
@@ -272,10 +263,9 @@ def _fake_flank_batches(monkeypatch, fake):
                  "UnreliableRadiusError: tail above the gate", id="norm-error"),
     pytest.param(0.05, "rho_coefficients", lambda family, alphas, n: [_reading(0.0)] * len(alphas),
                  "flank reaches 0.0000", id="flank"),
-    pytest.param(0.05, "rho_radial", lambda *args, **kwargs: _reading(-10.0),
-                 "radial probe -10.0000 undercuts", id="radial-undercut"),
-    pytest.param(0.05, "rho_radial", _raise(NumericalError("Koebe bound violated: injected")),
-                 "NumericalError: Koebe bound violated: injected", id="radial-error"),
+    # below every level, and ~4 below the dip law's rho_hat + ln2/q
+    pytest.param(0.05, "rho_coefficients", lambda family, alphas, n: [_reading(-5.0)] * len(alphas),
+                 "flank reads -5.0000, off the dip law's", id="flank-law"),
 ])
 def test_each_rejection_names_its_reason(monkeypatch, eps0, name, fake, reason):
     if name == "rho_coefficients":
@@ -290,20 +280,27 @@ def test_each_rejection_names_its_reason(monkeypatch, eps0, name, fake, reason):
     assert exc.value.partial_report.steps == ()
 
 
-def test_a_radial_probe_without_samples_passes_as_nan(monkeypatch):
-    monkeypatch.setattr(construction, "rho_radial", _raise(EstimateUnavailableError("no sample")))
-    (step,) = run_construction(ConstructionConfig(depth=1)).steps
-    assert math.isnan(step.radial_value) and step.retries == 0
-
-
 @pytest.mark.parametrize("failure", [DivisorBreakdownError(35, 1e-15, 1e-14),
                                      CoefficientOverflowError("past binary64")],
                          ids=["breakdown", "overflow"])
 def test_a_flank_probe_without_a_disc_reads_minus_infinity(monkeypatch, failure):
+    # the scan reads -infinity, not a raised error; being off the dip law,
+    # that reading rejects the candidate
     faked = _fake_flank_batches(monkeypatch, lambda family, alphas, n: [failure] * len(alphas))
-    (step,) = run_construction(ConstructionConfig(depth=1)).steps
-    assert step.flank_worst == -math.inf
-    assert len(faked) == 1 and len(faked[0]) == 2 * construction.FLANK_SAMPLES
+    with pytest.raises(ConstructionStallError) as exc:
+        run_construction(ConstructionConfig(depth=1))
+    assert "21/34: flank reads -inf, off the dip law's" in str(exc.value)
+    assert len(faked[0]) == 2 * construction.FLANK_SAMPLES
+
+
+def test_a_flank_scan_below_float_resolution_is_rejected():
+    # reduced(tan)'s step 2 lands 6 ulp from 21/34: its 32 flank probes
+    # collapse onto 13 distinct floats, two of them alpha_c itself
+    with pytest.raises(ConstructionStallError) as exc:
+        run_construction(ConstructionConfig(family="reduced(tan)"))
+    assert str(exc.value).startswith("step 2: no anchor produced an acceptable candidate: "
+                                     "21/34: flank scan below float resolution;")
+    assert len(exc.value.partial_report.steps) == 1
 
 
 def test_any_other_flank_probe_error_is_raised(monkeypatch):
