@@ -15,6 +15,7 @@ import math
 import sys
 
 from siegelnum import get_family, parse_rotation, rho_coefficients
+from siegelnum.cli import _print
 from siegelnum.errors import SiegelnumError
 
 
@@ -50,11 +51,14 @@ def main():
         print(f"wrote {len(rows)} rows to {args.out}")
         return
 
-    print(f"dip around {args.rational} ({args.family}, degree {args.degree})")
-    print(f"{'offset':>14} {'rho_hat':>10}")
+    # one text through the CLI's writer, which survives a reader that
+    # closes stdout early
+    lines = [f"dip around {args.rational} ({args.family}, degree {args.degree})",
+             f"{'offset':>14} {'rho_hat':>10}"]
     for off, rho, status in rows:
         val = f"{rho:10.4f}" if rho is not None else f"[{status}]"
-        print(f"{off:14.3e} {val}")
+        lines.append(f"{off:14.3e} {val}")
+    _print("\n".join(lines))
 
 
 if __name__ == "__main__":

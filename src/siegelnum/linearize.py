@@ -18,8 +18,9 @@ radius module.
 u_values is the one pipeline from multipliers to Yoccoz values (series,
 entry radius, orbit, log), batched over lambda; yoccoz_w, the CLI grid and
 the radius module's ray scans all go through it.  Its basin step (entry
-radius, orbit, one product for h(z_m)) is also koenigs_eval's, so h on the
-basin has one evaluation whichever entry point asks for it.
+radius, orbit, one product for h(z_m), unwound to h(z) = lambda^{-m} h(z_m))
+is also koenigs_eval's, so h on the basin has one evaluation whichever
+entry point asks for it.
 
 Residual checks here are *relative*: coefficients of Koenigs series grow
 like dist(0, basin boundary)^{-k} and reach 1e120 at practical degrees, so
@@ -461,24 +462,15 @@ def _orbit(family: FamilySpec, lam: complex, z: complex, r_entry: float, budget:
     )
 
 
-def _unwind(hz: complex, m: int, lam: complex) -> complex:
-    """lambda^{-m} h(z_m), in log form: m can reach 1e5 near the unit
-    circle, where lambda^{-m} overflows directly."""
-    if hz == 0:
-        return 0j
-    if m == 0:
-        return hz
-    return cmath.exp(cmath.log(hz) - m * cmath.log(lam))
-
-
 def _basin_step(family: FamilySpec, lams: list, h: np.ndarray, starts: list, budget: int) -> list:
     """h on the basin of 0 for each row b of solved Koenigs coefficients h
     (of lams[b]): the orbit of starts[b] into its entry disc (_orbit, one
     scalar loop per row, as orbit lengths differ widely), then h(z_m) for
     every row that entered as one stacked product of its coefficients with
-    the powers z_m^k from one cumulative product.  Returns per row (h(z_m),
-    m, entry radius) or its EntryRadiusError or orbit error; entry radii and
-    h(z_m) are stacked per row, so each row is as in a batch of one."""
+    the powers z_m^k from one cumulative product, and h(z) =
+    lambda^{-m} h(z_m).  Returns per row (h(z), m, entry radius) or its
+    EntryRadiusError or orbit error; entry radii and h(z_m) are stacked per
+    row, so each row is as in a batch of one."""
     radii = _entry_radii(h)
     outcomes = [
         r if isinstance(r, SiegelnumError) else outcome(_orbit, family, lam, z, r, budget)
@@ -492,7 +484,12 @@ def _basin_step(family: FamilySpec, lams: list, h: np.ndarray, starts: list, bud
         np.cumprod(zpow, axis=1, out=zpow)
         hz = (h[rows, None, :] @ zpow[:, :, None])[:, 0, 0]
         for b, value in zip(rows, hz.tolist()):
-            outcomes[b] = (value, outcomes[b][1], radii[b])
+            m = outcomes[b][1]
+            if value == 0:
+                value = 0j
+            elif m:  # lambda^{-m} h(z_m) in log form, which keeps the bits of w
+                value = cmath.exp(cmath.log(value) - m * cmath.log(lams[b]))
+            outcomes[b] = (value, m, radii[b])
     return outcomes
 
 
@@ -500,20 +497,17 @@ def koenigs_eval(ks: KoenigsSeries, z: complex) -> tuple[complex, int]:
     """h(z) on the whole basin of 0, by iterating into the entry disc.
 
     Iterates z_{m+1} = f_lambda(z_m) until |z_m| <= entry_radius(h), at
-    most DEFAULT_BUDGET times, then returns lambda^{-m} h(z_m).  Returns
-    (value, iterations used).  This is u_values' basin step on one row, so
-    at z = lambda v it gives yoccoz_w's w and iterations, bit for bit.
+    most DEFAULT_BUDGET times; returns (lambda^{-m} h(z_m), m).  This is
+    u_values' basin step on one row, so at z = lambda v it gives
+    yoccoz_w's w and iterations, bit for bit.
     """
-    lam = ks.lam
-    hz, m, _ = single(_basin_step(ks.family, [lam], ks.h.coeffs[None, :], [complex(z)], DEFAULT_BUDGET))
-    return _unwind(hz, m, lam), m
+    return single(_basin_step(ks.family, [ks.lam], ks.h.coeffs[None, :], [complex(z)], DEFAULT_BUDGET))[:2]
 
 
-def _yoccoz_value(family: FamilySpec, lam: complex, hz: complex, m: int,
+def _yoccoz_value(family: FamilySpec, lam: complex, w: complex, m: int,
                   r_entry: float) -> YoccozValue | NumericalError:
-    """w = lambda^{-m} h(z_m) with its Koebe and non-vanishing checks; a
-    failed check is returned as its NumericalError."""
-    w = _unwind(hz, m, lam)
+    """w = h(lambda v) with its Koebe and non-vanishing checks; a failed
+    check is returned as its NumericalError."""
     cap = 4.0 * abs(family.v)
     if not abs(w) < cap:
         return NumericalError(

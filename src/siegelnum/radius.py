@@ -185,16 +185,15 @@ def parse_rotation(text: str) -> RotationNumber:
 
 
 def cf_expand(value: float, terms: int = 20) -> list[int]:
-    """Leading partial quotients of value in (0,1) (float-accuracy only)."""
-    out = []
+    """Leading partial quotients of value in (0,1) (float-accuracy only);
+    any other value, NaN included, is a PreconditionError."""
     x = float(value)
+    if not 0.0 < x < 1.0:
+        raise PreconditionError(f"continued fraction expansion needs a value in (0,1), got {x}")
+    out = []
     for _ in range(terms):
-        if x <= 0:
-            break
         x = 1.0 / x
         a = int(x)
-        if a < 1:
-            break
         out.append(a)
         x -= a
         if x < 1e-12:
@@ -255,12 +254,14 @@ def koebe_cap_log(family: FamilySpec) -> float:
     return math.log(4.0) + math.log(abs(family.v))
 
 
-def _check_cap(rho: float, family: FamilySpec, what: str):
-    if rho > koebe_cap_log(family) + M_SLACK:
+def _check_cap(est: RadiusEstimate, family: FamilySpec) -> RadiusEstimate:
+    """est, unless its rho_hat lies above the Koebe cap M + M_SLACK."""
+    if est.rho_hat > koebe_cap_log(family) + M_SLACK:
         raise NumericalError(
-            f"{what} produced rho_hat = {rho:.4f} above the Koebe cap "
+            f"rho_{est.method} produced rho_hat = {est.rho_hat:.4f} above the Koebe cap "
             f"M + {M_SLACK} = {koebe_cap_log(family) + M_SLACK:.4f}"
         )
+    return est
 
 
 def _ray_values(family: FamilySpec, rot: RotationNumber, radii: list, n: int) -> list:
@@ -319,15 +320,14 @@ def rho_radial(
     converged = len(trailing) >= 2 and abs(diffs[-1]) <= PLATEAU_TOL
     diverging = len(diffs) >= 3 and all(d <= -DIVERGENCE_DROP for d in diffs[-3:])
     rho_hat = -math.inf if diverging else samples[-1][1]
-    _check_cap(rho_hat, family, "rho_radial")
-    return RadiusEstimate(
+    return _check_cap(RadiusEstimate(
         alpha=rot,
         method="radial",
         rho_hat=rho_hat,
         samples=tuple(samples),
         converged=converged and not diverging,
         failures=tuple(failures),
-    )
+    ), family)
 
 
 def rho_coefficient(family: FamilySpec, alpha, n: int = 128) -> RadiusEstimate:
@@ -418,15 +418,11 @@ def _coefficient_estimates(family: FamilySpec, rots: list, series: list) -> list
         )
         k_list = ks.tolist()
         for b, slope, y, a, c in zip(rows, slopes, ys.tolist(), s1, s2):
-            out[b] = outcome(_estimate_row, family, rots[b], -slope, tuple(zip(k_list, y)),
-                             abs(a - c) <= SLOPE_STABILITY_TOL, series[b])
+            out[b] = outcome(_check_cap, RadiusEstimate(
+                alpha=rots[b], method="coefficient", rho_hat=-slope, samples=tuple(zip(k_list, y)),
+                converged=abs(a - c) <= SLOPE_STABILITY_TOL, series=series[b],
+            ), family)
     return out
-
-
-def _estimate_row(family, rot, rho_hat, samples, converged, ss) -> RadiusEstimate:
-    _check_cap(rho_hat, family, "rho_coefficient")
-    return RadiusEstimate(alpha=rot, method="coefficient", rho_hat=rho_hat,
-                          samples=samples, converged=converged, series=ss)
 
 
 # -- harmonic diagnostics -----------------------------------------------------

@@ -676,8 +676,8 @@ def test_top_level_out_is_gone(capsys):
     assert err.startswith("usage")
 
 
-def _run_with_closed_stdout(argv, unbuffered):
-    """Exit code and stderr of `python -m siegelnum` writing to a pipe whose
+def _run_with_closed_stdout(command, unbuffered):
+    """Exit code and stderr of `python *command` writing to a pipe whose
     read end is closed before the child starts, so every write meets EPIPE:
     at the flush when stdout is buffered, at the write itself under -u."""
     read_end, write_end = os.pipe()
@@ -688,7 +688,7 @@ def _run_with_closed_stdout(argv, unbuffered):
     flags = ["-u"] if unbuffered else []
     try:
         proc = subprocess.run(
-            [sys.executable, *flags, "-m", "siegelnum", *argv], stdout=write_end,
+            [sys.executable, *flags, *command], stdout=write_end,
             stderr=subprocess.PIPE, env=env, timeout=120,
         )
     finally:
@@ -696,15 +696,19 @@ def _run_with_closed_stdout(argv, unbuffered):
     return proc.returncode, proc.stderr
 
 
+DIP_PROFILE = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "dip_profile.py")
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
-    "argv, code",
+    "command, code",
     [
-        (("families", "show", "exp"), 0),
-        (("grid", "--family", "exp", "--rmin", "0.1", "--rmax", "0.9", "--res", "8"), 0),
-        (("families", "show", "nope"), 2),
+        (("-m", "siegelnum", "families", "show", "exp"), 0),
+        (("-m", "siegelnum", "grid", "--family", "exp", "--rmin", "0.1", "--rmax", "0.9", "--res", "8"), 0),
+        (("-m", "siegelnum", "families", "show", "nope"), 2),
+        ((DIP_PROFILE, "--points", "3", "--degree", "64"), 0),
     ],
-    ids=["json", "csv", "error-body"],
+    ids=["json", "csv", "error-body", "dip-profile"],
 )
-def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(argv, code, unbuffered):
-    assert _run_with_closed_stdout(argv, unbuffered) == (code, b"")
+def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(command, code, unbuffered):
+    assert _run_with_closed_stdout(command, unbuffered) == (code, b"")

@@ -974,6 +974,22 @@ def test_an_orbit_onto_the_fixed_point_has_a_vanishing_yoccoz_value():
     assert isinstance(out, NumericalError) and str(out) == "vanishing Yoccoz value at lambda = (0.5+0j)"
 
 
+def test_a_wrong_singular_value_past_the_koebe_cap_is_refused():
+    # quadratic with v = 0.9 (1 - 1/lambda) / lambda declared at lambda = 0.9:
+    # lambda v sits near the repelling fixed point 1 - 1/lambda, where |h|
+    # exceeds 4|v|, so the row is refused rather than returned
+    quad = get_family("quadratic")
+    lam = 0.9
+    with pytest.warns(UserWarning, match="single-singular-value"):
+        wrong = custom_family("wrong_v", 0.9 * (1 - 1 / lam) / lam, 1, quad._coeff_gen, quad._point_eval)
+    message = "Koebe bound violated: |w| = 1.28094 >= 4|v| = 0.444444 at lambda = (0.9+0j)"
+    (out,) = u_values(wrong, [lam], 128)
+    assert type(out) is NumericalError and str(out) == message
+    with pytest.raises(NumericalError) as raised:
+        yoccoz_w(wrong, lam, 128)
+    assert type(raised.value) is NumericalError and str(raised.value) == message
+
+
 def test_koenigs_eval_at_a_preimage_of_the_fixed_point_is_zero():
     # f_lambda(1) = 0 for quadratic, so h(1) = lambda^-1 h(0) = 0 after one step
     assert koenigs_eval(koenigs_series(get_family("quadratic"), 0.5, 64), 1.0) == (0j, 1)

@@ -81,6 +81,12 @@ def test_cf_expand_inverts_convergent():
     assert cf_convergents(digits)[-1] == (13, 30)
 
 
+@pytest.mark.parametrize("value", [math.nan, 0.0, 1.0, 1.5], ids=["nan", "0", "1", "1.5"])
+def test_cf_expand_refuses_values_outside_the_unit_interval(value):
+    with pytest.raises(PreconditionError, match=r"needs a value in \(0,1\)"):
+        cf_expand(value)
+
+
 def test_rotation_from_cf_matches_the_fraction_loop():
     # the last convergent p/q against [0; a1, ..., ak] summed as Fractions
     # from the tail: same value (both round p/q once), tag, p and q
@@ -466,13 +472,11 @@ def _per_row_estimate(family, rot, ss):
         return float(dk @ (y - y.mean()) / (dk @ dk))
 
     mid = ks.size // 2
-    rho_hat = -slope(ks, ys)
-    radius._check_cap(rho_hat, family, "rho_coefficient")
-    return radius.RadiusEstimate(
-        alpha=rot, method="coefficient", rho_hat=rho_hat,
+    return radius._check_cap(radius.RadiusEstimate(
+        alpha=rot, method="coefficient", rho_hat=-slope(ks, ys),
         samples=tuple(zip(ks.tolist(), ys.tolist())),
         converged=abs(slope(ks[:mid], ys[:mid]) - slope(ks[mid:], ys[mid:])) <= radius.SLOPE_STABILITY_TOL,
-    )
+    ), family)
 
 
 def _assert_fits_match_the_oracle(family, alphas, n):
