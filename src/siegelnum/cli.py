@@ -1,6 +1,6 @@
 """Command-line front end.
 
-One executable, eight subcommands, one exit-code contract:
+One executable, nine subcommands, one exit-code contract:
 
     0  success (including reports that merely *count* violations)
     1  usage error (unknown flag, malformed argv shape)
@@ -31,16 +31,11 @@ import sys
 import numpy as np
 
 from .construction import ConstructionConfig, run_construction
-from .errors import NumericalError, PreconditionError
+from .errors import NumericalError, PreconditionError, SiegelnumError
 from .families import family_catalog, get_family
 from .linearize import YoccozValue, siegel_series, u_values, yoccoz_w
 from .qanorm import _table_norm, circle_values, qa_norm
-from .radius import (
-    parse_rotation,
-    poisson_bound_check,
-    rho_coefficient,
-    rho_radial,
-)
+from .radius import parse_rotation, poisson_bound_check, rho_coefficient, rho_coefficients, rho_radial
 from .series import TruncatedSeries
 
 __all__ = ["main", "build_parser"]
@@ -114,7 +109,10 @@ def _load_series(path: str) -> TruncatedSeries:
     """Series file: {"coeffs": [...]} or a bare list, read by
     TruncatedSeries.from_pairs (each entry a real or an [re, im] pair)."""
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise PreconditionError(f"{path}: {exc}") from None
     if isinstance(raw, dict):
         if "coeffs" not in raw:
             raise PreconditionError(f"{path}: series object needs a 'coeffs' key")
@@ -229,6 +227,21 @@ def _cmd_construct(args) -> str:
     return _json(report.describe())
 
 
+def _cmd_dip(args) -> str:
+    """rho_hat at the offsets +-halfwidth*e^(-6i/points), i < points, around
+    alpha, from one batched estimate (log spacing: the dip at a rational is
+    sharper than any linear grid).  A failed offset carries its error class."""
+    if args.points < 1 or not 0.0 < args.halfwidth < math.inf:
+        raise PreconditionError("need points >= 1 and 0 < halfwidth < inf")
+    family, center = get_family(args.family), parse_rotation(args.alpha).value
+    widths = [args.halfwidth * math.exp(-6.0 * i / args.points) for i in range(args.points)]
+    offsets = sorted(sign * w for w in widths for sign in (-1.0, 1.0))
+    outcomes = rho_coefficients(family, [center + t for t in offsets], **_given(args, "n"))
+    rows = [[t, math.nan, type(out).__name__] if isinstance(out, SiegelnumError)
+            else [t, out.rho_hat, "ok"] for t, out in zip(offsets, outcomes)]
+    return _csv(["offset", "rho_hat", "status"], rows)
+
+
 def _cmd_boundary(args) -> str:
     family = get_family(args.family)
     alpha = parse_rotation(args.alpha)
@@ -261,6 +274,12 @@ def build_parser() -> _Parser:
     carry a default here."""
     common = _Parser(add_help=False)
     common.add_argument("--out", help="write output to this file")
+    family, alpha, degree = (_Parser(add_help=False, argument_default=argparse.SUPPRESS)
+                             for _ in range(3))
+    family.add_argument("--family", required=True)
+    alpha.add_argument("--alpha", required=True, metavar="float:X|cf:LIST|rat:P/Q|golden")
+    degree.add_argument("--degree", dest="n", type=int)
+    at_alpha = (family, alpha, degree)
 
     parser = _Parser(
         prog="siegelnum",
@@ -269,10 +288,9 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, help):
-        p = sub.add_parser(
-            name, parents=[common], argument_default=argparse.SUPPRESS, help=help
-        )
+    def command(name, handler, help, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=help,
+                           argument_default=argparse.SUPPRESS)
         p.set_defaults(handler=handler)
         return p
 
@@ -280,36 +298,30 @@ def build_parser() -> _Parser:
     p.add_argument("action", choices=("list", "show"))
     p.add_argument("family_id", nargs="?", default=None)
 
-    p = command("yoccoz", _cmd_yoccoz, "w(lambda) inside the disc")
-    p.add_argument("--family", required=True)
+    p = command("yoccoz", _cmd_yoccoz, "w(lambda) inside the disc", family, degree)
     p.add_argument("--lambda", dest="lam", required=True, metavar="RE,IM")
-    p.add_argument("--degree", dest="n", type=int)
     p.add_argument("--budget", type=int)
 
-    p = command("grid", _cmd_grid, "polar sweep of u(lambda)")
-    p.add_argument("--family", required=True)
+    p = command("grid", _cmd_grid, "polar sweep of u(lambda)", family, degree)
     p.add_argument("--rmin", type=float, required=True)
     p.add_argument("--rmax", type=float, required=True)
     p.add_argument("--res", type=int, required=True)
-    p.add_argument("--degree", dest="n", type=int)
     p.add_argument("--budget", type=int)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p = command("radius", _cmd_radius, "conformal-radius estimate")
-    p.add_argument("--family", required=True)
-    p.add_argument("--alpha", required=True, metavar="float:X|cf:LIST|rat:P/Q|golden")
+    p = command("radius", _cmd_radius, "conformal-radius estimate", *at_alpha)
     p.add_argument("--method", choices=("radial", "coeff"), required=True)
     p.add_argument("--depth", type=int)
-    p.add_argument("--degree", dest="n", type=int)
 
-    p = command("poisson-check", _cmd_poisson_check, "harmonic upper bound on a ray")
-    p.add_argument("--family", required=True)
-    p.add_argument("--alpha", required=True)
+    p = command("poisson-check", _cmd_poisson_check, "harmonic upper bound on a ray", *at_alpha)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--L", type=float, required=True)
     p.add_argument("--R", type=float, required=True)
     p.add_argument("--samples", dest="ray_samples", type=int)
-    p.add_argument("--degree", dest="n", type=int)
+
+    p = command("dip", _cmd_dip, "rho_hat on log-spaced offsets around alpha", *at_alpha)
+    p.add_argument("--halfwidth", type=float, required=True)
+    p.add_argument("--points", type=int, required=True, help="offsets per side")
 
     p = command("norm", _cmd_norm, "weighted derivative norm")
     p.add_argument("--series", required=True, metavar="FILE.json")
@@ -328,12 +340,9 @@ def build_parser() -> _Parser:
     p.add_argument("--tol-rho", dest="tol_rho", type=float)
     p.add_argument("--degree", dest="n_series", type=int)
 
-    p = command("boundary", _cmd_boundary, "disc-boundary curve CSV")
-    p.add_argument("--family", required=True)
-    p.add_argument("--alpha", required=True)
+    p = command("boundary", _cmd_boundary, "disc-boundary curve CSV", *at_alpha)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--samples", type=int, default=256)
-    p.add_argument("--degree", dest="n", type=int)
 
     return parser
 

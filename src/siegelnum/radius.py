@@ -185,18 +185,18 @@ def parse_rotation(text: str) -> RotationNumber:
 
 
 def cf_expand(value: float, terms: int = 20) -> list[int]:
-    """Leading partial quotients of value in (0,1) (float-accuracy only);
-    any other value, NaN included, is a PreconditionError."""
+    """Leading partial quotients of value in (0,1), each exact for the
+    float, up to a remainder below 1e-12; any other value, NaN included, is
+    a PreconditionError."""
     x = float(value)
     if not 0.0 < x < 1.0:
         raise PreconditionError(f"continued fraction expansion needs a value in (0,1), got {x}")
+    num, den = x.as_integer_ratio()  # Euclid on the float's own fraction
     out = []
     for _ in range(terms):
-        x = 1.0 / x
-        a = int(x)
+        a, num, den = den // num, den % num, num
         out.append(a)
-        x -= a
-        if x < 1e-12:
+        if num < 1e-12 * den:
             break
     return out
 

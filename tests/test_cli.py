@@ -24,6 +24,7 @@ from siegelnum import (
     qa_norm,
     qanorm,
     rho_coefficient,
+    rho_coefficients,
     rho_radial,
     run_construction,
     siegel_series,
@@ -268,6 +269,19 @@ def test_norm_missing_file(tmp_path, capsys):
 def test_norm_malformed_series_file(tmp_path, capsys, coeffs):
     f = tmp_path / "series.json"
     f.write_text(json.dumps(coeffs))
+    code, out, _ = run(capsys, "norm", "--series", str(f), "--r", "0.5")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "PreconditionError"
+    assert str(f) in error["message"]
+
+
+@pytest.mark.parametrize(
+    "content", [b'{"coeffs": [0, 1', b"\xff\xfe"], ids=["truncated-json", "not-utf8"]
+)
+def test_norm_unreadable_series_file(tmp_path, capsys, content):
+    f = tmp_path / "series.json"
+    f.write_bytes(content)
     code, out, _ = run(capsys, "norm", "--series", str(f), "--r", "0.5")
     assert code == 2
     error = json.loads(out)["error"]
@@ -603,6 +617,72 @@ def test_boundary_flags_reach_the_curve(capsys, flag, n, samples):
     assert run(capsys, *argv)[1] != out
 
 
+# -- dip ---------------------------------------------------------------------
+
+DIP = ("dip", "--family", "quadratic", "--alpha", "rat:1/2", "--halfwidth", "1e-2")
+
+
+def _dip_rows(text):
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def test_dip_rows_are_sorted_symmetric_offsets_down_the_dip(capsys):
+    code, out, _ = run(capsys, *DIP, "--points", "5", "--degree", "64")
+    assert code == 0
+    assert out.splitlines()[0] == "offset,rho_hat,status"
+    rows = _dip_rows(out)
+    offsets = [float(row["offset"]) for row in rows]
+    assert len(rows) == 10 and offsets == sorted(offsets)
+    assert [-t for t in reversed(offsets)] == offsets
+    assert offsets[-1] == 1e-2
+    assert {row["status"] for row in rows} == {"ok"}
+    # rho falls toward 1/2 from either side
+    rho = [float(row["rho_hat"]) for row in rows]
+    assert rho[:5] == sorted(rho[:5], reverse=True) and rho[5:] == sorted(rho[5:])
+
+
+@pytest.mark.parametrize(
+    "alpha, bad, status",
+    # 1/2 +- 1e-2 are the floats of 49/100 and 51/100, resonant at the
+    # default degree 128; 0.995 + 1e-2 leaves (0, 1)
+    [("rat:1/2", [0, 3], "DivisorBreakdownError"), ("float:0.995", [3], "PreconditionError")],
+)
+def test_dip_failed_offsets_carry_their_error_class(capsys, alpha, bad, status):
+    code, out, _ = run(capsys, *DIP, "--alpha", alpha, "--points", "2")
+    assert code == 0
+    rows = _dip_rows(out)
+    assert [i for i, row in enumerate(rows) if row["status"] != "ok"] == bad
+    for i in bad:
+        assert (rows[i]["rho_hat"], rows[i]["status"]) == ("nan", status)
+
+
+@pytest.mark.parametrize("flag, options", [((), {}), (("--degree", "64"), {"n": 64})])
+def test_dip_degree_reaches_rho_coefficients(capsys, flag, options):
+    argv = (*DIP, "--points", "3")
+    code, out, _ = run(capsys, *argv, *flag)
+    assert code == 0
+    rows = _dip_rows(out)
+    expected = [
+        ("nan", type(est).__name__) if isinstance(est, SiegelnumError) else (repr(est.rho_hat), "ok")
+        for est in rho_coefficients(QUAD, [0.5 + float(row["offset"]) for row in rows], **options)
+    ]
+    assert [(row["rho_hat"], row["status"]) for row in rows] == expected
+    if flag:
+        assert run(capsys, *argv)[1] != out
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [("--points", "0"), ("--halfwidth", "0"), ("--halfwidth", "nan"), ("--halfwidth", "inf"),
+     ("--alpha", "rat:3/2"), ("--degree", "16")],
+    ids=["points-0", "halfwidth-0", "halfwidth-nan", "halfwidth-inf", "alpha-3/2", "degree-16"],
+)
+def test_dip_bad_input_is_a_precondition_error(capsys, flag):
+    code, out, err = run(capsys, *DIP, "--points", "3", *flag)
+    assert (code, err) == (2, "")
+    assert json.loads(out)["error"]["type"] == "PreconditionError"
+
+
 # -- failure paths of grid and construct ---------------------------------------
 
 
@@ -696,7 +776,7 @@ def _run_with_closed_stdout(command, unbuffered):
     return proc.returncode, proc.stderr
 
 
-DIP_PROFILE = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "dip_profile.py")
+DIP_ARGV = ("-m", "siegelnum", *DIP, "--points", "3", "--degree", "64")
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -706,9 +786,17 @@ DIP_PROFILE = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "dip
         (("-m", "siegelnum", "families", "show", "exp"), 0),
         (("-m", "siegelnum", "grid", "--family", "exp", "--rmin", "0.1", "--rmax", "0.9", "--res", "8"), 0),
         (("-m", "siegelnum", "families", "show", "nope"), 2),
-        ((DIP_PROFILE, "--points", "3", "--degree", "64"), 0),
+        (DIP_ARGV, 0),
     ],
-    ids=["json", "csv", "error-body", "dip-profile"],
+    ids=["json", "csv", "error-body", "dip"],
 )
 def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(command, code, unbuffered):
     assert _run_with_closed_stdout(command, unbuffered) == (code, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_out_with_a_closed_stdout_writes_the_file_quietly(tmp_path, unbuffered):
+    target = tmp_path / "dip.csv"
+    assert _run_with_closed_stdout((*DIP_ARGV, "--out", str(target)), unbuffered) == (0, b"")
+    lines = target.read_text().splitlines()
+    assert lines[0] == "offset,rho_hat,status" and len(lines) == 7

@@ -81,6 +81,18 @@ def test_cf_expand_inverts_convergent():
     assert cf_convergents(digits)[-1] == (13, 30)
 
 
+@pytest.mark.parametrize(
+    "value, terms, expected",
+    [(5e-324, 20, [2**1074]), (1 - 2**-53, 20, [1]), (13 / 30, 8, [2, 3, 3, 1]),
+     ((math.sqrt(5.0) - 1.0) / 2.0, 24, [1] * 24)],
+    ids=["subnormal", "below-1", "13/30", "golden"],
+)
+def test_cf_expand_is_exact_for_the_float(value, terms, expected):
+    # Euclid on the float's own fraction: the smallest subnormal 2^-1074 is
+    # one quotient, and a float just below 1 stops after its first
+    assert cf_expand(value, terms) == expected
+
+
 @pytest.mark.parametrize("value", [math.nan, 0.0, 1.0, 1.5], ids=["nan", "0", "1", "1.5"])
 def test_cf_expand_refuses_values_outside_the_unit_interval(value):
     with pytest.raises(PreconditionError, match=r"needs a value in \(0,1\)"):
