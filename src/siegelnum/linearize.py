@@ -35,6 +35,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -295,11 +296,12 @@ def siegel_series_many(
     live = [b for b, out in enumerate(outcomes) if not isinstance(out, SiegelnumError)]
     if live:
         lams = powers[live, 1]
-        # f_lambda = lambda f, as family_series builds it
-        rows = _read_rows(_solve_siegel(lams[:, None] * base, divisors[live]), "Siegel")
-        for b, lam, out in zip(live, lams.tolist(), rows):
+        # f_lambda = lambda f, as family_series builds it; rows back their series
+        solved = _solve_siegel(lams[:, None] * base, divisors[live])
+        solved.flags.writeable = False
+        for b, lam, out in zip(live, lams.tolist(), _read_rows(solved, "Siegel")):
             outcomes[b] = out if isinstance(out, SiegelnumError) else SiegelSeries(
-                alpha=outcomes[b], lam=lam, g=TruncatedSeries.from_coeffs(out, n), family=family,
+                alpha=outcomes[b], lam=lam, g=TruncatedSeries(out), family=family,
             )
     return outcomes
 
@@ -310,6 +312,30 @@ def siegel_series(family: FamilySpec, alpha: float, n: int = 128) -> SiegelSerie
     return single(siegel_series_many(family, [alpha], n))
 
 
+@functools.lru_cache(maxsize=8)
+def _siegel_plan(rows: int, top: int, n: int, thread: int) -> tuple:
+    """(pows, W, steps) for _solve_siegel's blocks of one shape in one thread
+    (numpy drops the GIL inside matmul): pows[:, j, k] = [w^k] g^j,
+    rev[:, n - i] = g_i, W[:, k, j] = F_j / d_k, and per degree k the views
+    (powers 1..m-1 through column k-1, g_{k-1}, ..., g_1, column k of powers
+    2..m, W's row k, g_k, its slot in rev), m = min(k, top).  A solve writes
+    each entry it reads before reading it; the rest stay 0.  At most 8 plans
+    of 2 max(BLOCK_ENTRIES, (top + 1)(n + 1)) + rows (n + 1) complex128
+    entries and ~1 KB of views per degree: 2.7 MB at n = 256 (22 MB for 8),
+    8.9 MB for a one-row entire-family block at n = 512 (71 MB for 8).
+    """
+    pows = np.zeros((rows, top + 1, n + 1), dtype=np.complex128)
+    rev = np.zeros((rows, n + 1), dtype=np.complex128)
+    W = np.empty((rows, n + 1, top + 1), dtype=np.complex128)
+    pows[:, 1, 1] = rev[:, n - 1] = 1
+    steps = tuple(
+        (pows[:, 1:m, 1:k], rev[:, n - k + 1 : n, None], pows[:, 2 : m + 1, k, None],
+         W[:, k, None, 2 : m + 1], pows[:, 1, k, None, None], rev[:, n - k, None, None])
+        for k, m in ((k, min(k, top)) for k in range(2, n + 1))
+    )
+    return pows, W, steps
+
+
 def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
     """Rows g_k from f_lambda(g(w)) = g(lambda w), one per row of F and divisors.
 
@@ -318,10 +344,15 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
     right side is lambda^k g_k, so g_k (lambda^k - lambda) equals that sum.
     The table pows[:, j] holds g^j of every row, filled through the current
     degree.  Column k of g^j is sum_{i<k} g_i [w^{k-i}] g^{j-1}, which reads
-    only columns < k, so one stacked mat-vec per degree appends column k of
-    every power of every row, and one stacked dot gives each row's g_k.
-    Each row's product is computed on its own, as in _solve_koenigs, so a
-    row's coefficients are those of a batch of one.
+    only columns < k, so a degree is three numpy calls whatever the row
+    count, on views _siegel_plan builds once per block shape (a memo of 8):
+    a stacked mat-vec of powers 1..m-1 with g_{k-1}, ..., g_1 (g is kept
+    reversed, so BLAS takes the unit-stride vector) appends column k of
+    every power, a stacked dot with the weights F_j / d_k (one divide per
+    block) gives g_k, and a copy puts g_k into the reversed g.  Each row's
+    products are BLAS calls of their own, shaped by the row's own degree
+    (rows are grouped by it), so a row is bitwise that of a batch of one;
+    returned rows are copies, never the workspace.
 
     Powers above top = deg F never meet a nonzero F_j and are not kept, so
     a row costs O(top * n^2): O(n^2) for polynomial families, O(n^3)
@@ -332,22 +363,22 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
     wider block would only add memory traffic.
     """
     n = F.shape[1] - 1
-    nonzero = np.flatnonzero(F[:, 2:].any(axis=0))
-    top = 2 + int(nonzero[-1]) if nonzero.size else 2
-    per_block = max(1, BLOCK_ENTRIES // ((top + 1) * (n + 1)))
-    out = np.zeros_like(F)
-    for start in range(0, F.shape[0], per_block):
-        rows = slice(start, start + per_block)
-        F_b, d_b = F[rows], divisors[rows]
-        pows = np.zeros((F_b.shape[0], top + 1, n + 1), dtype=np.complex128)
-        g = pows[:, 1]
-        g[:, 1] = 1
-        with np.errstate(over="ignore", invalid="ignore"):  # _read_rows reports it
-            for k in range(2, n + 1):
-                m = min(k, top)
-                pows[:, 2 : m + 1, k] = (pows[:, 1:m, k - 1 : 0 : -1] @ g[:, 1:k, None])[:, :, 0]
-                g[:, k] = (F_b[:, None, 2 : m + 1] @ pows[:, 2 : m + 1, k, None])[:, 0, 0] / d_b[:, k]
-        out[rows] = g
+    high = F[:, :1:-1] != 0  # F_n, ..., F_2
+    tops = np.where(high.any(axis=1), n - np.argmax(high, axis=1), 2)
+    out = np.empty_like(F)
+    for top in np.unique(tops).tolist():
+        same = np.flatnonzero(tops == top)
+        per_block = max(1, BLOCK_ENTRIES // ((top + 1) * (n + 1)))
+        for start in range(0, same.size, per_block):
+            rows = same[start : start + per_block]
+            pows, W, steps = _siegel_plan(rows.size, top, n, threading.get_ident())
+            with np.errstate(over="ignore", invalid="ignore"):  # _read_rows reports it
+                np.divide(F[rows, None, : top + 1], divisors[rows, 2:, None], out=W[:, 2:])
+                for powers, g_rev, col, weights, g_k, slot in steps:
+                    np.matmul(powers, g_rev, out=col)
+                    np.matmul(weights, col, out=g_k)
+                    np.positive(g_k, out=slot)
+            out[rows] = pows[:, 1]
     return out
 
 

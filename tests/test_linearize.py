@@ -2,6 +2,8 @@ import cmath
 import dataclasses
 import math
 import re
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -183,13 +185,21 @@ def _majorant_error(new, ref, F, divisors):
     return float(np.max(diff[maj > 0] / maj[maj > 0]))
 
 
+# alpha_1..alpha_3 of the default quadratic certificate: 21/34 plus 1.7e-7
+# down to 6e-13, where the weights F_j / d_k meet their smallest divisors
+CERTIFICATE_ALPHAS = (0.6176472305906705, 0.6176470591259526, 0.6176470588241312)
+
+
 @pytest.mark.parametrize("fam_id", ALL_FAMILY_IDS)
 def test_siegel_solver_matches_loop_oracle(fam_id):
     fam = get_family(fam_id)
-    for alpha in (golden_rotation().value, silver_rotation().value):
-        F, divisors = _siegel_inputs(fam, alpha, 128)
+    cases = [(golden_rotation().value, 128), (silver_rotation().value, 128)]
+    if fam_id == "quadratic":
+        cases += [(alpha, 256) for alpha in CERTIFICATE_ALPHAS]
+    for alpha, n in cases:
+        F, divisors = _siegel_inputs(fam, alpha, n)
         ref = _loop_solve_siegel(F, divisors)
-        new = siegel_series(fam, alpha, 128).g.coeffs
+        new = siegel_series(fam, alpha, n).g.coeffs
         assert np.array_equal(new == 0, ref == 0), (fam_id, alpha)
         assert np.array_equal(new[:2], ref[:2])
         # same sums in another order: binary64 rounding of the summed terms
@@ -240,11 +250,30 @@ def test_siegel_overflow_is_typed_with_warnings_as_errors():
             siegel_series(get_family("quadratic"), 0.5 + 1e-12, 128)
 
 
-# -- the per-row Siegel solve that the batched one replaced, kept as the oracle
+# -- the per-row Siegel solve, the batched one's oracle ------------------------
 
 
 def _rowwise_solve_siegel(F, divisors):
-    """Reference: one row's mat-vec solve, as it stood before batching."""
+    """Reference: one row's solve in the batched one's order, with the row's
+    own degree: unit-stride products with g reversed, and the weights
+    F_j / d_k."""
+    n = F.size - 1
+    nonzero = np.flatnonzero(F)
+    top = max(2, int(nonzero[-1]) if nonzero.size else 0)
+    pows = np.zeros((top + 1, n + 1), dtype=np.complex128)
+    rev = np.zeros(n + 1, dtype=np.complex128)  # rev[n - i] = g_i
+    pows[1, 1] = rev[n - 1] = 1
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller reports it
+        for k in range(2, n + 1):
+            m = min(k, top)
+            pows[2 : m + 1, k] = pows[1:m, 1:k] @ rev[n - k + 1 : n]
+            pows[1, k] = rev[n - k] = (F[2 : m + 1] / divisors[k]) @ pows[2 : m + 1, k]
+    return pows[1].copy()
+
+
+def _strided_solve_siegel(F, divisors):
+    """Reference: one row's mat-vec solve in the order before the weights,
+    a reversed strided view of g and one divide by d_k after the sum."""
     n = F.size - 1
     nonzero = np.flatnonzero(F)
     top = max(2, int(nonzero[-1]) if nonzero.size else 0)
@@ -259,16 +288,16 @@ def _rowwise_solve_siegel(F, divisors):
     return g.copy()
 
 
-def _rowwise_siegel_outcome(fam, alpha, n):
-    """The coefficients the per-row siegel_series gave at alpha, or the
-    package error it raised."""
+def _rowwise_siegel_outcome(fam, alpha, n, solve=_rowwise_solve_siegel):
+    """The coefficients a per-row solve gives at alpha, or the package
+    error siegel_series raises there."""
     F, divisors = _siegel_inputs(fam, alpha, n)
     mags = np.abs(divisors[2:])
     floors = [max(SIEGEL_DIVISOR_FLOOR, 2 * math.pi * (k - 1) * math.ulp(alpha)) for k in range(2, n + 1)]
     k = int(np.argmin(mags / floors))
     if mags[k] < floors[k]:
         return DivisorBreakdownError(k + 2, float(mags[k]), floors[k])
-    return _read_rows(_rowwise_solve_siegel(F, divisors)[None], "Siegel")[0]
+    return _read_rows(solve(F, divisors)[None], "Siegel")[0]
 
 
 def _same_outcome(new, ref):
@@ -307,6 +336,27 @@ def test_batched_siegel_rows_match_rowwise_oracle(fam_id, n):
         assert _same_outcome(new, ref), (fam_id, a)
         assert _same_outcome(siegel_series_many(fam, [a], n)[0], ref), (fam_id, a)
     assert isinstance(batched[RATIONAL_SLOT], DivisorBreakdownError)
+
+
+@pytest.mark.parametrize(
+    "fam_id, n",
+    [(fam_id, 128) for fam_id in ALL_FAMILY_IDS] + [("quadratic", 256), ("poly_3", 256)],
+)
+def test_batched_siegel_rows_stay_near_the_strided_order(fam_id, n):
+    # the weights F_j / d_k and unit-stride products only reorder rounding.
+    # On this batch's small divisors the strided order and the loop oracle
+    # already differ by up to 2.9e3 eps (exp, reduced(tan)), so the bound
+    # is the mpmath oracle's, not the golden/silver loop oracle's 1e3 eps
+    fam = get_family(fam_id)
+    alphas = _siegel_batch(32)
+    for a, new in zip(alphas, siegel_series_many(fam, alphas, n)):
+        ref = _rowwise_siegel_outcome(fam, a, n, solve=_strided_solve_siegel)
+        if isinstance(ref, SiegelnumError):
+            assert type(new) is type(ref), (fam_id, a)
+        else:
+            assert isinstance(new, linearize.SiegelSeries), (fam_id, a)
+            F, divisors = _siegel_inputs(fam, a, n)
+            assert _majorant_error(new.g.coeffs, ref, F, divisors) <= 1e4 * EPS, (fam_id, a)
 
 
 def test_batched_siegel_failures_stay_in_their_slots():
@@ -403,6 +453,69 @@ def test_batched_siegel_rows_of_different_degree_are_solved_apart():
     g = linearize._solve_siegel(F, divisors)
     for row, (f, d) in zip(g, inputs):
         assert row.tobytes() == _rowwise_solve_siegel(f, d).tobytes()
+
+
+def _quadratic_stack(alphas, n):
+    """(F, divisors) of quadratic, one row per alpha, as _solve_siegel takes them."""
+    inputs = [_siegel_inputs(get_family("quadratic"), a, n) for a in alphas]
+    return tuple(np.array(rows) for rows in zip(*inputs))
+
+
+def test_siegel_plan_outputs_do_not_alias_the_workspace():
+    # the plan's workspace is reused by the next solve of the same shape
+    first, second = (_quadratic_stack(_siegel_batch(8, seed), 64) for seed in (7, 8))
+    g = linearize._solve_siegel(*first)
+    before = g.tobytes()
+    linearize._solve_siegel(*second)
+    assert g.tobytes() == before
+    pows, weights, _ = linearize._siegel_plan(8, 2, 64, threading.get_ident())
+    assert not np.shares_memory(g, pows) and not np.shares_memory(g, weights)
+
+
+def test_siegel_plans_are_private_to_their_thread():
+    # numpy drops the GIL inside matmul: threads solving batches of one
+    # shape at once (more threads than cores, switching often) must each
+    # get its serial bytes
+    stacks = [_quadratic_stack(_siegel_batch(32, seed), 256) for seed in (9, 10, 11, 12)]
+    serial = [linearize._solve_siegel(*stack).tobytes() for stack in stacks]
+    barrier = threading.Barrier(len(stacks), timeout=60)
+    results = [[] for _ in stacks]
+
+    def solve(i):
+        barrier.wait()
+        for _ in range(5):
+            results[i].append(linearize._solve_siegel(*stacks[i]).tobytes())
+
+    threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(stacks))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[row] * 5 for row in serial]
+
+
+def test_siegel_plan_memo_is_bounded():
+    for rows in range(1, 12):
+        linearize._solve_siegel(*_quadratic_stack(_siegel_batch(rows), 16))
+    info = linearize._siegel_plan.cache_info()
+    assert info.maxsize == 8 and info.currsize <= 8
+
+
+def test_siegel_series_rows_are_the_solved_rows_read_only():
+    fam = get_family("quadratic")
+    alphas = _siegel_batch(4)
+    F, divisors = _quadratic_stack(alphas, 128)
+    for ss, row in zip(siegel_series_many(fam, alphas, 128), linearize._solve_siegel(F, divisors)):
+        assert not ss.g.coeffs.flags.writeable
+        assert ss.g.coeffs.tobytes() == row.tobytes()
+        with pytest.raises(ValueError):
+            ss.g.coeffs[2] = 0
 
 
 def test_siegel_series_many_edges():
