@@ -9,6 +9,10 @@ unity).  The parametrized map under study is always f_lambda = lambda * f.
 Families with n > 1 can be folded to a symmetry-reduced map
 F(w) = f(w^{1/n})^n, a genuine power series in w; see
 :func:`symmetry_reduce`.
+
+A spec is its map: specs are equal only when they hold the same generator
+and evaluator, and every per-map memo keys on the spec.  An orbit step of
+sin or tan is one cmath call (_tan_eval), of their folds one more.
 """
 
 from __future__ import annotations
@@ -181,7 +185,8 @@ def family_catalog() -> list[FamilySpec]:
 def get_family(family_id: str) -> FamilySpec:
     """Look up a family by id.
 
-    Accepts catalog ids, ``poly_<d>`` for any polynomial degree d >= 2, and
+    Accepts catalog ids, ``poly_<d>`` for any polynomial degree d >= 2
+    written in canonical decimal (no sign, space or leading zero), and
     ``reduced(<id>)`` for the symmetry reduction of a folded family.
     """
     if family_id in _CATALOG:
@@ -192,7 +197,9 @@ def get_family(family_id: str) -> FamilySpec:
         try:
             d = int(family_id[len("poly_") :])
         except ValueError:
-            raise PreconditionError(f"bad polynomial family id {family_id!r}") from None
+            d = None
+        if d is None or family_id != f"poly_{d}":  # int() also reads " 3", "+3", "03", "0_3"
+            raise PreconditionError(f"bad polynomial family id {family_id!r}")
         if d < 2:
             raise PreconditionError("polynomial family needs degree >= 2")
         return _poly_family(d)

@@ -11,8 +11,9 @@ Two regimes of the same functional equation:
 
 On top of the basin extension sits the Yoccoz value w(lambda) = h(lambda v),
 where v is the family's distinguished singular value.  Its log-modulus
-u = log|w/lambda| is harmonic in lambda and bounded by M = log 4 + log|v|
-via the Koebe quarter theorem; radial limits of u are the subject of the
+u = log|w/lambda| is harmonic in lambda and bounded by M = log 4|v|
+(koebe_cap_log, the one home of that bound) via Koebe's theorem; u_values
+refuses a value with u >= M.  Radial limits of u are the subject of the
 radius module.
 
 u_values is the one pipeline from multipliers to Yoccoz values (series,
@@ -67,6 +68,7 @@ __all__ = [
     "koenigs_eval",
     "yoccoz_w",
     "u_values",
+    "koebe_cap_log",
     "SIEGEL_DIVISOR_FLOOR",
     "SIEGEL_EDGE",
     "ENTRY_RADIUS_GRID",
@@ -164,8 +166,9 @@ def _degree_plan(cols: np.ndarray) -> tuple:
     is exactly 0 and has no entry (every even degree of sin and tan).  The
     others read the one slice start:stop:step that holds all of them, and row
     is the matching view cols[k, slice] as a column: j >= ceil(k/2) for
-    quadratic, j >= ceil(k/3) for poly_3, odd j for sin and tan.  A column
-    in the slice that is not needed contributes an exact 0.
+    quadratic, j >= ceil(k/3) for poly_3, odd j for sin and tan, every j
+    for exp, zexp and the reduced maps.  A column in the slice that is not
+    needed contributes an exact 0.
     """
     n = cols.shape[0] - 1
     live = np.zeros(n + 1, dtype=bool)
@@ -199,7 +202,8 @@ def _solve_koenigs(cols: np.ndarray, plan: tuple, lams: np.ndarray) -> list:
     CoefficientOverflowError that koenigs_series raises for it.  There is
     no divisor guard: off 0 and the circle a divisor lambda (1 - lambda^{k-1})
     never vanishes, and divisors that round to tiny or zero values
-    overflow their row instead.
+    overflow their row instead (a lambda within ~1e-14 of the circle), while
+    a tiny lambda such as 1e-300 gets its value (w/lambda -> v).
     """
     n = cols.shape[0] - 1
     pows = np.empty((n + 1, len(lams)), dtype=np.complex128)  # one column per lambda
@@ -535,18 +539,22 @@ def koenigs_eval(ks: KoenigsSeries, z: complex) -> tuple[complex, int]:
     return single(_basin_step(ks.family, [ks.lam], ks.h.coeffs[None, :], [complex(z)], DEFAULT_BUDGET))[:2]
 
 
-def _yoccoz_value(family: FamilySpec, lam: complex, w: complex, m: int,
-                  r_entry: float) -> YoccozValue | NumericalError:
-    """w = h(lambda v) with its Koebe and non-vanishing checks; a failed
-    check is returned as its NumericalError."""
-    cap = 4.0 * abs(family.v)
-    if not abs(w) < cap:
-        return NumericalError(
-            f"Koebe bound violated: |w| = {abs(w):.6g} >= 4|v| = {cap:.6g} at lambda = {lam!r}"
-        )
+def koebe_cap_log(family: FamilySpec) -> float:
+    """M = log 4 + log|v|: Koebe's upper bound for u, and so for rho."""
+    return math.log(4.0) + math.log(abs(family.v))
+
+
+def _yoccoz_value(lam: complex, w: complex, m: int, r_entry: float,
+                  cap: float) -> YoccozValue | NumericalError:
+    """w = h(lambda v) with its non-vanishing check and the Koebe check
+    u < M = cap (a NaN u fails it too); a failed check is returned as its
+    NumericalError."""
     if w == 0:
         return NumericalError(f"vanishing Yoccoz value at lambda = {lam!r}")
-    return YoccozValue(lam=lam, w=w, u=math.log(abs(w / lam)), iterations_used=m, entry_radius=r_entry)
+    u = math.log(abs(w / lam))
+    if not u < cap:
+        return NumericalError(f"Koebe bound violated: u = {u:.6g} >= M = {cap:.6g} at lambda = {lam!r}")
+    return YoccozValue(lam=lam, w=w, u=u, iterations_used=m, entry_radius=r_entry)
 
 
 def u_values(
@@ -578,6 +586,7 @@ def u_values(
     if budget < 1:
         raise PreconditionError(f"iteration budget must be >= 1, got {budget}")
     cols, plan = _koenigs_table(family, n)
+    cap = koebe_cap_log(family)
     lams = [complex(lam) for lam in lams]
     outcomes = [outcome(_check_multiplier, lam) for lam in lams]
     todo = [i for i, out in enumerate(outcomes) if not isinstance(out, SiegelnumError)]
@@ -592,7 +601,7 @@ def u_values(
             starts = [lams[i] * family.v for i in live]
             for i, step in zip(live, _basin_step(family, [lams[i] for i in live], h, starts, budget)):
                 ok = not isinstance(step, SiegelnumError)
-                outcomes[i] = _yoccoz_value(family, lams[i], *step) if ok else step
+                outcomes[i] = _yoccoz_value(lams[i], *step, cap) if ok else step
     return outcomes
 
 
@@ -604,9 +613,10 @@ def yoccoz_w(
 ) -> YoccozValue:
     """w(lambda) = h_lambda(lambda v) and its harmonic log-modulus u.
 
-    The Koebe quarter theorem forces |w| < 4|v| (w lies in the Koenigs
-    image of the basin, which omits the value of modulus 4|v|); a numerical
-    violation therefore indicates a broken evaluation and raises rather
-    than returning a value.  This is u_values on a single lambda.
+    Koebe's growth theorem forces u < M (koebe_cap_log): psi = h^{-1} is
+    univalent on D(0, R), R = |w/lambda|, with psi'(0) = 1 and psi(w) =
+    lambda v, so |lambda v| >= |w| / (1 + |w|/R)^2 > |w| / 4.  A violation
+    is a broken evaluation (or a wrongly declared v) and raises.  This is
+    u_values on a single lambda.
     """
     return single(u_values(family, [lam], n, budget))

@@ -48,7 +48,7 @@ from .errors import (
     single,
 )
 from .families import FamilySpec
-from .linearize import SIEGEL_EDGE, SiegelSeries, siegel_series, siegel_series_many, u_values
+from .linearize import SIEGEL_EDGE, SiegelSeries, koebe_cap_log, siegel_series, siegel_series_many, u_values
 
 __all__ = [
     "RotationNumber",
@@ -66,7 +66,6 @@ __all__ = [
     "rho_radial",
     "rho_coefficient",
     "rho_coefficients",
-    "koebe_cap_log",
     "harmonic_check",
     "harmonic_measure",
     "poisson_bound_check",
@@ -249,11 +248,6 @@ class RadiusEstimate:
         }
 
 
-def koebe_cap_log(family: FamilySpec) -> float:
-    """M = log 4 + log|v|: the a-priori upper bound for u and rho."""
-    return math.log(4.0) + math.log(abs(family.v))
-
-
 def _check_cap(est: RadiusEstimate, family: FamilySpec) -> RadiusEstimate:
     """est, unless its rho_hat lies above the Koebe cap M + M_SLACK."""
     if est.rho_hat > koebe_cap_log(family) + M_SLACK:
@@ -284,14 +278,15 @@ def rho_radial(
 ) -> RadiusEstimate:
     """Radial-limit estimate: u at r_k = 1 - 2^{-k}, k = 2..depth.
 
-    rho_hat is the deepest reliable sample.  converged means the last two
-    samples differ by at most PLATEAU_TOL.  The diverging flag requires the
-    final three consecutive steps to each drop by at least DIVERGENCE_DROP
-    (see the module docstring for the calibration); a diverging estimate
-    carries rho_hat = -inf, the value rho takes there.  Individual depths may
-    fail (MISSING_SAMPLE: iteration budget, entry radius, orbit escape,
-    Koenigs overflow, pole) and are recorded; flags are
-    read off the trailing run of consecutive successes.  Any other error of
+    rho_hat is the deepest reliable sample, below M = koebe_cap_log since
+    u_values refuses u >= M.  converged means the last two samples differ
+    by at most PLATEAU_TOL.  The diverging flag requires the final three
+    consecutive steps to each drop by at least DIVERGENCE_DROP (see the
+    module docstring for the calibration); a diverging estimate carries
+    rho_hat = -inf, the value rho takes there.  Individual depths may fail
+    (MISSING_SAMPLE: iteration budget, entry radius, orbit escape, Koenigs
+    overflow, pole) and are recorded; flags are read off the trailing run
+    of consecutive successes.  Any other error of
     a depth, such as a Koebe-bound violation, is raised (_ray_values).
     """
     if not 4 <= depth <= RADIAL_DEPTH_CAP:
@@ -320,14 +315,14 @@ def rho_radial(
     converged = len(trailing) >= 2 and abs(diffs[-1]) <= PLATEAU_TOL
     diverging = len(diffs) >= 3 and all(d <= -DIVERGENCE_DROP for d in diffs[-3:])
     rho_hat = -math.inf if diverging else samples[-1][1]
-    return _check_cap(RadiusEstimate(
+    return RadiusEstimate(
         alpha=rot,
         method="radial",
         rho_hat=rho_hat,
         samples=tuple(samples),
         converged=converged and not diverging,
         failures=tuple(failures),
-    ), family)
+    )
 
 
 def rho_coefficient(family: FamilySpec, alpha, n: int = 128) -> RadiusEstimate:

@@ -5,7 +5,9 @@ power series truncated at a fixed degree ``N``.  All arithmetic is exact on
 the retained coefficients: adding, multiplying or composing two degree-``N``
 series yields the degree-``N`` truncation of the exact result.
 :func:`power_table` forms the truncated powers f^j behind composition and
-the Koenigs solve; :func:`evaluate` sums the retained terms by Horner's rule.
+the Koenigs solve (:func:`compose` multiplies the inner series' table, up
+to the outer degree, by the outer coefficients); :func:`reciprocal`
+truncates 1/a, and :func:`evaluate` sums by Horner's rule.
 
 Conventions used throughout the package:
 
@@ -29,8 +31,6 @@ from .errors import PreconditionError
 
 __all__ = [
     "TruncatedSeries",
-    "identity",
-    "zero",
     "compose",
     "power_table",
     "evaluate",
@@ -75,10 +75,6 @@ class TruncatedSeries:
         if degree < self.degree:
             raise PreconditionError("padded() cannot lower the degree; slice instead")
         return TruncatedSeries.from_coeffs(self.coeffs, degree)
-
-    def truncated(self, degree: int) -> "TruncatedSeries":
-        """Drop coefficients above ``degree``."""
-        return TruncatedSeries.from_coeffs(self.coeffs[: degree + 1], degree)
 
     def __repr__(self):
         head = ", ".join(f"{c:.6g}" for c in self.coeffs[:4])
@@ -126,18 +122,6 @@ class TruncatedSeries:
         except (TypeError, ValueError):
             raise PreconditionError("expected an array of reals or [re, im] pairs") from None
         return cls.from_coeffs(vals, degree)
-
-
-def identity(degree: int) -> TruncatedSeries:
-    """The series of f(z) = z at the given truncation degree."""
-    c = np.zeros(degree + 1)
-    if degree >= 1:
-        c[1] = 1
-    return TruncatedSeries.from_coeffs(c, degree)
-
-
-def zero(degree: int) -> TruncatedSeries:
-    return TruncatedSeries.from_coeffs(np.zeros(degree + 1), degree)
 
 
 def power_table(f: np.ndarray, top: int | None = None) -> np.ndarray:

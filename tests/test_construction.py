@@ -536,6 +536,48 @@ def test_a_non_monotone_landscape_is_searched_inside_its_bracket(monkeypatch, si
         got.alpha.value == calls[-1] and abs(got.rho_hat - target) <= 0.005)
 
 
+@pytest.mark.parametrize("slope", [1.5, 3, 5])
+@pytest.mark.parametrize("side", [1.0, -1.0])
+@pytest.mark.parametrize("target", [-0.45, -0.6, -0.9, -1.2])
+def test_a_law_steeper_than_one_over_q_lands_by_the_secant(monkeypatch, slope, side, target):
+    # rho = (slope/34) t at 21/34: the first probe, aimed by the law 1/34
+    # from the above end, overshoots below the target, and the Illinois
+    # secant between the two finite ends lands; aiming by the law from the
+    # last reading instead needs up to 11 probes on these 20 searches
+    anchor = 21 / 34
+    landscape = _log_landscape(anchor, slope / 34)
+    monkeypatch.setattr(construction, "rho_coefficient", landscape)
+    calls, _ = _recording_estimates(monkeypatch)
+    held = landscape(QUAD, anchor + side * 1e-2, 256)
+    got = outcome(find_alpha_with_rho, QUAD, target, 21, 34, held, 0.005)
+    if held.rho_hat > target:
+        assert abs(got.rho_hat - target) <= 0.005 and len(calls) <= 3, (got, calls)
+    else:
+        assert isinstance(got, BracketFailureError) and not calls
+
+
+def test_a_tight_tolerance_certifies_through_the_secant(monkeypatch):
+    # the default run at tol_rho = 0.001: every first probe, aimed by the
+    # dip law, misses by more than that, and every search lands on its
+    # second; two of those are secant steps (bisection in their place
+    # needs 7 probes a search)
+    calls, _ = _recording_estimates(monkeypatch)
+    probes = []
+    search = construction.find_alpha_with_rho
+
+    def recording(*args):
+        before = len(calls)
+        est = search(*args)
+        probes.append(len(calls) - before)
+        return est
+
+    monkeypatch.setattr(construction, "find_alpha_with_rho", recording)
+    rep = run_construction(ConstructionConfig(tol_rho=0.001))
+    assert [(s.anchor_p, s.anchor_q, s.retries) for s in rep.steps] == [(21, 34, 0)] * 3
+    assert all(abs(s.achieved_rho - s.target_rho) <= 0.001 for s in rep.steps)
+    assert probes == [2, 2, 2]
+
+
 def test_adjacent_bracket_ends_exhaust_float_resolution(monkeypatch):
     landscape = _log_landscape(3 / 8, 1.0)
     monkeypatch.setattr(construction, "rho_coefficient", landscape)

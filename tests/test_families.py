@@ -139,12 +139,21 @@ def test_unknown_family_rejected():
 
 @pytest.mark.parametrize(
     "family_id, match",
-    [("poly_x", "bad polynomial family id"), ("poly_1", "degree >= 2")],
-    ids=["poly_x", "poly_1"],
+    [("poly_x", "bad polynomial family id"), ("poly_1", "degree >= 2")]
+    # int() reads each of these as 3; only the canonical poly_3 names that map
+    + [(bad, "bad polynomial family id")
+       for bad in ("poly_ 3", "poly_+3", "poly_03", "poly_0_3", "poly_3 ", "poly_\u0663")],
+    ids=["poly_x", "poly_1", "space", "plus", "leading-zero", "underscore", "trailing-space", "arabic-indic"],
 )
 def test_malformed_polynomial_id_rejected(family_id, match):
     with pytest.raises(PreconditionError, match=match):
         get_family(family_id)
+
+
+@pytest.mark.parametrize("d", [2, 3, 20000])
+def test_canonical_polynomial_id_accepted(d):
+    fam = get_family(f"poly_{d}")
+    assert fam.family_id == f"poly_{d}" and fam.degree_param == d
 
 
 def test_get_family_shares_one_spec_per_id():

@@ -51,6 +51,7 @@ from siegelnum.linearize import (
     ESCAPE_BOUND,
     SIEGEL_DIVISOR_FLOOR,
     _read_rows,
+    koebe_cap_log,
 )
 from siegelnum.families import custom_family
 from siegelnum.series import TruncatedSeries, compose, evaluate
@@ -114,7 +115,7 @@ def test_yoccoz_asymptote_and_koebe():
         fam = get_family(fam_id)
         val = yoccoz_w(fam, 0.01, n=64)
         assert abs(val.w / 0.01 - fam.v) <= 0.05 * abs(fam.v)
-        assert abs(val.w) < 4 * abs(fam.v)
+        assert val.u < koebe_cap_log(fam)
 
 
 def test_yoccoz_needs_contracting_multiplier():
@@ -641,14 +642,13 @@ def _scalar_yoccoz(fam, lam, n=128, budget=DEFAULT_BUDGET):
         w = hz
     else:
         w = cmath.exp(cmath.log(hz) - m * cmath.log(lam))
-    cap = 4.0 * abs(fam.v)
-    if not abs(w) < cap:
-        raise NumericalError(
-            f"Koebe bound violated: |w| = {abs(w):.6g} >= 4|v| = {cap:.6g} at lambda = {lam!r}"
-        )
     if w == 0:
         raise NumericalError(f"vanishing Yoccoz value at lambda = {lam!r}")
-    return YoccozValue(lam=lam, w=w, u=math.log(abs(w / lam)), iterations_used=m, entry_radius=r_e)
+    u = math.log(abs(w / lam))
+    cap = math.log(4.0) + math.log(abs(fam.v))
+    if not u < cap:
+        raise NumericalError(f"Koebe bound violated: u = {u:.6g} >= M = {cap:.6g} at lambda = {lam!r}")
+    return YoccozValue(lam=lam, w=w, u=u, iterations_used=m, entry_radius=r_e)
 
 
 def _scalar_u_values(fam, lams, n=128, budget=DEFAULT_BUDGET):
@@ -1089,18 +1089,37 @@ def test_an_orbit_onto_the_fixed_point_has_a_vanishing_yoccoz_value():
 
 def test_a_wrong_singular_value_past_the_koebe_cap_is_refused():
     # quadratic with v = 0.9 (1 - 1/lambda) / lambda declared at lambda = 0.9:
-    # lambda v sits near the repelling fixed point 1 - 1/lambda, where |h|
-    # exceeds 4|v|, so the row is refused rather than returned
+    # lambda v sits near the repelling fixed point 1 - 1/lambda, where
+    # u = log|h(lambda v) / lambda| exceeds M = log 4|v|, so the row is
+    # refused rather than returned
     quad = get_family("quadratic")
     lam = 0.9
     with pytest.warns(UserWarning, match="single-singular-value"):
         wrong = custom_family("wrong_v", 0.9 * (1 - 1 / lam) / lam, 1, quad._coeff_gen, quad._point_eval)
-    message = "Koebe bound violated: |w| = 1.28094 >= 4|v| = 0.444444 at lambda = (0.9+0j)"
+    message = "Koebe bound violated: u = 0.352955 >= M = -0.81093 at lambda = (0.9+0j)"
     (out,) = u_values(wrong, [lam], 128)
     assert type(out) is NumericalError and str(out) == message
     with pytest.raises(NumericalError) as raised:
         yoccoz_w(wrong, lam, 128)
     assert type(raised.value) is NumericalError and str(raised.value) == message
+
+
+@pytest.mark.parametrize("lam, v, message", [
+    (0.5, 3.43313, "u = 2.66599 >= M = 2.61977"),
+    (0.7, 1.95672, "u = 2.10945 >= M = 2.05756"),
+    (0.8, 1.53978, "u = 1.99086 >= M = 1.81793"),
+    (0.9, -0.08844, "u = -1.02864 >= M = -1.03914"),
+    (0.95, -0.04059, "u = -1.81641 >= M = -1.81794"),
+])
+def test_a_wrong_singular_value_inside_4v_is_refused_by_u(lam, v, message):
+    # quadratic with a wrongly declared v whose w stays below 4|v| but not
+    # below 4|lambda v|: the Koebe bound is u < M, which refuses the row
+    quad = get_family("quadratic")
+    with pytest.warns(UserWarning, match="single-singular-value"):
+        wrong = custom_family("wrong_v", v, 1, quad._coeff_gen, quad._point_eval)
+    (out,) = u_values(wrong, [lam], 128)
+    assert type(out) is NumericalError
+    assert str(out) == f"Koebe bound violated: {message} at lambda = ({lam}+0j)"
 
 
 def test_koenigs_eval_at_a_preimage_of_the_fixed_point_is_zero():

@@ -18,11 +18,11 @@ from siegelnum.qanorm import (
     _weights,
     circle_values,
 )
-from siegelnum.series import evaluate, identity
+from siegelnum.series import evaluate
 
 
 def test_hand_value_identity_at_half():
-    res = qa_norm(identity(16), 0.5)
+    res = qa_norm(TruncatedSeries.from_coeffs([0, 1], degree=16), 0.5)
     assert res.value == pytest.approx(0.5, abs=1e-9)
     assert res.k_at_max == 0
 
@@ -70,18 +70,18 @@ def test_underflowing_tail_head_raises_no_warning():
 
 def test_norm_rejects_bad_arguments():
     with pytest.raises(PreconditionError):
-        qa_norm(identity(8), -1.0)
+        qa_norm(TruncatedSeries.from_coeffs([0, 1], degree=8), -1.0)
     with pytest.raises(PreconditionError):
-        qa_norm(identity(8), 0.5, circle_samples=4)
+        qa_norm(TruncatedSeries.from_coeffs([0, 1], degree=8), 0.5, circle_samples=4)
     with pytest.raises(PreconditionError):
-        qa_norm(identity(8), 0.5, order_cap=99)
+        qa_norm(TruncatedSeries.from_coeffs([0, 1], degree=8), 0.5, order_cap=99)
 
 
 @pytest.mark.parametrize(
     "g, order_cap, match",
     [(TruncatedSeries.from_coeffs([0.5]), None, "at least degree 1"),
      # ((k + 2) ln(k + 2))^k passes binary64 at k = 113
-     (identity(160), 160, "too large for float weights")],
+     (TruncatedSeries.from_coeffs([0, 1], degree=160), 160, "too large for float weights")],
     ids=["degree-0", "order-cap-160"],
 )
 def test_norm_rejects_what_it_cannot_weigh(monkeypatch, g, order_cap, match):
@@ -98,7 +98,7 @@ def test_norm_rejects_what_it_cannot_weigh(monkeypatch, g, order_cap, match):
 @pytest.mark.parametrize("samples", [0, -3])
 def test_circle_values_needs_a_sample(samples):
     with pytest.raises(PreconditionError, match="samples must be >= 1"):
-        circle_values(identity(8).coeffs, 0.5, samples)
+        circle_values(TruncatedSeries.from_coeffs([0, 1], degree=8).coeffs, 0.5, samples)
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
@@ -106,7 +106,7 @@ def test_norm_radius_must_be_positive_and_finite(r):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(PreconditionError, match="positive and finite"):
-            qa_norm(identity(8), r)
+            qa_norm(TruncatedSeries.from_coeffs([0, 1], degree=8), r)
 
 
 def test_refused_radius_warns_nothing():

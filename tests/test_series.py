@@ -16,7 +16,7 @@ from siegelnum import (
     siegel_series,
 )
 from siegelnum.errors import PreconditionError
-from siegelnum.series import identity, power_table, reciprocal, zero
+from siegelnum.series import power_table, reciprocal
 
 FAMILY_IDS = ("quadratic", "poly_3", "exp", "zexp", "sin", "tan", "reduced(sin)", "reduced(tan)")
 
@@ -45,7 +45,7 @@ def test_from_coeffs_rejects_bad_input():
     [(lambda: TruncatedSeries.from_coeffs([1.0], degree=-1), "degree must be >= 0"),
      (lambda: geometric(4).padded(3), "cannot lower the degree"),
      (lambda: geometric(4) + 1.0, "operands must both be TruncatedSeries"),
-     (lambda: reciprocal(identity(4)), "nonzero constant term")],
+     (lambda: reciprocal(TruncatedSeries.from_coeffs([0, 1], degree=4)), "nonzero constant term")],
     ids=["negative-degree", "padded-lower", "foreign-operand", "reciprocal-of-z"],
 )
 def test_series_preconditions(call, match):
@@ -132,7 +132,7 @@ def test_evaluate_geometric_value():
 
 def test_padding_roundtrip_and_pairs():
     s = TruncatedSeries.from_coeffs([0, 1, 2 + 1j])
-    assert s.padded(6).truncated(2).coeffs == pytest.approx(s.coeffs)
+    assert np.array_equal(s.padded(6).coeffs, np.r_[s.coeffs, np.zeros(4)])
     again = TruncatedSeries.from_pairs(s.to_pairs())
     assert np.array_equal(again.coeffs, s.coeffs)
     # a bare real entry stands for [re, 0]
@@ -157,10 +157,3 @@ def test_addition_commutes_with_evaluation(xs, ys):
     lhs = evaluate(a + b, z)
     rhs = evaluate(a, z) + evaluate(b, z)
     assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=1, max_value=12))
-def test_zero_and_identity_fixed_points(n):
-    assert not zero(n).coeffs.any()
-    assert evaluate(identity(n), 0.77) == pytest.approx(0.77)
