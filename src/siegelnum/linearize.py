@@ -88,6 +88,7 @@ ENTRY_RADIUS_GRID = tuple(
 ) + (_DECADE_RUNGS[-1],)
 ENTRY_TAIL_TOL = 1e-13
 ESCAPE_BOUND = 1e50
+_ORBIT_CHUNK = 16  # basin orbit steps per exit test once an orbit is long (_orbit)
 DEFAULT_BUDGET = 10**6
 # table entries per block of a batched Koenigs or Siegel solve: about 1 MB
 # of complex128 per work array whatever the batch size
@@ -464,14 +465,21 @@ def entry_radius(ser: TruncatedSeries) -> float:
 
 
 def _orbit(family: FamilySpec, lam: complex, z: complex, r_entry: float, budget: int) -> tuple[complex, int]:
-    """Iterate f_lambda from z until |z| <= r_entry; returns (z_m, m).
+    """Iterate f_lambda from z to a stop in |z| <= r_entry; returns (z_m, m).
 
-    One scalar loop with one chained test per iterate.  It stops on entry,
-    on |z| > ESCAPE_BOUND (abs is inf when a part is inf) and on a NaN
-    iterate, which is returned as it stands: NaN is not > r_entry.  The
-    iterate lam * step(z) is family_eval's expression, bit for bit.  A map
-    that overflows (cmath raises OverflowError, as exp does at z = 800)
-    counts as an escape.
+    Each exit test stops the orbit on entry, on |z| > ESCAPE_BOUND (abs is
+    inf when a part is inf) and on a NaN iterate, returned as it stands (NaN
+    is not > r_entry).  lam * step(z) is family_eval's expression, bit for
+    bit; an OverflowError from the map (exp at z = 800) is an escape.
+
+    The first _ORBIT_CHUNK steps are tested one by one, so short interior
+    orbits stop where a per-step loop does.  Then, while a chunk of
+    _ORBIT_CHUNK steps fits in the budget, only its last iterate is tested.
+    A chunk that raises (hence `except Exception`, which swallows nothing)
+    or fails the test is rerun step by step, as is the rest of the budget,
+    and so stops, escapes or raises where a per-step loop would.  The one
+    difference: an orbit that leaves r_entry < |z| <= ESCAPE_BOUND and comes
+    back inside one accepted chunk runs on, to a later stop in the disc.
     """
     step = family._point_eval
     lam = complex(lam)
@@ -479,11 +487,29 @@ def _orbit(family: FamilySpec, lam: complex, z: complex, r_entry: float, budget:
     a = abs(z)
     if r_entry < a <= ESCAPE_BOUND:
         try:
-            for m in range(1, budget + 1):
+            for m in range(1, min(budget, _ORBIT_CHUNK) + 1):
                 z = lam * step(z)
                 a = abs(z)
                 if not r_entry < a <= ESCAPE_BOUND:
                     break
+            else:
+                while m + _ORBIT_CHUNK <= budget:
+                    try:  # the chunk written out: a loop gives back a third of the saving
+                        y = lam * step(lam * step(lam * step(lam * step(
+                            lam * step(lam * step(lam * step(lam * step(
+                            lam * step(lam * step(lam * step(lam * step(
+                            lam * step(lam * step(lam * step(lam * step(z))))))))))))))))
+                    except Exception:  # rerun step by step below, which raises it again
+                        break
+                    a = abs(y)
+                    if not r_entry < a <= ESCAPE_BOUND:
+                        break
+                    z, m = y, m + _ORBIT_CHUNK
+                for m in range(m + 1, budget + 1):
+                    z = lam * step(z)
+                    a = abs(z)
+                    if not r_entry < a <= ESCAPE_BOUND:
+                        break
         except OverflowError:
             raise NoConvergenceError(
                 budget, f"orbit escaped (map overflowed) after {m} iterations"
@@ -531,8 +557,10 @@ def _basin_step(family: FamilySpec, lams: list, h: np.ndarray, starts: list, bud
 def koenigs_eval(ks: KoenigsSeries, z: complex) -> tuple[complex, int]:
     """h(z) on the whole basin of 0, by iterating into the entry disc.
 
-    Iterates z_{m+1} = f_lambda(z_m) until |z_m| <= entry_radius(h), at
-    most DEFAULT_BUDGET times; returns (lambda^{-m} h(z_m), m).  This is
+    Iterates z_{m+1} = f_lambda(z_m), at most DEFAULT_BUDGET times, to the
+    iterate z_m where _orbit stops in |z| <= entry_radius(h): the first
+    entry, or a later iterate in the disc when the orbit dipped into it and
+    out again inside one chunk.  Returns (lambda^{-m} h(z_m), m).  This is
     u_values' basin step on one row, so at z = lambda v it gives
     yoccoz_w's w and iterations, bit for bit.
     """
@@ -578,9 +606,10 @@ def u_values(
     process and shared by every later call (_koenigs_table), and one batched
     solve per block of BLOCK_ENTRIES // (n + 1) multipliers (508 at
     n = 128) that reads only the table entries that can be nonzero,
-    followed by the block's basin step from lambda v (_basin_step: orbits,
-    then one product for every h(z_m)).  Near the unit circle
-    orbits run to 10^5 iterates, so its orbit loop is where deep ray scans
+    followed by the block's basin step from lambda v (_basin_step: orbits
+    to their stopping iterates z_m in the entry disc, then one product for
+    every h(z_m)); iterations_used is that m.  At 1 - |lambda| = 2^-k an
+    orbit runs about 2^k iterates, so its loop is where deep ray scans
     (rho_radial, the benchmark's radius_scan) spend their time.
     """
     if budget < 1:

@@ -614,8 +614,10 @@ def _scalar_entry_radius(h):
     )
 
 
-def _reference_orbit(family, lam, z, r_entry, budget):
-    """Reference basin orbit: a while loop that tests each exit on its own."""
+def _first_entry_orbit(family, lam, z, r_entry, budget):
+    """Basin orbit to its first entry: a while loop that tests each exit on
+    its own after every step (the rule _orbit follows for its first
+    _ORBIT_CHUNK steps and in every chunk it reruns)."""
     m = 0
     while abs(z) > r_entry:
         if m >= budget:
@@ -624,8 +626,46 @@ def _reference_orbit(family, lam, z, r_entry, budget):
             raise NoConvergenceError(
                 budget, f"orbit escaped (|z| > {ESCAPE_BOUND:g}) after {m} iterations"
             )
-        z = family_eval(family, lam, z)
         m += 1
+        try:
+            z = family_eval(family, lam, z)
+        except OverflowError:
+            raise NoConvergenceError(budget, f"orbit escaped (map overflowed) after {m} iterations") from None
+    return z, m
+
+
+def _reference_orbit(family, lam, z, r_entry, budget):
+    """Reference basin orbit: _orbit's rule as one while loop.  It steps as
+    _first_entry_orbit does, except that from step _ORBIT_CHUNK on, while a
+    chunk of _ORBIT_CHUNK steps fits in the budget, it takes the chunk whole
+    when none of its steps raised and its last iterate lies strictly between
+    r_entry and ESCAPE_BOUND; from the first chunk that fails, it steps."""
+    chunk = linearize._ORBIT_CHUNK
+    m, chunked = 0, True
+    while abs(z) > r_entry:
+        if m >= budget:
+            raise NoConvergenceError(budget)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)) or abs(z) > ESCAPE_BOUND:
+            raise NoConvergenceError(
+                budget, f"orbit escaped (|z| > {ESCAPE_BOUND:g}) after {m} iterations"
+            )
+        if chunked and m >= chunk and m + chunk <= budget:
+            y = z
+            try:
+                for _ in range(chunk):
+                    y = family_eval(family, lam, y)
+                whole = r_entry < abs(y) <= ESCAPE_BOUND
+            except Exception:  # any error: the chunk is stepped instead
+                whole = False
+            if whole:
+                z, m = y, m + chunk
+                continue
+            chunked = False
+        m += 1
+        try:
+            z = family_eval(family, lam, z)
+        except OverflowError:
+            raise NoConvergenceError(budget, f"orbit escaped (map overflowed) after {m} iterations") from None
     return z, m
 
 
@@ -1129,13 +1169,16 @@ def test_koenigs_eval_at_a_preimage_of_the_fixed_point_is_zero():
 
 def test_koenigs_eval_matches_yoccoz_w():
     # both run the one basin step, so h on the basin is evaluated the same
-    # way bit for bit, whichever entry point asks
+    # way bit for bit, whichever entry point asks; the depth-14 golden
+    # multiplier's orbits run through hundreds of chunks
     rng = np.random.default_rng(11)
+    deep_lam = (1 - 2.0**-14) * cmath.exp(2j * math.pi * golden_rotation().value)
+    deep = 0
     for fam_id in ALL_FAMILY_IDS:
         fam = get_family(fam_id)
         lams = rng.uniform(0.1, 0.95, 30) * np.exp(2j * math.pi * rng.uniform(0, 1, 30))
         compared = 0
-        for lam in lams.tolist():
+        for lam in lams.tolist() + [deep_lam]:
             try:
                 value = yoccoz_w(fam, lam, 128)
             except SiegelnumError:
@@ -1143,7 +1186,9 @@ def test_koenigs_eval_matches_yoccoz_w():
             w, m = koenigs_eval(koenigs_series(fam, lam, 128), lam * fam.v)
             assert (w, m) == (value.w, value.iterations_used), (fam_id, lam)
             compared += 1
+            deep += m >= 100 * linearize._ORBIT_CHUNK
         assert compared >= 20, fam_id
+    assert deep == len(ALL_FAMILY_IDS)
 
 
 @pytest.mark.parametrize(
@@ -1217,6 +1262,167 @@ def test_orbit_exits_match_reference():
     assert _assert_same_orbit(quad, 0.5, 0.2, 0.01, m_in - 1) == (
         NoConvergenceError, f"iteration budget {m_in - 1} exhausted"
     )
+
+
+def _assert_first_entry_orbit(family, lam, z, r_entry, budget):
+    """_orbit and its reference against _first_entry_orbit: the same (z, m)
+    by repr, or the same error type and message."""
+    new = _assert_same_orbit(family, lam, z, r_entry, budget)
+    first = _orbit_outcome(_first_entry_orbit, family, complex(lam), complex(z), r_entry, budget)
+    assert repr(new) == repr(first), (family.family_id, lam, z, r_entry, budget)
+    return new
+
+
+def _halving_family(name, point_eval):
+    """A custom map; at lambda = 1 from z = 1 an orbit of z / 2 is 2^-k exactly."""
+    with pytest.warns(UserWarning, match="single-singular-value"):
+        return custom_family(name, 1.0, 1, families._quadratic_coeffs, point_eval)
+
+
+CHUNK = linearize._ORBIT_CHUNK
+CHUNK_BUDGETS = [CHUNK * j + d for j in range(1, 5) for d in (-1, 0, 1)]
+
+
+def test_orbit_exits_at_chunk_boundaries_match_the_first_entry():
+    quad = get_family("quadratic")
+    # entering: from 0.2 at lambda = 0.5 the orbit shrinks monotonically, so
+    # r_entry = |z_k| makes step k the entry
+    orbit = [0.2 + 0j]
+    while len(orbit) <= max(CHUNK_BUDGETS):
+        orbit.append(family_eval(quad, 0.5, orbit[-1]))
+    for k in CHUNK_BUDGETS:
+        for budget in CHUNK_BUDGETS:
+            out = _assert_first_entry_orbit(quad, 0.5, 0.2, abs(orbit[k]), budget)
+            assert out == ((orbit[k], k) if budget >= k else (NoConvergenceError, f"iteration budget {budget} exhausted"))
+    # escaping: from 3, and from -1 - 1.5^-i, which leaves the repelling
+    # fixed point -1 at rate 1.5 and escapes one step later for each i
+    escapes = {}
+    for z in [3 + 0j] + [complex(-1 - 1.5**-i) for i in range(1, 70)]:
+        out = _orbit_outcome(_first_entry_orbit, quad, 0.5 + 0j, z, 0.01, DEFAULT_BUDGET)
+        escapes.setdefault(int(out[1].rsplit(" ", 2)[1]), z)
+    assert set(CHUNK_BUDGETS) <= set(escapes)
+    for m_esc in [min(escapes)] + CHUNK_BUDGETS:
+        for budget in CHUNK_BUDGETS:
+            out = _assert_first_entry_orbit(quad, 0.5, escapes[m_esc], 0.01, budget)
+            if budget > m_esc:
+                assert out == (NoConvergenceError, f"orbit escaped (|z| > {ESCAPE_BOUND:g}) after {m_esc} iterations")
+            else:
+                assert out == (NoConvergenceError, f"iteration budget {budget} exhausted")
+
+
+def test_an_overflow_inside_a_chunk_is_the_first_entry_escape():
+    # exp at lambda = 1 drifts off its parabolic point 0 and overflows; the
+    # overflowing step lies past the first chunk's start
+    exp, steps = get_family("exp"), set()
+    for x in (0.02, 0.021, 0.022):
+        out = _assert_first_entry_orbit(exp, 1.0, x, 0.01, DEFAULT_BUDGET)
+        steps.add(int(re.fullmatch(r"orbit escaped \(map overflowed\) after (\d+) iterations", out[1]).group(1)))
+    assert all(m > CHUNK for m in steps) and any(m % CHUNK for m in steps)
+
+
+def _tan_start_onto_a_pole(m):
+    """A real start whose orbit under tan (lambda = 1) meets a pole at step
+    m: the orbit drifts off the parabolic point 0 slowly, so its iterate
+    m - 1 grows with the start smoothly enough for bisection to bring it
+    within TAN_POLE_THRESHOLD of pi / 2."""
+    tan = get_family("tan")
+
+    def passes(x):
+        z = complex(x)
+        for _ in range(m - 1):
+            try:
+                z = family_eval(tan, 1.0, z)
+            except PoleError:
+                return True
+            if not 0 <= z.real < math.pi / 2:
+                return True
+        return False
+
+    lo, hi = 0.05, 0.5
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (lo, mid) if passes(mid) else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("m", [9 * CHUNK + 5, 10 * CHUNK])
+def test_a_pole_inside_a_chunk_is_the_first_entry_error(m):
+    tan, x = get_family("tan"), _tan_start_onto_a_pole(m)
+    out = _assert_first_entry_orbit(tan, 1.0, x, 0.01, DEFAULT_BUDGET)
+    assert out[0] is PoleError
+    assert _assert_first_entry_orbit(tan, 1.0, x, 0.01, m) == out
+    assert _assert_first_entry_orbit(tan, 1.0, x, 0.01, m - 1) == (NoConvergenceError, f"iteration budget {m - 1} exhausted")
+
+
+def test_non_finite_iterates_inside_a_chunk_stop_as_the_first_entry():
+    m = 5 * CHUNK + 7
+    last = 2.0 ** -(m - 1)  # the iterate whose step is step m
+    nan = _halving_family("nan_at_m", lambda z: complex(math.nan, math.nan) if abs(z) <= last else z / 2)
+    z, k = _assert_first_entry_orbit(nan, 1.0, 1.0, 1e-300, DEFAULT_BUDGET)
+    assert math.isnan(z.real) and k == m
+    inf = _halving_family("inf_at_m", lambda z: complex(math.inf, 0.0) if abs(z) <= last else z / 2)
+    assert _assert_first_entry_orbit(inf, 1.0, 1.0, 1e-300, DEFAULT_BUDGET) == (
+        NoConvergenceError, f"orbit escaped (|z| > {ESCAPE_BOUND:g}) after {m} iterations"
+    )
+
+
+def test_an_error_after_the_entry_inside_a_chunk_keeps_the_entry():
+    m = 5 * CHUNK + 7
+    r_entry = 2.0**-m
+
+    def refuse_inside(z):
+        if abs(z) <= r_entry:
+            raise ValueError("evaluated inside the entry disc")
+        return z / 2
+
+    fam = _halving_family("refuse_inside", refuse_inside)
+    for budget in (m, m + 1, m + CHUNK, DEFAULT_BUDGET):
+        assert _assert_first_entry_orbit(fam, 1.0, 1.0, r_entry, budget) == (2.0**-m + 0j, m)
+
+
+def test_a_dip_above_the_escape_bound_inside_a_chunk_runs_on():
+    # the one difference from the first entry: an orbit that leaves the
+    # annulus r_entry < |z| <= ESCAPE_BOUND and comes back inside one
+    # accepted chunk runs on, and stops at a later iterate inside the disc
+    dip = CHUNK + 5  # the step above the bound, inside the chunk of steps CHUNK + 1 .. 2 CHUNK
+    top = 2.0 ** -(dip - 1)
+    fam = _halving_family("dip", lambda z: 1e60 if z == top else top / 2 if z == 1e60 else z / 2)
+    escaped = (NoConvergenceError, f"orbit escaped (|z| > {ESCAPE_BOUND:g}) after {dip} iterations")
+    assert _orbit_outcome(_first_entry_orbit, fam, 1 + 0j, 1 + 0j, 2.0**-40, DEFAULT_BUDGET) == escaped
+    z, m = _assert_same_orbit(fam, 1.0, 1.0, 2.0**-40, DEFAULT_BUDGET)
+    assert (z, m) == (2.0**-40 + 0j, 41)
+    # a chunk runs only where it fits in the budget
+    assert _assert_same_orbit(fam, 1.0, 1.0, 2.0**-40, 2 * CHUNK) == (
+        NoConvergenceError, f"iteration budget {2 * CHUNK} exhausted"
+    )
+    assert _assert_same_orbit(fam, 1.0, 1.0, 2.0**-40, 2 * CHUNK - 1) == escaped
+
+
+def test_chunked_orbits_stop_in_the_disc_at_or_after_the_first_entry(monkeypatch):
+    # every family on the golden, silver and [0; 2, 1, 1, ...] rays at
+    # depths 2..14, n = 128: the same outcomes and entry radii as first-entry
+    # orbits; each stop is inside its disc, no earlier than the first entry,
+    # and u moves by at most 1e-12 (measured: 4.4e-14)
+    alphas = (golden_rotation().value, silver_rotation().value, rotation_from_cf([2] + [1] * 39).value)
+    lams = [(1 - 2.0**-k) * cmath.exp(2j * math.pi * a) for a in alphas for k in range(2, 15)]
+    worst, later = 0.0, 0
+    for fam_id in ALL_FAMILY_IDS:
+        fam = get_family(fam_id)
+        new = u_values(fam, lams, 128)
+        with monkeypatch.context() as patch:
+            patch.setattr(linearize, "_orbit", _first_entry_orbit)
+            first = u_values(fam, lams, 128)
+        for lam, a, b in zip(lams, new, first, strict=True):
+            assert type(a) is type(b), (fam_id, lam, a, b)
+            if isinstance(b, SiegelnumError):
+                assert str(a) == str(b), (fam_id, lam)
+                continue
+            z, m = linearize._orbit(fam, lam, lam * fam.v, a.entry_radius, DEFAULT_BUDGET)
+            assert m == a.iterations_used and abs(z) <= a.entry_radius, (fam_id, lam)
+            assert a.entry_radius == b.entry_radius and m >= b.iterations_used, (fam_id, lam)
+            later += m > b.iterations_used
+            worst = max(worst, abs(a.u - b.u))
+    assert later > 0
+    assert worst <= 1e-12
 
 
 def test_budget_below_one_is_a_precondition_error():
