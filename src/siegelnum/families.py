@@ -2,9 +2,10 @@
 
 Each entry pairs a closed-form evaluator with a series generator for the
 same map, plus the data the rest of the package keys on: the distinguished
-non-zero singular value ``v`` (critical or asymptotic) and the rotational
+non-zero singular value ``v`` (critical or asymptotic), the rotational
 symmetry order ``n`` (f(omega z) = omega f(z) for omega an n-th root of
-unity).  The parametrized map under study is always f_lambda = lambda * f.
+unity) and, for exp, zexp, sin and tan, the first-order ODE the map
+satisfies (``ode``), by which its Siegel series is solved.  The parametrized map under study is always f_lambda = lambda * f.
 
 Families with n > 1 can be folded to a symmetry-reduced map
 F(w) = f(w^{1/n})^n, a genuine power series in w; see
@@ -27,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import PoleError, PreconditionError
-from .series import TruncatedSeries, reciprocal
+from .series import TruncatedSeries
 
 __all__ = [
     "FamilySpec",
@@ -54,6 +55,11 @@ class FamilySpec:
     degree_param: int | None = None  # d for the polynomial family
     user_defined: bool = False
     reduced_from: str | None = None
+    # the first-order ODE that f satisfies, by name (exp, zexp, sin, tan),
+    # which linearize solves the Siegel series by; a reduction keeps its base
+    # map's, solved at half the rotation number and folded.  None: the Siegel
+    # series comes from the composition solve.
+    ode: str | None = None
     _coeff_gen: Callable = field(default=None, repr=False)
     _point_eval: Callable = field(default=None, repr=False)
 
@@ -121,31 +127,27 @@ def _zexp_coeffs(n):
     return np.array([0, 1, *_exp_coeffs(n - 1)[1:]], dtype=np.complex128)
 
 
-def _alternating_coeffs(start):
-    """sin (start 1) or cos (start 0): c_k = (-1)^j / k! at k = start + 2j,
-    each term from the last by one division so that no factorial overflows."""
-
-    def gen(n):
-        c = np.zeros(n + 1, dtype=np.complex128)
-        term = np.complex128(1)
-        sign = 1
-        for k in range(start, n + 1, 2):
-            c[k] = sign * term
-            sign = -sign
-            term = term / ((k + 1) * (k + 2))
-        return c
-
-    return gen
-
-
-_sin_coeffs = _alternating_coeffs(1)
-_cos_coeffs = _alternating_coeffs(0)
+def _sin_coeffs(n):
+    """c_k = (-1)^j / k! at k = 2j + 1, each term from the last by one
+    division so that no factorial overflows."""
+    c = np.zeros(n + 1, dtype=np.complex128)
+    term = np.complex128(1)
+    sign = 1
+    for k in range(1, n + 1, 2):
+        c[k] = sign * term
+        sign = -sign
+        term = term / ((k + 1) * (k + 2))
+    return c
 
 
 def _tan_coeffs(n):
-    s = TruncatedSeries.from_coeffs(_sin_coeffs(n), n)
-    inv_cos = reciprocal(TruncatedSeries.from_coeffs(_cos_coeffs(n), n))
-    return (s * inv_cos).coeffs
+    # tan' = 1 + tan^2: t_1 = 1 and k t_k = [z^(k-1)] t^2 at odd k, one dot
+    # of the odd coefficients below k, all positive, so nothing cancels
+    c = np.zeros(n + 1, dtype=np.complex128)
+    c[1] = 1
+    for k in range(3, n + 1, 2):
+        c[k] = np.dot(c[1 : k - 1 : 2], c[k - 2 : 0 : -2]) / k
+    return c
 
 
 def _tan_eval(z):
@@ -163,13 +165,13 @@ def _build_catalog() -> dict[str, FamilySpec]:
         FamilySpec("quadratic", 0.25, 1, _coeff_gen=_quadratic_coeffs,
                    _point_eval=lambda z: z * (1 - z)),
         _poly_family(3),
-        FamilySpec("exp", -1.0, 1, _coeff_gen=_exp_coeffs,
+        FamilySpec("exp", -1.0, 1, ode="exp", _coeff_gen=_exp_coeffs,
                    _point_eval=lambda z: cmath.exp(z) - 1),
-        FamilySpec("zexp", -math.exp(-1.0), 1, _coeff_gen=_zexp_coeffs,
+        FamilySpec("zexp", -math.exp(-1.0), 1, ode="zexp", _coeff_gen=_zexp_coeffs,
                    _point_eval=lambda z: z * cmath.exp(z)),
-        FamilySpec("sin", 1.0, 2, _coeff_gen=_sin_coeffs, _point_eval=cmath.sin),
+        FamilySpec("sin", 1.0, 2, ode="sin", _coeff_gen=_sin_coeffs, _point_eval=cmath.sin),
         # of the symmetric pair +-i of asymptotic values, +i is the recorded one
-        FamilySpec("tan", 1j, 2, _coeff_gen=_tan_coeffs, _point_eval=_tan_eval),
+        FamilySpec("tan", 1j, 2, ode="tan", _coeff_gen=_tan_coeffs, _point_eval=_tan_eval),
     ]
     return {e.family_id: e for e in entries}
 
@@ -286,7 +288,7 @@ def symmetry_reduce(spec: FamilySpec) -> FamilySpec:
             return inner_eval(w ** root) ** n
 
     return FamilySpec(f"reduced({spec.family_id})", spec.v**n, 1, reduced_from=spec.family_id,
-                      _coeff_gen=gen, _point_eval=pe)
+                      ode=spec.ode if n == 2 else None, _coeff_gen=gen, _point_eval=pe)
 
 
 def custom_family(family_id, v, symmetry_order, coeff_gen, point_eval) -> FamilySpec:

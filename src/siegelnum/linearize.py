@@ -7,7 +7,10 @@ Two regimes of the same functional equation:
   basin of 0 by iterating into a small entry disc and unwinding the equation;
 * indifferent (|lambda| = 1, lambda = e^{2 pi i alpha}): the Siegel series g
   with f_lambda(g(w)) = g(lambda * w), whose coefficient recurrence divides
-  by the small divisors lambda^k - lambda.
+  by the small divisors lambda^k - lambda.  A map that declares the
+  first-order ODE it satisfies (exp, zexp, sin, tan and the folds of sin and
+  tan) gets g by ODE composition in O(n^2); any other map, by the
+  composition sum over the powers g^j up to its degree.
 
 On top of the basin extension sits the Yoccoz value w(lambda) = h(lambda v),
 where v is the family's distinguished singular value.  Its log-modulus
@@ -276,10 +279,14 @@ def siegel_series_many(
     trips where |lambda^k - lambda| < max(SIEGEL_DIVISOR_FLOOR,
     2 pi (k - 1) ulp(alpha)), and reports the k of the smallest ratio of
     divisor to floor, with that floor.  Every alpha that passes the guard
-    goes into one batched _solve_siegel call.
+    goes into one batched solve (_siegel_rows): the ODE solve (_solve_ode)
+    when the family declares its ODE (exp, zexp, sin, tan, reduced(sin),
+    reduced(tan)), else the composition solve (_solve_siegel: polynomial
+    and custom maps).
     """
+    if n < 2:
+        raise PreconditionError("series degree must be >= 2")
     alphas = np.array([float(getattr(a, "value", a)) for a in alphas])  # RotationNumber or float
-    base = base_series(family, n).coeffs
     finite = np.isfinite(alphas)
     safe = np.where(finite, alphas, 0.0)  # a non-finite alpha's row is never read
     powers = np.exp(2j * math.pi * _phases(safe, n))
@@ -301,9 +308,8 @@ def siegel_series_many(
     live = [b for b, out in enumerate(outcomes) if not isinstance(out, SiegelnumError)]
     if live:
         lams = powers[live, 1]
-        # f_lambda = lambda f, as family_series builds it; rows back their series
-        solved = _solve_siegel(lams[:, None] * base, divisors[live])
-        solved.flags.writeable = False
+        solved = _siegel_rows(family, lams, divisors[live])
+        solved.flags.writeable = False  # rows back their series
         for b, lam, out in zip(live, lams.tolist(), _read_rows(solved, "Siegel")):
             outcomes[b] = out if isinstance(out, SiegelnumError) else SiegelSeries(
                 alpha=outcomes[b], lam=lam, g=TruncatedSeries(out), family=family,
@@ -326,8 +332,10 @@ def _siegel_plan(rows: int, top: int, n: int, thread: int) -> tuple:
     2..m, W's row k, g_k, its slot in rev), m = min(k, top).  A solve writes
     each entry it reads before reading it; the rest stay 0.  At most 8 plans
     of 2 max(BLOCK_ENTRIES, (top + 1)(n + 1)) + rows (n + 1) complex128
-    entries and ~1 KB of views per degree: 2.7 MB at n = 256 (22 MB for 8),
-    8.9 MB for a one-row entire-family block at n = 512 (71 MB for 8).
+    entries and ~1 KB of views per degree: 2.7 MB at n = 256 (22 MB for 8).
+    Only a custom map of high degree builds a larger one, up to 8.9 MB for
+    a one-row entire block at n = 512 (71 MB for 8); the catalog's entire
+    maps take the ODE solve, which keeps no power table.
     """
     pows = np.zeros((rows, top + 1, n + 1), dtype=np.complex128)
     rev = np.zeros((rows, n + 1), dtype=np.complex128)
@@ -361,11 +369,11 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
 
     Powers above top = deg F never meet a nonzero F_j and are not kept, so
     a row costs O(top * n^2): O(n^2) for polynomial families, O(n^3)
-    (inside numpy) for entire ones.  Rows are solved in blocks of at most
-    BLOCK_ENTRIES power-table entries, (top + 1)(n + 1) per row, and
-    at least one row: a quadratic batch at n = 256 shares blocks of 85 rows,
-    while an entire family at n = 256 is solved a row at a time, where a
-    wider block would only add memory traffic.
+    (inside numpy) for an entire custom map.  Rows are solved in blocks of
+    at most BLOCK_ENTRIES power-table entries, (top + 1)(n + 1) per row,
+    and at least one row: a quadratic batch at n = 256 shares blocks of 85
+    rows, while an entire custom map at n = 256 is solved a row at a time,
+    where a wider block would only add memory traffic.
     """
     n = F.shape[1] - 1
     high = F[:, :1:-1] != 0  # F_n, ..., F_2
@@ -384,6 +392,140 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
                     np.matmul(weights, col, out=g_k)
                     np.positive(g_k, out=slot)
             out[rows] = pows[:, 1]
+    return out
+
+
+def _siegel_rows(family: FamilySpec, lams: np.ndarray, divisors: np.ndarray) -> np.ndarray:
+    """Rows g of f_lambda(g(w)) = g(lambda w), one per lambda, with
+    divisors[:, k] = lambda^k - lambda for k = 0..n: the ODE solve
+    (_solve_ode) for a map that declares its ODE (FamilySpec.ode), the
+    composition solve (_solve_siegel) of F = lambda f for any other."""
+    if family.ode is None:
+        n = divisors.shape[1] - 1
+        return _solve_siegel(lams[:, None] * base_series(family, n).coeffs, divisors)
+    return _solve_ode(family.ode, family.reduced_from is not None, lams, divisors)
+
+
+# per ODE: whether only odd degrees step (f odd, so g odd), and the number
+# of left rows: k g_k for exp and sin, g_k and k g_k for zexp, k g_k and
+# tan(g)_k for tan
+_ODE_SHAPES = {"exp": (False, 1), "zexp": (False, 2), "sin": (True, 1), "tan": (True, 2)}
+
+
+def _ode_start(ode: str, left, state, M, C, w, k) -> None:
+    """Degree 1 of the left rows and of the state (degree 2 of the even
+    part for sin and tan), and each step's weights from w = lambda / d and
+    the step's degree k; see _solve_ode."""
+    odd = _ODE_SHAPES[ode][0]
+    left[:] = state[:] = 0
+    left[:, :, 1 - odd] = 1  # every left row is 1 at degree 1
+    T = state.shape[1] - 1
+    if odd:
+        state[:, T - 2] = -0.5 if ode == "sin" else 1  # cos(g)_2, (1 + tan^2 g)_2
+    else:
+        state[:, T - 1] = 1  # E_1
+    s = (w + 1) / k  # the state's new coefficient per unit of r_k
+    C[..., 0, 0] = w
+    if ode == "exp":
+        M[..., 0, 0] = s
+    elif ode == "zexp":
+        M[..., 0, 0], M[..., 0, 1], C[..., 1, 0] = w, 1 / k, k * w
+    elif ode == "sin":  # (cos_{k+1}, sin_k) from (b, r): cos_{k+1} = -(b + sin_k + k g_k) / (k + 1)
+        M[..., 0, 0], M[..., 0, 1], M[..., 1, 1] = -1 / (k + 1), -(s + w) / (k + 1), s
+    else:  # (Q_{k+1}, tan_k) from (., r, c, .): Q_{k+1} = c + 2 tan_k
+        M[..., 0, 1], M[..., 0, 2], M[..., 1, 1], C[..., 1, 0] = 2 * s, 1, s, s
+
+
+@functools.lru_cache(maxsize=8)
+def _ode_plan(ode: str, rows: int, top: int, thread: int) -> tuple:
+    """(left, state, M, C, v, degrees, steps) for _solve_ode's blocks of one
+    ODE and shape in one thread, stepping g to degree top: the left rows
+    forward (odd degrees only, packed, for an odd map), the state reversed
+    (state[:, T - d] = Z_d), each step's weights M and C, the dot's output
+    v, and per step the views (left window, state window, M, the state's
+    next slot(s), C, the left rows' next column).  At most 8 plans of at
+    most 7 complex128 entries per row and degree, and ~1 KB of views per
+    degree: 0.13 MB for one row at n = 128, 9 MB for 31 rows of
+    reduced(tan) at n = 1024 (top = 2047).
+    """
+    odd, nl = _ODE_SHAPES[ode]
+    degrees = np.arange(3, top + 1, 2) if odd else np.arange(2, top + 1)
+    T = top + odd
+    left = np.zeros((rows, nl, (top + 1) // 2 if odd else top + 1), dtype=np.complex128)
+    state = np.zeros((rows, T + 1), dtype=np.complex128)
+    M = np.zeros((rows, degrees.size, 1 + odd, nl * (1 + odd)), dtype=np.complex128)
+    C = np.zeros((rows, degrees.size, nl, 1), dtype=np.complex128)
+    v = np.empty((rows, nl, 1 + odd), dtype=np.complex128)
+    steps = []
+    for i, k in enumerate(degrees.tolist()):
+        if odd:  # j = 1, 3, ..., k - 2 against (Z_{k+1-j}, Z_{k-j}); writes (Z_{k+1}, Z_k)
+            j = (k - 1) // 2
+            window = state[:, T - k : T - k + 2 * j].reshape(rows, j, 2)  # a view
+            steps.append((left[:, :, :j], window, M[:, i], state[:, T - k - 1 : T - k + 1, None],
+                          C[:, i], left[:, :, j, None]))
+        else:  # j = 1, ..., k - 1 against E_{k-j}; writes E_k
+            steps.append((left[:, :, 1:k], state[:, T - k + 1 : T, None], M[:, i],
+                          state[:, T - k, None, None], C[:, i], left[:, :, k, None]))
+    return left, state, M, C, v, degrees, tuple(steps)
+
+
+def _solve_ode(ode: str, fold: bool, lams: np.ndarray, divisors: np.ndarray) -> np.ndarray:
+    """Siegel rows of a map that satisfies a first-order ODE, by ODE
+    composition (Brent and Kung, J. ACM 25, 1978): O(n^2) per row, with no
+    power table.  divisors[:, k] = lambda^k - lambda as for _solve_siegel.
+
+    The state is E = e^g for exp (f o g = E - 1) and zexp (f o g = g E),
+    Z = sin g + cos g for sin and Z = tan g + (1 + tan^2 g) for tan, an odd
+    and an even series kept as one.  Since (e^g)' = g' e^g,
+    (sin g)' = g' cos g, (cos g)' = -g' sin g and (tan g)' = g' (1 + tan^2 g),
+    degree k of the state is a sum over j <= k of j g_j times state
+    coefficients below k, and tan's even part a self-convolution of its odd
+    part.  In each case the only unknown at degree k is g_k, with
+    coefficient 1 in [f o g]_k, so with w_k = lambda / d_k and r_k the known
+    part of the sum, k g_k = w_k r_k and the state's new coefficient is
+    (w_k + 1) r_k / k (zexp: g_k = w_k r_k with r_k = sum_{j<k} g_j E_{k-j}).
+    A step is three numpy calls on views _ode_plan builds once per block
+    shape (a memo of 8): one stacked dot of the left rows with a window of
+    the reversed state, one product with the step's state weights into the
+    state's next slot (for sin and tan, the odd coefficient at k and the
+    even one at k + 1), and one product of r_k with the left weights into
+    the left rows.  sin and tan step only odd k; their even coefficients of
+    g are exactly 0.
+
+    fold: the map is reduced(f) with f = sin or tan, whose row is
+    g(w) = g_f(sqrt(w))^2 for g_f the row of f at mu = sqrt(lambda) to
+    degree 2n - 1; mu / (mu^{2m+1} - mu) = lambda / d_{m+1}, so f's step at
+    degree 2m + 1 takes the reduced map's weight of degree m + 1, and the
+    guard on the reduced map's divisors covers it.  Rows are solved in
+    blocks of BLOCK_ENTRIES state entries (at least one row); each row's
+    products are its own, so a row is bitwise that of a batch of one.
+    """
+    n = divisors.shape[1] - 1
+    odd, _ = _ODE_SHAPES[ode]
+    top = 2 * n - 1 if fold else n - 1 + n % 2 if odd else n
+    out = np.zeros((lams.size, n + 1), dtype=np.complex128)
+    per_block = max(1, BLOCK_ENTRIES // (top + 2))
+    for start in range(0, lams.size, per_block):
+        rows = slice(start, start + per_block)
+        block = lams[rows]
+        left, state, M, C, v, k, steps = _ode_plan(ode, block.size, top, threading.get_ident())
+        flat, r = v.reshape(block.size, -1, 1), v[:, :1, -1:]
+        with np.errstate(over="ignore", invalid="ignore"):  # _read_rows reports it
+            w = block[:, None] / divisors[rows, (k + 1) // 2 if fold else k]
+            _ode_start(ode, left, state, M, C, w, k)
+            for window, stack, weights, slot, scale, column in steps:
+                np.matmul(window, stack, out=v)
+                np.matmul(weights, flat, out=slot)
+                np.multiply(r, scale, out=column)
+            if ode == "zexp":
+                out[rows] = left[:, 0]
+            elif not odd:
+                out[rows, 1:] = left[:, 0, 1:] / np.arange(1, n + 1)
+            elif not fold:
+                out[rows, 1::2] = left[:, 0] / np.arange(1, top + 1, 2)
+            else:  # g_f(sqrt(w))^2 from g_f's odd coefficients
+                odd_part = left[:, 0] / np.arange(1, top + 1, 2)
+                out[rows, 1:] = [np.convolve(g, g)[:n] for g in odd_part]
     return out
 
 

@@ -6,8 +6,8 @@ the retained coefficients: adding, multiplying or composing two degree-``N``
 series yields the degree-``N`` truncation of the exact result.
 :func:`power_table` forms the truncated powers f^j behind composition and
 the Koenigs solve (:func:`compose` multiplies the inner series' table, up
-to the outer degree, by the outer coefficients); :func:`reciprocal`
-truncates 1/a, and :func:`evaluate` sums by Horner's rule.
+to the outer degree, by the outer coefficients), and :func:`evaluate` sums
+by Horner's rule.
 
 Conventions used throughout the package:
 
@@ -34,7 +34,6 @@ __all__ = [
     "compose",
     "power_table",
     "evaluate",
-    "reciprocal",
 ]
 
 
@@ -153,19 +152,6 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     a, b, n = outer._paired(inner)
     top = max(np.trim_zeros(a, "b").size - 1, 0)
     return TruncatedSeries.from_coeffs(power_table(b, top) @ a[: top + 1], n)
-
-
-def reciprocal(a: TruncatedSeries) -> TruncatedSeries:
-    """Truncation of 1/a(z); requires a nonzero constant term."""
-    c = a.coeffs
-    if c[0] == 0:
-        raise PreconditionError("reciprocal requires nonzero constant term")
-    n = a.degree
-    r = np.zeros(n + 1, dtype=np.complex128)
-    r[0] = 1 / c[0]
-    for k in range(1, n + 1):
-        r[k] = -np.dot(c[1 : k + 1], r[k - 1 :: -1][: k]) / c[0]
-    return TruncatedSeries.from_coeffs(r, n)
 
 
 def evaluate(a: TruncatedSeries, z: complex) -> complex:

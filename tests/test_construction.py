@@ -293,14 +293,20 @@ def test_a_flank_probe_without_a_disc_reads_minus_infinity(monkeypatch, failure)
     assert len(faked[0]) == 2 * construction.FLANK_SAMPLES
 
 
-def test_a_flank_scan_below_float_resolution_is_rejected():
-    # reduced(tan)'s step 2 lands 6 ulp from 21/34: its 32 flank probes
-    # collapse onto 13 distinct floats, two of them alpha_c itself
+def test_a_flank_scan_below_float_resolution_is_rejected(monkeypatch):
+    # a search that lands 6 ulp from its anchor, keeping est_n's series so
+    # that the norm check passes: the 32 flank probes are not distinct floats
+    def near_anchor(family, target, p, q, est_n, tol_rho, n):
+        alpha = p / q + 6 * math.ulp(p / q)
+        return dataclasses.replace(est_n, alpha=rotation_from_float(alpha), rho_hat=target)
+
+    monkeypatch.setattr(construction, "find_alpha_with_rho", near_anchor)
     with pytest.raises(ConstructionStallError) as exc:
-        run_construction(ConstructionConfig(family="reduced(tan)"))
-    assert str(exc.value).startswith("step 2: no anchor produced an acceptable candidate: "
-                                     "21/34: flank scan below float resolution;")
-    assert len(exc.value.partial_report.steps) == 1
+        run_construction(ConstructionConfig(depth=1))
+    message = str(exc.value)
+    assert message.startswith("step 1: no anchor produced an acceptable candidate: ")
+    assert "21/34: flank scan below float resolution;" in message
+    assert exc.value.partial_report.steps == ()
 
 
 def test_any_other_flank_probe_error_is_raised(monkeypatch):
@@ -449,17 +455,17 @@ def test_a_search_solves_one_row_per_probe(monkeypatch, fam_id):
     golden = golden_rotation().value
     above = rho_coefficient(family, golden, 256)
     rows, probes = [], []
-    solve, estimate = linearize._solve_siegel, construction.rho_coefficient
+    solve, estimate = linearize._siegel_rows, construction.rho_coefficient
 
-    def recording_solve(F, divisors):
-        rows.append(F.shape[0])
-        return solve(F, divisors)
+    def recording_solve(family, lams, divisors):
+        rows.append(lams.size)
+        return solve(family, lams, divisors)
 
     def recording_estimate(family, alpha, n):
         probes.append(alpha)
         return estimate(family, alpha, n)
 
-    monkeypatch.setattr(linearize, "_solve_siegel", recording_solve)
+    monkeypatch.setattr(linearize, "_siegel_rows", recording_solve)
     monkeypatch.setattr(construction, "rho_coefficient", recording_estimate)
     est = find_alpha_with_rho(family, above.rho_hat - 0.2, 21, 34, above, n=256)
     assert abs(est.rho_hat - (above.rho_hat - 0.2)) <= 0.02
@@ -755,8 +761,8 @@ def test_rho_infinity_override():
 
 
 @pytest.mark.parametrize("settings, message", [
-    # tan's coefficient estimate at the golden mean does not converge
-    ({"family": "tan"}, "base rotation number"),
+    # quadratic's coefficient estimate at this alpha0 and degree 64 does not converge
+    ({"alpha0": rotation_from_float(0.8268610301148979), "n_series": 64}, "base rotation number"),
     ({"rho_infinity": 0.0}, "not below the base estimate"),
     # -1.0 lies above the base estimate -1.1167
     ({"depth": 2, "schedule": (-1.0, -1.05)}, "strictly between"),

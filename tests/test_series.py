@@ -16,7 +16,7 @@ from siegelnum import (
     siegel_series,
 )
 from siegelnum.errors import PreconditionError
-from siegelnum.series import power_table, reciprocal
+from siegelnum.series import power_table
 
 FAMILY_IDS = ("quadratic", "poly_3", "exp", "zexp", "sin", "tan", "reduced(sin)", "reduced(tan)")
 
@@ -44,19 +44,12 @@ def test_from_coeffs_rejects_bad_input():
     "call, match",
     [(lambda: TruncatedSeries.from_coeffs([1.0], degree=-1), "degree must be >= 0"),
      (lambda: geometric(4).padded(3), "cannot lower the degree"),
-     (lambda: geometric(4) + 1.0, "operands must both be TruncatedSeries"),
-     (lambda: reciprocal(TruncatedSeries.from_coeffs([0, 1], degree=4)), "nonzero constant term")],
-    ids=["negative-degree", "padded-lower", "foreign-operand", "reciprocal-of-z"],
+     (lambda: geometric(4) + 1.0, "operands must both be TruncatedSeries")],
+    ids=["negative-degree", "padded-lower", "foreign-operand"],
 )
 def test_series_preconditions(call, match):
     with pytest.raises(PreconditionError, match=match):
         call()
-
-
-def test_reciprocal_of_one_minus_z_is_geometric():
-    one_minus = TruncatedSeries.from_coeffs([1, -1], degree=16)
-    rec = reciprocal(one_minus)
-    assert np.allclose(rec.coeffs, np.ones(17), atol=0)
 
 
 def test_compose_power_oracle():
