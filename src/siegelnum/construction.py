@@ -200,10 +200,10 @@ class ConstructionReport:
 
 
 def _effective_value(est: RadiusEstimate | SiegelnumError) -> float:
-    """The effective value of a coefficient estimate's outcome: its rho_hat
-    (-infinity on a diverging ray), or -infinity for a NO_DISC error, where
-    the dip is bottomless.  Any other package error, such as an estimate
-    above the Koebe cap, is raised."""
+    """The effective value of a coefficient estimate's outcome: its rho_hat,
+    or -infinity for a NO_DISC error, where the dip is bottomless.  Any
+    other package error, such as an estimate above the Koebe cap, is
+    raised."""
     if isinstance(est, NO_DISC):
         return -math.inf
     if isinstance(est, SiegelnumError):

@@ -8,14 +8,12 @@ Siegel disc at rotation number alpha, obtained two independent ways:
 * from coefficients — the Siegel series g_alpha converges exactly on the
   disc of radius e^rho, so the decay exponent of |g_k| is -rho.
 
-Rational alpha have rho = -infinity; on a rational ray u drops without
-bound, and the measured rate is (log 2)/q per dyadic step for denominator q
-(matching the local model u ~ (1/q) log(1 - r) + const).  The divergence
-detector therefore fires on a sustained per-step drop of DIVERGENCE_DROP,
-set to 0.1: denominators q <= 6 decay at 0.116/step or faster, while
-convergent scans plateau at |drop| < 0.005 well before the default depth.
-Denominators beyond 6 are indistinguishable from slow convergence on the
-dyadic ladder at these depths; that horizon is documented, not hidden.
+Rational alpha have rho = -infinity, and both estimators read that off the
+input (RotationNumber.is_rational), never off the numbers: a ray at p/q
+drops only about (log 2)/q per dyadic step, which for q beyond 6 the
+ladder's depths cannot tell from slow convergence, and a degree-n series
+does not see a resonance k = q + 1 beyond n.  A float is never rational
+here, however close it sits to p/q.
 
 The coefficient estimator fits log|g_k| against k by least squares over the
 tail window [N/2, N] and negates the slope.  A window *maximum* of
@@ -37,6 +35,7 @@ import numpy as np
 
 from .errors import (
     CoefficientOverflowError,
+    DivisorBreakdownError,
     EntryRadiusError,
     EstimateUnavailableError,
     NoConvergenceError,
@@ -48,7 +47,9 @@ from .errors import (
     single,
 )
 from .families import FamilySpec
-from .linearize import SIEGEL_EDGE, SiegelSeries, koebe_cap_log, siegel_series, siegel_series_many, u_values
+from .linearize import (
+    SIEGEL_DIVISOR_FLOOR, SIEGEL_EDGE, SiegelSeries, koebe_cap_log, siegel_series, siegel_series_many, u_values,
+)
 
 __all__ = [
     "RotationNumber",
@@ -71,11 +72,9 @@ __all__ = [
     "poisson_bound_check",
     "poisson_step_value",
     "PLATEAU_TOL",
-    "DIVERGENCE_DROP",
 ]
 
 PLATEAU_TOL = 0.02
-DIVERGENCE_DROP = 0.1
 SLOPE_STABILITY_TOL = 0.1
 M_SLACK = 0.1
 RAY_BUDGET = 2 * 10**6  # orbit iterations per lambda of a ray scan
@@ -224,7 +223,7 @@ def _as_rotation(alpha) -> RotationNumber:
 class RadiusEstimate:
     alpha: RotationNumber
     method: str
-    rho_hat: float  # -inf on a diverging ray: there is no disc
+    rho_hat: float  # -inf (radial only) at an exactly rational alpha: there is no disc
     samples: tuple
     converged: bool
     failures: tuple = ()
@@ -279,49 +278,33 @@ def rho_radial(
     """Radial-limit estimate: u at r_k = 1 - 2^{-k}, k = 2..depth.
 
     rho_hat is the deepest reliable sample, below M = koebe_cap_log since
-    u_values refuses u >= M.  converged means the last two samples differ
-    by at most PLATEAU_TOL.  The diverging flag requires the final three
-    consecutive steps to each drop by at least DIVERGENCE_DROP (see the
-    module docstring for the calibration); a diverging estimate carries
-    rho_hat = -inf, the value rho takes there.  Individual depths may fail
-    (MISSING_SAMPLE: iteration budget, entry radius, orbit escape, Koenigs
-    overflow, pole) and are recorded; flags are read off the trailing run
-    of consecutive successes.  Any other error of
-    a depth, such as a Koebe-bound violation, is raised (_ray_values).
+    u_values refuses u >= M; at an exactly rational alpha it is -inf, the
+    value rho takes there, after the same scan.  converged means the two
+    deepest samples sit at consecutive depths and differ by at most
+    PLATEAU_TOL, and is never set at a rational.  Individual depths may
+    fail (MISSING_SAMPLE: iteration budget, entry radius, orbit escape,
+    Koenigs overflow, pole) and are recorded.  Any other error of a depth,
+    such as a Koebe-bound violation, is raised (_ray_values).
     """
     if not 4 <= depth <= RADIAL_DEPTH_CAP:
         raise PreconditionError(f"radial scan needs 4 <= depth <= {RADIAL_DEPTH_CAP}, got depth {depth}")
     rot = _as_rotation(alpha)
     samples: list[tuple[float, float]] = []
+    depths: list[int] = []
     failures: list[str] = []
-    runs: list[list[float]] = [[]]  # u values split into consecutive-k runs
     ladder = [1.0 - 2.0**-k for k in range(2, depth + 1)]
     for k, r, value in zip(range(2, depth + 1), ladder, _ray_values(family, rot, ladder, n)):
         if isinstance(value, SiegelnumError):
             failures.append(f"depth {k}: {type(value).__name__}: {value}")
-            if runs[-1]:
-                runs.append([])
             continue
         samples.append((r, value.u))
-        runs[-1].append(value.u)
+        depths.append(k)
     if not samples:
-        raise EstimateUnavailableError(
-            f"no radial sample succeeded to depth {depth}: {failures}"
-        )
-    # flags read off the deepest uninterrupted run; when the scan was cut
-    # short by failures that is the run just before the cut
-    trailing = next(run for run in reversed(runs) if run)
-    diffs = [b - a for a, b in zip(trailing, trailing[1:])]
-    converged = len(trailing) >= 2 and abs(diffs[-1]) <= PLATEAU_TOL
-    diverging = len(diffs) >= 3 and all(d <= -DIVERGENCE_DROP for d in diffs[-3:])
-    rho_hat = -math.inf if diverging else samples[-1][1]
+        raise EstimateUnavailableError(f"no radial sample succeeded to depth {depth}: {failures}")
+    plateau = depths[-2:] == [depths[-1] - 1, depths[-1]] and abs(samples[-1][1] - samples[-2][1]) <= PLATEAU_TOL
     return RadiusEstimate(
-        alpha=rot,
-        method="radial",
-        rho_hat=rho_hat,
-        samples=tuple(samples),
-        converged=converged and not diverging,
-        failures=tuple(failures),
+        alpha=rot, method="radial", rho_hat=-math.inf if rot.is_rational else samples[-1][1],
+        samples=tuple(samples), converged=plateau and not rot.is_rational, failures=tuple(failures),
     )
 
 
@@ -331,14 +314,15 @@ def rho_coefficient(family: FamilySpec, alpha, n: int = 128) -> RadiusEstimate:
     Least-squares fit of log|g_k| against k over the window [N/2, N]
     (zero coefficients excluded — symmetric families have none at even
     index).  converged requires the slopes fitted on the two half-windows
-    to agree within SLOPE_STABILITY_TOL.  A small-divisor breakdown
-    propagates: that is the honest signal for effectively rational alpha.
-    The estimate keeps the fitted SiegelSeries as ``series``.  The fit is
-    the batched one of rho_coefficients, run on a batch of one.
+    to agree within SLOPE_STABILITY_TOL.  A DivisorBreakdownError
+    propagates, so every exactly rational p/q is one: the small-divisor
+    guard's, or, where the resonance k = q + 1 lies beyond degree n, one
+    at k = q + 1.  The estimate keeps the fitted SiegelSeries as
+    ``series``.  The fit is the batched one of rho_coefficients, run on a
+    batch of one.
     """
     _check_fit_degree(n)
     rot = _as_rotation(alpha)
-    # DivisorBreakdownError propagates
     return single(_coefficient_estimates(family, [rot], [siegel_series(family, rot.value, n)]))
 
 
@@ -382,8 +366,10 @@ def _fit_slope(ks: np.ndarray, ys: np.ndarray):
 def _coefficient_estimates(family: FamilySpec, rots: list, series: list) -> list[RadiusEstimate | SiegelnumError]:
     """The fit of rho_coefficient on each solved series of one degree, with
     its rotation number: per row, its RadiusEstimate, or the
-    EstimateUnavailableError (fewer than 8 nonzero coefficients in the
-    window) or NumericalError (above the Koebe cap) of that row.
+    DivisorBreakdownError at k = q + 1 (an exactly rational row, which
+    the divisor guard let through), EstimateUnavailableError (fewer than
+    8 nonzero coefficients in the window) or NumericalError (above the
+    Koebe cap) of that row.
 
     Rows are fitted together, one group per pattern of nonzero window
     coefficients; a row's numbers are those of a batch of one, since every
@@ -394,10 +380,11 @@ def _coefficient_estimates(family: FamilySpec, rots: list, series: list) -> list
     window = np.abs(np.array([ss.g.coeffs for ss in series]))[:, n // 2 :]
     idx = np.arange(n // 2, n + 1, dtype=np.float64)
     keep = window > 0.0
+    out: list = [DivisorBreakdownError(r.q + 1, 0.0, SIEGEL_DIVISOR_FLOOR) if r.is_rational else None for r in rots]
     groups: dict[bytes, list[int]] = {}
     for b, row in enumerate(keep):
-        groups.setdefault(row.tobytes(), []).append(b)
-    out: list = [None] * len(series)
+        if out[b] is None:
+            groups.setdefault(row.tobytes(), []).append(b)
     for rows in groups.values():
         mask = keep[rows[0]]
         ks = idx[mask]
