@@ -243,9 +243,7 @@ def _cmd_dip(args) -> str:
 
 
 def _cmd_boundary(args) -> str:
-    family = get_family(args.family)
-    alpha = parse_rotation(args.alpha)
-    g = siegel_series(family, alpha.value, **_given(args, "n")).g
+    g = siegel_series(get_family(args.family), parse_rotation(args.alpha), **_given(args, "n")).g
     try:
         radius = math.exp(args.rho)
     except OverflowError:

@@ -15,7 +15,9 @@ limiting radius; the flank scan (FLANK_SAMPLES per side, one batched
 rho_coefficients call) strictly below the previous level, since one-sided
 continuity has teeth only on an interval, with probes that are distinct
 floats; and that worst reading within tol_rho of the dip law (below) at
-twice the offset.  It returns the step or the first failed check's reason.
+twice the offset.  It returns the step or the first failed check's reason;
+when a step's anchors all fail, the run stalls with every reason.  Only the
+coefficient estimator is read; rho_radial stays an independent oracle.
 
 Candidates live on a rational anchor's dip: for p/q close to alpha_n the
 estimated radius follows the dip law rho_hat = L + (1/q) * log|alpha - p/q|,
@@ -373,10 +375,11 @@ def _check_anchor(family: FamilySpec, cfg: ConstructionConfig, p: int, q: int, t
 def run_construction(cfg: ConstructionConfig) -> ConstructionReport:
     """Run the full schedule; raise ConstructionStallError (with the partial
     report attached) if some step's anchors all fail _check_anchor.  An
-    estimate error other than NO_DISC is raised."""
+    estimate error other than NO_DISC is raised, and so is any error of
+    alpha0's: a rational alpha0 is a DivisorBreakdownError."""
     t_start = time.perf_counter()
     family = get_family(cfg.family)
-    est0 = rho_coefficient(family, cfg.alpha0.value, cfg.n_series)
+    est0 = rho_coefficient(family, cfg.alpha0, cfg.n_series)
     if not est0.converged:
         raise PreconditionError(
             "base rotation number must have a converged, finite radius estimate"

@@ -258,10 +258,10 @@ def _phases(alphas: np.ndarray, n: int) -> np.ndarray:
 
 
 def siegel_series_many(
-    family: FamilySpec, alphas: Iterable[float], n: int = 128
+    family: FamilySpec, alphas: Iterable, n: int = 128
 ) -> list[SiegelSeries | SiegelnumError]:
     """Formal conjugacies g with f_lambda(g(w)) = g(lambda w), lambda = e^{2 pi i alpha},
-    at many rotation numbers.
+    at many rotation numbers, each a RotationNumber or a float.
 
     Returns, in input order, one outcome per alpha: its SiegelSeries, or
     the PreconditionError (alpha not finite) / DivisorBreakdownError /
@@ -278,15 +278,19 @@ def siegel_series_many(
     resonant divisor (k = q + 1) by up to pi q ulp(alpha), so the guard
     trips where |lambda^k - lambda| < max(SIEGEL_DIVISOR_FLOOR,
     2 pi (k - 1) ulp(alpha)), and reports the k of the smallest ratio of
-    divisor to floor, with that floor.  Every alpha that passes the guard
-    goes into one batched solve (_siegel_rows): the ODE solve (_solve_ode)
-    when the family declares its ODE (exp, zexp, sin, tan, reduced(sin),
+    divisor to floor, with that floor; it trips on every reduced p/q with
+    q < n (measured for q < 1024).  An exact rational alpha that passes it
+    (RotationNumber.is_rational) is DivisorBreakdownError(q + 1, 0.0,
+    SIEGEL_DIVISOR_FLOOR), unsolved.  Every other alpha goes into one
+    batched solve (_siegel_rows): the ODE solve (_solve_ode) when the
+    family declares its ODE (exp, zexp, sin, tan, reduced(sin),
     reduced(tan)), else the composition solve (_solve_siegel: polynomial
     and custom maps).
     """
     if n < 2:
         raise PreconditionError("series degree must be >= 2")
-    alphas = np.array([float(getattr(a, "value", a)) for a in alphas])  # RotationNumber or float
+    given = list(alphas)
+    alphas = np.array([float(getattr(a, "value", a)) for a in given])
     finite = np.isfinite(alphas)
     safe = np.where(finite, alphas, 0.0)  # a non-finite alpha's row is never read
     powers = np.exp(2j * math.pi * _phases(safe, n))
@@ -298,11 +302,13 @@ def siegel_series_many(
     at = np.arange(len(alphas)), worst
     smallest = zip((worst + 2).tolist(), mags[at].tolist(), floors[at].tolist())
     outcomes: list = []
-    for alpha, ok, (k, m, floor) in zip(alphas.tolist(), finite.tolist(), smallest):
+    for rot, alpha, ok, (k, m, floor) in zip(given, alphas.tolist(), finite.tolist(), smallest):
         if not ok:
             outcomes.append(PreconditionError(f"alpha must be finite, got {alpha}"))
         elif m < floor:
             outcomes.append(DivisorBreakdownError(k, m, floor))
+        elif getattr(rot, "is_rational", False):
+            outcomes.append(DivisorBreakdownError(rot.q + 1, 0.0, SIEGEL_DIVISOR_FLOOR))
         else:
             outcomes.append(alpha)
     live = [b for b, out in enumerate(outcomes) if not isinstance(out, SiegelnumError)]
@@ -317,7 +323,7 @@ def siegel_series_many(
     return outcomes
 
 
-def siegel_series(family: FamilySpec, alpha: float, n: int = 128) -> SiegelSeries:
+def siegel_series(family: FamilySpec, alpha, n: int = 128) -> SiegelSeries:
     """Formal conjugacy g with f_lambda(g(w)) = g(lambda w), lambda = e^{2 pi i alpha}:
     siegel_series_many on a single alpha, raising its error."""
     return single(siegel_series_many(family, [alpha], n))

@@ -8,12 +8,12 @@ Siegel disc at rotation number alpha, obtained two independent ways:
 * from coefficients — the Siegel series g_alpha converges exactly on the
   disc of radius e^rho, so the decay exponent of |g_k| is -rho.
 
-Rational alpha have rho = -infinity, and both estimators read that off the
-input (RotationNumber.is_rational), never off the numbers: a ray at p/q
-drops only about (log 2)/q per dyadic step, which for q beyond 6 the
-ladder's depths cannot tell from slow convergence, and a degree-n series
-does not see a resonance k = q + 1 beyond n.  A float is never rational
-here, however close it sits to p/q.
+Rational alpha have rho = -infinity, read off the input
+(RotationNumber.is_rational), never off the numbers: by rho_radial, as a
+ray at p/q drops only about (log 2)/q per dyadic step, which for q beyond
+6 the ladder's depths cannot tell from slow convergence, and by the Siegel
+solve's divisor guard, as a degree-n series does not see a resonance
+k = q + 1 beyond n.  A float is never rational, however close to p/q.
 
 The coefficient estimator fits log|g_k| against k by least squares over the
 tail window [N/2, N] and negates the slope.  A window *maximum* of
@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import (
     CoefficientOverflowError,
-    DivisorBreakdownError,
     EntryRadiusError,
     EstimateUnavailableError,
     NoConvergenceError,
@@ -48,7 +47,7 @@ from .errors import (
 )
 from .families import FamilySpec
 from .linearize import (
-    SIEGEL_DIVISOR_FLOOR, SIEGEL_EDGE, SiegelSeries, koebe_cap_log, siegel_series, siegel_series_many, u_values,
+    SIEGEL_EDGE, SiegelSeries, koebe_cap_log, siegel_series, siegel_series_many, u_values,
 )
 
 __all__ = [
@@ -95,11 +94,9 @@ class RotationNumber:
     """A rotation number in (0,1), remembering how it was given.
 
     tag is one of golden, rational, float, cf; p/q are set only for the
-    rational tag (reduced).  p/q are report metadata: the estimators see
-    only value, the nearest float.  The small-divisor guard's floor grows
-    with k * ulp(value) to cover that float's offset from p/q, so the
-    guard trips on every reduced p/q with q < n at degree n (measured for
-    q < 1024).
+    rational tag (reduced), and value is the nearest float.  rho_radial
+    and the Siegel solve's divisor guard read is_rational: an exact p/q
+    reads rho = -inf and has no Siegel series.
     """
 
     value: float
@@ -314,16 +311,14 @@ def rho_coefficient(family: FamilySpec, alpha, n: int = 128) -> RadiusEstimate:
     Least-squares fit of log|g_k| against k over the window [N/2, N]
     (zero coefficients excluded — symmetric families have none at even
     index).  converged requires the slopes fitted on the two half-windows
-    to agree within SLOPE_STABILITY_TOL.  A DivisorBreakdownError
-    propagates, so every exactly rational p/q is one: the small-divisor
-    guard's, or, where the resonance k = q + 1 lies beyond degree n, one
-    at k = q + 1.  The estimate keeps the fitted SiegelSeries as
+    to agree within SLOPE_STABILITY_TOL.  A DivisorBreakdownError of the
+    Siegel solve propagates.  The estimate keeps the fitted SiegelSeries as
     ``series``.  The fit is the batched one of rho_coefficients, run on a
     batch of one.
     """
     _check_fit_degree(n)
     rot = _as_rotation(alpha)
-    return single(_coefficient_estimates(family, [rot], [siegel_series(family, rot.value, n)]))
+    return single(_coefficient_estimates(family, [rot], [siegel_series(family, rot, n)]))
 
 
 def rho_coefficients(family: FamilySpec, alphas, n: int = 128) -> list[RadiusEstimate | SiegelnumError]:
@@ -339,7 +334,7 @@ def rho_coefficients(family: FamilySpec, alphas, n: int = 128) -> list[RadiusEst
     rots = [outcome(_as_rotation, alpha) for alpha in alphas]
     outcomes = list(rots)
     todo = [i for i, rot in enumerate(rots) if not isinstance(rot, SiegelnumError)]
-    for i, ss in zip(todo, siegel_series_many(family, [rots[i].value for i in todo], n)):
+    for i, ss in zip(todo, siegel_series_many(family, [rots[i] for i in todo], n)):
         outcomes[i] = ss
     fit = [i for i in todo if not isinstance(outcomes[i], SiegelnumError)]
     estimates = _coefficient_estimates(family, [rots[i] for i in fit], [outcomes[i] for i in fit])
@@ -366,10 +361,8 @@ def _fit_slope(ks: np.ndarray, ys: np.ndarray):
 def _coefficient_estimates(family: FamilySpec, rots: list, series: list) -> list[RadiusEstimate | SiegelnumError]:
     """The fit of rho_coefficient on each solved series of one degree, with
     its rotation number: per row, its RadiusEstimate, or the
-    DivisorBreakdownError at k = q + 1 (an exactly rational row, which
-    the divisor guard let through), EstimateUnavailableError (fewer than
-    8 nonzero coefficients in the window) or NumericalError (above the
-    Koebe cap) of that row.
+    EstimateUnavailableError (fewer than 8 nonzero coefficients in the
+    window) or NumericalError (above the Koebe cap) of that row.
 
     Rows are fitted together, one group per pattern of nonzero window
     coefficients; a row's numbers are those of a batch of one, since every
@@ -380,11 +373,10 @@ def _coefficient_estimates(family: FamilySpec, rots: list, series: list) -> list
     window = np.abs(np.array([ss.g.coeffs for ss in series]))[:, n // 2 :]
     idx = np.arange(n // 2, n + 1, dtype=np.float64)
     keep = window > 0.0
-    out: list = [DivisorBreakdownError(r.q + 1, 0.0, SIEGEL_DIVISOR_FLOOR) if r.is_rational else None for r in rots]
+    out: list = [None] * len(series)
     groups: dict[bytes, list[int]] = {}
     for b, row in enumerate(keep):
-        if out[b] is None:
-            groups.setdefault(row.tobytes(), []).append(b)
+        groups.setdefault(row.tobytes(), []).append(b)
     for rows in groups.values():
         mask = keep[rows[0]]
         ks = idx[mask]

@@ -740,6 +740,11 @@ def test_unwritable_out_exits_two_and_writes_nothing(tmp_path, capsys):
         (("families", "show", "nope"), 2, "PreconditionError"),
         (("radius", "--family", "quadratic", "--alpha", "rat:1/2", "--method", "coeff"),
          3, "DivisorBreakdownError"),
+        # an exact rational has no Siegel series, however far beyond the
+        # degree its resonance lies
+        (("boundary", "--family", "quadratic", "--alpha", "rat:89/144", "--degree", "128", "--rho", "-1.3"),
+         3, "DivisorBreakdownError"),
+        (("construct", "--alpha0", "rat:233/377"), 3, "DivisorBreakdownError"),
     ],
 )
 def test_failure_body_goes_to_stdout_despite_out(tmp_path, capsys, argv, code, error):

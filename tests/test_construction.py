@@ -13,6 +13,7 @@ from siegelnum import (
     get_family,
     golden_rotation,
     qa_norm,
+    rational_rotation,
     rho_coefficient,
     rho_coefficients,
     run_construction,
@@ -770,6 +771,15 @@ def test_rho_infinity_override():
 def test_run_construction_checks_its_base_and_schedule(settings, message):
     with pytest.raises(PreconditionError, match=message):
         run_construction(ConstructionConfig(**settings))
+
+
+# an exact rational alpha0 has no Siegel series: the float guard's breakdown
+# at 2/5, and at 233/377 (resonance beyond n = 256) the rational's own
+@pytest.mark.parametrize("p, q, k", [(2, 5, 6), (233, 377, 378)])
+def test_a_rational_alpha0_has_no_siegel_series(p, q, k):
+    with pytest.raises(DivisorBreakdownError) as exc:
+        run_construction(ConstructionConfig(alpha0=rational_rotation(p, q)))
+    assert exc.value.k == k
 
 
 @pytest.mark.parametrize("settings, message", [

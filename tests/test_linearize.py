@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import math
 import re
 import sys
@@ -95,11 +96,29 @@ def test_residual_needs_a_conjugacy_series():
         conjugacy_residual(get_family("quadratic"))
 
 
-def test_siegel_rational_breaks_down():
+def test_siegel_rational_breaks_down(monkeypatch):
     with pytest.raises(DivisorBreakdownError) as exc:
         siegel_series(get_family("quadratic"), 0.5, 64)
     assert exc.value.k >= 2
     assert exc.value.magnitude < exc.value.floor
+    # an exact p/q whose resonance k = q + 1 lies beyond the series: its float
+    # passes the float guard, but the rational itself is refused, unsolved
+    solve, solved = linearize._siegel_rows, []
+    monkeypatch.setattr(linearize, "_siegel_rows", lambda family, lams, divisors: (
+        solved.append(lams.tolist()) or solve(family, lams, divisors)))
+    for fam_id, (p, q, n) in itertools.product(
+            ALL_FAMILY_IDS, [(89, 144, 128), (144, 233, 128), (233, 377, 256)]):
+        family, rot, case = get_family(fam_id), rational_rotation(p, q), (fam_id, p, q)
+        with pytest.raises(DivisorBreakdownError) as exc:
+            siegel_series(family, rot, n)
+        assert (exc.value.k, exc.value.magnitude, exc.value.floor) == (q + 1, 0.0, SIEGEL_DIVISOR_FLOOR), case
+        solved.clear()
+        golden, broken, silver = siegel_series_many(family, [golden_rotation(), rot, silver_rotation()], n)
+        assert len(solved) == 1 and len(solved[0]) == 2, case
+        assert isinstance(broken, DivisorBreakdownError) and str(broken) == str(exc.value), case
+        for got, alone in zip((golden, silver), siegel_series_many(family, [golden_rotation(), silver_rotation()], n)):
+            assert got.g.coeffs.tobytes() == alone.g.coeffs.tobytes(), case
+        assert siegel_series(family, rot.value, n).alpha == rot.value, case
 
 
 def test_entry_radius_comes_from_grid():

@@ -262,8 +262,9 @@ def test_coefficient_estimator_breaks_on_exact_rational():
         rho_coefficient(QUAD, rational_rotation(1, 3), 128)
 
 
-# q >= n: the resonance k = q + 1 lies beyond the series, so the divisor guard
-# lets the row through and its fit would read a converged, finite rho_hat
+# q >= n: the resonance k = q + 1 lies beyond the series, where a fit would
+# read a converged, finite rho_hat; the divisor guard refuses the rational
+# itself, before any solve
 @pytest.mark.parametrize("p, q, n", [(89, 144, 128), (144, 233, 128), (233, 377, 256)])
 def test_an_exact_rational_beyond_the_series_is_a_divisor_breakdown(p, q, n):
     rot = rational_rotation(p, q)
@@ -275,7 +276,7 @@ def test_an_exact_rational_beyond_the_series_is_a_divisor_breakdown(p, q, n):
     assert repr(golden) == repr(rho_coefficients(QUAD, [golden_rotation()], n)[0])
 
 
-# The estimator sees only the float p/q; with frac(k alpha) rounded once
+# The float guard already trips on the float p/q; with frac(k alpha) rounded once
 # the divisor at 128/133 and n = 256 is |lambda^134 - lambda| = 4.5e-14,
 # below the floor, so a q > 128 breaks down as p/q must
 @pytest.mark.parametrize("p, q", [(128, 133), (129, 137)])
