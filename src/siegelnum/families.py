@@ -210,16 +210,24 @@ def get_family(family_id: str) -> FamilySpec:
     )
 
 
-@functools.lru_cache(maxsize=64)
+def _check_degree(n) -> int:
+    """A series degree n, an int or numpy integer >= 2, as an int; else a PreconditionError."""
+    if not isinstance(n, (int, np.integer)):
+        raise PreconditionError(f"series degree must be an integer, got {n!r}")
+    if n < 2:
+        raise PreconditionError("series degree must be >= 2")
+    return int(n)
+
+
+@functools.lru_cache(maxsize=64, typed=True)
 def base_series(spec: FamilySpec, n: int) -> TruncatedSeries:
     """Degree-n truncation of the base map f (parameter lambda = 1).
 
-    Built once per (spec, n) and shared (memoized, 64 series; its
-    coefficients are read-only).  A degree below 2, or a generator output
+    Built once per (spec, n) and shared (memoized by n's type too, 64
+    series, read-only).  A bad degree (_check_degree), or a generator output
     that is not c_0 = 0, c_1 = 1 with n + 1 terms, is a PreconditionError.
     """
-    if n < 2:
-        raise PreconditionError("series degree must be >= 2")
+    n = _check_degree(n)
     c = np.asarray(spec._coeff_gen(n), dtype=np.complex128)
     if c.shape != (n + 1,) or c[0] != 0 or c[1] != 1:
         raise PreconditionError(

@@ -56,7 +56,7 @@ from .errors import (
     outcome,
     single,
 )
-from .families import FamilySpec, base_series, family_series
+from .families import FamilySpec, _check_degree, base_series, family_series
 from .series import TruncatedSeries, compose, power_table
 
 __all__ = [
@@ -239,8 +239,8 @@ def koenigs_series(family: FamilySpec, lam: complex, n: int = 128) -> KoenigsSer
     shared power table of f (_koenigs_table).
     """
     lam = _check_multiplier(complex(lam))
-    h = single(_solve_koenigs(*_koenigs_table(family, n), np.array([lam])))
-    return KoenigsSeries(lam=lam, h=TruncatedSeries.from_coeffs(h, n), family=family)
+    h = single(_solve_koenigs(*_koenigs_table(family, _check_degree(n)), np.array([lam])))
+    return KoenigsSeries(lam=lam, h=TruncatedSeries.from_coeffs(h), family=family)
 
 
 def _phases(alphas: np.ndarray, n: int) -> np.ndarray:
@@ -266,8 +266,8 @@ def siegel_series_many(
     Returns, in input order, one outcome per alpha: its SiegelSeries, or
     the PreconditionError (alpha not finite) / DivisorBreakdownError /
     CoefficientOverflowError that siegel_series raises for it (not raised
-    here).  A degree below 2 is a PreconditionError, raised for the whole
-    call.
+    here).  A degree other than an integer >= 2 is a PreconditionError,
+    raised for the whole call.
 
     The recurrence for g is the reversed composition order of the Koenigs
     one; both divide by lambda^k - lambda, which can vanish only here, on
@@ -287,8 +287,7 @@ def siegel_series_many(
     reduced(tan)), else the composition solve (_solve_siegel: polynomial
     and custom maps).
     """
-    if n < 2:
-        raise PreconditionError("series degree must be >= 2")
+    n = _check_degree(n)
     given = list(alphas)
     alphas = np.array([float(getattr(a, "value", a)) for a in given])
     finite = np.isfinite(alphas)
@@ -369,35 +368,32 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
     reversed, so BLAS takes the unit-stride vector) appends column k of
     every power, a stacked dot with the weights F_j / d_k (one divide per
     block) gives g_k, and a copy puts g_k into the reversed g.  Each row's
-    products are BLAS calls of their own, shaped by the row's own degree
-    (rows are grouped by it), so a row is bitwise that of a batch of one;
-    returned rows are copies, never the workspace.
+    products are BLAS calls of their own, shaped by the call's one degree,
+    so a row is bitwise that of a batch of one; returned rows are copies.
 
-    Powers above top = deg F never meet a nonzero F_j and are not kept, so
-    a row costs O(top * n^2): O(n^2) for polynomial families, O(n^3)
-    (inside numpy) for an entire custom map.  Rows are solved in blocks of
+    Every row is lambda f of one map f (_siegel_rows), so a call has one
+    top = deg F; higher powers never meet a nonzero F_j and are not kept,
+    so a row costs O(top * n^2): O(n^2) for polynomial families, O(n^3)
+    (inside numpy) for an entire custom map.  Rows are solved in slices of
     at most BLOCK_ENTRIES power-table entries, (top + 1)(n + 1) per row,
     and at least one row: a quadratic batch at n = 256 shares blocks of 85
     rows, while an entire custom map at n = 256 is solved a row at a time,
     where a wider block would only add memory traffic.
     """
     n = F.shape[1] - 1
-    high = F[:, :1:-1] != 0  # F_n, ..., F_2
-    tops = np.where(high.any(axis=1), n - np.argmax(high, axis=1), 2)
+    top = int(np.flatnonzero(F.any(axis=0)).max(initial=2))
+    per_block = max(1, BLOCK_ENTRIES // ((top + 1) * (n + 1)))
     out = np.empty_like(F)
-    for top in np.unique(tops).tolist():
-        same = np.flatnonzero(tops == top)
-        per_block = max(1, BLOCK_ENTRIES // ((top + 1) * (n + 1)))
-        for start in range(0, same.size, per_block):
-            rows = same[start : start + per_block]
-            pows, W, steps = _siegel_plan(rows.size, top, n, threading.get_ident())
-            with np.errstate(over="ignore", invalid="ignore"):  # _read_rows reports it
-                np.divide(F[rows, None, : top + 1], divisors[rows, 2:, None], out=W[:, 2:])
-                for powers, g_rev, col, weights, g_k, slot in steps:
-                    np.matmul(powers, g_rev, out=col)
-                    np.matmul(weights, col, out=g_k)
-                    np.positive(g_k, out=slot)
-            out[rows] = pows[:, 1]
+    for start in range(0, len(F), per_block):
+        rows = slice(start, min(start + per_block, len(F)))
+        pows, W, steps = _siegel_plan(rows.stop - start, top, n, threading.get_ident())
+        with np.errstate(over="ignore", invalid="ignore"):  # _read_rows reports it
+            np.divide(F[rows, None, : top + 1], divisors[rows, 2:, None], out=W[:, 2:])
+            for powers, g_rev, col, weights, g_k, slot in steps:
+                np.matmul(powers, g_rev, out=col)
+                np.matmul(weights, col, out=g_k)
+                np.positive(g_k, out=slot)
+        out[rows] = pows[:, 1]
     return out
 
 
@@ -747,7 +743,7 @@ def u_values(
     are coefficient overflow, entry radius, orbit and Koebe failures, never
     a divisor breakdown.  Any other exception, such as one from a user
     family's point evaluator, propagates.  A budget below 1 or a degree
-    below 2 is a PreconditionError, raised for the whole call.
+    other than an integer >= 2 is a PreconditionError for the whole call.
 
     The Koenigs series of every lambda come from the power table of f
     (f_lambda = lambda f) and its degree plan, built once per (map, n) in a
@@ -762,6 +758,7 @@ def u_values(
     """
     if budget < 1:
         raise PreconditionError(f"iteration budget must be >= 1, got {budget}")
+    n = _check_degree(n)
     cols, plan = _koenigs_table(family, n)
     cap = koebe_cap_log(family)
     lams = [complex(lam) for lam in lams]

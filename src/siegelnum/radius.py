@@ -244,16 +244,6 @@ class RadiusEstimate:
         }
 
 
-def _check_cap(est: RadiusEstimate, family: FamilySpec) -> RadiusEstimate:
-    """est, unless its rho_hat lies above the Koebe cap M + M_SLACK."""
-    if est.rho_hat > koebe_cap_log(family) + M_SLACK:
-        raise NumericalError(
-            f"rho_{est.method} produced rho_hat = {est.rho_hat:.4f} above the Koebe cap "
-            f"M + {M_SLACK} = {koebe_cap_log(family) + M_SLACK:.4f}"
-        )
-    return est
-
-
 def _ray_values(family: FamilySpec, rot: RotationNumber, radii: list, n: int) -> list:
     """u_values on the ray of rot at radii, under the one sample policy of the
     ray scans: a MISSING_SAMPLE error is returned, and any other error of a
@@ -327,8 +317,8 @@ def rho_coefficients(family: FamilySpec, alphas, n: int = 128) -> list[RadiusEst
 
     Returns, in input order, one outcome per alpha: its RadiusEstimate, or
     the SiegelnumError that rho_coefficient raises for it (not raised
-    here).  A degree below 32 is a PreconditionError, raised for the whole
-    call.
+    here).  A degree other than an integer >= 32 is a PreconditionError,
+    raised for the whole call.
     """
     _check_fit_degree(n)
     rots = [outcome(_as_rotation, alpha) for alpha in alphas]
@@ -362,7 +352,7 @@ def _coefficient_estimates(family: FamilySpec, rots: list, series: list) -> list
     """The fit of rho_coefficient on each solved series of one degree, with
     its rotation number: per row, its RadiusEstimate, or the
     EstimateUnavailableError (fewer than 8 nonzero coefficients in the
-    window) or NumericalError (above the Koebe cap) of that row.
+    window) or NumericalError (above the Koebe cap M + M_SLACK) of that row.
 
     Rows are fitted together, one group per pattern of nonzero window
     coefficients; a row's numbers are those of a batch of one, since every
@@ -370,6 +360,7 @@ def _coefficient_estimates(family: FamilySpec, rots: list, series: list) -> list
     if not series:
         return []
     n = series[0].g.degree
+    cap = koebe_cap_log(family) + M_SLACK
     window = np.abs(np.array([ss.g.coeffs for ss in series]))[:, n // 2 :]
     idx = np.arange(n // 2, n + 1, dtype=np.float64)
     keep = window > 0.0
@@ -392,10 +383,12 @@ def _coefficient_estimates(family: FamilySpec, rots: list, series: list) -> list
         )
         k_list = ks.tolist()
         for b, slope, y, a, c in zip(rows, slopes, ys.tolist(), s1, s2):
-            out[b] = outcome(_check_cap, RadiusEstimate(
+            out[b] = NumericalError(
+                f"rho_coefficient produced rho_hat = {-slope:.4f} above the Koebe cap M + {M_SLACK} = {cap:.4f}"
+            ) if -slope > cap else RadiusEstimate(
                 alpha=rots[b], method="coefficient", rho_hat=-slope, samples=tuple(zip(k_list, y)),
                 converged=abs(a - c) <= SLOPE_STABILITY_TOL, series=series[b],
-            ), family)
+            )
     return out
 
 

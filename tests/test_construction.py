@@ -34,6 +34,7 @@ from siegelnum.errors import (
 )
 from siegelnum.families import custom_family
 from siegelnum.radius import RadiusEstimate, rotation_from_cf, rotation_from_float
+from test_qanorm import _fft_circle_values
 
 QUAD = get_family("quadratic")
 DELTA = 0.1
@@ -120,14 +121,6 @@ def test_boundary_report_evaluates_one_circle_table(report, monkeypatch):
     monkeypatch.setattr(construction, "circle_values", counted)
     assert boundary_report(g, report.r_infinity) == expected
     assert calls == [CIRCLE_SAMPLES]
-
-
-def _fft_circle_values(coeffs, r, samples):
-    """Reference: the single-row circle evaluator, as it stood before the table."""
-    scaled = coeffs * r ** np.arange(coeffs.size, dtype=np.float64)
-    if scaled.size > samples:
-        scaled = np.pad(scaled, (0, -scaled.size % samples)).reshape(-1, samples).sum(axis=0)
-    return np.fft.ifft(scaled, n=samples) * samples
 
 
 def _derivative_boundary(g, radius):

@@ -471,18 +471,6 @@ def test_batched_siegel_rows_do_not_depend_on_the_block(fam_id, monkeypatch):
     assert all(map(_same_outcome, siegel_series_many(fam, alphas, 64), default))
 
 
-def test_batched_siegel_rows_of_different_degree_are_solved_apart():
-    # a stack may mix degrees of F: a row of lower degree carries zeros up to
-    # the stack's top and still comes out as on its own
-    alphas = (golden_rotation().value, silver_rotation().value, 0.3, 0.7)
-    inputs = [_siegel_inputs(get_family(fam_id), a, 64)
-              for fam_id, a in zip(("quadratic", "poly_3", "quadratic", "poly_3"), alphas)]
-    F, divisors = (np.array(rows) for rows in zip(*inputs))
-    g = linearize._solve_siegel(F, divisors)
-    for row, (f, d) in zip(g, inputs):
-        assert row.tobytes() == _rowwise_solve_siegel(f, d).tobytes()
-
-
 def _quadratic_stack(alphas, n):
     """(F, divisors) of quadratic, one row per alpha, as _solve_siegel takes them."""
     inputs = [_siegel_inputs(get_family("quadratic"), a, n) for a in alphas]
@@ -659,6 +647,42 @@ def test_siegel_series_many_edges():
     ss = siegel_series_many(fam, [golden_rotation()], 64)[0]  # a RotationNumber is accepted
     assert ss.alpha == golden_rotation().value
     assert ss.lam == cmath.exp(2j * math.pi * ss.alpha)
+
+
+# each entry point that takes a series degree n, called at n on quadratic or exp
+_DEGREE_ENTRIES = {
+    "siegel_series": lambda fam, n: siegel_series(fam, golden_rotation(), n),
+    "siegel_series_many": lambda fam, n: siegel_series_many(fam, [golden_rotation(), 0.3], n),
+    "rho_coefficient": lambda fam, n: radius.rho_coefficient(fam, golden_rotation(), n),
+    "rho_coefficients": lambda fam, n: radius.rho_coefficients(fam, [golden_rotation(), 0.3], n),
+    "koenigs_series": lambda fam, n: koenigs_series(fam, 0.5, n),
+    "u_values": lambda fam, n: u_values(fam, [0.5, 0.3j], n),
+    "yoccoz_w": lambda fam, n: yoccoz_w(fam, 0.5, n),
+    "rho_radial": lambda fam, n: rho_radial(fam, golden_rotation(), depth=4, n=n),
+}
+
+
+def _degree_bits(out):
+    """An entry point's output as bits: _fingerprint per outcome, and a
+    RadiusEstimate's repr with its fitted series, if it has one."""
+    if isinstance(out, list):
+        return [_degree_bits(o) for o in out]
+    if isinstance(out, radius.RadiusEstimate):
+        return repr(out), out.series and _fingerprint(out.series)
+    return _fingerprint(out)
+
+
+@pytest.mark.parametrize("fam_id", ["quadratic", "exp"])
+@pytest.mark.parametrize("entry", list(_DEGREE_ENTRIES))
+def test_series_degree_is_an_integer(entry, fam_id):
+    # a numpy integer gives the int's outputs bit for bit; a float, a whole
+    # one too, is refused, also once the int's tables are memoized
+    call, fam = _DEGREE_ENTRIES[entry], get_family(fam_id)
+    want = _degree_bits(call(fam, 64))
+    assert _degree_bits(call(fam, np.int64(64))) == want
+    for bad in (64.0, 64.5):
+        with pytest.raises(PreconditionError, match=re.escape(f"series degree must be an integer, got {bad!r}")):
+            call(fam, bad)
 
 
 def test_siegel_non_finite_alpha_is_a_row_precondition_error():

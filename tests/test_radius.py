@@ -517,11 +517,18 @@ def _per_row_estimate(family, rot, ss):
         return float(dk @ (y - y.mean()) / (dk @ dk))
 
     mid = ks.size // 2
-    return radius._check_cap(radius.RadiusEstimate(
-        alpha=rot, method="coefficient", rho_hat=-slope(ks, ys),
+    rho_hat = -slope(ks, ys)
+    cap = linearize.koebe_cap_log(family) + radius.M_SLACK
+    if rho_hat > cap:
+        raise NumericalError(
+            f"rho_coefficient produced rho_hat = {rho_hat:.4f} above the Koebe cap "
+            f"M + {radius.M_SLACK} = {cap:.4f}"
+        )
+    return radius.RadiusEstimate(
+        alpha=rot, method="coefficient", rho_hat=rho_hat,
         samples=tuple(zip(ks.tolist(), ys.tolist())),
         converged=abs(slope(ks[:mid], ys[:mid]) - slope(ks[mid:], ys[mid:])) <= radius.SLOPE_STABILITY_TOL,
-    ), family)
+    )
 
 
 def _assert_fits_match_the_oracle(family, alphas, n):
