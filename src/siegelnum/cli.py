@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from .construction import ConstructionConfig, run_construction
-from .errors import NumericalError, PreconditionError, SiegelnumError
+from .errors import NumericalError, PreconditionError, SiegelnumError, check_count
 from .families import family_catalog, get_family
 from .linearize import YoccozValue, siegel_series, u_values, yoccoz_w
 from .qanorm import _table_norm, circle_values, qa_norm
@@ -161,8 +161,7 @@ def _cmd_grid(args) -> str:
     survives bad parameters (the row carries the error class)."""
     if not 0.0 < args.rmin <= args.rmax < 1.0:
         raise PreconditionError("need 0 < rmin <= rmax < 1")
-    if args.res < 1:
-        raise PreconditionError("res must be >= 1")
+    check_count(args.res, "res", 1)
     family = get_family(args.family)
     radii = np.linspace(args.rmin, args.rmax, args.res)
     thetas = np.arange(args.res) / args.res
@@ -231,8 +230,9 @@ def _cmd_dip(args) -> str:
     """rho_hat at the offsets +-halfwidth*e^(-6i/points), i < points, around
     alpha, from one batched estimate (log spacing: the dip at a rational is
     sharper than any linear grid).  A failed offset carries its error class."""
-    if args.points < 1 or not 0.0 < args.halfwidth < math.inf:
-        raise PreconditionError("need points >= 1 and 0 < halfwidth < inf")
+    check_count(args.points, "points", 1)
+    if not 0.0 < args.halfwidth < math.inf:
+        raise PreconditionError(f"halfwidth must be positive and finite, got {args.halfwidth}")
     family, center = get_family(args.family), parse_rotation(args.alpha).value
     widths = [args.halfwidth * math.exp(-6.0 * i / args.points) for i in range(args.points)]
     offsets = sorted(sign * w for w in widths for sign in (-1.0, 1.0))

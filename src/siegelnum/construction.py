@@ -49,7 +49,6 @@ float resolution.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -64,6 +63,7 @@ from .errors import (
     PreconditionError,
     SiegelnumError,
     UnreliableRadiusError,
+    check_count,
     outcome,
 )
 from .families import FamilySpec, get_family
@@ -121,16 +121,10 @@ class ConstructionConfig:
     def __post_init__(self):
         if not isinstance(self.alpha0, RotationNumber):
             raise PreconditionError(f"alpha0 must be a RotationNumber, got {type(self.alpha0).__name__}")
-        try:
-            operator.index(self.depth), operator.index(self.n_series)
-        except TypeError:
-            raise PreconditionError("depth and n_series must be integers") from None
-        if self.depth < 1:
-            raise PreconditionError("depth must be at least 1")
+        object.__setattr__(self, "depth", check_count(self.depth, "depth", 1))
+        object.__setattr__(self, "n_series", check_count(self.n_series, "series degree", 64))
         if not all(0 < x < math.inf for x in (self.delta, self.eps0, self.tol_rho)):
             raise PreconditionError("delta, eps0 and tol_rho must be positive and finite")
-        if self.n_series < 64:
-            raise PreconditionError("construction needs series degree >= 64")
         # r_infinity = e^rho_infinity is the radius of every norm: it must be positive
         if self.rho_infinity is not None and not (
                 math.isfinite(self.rho_infinity) and math.exp(min(self.rho_infinity, 0.0)) > 0):

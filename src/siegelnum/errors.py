@@ -8,6 +8,7 @@ so the CLI can map them to different exit codes.
 from __future__ import annotations
 
 import copyreg
+import operator
 
 __all__ = [
     "SiegelnumError",
@@ -49,6 +50,18 @@ def single(outcomes: list):
     if isinstance(outcomes[0], SiegelnumError):
         raise outcomes[0]
     return outcomes[0]
+
+
+def check_count(value, name: str, least: int) -> int:
+    """A count argument (degree, budget, samples, ...) as an int, if it is an
+    integer (by operator.index) >= least; else a PreconditionError naming it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise PreconditionError(f"{name} must be >= {least}")
+    return value
 
 
 class PreconditionError(SiegelnumError, ValueError):

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import PoleError, PreconditionError
+from .errors import PoleError, PreconditionError, check_count
 from .series import TruncatedSeries
 
 __all__ = [
@@ -67,8 +67,8 @@ class FamilySpec:
         if not (cmath.isfinite(self.v) and self.v != 0):
             raise PreconditionError(
                 f"distinguished singular value must be finite and nonzero, got {self.v!r}")
-        if self.symmetry_order < 1:
-            raise PreconditionError("symmetry order must be >= 1")
+        # stored as the int check_count returns, so describe() stays JSON-safe
+        object.__setattr__(self, "symmetry_order", check_count(self.symmetry_order, "symmetry order", 1))
 
     def describe(self) -> dict:
         out = {
@@ -210,24 +210,16 @@ def get_family(family_id: str) -> FamilySpec:
     )
 
 
-def _check_degree(n) -> int:
-    """A series degree n, an int or numpy integer >= 2, as an int; else a PreconditionError."""
-    if not isinstance(n, (int, np.integer)):
-        raise PreconditionError(f"series degree must be an integer, got {n!r}")
-    if n < 2:
-        raise PreconditionError("series degree must be >= 2")
-    return int(n)
-
-
 @functools.lru_cache(maxsize=64, typed=True)
 def base_series(spec: FamilySpec, n: int) -> TruncatedSeries:
     """Degree-n truncation of the base map f (parameter lambda = 1).
 
     Built once per (spec, n) and shared (memoized by n's type too, 64
-    series, read-only).  A bad degree (_check_degree), or a generator output
-    that is not c_0 = 0, c_1 = 1 with n + 1 terms, is a PreconditionError.
+    series, read-only).  A degree other than an integer >= 2 (check_count),
+    or a generator output that is not c_0 = 0, c_1 = 1 with n + 1 terms, is
+    a PreconditionError.
     """
-    n = _check_degree(n)
+    n = check_count(n, "series degree", 2)
     c = np.asarray(spec._coeff_gen(n), dtype=np.complex128)
     if c.shape != (n + 1,) or c[0] != 0 or c[1] != 1:
         raise PreconditionError(
@@ -319,7 +311,7 @@ def custom_family(family_id, v, symmetry_order, coeff_gen, point_eval) -> Family
     return FamilySpec(
         family_id=str(family_id),
         v=complex(v),
-        symmetry_order=int(symmetry_order),
+        symmetry_order=symmetry_order,
         user_defined=True,
         _coeff_gen=coeff_gen,
         _point_eval=point_eval,

@@ -53,10 +53,11 @@ from .errors import (
     NumericalError,
     PreconditionError,
     SiegelnumError,
+    check_count,
     outcome,
     single,
 )
-from .families import FamilySpec, _check_degree, base_series, family_series
+from .families import FamilySpec, base_series, family_series
 from .series import TruncatedSeries, compose, power_table
 
 __all__ = [
@@ -239,7 +240,7 @@ def koenigs_series(family: FamilySpec, lam: complex, n: int = 128) -> KoenigsSer
     shared power table of f (_koenigs_table).
     """
     lam = _check_multiplier(complex(lam))
-    h = single(_solve_koenigs(*_koenigs_table(family, _check_degree(n)), np.array([lam])))
+    h = single(_solve_koenigs(*_koenigs_table(family, check_count(n, "series degree", 2)), np.array([lam])))
     return KoenigsSeries(lam=lam, h=TruncatedSeries.from_coeffs(h), family=family)
 
 
@@ -287,7 +288,7 @@ def siegel_series_many(
     reduced(tan)), else the composition solve (_solve_siegel: polynomial
     and custom maps).
     """
-    n = _check_degree(n)
+    n = check_count(n, "series degree", 2)
     given = list(alphas)
     alphas = np.array([float(getattr(a, "value", a)) for a in given])
     finite = np.isfinite(alphas)
@@ -706,9 +707,13 @@ def koenigs_eval(ks: KoenigsSeries, z: complex) -> tuple[complex, int]:
     entry, or a later iterate in the disc when the orbit dipped into it and
     out again inside one chunk.  Returns (lambda^{-m} h(z_m), m).  This is
     u_values' basin step on one row, so at z = lambda v it gives
-    yoccoz_w's w and iterations, bit for bit.
+    yoccoz_w's w and iterations, bit for bit.  A z with a NaN or infinite
+    part is a PreconditionError.
     """
-    return single(_basin_step(ks.family, [ks.lam], ks.h.coeffs[None, :], [complex(z)], DEFAULT_BUDGET))[:2]
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise PreconditionError(f"z must be finite, got {z!r}")
+    return single(_basin_step(ks.family, [ks.lam], ks.h.coeffs[None, :], [z], DEFAULT_BUDGET))[:2]
 
 
 def koebe_cap_log(family: FamilySpec) -> float:
@@ -742,8 +747,9 @@ def u_values(
     here, so a sweep keeps going); past the 0 < |lambda| < 1 check these
     are coefficient overflow, entry radius, orbit and Koebe failures, never
     a divisor breakdown.  Any other exception, such as one from a user
-    family's point evaluator, propagates.  A budget below 1 or a degree
-    other than an integer >= 2 is a PreconditionError for the whole call.
+    family's point evaluator, propagates.  A budget other than an integer
+    >= 1, or a degree other than an integer >= 2, is a PreconditionError
+    for the whole call (check_count).
 
     The Koenigs series of every lambda come from the power table of f
     (f_lambda = lambda f) and its degree plan, built once per (map, n) in a
@@ -756,9 +762,8 @@ def u_values(
     orbit runs about 2^k iterates, so its loop is where deep ray scans
     (rho_radial, the benchmark's radius_scan) spend their time.
     """
-    if budget < 1:
-        raise PreconditionError(f"iteration budget must be >= 1, got {budget}")
-    n = _check_degree(n)
+    budget = check_count(budget, "iteration budget", 1)
+    n = check_count(n, "series degree", 2)
     cols, plan = _koenigs_table(family, n)
     cap = koebe_cap_log(family)
     lams = [complex(lam) for lam in lams]

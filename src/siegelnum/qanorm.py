@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, UnreliableRadiusError
+from .errors import PreconditionError, UnreliableRadiusError, check_count
 from .series import TruncatedSeries
 
 __all__ = ["NormResult", "circle_values", "qa_norm", "TAIL_TOL"]
@@ -68,12 +68,13 @@ def circle_values(coeffs: np.ndarray, r: float, samples: int, order_cap: int = 0
     it r^m can overflow, and 0 * inf is NaN); b_m <- b_m (m - k + 1) / r
     gives row k from b_k on.  Coefficients beyond S fold onto m mod S,
     which is exact at these nodes.  A value past binary64 is non-finite.
-    r must be positive and finite, and samples at least 1.
+    r must be positive and finite, samples an integer >= 1 and order_cap
+    one >= 0.
     """
     if not 0.0 < r < math.inf:
         raise PreconditionError(f"circle radius must be positive and finite, got {r}")
-    if samples < 1:
-        raise PreconditionError("samples must be >= 1")
+    samples = check_count(samples, "samples", 1)
+    order_cap = check_count(order_cap, "derivative order cap", 0)
     nonzero = np.flatnonzero(coeffs)
     m_idx = np.arange(nonzero[-1] + 1 if nonzero.size else 1, dtype=np.float64)
     table = np.empty((order_cap + 1, samples), dtype=np.complex128)
@@ -145,15 +146,15 @@ def qa_norm(
     order, then the smallest circle-sample index.  A weighted circle value
     that overflows binary64 raises UnreliableRadiusError.
     """
-    if circle_samples < 8:
-        raise PreconditionError("need at least 8 circle samples")
+    circle_samples = check_count(circle_samples, "circle samples", 8)
     n = g.degree
     if n < 1:
         raise PreconditionError("series must carry at least degree 1")
     if order_cap is None:
         order_cap = min(n, 40)
-    if not 0 <= order_cap <= n:
-        raise PreconditionError("derivative order cap must lie in [0, degree]")
+    order_cap = check_count(order_cap, "derivative order cap", 0)
+    if order_cap > n:
+        raise PreconditionError(f"derivative order cap must be <= the series degree {n}")
     with np.errstate(over="ignore"):  # an overflowing weight is refused here
         if not np.isfinite(_weights(order_cap)).all():
             raise PreconditionError("derivative order cap too large for float weights")

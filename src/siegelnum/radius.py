@@ -42,6 +42,7 @@ from .errors import (
     PoleError,
     PreconditionError,
     SiegelnumError,
+    check_count,
     outcome,
     single,
 )
@@ -123,12 +124,11 @@ class RotationNumber:
 
 
 def rotation_from_cf(coeffs) -> RotationNumber:
-    """[0; a1, a2, ...] as a RotationNumber; terminating lists are rational."""
-    coeffs = tuple(int(a) for a in coeffs)
+    """[0; a1, a2, ...] as a RotationNumber; terminating lists are rational.
+    Each partial quotient is an integer >= 1 (check_count)."""
+    coeffs = tuple(check_count(a, "partial quotient", 1) for a in coeffs)
     if not coeffs:
         raise PreconditionError("continued fraction needs at least one partial quotient")
-    if any(a < 1 for a in coeffs):
-        raise PreconditionError("partial quotients must be positive integers")
     p, q = cf_convergents(coeffs)[-1]  # in lowest terms
     # a short finite list is exactly rational; long lists are float-precision
     # stand-ins for an infinite expansion and keep the cf tag
@@ -138,9 +138,8 @@ def rotation_from_cf(coeffs) -> RotationNumber:
 
 
 def rational_rotation(p: int, q: int) -> RotationNumber:
-    if q <= 0 or not 0 < p < q:
-        raise PreconditionError("need 0 < p < q")
-    frac = Fraction(p, q)
+    """p/q in lowest terms, for integers 0 < p < q (p >= q leaves (0,1))."""
+    frac = Fraction(check_count(p, "p", 1), check_count(q, "q", 2))
     return RotationNumber(float(frac), "rational", p=frac.numerator, q=frac.denominator)
 
 
@@ -181,8 +180,9 @@ def parse_rotation(text: str) -> RotationNumber:
 
 def cf_expand(value: float, terms: int = 20) -> list[int]:
     """Leading partial quotients of value in (0,1), each exact for the
-    float, up to a remainder below 1e-12; any other value, NaN included, is
-    a PreconditionError."""
+    float, up to a remainder below 1e-12, at most terms >= 1 of them; any
+    other value, NaN included, is a PreconditionError."""
+    terms = check_count(terms, "terms", 1)
     x = float(value)
     if not 0.0 < x < 1.0:
         raise PreconditionError(f"continued fraction expansion needs a value in (0,1), got {x}")
@@ -273,7 +273,8 @@ def rho_radial(
     Koenigs overflow, pole) and are recorded.  Any other error of a depth,
     such as a Koebe-bound violation, is raised (_ray_values).
     """
-    if not 4 <= depth <= RADIAL_DEPTH_CAP:
+    depth = check_count(depth, "depth", 4)
+    if depth > RADIAL_DEPTH_CAP:
         raise PreconditionError(f"radial scan needs 4 <= depth <= {RADIAL_DEPTH_CAP}, got depth {depth}")
     rot = _as_rotation(alpha)
     samples: list[tuple[float, float]] = []
@@ -306,7 +307,7 @@ def rho_coefficient(family: FamilySpec, alpha, n: int = 128) -> RadiusEstimate:
     ``series``.  The fit is the batched one of rho_coefficients, run on a
     batch of one.
     """
-    _check_fit_degree(n)
+    n = check_count(n, "series degree", 32)
     rot = _as_rotation(alpha)
     return single(_coefficient_estimates(family, [rot], [siegel_series(family, rot, n)]))
 
@@ -320,7 +321,7 @@ def rho_coefficients(family: FamilySpec, alphas, n: int = 128) -> list[RadiusEst
     here).  A degree other than an integer >= 32 is a PreconditionError,
     raised for the whole call.
     """
-    _check_fit_degree(n)
+    n = check_count(n, "series degree", 32)
     rots = [outcome(_as_rotation, alpha) for alpha in alphas]
     outcomes = list(rots)
     todo = [i for i, rot in enumerate(rots) if not isinstance(rot, SiegelnumError)]
@@ -331,11 +332,6 @@ def rho_coefficients(family: FamilySpec, alphas, n: int = 128) -> list[RadiusEst
     for i, est in zip(fit, estimates):
         outcomes[i] = est
     return outcomes
-
-
-def _check_fit_degree(n: int) -> None:
-    if n < 32:
-        raise PreconditionError("coefficient estimate needs degree >= 32")
 
 
 def _fit_slope(ks: np.ndarray, ys: np.ndarray):
@@ -417,8 +413,7 @@ def harmonic_check(field, nodes: int = 64) -> HarmonicCheckReport:
     rounding only.  A non-finite value marks a failed evaluation: nodes
     whose centre or ring holds one are masked and counted.
     """
-    if nodes < 8:
-        raise PreconditionError("grid needs at least 8 nodes per axis")
+    nodes = check_count(nodes, "nodes", 8)
     rs = np.linspace(HARMONIC_R_LO, HARMONIC_R_HI, nodes)
     thetas = np.linspace(0.0, 2.0 * math.pi, nodes, endpoint=False)
     h = float(rs[1] - rs[0])
@@ -449,7 +444,7 @@ def harmonic_measure(t_lo: float, t_hi: float, z: complex) -> float:
     if not t_lo <= t_hi <= t_lo + 1.0 + 1e-15:
         raise PreconditionError("arc must run forward and span at most one turn")
     r = abs(z)
-    if r >= 1.0:
+    if not r < 1.0:  # NaN too
         raise PreconditionError("harmonic measure needs an interior point")
     phi = cmath.phase(z) if z != 0 else 0.0
 
@@ -512,8 +507,7 @@ def poisson_bound_check(
         raise PreconditionError(f"delta must lie in (0, 1/2], got {delta}")
     if not (math.isfinite(L) and math.isfinite(R)):
         raise PreconditionError(f"caps L and R must be finite, got L = {L}, R = {R}")
-    if ray_samples < 1:
-        raise PreconditionError(f"need at least 1 ray sample, got {ray_samples}")
+    ray_samples = check_count(ray_samples, "ray samples", 1)
     rot = _as_rotation(alpha)
     m_cap = koebe_cap_log(family)
     radii = [

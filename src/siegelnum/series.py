@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_count
 
 __all__ = [
     "TruncatedSeries",
@@ -43,8 +43,7 @@ def _as_array(coeffs, degree: int | None) -> np.ndarray:
         raise PreconditionError("coefficients must be a non-empty 1-d sequence")
     arr = arr.astype(np.complex128)
     if degree is not None:
-        if degree < 0:
-            raise PreconditionError("degree must be >= 0")
+        degree = check_count(degree, "degree", 0)
         if arr.size > degree + 1:
             arr = arr[: degree + 1]
         elif arr.size < degree + 1:

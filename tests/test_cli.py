@@ -345,7 +345,7 @@ def test_poisson_check_input_range(capsys, flag, value):
     "argv, message",
     [(("grid", "--family", "quadratic", "--rmin", "0.1", "--rmax", "0.5", "--res", "0"),
       "res must be >= 1"),
-     (("construct", "--degree", "32"), "series degree >= 64"),
+     (("construct", "--degree", "32"), "series degree must be >= 64"),
      (("radius", "--family", "quadratic", "--alpha", "rat:a/b", "--method", "coeff"),
       "bad rotation syntax"),
      (("construct", "--schedule", "abc"), "schedule must be a sequence of numbers"),

@@ -776,8 +776,8 @@ def test_a_rational_alpha0_has_no_siegel_series(p, q, k):
 
 
 @pytest.mark.parametrize("settings, message", [
-    ({"depth": 1.5}, "must be integers"),
-    ({"n_series": 256.0}, "must be integers"),
+    ({"depth": 1.5}, "depth must be an integer, got 1.5"),
+    ({"n_series": 256.0}, "series degree must be an integer, got 256.0"),
     ({"depth": 3, "schedule": "abc"}, "sequence of numbers"),
     ({"depth": 1, "schedule": (None,)}, "sequence of numbers"),
     ({"alpha0": 0.618}, "RotationNumber"),

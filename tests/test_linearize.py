@@ -1604,6 +1604,15 @@ def test_overflowing_map_is_a_typed_escape(fam_id, z, m):
     assert exc.value.budget == DEFAULT_BUDGET
 
 
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.1, math.nan), complex(math.inf, 0.0),
+                               complex(0.1, -math.inf)], ids=["nan-real", "nan-imag", "inf-real", "inf-imag"])
+def test_koenigs_eval_refuses_a_non_finite_z(z):
+    # a non-finite z is a caller's error, not a NaN value or an orbit escape
+    ks = koenigs_series(get_family("quadratic"), 0.5, 64)
+    with pytest.raises(PreconditionError, match="z must be finite"):
+        koenigs_eval(ks, z)
+
+
 def test_tan_is_bounded_off_the_real_axis():
     # tan(800j) == 1j where cos(800j) overflows, so 800j is an ordinary
     # basin point of 0.5 tan: its first iterate is exactly 0.5j, and h

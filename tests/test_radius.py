@@ -423,7 +423,7 @@ def test_harmonic_check_masks_failures():
 
 @pytest.mark.parametrize(
     "field, nodes, error, match",
-    [(lambda z: z.real, 4, PreconditionError, "at least 8 nodes"),
+    [(lambda z: z.real, 4, PreconditionError, "nodes must be >= 8"),
      (lambda z: np.full(z.shape, np.nan), 8, EstimateUnavailableError, "every grid node masked")],
     ids=["4-nodes", "all-masked"],
 )
@@ -435,8 +435,9 @@ def test_harmonic_check_refuses_an_empty_grid(field, nodes, error, match):
 @pytest.mark.parametrize(
     "t_lo, t_hi, z, match",
     [(0.5, 0.25, 0.0, "arc must run forward"), (0.0, 1.5, 0.0, "at most one turn"),
-     (0.0, 0.5, 1.0, "interior point"), (0.0, 0.5, -2j, "interior point")],
-    ids=["backward", "over-a-turn", "on-the-circle", "outside"],
+     (0.0, 0.5, 1.0, "interior point"), (0.0, 0.5, -2j, "interior point"),
+     (0.1, 0.2, math.nan, "interior point")],
+    ids=["backward", "over-a-turn", "on-the-circle", "outside", "nan"],
 )
 def test_harmonic_measure_preconditions(t_lo, t_hi, z, match):
     with pytest.raises(PreconditionError, match=match):
@@ -454,6 +455,12 @@ def test_harmonic_measures_partition_unity(cuts, radius, turn):
     ts = [0.0] + sorted(set(cuts)) + [1.0]
     total = sum(harmonic_measure(a, b, z) for a, b in zip(ts, ts[1:]))
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_poisson_step_value_refuses_a_nan_point():
+    # refused by harmonic_measure's interior check, before any math.floor
+    with pytest.raises(PreconditionError, match="interior point"):
+        poisson_step_value(0.3, 0.02, -2.0, -1.0, 0.0, complex(math.nan, 0.0))
 
 
 def test_harmonic_measure_center_is_arc_length():
