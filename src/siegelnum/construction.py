@@ -135,6 +135,8 @@ class ConstructionConfig:
                 vals = tuple(float(v) for v in self.schedule)
             except (TypeError, ValueError):
                 raise PreconditionError("schedule must be a sequence of numbers") from None
+            if not all(map(math.isfinite, vals)):
+                raise PreconditionError(f"schedule targets must be finite, got {vals}")
             if len(vals) != self.depth:
                 raise PreconditionError("schedule length must equal depth")
             if any(b >= a for a, b in zip(vals, vals[1:])):
@@ -221,9 +223,10 @@ def find_alpha_with_rho(
     alpha with a coefficient estimate within tol_rho of target_rho, in at
     most MAX_ITER single-row estimates.  Returns that probe's estimate.
 
-    The anchor reads -infinity and is never estimated: 0 < q < n puts the
-    resonance at degree q + 1 inside the series, and exact phases make the
-    small-divisor guard trip there.  above must read above the target.
+    The anchor reads -infinity and is never estimated: p and q are integers
+    >= 1, and q < n puts the resonance at degree q + 1 inside the series,
+    where exact phases make the small-divisor guard trip.  The target must
+    be finite, and above must read above it.
 
     Near the anchor the estimate is linear in t with slope 1/q (the dip
     law).  So while the bracket has no finite below reading, each probe
@@ -237,8 +240,11 @@ def find_alpha_with_rho(
     points; the landscape is not monotone (other rationals dent it), so
     the result is *a* crossing, not the closest one to either end.
     """
-    if not 0 < q < n:
+    p, q = check_count(p, "p", 1), check_count(q, "q", 1)
+    if not q < n:
         raise PreconditionError(f"anchor denominator must satisfy 0 < q < n = {n}, got q = {q}")
+    if not math.isfinite(target_rho):
+        raise PreconditionError(f"target_rho must be finite, got {target_rho}")
     anchor, hi = p / q, above.alpha.value
     if anchor == hi:
         raise PreconditionError("bracket ends must differ")

@@ -477,7 +477,10 @@ class PoissonBoundReport:
 
 def poisson_step_value(alpha: float, delta: float, L: float, R: float, M: float, z: complex) -> float:
     """Poisson integral at z of step boundary data: L on the arc
-    (alpha - delta, alpha), R on (alpha, alpha + delta), M elsewhere."""
+    (alpha - delta, alpha), R on (alpha, alpha + delta), M elsewhere; each
+    must be finite."""
+    if not all(map(math.isfinite, (L, R, M))):
+        raise PreconditionError(f"step values must be finite, got L = {L}, R = {R}, M = {M}")
     w_left = harmonic_measure(alpha - delta, alpha, z)
     w_right = harmonic_measure(alpha, alpha + delta, z)
     return M * (1.0 - w_left - w_right) + L * w_left + R * w_right

@@ -398,9 +398,26 @@ def test_an_anchor_is_never_estimated_and_needs_q_below_the_degree(monkeypatch, 
     assert calls[-1] == est.alpha.value and abs(est.rho_hat + 1.6) <= 0.05
     calls.clear()
     # at n <= q the series stops before the resonance at q + 1
-    for q, n in [(34, 34), (34, 32), (0, 128)]:
+    for q, n in [(34, 34), (34, 32)]:
         with pytest.raises(PreconditionError, match="0 < q < n"):
             find_alpha_with_rho(QUAD, -1.6, 21, q, golden_128, n=n)
+    with pytest.raises(PreconditionError, match="q must be >= 1"):
+        find_alpha_with_rho(QUAD, -1.6, 21, 0, golden_128, n=128)
+    assert calls == []
+
+
+@pytest.mark.parametrize("target, p, q, message", [
+    (-1.2, 13.5, 21, "p must be an integer, got 13.5"),
+    (-1.2, 13, 21.0, "q must be an integer, got 21.0"),
+    (math.nan, 13, 21, "target_rho must be finite, got nan"),
+    (-math.inf, 13, 21, "target_rho must be finite, got -inf"),
+], ids=["float-p", "float-q", "nan-target", "minus-inf-target"])
+def test_an_anchor_and_a_target_are_checked_before_any_estimate(monkeypatch, golden_128, target, p, q, message):
+    # a float anchor used to be run (13.5/21 is 9/14, stepped with q = 21's
+    # slope), and a NaN target failed the bracket as a NumericalError
+    calls, _ = _recording_estimates(monkeypatch)
+    with pytest.raises(PreconditionError, match=message):
+        find_alpha_with_rho(QUAD, target, p, q, golden_128, n=128)
     assert calls == []
 
 
@@ -788,9 +805,14 @@ def test_a_rational_alpha0_has_no_siegel_series(p, q, k):
     ({"rho_infinity": math.nan}, "rho_infinity must be finite"),
     # e^-800 underflows to a norm radius of 0
     ({"rho_infinity": -800.0}, "rho_infinity must be finite"),
+    # each passes "strictly decreasing", which no comparison with NaN fails
+    ({"depth": 2, "schedule": (math.nan, -1.3)}, r"schedule targets must be finite, got \(nan, -1\.3\)"),
+    ({"depth": 2, "schedule": (math.inf, -1.3)}, "schedule targets must be finite"),
+    ({"depth": 2, "schedule": (-1.3, -math.inf)}, "schedule targets must be finite"),
 ], ids=["float-depth", "float-n_series", "string-schedule", "none-in-schedule", "float-alpha0",
         "infinite-tol_rho", "infinite-eps0", "infinite-delta", "minus-infinite-rho_infinity",
-        "nan-rho_infinity", "underflowing-rho_infinity"])
+        "nan-rho_infinity", "underflowing-rho_infinity", "nan-schedule", "infinite-schedule",
+        "minus-infinite-schedule"])
 def test_config_rejects_malformed_settings(settings, message):
     with pytest.raises(PreconditionError, match=message):
         ConstructionConfig(**settings)

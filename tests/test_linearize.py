@@ -54,7 +54,7 @@ from siegelnum.linearize import (
     _read_rows,
     koebe_cap_log,
 )
-from siegelnum.families import custom_family
+from siegelnum.families import FamilySpec, custom_family
 from siegelnum.series import TruncatedSeries, compose, evaluate
 
 EPS = np.finfo(np.float64).eps
@@ -170,67 +170,38 @@ def test_siegel_odd_symmetry_preserved():
     assert np.all(ss.g.coeffs[0::2] == 0)
 
 
-def _loop_solve_siegel(F, divisors):
-    """Reference: the O(n^3) degree-by-degree loop the mat-vec solver replaced."""
-    n = F.size - 1
-    pows = np.zeros((n + 1, n + 1), dtype=F.dtype)
-    g = pows[1]
-    g[1] = 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(2, n + 1):
-            for j in range(2, k + 1):
-                pows[j, k] = np.dot(g[1:k], pows[j - 1, k - 1:0:-1])
-            g[k] = np.dot(F[2 : k + 1], pows[2 : k + 1, k]) / divisors[k]
-    return g.copy()
-
-
 def _siegel_inputs(fam, alpha, n):
     powers = np.exp(2j * math.pi * linearize._phases(np.array([alpha]), n))[0]
     return family_series(fam, powers[1], n).coeffs, powers - powers[1]
 
 
-def _abs_compose(outer, inner):
-    """|outer| ∘ |inner| coefficientwise: a majorant of outer ∘ inner."""
-    moduli = (TruncatedSeries.from_coeffs(np.abs(c)) for c in (outer, inner))
-    return compose(*moduli).coeffs.real
-
-
 def _majorant_error(new, ref, F, divisors):
     """max |new_k - ref_k| / maj_k over k >= 2, with maj_k the summed term
-    sizes of g_k's recurrence over |lambda^k - lambda|; exact zeros of ref
-    (maj_k = 0) must be reproduced exactly."""
-    maj = (abs(F[1]) * np.abs(ref) + _abs_compose(F, ref))[2:] / np.abs(divisors[2:])
+    sizes of g_k's recurrence (|F| o |ref|) over |lambda^k - lambda|; exact
+    zeros of ref (maj_k = 0) must be reproduced exactly."""
+    moduli = (TruncatedSeries.from_coeffs(np.abs(c)) for c in (F, ref))
+    maj = (abs(F[1]) * np.abs(ref) + compose(*moduli).coeffs.real)[2:] / np.abs(divisors[2:])
     diff = np.abs(new - ref)[2:]
     assert np.all(diff[maj == 0] == 0)
     return float(np.max(diff[maj > 0] / maj[maj > 0]))
 
 
-# alpha_1..alpha_3 of the default quadratic certificate: 21/34 plus 1.7e-7
-# down to 6e-13, where the weights F_j / d_k meet their smallest divisors
-CERTIFICATE_ALPHAS = (0.6176472305906705, 0.6176470591259526, 0.6176470588241312)
-
-
 @pytest.mark.parametrize("fam_id", ALL_FAMILY_IDS)
-def test_siegel_solver_matches_loop_oracle(fam_id):
-    fam = get_family(fam_id)
-    cases = [(golden_rotation().value, 128), (silver_rotation().value, 128)]
-    if fam_id == "quadratic":
-        cases += [(alpha, 256) for alpha in CERTIFICATE_ALPHAS]
-    for alpha, n in cases:
-        F, divisors = _siegel_inputs(fam, alpha, n)
-        ref = _loop_solve_siegel(F, divisors)
-        new = siegel_series(fam, alpha, n).g.coeffs
-        assert np.array_equal(new == 0, ref == 0), (fam_id, alpha)
-        assert np.array_equal(new[:2], ref[:2])
-        # same sums in another order: binary64 rounding of the summed terms
-        assert _majorant_error(new, ref, F, divisors) <= 1e3 * EPS, (fam_id, alpha)
+def test_siegel_rows_satisfy_the_functional_equation(fam_id):
+    # f_lambda(g(w)) = g(lambda w) to rounding (measured: at most 2.8e-16),
+    # on the rows of the map's own solve and of the composition solve
+    for fam in {get_family(fam_id), _composition_spec(get_family(fam_id))}:  # one spec without an ODE
+        for alpha in (golden_rotation().value, silver_rotation().value):
+            assert conjugacy_residual(siegel_series(fam, alpha, 128)) <= 1e-14, (fam.ode, alpha)
 
 
-def _mpmath_solve_siegel(base_coeffs, alpha, n):
-    """g_0..g_n at the exact binary64 alpha, in 50-digit arithmetic."""
+def _mpmath_solve_siegel(F, divisors):
+    """g_0..g_n from g_k d_k = [w^k] sum_{j>=2} F_j g^j in 50-digit
+    arithmetic, with F_0..F_n and d_k = lambda^k - lambda given as mpmath
+    or binary64 numbers (taken exactly)."""
+    n = len(F) - 1
     with mpmath.workdps(50):
-        lam = mpmath.expj(2 * mpmath.pi * mpmath.mpf(alpha))
-        F = [lam * c for c in base_coeffs]
+        F, divisors = ([mpmath.mpmathify(c) for c in seq] for seq in (F, divisors))
         pows = [[mpmath.mpc(0)] * (n + 1) for _ in range(n + 1)]
         g = pows[1]
         g[1] = mpmath.mpc(1)
@@ -238,27 +209,40 @@ def _mpmath_solve_siegel(base_coeffs, alpha, n):
             for j in range(2, k + 1):
                 pows[j][k] = mpmath.fsum(g[i] * pows[j - 1][k - i] for i in range(1, k))
             rhs = mpmath.fsum(F[j] * pows[j][k] for j in range(2, k + 1))
-            g[k] = rhs / (lam**k - lam)
+            g[k] = rhs / divisors[k]
         return np.array([complex(c) for c in g])
 
 
-@pytest.mark.parametrize(
-    "fam_id, base_coeffs",
-    [
-        ("quadratic", [0, 1, -1] + [0] * 46),
-        ("exp", [0] + [1 / mpmath.factorial(k) for k in range(1, 49)]),
-    ],
-)
+@pytest.mark.parametrize("fam_id, base_coeffs", [
+    ("quadratic", [0, 1, -1] + [0] * 46), ("exp", [0] + [1 / mpmath.factorial(k) for k in range(1, 49)])])
 def test_siegel_solver_matches_mpmath_oracle(fam_id, base_coeffs):
     fam = get_family(fam_id)
     for alpha in (golden_rotation().value, silver_rotation().value):
-        ref = _mpmath_solve_siegel(base_coeffs, alpha, 48)
+        with mpmath.workdps(50):  # F and the divisors at the exact binary64 alpha
+            lam = mpmath.expj(2 * mpmath.pi * mpmath.mpf(alpha))
+            ref = _mpmath_solve_siegel([lam * c for c in base_coeffs], [lam**k - lam for k in range(49)])
         new = siegel_series(fam, alpha, 48).g.coeffs
         F, divisors = _siegel_inputs(fam, alpha, 48)
         # beyond the recurrence's own rounding, the binary64 solve sees each
         # lambda^k rounded by ~2 pi k eps against divisors >= 0.04 up to
         # degree 48 here: relative divisor errors up to ~7.5e3 eps
         assert _majorant_error(new, ref, F, divisors) <= 1e4 * EPS, (fam_id, alpha)
+
+
+# alpha_1..alpha_3 of the default quadratic certificate: 21/34 plus 1.7e-7
+# down to 6e-13, where the weights F_j / d_k meet their smallest divisors
+CERTIFICATE_ALPHAS = (0.6176472305906705, 0.6176470591259526, 0.6176470588241312)
+
+
+def test_certificate_rows_match_mpmath_on_their_own_divisors():
+    # the mpmath recurrence fed the package's binary64 F and divisors, down
+    # to 1.3e-10 by degree 48: only the recurrence's own rounding separates
+    # the two (measured: at most 2.6 eps of the majorant)
+    fam = get_family("quadratic")
+    for alpha in CERTIFICATE_ALPHAS:
+        F, divisors = _siegel_inputs(fam, alpha, 48)
+        new = siegel_series(fam, alpha, 48).g.coeffs
+        assert _majorant_error(new, _mpmath_solve_siegel(F, divisors), F, divisors) <= 1e3 * EPS, alpha
 
 
 def test_siegel_overflow_is_typed_with_warnings_as_errors():
@@ -270,63 +254,14 @@ def test_siegel_overflow_is_typed_with_warnings_as_errors():
             siegel_series(get_family("quadratic"), 0.5 + 1e-12, 128)
 
 
-# -- the per-row Siegel solve, the batched one's oracle ------------------------
-
-
-def _rowwise_solve_siegel(F, divisors):
-    """Reference: one row's solve in the batched one's order, with the row's
-    own degree: unit-stride products with g reversed, and the weights
-    F_j / d_k."""
-    n = F.size - 1
-    nonzero = np.flatnonzero(F)
-    top = max(2, int(nonzero[-1]) if nonzero.size else 0)
-    pows = np.zeros((top + 1, n + 1), dtype=np.complex128)
-    rev = np.zeros(n + 1, dtype=np.complex128)  # rev[n - i] = g_i
-    pows[1, 1] = rev[n - 1] = 1
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller reports it
-        for k in range(2, n + 1):
-            m = min(k, top)
-            pows[2 : m + 1, k] = pows[1:m, 1:k] @ rev[n - k + 1 : n]
-            pows[1, k] = rev[n - k] = (F[2 : m + 1] / divisors[k]) @ pows[2 : m + 1, k]
-    return pows[1].copy()
-
-
-def _strided_solve_siegel(F, divisors):
-    """Reference: one row's mat-vec solve in the order before the weights,
-    a reversed strided view of g and one divide by d_k after the sum."""
-    n = F.size - 1
-    nonzero = np.flatnonzero(F)
-    top = max(2, int(nonzero[-1]) if nonzero.size else 0)
-    pows = np.zeros((top + 1, n + 1), dtype=np.complex128)
-    g = pows[1]
-    g[1] = 1
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller reports it
-        for k in range(2, n + 1):
-            m = min(k, top)
-            pows[2 : m + 1, k] = pows[1:m, k - 1 : 0 : -1] @ g[1:k]
-            g[k] = (F[2 : m + 1] @ pows[2 : m + 1, k]) / divisors[k]
-    return g.copy()
-
-
-def _rowwise_siegel_outcome(fam, alpha, n, solve=_rowwise_solve_siegel):
-    """The coefficients a per-row solve gives at alpha, or the package
-    error siegel_series raises there."""
-    F, divisors = _siegel_inputs(fam, alpha, n)
-    mags = np.abs(divisors[2:])
-    floors = [max(SIEGEL_DIVISOR_FLOOR, 2 * math.pi * (k - 1) * math.ulp(alpha)) for k in range(2, n + 1)]
-    k = int(np.argmin(mags / floors))
-    if mags[k] < floors[k]:
-        return DivisorBreakdownError(k + 2, float(mags[k]), floors[k])
-    return _read_rows(solve(F, divisors)[None], "Siegel")[0]
+# -- batched Siegel rows, and maps scaled by a power of two ------------------
 
 
 def _same_outcome(new, ref):
-    """Bitwise-equal coefficients (ref a SiegelSeries or its coefficient
-    array), or the same error class and message."""
+    """Bitwise-equal SiegelSeries coefficients, or the same error and message."""
     if isinstance(ref, SiegelnumError):
         return type(new) is type(ref) and str(new) == str(ref)
-    coeffs = ref.g.coeffs if isinstance(ref, linearize.SiegelSeries) else ref
-    return isinstance(new, linearize.SiegelSeries) and new.g.coeffs.tobytes() == coeffs.tobytes()
+    return isinstance(new, linearize.SiegelSeries) and new.g.coeffs.tobytes() == ref.g.coeffs.tobytes()
 
 
 def _composition_spec(fam):
@@ -348,43 +283,43 @@ def _siegel_batch(size, seed=5):
     return alphas
 
 
-@pytest.mark.parametrize(
-    "fam_id, n",
-    [(fam_id, 128) for fam_id in ALL_FAMILY_IDS] + [("quadratic", 256), ("poly_3", 256)],
-)
-def test_batched_siegel_rows_match_rowwise_oracle(fam_id, n):
-    # the composition solve on every map's coefficients; the maps that
-    # declare an ODE take it only when their spec declares none
+@dataclasses.dataclass(frozen=True)
+class _Scaled:
+    """f_s(z) = f(s z) / s in closed form, and its coefficients c_k s^(k-1)."""
+    family: FamilySpec
+    s: float
+
+    def __call__(self, z):
+        return self.family._point_eval(self.s * z) / self.s
+
+    def coeffs(self, n):
+        return base_series(self.family, n).coeffs * self.s ** np.arange(-1.0, n)
+
+
+SCALES = (4.0, 0.125)
+
+
+def _scaled(fam, s):
+    """f_s, with singular value v / s.  For a power of two s every
+    coefficient and every step scales exactly while no entry leaves
+    binary64's normal range: h_s(z) = h(s z) / s and g_s(w) = g(s w) / s, so
+    their rows are h_k s^(k-1) and g_k s^(k-1), and u_s = u - log s."""
+    scaled = _Scaled(fam, s)
+    with pytest.warns(UserWarning, match="single-singular-value"):
+        return custom_family(f"{fam.family_id}@{s}", fam.v / s, 1, scaled.coeffs, scaled)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("fam_id", ALL_FAMILY_IDS)
+def test_siegel_rows_are_scale_covariant(fam_id, n):
+    # every term of degree k's sum scales by s^(k-1), so the composition
+    # solve's rows of f_s are those of f times s^(k-1), bit for bit
     fam = _composition_spec(get_family(fam_id))
-    alphas = _siegel_batch(32)
-    refs = [_rowwise_siegel_outcome(fam, a, n) for a in alphas]
-    batched = siegel_series_many(fam, alphas, n)
-    assert len(batched) == len(alphas)
-    for a, new, ref in zip(alphas, batched, refs):
-        assert _same_outcome(new, ref), (fam_id, a)
-        assert _same_outcome(siegel_series_many(fam, [a], n)[0], ref), (fam_id, a)
-    assert isinstance(batched[RATIONAL_SLOT], DivisorBreakdownError)
-
-
-@pytest.mark.parametrize(
-    "fam_id, n",
-    [(fam_id, 128) for fam_id in ALL_FAMILY_IDS] + [("quadratic", 256), ("poly_3", 256)],
-)
-def test_batched_siegel_rows_stay_near_the_strided_order(fam_id, n):
-    # the weights F_j / d_k and unit-stride products only reorder rounding.
-    # On this batch's small divisors the strided order and the loop oracle
-    # already differ by up to 2.9e3 eps (exp, reduced(tan)), so the bound
-    # is the mpmath oracle's, not the golden/silver loop oracle's 1e3 eps
-    fam = get_family(fam_id)
-    alphas = _siegel_batch(32)
-    for a, new in zip(alphas, siegel_series_many(fam, alphas, n)):
-        ref = _rowwise_siegel_outcome(fam, a, n, solve=_strided_solve_siegel)
-        if isinstance(ref, SiegelnumError):
-            assert type(new) is type(ref), (fam_id, a)
-        else:
-            assert isinstance(new, linearize.SiegelSeries), (fam_id, a)
-            F, divisors = _siegel_inputs(fam, a, n)
-            assert _majorant_error(new.g.coeffs, ref, F, divisors) <= 1e4 * EPS, (fam_id, a)
+    alphas = [golden_rotation().value, silver_rotation().value] + _siegel_batch(6)
+    refs = siegel_series_many(fam, alphas, n)
+    for s in SCALES:
+        for ref, new in zip(refs, siegel_series_many(_scaled(fam, s), alphas, n), strict=True):
+            assert new.g.coeffs.tobytes() == (ref.g.coeffs * s ** np.arange(-1.0, n)).tobytes(), (ref.alpha, s)
 
 
 def test_batched_siegel_failures_stay_in_their_slots():
@@ -451,13 +386,22 @@ def test_phases_are_rounded_once():
     assert linearize._phases(unit, 1)[:, 1].tobytes() == unit.tobytes()
 
 
-def test_batched_siegel_row_does_not_depend_on_its_batch():
-    fam = get_family("poly_3")
+@pytest.mark.parametrize(
+    "fam_id, n",
+    [(fam_id, 128) for fam_id in ALL_FAMILY_IDS] + [("quadratic", 256), ("poly_3", 256)],
+)
+def test_batched_siegel_row_does_not_depend_on_its_batch(fam_id, n):
+    # the composition solve on every map's coefficients: each row, and each
+    # failure, is that of a batch of one and of the batch reversed in another
+    fam = _composition_spec(get_family(fam_id))
     alphas = _siegel_batch(32)
     others = _siegel_batch(9, seed=6)
-    first = siegel_series_many(fam, alphas, 128)
-    mixed = siegel_series_many(fam, others[:4] + alphas[::-1] + others[4:], 128)[4 : 4 + len(alphas)]
+    first = siegel_series_many(fam, alphas, n)
+    assert isinstance(first[RATIONAL_SLOT], DivisorBreakdownError)
+    mixed = siegel_series_many(fam, others[:4] + alphas[::-1] + others[4:], n)[4 : 4 + len(alphas)]
     assert all(map(_same_outcome, mixed[::-1], first))
+    for a, out in zip(alphas, first):
+        assert _same_outcome(siegel_series_many(fam, [a], n)[0], out), (fam_id, a)
 
 
 @pytest.mark.parametrize("fam_id", ["quadratic", "exp"])
@@ -629,14 +573,14 @@ def test_ode_rows_equal_their_batch_of_one(fam_id):
 @pytest.mark.parametrize("fam_id", ["reduced(sin)", "reduced(tan)"])
 def test_folded_rows_keep_the_reduced_divisor_guard(fam_id):
     # the fold solves f at alpha / 2, but the guard runs on the reduced
-    # map's own divisors: every p/q breaks down with the (k, magnitude,
-    # floor) that the reduced alpha's divisors give
+    # map's own divisors: every p/q breaks down at a resonance k = 1 + j q
+    # with the (k, magnitude, floor) of an unfolded map at the same alpha
     fam = get_family(fam_id)
-    alphas = [p / q for q in range(2, 12) for p in range(1, q) if math.gcd(p, q) == 1]
-    for a, out in zip(alphas, siegel_series_many(fam, alphas, 128)):
-        ref = _rowwise_siegel_outcome(fam, a, 128)
-        assert isinstance(ref, DivisorBreakdownError), a
-        assert (out.k, out.magnitude, out.floor) == (ref.k, ref.magnitude, ref.floor), a
+    pqs = [(p, q) for q in range(2, 12) for p in range(1, q) if math.gcd(p, q) == 1]
+    outs, refs = (siegel_series_many(f, [p / q for p, q in pqs], 128) for f in (fam, get_family("quadratic")))
+    for (p, q), out, ref in zip(pqs, outs, refs):
+        assert isinstance(out, DivisorBreakdownError) and (out.k - 1) % q == 0, (p, q)
+        assert (out.k, out.magnitude, out.floor) == (ref.k, ref.magnitude, ref.floor), (p, q)
 
 
 def test_siegel_series_many_edges():
@@ -715,59 +659,18 @@ def test_rho_coefficients_match_rho_coefficient(fam_id):
         radius.rho_coefficients(fam, alphas, 16)
 
 
-# -- the scalar lambda pipeline that u_values replaced, kept as the oracle ----
-
-
-def _loop_solve_koenigs(F, divisors):
-    """Reference: h_k (lambda^k - lambda) = -[z^k] sum_{j<k} h_j F^j with F^j
-    accumulated one truncated convolution per degree."""
-    n = F.size - 1
-    h = np.zeros(n + 1, dtype=F.dtype)
-    h[1] = 1
-    fpow = F.copy()
-    acc = fpow.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(2, n + 1):
-            fpow = np.convolve(fpow, F)[: n + 1]
-            h[k] = -acc[k] / divisors[k]
-            acc = acc + h[k] * fpow
-    return h
-
-
-def _koenigs_inputs(fam, lam, n):
-    F = family_series(fam, lam, n).coeffs
-    return F, np.power(np.complex128(lam), np.arange(n + 1)) - lam
-
-
-def _scalar_koenigs(fam, lam, n):
-    if not 0 < abs(lam) < 1:
-        raise PreconditionError("a Koenigs linearization needs 0 < |lambda| < 1")
-    if 1.0 - abs(lam) < 1e-15:
-        raise PreconditionError("|lambda| = 1 is the Siegel regime; use siegel_series")
-    h = _read_rows(_loop_solve_koenigs(*_koenigs_inputs(fam, lam, n))[None], "Koenigs")[0]
-    if isinstance(h, SiegelnumError):
-        raise h
-    return h
+# -- the lambda pipeline against the Koenigs limit and exact relations -------
 
 
 def _tail_majorant(h, r):
     """sum_{N/2 < k <= N} |h_k| r^k, one term at a time."""
     n = len(h) - 1
-    total = 0.0
-    for k in range(n // 2 + 1, n + 1):
-        total += abs(h[k]) * r**k
-    return total
+    return sum(abs(h[k]) * r**k for k in range(n // 2 + 1, n + 1))
 
 
 def _scalar_entry_radius(h):
-    for r in ENTRY_RADIUS_GRID:
-        if _tail_majorant(h, r) <= ENTRY_TAIL_TOL:
-            return r
-    grid = ENTRY_RADIUS_GRID
-    raise EntryRadiusError(
-        f"no radius in the {len(grid)}-rung ladder from {grid[0]:g} down to {grid[-1]:g} "
-        f"gives two-truncation agreement <= {ENTRY_TAIL_TOL:g}"
-    )
+    """The entry rule: the first (largest) rung whose tail majorant passes."""
+    return next(r for r in ENTRY_RADIUS_GRID if _tail_majorant(h, r) <= ENTRY_TAIL_TOL)
 
 
 def _first_entry_orbit(family, lam, z, r_entry, budget):
@@ -825,123 +728,52 @@ def _reference_orbit(family, lam, z, r_entry, budget):
     return z, m
 
 
-def _scalar_yoccoz(fam, lam, n=128, budget=DEFAULT_BUDGET):
-    """Reference: yoccoz_w one lambda at a time, series to orbit to log."""
-    lam = complex(lam)
-    h = _scalar_koenigs(fam, lam, n)
-    r_e = _scalar_entry_radius(h)
-    z, m = _reference_orbit(fam, lam, lam * fam.v, r_e, budget)
-    hz = 0j if z == 0 else complex(evaluate(TruncatedSeries.from_coeffs(h), z))
-    if hz == 0:
-        w = 0j
-    elif m == 0:
-        w = hz
-    else:
-        w = cmath.exp(cmath.log(hz) - m * cmath.log(lam))
-    if w == 0:
-        raise NumericalError(f"vanishing Yoccoz value at lambda = {lam!r}")
-    u = math.log(abs(w / lam))
-    cap = math.log(4.0) + math.log(abs(fam.v))
-    if not u < cap:
-        raise NumericalError(f"Koebe bound violated: u = {u:.6g} >= M = {cap:.6g} at lambda = {lam!r}")
-    return YoccozValue(lam=lam, w=w, u=u, iterations_used=m, entry_radius=r_e)
-
-
-def _scalar_u_values(fam, lams, n=128, budget=DEFAULT_BUDGET):
-    out = []
-    for lam in lams:
-        try:
-            out.append(_scalar_yoccoz(fam, lam, n, budget))
-        except SiegelnumError as exc:
-            out.append(exc)
-    return out
-
-
-def _assert_same_outcome(fam, lam, n, new, ref):
-    assert type(new) is type(ref), (new, ref)
-    if isinstance(ref, SiegelnumError):
-        assert str(new) == str(ref)
-        return
-    assert abs(new.u - ref.u) <= 1e-12, (new.u, ref.u)
-    if new.entry_radius == ref.entry_radius:
-        assert new.iterations_used == ref.iterations_used
-        return
-    # Near the unit circle the recurrence amplifies rounding until the two
-    # solves' coefficients above degree N/2 differ by O(1) (zexp at
-    # 0.7646 - 0.5291i: 0.4 relative at degree 50-65), so their tail
-    # majorants can straddle ENTRY_TAIL_TOL (reduced(tan) at -0.1816 - 0.9118i:
-    # 0.82e-13 batched, 2.49e-13 loop at r = 0.5; up to 20x apart at
-    # |lambda| = 0.95).  The pipeline's radius must be the oracle's rule on
-    # its own solve, the radii one rung apart, and at the larger radius the
-    # solve that fails there may miss ENTRY_TAIL_TOL by at most a factor 64;
-    # rungs are at most 0.917 apart, so a genuine rung of difference moves
-    # the majorant by at least 0.917^-(N/2 + 1), about 280 at N = 128.
-    h = koenigs_series(fam, lam, n).h.coeffs
-    assert new.entry_radius == _scalar_entry_radius(h), lam
-    rungs = [ENTRY_RADIUS_GRID.index(x.entry_radius) for x in (new, ref)]
-    assert abs(rungs[0] - rungs[1]) == 1, (lam, new.entry_radius, ref.entry_radius)
-    r = max(new.entry_radius, ref.entry_radius)
-    failing = _scalar_koenigs(fam, lam, n) if new.entry_radius == r else h
-    tail = _tail_majorant(failing, r)
-    assert ENTRY_TAIL_TOL < tail <= 64 * ENTRY_TAIL_TOL, (lam, r, tail)
-
-
-def _koenigs_error_majorant(ref, F, divisors):
-    """maj_k, the summed term sizes of h_k's recurrence (from _abs_compose),
-    carried forward through the same recurrence in absolute values: an error
-    in h_j reaches h_k through lambda^j [z^k] f^j / (lambda^k - lambda), and
-    at complex lambda that amplification is far above maj_k itself."""
-    n = F.size - 1
-    source = _abs_compose(ref, F) + abs(F[1]) * np.abs(ref)
-    abs_pows = np.zeros((n + 1, n + 1))
-    abs_pows[0, 0] = 1
-    for j in range(1, n + 1):
-        abs_pows[j] = np.convolve(abs_pows[j - 1], np.abs(F))[: n + 1]
-    maj = np.zeros(n + 1)
-    for k in range(2, n + 1):
-        maj[k] = (source[k] + maj[:k] @ abs_pows[:k, k]) / abs(divisors[k])
-    return maj
-
-
 def _planned_degrees(fam, n):
     return [k for k, _, _ in linearize._koenigs_table(fam, n)[1]]
 
 
-def _assert_planned_rows_match_loop_oracle(fam_id, n):
-    """The degree plan reads only table entries that can be nonzero: a
-    batch's rows are those of koenigs_series, stay within the loop oracle's
-    majorant bound, and a degree off the plan is exactly 0, as the oracle's is."""
-    fam = get_family(fam_id)
-    skipped = sorted(set(range(2, n + 1)) - set(_planned_degrees(fam, n)))
-    lams = (0.3, 0.5j, 0.7 * cmath.exp(2.1j), 0.95 * cmath.exp(-0.4j))
-    rows = linearize._solve_koenigs(*linearize._koenigs_table(fam, n), np.array(lams))
-    for lam, new in zip(lams, rows, strict=True):
-        F, divisors = _koenigs_inputs(fam, lam, n)
-        ref = _loop_solve_koenigs(F, divisors)
-        assert new.tobytes() == koenigs_series(fam, lam, n).h.coeffs.tobytes()
-        assert np.all(new[skipped] == 0) and np.all(ref[skipped] == 0), (fam_id, n, lam)
-        assert np.array_equal(new == 0, ref == 0), (fam_id, n, lam)
-        assert np.array_equal(new[:2], ref[:2])
-        # at n = 257 and |lambda| = 0.95 the rows reach 1e221 and the
-        # majorant of quadratic and zexp outgrows binary64 from degree 247-249:
-        # no bound is checked on those degrees
-        with np.errstate(over="ignore"):
-            maj = _koenigs_error_majorant(ref, F, divisors)[2:]
-        diff = np.abs(new - ref)[2:]
-        assert np.all(diff[maj == 0] == 0)
-        bounded = (maj > 0) & (maj < np.inf)
-        assert np.max(diff[bounded] / maj[bounded], initial=0) <= 1e3 * EPS, (fam_id, n, lam)
-
-
-@pytest.mark.parametrize("fam_id", ALL_FAMILY_IDS)
-def test_koenigs_solver_matches_loop_oracle(fam_id):
-    _assert_planned_rows_match_loop_oracle(fam_id, 128)
+# the last one 0.05 from the circle, where the rows reach 1e221 at n = 257
+KOENIGS_LAMS = (0.3, 0.5j, 0.7 * cmath.exp(2.1j), 0.95 * cmath.exp(-0.4j))
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 64, 257])
 @pytest.mark.parametrize("fam_id", ALL_FAMILY_IDS)
-def test_planned_koenigs_rows_match_loop_oracle(fam_id, n):
-    _assert_planned_rows_match_loop_oracle(fam_id, n)
+def test_planned_koenigs_rows_satisfy_the_functional_equation(fam_id, n):
+    # the degree plan reads only table entries that can be nonzero: a
+    # batch's rows are those of koenigs_series, exactly 0 on the degrees off
+    # the plan and only there, and each solves h(f_lambda(z)) = lambda h(z)
+    # to rounding (measured: at most 4.0e-16)
+    fam, planned = get_family(fam_id), _planned_degrees(get_family(fam_id), n)
+    rows = linearize._solve_koenigs(*linearize._koenigs_table(fam, n), np.array(KOENIGS_LAMS))
+    for lam, row in zip(KOENIGS_LAMS, rows, strict=True):
+        ks = koenigs_series(fam, lam, n)
+        assert row.tobytes() == ks.h.coeffs.tobytes()
+        assert row[:2].tolist() == [0, 1] and np.flatnonzero(row[2:]).tolist() == [k - 2 for k in planned]
+        assert conjugacy_residual(ks) <= 1e-14, (fam_id, n, lam)
+
+
+@pytest.mark.parametrize("fam_id", ALL_FAMILY_IDS)
+def test_koenigs_rows_are_scale_covariant(fam_id):
+    # the rows of f_s are h_k s^(k-1) bit for bit where neither power table
+    # holds a subnormal part.  Exempt, all at n = 128: exp, zexp and sin at
+    # s = 1/8 (8^-(k-1) / k! < 2.2e-308) and reduced(sin), whose own table
+    # is subnormal; at n = 257 the rows overflow (s = 4) or turn subnormal.
+    # u_s = u - log s to rounding either way (measured: at most 1.4e-15)
+    fam, compared = get_family(fam_id), 0
+    for s, n in itertools.product(SCALES, (7, 64, 128)):
+        scaled = _scaled(fam, s)
+        parts = [abs(linearize._koenigs_table(f, n)[0].view(np.float64)) for f in (fam, scaled)]
+        if any(np.any((0 < p) & (p < np.finfo(np.float64).tiny)) for p in parts):
+            continue
+        for lam in KOENIGS_LAMS:
+            want = koenigs_series(fam, lam, n).h.coeffs * s ** np.arange(-1.0, n)
+            assert koenigs_series(scaled, lam, n).h.coeffs.tobytes() == want.tobytes(), (s, n, lam)
+            compared += 1
+    assert compared >= 16
+    lams = _LIMIT_LAMS[:-1]  # off the depth-7 ray, where orbits of other lengths move u by 2.9e-14
+    for s in SCALES:
+        for lam, value, new in zip(lams, u_values(fam, lams), u_values(_scaled(fam, s), lams), strict=True):
+            assert abs(new.u - (value.u - math.log(s))) <= 1e-14, (s, lam)
 
 
 @pytest.mark.parametrize("n", [7, 64, 257])
@@ -1003,39 +835,72 @@ def test_entry_value_product_matches_horner(fam_id):
         assert abs(hz - evaluate(h, z)) <= 16 * EPS * terms.sum(), (fam_id, z)
 
 
+# f in mpmath, in forms that do not cancel near 0: with exp(z) - 1 for exp
+# the limit below drifts by 2e-9
+_MPMATH_MAPS = {
+    "quadratic": lambda z: z * (1 - z), "poly_3": lambda z: z + z**2 / 3 + z**3 / 27,
+    "exp": mpmath.expm1, "zexp": lambda z: z * mpmath.exp(z), "sin": mpmath.sin, "tan": mpmath.tan,
+    "reduced(sin)": lambda w: mpmath.sin(mpmath.sqrt(w)) ** 2,
+    "reduced(tan)": lambda w: mpmath.tan(mpmath.sqrt(w)) ** 2,
+}
+# six multipliers with |lambda| in [0.1, 0.9], and the golden ray at depth 7,
+# where every map's orbit takes 55 to 178 steps into its entry disc, so
+# through accepted chunks
+_LIMIT_LAMS = (np.random.default_rng(17).uniform(0.1, 0.9, 6) * np.exp(2j * math.pi * np.arange(6) / 6)).tolist() + [
+    (1 - 2.0**-7) * cmath.exp(2j * math.pi * golden_rotation().value)]
+
+
+def _koenigs_limit_u(fam_id, lam):
+    """u = log|h(lambda v) / lambda| with h = lim lambda^-m f_lambda^m, no
+    series: the orbit of lambda v in 20 digits until |z_m| <= 1e-14, where
+    h(z_m) = z_m (1 + O(z_m)), so u = log|z_m| - (m + 1) log|lambda|."""
+    step = _MPMATH_MAPS[fam_id]
+    with mpmath.workdps(20):
+        lam_mp = mpmath.mpc(lam)
+        z, m = lam_mp * mpmath.mpc(get_family(fam_id).v), 0
+        while abs(z) > 1e-14:
+            z, m = lam_mp * step(z), m + 1
+        return float(mpmath.log(abs(z)) - (m + 1) * mpmath.log(abs(lam_mp)))
+
+
 @pytest.mark.parametrize("fam_id", ALL_FAMILY_IDS)
-@settings(max_examples=20, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.floats(min_value=0.05, max_value=0.95), st.floats(min_value=0.0, max_value=1.0)),
-        min_size=1,
-        max_size=4,
-    )
-)
-def test_u_values_match_scalar_pipeline(fam_id, polar):
-    fam = get_family(fam_id)
-    lams = [r * cmath.exp(2j * math.pi * t) for r, t in polar]
-    for lam, new, ref in zip(lams, u_values(fam, lams), _scalar_u_values(fam, lams), strict=True):
-        _assert_same_outcome(fam, lam, 128, new, ref)
+def test_u_matches_the_koenigs_limit(fam_id):
+    # series, entry radius, orbit and unwinding against a limit that uses
+    # none of them (measured: within 4.4e-14)
+    values = u_values(get_family(fam_id), _LIMIT_LAMS)
+    for lam, value in zip(_LIMIT_LAMS, values, strict=True):
+        assert abs(value.u - _koenigs_limit_u(fam_id, lam)) <= 1e-12, lam
+    assert values[-1].iterations_used > 2 * linearize._ORBIT_CHUNK
 
 
-def test_u_values_edge_cases_match_scalar_pipeline():
-    quad = get_family("quadratic")
-    cases = [
-        (quad, [0.0, 1.0, 1 - 5e-16, 0.5, 0.999], 64, DEFAULT_BUDGET),  # preconditions, entry radius
-        (quad, [0.9, 0.5, 0.9j], 64, 1),  # budget
-        # tail majorant at r = 0.2: 1.85e-13 on the batched coefficients, 1.04e-13 on the loop's
-        (get_family("zexp"), [0.7646197002379004 - 0.5291398744589179j], 128, DEFAULT_BUDGET),
-        # tail majorant at r = 0.5: 0.82e-13 on the batched coefficients, 2.49e-13 on the loop's
-        (get_family("reduced(tan)"), [-0.18157682244954285 - 0.9117832556070424j], 128, DEFAULT_BUDGET),
-    ]
-    for fam, lams, n, budget in cases:
-        outcomes = zip(lams, u_values(fam, lams, n, budget), _scalar_u_values(fam, lams, n, budget), strict=True)
-        for lam, new, ref in outcomes:
-            _assert_same_outcome(fam, lam, n, new, ref)
-            if isinstance(ref, SiegelnumError):
-                with pytest.raises(type(ref), match=re.escape(str(ref))):
-                    yoccoz_w(fam, lam, n, budget)
+def test_entry_radius_is_the_first_rung_whose_tail_passes():
+    # the rule one term at a time, on every map at the limit multipliers and
+    # at two whose tail majorants sit near ENTRY_TAIL_TOL (zexp: 1.85e-13 at
+    # r = 0.2; reduced(tan): 0.82e-13 at r = 0.5); u_values takes the same
+    cases = [(fam_id, lam) for fam_id in ALL_FAMILY_IDS for lam in _LIMIT_LAMS] + [
+        ("zexp", 0.7646197002379004 - 0.5291398744589179j), ("reduced(tan)", -0.18157682244954285 - 0.9117832556070424j)]
+    for fam_id, lam in cases:
+        fam = get_family(fam_id)
+        h = koenigs_series(fam, lam).h
+        assert entry_radius(h) == _scalar_entry_radius(h.coeffs) == yoccoz_w(fam, lam).entry_radius, (fam_id, lam)
+
+
+def test_u_values_edge_cases_are_typed_errors():
+    # the basin rule, the entry ladder and the budget: each a typed error in
+    # its slot, next to a value, and raised by yoccoz_w
+    quad, basin = get_family("quadratic"), "a Koenigs linearization needs 0 < |lambda| < 1"
+    ladder = "no radius in the 49-rung ladder from 1 down to 0.01 gives two-truncation agreement <= 1e-13"
+    cases = [(0.0, DEFAULT_BUDGET, PreconditionError, basin), (1.0, DEFAULT_BUDGET, PreconditionError, basin),
+             (1 - 5e-16, DEFAULT_BUDGET, PreconditionError, "|lambda| = 1 is the Siegel regime; use siegel_series"),
+             (0.999, DEFAULT_BUDGET, EntryRadiusError, ladder),
+             (0.9, 1, NoConvergenceError, "iteration budget 1 exhausted"),
+             (0.9j, 1, NoConvergenceError, "iteration budget 1 exhausted")]
+    alone = yoccoz_w(quad, 0.5, 64)  # m = 0, so every budget gives it
+    for lam, budget, kind, message in cases:
+        value, out = u_values(quad, [0.5, lam], 64, budget)
+        assert value == alone and type(out) is kind and str(out) == message, lam
+        with pytest.raises(kind, match=re.escape(message)):
+            yoccoz_w(quad, lam, 64, budget)
     # a degree below 2 fails the whole call, before any solve
     with pytest.raises(PreconditionError, match="series degree must be >= 2"):
         u_values(quad, [0.5, 2.0], 1)
@@ -1345,22 +1210,6 @@ def test_koenigs_eval_matches_yoccoz_w():
             deep += m >= 100 * linearize._ORBIT_CHUNK
         assert compared >= 20, fam_id
     assert deep == len(ALL_FAMILY_IDS)
-
-
-@pytest.mark.parametrize(
-    "fam_id, alpha",
-    [("quadratic", rational_rotation(1, 2)), ("quadratic", golden_rotation()), ("exp", golden_rotation())],
-)
-def test_rho_radial_matches_scalar_pipeline(fam_id, alpha, monkeypatch):
-    fam = get_family(fam_id)
-    new = rho_radial(fam, alpha, depth=14, n=128)
-    monkeypatch.setattr(radius, "u_values", _scalar_u_values)
-    ref = rho_radial(fam, alpha, depth=14, n=128)
-    assert new.failures == ref.failures
-    assert (new.converged, new.diverging_to_minus_infinity) == (ref.converged, ref.diverging_to_minus_infinity)
-    assert [r for r, _ in new.samples] == [r for r, _ in ref.samples]
-    assert max(abs(a - b) for (_, a), (_, b) in zip(new.samples, ref.samples)) <= 1e-12
-    assert (new.rho_hat == -math.inf) == (ref.rho_hat == -math.inf)
 
 
 def _orbit_outcome(orbit, *args):

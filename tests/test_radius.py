@@ -463,6 +463,14 @@ def test_poisson_step_value_refuses_a_nan_point():
         poisson_step_value(0.3, 0.02, -2.0, -1.0, 0.0, complex(math.nan, 0.0))
 
 
+@pytest.mark.parametrize("L, R, M", [(math.nan, -1.0, 0.0), (-2.0, math.inf, 0.0), (-2.0, -1.0, math.nan)],
+                         ids=["nan-L", "inf-R", "nan-M"])
+def test_poisson_step_value_refuses_non_finite_step_values(L, R, M):
+    # a NaN M used to come back as a NaN value
+    with pytest.raises(PreconditionError, match="step values must be finite"):
+        poisson_step_value(0.3, 0.01, L, R, M, 0.5j)
+
+
 def test_harmonic_measure_center_is_arc_length():
     assert harmonic_measure(0.2, 0.45, 0j) == pytest.approx(0.25, abs=1e-14)
 
