@@ -386,22 +386,32 @@ def test_phases_are_rounded_once():
     assert linearize._phases(unit, 1)[:, 1].tobytes() == unit.tobytes()
 
 
-@pytest.mark.parametrize(
-    "fam_id, n",
-    [(fam_id, 128) for fam_id in ALL_FAMILY_IDS] + [("quadratic", 256), ("poly_3", 256)],
-)
-def test_batched_siegel_row_does_not_depend_on_its_batch(fam_id, n):
-    # the composition solve on every map's coefficients: each row, and each
-    # failure, is that of a batch of one and of the batch reversed in another
+BATCH_CASES = [(fam_id, 128) for fam_id in ALL_FAMILY_IDS] + [("quadratic", 256), ("poly_3", 256)]
+
+
+@pytest.mark.parametrize("fam_id, n", BATCH_CASES)
+def test_batched_siegel_rows_match_rowwise_oracle(fam_id, n):
+    # the composition solve on every map's coefficients, against the rowwise
+    # oracle: each alpha solved alone, as a batch of one.  Each row, and each
+    # failure, is that row's bit for bit
     fam = _composition_spec(get_family(fam_id))
     alphas = _siegel_batch(32)
-    others = _siegel_batch(9, seed=6)
-    first = siegel_series_many(fam, alphas, n)
-    assert isinstance(first[RATIONAL_SLOT], DivisorBreakdownError)
-    mixed = siegel_series_many(fam, others[:4] + alphas[::-1] + others[4:], n)[4 : 4 + len(alphas)]
-    assert all(map(_same_outcome, mixed[::-1], first))
-    for a, out in zip(alphas, first):
+    batched = siegel_series_many(fam, alphas, n)
+    assert len(batched) == len(alphas) and isinstance(batched[RATIONAL_SLOT], DivisorBreakdownError)
+    for a, out in zip(alphas, batched):
         assert _same_outcome(siegel_series_many(fam, [a], n)[0], out), (fam_id, a)
+
+
+def test_batched_siegel_row_does_not_depend_on_its_batch():
+    # on every map's composition solve, the 32-alpha batch reversed inside
+    # another batch gives each row, and each failure, bit for bit
+    others = _siegel_batch(9, seed=6)
+    alphas = _siegel_batch(32)
+    for fam_id, n in BATCH_CASES:
+        fam = _composition_spec(get_family(fam_id))
+        first = siegel_series_many(fam, alphas, n)
+        mixed = siegel_series_many(fam, others[:4] + alphas[::-1] + others[4:], n)[4 : 4 + len(alphas)]
+        assert all(map(_same_outcome, mixed[::-1], first)), (fam_id, n)
 
 
 @pytest.mark.parametrize("fam_id", ["quadratic", "exp"])
@@ -850,27 +860,38 @@ _LIMIT_LAMS = (np.random.default_rng(17).uniform(0.1, 0.9, 6) * np.exp(2j * math
     (1 - 2.0**-7) * cmath.exp(2j * math.pi * golden_rotation().value)]
 
 
-def _koenigs_limit_u(fam_id, lam):
-    """u = log|h(lambda v) / lambda| with h = lim lambda^-m f_lambda^m, no
-    series: the orbit of lambda v in 20 digits until |z_m| <= 1e-14, where
-    h(z_m) = z_m (1 + O(z_m)), so u = log|z_m| - (m + 1) log|lambda|."""
+def _koenigs_loop(fam_id, lam, z, tol=1e-20):
+    """The loop oracle, no series: h(z) = lim lambda^-m f_lambda^m(z), the
+    map iterated in 20 digits until |z_m| <= tol, where h(z_m) = z_m (1 + O(z_m))."""
     step = _MPMATH_MAPS[fam_id]
     with mpmath.workdps(20):
-        lam_mp = mpmath.mpc(lam)
-        z, m = lam_mp * mpmath.mpc(get_family(fam_id).v), 0
-        while abs(z) > 1e-14:
+        lam_mp, z, m = mpmath.mpc(lam), mpmath.mpc(z), 0
+        while abs(z) > tol:
             z, m = lam_mp * step(z), m + 1
-        return float(mpmath.log(abs(z)) - (m + 1) * mpmath.log(abs(lam_mp)))
+        return complex(z / lam_mp**m)
 
 
 @pytest.mark.parametrize("fam_id", ALL_FAMILY_IDS)
 def test_u_matches_the_koenigs_limit(fam_id):
-    # series, entry radius, orbit and unwinding against a limit that uses
-    # none of them (measured: within 4.4e-14)
-    values = u_values(get_family(fam_id), _LIMIT_LAMS)
+    # series, entry radius, orbit and unwinding against u = log|h(lambda v) / lambda|
+    # from the limit, which uses none of them (measured: within 4.4e-14)
+    fam = get_family(fam_id)
+    values = u_values(fam, _LIMIT_LAMS)
     for lam, value in zip(_LIMIT_LAMS, values, strict=True):
-        assert abs(value.u - _koenigs_limit_u(fam_id, lam)) <= 1e-12, lam
+        assert abs(value.u - math.log(abs(_koenigs_loop(fam_id, lam, lam * fam.v, 1e-14) / lam))) <= 1e-12, lam
     assert values[-1].iterations_used > 2 * linearize._ORBIT_CHUNK
+
+
+@pytest.mark.parametrize("fam_id", ALL_FAMILY_IDS)
+def test_koenigs_solver_matches_loop_oracle(fam_id):
+    # koenigs_series' rows summed at half the entry radius, within 4 ulps of
+    # the term majorant sum |h_k| |z|^k (measured: at most 0.87)
+    fam = get_family(fam_id)
+    for lam, turn in zip(KOENIGS_LAMS, (0.3, 2.5, 4.1, 5.6)):
+        h = koenigs_series(fam, lam, 128).h
+        z = 0.5 * entry_radius(h) * cmath.exp(1j * turn)
+        terms = np.abs(h.coeffs) * abs(z) ** np.arange(129)
+        assert abs(evaluate(h, z) - _koenigs_loop(fam_id, lam, z)) <= 4 * EPS * terms.sum(), (lam, z)
 
 
 def test_entry_radius_is_the_first_rung_whose_tail_passes():
