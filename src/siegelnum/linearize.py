@@ -247,14 +247,13 @@ def koenigs_series(family: FamilySpec, lam: complex, n: int = 128) -> KoenigsSer
 def _phases(alphas: np.ndarray, n: int) -> np.ndarray:
     """frac(k alpha) for k = 0..n, one row per alpha, within 2^-53 mod 1.
 
-    alpha = hi + lo in 27 and 26 bits: k frac(hi), k frac(lo) and their fmod
-    are exact for k < 2^26, so only the sum rounds, and column 1 is alpha
-    on [0, 1).  A phase has alpha's sign and lies in (-2, 2).
+    alpha = hi + lo in 27 and 26 bits: k frac(hi), k frac(lo) and their modf
+    (fmod(x, 1) bit for bit) are exact for k < 2^26, so only the sum rounds;
+    column 1 is alpha on [0, 1), and a phase has alpha's sign, in (-2, 2).
     """
     mant, e = np.frexp(alphas)
     hi = np.ldexp(np.trunc(np.ldexp(mant, 27)), e - 27)
-    k = np.arange(n + 1)
-    a, b = (np.fmod(np.fmod(part, 1.0)[:, None] * k, 1.0) for part in (hi, alphas - hi))
+    a, b = np.modf(np.modf(np.stack((hi, alphas - hi)))[0][..., None] * np.arange(n + 1))[0]
     return a + b
 
 
@@ -301,16 +300,13 @@ def siegel_series_many(
     worst = np.argmin(mags / floors, axis=1)
     at = np.arange(len(alphas)), worst
     smallest = zip((worst + 2).tolist(), mags[at].tolist(), floors[at].tolist())
-    outcomes: list = []
-    for rot, alpha, ok, (k, m, floor) in zip(given, alphas.tolist(), finite.tolist(), smallest):
-        if not ok:
-            outcomes.append(PreconditionError(f"alpha must be finite, got {alpha}"))
-        elif m < floor:
-            outcomes.append(DivisorBreakdownError(k, m, floor))
-        elif getattr(rot, "is_rational", False):
-            outcomes.append(DivisorBreakdownError(rot.q + 1, 0.0, SIEGEL_DIVISOR_FLOOR))
-        else:
-            outcomes.append(alpha)
+    outcomes: list = [
+        PreconditionError(f"alpha must be finite, got {alpha}") if not ok
+        else DivisorBreakdownError(k, m, floor) if m < floor
+        else DivisorBreakdownError(rot.q + 1, 0.0, SIEGEL_DIVISOR_FLOOR) if getattr(rot, "is_rational", False)
+        else alpha
+        for rot, alpha, ok, (k, m, floor) in zip(given, alphas.tolist(), finite.tolist(), smallest)
+    ]
     live = [b for b, out in enumerate(outcomes) if not isinstance(out, SiegelnumError)]
     if live:
         lams = powers[live, 1]
@@ -333,15 +329,16 @@ def siegel_series(family: FamilySpec, alpha, n: int = 128) -> SiegelSeries:
 def _siegel_plan(rows: int, top: int, n: int, thread: int) -> tuple:
     """(pows, W, steps) for _solve_siegel's blocks of one shape in one thread
     (numpy drops the GIL inside matmul): pows[:, j, k] = [w^k] g^j,
-    rev[:, n - i] = g_i, W[:, k, j] = F_j / d_k, and per degree k the views
-    (powers 1..m-1 through column k-1, g_{k-1}, ..., g_1, column k of powers
-    2..m, W's row k, g_k, its slot in rev), m = min(k, top).  A solve writes
-    each entry it reads before reading it; the rest stay 0.  At most 8 plans
-    of 2 max(BLOCK_ENTRIES, (top + 1)(n + 1)) + rows (n + 1) complex128
-    entries and ~1 KB of views per degree: 2.7 MB at n = 256 (22 MB for 8).
-    Only a custom map of high degree builds a larger one, up to 8.9 MB for
-    a one-row entire block at n = 512 (71 MB for 8); the catalog's entire
-    maps take the ODE solve, which keeps no power table.
+    rev[:, n - i] = g_i, W[:, k, j] = conj(F_j / d_k), and per degree k the
+    views (powers 1..m-1 through column k-1, g_{k-1}, ..., g_1, column k of
+    powers 2..m in 3-D and 2-D, W's row k, g_k, its slot in rev), m =
+    min(k, top).  A solve writes each entry it reads before reading it; the
+    rest stay 0.  At most 8 plans of 2 max(BLOCK_ENTRIES, (top + 1)(n + 1))
+    + rows (n + 1) complex128 entries and ~1 KB of views per degree: 2.7 MB
+    at n = 256 (22 MB for 8).  Only a custom map of high degree builds a
+    larger one, up to 8.9 MB for a one-row entire block at n = 512 (71 MB
+    for 8); the catalog's entire maps take the ODE solve, which keeps no
+    power table.
     """
     pows = np.zeros((rows, top + 1, n + 1), dtype=np.complex128)
     rev = np.zeros((rows, n + 1), dtype=np.complex128)
@@ -349,7 +346,7 @@ def _siegel_plan(rows: int, top: int, n: int, thread: int) -> tuple:
     pows[:, 1, 1] = rev[:, n - 1] = 1
     steps = tuple(
         (pows[:, 1:m, 1:k], rev[:, n - k + 1 : n, None], pows[:, 2 : m + 1, k, None],
-         W[:, k, None, 2 : m + 1], pows[:, 1, k, None, None], rev[:, n - k, None, None])
+         W[:, k, 2 : m + 1], pows[:, 2 : m + 1, k], pows[:, 1, k], rev[:, n - k])
         for k, m in ((k, min(k, top)) for k in range(2, n + 1))
     )
     return pows, W, steps
@@ -367,10 +364,12 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
     count, on views _siegel_plan builds once per block shape (a memo of 8):
     a stacked mat-vec of powers 1..m-1 with g_{k-1}, ..., g_1 (g is kept
     reversed, so BLAS takes the unit-stride vector) appends column k of
-    every power, a stacked dot with the weights F_j / d_k (one divide per
-    block) gives g_k, and a copy puts g_k into the reversed g.  Each row's
-    products are BLAS calls of their own, shaped by the call's one degree,
-    so a row is bitwise that of a batch of one; returned rows are copies.
+    every power, np.vecdot of the conjugated weights F_j / d_k (one divide
+    and one conjugate per block) with that column gives g_k, and a copy puts
+    g_k into the reversed g.  Each row's products are BLAS calls of their
+    own, shaped by the call's one degree, so a row is bitwise that of a batch
+    of one (so even a one-term weight step is no np.multiply, whose complex
+    product fuses multiply-adds on some loop shapes only); rows are copies.
 
     Every row is lambda f of one map f (_siegel_rows), so a call has one
     top = deg F; higher powers never meet a nonzero F_j and are not kept,
@@ -385,15 +384,17 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
     top = int(np.flatnonzero(F.any(axis=0)).max(initial=2))
     per_block = max(1, BLOCK_ENTRIES // ((top + 1) * (n + 1)))
     out = np.empty_like(F)
+    matmul, vecdot, positive = np.matmul, np.vecdot, np.positive
     for start in range(0, len(F), per_block):
         rows = slice(start, min(start + per_block, len(F)))
         pows, W, steps = _siegel_plan(rows.stop - start, top, n, threading.get_ident())
         with np.errstate(over="ignore", invalid="ignore"):  # _read_rows reports it
-            np.divide(F[rows, None, : top + 1], divisors[rows, 2:, None], out=W[:, 2:])
-            for powers, g_rev, col, weights, g_k, slot in steps:
-                np.matmul(powers, g_rev, out=col)
-                np.matmul(weights, col, out=g_k)
-                np.positive(g_k, out=slot)
+            np.divide(F[rows, None, 2 : top + 1], divisors[rows, 2:, None], out=W[:, 2:, 2:])
+            np.conjugate(W[:, 2:, 2:], out=W[:, 2:, 2:])
+            for powers, g_rev, col, weights, terms, g_k, slot in steps:
+                matmul(powers, g_rev, col)
+                vecdot(weights, terms, g_k)
+                positive(g_k, slot)
         out[rows] = pows[:, 1]
     return out
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -216,12 +217,30 @@ def _as_rotation(alpha) -> RotationNumber:
 # -- radius estimates ---------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class _FitSamples(Sequence):
+    """A fit's (k, log|g_k|) pairs as read-only views of its arrays, built
+    only when read; they compare, hash, print and index as that tuple."""
+
+    ks: np.ndarray
+    ys: np.ndarray
+
+    def __eq__(self, other):
+        return tuple(self) == (tuple(other) if isinstance(other, _FitSamples) else other)
+
+    def __iter__(self): return zip(self.ks.tolist(), self.ys.tolist())
+    def __len__(self): return len(self.ks)
+    def __getitem__(self, i): return tuple(self)[i]
+    def __hash__(self): return hash(tuple(self))
+    def __repr__(self): return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class RadiusEstimate:
     alpha: RotationNumber
     method: str
     rho_hat: float  # -inf (radial only) at an exactly rational alpha: there is no disc
-    samples: tuple
+    samples: tuple | _FitSamples  # (r, u) of a ray; (k, log|g_k|) of a fit
     converged: bool
     failures: tuple = ()
     # the fitted Siegel series (coefficient method only); kept out of the
@@ -337,10 +356,10 @@ def rho_coefficients(family: FamilySpec, alphas, n: int = 128) -> list[RadiusEst
 def _fit_slope(ks: np.ndarray, ys: np.ndarray):
     """Least-squares slope of ys against ks, in closed form:
     sum (k - k_mean)(y - y_mean) / sum (k - k_mean)^2, for one row ys or
-    for each row of a 2-D ys.  Each row's sum is a (1, m) @ (m, 1) product
-    of its own, which rounds as the 1-D dot of that row alone would."""
-    dk = ks - ks.mean()
-    yc = ys - ys.mean(axis=-1, keepdims=True)
+    for each row of a 2-D ys (means as ndarray.mean forms them).  Each row's
+    sum is a (1, m) @ (m, 1) product of its own, as its 1-D dot would be."""
+    dk = ks - ks.sum() / ks.size
+    yc = ys - ys.sum(axis=-1, keepdims=True) / ks.size
     return (yc[..., None, :] @ dk[:, None])[..., 0, 0] / (dk @ dk)
 
 
@@ -357,7 +376,7 @@ def _coefficient_estimates(family: FamilySpec, rots: list, series: list) -> list
         return []
     n = series[0].g.degree
     cap = koebe_cap_log(family) + M_SLACK
-    window = np.abs(np.array([ss.g.coeffs for ss in series]))[:, n // 2 :]
+    window = np.abs(np.array([ss.g.coeffs[n // 2 :] for ss in series]))
     idx = np.arange(n // 2, n + 1, dtype=np.float64)
     keep = window > 0.0
     out: list = [None] * len(series)
@@ -372,17 +391,17 @@ def _coefficient_estimates(family: FamilySpec, rots: list, series: list) -> list
                 out[b] = EstimateUnavailableError("tail window has too few nonzero coefficients")
             continue
         ys = np.log(np.ascontiguousarray(window[rows][:, mask]))
+        ks.flags.writeable = ys.flags.writeable = False  # each row's samples view them
         mid = ks.size // 2
         slopes, s1, s2 = (
             _fit_slope(ks[part], ys[:, part]).tolist()
             for part in (slice(None), slice(None, mid), slice(mid, None))
         )
-        k_list = ks.tolist()
-        for b, slope, y, a, c in zip(rows, slopes, ys.tolist(), s1, s2):
+        for b, slope, y, a, c in zip(rows, slopes, ys, s1, s2):
             out[b] = NumericalError(
                 f"rho_coefficient produced rho_hat = {-slope:.4f} above the Koebe cap M + {M_SLACK} = {cap:.4f}"
             ) if -slope > cap else RadiusEstimate(
-                alpha=rots[b], method="coefficient", rho_hat=-slope, samples=tuple(zip(k_list, y)),
+                alpha=rots[b], method="coefficient", rho_hat=-slope, samples=_FitSamples(ks, y),
                 converged=abs(a - c) <= SLOPE_STABILITY_TOL, series=series[b],
             )
     return out

@@ -287,6 +287,18 @@ def test_a_flank_probe_without_a_disc_reads_minus_infinity(monkeypatch, failure)
     assert len(faked[0]) == 2 * construction.FLANK_SAMPLES
 
 
+def test_each_flank_reading_is_its_rows_own_estimate():
+    # the flank scan reads a 31-alpha rho_coefficients batch: each row's
+    # reading is that alpha's rho_coefficient bit for bit, and -inf where
+    # there is no disc (an exact rational, a series past binary64)
+    alphas = [13 / 21 + s * j * 1e-4 for j in range(1, 15) for s in (1.0, -1.0)]
+    alphas += [rational_rotation(8, 13), 0.5 + 1e-12, golden_rotation()]
+    readings = [construction._effective_value(e) for e in rho_coefficients(QUAD, alphas, 256)]
+    alone = [construction._effective_value(outcome(rho_coefficient, QUAD, a, 256)) for a in alphas]
+    assert [r.hex() for r in readings] == [r.hex() for r in alone]
+    assert readings[-3:-1] == [-math.inf, -math.inf] and math.isfinite(readings[-1])
+
+
 def test_a_flank_scan_below_float_resolution_is_rejected(monkeypatch):
     # a search that lands 6 ulp from its anchor, keeping est_n's series so
     # that the norm check passes: the 32 flank probes are not distinct floats

@@ -386,6 +386,32 @@ def test_phases_are_rounded_once():
     assert linearize._phases(unit, 1)[:, 1].tobytes() == unit.tobytes()
 
 
+def _fmod_phases(alphas, n):
+    """_phases with np.fmod for the fractional parts, as it was written
+    before np.modf took its place."""
+    mant, e = np.frexp(alphas)
+    hi = np.ldexp(np.trunc(np.ldexp(mant, 27)), e - 27)
+    k = np.arange(n + 1)
+    a, b = (np.fmod(np.fmod(part, 1.0)[:, None] * k, 1.0) for part in (hi, alphas - hi))
+    return a + b
+
+
+def test_phases_match_the_fmod_formula_bitwise():
+    # every bit, the sign of a zero included: negative alpha (whose phase at
+    # k = 0, and at each k where k alpha is an integer, is -0.0 under fmod),
+    # float p/q whose k alpha lands on an integer, and n = 4096
+    rng = np.random.default_rng(52)
+    alphas = np.concatenate([
+        rng.uniform(-1, 1, 40), -(10.0 ** rng.uniform(-300, 6, 10)),
+        [s * p / q for q in (2, 4, 8, 1024) for p in (1, 3) for s in (1, -1)],
+        [1 / 3, -1 / 3, 2 / 7, -5 / 13, 0.0, -0.0, 5e-324, -5e-324, 2.0**60 + 2**8, -1e300],
+    ])
+    got, want = linearize._phases(alphas, 4096), _fmod_phases(alphas, 4096)
+    assert got.tobytes() == want.tobytes()
+    # the cases the sign bit decides occur: -0.0, and exact zeros past k = 0
+    assert (np.signbit(want) & (want == 0)).any() and (want[:, 1:] == 0).any()
+
+
 BATCH_CASES = [(fam_id, 128) for fam_id in ALL_FAMILY_IDS] + [("quadratic", 256), ("poly_3", 256)]
 
 
@@ -423,6 +449,43 @@ def test_batched_siegel_rows_do_not_depend_on_the_block(fam_id, monkeypatch):
     # block is short; exp's ODE state (66 entries) takes 8 rows per block
     monkeypatch.setattr(linearize, "BLOCK_ENTRIES", 3 * 3 * 65)
     assert all(map(_same_outcome, siegel_series_many(fam, alphas, 64), default))
+
+
+def _matmul_weight_solve(F, divisors):
+    """_solve_siegel's recurrence with the weight step as a stacked matmul of
+    the unconjugated weights F_j / d_k, as it was written before np.vecdot
+    took its place; one block of all the rows, no plan."""
+    rows, n = F.shape[0], F.shape[1] - 1
+    top = int(np.flatnonzero(F.any(axis=0)).max(initial=2))
+    pows = np.zeros((rows, top + 1, n + 1), dtype=np.complex128)
+    rev = np.zeros((rows, n + 1), dtype=np.complex128)
+    pows[:, 1, 1] = rev[:, n - 1] = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = F[:, None, : top + 1] / divisors[:, 2:, None]
+        for k in range(2, n + 1):
+            m = min(k, top)
+            np.matmul(pows[:, 1:m, 1:k], rev[:, n - k + 1 : n, None], out=pows[:, 2 : m + 1, k, None])
+            np.matmul(W[:, k - 2, None, 2 : m + 1], pows[:, 2 : m + 1, k, None], out=pows[:, 1, k, None, None])
+            rev[:, n - k] = pows[:, 1, k]
+    return pows[:, 1]
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("fam_id", ALL_FAMILY_IDS + ("poly_5",))
+def test_composition_rows_match_a_stacked_matmul_weight_step(fam_id, n):
+    # the vecdot weight step against the stacked matmul, bit for bit, on a
+    # batch of 31 and on three of its rows as batches of one
+    fam = _composition_spec(get_family(fam_id))
+    alphas = np.array(_siegel_batch(31, seed=52))
+    powers = np.exp(2j * math.pi * linearize._phases(alphas, n))
+    F, divisors = powers[:, 1, None] * base_series(fam, n).coeffs, powers - powers[:, 1:2]
+    batch = linearize._solve_siegel(F, divisors)
+    want = [_matmul_weight_solve(F[b : b + 1], divisors[b : b + 1]) for b in range(len(alphas))]
+    assert [row.tobytes() for row in batch] == [row.tobytes() for row in want]
+    for b in (0, 15, 30):
+        assert linearize._solve_siegel(F[b : b + 1], divisors[b : b + 1]).tobytes() == want[b].tobytes()
+    if fam.family_id in ("quadratic", "poly_3", "poly_5"):  # and stacked
+        assert batch.tobytes() == _matmul_weight_solve(F, divisors).tobytes()
 
 
 def _quadratic_stack(alphas, n):

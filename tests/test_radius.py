@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -394,6 +396,33 @@ def test_estimate_describe_roundtrip():
     d = est.describe()
     assert d["method"] == "radial"
     assert len(d["samples"]) == est.samples.__len__()
+
+
+def test_coefficient_samples_are_the_tuple_of_pairs_to_every_reader():
+    # a fit keeps its samples as views of its k and log|g_k| arrays; every
+    # reader sees the tuple of (k, log|g_k|) pairs the estimate used to hold
+    est = rho_coefficient(QUAD, golden_rotation(), 256)
+    ks, ys = np.arange(128, 257, dtype=np.float64), np.log(np.abs(est.series.g.coeffs[128:]))
+    pairs = tuple(zip(ks.tolist(), ys.tolist()))
+    as_tuple = dataclasses.replace(est, samples=pairs)
+    assert est.samples == pairs and pairs == est.samples and not est.samples != pairs
+    assert est == as_tuple and as_tuple == est and dataclasses.replace(est) == est
+    assert hash(est.samples) == hash(pairs) and hash(est) == hash(as_tuple)
+    assert repr(est) == repr(as_tuple) and repr(est.samples) == repr(pairs)
+    assert est.describe() == as_tuple.describe()
+    assert json.dumps(est.describe()) == json.dumps(as_tuple.describe())
+    assert len(est.samples) == 129 and est.samples[0] == (128.0, pairs[0][1])
+    assert est.samples[-1] == pairs[-1] and est.samples[5:9] == pairs[5:9] and list(est.samples) == list(pairs)
+    assert tuple(zip(*est.samples)) == (tuple(ks.tolist()), tuple(ys.tolist()))
+    # (the fitted series holds its family's generator functions, which do not
+    # pickle, with or without this change)
+    back = pickle.loads(pickle.dumps(dataclasses.replace(est, series=None)))
+    assert back == est and repr(back) == repr(est) and hash(back) == hash(est)
+    assert back.describe() == est.describe() and pickle.loads(pickle.dumps(est.samples)) == pairs
+    with pytest.raises(ValueError):  # read-only views of the fit
+        est.samples.ys[0] = 0.0
+    # ray scans keep a plain tuple
+    assert type(rho_radial(QUAD, golden_rotation(), depth=6, n=64).samples) is tuple
 
 
 # -- harmonic diagnostics -----------------------------------------------------
