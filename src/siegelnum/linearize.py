@@ -331,14 +331,13 @@ def _siegel_plan(rows: int, top: int, n: int, thread: int) -> tuple:
     (numpy drops the GIL inside matmul): pows[:, j, k] = [w^k] g^j,
     rev[:, n - i] = g_i, W[:, k, j] = conj(F_j / d_k), and per degree k the
     views (powers 1..m-1 through column k-1, g_{k-1}, ..., g_1, column k of
-    powers 2..m in 3-D and 2-D, W's row k, g_k, its slot in rev), m =
-    min(k, top).  A solve writes each entry it reads before reading it; the
-    rest stay 0.  At most 8 plans of 2 max(BLOCK_ENTRIES, (top + 1)(n + 1))
-    + rows (n + 1) complex128 entries and ~1 KB of views per degree: 2.7 MB
-    at n = 256 (22 MB for 8).  Only a custom map of high degree builds a
-    larger one, up to 8.9 MB for a one-row entire block at n = 512 (71 MB
-    for 8); the catalog's entire maps take the ODE solve, which keeps no
-    power table.
+    powers 2..m twice, W's row k, g_k, its slot in rev), m = min(k, top).
+    A solve writes each entry it reads before reading it; the rest stay 0.
+    At most 8 plans of 2 max(BLOCK_ENTRIES, (top + 1)(n + 1)) + rows (n + 1)
+    complex128 entries and ~1 KB of views per degree: 2.7 MB at n = 256
+    (22 MB for 8).  Only a custom map of high degree builds a larger one, up
+    to 8.9 MB for a one-row entire block at n = 512 (71 MB for 8); the
+    catalog's entire maps take the ODE solve, which keeps no power table.
     """
     pows = np.zeros((rows, top + 1, n + 1), dtype=np.complex128)
     rev = np.zeros((rows, n + 1), dtype=np.complex128)
@@ -360,16 +359,17 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
     right side is lambda^k g_k, so g_k (lambda^k - lambda) equals that sum.
     The table pows[:, j] holds g^j of every row, filled through the current
     degree.  Column k of g^j is sum_{i<k} g_i [w^{k-i}] g^{j-1}, which reads
-    only columns < k, so a degree is three numpy calls whatever the row
-    count, on views _siegel_plan builds once per block shape (a memo of 8):
-    a stacked mat-vec of powers 1..m-1 with g_{k-1}, ..., g_1 (g is kept
-    reversed, so BLAS takes the unit-stride vector) appends column k of
-    every power, np.vecdot of the conjugated weights F_j / d_k (one divide
-    and one conjugate per block) with that column gives g_k, and a copy puts
-    g_k into the reversed g.  Each row's products are BLAS calls of their
-    own, shaped by the call's one degree, so a row is bitwise that of a batch
-    of one (so even a one-term weight step is no np.multiply, whose complex
-    product fuses multiply-adds on some loop shapes only); rows are copies.
+    only columns < k, so a degree is three numpy calls whatever the row count,
+    on views _siegel_plan builds once per block shape (a memo of 8): a stacked
+    mat-vec of powers 1..m-1 with g_{k-1}, ..., g_1 (g is kept reversed, so
+    BLAS takes the unit-stride vector) appends column k of every power,
+    np.vecdot of the conjugated weights F_j / d_k (one divide and one
+    conjugate per block) with that column writes g_k into the reversed g
+    (apart from the table: numpy checks no overlap), and a copy puts it into
+    the table.  Each row's products are BLAS calls of their own, shaped by the
+    call's one degree, so a row is bitwise that of a batch of one (even a
+    one-term weight step: np.multiply's complex product fuses multiply-adds on
+    some loop shapes only); returned rows are copies.
 
     Every row is lambda f of one map f (_siegel_rows), so a call has one
     top = deg F; higher powers never meet a nonzero F_j and are not kept,
@@ -393,8 +393,8 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
             np.conjugate(W[:, 2:, 2:], out=W[:, 2:, 2:])
             for powers, g_rev, col, weights, terms, g_k, slot in steps:
                 matmul(powers, g_rev, col)
-                vecdot(weights, terms, g_k)
-                positive(g_k, slot)
+                vecdot(weights, terms, slot)
+                positive(slot, g_k)
         out[rows] = pows[:, 1]
     return out
 
