@@ -329,23 +329,23 @@ def siegel_series(family: FamilySpec, alpha, n: int = 128) -> SiegelSeries:
 def _siegel_plan(rows: int, top: int, n: int, thread: int) -> tuple:
     """(pows, W, steps) for _solve_siegel's blocks of one shape in one thread
     (numpy drops the GIL inside matmul): pows[:, j, k] = [w^k] g^j,
-    rev[:, n - i] = g_i, W[:, k, j] = conj(F_j / d_k), and per degree k the
-    views (powers 1..m-1 through column k-1, g_{k-1}, ..., g_1, column k of
-    powers 2..m twice, W's row k, g_k, its slot in rev), m = min(k, top).
+    rev[:, n - i] = g_i, W[:, k, j - 2] = conj(F_j / d_k), and per degree k
+    the views (powers 1..m-1 through column k-1, g_{k-1}, ..., g_1, column k
+    of powers 2..m twice, W's row k, g_k, its slot in rev), m = min(k, top).
     A solve writes each entry it reads before reading it; the rest stay 0.
-    At most 8 plans of 2 max(BLOCK_ENTRIES, (top + 1)(n + 1)) + rows (n + 1)
-    complex128 entries and ~1 KB of views per degree: 2.7 MB at n = 256
-    (22 MB for 8).  Only a custom map of high degree builds a larger one, up
-    to 8.9 MB for a one-row entire block at n = 512 (71 MB for 8); the
-    catalog's entire maps take the ODE solve, which keeps no power table.
+    At most 8 plans of (2 top + 1)(n + 1) complex128 entries per block row
+    and ~1 KB of views per degree: 2.0 MB at n = 256 (16 MB for 8).  Only a
+    custom map of high degree builds a larger one, up to 8.9 MB for a
+    one-row entire block at n = 512 (71 MB for 8); the catalog's entire maps
+    take the ODE solve, which keeps no power table.
     """
     pows = np.zeros((rows, top + 1, n + 1), dtype=np.complex128)
     rev = np.zeros((rows, n + 1), dtype=np.complex128)
-    W = np.empty((rows, n + 1, top + 1), dtype=np.complex128)
+    W = np.empty((rows, n + 1, top - 1), dtype=np.complex128)
     pows[:, 1, 1] = rev[:, n - 1] = 1
     steps = tuple(
         (pows[:, 1:m, 1:k], rev[:, n - k + 1 : n, None], pows[:, 2 : m + 1, k, None],
-         W[:, k, 2 : m + 1], pows[:, 2 : m + 1, k], pows[:, 1, k], rev[:, n - k])
+         W[:, k, : m - 1], pows[:, 2 : m + 1, k], pows[:, 1, k], rev[:, n - k])
         for k, m in ((k, min(k, top)) for k in range(2, n + 1))
     )
     return pows, W, steps
@@ -389,8 +389,8 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
         rows = slice(start, min(start + per_block, len(F)))
         pows, W, steps = _siegel_plan(rows.stop - start, top, n, threading.get_ident())
         with np.errstate(over="ignore", invalid="ignore"):  # _read_rows reports it
-            np.divide(F[rows, None, 2 : top + 1], divisors[rows, 2:, None], out=W[:, 2:, 2:])
-            np.conjugate(W[:, 2:, 2:], out=W[:, 2:, 2:])
+            np.divide(F[rows, None, 2 : top + 1], divisors[rows, 2:, None], out=W[:, 2:])
+            np.conjugate(W[:, 2:], out=W[:, 2:])
             for powers, g_rev, col, weights, terms, g_k, slot in steps:
                 matmul(powers, g_rev, col)
                 vecdot(weights, terms, slot)
