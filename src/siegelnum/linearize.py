@@ -328,10 +328,10 @@ def siegel_series(family: FamilySpec, alpha, n: int = 128) -> SiegelSeries:
 @functools.lru_cache(maxsize=8)
 def _siegel_plan(rows: int, top: int, n: int, thread: int) -> tuple:
     """(pows, W, steps) for _solve_siegel's blocks of one shape in one thread
-    (numpy drops the GIL inside matmul): pows[:, j, k] = [w^k] g^j,
+    (numpy drops the GIL inside BLAS): pows[:, j, k] = [w^k] g^j,
     rev[:, n - i] = g_i, W[:, k, j - 2] = conj(F_j / d_k), and per degree k
     the views (powers 1..m-1 through column k-1, g_{k-1}, ..., g_1, column k
-    of powers 2..m twice, W's row k, g_k, its slot in rev), m = min(k, top).
+    of powers 2..m, W's row k, g_k, its slot in rev), m = min(k, top).
     A solve writes each entry it reads before reading it; the rest stay 0.
     At most 8 plans of (2 top + 1)(n + 1) complex128 entries per block row
     and ~1 KB of views per degree: 2.0 MB at n = 256 (16 MB for 8).  Only a
@@ -344,8 +344,8 @@ def _siegel_plan(rows: int, top: int, n: int, thread: int) -> tuple:
     W = np.empty((rows, n + 1, top - 1), dtype=np.complex128)
     pows[:, 1, 1] = rev[:, n - 1] = 1
     steps = tuple(
-        (pows[:, 1:m, 1:k], rev[:, n - k + 1 : n, None], pows[:, 2 : m + 1, k, None],
-         W[:, k, : m - 1], pows[:, 2 : m + 1, k], pows[:, 1, k], rev[:, n - k])
+        (pows[:, 1:m, 1:k], rev[:, n - k + 1 : n], pows[:, 2 : m + 1, k], W[:, k, : m - 1],
+         pows[:, 1, k], rev[:, n - k])
         for k, m in ((k, min(k, top)) for k in range(2, n + 1))
     )
     return pows, W, steps
@@ -360,9 +360,9 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
     The table pows[:, j] holds g^j of every row, filled through the current
     degree.  Column k of g^j is sum_{i<k} g_i [w^{k-i}] g^{j-1}, which reads
     only columns < k, so a degree is three numpy calls whatever the row count,
-    on views _siegel_plan builds once per block shape (a memo of 8): a stacked
-    mat-vec of powers 1..m-1 with g_{k-1}, ..., g_1 (g is kept reversed, so
-    BLAS takes the unit-stride vector) appends column k of every power,
+    on views _siegel_plan builds once per block shape (a memo of 8): np.matvec
+    of powers 1..m-1 with g_{k-1}, ..., g_1 (g is kept reversed, so BLAS
+    takes the unit-stride vector) appends column k of every power,
     np.vecdot of the conjugated weights F_j / d_k (one divide and one
     conjugate per block) with that column writes g_k into the reversed g
     (apart from the table: numpy checks no overlap), and a copy puts it into
@@ -384,16 +384,16 @@ def _solve_siegel(F: np.ndarray, divisors: np.ndarray) -> np.ndarray:
     top = int(np.flatnonzero(F.any(axis=0)).max(initial=2))
     per_block = max(1, BLOCK_ENTRIES // ((top + 1) * (n + 1)))
     out = np.empty_like(F)
-    matmul, vecdot, positive = np.matmul, np.vecdot, np.positive
+    matvec, vecdot, positive = np.matvec, np.vecdot, np.positive
     for start in range(0, len(F), per_block):
         rows = slice(start, min(start + per_block, len(F)))
         pows, W, steps = _siegel_plan(rows.stop - start, top, n, threading.get_ident())
         with np.errstate(over="ignore", invalid="ignore"):  # _read_rows reports it
             np.divide(F[rows, None, 2 : top + 1], divisors[rows, 2:, None], out=W[:, 2:])
             np.conjugate(W[:, 2:], out=W[:, 2:])
-            for powers, g_rev, col, weights, terms, g_k, slot in steps:
-                matmul(powers, g_rev, col)
-                vecdot(weights, terms, slot)
+            for powers, g_rev, col, weights, g_k, slot in steps:
+                matvec(powers, g_rev, col)
+                vecdot(weights, col, slot)
                 positive(slot, g_k)
         out[rows] = pows[:, 1]
     return out

@@ -451,10 +451,10 @@ def test_batched_siegel_rows_do_not_depend_on_the_block(fam_id, monkeypatch):
     assert all(map(_same_outcome, siegel_series_many(fam, alphas, 64), default))
 
 
-def _matmul_weight_solve(F, divisors):
-    """_solve_siegel's recurrence with the weight step as a stacked matmul of
-    the unconjugated weights F_j / d_k, as it was written before np.vecdot
-    took its place; one block of all the rows, no plan."""
+def _matmul_solve(F, divisors):
+    """_solve_siegel's recurrence with both products as stacked matmuls, the
+    weights F_j / d_k unconjugated, as it was written before np.matvec and
+    np.vecdot took their places; one block of all the rows, no plan."""
     rows, n = F.shape[0], F.shape[1] - 1
     top = int(np.flatnonzero(F.any(axis=0)).max(initial=2))
     pows = np.zeros((rows, top + 1, n + 1), dtype=np.complex128)
@@ -472,20 +472,20 @@ def _matmul_weight_solve(F, divisors):
 
 @pytest.mark.parametrize("n", [64, 256])
 @pytest.mark.parametrize("fam_id", ALL_FAMILY_IDS + ("poly_5",))
-def test_composition_rows_match_a_stacked_matmul_weight_step(fam_id, n):
-    # the vecdot weight step against the stacked matmul, bit for bit, on a
-    # batch of 31 and on three of its rows as batches of one
+def test_composition_rows_match_the_stacked_matmul_solve(fam_id, n):
+    # the matvec and vecdot steps against the stacked matmuls, bit for bit,
+    # on a batch of 31 and on three of its rows as batches of one
     fam = _composition_spec(get_family(fam_id))
     alphas = np.array(_siegel_batch(31, seed=52))
     powers = np.exp(2j * math.pi * linearize._phases(alphas, n))
     F, divisors = powers[:, 1, None] * base_series(fam, n).coeffs, powers - powers[:, 1:2]
     batch = linearize._solve_siegel(F, divisors)
-    want = [_matmul_weight_solve(F[b : b + 1], divisors[b : b + 1]) for b in range(len(alphas))]
+    want = [_matmul_solve(F[b : b + 1], divisors[b : b + 1]) for b in range(len(alphas))]
     assert [row.tobytes() for row in batch] == [row.tobytes() for row in want]
     for b in (0, 15, 30):
         assert linearize._solve_siegel(F[b : b + 1], divisors[b : b + 1]).tobytes() == want[b].tobytes()
     if fam.family_id in ("quadratic", "poly_3", "poly_5"):  # and stacked
-        assert batch.tobytes() == _matmul_weight_solve(F, divisors).tobytes()
+        assert batch.tobytes() == _matmul_solve(F, divisors).tobytes()
 
 
 def _quadratic_stack(alphas, n):
